@@ -1,0 +1,45 @@
+"""The kernels' bytes are frozen: payloads, decoded values, random draws.
+
+``golden/kernel_digests.json`` was generated from the kernels as they were
+before the vectorised rewrite (see ``kernel_digest_cases.py`` for the corpus
+and how to regenerate).  A faster kernel must reproduce every digest.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from tests.core import kernel_digest_cases as cases
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(cases.GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+def _mismatches(actual: dict, expected: dict) -> list:
+    # JSON round-trip so tuples/ints compare the way the file stores them.
+    actual = json.loads(json.dumps(actual))
+    keys = sorted(set(actual) | set(expected))
+    return [key for key in keys if actual.get(key) != expected.get(key)]
+
+
+def test_compressor_payloads_decodes_and_draws_are_bit_identical(golden):
+    assert _mismatches(cases.compressor_digests(), golden["compressors"]) == []
+
+
+def test_tensorlib_primitives_are_bit_identical(golden):
+    assert _mismatches(cases.primitive_digests(), golden["tensorlib"]) == []
+
+
+def test_corpus_covers_every_edited_kernel(golden):
+    names = {key.split("/")[0] for key in golden["compressors"]}
+    assert names == set(cases.COMPRESSORS)
+    modes = {key.rsplit("/", 1)[1] for key in golden["compressors"]}
+    assert modes == {"compress", "fused1", "fused2", "aggregate"}
+    for bits in range(1, 17):
+        assert f"pack_bits/{bits}/9" in golden["tensorlib"]
+        assert f"unpack_bits/{bits}/9" in golden["tensorlib"]
