@@ -45,7 +45,9 @@ class EFSignSGDCompressor(Compressor):
         """Apply Q^-1: rebuild a dense tensor of the original shape."""
         shape, size = compressed.ctx
         packed, scale = compressed.payload
-        return (float(scale[0]) * unpack_signs(packed, size)).reshape(shape)
+        signs = unpack_signs(packed, size)
+        signs *= scale[0]
+        return signs.reshape(shape)
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One sign-pack over the bucket plus a per-segment ℓ1-mean vector.

@@ -19,7 +19,7 @@ from repro.tensorlib import (
     unpack_bits,
 )
 
-_TAG_DROP, _TAG_F8, _TAG_F16, _TAG_F32 = 0, 1, 2, 3
+_TAG_DROP, _TAG_F8, _TAG_F16, _TAG_F32 = 0, 1, 2, 3  # ascending precision
 
 
 class InceptionnCompressor(Compressor):
@@ -65,16 +65,17 @@ class InceptionnCompressor(Compressor):
         # np.float32: the max of a float32 array is exact at float32, and
         # `rel` below divides a float32 array by it — no float64 detour
         # through a Python scalar (GR002).
-        max_mag = np.float32(np.max(np.abs(flat))) if flat.size else 0.0
         mag = np.abs(flat)
-        tags = np.full(flat.size, _TAG_F16, dtype=np.uint8)
+        max_mag = np.float32(np.max(mag)) if flat.size else 0.0
         if max_mag > 0:
-            rel = mag / max_mag
-            tags[rel < self.drop_fraction] = _TAG_DROP
-            tags[(rel >= self.drop_fraction) & (rel < self.f8_fraction)] = _TAG_F8
-            tags[rel >= self.full_fraction] = _TAG_F32
+            # The tags are ordered like the tiers: a tag is the number of
+            # (ascending) tier thresholds its element reaches.
+            rel = np.divide(mag, max_mag, out=mag)
+            tags = (rel >= self.drop_fraction).astype(np.uint8)
+            tags += rel >= self.f8_fraction
+            tags += rel >= self.full_fraction
         else:
-            tags[:] = _TAG_DROP
+            tags = np.full(flat.size, _TAG_DROP, dtype=np.uint8)
         f8_values = flat[tags == _TAG_F8]
         f8_codes, f8_scale = quantize_float8(f8_values)
         payload = [
@@ -92,7 +93,7 @@ class InceptionnCompressor(Compressor):
         packed_tags, f8_codes, f8_scale, f16_values, f32_values = compressed.payload
         tags = unpack_bits(packed_tags, bits=2, count=size)
         out = np.zeros(size, dtype=np.float32)
-        out[tags == _TAG_F8] = dequantize_float8(f8_codes, float(f8_scale[0]))
+        out[tags == _TAG_F8] = dequantize_float8(f8_codes, f8_scale[0])
         out[tags == _TAG_F16] = f16_values.astype(np.float32)
         out[tags == _TAG_F32] = f32_values
         return out.reshape(shape)

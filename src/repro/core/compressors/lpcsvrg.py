@@ -54,12 +54,15 @@ class LPCSVRGCompressor(Compressor):
         clipped = np.clip(flat, -bound, bound)
         # Grid step so the clipped range maps into the code range.
         delta = bound / self._offset
-        scaled = clipped / delta + self._offset  # in [0, 2^w]
-        lower = np.floor(scaled)
-        up = self._rng.random(size=scaled.shape) < (scaled - lower)
-        codes = np.clip(lower + up, 0, self._levels - 1).astype(np.int64)
+        scaled = clipped
+        scaled /= delta
+        scaled += self._offset  # in [0, 2^w]
+        codes = np.floor(scaled)
+        scaled -= codes  # the fractional part: the odds of rounding up
+        codes += self._rng.random(size=scaled.shape) < scaled
+        np.clip(codes, 0, self._levels - 1, out=codes)
         payload = [
-            pack_bits(codes, bits=self.bit_width),
+            pack_bits(codes.astype(np.uint8), bits=self.bit_width),
             np.array([delta], dtype=np.float32),
         ]
         return CompressedTensor(payload=payload, ctx=(shape, flat.size))

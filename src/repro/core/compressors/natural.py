@@ -22,6 +22,20 @@ _EXP_BIAS = 127
 _ZERO_SENTINEL = 255
 
 
+def _exponent_values() -> np.ndarray:
+    """The float32 magnitude each of the 256 wire exponents decodes to."""
+    values = np.zeros(256, dtype=np.float32)
+    # Powers of two down to 2^-127 (a float32 subnormal): widened so that
+    # exp2 is exact, then narrowed exactly.
+    values[:_ZERO_SENTINEL] = np.exp2(
+        np.arange(_ZERO_SENTINEL).astype(np.float64) - _EXP_BIAS
+    ).astype(np.float32)
+    return values
+
+
+_EXPONENT_VALUES = _exponent_values()
+
+
 class NaturalCompressor(Compressor):
     """Unbiased power-of-two rounding with 9-bit wire format."""
 
@@ -36,13 +50,12 @@ class NaturalCompressor(Compressor):
         """Apply Q: returns the wire payload plus decompression ctx."""
         flat, shape = flatten_with_shape(tensor)
         rounded = stochastic_power_of_two(flat, rng=self._rng)
-        exponents = np.full(flat.size, _ZERO_SENTINEL, dtype=np.uint8)
-        nonzero = rounded != 0
-        if np.any(nonzero):
-            raw_exp = np.log2(np.abs(rounded[nonzero]))
-            exponents[nonzero] = np.clip(
-                np.rint(raw_exp) + _EXP_BIAS, 0, _ZERO_SENTINEL - 1
-            ).astype(np.uint8)
+        # rounded is 0 or +-2^x: frexp reads x + 1 off the representation.
+        _, binade = np.frexp(rounded)
+        binade += _EXP_BIAS - 1
+        np.clip(binade, 0, _ZERO_SENTINEL - 1, out=binade)
+        exponents = binade.astype(np.uint8)
+        exponents[rounded == 0] = _ZERO_SENTINEL
         payload = [pack_signs(rounded), exponents]
         return CompressedTensor(payload=payload, ctx=(shape, flat.size))
 
@@ -51,12 +64,8 @@ class NaturalCompressor(Compressor):
         shape, size = compressed.ctx
         packed_signs, exponents = compressed.payload
         signs = unpack_signs(packed_signs, size)
-        values = np.zeros(size, dtype=np.float32)
-        nonzero = exponents != _ZERO_SENTINEL
-        values[nonzero] = np.exp2(
-            exponents[nonzero].astype(np.float64) - _EXP_BIAS
-        ).astype(np.float32)
-        return (signs * values).reshape(shape)
+        signs *= _EXPONENT_VALUES.take(exponents)
+        return signs.reshape(shape)
 
     def aggregate_compressed(
         self, items: list[CompressedTensor]

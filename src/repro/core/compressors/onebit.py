@@ -50,5 +50,4 @@ class OneBitCompressor(Compressor):
         shape, size = compressed.ctx
         packed, means = compressed.payload
         bits = unpack_bits(packed, bits=1, count=size)
-        values = np.where(bits > 0, means[1], means[0]).astype(np.float32)
-        return values.reshape(shape)
+        return means.take(bits).reshape(shape)  # means are [low, high]

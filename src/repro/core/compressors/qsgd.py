@@ -83,8 +83,11 @@ class QSGDCompressor(Compressor):
         norm = norm_arr[0]  # float32 scale part, kept at wire precision
         signs = unpack_signs(packed_signs, size)
         codes = unpack_bits(packed_codes, bits=self.code_bits, count=size)
-        values = norm * signs * codes.astype(np.float32) / self.levels
-        return values.astype(np.float32).reshape(shape)
+        values = signs
+        values *= norm
+        values *= codes.astype(np.float32)
+        values /= self.levels
+        return values.reshape(shape)
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """Whole-bucket QSGD: one stochastic-rounding pass, one bit-pack.

@@ -46,8 +46,11 @@ class SketchMLCompressor(Compressor):
     def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
         """Apply Q: returns the wire payload plus decompression ctx."""
         flat, shape = flatten_with_shape(tensor)
-        indices = np.flatnonzero(flat)
-        values = flat[indices]
+        if np.count_nonzero(flat) == flat.size:
+            values = flat  # nothing to gather
+        else:
+            indices = np.flatnonzero(flat)
+            values = flat[indices]
         if values.size == 0:
             # Degenerate all-zero gradient: send an empty representation.
             payload = [

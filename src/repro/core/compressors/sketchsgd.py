@@ -81,27 +81,33 @@ class SketchedSGDCompressor(Compressor):
         """Replace the private random stream (hashes stay shared)."""
         self._rng = np.random.default_rng(seed)
 
-    def _make_sketch(self, universe: int, k: int) -> CountSketch:
-        width = max(8, int(self.width_multiplier * k))
-        return CountSketch(
-            width=width, depth=self.depth, universe=universe,
-            seed=self._hash_seed,
-        )
+    def _width(self, k: int) -> int:
+        return max(8, int(self.width_multiplier * k))
 
     def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
         """Apply Q: returns the wire payload plus decompression ctx."""
         flat, shape = flatten_with_shape(tensor)
         k = max(1, math.ceil(self.ratio * flat.size))
-        sketch = self._make_sketch(flat.size, k)
-        sketch.update(np.arange(flat.size), flat.astype(np.float64))
+        sketch = CountSketch(
+            width=self._width(k), depth=self.depth, universe=flat.size,
+            seed=self._hash_seed,
+        )
+        sketch.update_dense(flat)
         payload = [sketch.table.astype(np.float32)]
         return CompressedTensor(payload=payload, ctx=(shape, flat.size, k))
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:
         """Apply Q^-1: rebuild a dense tensor of the original shape."""
         shape, size, k = compressed.ctx
-        sketch = self._make_sketch(size, k)
-        sketch.table = compressed.payload[0].astype(np.float64)
+        table = compressed.payload[0]
+        if table.shape != (self.depth, self._width(k)):
+            raise ValueError(
+                f"sketch table is {table.shape}, the layout for {size} "
+                f"elements is {(self.depth, self._width(k))}"
+            )
+        sketch = CountSketch.from_table(
+            table, universe=size, seed=self._hash_seed
+        )
         indices = sketch.heavy_hitters(k)
         values = sketch.query(indices).astype(np.float32)
         return desparsify(values, indices.astype(np.int64), size).reshape(shape)

@@ -20,6 +20,15 @@ from repro.tensorlib.huffman import (
 )
 
 _CODE_ZERO, _CODE_POS, _CODE_NEG = 0, 1, 2
+# Decoded value by 2-bit code; the unused fourth code decodes to zero.
+_TERNARY_VALUES = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.float32)
+
+
+def _ternary_codes(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``uint8`` codes: the sign of each kept element, zero for the rest."""
+    codes = np.where(values >= 0, np.uint8(_CODE_POS), np.uint8(_CODE_NEG))
+    codes *= keep  # _CODE_ZERO is 0
+    return codes
 
 
 class _FusedTernCtx:
@@ -71,14 +80,14 @@ class TernGradCompressor(Compressor):
             bound = np.float32(self.clip_factor) * np.float32(np.std(flat))
             if bound > 0:
                 flat = np.clip(flat, -bound, bound)
-        scale = np.float32(np.max(np.abs(flat))) if flat.size else 0.0
+        mag = np.abs(flat)
+        scale = np.float32(np.max(mag)) if flat.size else 0.0
         if scale > 0:
-            keep = self._rng.random(size=flat.shape) < np.abs(flat) / scale
+            mag /= scale
+            keep = self._rng.random(size=flat.shape) < mag
         else:
             keep = np.zeros(flat.shape, dtype=bool)
-        codes = np.where(
-            keep, np.where(flat >= 0, _CODE_POS, _CODE_NEG), _CODE_ZERO
-        )
+        codes = _ternary_codes(flat, keep)
         if self.entropy_coding:
             encoded = huffman_encode(codes, num_symbols=3)
             payload = [
@@ -89,7 +98,7 @@ class TernGradCompressor(Compressor):
             return CompressedTensor(payload=payload, ctx=(shape, flat.size))
         payload = [
             np.array([scale], dtype=np.float32),
-            pack_bits(codes.astype(np.uint8), bits=2),
+            pack_bits(codes, bits=2),
         ]
         return CompressedTensor(payload=payload, ctx=(shape, flat.size))
 
@@ -131,10 +140,8 @@ class TernGradCompressor(Compressor):
         keep = self._rng.random(size=clipped.shape) < (
             abs_clipped / np.repeat(scales, bucket.sizes)
         )
-        codes = np.where(
-            keep, np.where(clipped >= 0, _CODE_POS, _CODE_NEG), _CODE_ZERO
-        )
-        payload = [scales, pack_bits(codes.astype(np.uint8), bits=2)]
+        codes = _ternary_codes(clipped, keep)
+        payload = [scales, pack_bits(codes, bits=2)]
         return CompressedTensor(payload=payload, ctx=_FusedTernCtx(bucket))
 
     def decompress_fused(
@@ -147,10 +154,7 @@ class TernGradCompressor(Compressor):
         bucket = ctx.bucket
         scales, packed = compressed.payload
         codes = unpack_bits(packed, bits=2, count=bucket.numel)
-        ternary = np.zeros(bucket.numel, dtype=np.float32)
-        ternary[codes == _CODE_POS] = 1.0
-        ternary[codes == _CODE_NEG] = -1.0
-        values = np.repeat(scales, bucket.sizes) * ternary
+        values = np.repeat(scales, bucket.sizes) * _TERNARY_VALUES.take(codes)
         if out is None:
             return values
         out[:] = values
@@ -169,7 +173,6 @@ class TernGradCompressor(Compressor):
             codes = huffman_decode(encoded)
         else:
             codes = unpack_bits(compressed.payload[1], bits=2, count=size)
-        ternary = np.zeros(size, dtype=np.float32)
-        ternary[codes == _CODE_POS] = 1.0
-        ternary[codes == _CODE_NEG] = -1.0
-        return (scale_arr[0] * ternary).reshape(shape)
+        ternary = _TERNARY_VALUES.take(codes)
+        ternary *= scale_arr[0]
+        return ternary.reshape(shape)

@@ -11,46 +11,59 @@ from __future__ import annotations
 
 import numpy as np
 
+_VARINT_PAYLOAD_BITS = 7
+_VARINT_CONTINUE = 0x80
+_VARINT_MAX_BYTES = 9  # 9 * 7 = 63 bits: every non-negative int64
+
 
 def varint_encode(values: np.ndarray) -> np.ndarray:
     """LEB128-style varint encoding of non-negative integers."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and values.min() < 0:
+    values = np.ravel(np.asarray(values, dtype=np.int64))
+    if values.size == 0:
+        return np.zeros(0, dtype=np.uint8)
+    if values.min() < 0:
         raise ValueError("varint encoding requires non-negative integers")
-    out = bytearray()
-    for value in values.tolist():
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-    return np.frombuffer(bytes(out), dtype=np.uint8)
+    widest = max(1, -(-int(values.max()).bit_length() // _VARINT_PAYLOAD_BITS))
+    lengths = np.ones(values.size, dtype=np.int64)
+    for extra in range(1, widest):
+        lengths += values >= (1 << (_VARINT_PAYLOAD_BITS * extra))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    # Byte ``index`` of every value that has one, most values first.
+    for index in range(widest):
+        has = slice(None) if index == 0 else np.flatnonzero(lengths > index)
+        byte = (values[has] >> (_VARINT_PAYLOAD_BITS * index)) & 0x7F
+        byte |= (lengths[has] > index + 1) * _VARINT_CONTINUE
+        out[starts[has] + index] = byte
+    return out
 
 
 def varint_decode(buffer: np.ndarray, count: int) -> np.ndarray:
     """Inverse of :func:`varint_encode`; reads ``count`` integers."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    data = bytes(np.asarray(buffer, dtype=np.uint8))
-    values = np.empty(count, dtype=np.int64)
-    position = 0
-    for index in range(count):
-        result = 0
-        shift = 0
-        while True:
-            if position >= len(data):
-                raise ValueError("varint buffer exhausted")
-            byte = data[position]
-            position += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        values[index] = result
-    return values
+    data = np.ravel(np.asarray(buffer, dtype=np.uint8))
+    ends = np.flatnonzero(data < _VARINT_CONTINUE)[:count]
+    if ends.size < count:
+        raise ValueError("varint buffer exhausted")
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    used = int(ends[-1]) + 1
+    if used == count:  # every value is one byte
+        return data[:count].astype(np.int64)
+    starts = np.empty(count, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends + 1 - starts
+    if lengths.max() > _VARINT_MAX_BYTES:
+        raise ValueError("varint does not fit in 63 bits")
+    index = np.arange(used) - np.repeat(starts, lengths)
+    parts = (data[:used] & 0x7F).astype(np.int64) << (
+        _VARINT_PAYLOAD_BITS * index
+    )
+    # The parts of one value occupy disjoint bits: their sum is their or.
+    return np.add.reduceat(parts, starts)
 
 
 # Symbols of the zero-RLE ternary stream: literal -1 / +1, or a zero-run.
@@ -64,57 +77,53 @@ def rle_encode_zeros(ternary: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     (packed by the caller) where each ``RUN`` symbol consumes the next
     varint run length.
     """
-    ternary = np.asarray(ternary)
-    if ternary.size and not set(np.unique(ternary)).issubset({-1, 0, 1}):
+    ternary = np.ravel(np.asarray(ternary))
+    zero = ternary == 0
+    positive = ternary == 1
+    if not np.all(zero | positive | (ternary == -1)):
         raise ValueError("input must be ternary (-1, 0, +1)")
-    symbols: list[int] = []
-    runs: list[int] = []
-    index = 0
-    values = ternary.astype(np.int64)
-    n = values.size
-    while index < n:
-        value = values[index]
-        if value == 0:
-            run_start = index
-            while index < n and values[index] == 0:
-                index += 1
-            symbols.append(_SYMBOL_RUN)
-            runs.append(index - run_start)
-        else:
-            symbols.append(_SYMBOL_POS if value > 0 else _SYMBOL_NEG)
-            index += 1
-    return (
-        np.asarray(symbols, dtype=np.uint8),
-        np.asarray(runs, dtype=np.int64),
-        len(symbols),
-    )
+    # A symbol is emitted at every literal and at the first zero of a run.
+    emits = ~zero
+    emits[:1] = True
+    emits[1:] |= ~zero[:-1]
+    positions = np.flatnonzero(emits)
+    symbols = positive[positions].astype(np.uint8)  # NEG 0 / POS 1
+    is_run = zero[positions]
+    symbols[is_run] = _SYMBOL_RUN
+    # A run lasts until the next emitted symbol (or the end of the stream).
+    following = np.append(positions[1:], ternary.size)
+    runs = (following - positions)[is_run]
+    return symbols, runs.astype(np.int64), int(symbols.size)
 
 
 def rle_decode_zeros(
     symbols: np.ndarray, run_lengths: np.ndarray, size: int
 ) -> np.ndarray:
     """Inverse of :func:`rle_encode_zeros`; returns a float32 ternary array."""
-    out = np.zeros(size, dtype=np.float32)
-    position = 0
-    run_index = 0
-    for symbol in np.asarray(symbols).tolist():
-        if symbol == _SYMBOL_RUN:
-            if run_index >= len(run_lengths):
-                raise ValueError("run-length stream exhausted")
-            position += int(run_lengths[run_index])
-            run_index += 1
-        elif symbol == _SYMBOL_POS:
-            out[position] = 1.0
-            position += 1
-        elif symbol == _SYMBOL_NEG:
-            out[position] = -1.0
-            position += 1
-        else:
-            raise ValueError(f"unknown RLE symbol {symbol}")
-        if position > size:
-            raise ValueError("RLE stream overruns the declared size")
-    if position != size:
+    symbols = np.ravel(np.asarray(symbols))
+    run_lengths = np.ravel(np.asarray(run_lengths))
+    unknown = (symbols < _SYMBOL_NEG) | (symbols > _SYMBOL_RUN)
+    if np.any(unknown):
+        raise ValueError(f"unknown RLE symbol {symbols[np.argmax(unknown)]}")
+    is_run = symbols == _SYMBOL_RUN
+    n_runs = int(np.count_nonzero(is_run))
+    if n_runs > run_lengths.size:
+        raise ValueError("run-length stream exhausted")
+    if n_runs and run_lengths[:n_runs].min() < 0:
+        raise ValueError("negative run length")
+    advance = np.ones(symbols.size, dtype=np.int64)
+    advance[is_run] = run_lengths[:n_runs]
+    ends = np.cumsum(advance)
+    decoded = int(ends[-1]) if symbols.size else 0
+    if decoded > size:
+        raise ValueError("RLE stream overruns the declared size")
+    if decoded != size:
         raise ValueError(
-            f"RLE stream decodes {position} elements, expected {size}"
+            f"RLE stream decodes {decoded} elements, expected {size}"
         )
+    out = np.zeros(size, dtype=np.float32)
+    literal = np.flatnonzero(~is_run)
+    out[ends[literal] - 1] = np.where(
+        symbols[literal] == _SYMBOL_POS, np.float32(1.0), np.float32(-1.0)
+    )
     return out

@@ -7,7 +7,10 @@ lower-bit values into one higher-bit word so that the transmitted volume
 reflects the true entropy of the compressed representation.
 
 All functions operate on flat ``numpy`` arrays of non-negative integer
-code-words and round-trip exactly.
+code-words and round-trip exactly.  The wire layout is one little-endian
+bit stream: code ``i`` occupies stream bits ``[i * bits, (i + 1) * bits)``,
+least-significant bit first.  Eight codes therefore always fill exactly
+``bits`` bytes, which is the group the kernels below work in.
 """
 
 from __future__ import annotations
@@ -15,11 +18,32 @@ from __future__ import annotations
 import numpy as np
 
 _WORD_BITS = 8  # we pack into uint8 words, the natural unit for bytes-on-wire
+_GROUP = 8  # codes per group: 8 codes of ``bits`` bits are ``bits`` whole bytes
 
 
 def _check_bits(bits: int) -> None:
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
+
+
+def _checked_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """``codes`` flattened, as an integer array known to fit in ``bits``."""
+    codes = np.ravel(codes)
+    if codes.dtype.kind not in "iu":
+        codes = codes.astype(np.uint64)  # bools and floats: truncate
+    if codes.size:
+        low, high = int(codes.min()), int(codes.max())
+        if low < 0 or high >= (1 << bits):
+            bad = low if low < 0 else high
+            raise ValueError(f"code-word {bad} does not fit in {bits} bits")
+    return codes
+
+
+def _pad_to_group(array: np.ndarray) -> np.ndarray:
+    pad = (-array.size) % _GROUP
+    if pad:
+        array = np.concatenate([array, np.zeros(pad, dtype=array.dtype)])
+    return array
 
 
 def pack_bits(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -32,46 +56,93 @@ def pack_bits(codes: np.ndarray, bits: int) -> np.ndarray:
     array([13], dtype=uint8)
     """
     _check_bits(bits)
-    codes = np.ascontiguousarray(codes).astype(np.uint64).ravel()
-    if codes.size and int(codes.max()) >= (1 << bits):
-        raise ValueError(f"code-word {int(codes.max())} does not fit in {bits} bits")
-    # Expand every code into its bit representation (LSB first), then pack.
-    n = codes.size
-    bit_matrix = ((codes[:, None] >> np.arange(bits, dtype=np.uint64)) & 1).astype(
-        np.uint8
-    )
-    flat_bits = bit_matrix.ravel()
-    pad = (-flat_bits.size) % _WORD_BITS
-    if pad:
-        flat_bits = np.concatenate([flat_bits, np.zeros(pad, dtype=np.uint8)])
-    return np.packbits(flat_bits.reshape(-1, _WORD_BITS), axis=1, bitorder="little").ravel()
+    codes = _checked_codes(codes, bits)
+    nbytes = packed_nbytes(codes.size, bits)
+    if bits == 1:
+        return np.packbits(codes.astype(np.uint8), bitorder="little")
+    if bits == 8:
+        return codes.astype(np.uint8)
+    if bits == 16:
+        return codes.astype("<u2").view(np.uint8)
+    if bits > 8:
+        # Two bytes per code, of which the low ``bits`` bits are kept.
+        bit_matrix = np.unpackbits(
+            codes.astype("<u2").view(np.uint8), bitorder="little"
+        ).reshape(-1, 16)[:, :bits]
+        return np.packbits(bit_matrix.ravel(), bitorder="little")
+    # bits < 8: or eight codes into one 64-bit word (8 * 7 bits fit), whose
+    # low ``bits`` bytes are the group's bytes on the wire.
+    lanes = _pad_to_group(codes.astype(np.uint8)).reshape(-1, _GROUP)
+    words = lanes[:, 0].astype(np.uint64)
+    for lane in range(1, _GROUP):
+        words |= lanes[:, lane].astype(np.uint64) << np.uint64(lane * bits)
+    group_bytes = words.astype("<u8").view(np.uint8).reshape(-1, _GROUP)
+    return group_bytes[:, :bits].ravel()[:nbytes]
+
+
+def _checked_buffer(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """``buffer`` as flat ``uint8``, known to hold ``count`` codes."""
+    _check_bits(bits)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    buffer = np.ravel(np.asarray(buffer)).astype(np.uint8, copy=False)
+    needed = count * bits
+    if buffer.size * _WORD_BITS < needed:
+        raise ValueError(
+            f"buffer holds {buffer.size * _WORD_BITS} bits but {needed} "
+            "are required"
+        )
+    return buffer
 
 
 def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; returns ``count`` code-words as int64."""
-    _check_bits(bits)
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    flat_bits = np.unpackbits(buffer.astype(np.uint8), bitorder="little")
-    needed = count * bits
-    if flat_bits.size < needed:
-        raise ValueError(
-            f"buffer holds {flat_bits.size} bits but {needed} are required"
+    buffer = _checked_buffer(buffer, bits, count)
+    if bits == 1:
+        return np.unpackbits(buffer, count=count, bitorder="little").astype(
+            np.int64
         )
-    bit_matrix = flat_bits[:needed].reshape(count, bits).astype(np.int64)
-    weights = (1 << np.arange(bits, dtype=np.int64))
-    return bit_matrix @ weights
+    if bits == 8:
+        return buffer[:count].astype(np.int64)
+    if bits == 16:
+        return buffer[: 2 * count].view("<u2").astype(np.int64)
+    if bits > 8:
+        bit_matrix = np.zeros((count, 16), dtype=np.uint8)
+        bit_matrix[:, :bits] = np.unpackbits(
+            buffer, count=count * bits, bitorder="little"
+        ).reshape(count, bits)
+        return np.packbits(bit_matrix.ravel(), bitorder="little").view(
+            "<u2"
+        ).astype(np.int64)
+    # bits < 8: a group's ``bits`` bytes are the low bytes of one 64-bit
+    # word; the eight codes come out of it with a shift and a mask each.
+    groups = -(-count // _GROUP)
+    wire = buffer[: groups * bits]
+    if wire.size < groups * bits:  # the last group's bytes stop with its codes
+        wire = np.concatenate(
+            [wire, np.zeros(groups * bits - wire.size, dtype=np.uint8)]
+        )
+    group_bytes = np.zeros((groups, _GROUP), dtype=np.uint8)
+    group_bytes[:, :bits] = wire.reshape(groups, bits)
+    shifts = np.arange(_GROUP, dtype=np.uint64) * np.uint64(bits)
+    out = group_bytes.view("<u8") >> shifts  # (groups, 1) against (8,)
+    out &= np.uint64((1 << bits) - 1)
+    return out.view(np.int64).ravel()[:count]
 
 
 def pack_signs(values: np.ndarray) -> np.ndarray:
     """Pack the signs of ``values`` (non-negative -> 1, negative -> 0)."""
-    return pack_bits((np.ravel(values) >= 0).astype(np.uint8), bits=1)
+    return np.packbits(np.ravel(values) >= 0, bitorder="little")
 
 
 def unpack_signs(buffer: np.ndarray, count: int) -> np.ndarray:
     """Unpack a sign buffer into a float ±1 vector of length ``count``."""
-    bits = unpack_bits(buffer, bits=1, count=count)
-    return np.where(bits > 0, 1.0, -1.0).astype(np.float32)
+    buffer = _checked_buffer(buffer, 1, count)
+    bits = np.unpackbits(buffer, count=count, bitorder="little")
+    signs = bits.astype(np.float32)
+    signs *= np.float32(2.0)
+    signs -= np.float32(1.0)
+    return signs
 
 
 def packed_nbytes(count: int, bits: int) -> int:

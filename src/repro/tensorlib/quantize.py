@@ -30,12 +30,11 @@ def quantize_uniform(
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     scaled = np.clip(values, 0.0, 1.0) * levels
-    lower = np.floor(scaled)
-    frac = scaled - lower
     if rng is None:
-        codes = np.rint(scaled)
-    else:
-        codes = lower + (rng.random(size=scaled.shape) < frac)
+        return np.rint(scaled).astype(np.int64)
+    codes = np.floor(scaled)
+    scaled -= codes  # the fractional part: the odds of rounding up
+    codes += rng.random(size=scaled.shape) < scaled
     return codes.astype(np.int64)
 
 
@@ -69,6 +68,8 @@ def quantize_stochastic_levels(
 _F8_MANTISSA_BITS = 4
 _F8_EXP_BITS = 3
 _F8_EXP_BIAS = 4  # exponents cover 2^-4 .. 2^3 relative to the dynamic scale
+_F8_MANTISSA_LEVELS = 1 << _F8_MANTISSA_BITS
+_F8_EXP_MAX = (1 << _F8_EXP_BITS) - 1
 
 
 def quantize_float8(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -79,52 +80,61 @@ def quantize_float8(values: np.ndarray) -> tuple[np.ndarray, float]:
     encoded as sign / exponent / mantissa.  Returns ``(codes, scale)`` where
     ``codes`` is ``uint8``.
     """
-    flat = np.ravel(values).astype(np.float64)
+    flat = np.ravel(values)
     scale = float(np.max(np.abs(flat))) if flat.size else 0.0
     if scale == 0.0:
         return np.zeros(flat.shape, dtype=np.uint8), 0.0
-    normalized = flat / scale
-    sign = (normalized < 0).astype(np.uint8)
-    mag = np.abs(normalized)
+    # The normalization rounds in float64: it decides mantissa ties.
+    normalized = flat.astype(np.float64)
+    normalized /= scale
+    codes = (normalized < 0).astype(np.uint8)
+    codes <<= 7
+    mag = np.abs(normalized, out=normalized)
     # Decompose into exponent & mantissa. Magnitudes are in (0, 1]; exponent
-    # e satisfies mag = m * 2^(e - bias) with m in [1, 2).
-    with np.errstate(divide="ignore"):
-        exp = np.floor(np.log2(np.maximum(mag, np.finfo(np.float64).tiny)))
-    exp = np.clip(exp + _F8_EXP_BIAS, 0, (1 << _F8_EXP_BITS) - 1)
-    mantissa_scale = np.exp2(exp - _F8_EXP_BIAS)
-    mantissa = mag / mantissa_scale - 1.0
-    mantissa_codes = np.clip(
-        np.rint(mantissa * (1 << _F8_MANTISSA_BITS)),
-        0,
-        (1 << _F8_MANTISSA_BITS) - 1,
-    )
+    # e satisfies mag = m * 2^(e - bias) with m in [1, 2).  ``frexp`` reads
+    # the binade off the representation: mag = f * 2^x with f in [0.5, 1).
+    _, binade = np.frexp(mag)
+    exp = binade
+    exp += _F8_EXP_BIAS - 1
+    np.clip(exp, 0, _F8_EXP_MAX, out=exp)
     zero = mag < np.exp2(-_F8_EXP_BIAS - 1)
-    codes = (
-        (sign << 7)
-        | (exp.astype(np.uint64) << _F8_MANTISSA_BITS)
-        | mantissa_codes.astype(np.uint64)
-    ).astype(np.uint8)
+    # (mag / 2^(exp - bias) - 1) * 2^mantissa_bits, scaled exactly by ldexp.
+    mantissa = np.ldexp(mag, (_F8_EXP_BIAS + _F8_MANTISSA_BITS) - exp, out=mag)
+    mantissa -= _F8_MANTISSA_LEVELS
+    np.rint(mantissa, out=mantissa)
+    np.clip(mantissa, 0, _F8_MANTISSA_LEVELS - 1, out=mantissa)
+    codes |= exp.astype(np.uint8) << _F8_MANTISSA_BITS
+    codes |= mantissa.astype(np.uint8)
     # 0x00 is the zero sentinel; the legitimate code for the smallest
     # positive value (+, exp 0, mantissa 0) collides with it, so bump
     # such values to mantissa 1 (a ~6% perturbation at the format's
     # smallest magnitude) instead of silently flushing them to zero.
-    codes[(codes == 0) & ~zero] = 1
-    codes[zero] = 0
+    np.maximum(codes, 1, out=codes)
+    codes *= ~zero
     return codes, scale
+
+
+def _float8_values() -> np.ndarray:
+    """What each of the 256 codes decodes to, before the dynamic scale."""
+    codes = np.arange(256, dtype=np.uint64)
+    sign = np.where((codes >> 7) & 1, -1.0, 1.0)
+    exp = ((codes >> _F8_MANTISSA_BITS) & _F8_EXP_MAX).astype(np.float64)
+    mantissa = (codes & (_F8_MANTISSA_LEVELS - 1)).astype(np.float64)
+    values = sign * (1.0 + mantissa / _F8_MANTISSA_LEVELS) * np.exp2(
+        exp - _F8_EXP_BIAS
+    )
+    values[0] = 0.0
+    return values
+
+
+_F8_VALUES = _float8_values()
 
 
 def dequantize_float8(codes: np.ndarray, scale: float) -> np.ndarray:
     """Inverse of :func:`quantize_float8` (lossy; returns float32)."""
-    codes = codes.astype(np.uint64)
-    sign = np.where((codes >> 7) & 1, -1.0, 1.0)
-    exp = ((codes >> _F8_MANTISSA_BITS) & ((1 << _F8_EXP_BITS) - 1)).astype(
-        np.float64
-    )
-    mantissa = (codes & ((1 << _F8_MANTISSA_BITS) - 1)).astype(np.float64)
-    mag = (1.0 + mantissa / (1 << _F8_MANTISSA_BITS)) * np.exp2(exp - _F8_EXP_BIAS)
-    out = sign * mag * scale
-    out[codes == 0] = 0.0
-    return out.astype(np.float32)
+    # Decoding is a function of the code alone: scale the 256 values once.
+    decoded = (_F8_VALUES * scale).astype(np.float32)
+    return decoded.take(np.asarray(codes).astype(np.uint8, copy=False))
 
 
 # --------------------------------------------------------------------------
@@ -151,14 +161,25 @@ def stochastic_power_of_two(
     a magnitude ``m`` in ``[2^e, 2^(e+1)]`` maps to ``2^(e+1)`` with
     probability ``(m - 2^e) / 2^e`` and to ``2^e`` otherwise.
     """
-    out = np.zeros_like(values, dtype=np.float64)
     nonzero = values != 0
-    if not np.any(nonzero):
-        return out
-    mag = np.abs(values[nonzero]).astype(np.float64)
-    exp_low = np.floor(np.log2(mag))
-    low = np.exp2(exp_low)
-    p_up = (mag - low) / low  # in [0, 1): distance within the binade
-    up = rng.random(size=mag.shape) < p_up
-    out[nonzero] = np.sign(values[nonzero]) * np.where(up, 2.0 * low, low)
+    count = np.count_nonzero(nonzero)
+    if count == 0:
+        return np.zeros_like(values, dtype=np.float64)
+    dense = count == values.size  # the usual gradient: skip the gathers
+    picked = values if dense else values[nonzero]
+    # mag = f * 2^x with f in [0.5, 1): the binade's low end is 2^(x - 1)
+    # and (mag - low) / low = 2f - 1, exactly, at the input's own precision.
+    fraction, binade = np.frexp(picked)
+    p_up = np.abs(fraction, out=fraction)
+    p_up *= 2.0
+    p_up -= 1.0
+    draws = rng.random(size=p_up.shape)
+    binade -= draws >= p_up  # 2 * low when rounding up, low otherwise
+    # Large temporaries cost more than the arithmetic: reuse the two above.
+    unit = np.copysign(1.0, picked, out=fraction)
+    rounded = np.ldexp(unit, binade, out=draws)
+    if dense:
+        return rounded.reshape(values.shape)
+    out = np.zeros_like(values, dtype=np.float64)
+    out[nonzero] = rounded
     return out

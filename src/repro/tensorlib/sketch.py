@@ -8,7 +8,98 @@ approximated here with a bounded merge-and-prune summary).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
+
+_HASH_CACHE_BYTES = 64 << 20
+
+
+class HashTableCache:
+    """Least-recently-used memo of count-sketch hash functions, bounded in bytes.
+
+    The hash functions of a sketch are a pure function of ``(seed, depth,
+    width, universe)`` — Sketched-SGD treats them as a protocol constant —
+    so every sketch with equal parameters can share one read-only copy.
+    The bound is on bytes, not entries: a training step touches one
+    universe per tensor (hundreds of small ones, or a few of a million
+    elements), and only a byte budget holds both shapes of working set.
+    Thread-safe.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = int(max_bytes)
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, seed: int, depth: int, width: int, universe: int):
+        """``(buckets int32, signs int8)``, each ``(depth, universe)``."""
+        key = (seed, depth, width, universe)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry
+            self.misses += 1
+        entry = _draw_hash_tables(seed, depth, width, universe)
+        size = entry[0].nbytes + entry[1].nbytes
+        with self._lock:
+            if size <= self.max_bytes and key not in self._entries:
+                self._entries[key] = entry
+                self.nbytes += size
+                while self.nbytes > self.max_bytes:
+                    _, (buckets, signs) = self._entries.popitem(last=False)
+                    self.nbytes -= buckets.nbytes + signs.nbytes
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _draw_hash_tables(seed: int, depth: int, width: int, universe: int):
+    """Bucket assignment and sign per row: fixed random hash functions.
+
+    Drawn at the generator's native widths (the stream, and so the
+    functions, must not change) and kept narrow: 5 instead of 16 bytes
+    per element and row.
+    """
+    rng = np.random.default_rng(seed)
+    buckets = rng.integers(0, width, size=(depth, universe)).astype(np.int32)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=(depth, universe)).astype(
+        np.int8
+    )
+    buckets.setflags(write=False)
+    signs.setflags(write=False)
+    return buckets, signs
+
+
+_HASH_TABLES = HashTableCache(_HASH_CACHE_BYTES)
+
+
+def _median_of_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=0)`` up to the sign of a zero; ``rows`` is scratch.
+
+    The median is an order statistic: a partial selection sort of the
+    ``depth`` rows by elementwise compare-exchange leaves the ``i``-th
+    smallest value of every column in row ``i``, without the per-column
+    partition ``np.median`` pays for.  NaNs poison their column, as there.
+    """
+    depth = rows.shape[0]
+    rows = list(rows)
+    middle = depth // 2
+    for i in range(middle + 1):
+        for j in range(i + 1, depth):
+            low = np.minimum(rows[i], rows[j])
+            np.maximum(rows[i], rows[j], out=rows[j])
+            rows[i] = low
+    if depth % 2:
+        return rows[middle]
+    return (rows[middle - 1] + rows[middle]) / 2.0
 
 
 class CountSketch:
@@ -32,11 +123,23 @@ class CountSketch:
         self.width = int(width)
         self.depth = int(depth)
         self.universe = int(universe)
-        rng = np.random.default_rng(seed)
-        # Fixed random hash functions: bucket assignment and sign per row.
-        self._buckets = rng.integers(0, width, size=(depth, universe))
-        self._signs = rng.choice(np.array([-1.0, 1.0]), size=(depth, universe))
+        self._buckets, self._signs = _HASH_TABLES.get(
+            int(seed), self.depth, self.width, self.universe
+        )
         self.table = np.zeros((depth, width), dtype=np.float64)
+
+    @classmethod
+    def from_table(
+        cls, table: np.ndarray, universe: int, seed: int = 0
+    ) -> "CountSketch":
+        """A sketch whose state is a received ``(depth, width)`` table."""
+        table = np.asarray(table)
+        if table.ndim != 2:
+            raise ValueError("a sketch table is (depth, width)")
+        depth, width = table.shape
+        sketch = cls(width=width, depth=depth, universe=universe, seed=seed)
+        sketch.table[...] = table
+        return sketch
 
     def update(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Add ``values`` at ``indices`` into the sketch."""
@@ -49,23 +152,51 @@ class CountSketch:
         for row in range(self.depth):
             np.add.at(
                 self.table[row],
-                self._buckets[row, indices],
-                self._signs[row, indices] * values,
+                self._buckets[row].take(indices),
+                self._signs[row].take(indices) * values,
             )
+
+    def update_dense(self, values: np.ndarray) -> None:
+        """Add ``values[i]`` at every index ``i`` of the universe."""
+        values = np.ravel(values)
+        if values.size != self.universe:
+            raise ValueError("a dense update covers the whole universe")
+        signed = np.empty(self.universe, dtype=np.float64)
+        for row in range(self.depth):
+            np.multiply(self._signs[row], values, out=signed)
+            np.add.at(self.table[row], self._buckets[row], signed)
 
     def query(self, indices: np.ndarray) -> np.ndarray:
         """Estimate the values at ``indices`` (median over rows)."""
         indices = np.asarray(indices, dtype=np.int64)
         estimates = np.empty((self.depth, indices.size), dtype=np.float64)
         for row in range(self.depth):
-            estimates[row] = (
-                self._signs[row, indices] * self.table[row, self._buckets[row, indices]]
+            estimates[row] = self._signs[row].take(indices) * self.table[
+                row
+            ].take(self._buckets[row].take(indices))
+        median = _median_of_rows(estimates.copy())
+        # -0.0 and +0.0 compare equal: which of them np.median returns is
+        # decided by its partition, not by order, so ask it for those.
+        zero = np.flatnonzero(median == 0)
+        if zero.size:
+            median[zero] = np.median(estimates[:, zero], axis=0)
+        return median
+
+    def _query_all(self) -> np.ndarray:
+        """``query(arange(universe))`` up to the sign of a zero, without
+        gathering the hash rows."""
+        estimates = np.empty((self.depth, self.universe), dtype=np.float64)
+        for row in range(self.depth):
+            # The buckets are in range by construction: no bounds pass.
+            self.table[row].take(
+                self._buckets[row], out=estimates[row], mode="clip"
             )
-        return np.median(estimates, axis=0)
+            estimates[row] *= self._signs[row]
+        return _median_of_rows(estimates)
 
     def heavy_hitters(self, k: int) -> np.ndarray:
         """Return the ``k`` indices with the largest estimated magnitude."""
-        estimates = np.abs(self.query(np.arange(self.universe)))
+        estimates = np.abs(self._query_all())
         k = int(min(max(k, 1), self.universe))
         idx = np.argpartition(estimates, self.universe - k)[-k:]
         return np.sort(idx)
@@ -84,6 +215,49 @@ class CountSketch:
     def nbytes(self) -> int:
         """On-wire size of the sketch table (float32 per cell)."""
         return self.depth * self.width * 4
+
+
+_GRID_CELLS = 1 << 16
+
+
+def _searchsorted_right(boundaries: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(boundaries, values, side="right")`` for many values.
+
+    A binary search per value mispredicts a branch per level.  Instead the
+    values are dropped on a uniform grid over the boundaries' range: the
+    cell of a value is a monotone function of it, so every value in a cell
+    below (above) a boundary's own cell is below (not below) that boundary,
+    and a table by cell answers all of them at once.  Only the values that
+    share a cell with a boundary are searched one by one.
+    """
+    if values.dtype not in (np.float32, np.float64):
+        values = values.astype(np.float64)
+    dtype = values.dtype
+    # v >= b  <=>  v >= the smallest number of v's own precision that is >= b
+    ceilings = boundaries.astype(dtype)
+    short = ceilings < boundaries
+    ceilings[short] = np.nextafter(ceilings[short], dtype.type(np.inf))
+    low, high = ceilings[0], ceilings[-1]
+    if not (high > low and np.isfinite(high - low)):
+        return np.searchsorted(boundaries, values, side="right")
+    per_unit = dtype.type((_GRID_CELLS - 1) / (high - low))
+
+    def cell(numbers: np.ndarray) -> np.ndarray:
+        scaled = numbers - low
+        scaled *= per_unit
+        np.fmax(scaled, 0, out=scaled)
+        np.fmin(scaled, _GRID_CELLS - 1, out=scaled)
+        return scaled.astype(np.intp)
+
+    owners = cell(ceilings)
+    per_cell = np.bincount(owners, minlength=_GRID_CELLS)
+    below = np.cumsum(per_cell)
+    below -= per_cell  # boundaries in strictly lower cells
+    below[owners] = -1  # a boundary's own cell: decided by comparison
+    codes = below.take(cell(values))
+    unsure = np.flatnonzero(codes < 0)
+    codes[unsure] = np.searchsorted(boundaries, values[unsure], side="right")
+    return codes
 
 
 class QuantileSketch:
@@ -131,7 +305,7 @@ class QuantileSketch:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Map values to bucket indices in ``[0, num_buckets)``."""
-        return np.searchsorted(self.boundaries(), np.ravel(values), side="right")
+        return _searchsorted_right(self.boundaries(), np.ravel(values))
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Map bucket indices back to representative values."""

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.tensorlib import CountSketch, QuantileSketch
+from repro.tensorlib import sketch as sketch_module
+from repro.tensorlib.sketch import HashTableCache
 
 
 class TestCountSketch:
@@ -95,3 +97,78 @@ class TestQuantileSketch:
     def test_constructor_validates(self):
         with pytest.raises(ValueError, match="num_buckets"):
             QuantileSketch(num_buckets=1)
+
+
+class TestHashTableMemo:
+    """The hash functions are a protocol constant: drawn once, shared."""
+
+    def test_equal_parameters_share_read_only_hashes_but_no_table(self):
+        a = CountSketch(width=32, depth=3, universe=500, seed=21)
+        b = CountSketch(width=32, depth=3, universe=500, seed=21)
+        assert a._buckets is b._buckets and a._signs is b._signs
+        assert not a._buckets.flags.writeable
+        assert not a._signs.flags.writeable
+        assert a._buckets.dtype == np.int32 and a._signs.dtype == np.int8
+        assert a.table is not b.table
+        a.update(np.array([3]), np.array([1.0]))
+        assert not b.table.any()
+        with pytest.raises(ValueError, match="read-only"):
+            a._buckets[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(width=32, depth=3, universe=500, seed=22),
+            dict(width=33, depth=3, universe=500, seed=21),
+            dict(width=32, depth=3, universe=501, seed=21),
+            dict(width=32, depth=4, universe=500, seed=21),
+        ],
+        ids=["seed", "width", "universe", "depth"],
+    )
+    def test_any_other_parameter_is_another_entry(self, other):
+        base = CountSketch(width=32, depth=3, universe=500, seed=21)
+        assert CountSketch(**other)._buckets is not base._buckets
+
+    def test_the_bound_is_on_bytes_and_evicts_least_recently_used(self):
+        entry_bytes = 5 * 3 * 1000  # (int32 + int8) * depth * universe
+        cache = HashTableCache(max_bytes=2 * entry_bytes)
+        first = cache.get(0, 3, 16, 1000)
+        cache.get(1, 3, 16, 1000)
+        assert cache.get(0, 3, 16, 1000)[0] is first[0]  # refreshes seed 0
+        cache.get(2, 3, 16, 1000)  # evicts seed 1, the least recent
+        assert len(cache) == 2 and cache.nbytes == 2 * entry_bytes
+        assert cache.get(0, 3, 16, 1000)[0] is first[0]
+        misses = cache.misses
+        cache.get(1, 3, 16, 1000)
+        assert cache.misses == misses + 1
+
+    def test_an_entry_larger_than_the_bound_is_served_but_not_kept(self):
+        cache = HashTableCache(max_bytes=100)
+        buckets, signs = cache.get(0, 2, 8, 1000)
+        assert buckets.shape == signs.shape == (2, 1000)
+        assert len(cache) == 0 and cache.nbytes == 0
+
+    def test_a_step_over_400_small_universes_stays_cached(self):
+        # The fused small-tensor sweep: ~400 distinct universes per step,
+        # revisited every step.  An entry-count bound below 400 would miss
+        # every time; the byte bound holds them all.
+        rng = np.random.default_rng(11)
+        universes = np.exp(rng.uniform(np.log(16), np.log(2048), 400)).astype(int)
+        cache = HashTableCache(max_bytes=sketch_module._HASH_CACHE_BYTES)
+        steps = 25
+        for _ in range(steps):
+            for universe in universes.tolist():
+                k = max(1, universe // 100)
+                cache.get(0x5EED, 5, max(8, 8 * k), universe)
+        hit_rate = cache.hits / (cache.hits + cache.misses)
+        assert hit_rate > 0.9
+        assert cache.misses == len({(int(u)) for u in universes})
+        assert cache.nbytes <= cache.max_bytes
+
+    def test_cached_hashes_are_the_draws_of_the_seed(self):
+        buckets, signs = HashTableCache(max_bytes=1 << 20).get(7, 3, 50, 400)
+        rng = np.random.default_rng(7)
+        assert np.array_equal(buckets, rng.integers(0, 50, size=(3, 400)))
+        assert np.array_equal(
+            signs, rng.choice(np.array([-1.0, 1.0]), size=(3, 400))
+        )
