@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 _VARINT_PAYLOAD_BITS = 7
+_VARINT_PAYLOAD_MASK = 0x7F
 _VARINT_CONTINUE = 0x80
 _VARINT_MAX_BYTES = 9  # 9 * 7 = 63 bits: every non-negative int64
 
@@ -33,7 +34,7 @@ def varint_encode(values: np.ndarray) -> np.ndarray:
     # Byte ``index`` of every value that has one, most values first.
     for index in range(widest):
         has = slice(None) if index == 0 else np.flatnonzero(lengths > index)
-        byte = (values[has] >> (_VARINT_PAYLOAD_BITS * index)) & 0x7F
+        byte = (values[has] >> (_VARINT_PAYLOAD_BITS * index)) & _VARINT_PAYLOAD_MASK
         byte |= (lengths[has] > index + 1) * _VARINT_CONTINUE
         out[starts[has] + index] = byte
     return out
@@ -59,7 +60,7 @@ def varint_decode(buffer: np.ndarray, count: int) -> np.ndarray:
     if lengths.max() > _VARINT_MAX_BYTES:
         raise ValueError("varint does not fit in 63 bits")
     index = np.arange(used) - np.repeat(starts, lengths)
-    parts = (data[:used] & 0x7F).astype(np.int64) << (
+    parts = (data[:used] & _VARINT_PAYLOAD_MASK).astype(np.int64) << (
         _VARINT_PAYLOAD_BITS * index
     )
     # The parts of one value occupy disjoint bits: their sum is their or.

@@ -19,6 +19,12 @@ import numpy as np
 
 _WORD_BITS = 8  # we pack into uint8 words, the natural unit for bytes-on-wire
 _GROUP = 8  # codes per group: 8 codes of ``bits`` bits are ``bits`` whole bytes
+# Where each of a group's eight codes sits in the group's 64-bit word, by
+# code width (widths below 8 only: 8 * 7 bits fit in the word).
+_LANE_SHIFTS = [
+    np.arange(_GROUP, dtype=np.uint64) * np.uint64(bits) for bits in range(8)
+]
+_LANE_WEIGHTS = [np.uint64(1) << shifts for shifts in _LANE_SHIFTS]
 
 
 def _check_bits(bits: int) -> None:
@@ -57,7 +63,6 @@ def pack_bits(codes: np.ndarray, bits: int) -> np.ndarray:
     """
     _check_bits(bits)
     codes = _checked_codes(codes, bits)
-    nbytes = packed_nbytes(codes.size, bits)
     if bits == 1:
         return np.packbits(codes.astype(np.uint8), bitorder="little")
     if bits == 8:
@@ -70,14 +75,15 @@ def pack_bits(codes: np.ndarray, bits: int) -> np.ndarray:
             codes.astype("<u2").view(np.uint8), bitorder="little"
         ).reshape(-1, 16)[:, :bits]
         return np.packbits(bit_matrix.ravel(), bitorder="little")
-    # bits < 8: or eight codes into one 64-bit word (8 * 7 bits fit), whose
-    # low ``bits`` bytes are the group's bytes on the wire.
+    # bits < 8: eight codes make one 64-bit word (their bits are disjoint,
+    # so the weighted sum is their or), whose low ``bits`` bytes are the
+    # group's bytes on the wire.
     lanes = _pad_to_group(codes.astype(np.uint8)).reshape(-1, _GROUP)
-    words = lanes[:, 0].astype(np.uint64)
-    for lane in range(1, _GROUP):
-        words |= lanes[:, lane].astype(np.uint64) << np.uint64(lane * bits)
-    group_bytes = words.astype("<u8").view(np.uint8).reshape(-1, _GROUP)
-    return group_bytes[:, :bits].ravel()[:nbytes]
+    words = lanes.astype(np.uint64) @ _LANE_WEIGHTS[bits]
+    group_bytes = (
+        words.astype("<u8", copy=False).view(np.uint8).reshape(-1, _GROUP)
+    )
+    return group_bytes[:, :bits].ravel()[: packed_nbytes(codes.size, bits)]
 
 
 def _checked_buffer(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
@@ -124,8 +130,7 @@ def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
         )
     group_bytes = np.zeros((groups, _GROUP), dtype=np.uint8)
     group_bytes[:, :bits] = wire.reshape(groups, bits)
-    shifts = np.arange(_GROUP, dtype=np.uint64) * np.uint64(bits)
-    out = group_bytes.view("<u8") >> shifts  # (groups, 1) against (8,)
+    out = group_bytes.view("<u8") >> _LANE_SHIFTS[bits]  # (groups, 1) by (8,)
     out &= np.uint64((1 << bits) - 1)
     return out.view(np.int64).ravel()[:count]
 

@@ -93,8 +93,7 @@ def quantize_float8(values: np.ndarray) -> tuple[np.ndarray, float]:
     # Decompose into exponent & mantissa. Magnitudes are in (0, 1]; exponent
     # e satisfies mag = m * 2^(e - bias) with m in [1, 2).  ``frexp`` reads
     # the binade off the representation: mag = f * 2^x with f in [0.5, 1).
-    _, binade = np.frexp(mag)
-    exp = binade
+    _, exp = np.frexp(mag)
     exp += _F8_EXP_BIAS - 1
     np.clip(exp, 0, _F8_EXP_MAX, out=exp)
     zero = mag < np.exp2(-_F8_EXP_BIAS - 1)

@@ -91,12 +91,13 @@ def _median_of_rows(rows: np.ndarray) -> np.ndarray:
     """
     depth = rows.shape[0]
     rows = list(rows)
+    spare = np.empty_like(rows[0])
     middle = depth // 2
     for i in range(middle + 1):
         for j in range(i + 1, depth):
-            low = np.minimum(rows[i], rows[j])
+            np.minimum(rows[i], rows[j], out=spare)
             np.maximum(rows[i], rows[j], out=rows[j])
-            rows[i] = low
+            rows[i], spare = spare, rows[i]
     if depth % 2:
         return rows[middle]
     return (rows[middle - 1] + rows[middle]) / 2.0
@@ -230,6 +231,8 @@ def _searchsorted_right(boundaries: np.ndarray, values: np.ndarray) -> np.ndarra
     and a table by cell answers all of them at once.  Only the values that
     share a cell with a boundary are searched one by one.
     """
+    if values.size < _GRID_CELLS:  # the table would cost more than it saves
+        return np.searchsorted(boundaries, values, side="right")
     if values.dtype not in (np.float32, np.float64):
         values = values.astype(np.float64)
     dtype = values.dtype
