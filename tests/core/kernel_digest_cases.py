@@ -13,7 +13,16 @@ Regenerate (only when a wire format is *meant* to change)::
     PYTHONPATH=src python tests/core/kernel_digest_cases.py --write
 
 To freeze the digests of another checkout's kernels, point ``PYTHONPATH``
-at its ``src`` instead.
+at its ``src`` instead.  When a change is meant to move only the *fused*
+wire formats, keep the old file and prove nothing else moved::
+
+    PYTHONPATH=src python tests/core/kernel_digest_cases.py \
+        --diff old.json --fused-payloads eightbit,natural,qsgd/bucket-zero
+
+fails unless the golden file differs from ``old.json`` in nothing but the
+``payload`` field of ``<name>/bucket*/seed*/fused*`` entries of the named
+compressors (or compressor/bucket pairs): every decoded array, every random
+stream and every per-tensor payload is byte-identical.
 """
 
 from __future__ import annotations
@@ -31,9 +40,9 @@ GOLDEN_PATH = os.path.join(
 
 #: Registry compressors whose kernels sit on the shared primitives.
 COMPRESSORS = (
-    "efsignsgd", "eightbit", "inceptionn", "lpcsvrg", "natural", "onebit",
-    "qsgd", "qsparse", "signsgd", "signum", "sketchml", "sketchsgd",
-    "terngrad", "threelc",
+    "efsignsgd", "eightbit", "inceptionn", "lpcsvrg", "natural", "none",
+    "onebit", "qsgd", "qsparse", "signsgd", "signum", "sketchml",
+    "sketchsgd", "terngrad", "threelc", "thresholdv",
 )
 SEEDS = (0, 3)
 
@@ -93,8 +102,9 @@ def _payload_digests(compressed) -> list:
     return [digest(part) for part in compressed.payload]
 
 
-def _fused_bucket(seed: int):
-    """One bucket of odd-sized segments, one of them all zero."""
+def _fused_bucket(seed: int, zero: str | None = None):
+    """One bucket of odd-sized segments; ``zero`` names one to blank out
+    (a layer that is dead on this rank: zero norm, zero scale)."""
     from repro.core.fusion import FusionPlan
 
     rng = np.random.default_rng([seed, 0xF05E])
@@ -105,6 +115,8 @@ def _fused_bucket(seed: int):
         "b.b": rng.standard_normal(1).astype(np.float32),
         "c.w": (0.001 * rng.standard_normal(4096)).astype(np.float32),
     }
+    if zero is not None:
+        grads[zero] = np.zeros_like(grads[zero])
     (bucket,) = FusionPlan.from_gradients(grads, 1 << 20).buckets
     buffer = np.empty(bucket.numel, dtype=np.float32)
     for seg in bucket.segments:
@@ -119,7 +131,10 @@ def compressor_digests() -> dict:
     out = {}
     for seed in SEEDS:
         cases = inputs(seed)
-        bucket, buffer = _fused_bucket(seed)
+        buckets = {
+            "bucket": _fused_bucket(seed),
+            "bucket-zero": _fused_bucket(seed, zero="b.w"),
+        }
         for name in COMPRESSORS:
             for case, tensor in cases.items():
                 comp = create(name, seed=seed)
@@ -129,16 +144,21 @@ def compressor_digests() -> dict:
                     "decoded": digest(comp.decompress(compressed)),
                     "rng": _rng_digest(comp),
                 }
-            comp = create(name, seed=seed)
-            if comp.fused_kernel:
-                # Twice: the second call sees the advanced random stream.
+            # Every compressor goes through its fused entry point, kernel
+            # or generic concatenation alike: the decoded bucket and the
+            # draws must not depend on which of the two a tree ships.
+            for case, (bucket, buffer) in buckets.items():
+                comp = create(name, seed=seed)
+                # Twice: the second call sees the advanced random stream
+                # (and signum's momentum).
                 for call in (1, 2):
                     compressed = comp.compress_fused(buffer.copy(), bucket)
-                    out[f"{name}/bucket/seed{seed}/fused{call}"] = {
+                    out[f"{name}/{case}/seed{seed}/fused{call}"] = {
                         "payload": _payload_digests(compressed),
                         "decoded": digest(comp.decompress_fused(compressed)),
                         "rng": _rng_digest(comp),
                     }
+            comp = create(name, seed=seed)
             if comp.aggregation != "none":
                 workers = [create(name, seed=seed + rank) for rank in (0, 1)]
                 for case in ("dense", "sparse5", "len9"):
@@ -151,6 +171,15 @@ def compressor_digests() -> dict:
                         "payload": _payload_digests(merged),
                         "decoded": digest(comp.decompress_aggregated(merged)),
                     }
+                bucket, buffer = buckets["bucket"]
+                merged = comp.aggregate_compressed([
+                    worker.compress_fused(buffer * np.float32(rank + 1), bucket)
+                    for rank, worker in enumerate(workers)
+                ])
+                out[f"{name}/bucket/seed{seed}/fused-aggregate"] = {
+                    "payload": _payload_digests(merged),
+                    "decoded": digest(comp.decompress_aggregated(merged)),
+                }
     return out
 
 
@@ -373,16 +402,67 @@ def all_digests() -> dict:
     }
 
 
+def _may_move(key: str, fused_payloads) -> bool:
+    """Whether ``key`` is a fused-bucket entry the caller let move: by
+    compressor (``eightbit``) or by compressor and bucket
+    (``qsgd/bucket-zero``)."""
+    name, case, _, mode = key.split("/")
+    return (
+        case.startswith("bucket")
+        and mode.startswith("fused")
+        and (name in fused_payloads or f"{name}/{case}" in fused_payloads)
+    )
+
+
+def unexpected_changes(old: dict, new: dict, fused_payloads) -> list:
+    """What differs between two digest files beyond the allowed fields.
+
+    Allowed: the ``payload`` of the fused-bucket entries of the compressors
+    in ``fused_payloads``.  Everything else — an entry added or dropped, a
+    decoded array, a random stream, a per-tensor payload, a tensorlib
+    primitive — is reported as ``section/key[/field]``.
+    """
+    problems = []
+    for section in sorted(set(old) | set(new)):
+        before, after = old.get(section, {}), new.get(section, {})
+        for key in sorted(set(before) | set(after)):
+            if key not in before or key not in after:
+                problems.append(f"{section}/{key} (added or removed)")
+                continue
+            if before[key] == after[key]:
+                continue
+            if section != "compressors" or not _may_move(key, fused_payloads):
+                problems.append(f"{section}/{key}")
+                continue
+            problems.extend(
+                f"{section}/{key}/{field}"
+                for field in sorted(set(before[key]) | set(after[key]))
+                if field != "payload"
+                and before[key].get(field) != after[key].get(field)
+            )
+    return problems
+
+
 def main(argv) -> int:
-    if argv != ["--write"]:
-        print(__doc__)
-        return 2
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as handle:
-        json.dump(all_digests(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
-    return 0
+    if argv == ["--write"]:
+        os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+        with open(GOLDEN_PATH, "w") as handle:
+            json.dump(all_digests(), handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {GOLDEN_PATH}")
+        return 0
+    if len(argv) == 4 and argv[0] == "--diff" and argv[2] == "--fused-payloads":
+        with open(argv[1]) as handle:
+            old = json.load(handle)
+        with open(GOLDEN_PATH) as handle:
+            new = json.load(handle)
+        problems = unexpected_changes(old, new, set(argv[3].split(",")))
+        for problem in problems:
+            print(f"moved: {problem}")
+        print(f"{len(problems)} unexpected change(s) vs {argv[1]}")
+        return 1 if problems else 0
+    print(__doc__)
+    return 2
 
 
 if __name__ == "__main__":

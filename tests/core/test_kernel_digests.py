@@ -39,7 +39,14 @@ def test_corpus_covers_every_edited_kernel(golden):
     names = {key.split("/")[0] for key in golden["compressors"]}
     assert names == set(cases.COMPRESSORS)
     modes = {key.rsplit("/", 1)[1] for key in golden["compressors"]}
-    assert modes == {"compress", "fused1", "fused2", "aggregate"}
+    assert modes == {
+        "compress", "fused1", "fused2", "aggregate", "fused-aggregate"
+    }
+    # Every compressor is frozen on its fused entry point too, on a dense
+    # bucket and on one with a dead (all-zero) segment.
+    for name in cases.COMPRESSORS:
+        for case in ("bucket", "bucket-zero"):
+            assert f"{name}/{case}/seed0/fused2" in golden["compressors"]
     for bits in range(1, 17):
         assert f"pack_bits/{bits}/9" in golden["tensorlib"]
         assert f"unpack_bits/{bits}/9" in golden["tensorlib"]
