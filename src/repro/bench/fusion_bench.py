@@ -38,6 +38,8 @@ class FusionBenchCell:
     sim_compression_seconds: float
     bytes_per_worker: float
     fusion_buckets: int
+    #: Per-step training losses: fusion must not move them by one bit.
+    losses: list
 
     @property
     def sim_exchange_seconds(self) -> float:
@@ -168,6 +170,7 @@ def _run_cell(
         sim_compression_seconds=report.sim_compression_seconds,
         bytes_per_worker=report.bytes_per_worker,
         fusion_buckets=buckets,
+        losses=list(report.losses),
     )
 
 

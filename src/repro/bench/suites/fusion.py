@@ -80,9 +80,21 @@ class FusionSuite(BenchmarkSuite):
 
     @staticmethod
     def _failures(result: FusionBenchResult) -> list[str]:
+        failures = []
         if result.fused.collective_ops >= result.unfused.collective_ops:
-            return [
+            failures.append(
                 f"fused run issued {result.fused.collective_ops} "
                 f"collectives, unfused {result.unfused.collective_ops}"
-            ]
-        return []
+            )
+        if result.fused.losses != result.unfused.losses:
+            step = next(
+                i for i, pair in enumerate(
+                    zip(result.fused.losses, result.unfused.losses)
+                ) if pair[0] != pair[1]
+            )
+            failures.append(
+                f"fused and unfused training diverge at step {step}: "
+                f"loss {result.fused.losses[step]!r} vs "
+                f"{result.unfused.losses[step]!r} (must be bitwise equal)"
+            )
+        return failures

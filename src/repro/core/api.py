@@ -110,6 +110,24 @@ class FusedConcatCtx:
         self.ctxs = ctxs
 
 
+class FusedBucketCtx:
+    """Decompression ctx of a whole-bucket kernel payload: the bucket.
+
+    Everything a fused kernel's decoder needs beyond the payload is the
+    bucket layout, which every rank holds — so the ctx type, the part
+    count and the part dtypes of a fused payload depend on the
+    compressor's parameters and the layout only, never on the data.  A
+    rank may therefore decode a peer's payload under its *own* ctx (the
+    real-parallel backend does); a kernel that switched formats on a
+    property of its input, say a zero-norm segment, would break that.
+    """
+
+    __slots__ = ("bucket",)
+
+    def __init__(self, bucket):
+        self.bucket = bucket
+
+
 def concat_compressed(bucket, compressed: list[CompressedTensor]) -> CompressedTensor:
     """Concatenate per-tensor compressed outputs into one bucket payload.
 
@@ -335,7 +353,13 @@ class Compressor(abc.ABC):
         calls in segment order — correct for every compressor, and
         consuming the random stream exactly like the per-tensor path.
         Subclasses with ``fused_kernel = True`` override this with a
-        vectorized whole-bucket implementation.
+        vectorized whole-bucket implementation returning a
+        :class:`FusedBucketCtx` payload, and decode it in
+        :meth:`_decompress_bucket`.  Two rules bind every kernel: decoded
+        values, the random stream and any compressor state afterwards
+        are bitwise those of this generic path; and the wire format is a
+        function of parameters and bucket layout only (see
+        :class:`FusedBucketCtx`).
         """
         return concat_compressed(
             bucket,
@@ -352,12 +376,19 @@ class Compressor(abc.ABC):
     ) -> np.ndarray:
         """Decompress a fused bucket back to one flat float32 array.
 
-        Handles the generic :class:`FusedConcatCtx`; fused-kernel
-        subclasses override this for their own ctx format and delegate
-        back here for concatenated payloads.  ``out`` (when given) is a
-        reusable ``numel``-sized float32 scratch buffer.
+        Kernel payloads (:class:`FusedBucketCtx`) decode through the
+        subclass's :meth:`_decompress_bucket`, generic concatenations
+        (:class:`FusedConcatCtx`) segment by segment through
+        :meth:`decompress`.  ``out`` (when given) is a reusable
+        ``numel``-sized float32 scratch buffer.
         """
         ctx = compressed.ctx
+        if isinstance(ctx, FusedBucketCtx):
+            values = self._decompress_bucket(compressed.payload, ctx.bucket)
+            if out is None:
+                return values
+            out[:] = values
+            return out
         if not isinstance(ctx, FusedConcatCtx):
             raise TypeError(
                 f"{type(self).__name__} cannot decompress fused ctx "
@@ -374,6 +405,13 @@ class Compressor(abc.ABC):
             out[seg.offset:seg.end] = np.ravel(self.decompress(sub))
             start += n_parts
         return out
+
+    def _decompress_bucket(self, payload: Payload, bucket) -> np.ndarray:
+        """Decode one :meth:`compress_fused` kernel payload to flat float32."""
+        raise TypeError(
+            f"{type(self).__name__} ships no fused kernel to decode a "
+            f"FusedBucketCtx payload"
+        )
 
     # -- defaults the framework provides -------------------------------------
 
@@ -581,7 +619,9 @@ class Compressor(abc.ABC):
         payload to dense float32 and snaps it onto a per-payload lattice
         whose step is ``max|v| / LATTICE_STEPS`` — correct for any
         scheme; quantizers whose values already live on a lattice (QSGD)
-        override this with the exact native form.
+        override this with the exact native form.  A fused kernel
+        payload gets one step per bucket segment, exactly the steps its
+        per-tensor payloads would get one by one.
         """
         ctx = compressed.ctx
         if isinstance(ctx, AggregatedLatticeCtx):
@@ -593,21 +633,29 @@ class Compressor(abc.ABC):
                 np.asarray(ctx.seg_sizes, dtype=np.int64),
                 np.asarray(codes, dtype=np.int64),
             )
-        dense = np.asarray(self.decompress(compressed), dtype=np.float32)
-        flat = np.ravel(dense).astype(np.float64)
-        peak = np.max(np.abs(flat)) if flat.size else np.float64(0.0)
-        delta = np.float32(peak / LATTICE_STEPS)
-        if delta > 0:
-            codes = np.rint(flat / float(delta)).astype(np.int64)
+        if isinstance(ctx, FusedBucketCtx):
+            bucket = ctx.bucket
+            shape = (int(bucket.numel),)
+            flat = self.decompress_fused(compressed).astype(np.float64)
+            seg_sizes = bucket.sizes
+            deltas = (
+                bucket.segment_max(np.abs(flat)) / LATTICE_STEPS
+            ).astype(np.float32)
+            steps = bucket.expand(deltas).astype(np.float64)
         else:
-            codes = np.zeros(flat.size, dtype=np.int64)
-        return (
-            dense.shape,
-            int(flat.size),
-            np.array([delta], dtype=np.float32),
-            np.array([flat.size], dtype=np.int64),
-            codes,
-        )
+            dense = np.asarray(self.decompress(compressed), dtype=np.float32)
+            shape = dense.shape
+            flat = np.ravel(dense).astype(np.float64)
+            seg_sizes = np.array([flat.size], dtype=np.int64)
+            peak = np.max(np.abs(flat)) if flat.size else np.float64(0.0)
+            deltas = np.array([peak / LATTICE_STEPS], dtype=np.float32)
+            steps = np.float64(deltas[0])
+        # A zero step marks an all-zero (or underflowing) segment.
+        live = steps > 0
+        codes = np.rint(
+            np.divide(flat, steps, out=np.zeros_like(flat), where=live)
+        ).astype(np.int64)
+        return shape, int(flat.size), deltas, seg_sizes, codes
 
     def _aggregate_lattice(
         self, items: list[CompressedTensor]

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.tensorlib import pack_signs, unpack_signs
-
-
-class _FusedEFSignCtx:
-    """Decompression ctx for the fused scaled-sign payload."""
-
-    __slots__ = ("bucket",)
-
-    def __init__(self, bucket):
-        self.bucket = bucket
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
+from repro.tensorlib import pack_signs, segment_means, unpack_signs
 
 
 class EFSignSGDCompressor(Compressor):
@@ -56,34 +52,15 @@ class EFSignSGDCompressor(Compressor):
         to the per-tensor computation); the sign packing — the O(numel)
         work — runs once for the whole bucket.
         """
-        if not np.all(bucket.sizes > 0):
+        if bucket.has_empty_segment:
             return super().compress_fused(buffer, bucket)
-        abs_buffer = np.abs(buffer)
-        scales = np.array(
-            [
-                np.mean(abs_buffer[seg.offset:seg.end])
-                for seg in bucket.segments
-            ],
-            dtype=np.float32,
-        )
+        scales = segment_means(np.abs(buffer), bucket.ends)
         return CompressedTensor(
             payload=[pack_signs(buffer), scales],
-            ctx=_FusedEFSignCtx(bucket),
+            ctx=FusedBucketCtx(bucket),
         )
 
-    def decompress_fused(
-        self, compressed: CompressedTensor, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         """Rebuild the flat bucket: repeated scales times unpacked signs."""
-        ctx = compressed.ctx
-        if not isinstance(ctx, _FusedEFSignCtx):
-            return super().decompress_fused(compressed, out=out)
-        bucket = ctx.bucket
-        packed, scales = compressed.payload
-        values = np.repeat(scales, bucket.sizes) * unpack_signs(
-            packed, bucket.numel
-        )
-        if out is None:
-            return values
-        out[:] = values
-        return out
+        packed, scales = payload
+        return bucket.expand(scales) * unpack_signs(packed, bucket.numel)

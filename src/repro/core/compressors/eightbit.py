@@ -12,6 +12,7 @@ import numpy as np
 from repro.core.api import (
     CompressedTensor,
     Compressor,
+    FusedBucketCtx,
     flatten_with_shape,
     is_fused_concat_ctx,
 )
@@ -26,6 +27,7 @@ class EightBitCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
+    fused_kernel = True
     aggregation = "codebook"
 
     def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
@@ -42,6 +44,18 @@ class EightBitCompressor(Compressor):
         # The wire scale stays float32: widening it changes no decoded
         # value (the kernel digests hold either way).
         return dequantize_float8(codes, scale[0]).reshape(shape)
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """One float8 pass over the bucket, one max-abs scale per segment."""
+        scales = bucket.segment_max(np.abs(buffer))
+        codes, _ = quantize_float8(buffer, bucket.expand(scales))
+        return CompressedTensor(
+            payload=[codes, scales], ctx=FusedBucketCtx(bucket)
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        codes, scales = payload
+        return dequantize_float8(codes, bucket.expand(scales))
 
     def aggregate_compressed(
         self, items: list[CompressedTensor]

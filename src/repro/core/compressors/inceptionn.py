@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
 from repro.tensorlib import (
     dequantize_float8,
     pack_bits,
@@ -20,6 +25,12 @@ from repro.tensorlib import (
 )
 
 _TAG_DROP, _TAG_F8, _TAG_F16, _TAG_F32 = 0, 1, 2, 3  # ascending precision
+
+
+def _where(tags: np.ndarray, tag: int) -> np.ndarray:
+    """Positions carrying ``tag``.  Gathering and scattering through an index
+    array is 2-3x faster than through the boolean mask itself."""
+    return np.flatnonzero(tags == tag)
 
 
 class InceptionnCompressor(Compressor):
@@ -35,6 +46,7 @@ class InceptionnCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "none"
+    fused_kernel = True
 
     def __init__(
         self,
@@ -68,32 +80,83 @@ class InceptionnCompressor(Compressor):
         mag = np.abs(flat)
         max_mag = np.float32(np.max(mag)) if flat.size else 0.0
         if max_mag > 0:
-            # The tags are ordered like the tiers: a tag is the number of
-            # (ascending) tier thresholds its element reaches.
-            rel = np.divide(mag, max_mag, out=mag)
-            tags = (rel >= self.drop_fraction).astype(np.uint8)
-            tags += rel >= self.f8_fraction
-            tags += rel >= self.full_fraction
+            tags = self._tags(np.divide(mag, max_mag, out=mag))
         else:
             tags = np.full(flat.size, _TAG_DROP, dtype=np.uint8)
-        f8_values = flat[tags == _TAG_F8]
-        f8_codes, f8_scale = quantize_float8(f8_values)
-        payload = [
+        f8_codes, f8_scale = quantize_float8(flat[_where(tags, _TAG_F8)])
+        payload = self._tiers(
+            flat, tags, f8_codes, np.array([f8_scale], dtype=np.float32)
+        )
+        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
+
+    def _tags(self, rel: np.ndarray) -> np.ndarray:
+        """Tier of every element from its magnitude relative to the max.
+
+        The tags are ordered like the tiers: a tag is the number of
+        (ascending) tier thresholds its element reaches.
+        """
+        tags = (rel >= self.drop_fraction).astype(np.uint8)
+        tags += rel >= self.f8_fraction
+        tags += rel >= self.full_fraction
+        return tags
+
+    @staticmethod
+    def _tiers(flat, tags, f8_codes, f8_scales) -> list[np.ndarray]:
+        return [
             pack_bits(tags, bits=2),
             f8_codes,
-            np.array([f8_scale], dtype=np.float32),
-            flat[tags == _TAG_F16].astype(np.float16),
-            flat[tags == _TAG_F32].astype(np.float32),
+            f8_scales,
+            flat[_where(tags, _TAG_F16)].astype(np.float16),
+            flat[_where(tags, _TAG_F32)].astype(np.float32),
         ]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
+
+    @staticmethod
+    def _untier(payload, size: int, segment_ids=None) -> np.ndarray:
+        """Flat float32 decode of one tensor, or of a bucket whose float8
+        scales are one per segment (``segment_ids``: segment of each element).
+        """
+        packed_tags, f8_codes, f8_scales, f16_values, f32_values = payload
+        tags = unpack_bits(packed_tags, bits=2, count=size)
+        out = np.zeros(size, dtype=np.float32)
+        f8_at = _where(tags, _TAG_F8)
+        out[f8_at] = dequantize_float8(
+            f8_codes,
+            f8_scales[0] if segment_ids is None
+            else f8_scales[segment_ids[f8_at]],
+        )
+        out[_where(tags, _TAG_F16)] = f16_values.astype(np.float32)
+        out[_where(tags, _TAG_F32)] = f32_values
+        return out
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:
         """Apply Q^-1: rebuild a dense tensor of the original shape."""
         shape, size = compressed.ctx
-        packed_tags, f8_codes, f8_scale, f16_values, f32_values = compressed.payload
-        tags = unpack_bits(packed_tags, bits=2, count=size)
-        out = np.zeros(size, dtype=np.float32)
-        out[tags == _TAG_F8] = dequantize_float8(f8_codes, f8_scale[0])
-        out[tags == _TAG_F16] = f16_values.astype(np.float32)
-        out[tags == _TAG_F32] = f32_values
-        return out.reshape(shape)
+        return self._untier(compressed.payload, size).reshape(shape)
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """One tagging pass and one gather per tier for the whole bucket.
+
+        The max magnitude and the float8 tier's scale stay per segment.
+        """
+        mag = np.abs(buffer)
+        peaks = bucket.segment_max(mag)
+        live = bucket.expand(peaks > 0)
+        tags = self._tags(
+            np.divide(mag, bucket.expand(peaks), out=np.zeros_like(mag),
+                      where=live)
+        )
+        tags *= live  # an all-zero segment is dropped whatever the fractions
+        f8_scales = bucket.segment_max(
+            np.where(tags == _TAG_F8, mag, np.float32(0.0))
+        )
+        f8_at = _where(tags, _TAG_F8)
+        f8_codes, _ = quantize_float8(
+            buffer[f8_at], f8_scales[bucket.segment_ids[f8_at]]
+        )
+        return CompressedTensor(
+            payload=self._tiers(buffer, tags, f8_codes, f8_scales),
+            ctx=FusedBucketCtx(bucket),
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        return self._untier(payload, bucket.numel, bucket.segment_ids)

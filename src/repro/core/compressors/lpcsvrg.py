@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.tensorlib import pack_bits, unpack_bits
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
+from repro.tensorlib import pack_bits, segment_stds, unpack_bits
 
 
 class LPCSVRGCompressor(Compressor):
@@ -23,6 +28,7 @@ class LPCSVRGCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "none"
+    fused_kernel = True
 
     def __init__(self, bit_width: int = 4, clip_std: float = 2.5, seed: int = 0):
         super().__init__(seed=seed)
@@ -51,21 +57,32 @@ class LPCSVRGCompressor(Compressor):
         bound = np.float32(self.clip_std) * np.float32(np.std(flat)) or (
             np.float32(np.max(np.abs(flat)) or 1.0)
         )
-        clipped = np.clip(flat, -bound, bound)
         # Grid step so the clipped range maps into the code range.
         delta = bound / self._offset
-        scaled = clipped
+        payload = [
+            self._pack_codes(flat, bound, delta),
+            np.array([delta], dtype=np.float32),
+        ]
+        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
+
+    def _pack_codes(self, flat: np.ndarray, bound, delta) -> np.ndarray:
+        """Clip to ``±bound``, round stochastically onto the ``delta`` grid.
+
+        ``bound`` and ``delta`` are one float32 each, or one per element
+        (a fused bucket); one uniform draw per element either way.
+        """
+        scaled = np.clip(flat, -bound, bound)
         scaled /= delta
         scaled += self._offset  # in [0, 2^w]
         codes = np.floor(scaled)
         scaled -= codes  # the fractional part: the odds of rounding up
         codes += self._rng.random(size=scaled.shape) < scaled
         np.clip(codes, 0, self._levels - 1, out=codes)
-        payload = [
-            pack_bits(codes.astype(np.uint8), bits=self.bit_width),
-            np.array([delta], dtype=np.float32),
-        ]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
+        return pack_bits(codes.astype(np.uint8), bits=self.bit_width)
+
+    def _unpack_values(self, packed, size: int, delta) -> np.ndarray:
+        codes = unpack_bits(packed, bits=self.bit_width, count=size)
+        return (codes - self._offset).astype(np.float32) * delta
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:
         """Apply Q^-1: rebuild a dense tensor of the original shape."""
@@ -73,6 +90,31 @@ class LPCSVRGCompressor(Compressor):
         packed, delta = compressed.payload
         if size == 0:
             return np.zeros(shape, dtype=np.float32)
-        codes = unpack_bits(packed, bits=self.bit_width, count=size)
-        values = (codes - self._offset).astype(np.float32) * delta[0]
-        return values.reshape(shape)
+        return self._unpack_values(packed, size, delta[0]).reshape(shape)
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """One clip / round / bit-pack pass; bounds stay per segment.
+
+        An empty tensor takes no draw and has its own per-tensor format,
+        so a bucket holding one (a property of the layout, the same on
+        every rank) takes the generic path.
+        """
+        if bucket.has_empty_segment:
+            return super().compress_fused(buffer, bucket)
+        bounds = np.float32(self.clip_std) * segment_stds(buffer, bucket.ends)
+        flat_tensors = bounds == 0  # constant tensors: fall back to max-abs
+        if flat_tensors.any():
+            peaks = bucket.segment_max(np.abs(buffer))
+            peaks[peaks == 0] = 1.0
+            bounds[flat_tensors] = peaks[flat_tensors]
+        deltas = bounds / self._offset
+        packed = self._pack_codes(
+            buffer, bucket.expand(bounds), bucket.expand(deltas)
+        )
+        return CompressedTensor(
+            payload=[packed, deltas], ctx=FusedBucketCtx(bucket)
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        packed, deltas = payload
+        return self._unpack_values(packed, bucket.numel, bucket.expand(deltas))

@@ -13,6 +13,7 @@ import numpy as np
 from repro.core.api import (
     CompressedTensor,
     Compressor,
+    FusedBucketCtx,
     flatten_with_shape,
     is_fused_concat_ctx,
 )
@@ -44,11 +45,16 @@ class NaturalCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "residual"
+    fused_kernel = True
     aggregation = "codebook"
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
+    def _encode(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Sign bits and wire exponents of the rounded ``flat``.
+
+        Nothing here looks past one element, and the rounding draws once
+        per non-zero element in order: a flat bucket encodes to what its
+        tensors encode to one after the other.
+        """
         rounded = stochastic_power_of_two(flat, rng=self._rng)
         # rounded is 0 or +-2^x: frexp reads x + 1 off the representation.
         _, binade = np.frexp(rounded)
@@ -56,16 +62,35 @@ class NaturalCompressor(Compressor):
         np.clip(binade, 0, _ZERO_SENTINEL - 1, out=binade)
         exponents = binade.astype(np.uint8)
         exponents[rounded == 0] = _ZERO_SENTINEL
-        payload = [pack_signs(rounded), exponents]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
+        return [pack_signs(rounded), exponents]
+
+    @staticmethod
+    def _decode(payload, size: int) -> np.ndarray:
+        packed_signs, exponents = payload
+        signs = unpack_signs(packed_signs, size)
+        signs *= _EXPONENT_VALUES.take(exponents)
+        return signs
+
+    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
+        """Apply Q: returns the wire payload plus decompression ctx."""
+        flat, shape = flatten_with_shape(tensor)
+        return CompressedTensor(
+            payload=self._encode(flat), ctx=(shape, flat.size)
+        )
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:
         """Apply Q^-1: rebuild a dense tensor of the original shape."""
         shape, size = compressed.ctx
-        packed_signs, exponents = compressed.payload
-        signs = unpack_signs(packed_signs, size)
-        signs *= _EXPONENT_VALUES.take(exponents)
-        return signs.reshape(shape)
+        return self._decode(compressed.payload, size).reshape(shape)
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """The per-tensor kernel, once over the flat bucket."""
+        return CompressedTensor(
+            payload=self._encode(buffer), ctx=FusedBucketCtx(bucket)
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        return self._decode(payload, bucket.numel)
 
     def aggregate_compressed(
         self, items: list[CompressedTensor]

@@ -8,6 +8,7 @@ from repro.core.api import (
     AggregatedDenseCtx,
     CompressedTensor,
     Compressor,
+    FusedBucketCtx,
     is_fused_concat_ctx,
 )
 
@@ -20,6 +21,7 @@ class NoneCompressor(Compressor):
     stochastic = False
     communication = "allreduce"
     default_memory = "none"
+    fused_kernel = True
     aggregation = "exact-linear"
 
     def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
@@ -36,6 +38,16 @@ class NoneCompressor(Compressor):
         (shape,) = compressed.ctx
         return np.asarray(compressed.payload[0], dtype=np.float32).reshape(shape)
 
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """The identity on a bucket: one copy (the buffer is reused scratch)."""
+        return CompressedTensor(
+            payload=[np.array(buffer, dtype=np.float32)],
+            ctx=FusedBucketCtx(bucket),
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        return np.asarray(payload[0], dtype=np.float32)
+
     def aggregate_compressed(
         self, items: list[CompressedTensor]
     ) -> CompressedTensor:
@@ -45,5 +57,8 @@ class NoneCompressor(Compressor):
         ctx = items[0].ctx
         if is_fused_concat_ctx(ctx):
             return self._aggregate_fused_segments(items)
-        shape = ctx.shape if isinstance(ctx, AggregatedDenseCtx) else ctx[0]
+        if isinstance(ctx, FusedBucketCtx):
+            shape = (ctx.bucket.numel,)
+        else:
+            shape = ctx.shape if isinstance(ctx, AggregatedDenseCtx) else ctx[0]
         return self._aggregate_dense(items, shape)

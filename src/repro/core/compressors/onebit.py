@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.tensorlib import pack_bits, unpack_bits
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
+from repro.tensorlib import pack_bits, segment_means, unpack_bits
 
 
 class OneBitCompressor(Compressor):
@@ -23,6 +28,7 @@ class OneBitCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
+    fused_kernel = True
 
     def __init__(self, threshold: float = 0.0, seed: int = 0):
         super().__init__(seed=seed)
@@ -51,3 +57,34 @@ class OneBitCompressor(Compressor):
         packed, means = compressed.payload
         bits = unpack_bits(packed, bits=1, count=size)
         return means.take(bits).reshape(shape)  # means are [low, high]
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """One threshold / bit-pack pass; the two means stay per segment.
+
+        Each side's values are gathered once for the whole bucket; a
+        segment's share of them is a contiguous run, which is what the
+        per-tensor mean reduces over.
+        """
+        high = buffer >= self.threshold
+        high_at = np.flatnonzero(high)
+        # How many high elements the bucket holds up to each segment's end.
+        high_ends = np.searchsorted(high_at, bucket.ends)
+        means = np.stack(
+            [
+                segment_means(
+                    buffer[np.flatnonzero(~high)], bucket.ends - high_ends
+                ),
+                segment_means(buffer[high_at], high_ends),
+            ],
+            axis=1,
+        )  # one [low, high] row per segment
+        return CompressedTensor(
+            payload=[pack_bits(high.astype(np.uint8), bits=1), means.ravel()],
+            ctx=FusedBucketCtx(bucket),
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        packed, means = payload
+        bits = unpack_bits(packed, bits=1, count=bucket.numel)
+        bits += 2 * bucket.segment_ids  # row of the segment's [low, high]
+        return means.take(bits)

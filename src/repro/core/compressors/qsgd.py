@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.api import (
     CompressedTensor,
     Compressor,
+    FusedBucketCtx,
     _fused_layout,
     flatten_with_shape,
     is_fused_concat_ctx,
@@ -24,19 +25,10 @@ from repro.tensorlib import (
     pack_bits,
     pack_signs,
     quantize_stochastic_levels,
+    segment_norms,
     unpack_bits,
     unpack_signs,
 )
-from repro.tensorlib.quantize import quantize_uniform
-
-
-class _FusedQSGDCtx:
-    """Decompression ctx for the vectorized fused QSGD payload."""
-
-    __slots__ = ("bucket",)
-
-    def __init__(self, bucket):
-        self.bucket = bucket
 
 
 class QSGDCompressor(Compressor):
@@ -97,51 +89,34 @@ class QSGDCompressor(Compressor):
         normalize / round / sign-pack / bit-pack work runs once over the
         whole bucket.  A single ``numel``-sized uniform draw replaces the
         per-tensor draws — Generator streams concatenate exactly, so the
-        codes are seeded-equal to the per-tensor path.  Any zero-norm
-        segment falls back to the generic path, which skips that
-        segment's draw just like ``compress`` does.
+        codes are seeded-equal to the per-tensor path.  A zero-norm
+        segment (a layer dead on this rank) keeps the format: its codes
+        are zero and its elements take no draw, just like ``compress``.
         """
-        norms = np.array(
-            [
-                np.linalg.norm(buffer[seg.offset:seg.end])
-                for seg in bucket.segments
-            ],
-            dtype=np.float32,
+        norms = segment_norms(buffer, bucket.ends)
+        codes = quantize_stochastic_levels(
+            np.abs(buffer), bucket.expand(norms), self.levels, rng=self._rng
         )
-        if not np.all(norms > 0):
-            return super().compress_fused(buffer, bucket)
-        magnitudes = np.abs(buffer) / np.repeat(norms, bucket.sizes)
-        codes = quantize_uniform(magnitudes, self.levels, rng=self._rng)
         payload = [
             norms,
             pack_signs(buffer),
             pack_bits(codes, bits=self.code_bits),
         ]
-        return CompressedTensor(payload=payload, ctx=_FusedQSGDCtx(bucket))
+        return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
 
-    def decompress_fused(
-        self, compressed: CompressedTensor, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         """Rebuild the flat bucket from one fused QSGD payload."""
-        ctx = compressed.ctx
-        if not isinstance(ctx, _FusedQSGDCtx):
-            return super().decompress_fused(compressed, out=out)
-        bucket = ctx.bucket
-        norms, packed_signs, packed_codes = compressed.payload
+        norms, packed_signs, packed_codes = payload
         signs = unpack_signs(packed_signs, bucket.numel)
         codes = unpack_bits(
             packed_codes, bits=self.code_bits, count=bucket.numel
         )
-        values = (
-            np.repeat(norms, bucket.sizes)
+        return (
+            bucket.expand(norms)
             * signs
             * codes.astype(np.float32)
             / self.levels
         )
-        if out is None:
-            return values
-        out[:] = values
-        return out
 
     def _lattice_form(self, compressed: CompressedTensor):
         """Native lattice view: QSGD values already live on ``norm/s · Z``.
@@ -151,7 +126,7 @@ class QSGDCompressor(Compressor):
         no re-quantization, so a one-summand aggregate is exact.
         """
         ctx = compressed.ctx
-        if isinstance(ctx, _FusedQSGDCtx):
+        if isinstance(ctx, FusedBucketCtx):
             bucket = ctx.bucket
             norms, packed_signs, packed_codes = compressed.payload
             signs = unpack_signs(packed_signs, bucket.numel)

@@ -71,7 +71,7 @@ class RandomKCompressor(Compressor):
         values and applying the ``d/k`` unbiasing scale) runs as one
         whole-bucket pass.
         """
-        if not np.all(bucket.sizes > 0):
+        if bucket.has_empty_segment:
             return super().compress_fused(buffer, bucket)
         locals_per_seg = []
         for seg in bucket.segments:

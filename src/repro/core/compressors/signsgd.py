@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
 from repro.tensorlib import pack_signs, unpack_signs
-
-
-class _FusedSignCtx:
-    """Decompression ctx for the fused 1-bit sign payload."""
-
-    __slots__ = ("bucket",)
-
-    def __init__(self, bucket):
-        self.bucket = bucket
 
 
 class SignSGDCompressor(Compressor):
@@ -49,18 +45,9 @@ class SignSGDCompressor(Compressor):
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One bit-pack over the whole bucket (signs are elementwise)."""
         return CompressedTensor(
-            payload=[pack_signs(buffer)], ctx=_FusedSignCtx(bucket)
+            payload=[pack_signs(buffer)], ctx=FusedBucketCtx(bucket)
         )
 
-    def decompress_fused(
-        self, compressed: CompressedTensor, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         """Unpack the whole bucket's ±1 vector in one pass."""
-        ctx = compressed.ctx
-        if not isinstance(ctx, _FusedSignCtx):
-            return super().decompress_fused(compressed, out=out)
-        signs = unpack_signs(compressed.payload[0], ctx.bucket.numel)
-        if out is None:
-            return signs
-        out[:] = signs
-        return out
+        return unpack_signs(payload[0], bucket.numel)

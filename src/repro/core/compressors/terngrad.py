@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.tensorlib import pack_bits, unpack_bits
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
+from repro.tensorlib import pack_bits, segment_stds, unpack_bits
 from repro.tensorlib.huffman import (
     HuffmanEncoded,
     huffman_decode,
@@ -29,15 +34,6 @@ def _ternary_codes(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     codes = np.where(values >= 0, np.uint8(_CODE_POS), np.uint8(_CODE_NEG))
     codes *= keep  # _CODE_ZERO is 0
     return codes
-
-
-class _FusedTernCtx:
-    """Decompression ctx for the fused ternary payload."""
-
-    __slots__ = ("bucket",)
-
-    def __init__(self, bucket):
-        self.bucket = bucket
 
 
 class TernGradCompressor(Compressor):
@@ -81,13 +77,8 @@ class TernGradCompressor(Compressor):
             if bound > 0:
                 flat = np.clip(flat, -bound, bound)
         mag = np.abs(flat)
-        scale = np.float32(np.max(mag)) if flat.size else 0.0
-        if scale > 0:
-            mag /= scale
-            keep = self._rng.random(size=flat.shape) < mag
-        else:
-            keep = np.zeros(flat.shape, dtype=bool)
-        codes = _ternary_codes(flat, keep)
+        scale = np.float32(np.max(mag)) if flat.size else np.float32(0.0)
+        codes = _ternary_codes(flat, self._keep(mag, scale))
         if self.entropy_coding:
             encoded = huffman_encode(codes, num_symbols=3)
             payload = [
@@ -102,6 +93,23 @@ class TernGradCompressor(Compressor):
         ]
         return CompressedTensor(payload=payload, ctx=(shape, flat.size))
 
+    def _keep(self, mag: np.ndarray, scale) -> np.ndarray:
+        """Bernoulli mask with ``P(keep) = mag / scale`` (overwrites ``mag``).
+
+        ``scale`` is one float32, or one per element (a fused bucket).
+        Elements whose scale is zero are dropped and take no draw, so a
+        bucket consumes the stream like its tensors one after the other.
+        """
+        live = scale > 0
+        if np.all(live):
+            mag /= scale
+            return self._rng.random(size=mag.shape) < mag
+        keep = np.zeros(mag.shape, dtype=bool)
+        if np.ndim(live):
+            odds = mag[live] / scale[live]
+            keep[live] = self._rng.random(size=odds.shape) < odds
+        return keep
+
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """Whole-bucket TernGrad: clip, one uniform draw, one bit-pack.
 
@@ -111,54 +119,30 @@ class TernGradCompressor(Compressor):
         i.e. no clipping).  The Bernoulli mask uses a single
         ``numel``-sized uniform draw — Generator streams concatenate
         exactly, so the codes are seeded-equal to the per-tensor path.
-        Entropy coding and zero-scale segments (whose draws the
-        per-tensor path skips) fall back to the generic path.
+        A zero-scale segment (a layer dead on this rank) keeps the
+        format: codes zero, no draws.  Entropy coding and empty tensors
+        — parameters and layout, the same on every rank — take the
+        generic path.
         """
-        if self.entropy_coding or not np.all(bucket.sizes > 0):
+        if self.entropy_coding or bucket.has_empty_segment:
             return super().compress_fused(buffer, bucket)
-        bounds = np.empty(len(bucket.segments), dtype=np.float32)
-        for i, seg in enumerate(bucket.segments):
-            bound = np.float32(self.clip_factor) * np.float32(
-                np.std(buffer[seg.offset:seg.end])
-            )
-            bounds[i] = bound if bound > 0 else np.inf
-        clipped = np.clip(
-            buffer,
-            -np.repeat(bounds, bucket.sizes),
-            np.repeat(bounds, bucket.sizes),
+        bounds = np.float32(self.clip_factor) * segment_stds(
+            buffer, bucket.ends
         )
-        abs_clipped = np.abs(clipped)
-        scales = np.array(
-            [
-                np.max(abs_clipped[seg.offset:seg.end])
-                for seg in bucket.segments
-            ],
-            dtype=np.float32,
-        )
-        if not np.all(scales > 0):
-            return super().compress_fused(buffer, bucket)
-        keep = self._rng.random(size=clipped.shape) < (
-            abs_clipped / np.repeat(scales, bucket.sizes)
-        )
-        codes = _ternary_codes(clipped, keep)
+        bounds[~(bounds > 0)] = np.inf
+        bounds = bucket.expand(bounds)
+        clipped = np.clip(buffer, -bounds, bounds)
+        mag = np.abs(clipped)
+        scales = bucket.segment_max(mag)
+        codes = _ternary_codes(clipped, self._keep(mag, bucket.expand(scales)))
         payload = [scales, pack_bits(codes, bits=2)]
-        return CompressedTensor(payload=payload, ctx=_FusedTernCtx(bucket))
+        return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
 
-    def decompress_fused(
-        self, compressed: CompressedTensor, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         """Rebuild the flat bucket from one fused ternary payload."""
-        ctx = compressed.ctx
-        if not isinstance(ctx, _FusedTernCtx):
-            return super().decompress_fused(compressed, out=out)
-        bucket = ctx.bucket
-        scales, packed = compressed.payload
+        scales, packed = payload
         codes = unpack_bits(packed, bits=2, count=bucket.numel)
-        values = np.repeat(scales, bucket.sizes) * _TERNARY_VALUES.take(codes)
-        if out is None:
-            return values
-        out[:] = values
-        return out
+        return bucket.expand(scales) * _TERNARY_VALUES.take(codes)
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:
         """Apply Q^-1: rebuild a dense tensor of the original shape."""

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
 from repro.tensorlib import desparsify, sparsify_threshold
 
 
@@ -21,6 +26,7 @@ class ThresholdCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
+    fused_kernel = True
 
     def __init__(self, threshold: float = 0.01, seed: int = 0):
         super().__init__(seed=seed)
@@ -43,6 +49,18 @@ class ThresholdCompressor(Compressor):
         shape, size = compressed.ctx
         values, indices = compressed.payload
         return desparsify(values, indices.astype(np.int64), size).reshape(shape)
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """One selection over the bucket; indices count from its start."""
+        values, indices = sparsify_threshold(buffer, self.threshold)
+        return CompressedTensor(
+            payload=[values.astype(np.float32), indices.astype(np.int32)],
+            ctx=FusedBucketCtx(bucket),
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        values, indices = payload
+        return desparsify(values, indices.astype(np.int64), bucket.numel)
 
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
         """Flat indices sent on the wire."""

@@ -106,7 +106,7 @@ class TopKCompressor(Compressor):
         ``argpartition`` except on exact magnitude ties at the k-th
         value.
         """
-        if self.index_encoding != "int32" or not np.all(bucket.sizes > 0):
+        if self.index_encoding != "int32" or bucket.has_empty_segment:
             return super().compress_fused(buffer, bucket)
         buffer = np.ascontiguousarray(buffer, dtype=np.float32)
         sizes = bucket.sizes

@@ -21,6 +21,10 @@ determinism         replaying ``compress`` on a deep-copied snapshot
                     payload bitwise
 fused-parity        ``compress_fused`` decompresses bitwise-equal to the
                     generic per-tensor concatenation on the same snapshot
+format-stability    ``compress_fused`` keeps its wire format (ctx type,
+                    part count, part dtypes) when one segment of the
+                    bucket is all zero — peers decode each other's
+                    payloads under their own ctx
 aggregate-*         ``aggregate_compressed`` honours its declared
                     capability: exact-linear schemes must decode bitwise
                     to the decompress-then-sum reference (signed zeros
@@ -328,6 +332,7 @@ class ContractChecker(Compressor):
         # The generic per-tensor concatenation on an identical snapshot
         # (same RNG state) is the parity reference every fused kernel
         # documents itself against.
+        probe = copy.deepcopy(snapshot) if self.inner.fused_kernel else None
         reference = Compressor.compress_fused(snapshot, buffer, bucket)
         expected = snapshot.decompress_fused(reference)
         if out.tobytes() != expected.tobytes():
@@ -336,7 +341,40 @@ class ContractChecker(Compressor):
                 "fused kernel decompresses differently from the generic "
                 "per-tensor path with the same seed",
             )
+        if self.inner.fused_kernel:
+            self._check_format_stability(probe, compressed, buffer, bucket)
         return compressed
+
+    def _check_format_stability(
+        self, probe: Compressor, compressed: CompressedTensor,
+        buffer: np.ndarray, bucket,
+    ) -> None:
+        """A dead layer on one rank must not change the wire format.
+
+        In worker mode a rank decodes its peers' payloads under its own
+        ctx, so the format may depend on parameters and bucket layout
+        (every rank shares those) but never on the values: ``probe``, a
+        snapshot from before the call, compresses the same bucket with
+        its first non-empty segment zeroed.  Binds the fused kernels; the
+        generic concatenation inherits whatever the per-tensor formats do.
+        """
+        dead = next((seg for seg in bucket.segments if seg.size), None)
+        if dead is None:
+            return
+        zeroed = np.array(buffer, dtype=np.float32)
+        zeroed[dead.offset:dead.end] = 0.0
+        other = probe.compress_fused(zeroed, bucket)
+
+        def layout(item: CompressedTensor):
+            return type(item.ctx).__name__, [p.dtype for p in item.payload]
+
+        if layout(other) != layout(compressed):
+            self._fail(
+                "format-stability",
+                f"zeroing segment {dead.name!r} changed the fused wire "
+                f"format from {layout(compressed)} to {layout(other)} — a "
+                f"peer decoding under its own ctx would misread it",
+            )
 
     def decompress_fused(
         self, compressed: CompressedTensor, out: np.ndarray | None = None

@@ -61,7 +61,11 @@ class FusionBucket:
     Besides the segment layout, the bucket caches the index arrays the
     batched compressor kernels need (`sizes`, `offsets`,
     `segment_ids`, `positions_within`), so per-iteration kernel calls
-    perform no layout recomputation.
+    perform no layout recomputation, and offers the two segment
+    operations nearly every kernel is built from: :meth:`segment_max`
+    and :meth:`expand`.  (Sums, means, norms and deviations per segment
+    depend on summation order: :mod:`repro.tensorlib.segments`, over
+    ``ends``.)
     """
 
     def __init__(self, index: int, segments: tuple[BucketSegment, ...]):
@@ -73,6 +77,12 @@ class FusionBucket:
         self.sizes = np.array([seg.size for seg in segments], dtype=np.int64)
         self.offsets = np.array(
             [seg.offset for seg in segments], dtype=np.int64
+        )
+        self.ends = self.offsets + self.sizes
+        # reduceat reads one element even for an empty range: reduce over
+        # the non-empty segments only (None when there is nothing to skip).
+        self._nonempty = (
+            None if np.all(self.sizes > 0) else np.flatnonzero(self.sizes)
         )
         self._segment_ids: np.ndarray | None = None
         self._segment_keys: np.ndarray | None = None
@@ -113,6 +123,30 @@ class FusionBucket:
                 - np.repeat(self.offsets, self.sizes)
             )
         return self._positions_within
+
+    @property
+    def has_empty_segment(self) -> bool:
+        """Whether some tensor of the bucket has no elements."""
+        return self._nonempty is not None
+
+    def segment_max(self, flat: np.ndarray) -> np.ndarray:
+        """Per-segment maximum of ``flat``; zero for an empty segment.
+
+        A maximum does not depend on the order it is taken in, so one
+        ``reduceat`` is bitwise the per-tensor ``np.max`` — which sums,
+        means and norms are not (:mod:`repro.tensorlib.segments`).
+        """
+        if self._nonempty is None:
+            return np.maximum.reduceat(flat, self.offsets)
+        out = np.zeros(len(self.segments), dtype=flat.dtype)
+        out[self._nonempty] = np.maximum.reduceat(
+            flat, self.offsets[self._nonempty]
+        )
+        return out
+
+    def expand(self, per_segment: np.ndarray) -> np.ndarray:
+        """One value per segment, repeated for each of its elements."""
+        return np.repeat(per_segment, self.sizes)
 
     def pack(self, arrays: dict[str, np.ndarray], out: np.ndarray) -> np.ndarray:
         """Copy the named tensors into ``out`` (flat float32) in layout order."""

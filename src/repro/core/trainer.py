@@ -1200,7 +1200,15 @@ class DistributedTrainer:
         compressed: list[CompressedTensor],
         use_kernel: bool,
     ) -> float:
-        """Simulated compress+decompress kernel time of one bucket."""
+        """Simulated compress+decompress kernel time of one bucket.
+
+        Priced from the first payload's ctx alone, which is sound because
+        a fused kernel's format never depends on the data: whenever a
+        kernel does fall back to the generic concatenation (an empty
+        tensor in the bucket, ``index_encoding``, ``entropy_coding``) the
+        reason is layout or parameters, so every rank falls back with it
+        and the price does not depend on which rank is asked.
+        """
         decoder = self.compressors[0]
         if use_kernel and not isinstance(compressed[0].ctx, FusedConcatCtx):
             # One batched kernel launch covers the whole bucket.

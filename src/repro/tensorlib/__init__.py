@@ -38,6 +38,12 @@ from repro.tensorlib.sparsify import (
     desparsify,
 )
 from repro.tensorlib.sketch import CountSketch, QuantileSketch
+from repro.tensorlib.segments import (
+    segment_means,
+    segment_norms,
+    segment_stds,
+    segment_sums,
+)
 from repro.tensorlib.encoding import (
     varint_encode,
     varint_decode,
@@ -68,4 +74,8 @@ __all__ = [
     "desparsify",
     "CountSketch",
     "QuantileSketch",
+    "segment_sums",
+    "segment_means",
+    "segment_norms",
+    "segment_stds",
 ]

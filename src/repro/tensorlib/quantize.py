@@ -55,10 +55,20 @@ def quantize_stochastic_levels(
 
     Returns integer code-words ``l`` in ``[0, levels]`` such that the
     estimator ``norm * l / levels`` is unbiased for each magnitude.
+    ``norm`` is one number, or one per element (a fused bucket: every
+    element carries its own tensor's norm).  A zero norm yields zero codes
+    and consumes no draws, so a bucket takes from ``rng`` exactly what its
+    tensors would take one after the other.
     """
-    if norm <= 0:
-        return np.zeros(magnitudes.shape, dtype=np.int64)
-    return quantize_uniform(magnitudes / norm, levels, rng=rng)
+    live = norm > 0
+    if np.all(live):
+        return quantize_uniform(magnitudes / norm, levels, rng=rng)
+    codes = np.zeros(magnitudes.shape, dtype=np.int64)
+    if np.ndim(live):
+        codes[live] = quantize_uniform(
+            magnitudes[live] / norm[live], levels, rng=rng
+        )
+    return codes
 
 
 # --------------------------------------------------------------------------
@@ -72,21 +82,31 @@ _F8_MANTISSA_LEVELS = 1 << _F8_MANTISSA_BITS
 _F8_EXP_MAX = (1 << _F8_EXP_BITS) - 1
 
 
-def quantize_float8(values: np.ndarray) -> tuple[np.ndarray, float]:
+def quantize_float8(
+    values: np.ndarray, scale: np.ndarray | None = None
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Quantize float32 values to an 8-bit float format (1-3-4 split).
 
     Follows Dettmers' dynamic scheme: values are first normalized by the
-    maximum absolute value (the dynamic scale carried in ``ctx``), then
-    encoded as sign / exponent / mantissa.  Returns ``(codes, scale)`` where
-    ``codes`` is ``uint8``.
+    maximum absolute value (the dynamic scale that travels with the
+    codes), then encoded as sign / exponent / mantissa.  Returns
+    ``(codes, scale)`` where ``codes`` is ``uint8``.
+
+    ``scale`` given, one float32 per element, replaces the maximum: a
+    fused bucket hands every element its own tensor's scale.  A zero scale
+    there means an all-zero tensor, whose codes are zero.
     """
     flat = np.ravel(values)
-    scale = float(np.max(np.abs(flat))) if flat.size else 0.0
-    if scale == 0.0:
-        return np.zeros(flat.shape, dtype=np.uint8), 0.0
+    if scale is None:
+        scale = float(np.max(np.abs(flat))) if flat.size else 0.0
+        if scale == 0.0:
+            return np.zeros(flat.shape, dtype=np.uint8), 0.0
+        divisor = scale
+    else:
+        divisor = np.where(scale > 0, scale, np.float32(1.0))
     # The normalization rounds in float64: it decides mantissa ties.
     normalized = flat.astype(np.float64)
-    normalized /= scale
+    normalized /= divisor
     codes = (normalized < 0).astype(np.uint8)
     codes <<= 7
     mag = np.abs(normalized, out=normalized)
@@ -129,11 +149,17 @@ def _float8_values() -> np.ndarray:
 _F8_VALUES = _float8_values()
 
 
-def dequantize_float8(codes: np.ndarray, scale: float) -> np.ndarray:
-    """Inverse of :func:`quantize_float8` (lossy; returns float32)."""
+def dequantize_float8(codes: np.ndarray, scale) -> np.ndarray:
+    """Inverse of :func:`quantize_float8` (lossy; returns float32).
+
+    ``scale`` is one number or, for a fused bucket, one per code.
+    """
+    codes = np.asarray(codes).astype(np.uint8, copy=False)
+    if np.ndim(scale):
+        return (_F8_VALUES.take(codes) * scale).astype(np.float32)
     # Decoding is a function of the code alone: scale the 256 values once.
     decoded = (_F8_VALUES * scale).astype(np.float32)
-    return decoded.take(np.asarray(codes).astype(np.uint8, copy=False))
+    return decoded.take(codes)
 
 
 # --------------------------------------------------------------------------

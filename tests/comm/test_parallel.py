@@ -176,6 +176,72 @@ class TestInProcessCollectives:
             comm.sparse_allreduce([np.ones(2, np.float32)])
 
 
+class DeadLayerTask:
+    """Two ranks, three tensors; on ``dead_rank`` the middle one's gradient
+    is all zero — a ReLU layer that died on one rank's mini-batch."""
+
+    SHAPES = {"first.w": (9, 5), "dead.w": (33,), "last.b": (8,)}
+
+    def __init__(self, dead_rank: int):
+        rng = np.random.default_rng(7)
+        self.dead_rank = dead_rank
+        self.params = {
+            name: rng.standard_normal(shape).astype(np.float32)
+            for name, shape in self.SHAPES.items()
+        }
+
+    def forward_backward(self, inputs, targets):
+        rank, step = inputs
+        rng = np.random.default_rng([rank, step])
+        grads = {
+            name: (param + 0.1 * rng.standard_normal(param.shape)).astype(
+                np.float32
+            )
+            for name, param in self.params.items()
+        }
+        if rank == self.dead_rank:
+            grads["dead.w"] = np.zeros_like(grads["dead.w"])
+        return float(sum(np.vdot(g, g) for g in grads.values())), grads
+
+    def apply_update(self, grads):
+        for name, grad in grads.items():
+            self.params[name] -= np.float32(0.05) * grad
+
+
+def _dead_layer_run(compressor: str, comm=None, rank=None, dead_rank=1):
+    from repro.core import DistributedTrainer, create
+
+    task = DeadLayerTask(dead_rank)
+    trainer = DistributedTrainer(
+        task, create(compressor), n_workers=2, seed=0, fusion_mb=64.0,
+        communicator=comm, rank=rank,
+    )
+    for step in range(4):
+        trainer.step([((r, step), None) for r in range(2)])
+    return model_digest(task.params)
+
+
+class TestDeadLayerOnOneRank:
+    """In worker mode a rank decodes its peer's fused payload under its own
+    ctx, so a layer that is dead on one rank only must not change the wire
+    format (qsgd and terngrad used to switch to the generic concatenation
+    on a zero norm / zero scale: ``too many values to unpack``)."""
+
+    @pytest.mark.parametrize("compressor", [
+        "qsgd", "terngrad", "eightbit", "threelc", "inceptionn", "lpcsvrg",
+        "onebit", "thresholdv",
+    ])
+    def test_worker_mode_matches_sequential_bitwise(
+        self, two_rank_comms, compressor
+    ):
+        sequential = _dead_layer_run(compressor)
+        workers = _both(
+            two_rank_comms,
+            lambda comm: _dead_layer_run(compressor, comm, comm.rank),
+        )
+        assert workers == [sequential, sequential]
+
+
 @pytest.fixture
 def solo_comm():
     owner = SharedArena.create(n_ranks=1, data_bytes=1 << 20, meta_slots=64)

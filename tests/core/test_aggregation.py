@@ -28,6 +28,7 @@ from repro.core.api import (
     Compressor,
     concat_compressed,
     flatten_with_shape,
+    is_fused_concat_ctx,
     summand_count,
 )
 from repro.core.contract import ContractChecker, ContractViolation
@@ -263,6 +264,49 @@ class TestRegistryCapabilityHonesty:
         elif aggregation_kind(name) == "codebook":
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(decoded - reference)) < 0.5 * scale
+
+    @pytest.mark.parametrize("name", ("none", "eightbit", "natural"))
+    def test_kernel_payloads_aggregate_like_the_generic_concat(self, name):
+        """A fused kernel's payloads sum to, bit for bit, what the per-tensor
+        payloads of the same bucket sum to segment by segment."""
+        bucket = FusionBucket(0, (
+            BucketSegment("a", (6, 8), 0, 48),
+            BucketSegment("dead", (5,), 48, 5),
+            BucketSegment("b", (80,), 53, 80),
+            BucketSegment("one", (1,), 133, 1),
+        ))
+        rng = np.random.default_rng(23)
+        flats = [
+            (10.0 ** -rank * rng.standard_normal(bucket.numel)).astype(
+                np.float32
+            )
+            for rank in range(3)
+        ]
+        for flat in flats[1:]:
+            flat[48:53] = 0.0  # dead on some ranks only
+        flats[0][48:53] = -0.0
+        proto = create(name, seed=0)
+        kernels = [proto.clone(seed=r) for r in range(3)]
+        generics = [proto.clone(seed=r) for r in range(3)]
+        fused = [
+            comp.compress_fused(flat.copy(), bucket)
+            for comp, flat in zip(kernels, flats)
+        ]
+        concat = [
+            Compressor.compress_fused(comp, flat.copy(), bucket)
+            for comp, flat in zip(generics, flats)
+        ]
+        assert not any(is_fused_concat_ctx(item.ctx) for item in fused)
+        ours = proto.aggregate_compressed(fused)
+        theirs = proto._aggregate_fused_segments(concat)
+        assert summand_count(ours) == summand_count(theirs) == 3
+        assert (
+            np.ravel(proto.decompress_aggregated(ours)).tobytes()
+            == np.ravel(proto.decompress_aggregated(theirs)).tobytes()
+        )
+        # Rack-level sums re-aggregate (the hierarchical reducer).
+        again = proto.aggregate_compressed([ours, fused[0]])
+        assert summand_count(again) == 4
 
     @pytest.mark.parametrize("name", ("topk", "qsgd"))
     def test_generic_concat_fusion_aggregates(self, name):

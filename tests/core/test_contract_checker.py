@@ -8,7 +8,12 @@ using deliberately broken fake compressors.
 import numpy as np
 import pytest
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
 from repro.core.contract import ContractChecker, ContractViolation
 from repro.core.registry import create
 
@@ -125,6 +130,26 @@ class BrokenFusedCompressor(IdentityCompressor):
         return super().decompress_fused(compressed, out=out)
 
 
+class DataDependentFormatCompressor(IdentityCompressor):
+    """Falls back to the generic format when a segment is all zero — what
+    qsgd and terngrad used to do on a zero norm / zero scale."""
+
+    fused_kernel = True
+
+    def compress_fused(self, buffer, bucket):
+        if any(
+            not np.any(buffer[seg.offset:seg.end]) for seg in bucket.segments
+        ):
+            return super().compress_fused(buffer, bucket)
+        return CompressedTensor(
+            payload=[np.array(buffer, dtype=np.float32)],
+            ctx=FusedBucketCtx(bucket),
+        )
+
+    def _decompress_bucket(self, payload, bucket):
+        return payload[0]
+
+
 def _violation(compressor, **kwargs) -> ContractViolation:
     checker = ContractChecker(compressor, **kwargs)
     with pytest.raises(ContractViolation) as excinfo:
@@ -198,6 +223,18 @@ class TestViolationDetection:
         with pytest.raises(ContractViolation) as excinfo:
             checker.compress_fused(buffer, bucket)
         assert excinfo.value.check in ("fused-parity", "roundtrip")
+
+    def test_data_dependent_fused_format(self):
+        from repro.core.fusion import FusionPlan
+
+        grads = {"a": _tensor() + 1.0, "b": np.ones(5, dtype=np.float32)}
+        plan = FusionPlan.from_gradients(grads, 1 << 20)
+        (bucket,) = plan.buckets
+        buffer = bucket.pack(grads, np.empty(bucket.numel, dtype=np.float32))
+        checker = ContractChecker(DataDependentFormatCompressor())
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.compress_fused(buffer, bucket)
+        assert excinfo.value.check == "format-stability"
 
     def test_violation_message_names_compressor_and_check(self):
         error = _violation(ListPayloadCompressor())

@@ -1,5 +1,7 @@
 """Gradient fusion: packing, scratch reuse, and fused/unfused parity."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from repro.core import (
     FusionPlan,
     ResidualMemory,
     ScratchPool,
+    available_compressors,
     create,
 )
+from repro.core.api import Compressor, FusedConcatCtx
 
 
 class MultiTask:
@@ -131,6 +135,29 @@ class TestFusionBucket:
         assert list(bucket.segment_ids) == [0] * 6 + [1] * 4
         assert list(bucket.positions_within) == list(range(6)) + list(range(4))
         assert list(bucket.segment_keys) == [0] * 6 + [1 << 32] * 4
+        assert list(bucket.ends) == [6, 10]
+        assert not bucket.has_empty_segment
+
+    def test_segment_max_and_expand(self):
+        bucket = self.bucket()
+        flat = np.float32([1, 5, 2, 0, 3, 4, -1, -7, -2, -3])
+        assert list(bucket.segment_max(flat)) == [5.0, -1.0]
+        assert bucket.segment_max(flat).dtype == np.float32
+        assert list(bucket.expand(np.float32([0.5, 2.0]))) == (
+            [0.5] * 6 + [2.0] * 4
+        )
+
+    def test_segment_max_of_an_empty_segment_is_zero(self):
+        bucket = FusionBucket(0, (
+            BucketSegment("void", (0,), 0, 0),
+            BucketSegment("a", (3,), 0, 3),
+            BucketSegment("gap", (0, 2), 3, 0),
+            BucketSegment("b", (2,), 3, 2),
+            BucketSegment("tail", (0,), 5, 0),
+        ))
+        assert bucket.has_empty_segment
+        flat = np.float32([-4, -2, -3, 9, 8])
+        assert list(bucket.segment_max(flat)) == [0.0, -2.0, 0.0, 9.0, 0.0]
 
     def test_pack_unpack_roundtrip(self):
         bucket = self.bucket()
@@ -176,25 +203,55 @@ EXACT = TOTAL_BYTES / float(1 << 20)
 PER_TENSOR = 0.00001
 
 
+#: Compressors that ship a whole-bucket kernel, from the registry.
+FUSED = tuple(
+    name for name in available_compressors() if create(name).fused_kernel
+)
+
+#: Why each of the others keeps the generic per-tensor concatenation.  A new
+#: compressor has to choose: ship a kernel, or say here why it cannot.
+UNFUSED = {
+    "atomo": "per-tensor LAPACK on each tensor's own matrix shape",
+    "gradiveq": "per-tensor LAPACK on each tensor's own matrix shape",
+    "gradzip": "per-tensor LAPACK on each tensor's own matrix shape",
+    "powersgd": "per-tensor LAPACK on each tensor's own matrix shape",
+    "sketchml": "per-tensor sketch numerics",
+    "sketchsgd": "per-tensor sketch numerics",
+    "dgc": "DGC memory needs per-tensor compressed objects",
+    "qsparse": "per-tensor selection and tie order",
+    "adaptive": "per-tensor selection and tie order",
+    "variance": "per-tensor selection and tie order",
+}
+
+#: Constructor arguments that make the tiny tensors below select more than
+#: one element each.
+PARAMS = {"topk": {"ratio": 0.25}, "randomk": {"ratio": 0.3}}
+
+
+def test_every_compressor_ships_a_kernel_or_says_why_not():
+    assert set(FUSED).isdisjoint(UNFUSED)
+    assert set(FUSED) | set(UNFUSED) == set(available_compressors())
+    assert len(FUSED) == 15
+
+
 class TestFusedParity:
     """fusion_mb > 0 must reproduce the per-tensor trajectory bitwise.
 
-    Deterministic compressors (none, topk, signsgd, efsignsgd, dgc) admit
-    no slack at all; the stochastic ones (qsgd, randomk, terngrad) are
-    seeded, and the fused kernels consume the per-rank random streams in
-    the same order as the per-tensor path, so they too match bitwise.
+    Deterministic compressors admit no slack at all; the stochastic ones
+    are seeded, and the fused kernels consume the per-rank random streams
+    in the same order as the per-tensor path, so they too match bitwise.
+    Every kernel in the registry runs with its default memory and, where
+    that is an error-feedback memory, without one; dgc stands for the
+    generic concatenating path.
     """
 
-    CASES = [
-        ("none", {}, None),
-        ("topk", {"ratio": 0.25}, None),
-        ("signsgd", {}, None),
-        ("efsignsgd", {}, None),
-        ("qsgd", {}, None),
-        ("randomk", {"ratio": 0.3}, None),
-        ("terngrad", {}, None),
-        ("dgc", {}, None),
-        ("topk", {"ratio": 0.25}, "none"),
+    CASES = [("dgc", {}, None)] + [
+        (name, PARAMS.get(name, {}), memory)
+        for name in FUSED
+        for memory in (
+            (None,) if create(name).default_memory == "none"
+            else (None, "none")
+        )
     ]
 
     @pytest.mark.parametrize("fusion_mb", [WHOLE, SPLIT, EXACT, PER_TENSOR])
@@ -218,6 +275,127 @@ class TestFusedParity:
                 assert np.array_equal(
                     base.residual(name), other.residual(name)
                 ), (rank, name)
+
+
+def _edge_bucket():
+    """Where a segmented kernel would first part from the per-tensor one:
+    a dead layer, a constant one, signed zeros, a subnormal-only tensor, and
+    lengths around the 8-code packing group."""
+    rng = np.random.default_rng(0xED6E)
+    tiny = np.float32(np.finfo(np.float32).tiny)
+    grads = {
+        "dead": np.zeros((3, 5), dtype=np.float32),
+        "constant": np.full(11, 0.25, dtype=np.float32),
+        "signed-zeros": np.float32([0.0, -0.0, 0.5, -0.0, -0.5, 0.0]),
+        "subnormal": np.float32([1e-45, -3e-42, tiny / 2, 1e-39, -1e-45]),
+        "negative-constant": np.full(4, -1.5, dtype=np.float32),
+        "wide": (0.01 * rng.standard_normal((40, 9))).astype(np.float32),
+    }
+    for length in (1, 7, 8, 9):
+        grads[f"len{length}"] = rng.standard_normal(length).astype(np.float32)
+    (bucket,) = FusionPlan.from_gradients(grads, 1 << 20).buckets
+    return bucket, bucket.pack(grads, np.empty(bucket.numel, dtype=np.float32))
+
+
+def _state(compressor) -> dict:
+    """The random stream and every array a compressor keeps between calls."""
+    arrays = {
+        f"{attr}/{key}": value.tobytes()
+        for attr, held in vars(compressor).items()
+        if isinstance(held, dict) and not attr.startswith("_fused")
+        for key, value in held.items()
+        if isinstance(value, np.ndarray)
+    }
+    return {"rng": compressor._rng.bit_generator.state, "arrays": arrays}
+
+
+class TestFusedKernelsOnEdgeBuckets:
+    """Kernel vs generic concatenation on one snapshot: decoded bytes, the
+    random stream and the compressor's own state (signum's momentum)."""
+
+    # topk's one documented divergence is the index it picks among exact
+    # magnitude ties, which constant and all-zero tensors are made of.
+    NAMES = [name for name in FUSED if name != "topk"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_decode_stream_and_state_equal_the_generic_path(self, name):
+        bucket, buffer = _edge_bucket()
+        kernel = create(name, seed=5, **PARAMS.get(name, {}))
+        generic = copy.deepcopy(kernel)
+        for call in range(2):  # the second call sees the advanced state
+            values = buffer * np.float32(1 + call)
+            fused = kernel.compress_fused(values.copy(), bucket)
+            reference = Compressor.compress_fused(
+                generic, values.copy(), bucket
+            )
+            assert not isinstance(fused.ctx, FusedConcatCtx)  # the kernel ran
+            assert (
+                kernel.decompress_fused(fused).tobytes()
+                == generic.decompress_fused(reference).tobytes()
+            ), (name, call)
+            assert _state(kernel) == _state(generic), (name, call)
+
+    @pytest.mark.parametrize("name", FUSED)
+    def test_a_dead_segment_keeps_the_wire_format(self, name):
+        """Ranks decode each other's payloads under their own ctx."""
+        bucket, buffer = _edge_bucket()
+        live = buffer.copy()
+        dead = bucket.segments[0]
+        live[dead.offset:dead.end] = 0.125
+        formats = [
+            (type(item.ctx), [part.dtype for part in item.payload])
+            for item in (
+                create(name, seed=5).compress_fused(values, bucket)
+                for values in (buffer, live)
+            )
+        ]
+        assert formats[0] == formats[1]
+
+
+class DeadLayerTask(MultiTask):
+    """MultiTask whose ``conv.b`` gradient is all zero on one rank."""
+
+    N_WORKERS = 3
+
+    def __init__(self, dead_rank):
+        super().__init__()
+        self.dead_rank = dead_rank
+
+    def forward_backward(self, inputs, targets):
+        loss, grads = super().forward_backward(inputs, targets)
+        if int(inputs) % self.N_WORKERS == self.dead_rank:
+            grads["conv.b"] = np.zeros_like(grads["conv.b"])
+        return loss, grads
+
+
+class PerElementPerf:
+    """A kernel costs a launch plus its elements: one launch over a bucket
+    is cheaper than one per tensor, so the two pricings differ."""
+
+    def compute_seconds(self, n_samples):
+        return 0.0
+
+    def compression_seconds(self, name, n_elements):
+        return 1e-4 + 1e-8 * n_elements
+
+
+class TestSimulatedKernelPrice:
+    @pytest.mark.parametrize("name", ["qsgd", "terngrad", "threelc"])
+    def test_does_not_depend_on_which_rank_has_the_dead_layer(self, name):
+        """The bucket is priced from the first rank's ctx alone."""
+        prices = []
+        for dead_rank in (None, 0, 1, 2):
+            n = DeadLayerTask.N_WORKERS
+            trainer = DistributedTrainer(
+                DeadLayerTask(dead_rank), create(name), n_workers=n, seed=0,
+                fusion_mb=WHOLE, perf_model=PerElementPerf(),
+            )
+            for step in range(3):
+                trainer.step([(step * n + r, None) for r in range(n)])
+            prices.append(trainer.report.sim_compression_seconds)
+        assert len(set(prices)) == 1
+        one_launch = 1e-4 + 1e-8 * (TOTAL_BYTES // 4)
+        assert prices[0] == pytest.approx(3 * one_launch)  # one a step
 
 
 class TestFusedCollectives:
