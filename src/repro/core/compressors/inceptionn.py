@@ -140,12 +140,12 @@ class InceptionnCompressor(Compressor):
         """
         mag = np.abs(buffer)
         peaks = bucket.segment_max(mag)
-        live = bucket.expand(peaks > 0)
+        live = peaks > 0
         tags = self._tags(
-            np.divide(mag, bucket.expand(peaks), out=np.zeros_like(mag),
-                      where=live)
+            mag / bucket.expand(np.where(live, peaks, np.float32(1.0)))
         )
-        tags *= live  # an all-zero segment is dropped whatever the fractions
+        # An all-zero segment is dropped whatever the fractions.
+        tags *= bucket.expand(live)
         f8_scales = bucket.segment_max(
             np.where(tags == _TAG_F8, mag, np.float32(0.0))
         )

@@ -102,11 +102,11 @@ class LPCSVRGCompressor(Compressor):
         if bucket.has_empty_segment:
             return super().compress_fused(buffer, bucket)
         bounds = np.float32(self.clip_std) * segment_stds(buffer, bucket.ends)
-        flat_tensors = bounds == 0  # constant tensors: fall back to max-abs
-        if flat_tensors.any():
+        constant = bounds == 0  # no spread to clip at: fall back to max-abs
+        if constant.any():
             peaks = bucket.segment_max(np.abs(buffer))
             peaks[peaks == 0] = 1.0
-            bounds[flat_tensors] = peaks[flat_tensors]
+            bounds[constant] = peaks[constant]
         deltas = bounds / self._offset
         packed = self._pack_codes(
             buffer, bucket.expand(bounds), bucket.expand(deltas)

@@ -50,3 +50,48 @@ def test_corpus_covers_every_edited_kernel(golden):
     for bits in range(1, 17):
         assert f"pack_bits/{bits}/9" in golden["tensorlib"]
         assert f"unpack_bits/{bits}/9" in golden["tensorlib"]
+
+
+def test_diff_mode_lets_only_named_fused_payloads_move():
+    entry = {"payload": ["a"], "decoded": "d", "rng": "r"}
+    old = {
+        "compressors": {
+            "eightbit/bucket/seed0/fused1": dict(entry),
+            "eightbit/dense/seed0/compress": dict(entry),
+            "qsgd/bucket/seed0/fused1": dict(entry),
+            "qsgd/bucket-zero/seed0/fused1": dict(entry),
+            "none/bucket/seed0/fused-aggregate": dict(entry),
+        },
+        "tensorlib": {"pack_bits/1/9": "x"},
+    }
+    allowed = {"eightbit", "none", "qsgd/bucket-zero"}
+    moved = dict(entry, payload=["b"])
+
+    def changed(**entries):
+        new = json.loads(json.dumps(old))
+        new["compressors"].update(entries)
+        return cases.unexpected_changes(old, new, allowed)
+
+    assert changed() == []
+    assert changed(**{
+        "eightbit/bucket/seed0/fused1": moved,
+        "qsgd/bucket-zero/seed0/fused1": moved,
+        "none/bucket/seed0/fused-aggregate": moved,
+    }) == []
+    # A per-tensor payload, a kernel that was not named, a decoded array.
+    assert changed(**{"eightbit/dense/seed0/compress": moved}) == [
+        "compressors/eightbit/dense/seed0/compress"
+    ]
+    assert changed(**{"qsgd/bucket/seed0/fused1": moved}) == [
+        "compressors/qsgd/bucket/seed0/fused1"
+    ]
+    assert changed(**{
+        "eightbit/bucket/seed0/fused1": dict(moved, decoded="other")
+    }) == ["compressors/eightbit/bucket/seed0/fused1/decoded"]
+    new = json.loads(json.dumps(old))
+    new["tensorlib"]["pack_bits/1/9"] = "y"
+    del new["compressors"]["qsgd/bucket/seed0/fused1"]
+    assert cases.unexpected_changes(old, new, allowed) == [
+        "compressors/qsgd/bucket/seed0/fused1 (added or removed)",
+        "tensorlib/pack_bits/1/9",
+    ]
