@@ -235,6 +235,9 @@ def _train_parallel(args, spec) -> int:
           f"{report.bytes_per_worker_per_iteration:,.0f}")
     print(f"simulated comm   : {report.sim_comm_seconds:.3f} s")
     print(f"wall clock       : {result.wall_seconds:.2f} s")
+    print("rank threads     : " + " ".join(
+        f"{var}={value}" for var, value in result.environment.items()
+    ))
     print(f"model digest     : {digest[:16]} "
           f"(all {len(result.digests)} ranks agree)")
     if result.sanitizer is not None:

@@ -63,6 +63,7 @@ real-parallel backend") for the recovery semantics.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import multiprocessing as mp
 import os
@@ -581,6 +582,40 @@ class ParallelRunConfig:
     kill_grace: float = 5.0
 
 
+#: Thread pools a rank would otherwise size to the whole machine.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def rank_thread_env(nproc: int) -> dict[str, str]:
+    """BLAS/OpenMP thread counts to spawn each of ``nproc`` ranks with.
+
+    A value the user exported wins; otherwise every rank gets an equal
+    share of the cores, so ``nproc`` full-size pools do not fight over
+    them (convolution and the linear layers run on BLAS).
+    """
+    share = str(max(1, (os.cpu_count() or 1) // nproc))
+    return {var: os.environ.get(var, share) for var in THREAD_VARS}
+
+
+@contextlib.contextmanager
+def _exported(values: dict[str, str]):
+    """``os.environ`` with ``values`` set, restored on exit.
+
+    A spawned child copies the parent's environment at ``start()``, and
+    its BLAS reads the pool size once, at load.
+    """
+    previous = {var: os.environ.get(var) for var in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for var, value in previous.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
 @dataclass
 class ParallelResult:
     """Merged outcome of one real-parallel training run."""
@@ -595,6 +630,8 @@ class ParallelResult:
     recoveries: list[dict] = field(default_factory=list)  # one per respawn
     metrics: MetricsRegistry | None = None  # merged per-rank registries
     sanitizer: object | None = None  # SanitizerReport when --sanitize-arena
+    #: THREAD_VARS as the leader rank saw them (see rank_thread_env).
+    environment: dict[str, str] = field(default_factory=dict)
 
 
 def model_digest(params: dict[str, np.ndarray]) -> str:
@@ -700,6 +737,10 @@ def _worker_main(
             "digest": model_digest(params),
             "report": _report_fields(report),
             "best_quality": report.best_quality,
+            "environment": {
+                var: os.environ[var] for var in THREAD_VARS
+                if var in os.environ
+            },
         }
         if rank == min(active):
             result["params"] = params
@@ -890,8 +931,9 @@ def _run_round(
         return [r for r in active if r not in results and r not in errors]
 
     try:
-        for worker in workers.values():
-            worker.start()
+        with _exported(rank_thread_env(config.nproc)):
+            for worker in workers.values():
+                worker.start()
         watchdog.start()
         deadline = time.monotonic() + config.timeout + 3600.0
         drain_deadline = None
@@ -1223,6 +1265,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
         recoveries=recoveries,
         metrics=merged_metrics,
         sanitizer=sanitizer_total,
+        environment=results[leader]["environment"],
     )
 
 

@@ -10,6 +10,7 @@ encoder-decoder skips.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.ndl.tensor import Tensor, _as_tensor, _bw_add, grad_enabled
 
@@ -28,24 +29,49 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Lower (N, C, H, W) into (N, C*K*K, OH*OW) patch columns."""
+def _check_window(stride: int, padding: int) -> None:
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
+
+
+def _patches(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Read-only (N, C, K, K, OH, OW) window view of the zero-padded input.
+
+    No patch is materialised here: reshaping the view is the one copy that
+    lays the columns out, in whatever axis order the caller asks for.
+    """
+    _check_window(stride, padding)
     n, c, h, w = x.shape
     oh = _conv_output_size(h, kernel, stride, padding)
     ow = _conv_output_size(w, kernel, stride, padding)
     if padding:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        padded = np.zeros(
+            (n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
         )
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for i in range(kernel):
-        i_end = i + stride * oh
-        for j in range(kernel):
-            j_end = j + stride * ow
-            cols[:, :, i, j] = x[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.reshape(n, c * kernel * kernel, oh * ow), (oh, ow)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
+    s_n, s_c, s_h, s_w = x.strides
+    return as_strided(
+        x,
+        shape=(n, c, kernel, kernel, oh, ow),
+        strides=(s_n, s_c, s_h, s_w, stride * s_h, stride * s_w),
+        writeable=False,
+    )
+
+
+def im2col(
+    x: np.ndarray, kernel: int, stride: int, padding: int
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Lower (N, C, H, W) into (N, C*K*K, OH*OW) patch columns."""
+    patches = _patches(x, kernel, stride, padding)
+    n, c, _, _, oh, ow = patches.shape
+    # Filled in place so the result is a fresh, writable array even where
+    # the view is already contiguous (1x1 / stride 1 / no padding).
+    cols = np.empty((n, c * kernel * kernel, oh * ow), dtype=x.dtype)
+    cols.reshape(patches.shape)[...] = patches
+    return cols, (oh, ow)
 
 
 def col2im(
@@ -55,7 +81,11 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add patch columns back into an (N, C, H, W) image."""
+    """Scatter-add (N, C*K*K, OH*OW) patch columns into an (N, C, H, W) image.
+
+    ``cols`` may be any strided view of that shape; it is never copied.
+    """
+    _check_window(stride, padding)
     n, c, h, w = x_shape
     oh = _conv_output_size(h, kernel, stride, padding)
     ow = _conv_output_size(w, kernel, stride, padding)
@@ -85,30 +115,57 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D convolution of (N, C, H, W) with (F, C, K, K) filters."""
-    n = x.data.shape[0]
+    """2-D convolution of (N, C, H, W) with (F, C, K, K) filters.
+
+    Forward, weight gradient and input gradient are one BLAS GEMM each over
+    patch columns laid out ``(C*K*K, N*OH*OW)``, so the contraction axes of
+    all three are contiguous whatever the feature-map size.  A 1x1 /
+    stride-1 / unpadded filter reads its columns straight off the input,
+    and an input that does not require grad gets no input gradient.
+    """
+    n, c, h, w = x.data.shape
     f, c_in, kernel, kernel2 = weight.data.shape
     if kernel != kernel2:
         raise ValueError("only square kernels are supported")
-    if x.data.shape[1] != c_in:
-        raise ValueError(
-            f"input has {x.data.shape[1]} channels, filters expect {c_in}"
+    if c != c_in:
+        raise ValueError(f"input has {c} channels, filters expect {c_in}")
+    pointwise = kernel == 1 and stride == 1 and padding == 0
+    if pointwise:
+        oh, ow = h, w
+        cols = x.data.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+    else:
+        patches = _patches(x.data, kernel, stride, padding)
+        oh, ow = patches.shape[4:]
+        cols = patches.transpose(1, 2, 3, 0, 4, 5).reshape(
+            c * kernel * kernel, n * oh * ow
         )
-    cols, (oh, ow) = im2col(x.data, kernel, stride, padding)
     w2d = weight.data.reshape(f, -1)
-    out = np.einsum("fk,nkp->nfp", w2d, cols).reshape(n, f, oh, ow)
+    out2d = w2d @ cols
     if bias is not None:
-        out = out + bias.data.reshape(1, f, 1, 1)
+        out2d += bias.data[:, None]
+    out = np.ascontiguousarray(
+        out2d.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
+    )
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad3 = grad.reshape(n, f, oh * ow)
-        grad_w = np.einsum("nfp,nkp->fk", grad3, cols).reshape(weight.data.shape)
-        _bw_add(weight, grad_w)
+        grad2d = grad.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
+        _bw_add(weight, (grad2d @ cols.T).reshape(weight.data.shape))
         if bias is not None:
             _bw_add(bias, grad.sum(axis=(0, 2, 3)))
-        grad_cols = np.einsum("fk,nfp->nkp", w2d, grad3)
-        _bw_add(x, col2im(grad_cols, x.data.shape, kernel, stride, padding))
+        if not x.requires_grad:
+            return
+        grad_cols = w2d.T @ grad2d
+        if pointwise:
+            _bw_add(x, grad_cols.reshape(c, n, h, w).transpose(1, 0, 2, 3))
+        else:
+            _bw_add(
+                x,
+                col2im(
+                    grad_cols.reshape(-1, n, oh * ow).transpose(1, 0, 2),
+                    x.data.shape, kernel, stride, padding,
+                ),
+            )
 
     return Tensor._make(out, parents, backward)
 

@@ -34,9 +34,13 @@ class BatchNorm2d(Module):
         if x.data.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got {x.data.shape}")
         axes = (0, 2, 3)
+        count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         if self.training:
-            mean = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
+            # Mean and variance off one centred array, with the operations
+            # of ``np.var`` itself, so the statistics keep their bits.
+            mean = x.data.sum(axis=axes) / count
+            centred = x.data - mean[None, :, None, None]
+            var = (centred * centred).sum(axis=axes) / count
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
             ).astype(np.float32)
@@ -46,29 +50,29 @@ class BatchNorm2d(Module):
         else:
             mean = self.running_mean
             var = self.running_var
+            centred = x.data - mean[None, :, None, None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        x_hat = centred * inv_std[None, :, None, None]
         out = (
             self.gamma.data[None, :, None, None] * x_hat
             + self.beta.data[None, :, None, None]
         )
         gamma, beta, training = self.gamma, self.beta, self.training
-        count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
 
         def backward(grad: np.ndarray) -> None:
-            _bw_add(gamma, (grad * x_hat).sum(axis=axes))
-            _bw_add(beta, grad.sum(axis=axes))
-            g_hat = grad * gamma.data[None, :, None, None]
+            sum_g = grad.sum(axis=axes)
+            sum_gx = (grad * x_hat).sum(axis=axes)
+            _bw_add(gamma, sum_gx)
+            _bw_add(beta, sum_g)
+            scale = (gamma.data * inv_std)[None, :, None, None]
             if training:
-                # Fused batch-norm input gradient.
-                sum_g = g_hat.sum(axis=axes, keepdims=True)
-                sum_gx = (g_hat * x_hat).sum(axis=axes, keepdims=True)
-                dx = (
-                    inv_std[None, :, None, None]
-                    * (g_hat - sum_g / count - x_hat * sum_gx / count)
-                )
+                # Fused batch-norm input gradient; the two reductions are
+                # the gamma/beta gradients (sum(gamma*g) = gamma*sum(g)).
+                dx = grad - (sum_g / count)[None, :, None, None]
+                dx -= x_hat * (sum_gx / count)[None, :, None, None]
+                dx *= scale
             else:
-                dx = g_hat * inv_std[None, :, None, None]
+                dx = grad * scale
             _bw_add(x, dx)
 
         return Tensor._make(out, (x, gamma, beta), backward)

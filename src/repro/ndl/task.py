@@ -50,7 +50,10 @@ class ModelTask:
         # times; last write wins.
         self._ready_seq: dict[str, int] = {}
         self._ready_tick = 0
-        for name, param in model.named_parameters():
+        # Walked once: the hooks below already tie the task to these
+        # Parameter objects for its lifetime.
+        self._params = list(model.named_parameters())
+        for name, param in self._params:
             param.register_grad_hook(self._ready_hook(name))
 
     def _ready_hook(self, name: str):
@@ -64,7 +67,8 @@ class ModelTask:
         self, inputs: np.ndarray, targets: np.ndarray
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Run one mini-batch and return (loss, per-tensor gradients)."""
-        self.model.zero_grad()
+        for _, param in self._params:
+            param.grad = None
         self._ready_seq.clear()
         self._ready_tick = 0
         if self.forward_fn is not None:
@@ -73,13 +77,16 @@ class ModelTask:
             outputs = self.model(inputs)
         loss = self.loss_fn(outputs, targets)
         loss.backward()
+        # ``.grad`` may be a view or shared with another tensor (see
+        # ``Tensor._accumulate``); this copy is the only one a gradient
+        # gets, and makes the returned arrays the caller's to mutate.
         grads = {
             name: (
                 param.grad.copy()
                 if param.grad is not None
                 else np.zeros_like(param.data)
             )
-            for name, param in self.model.named_parameters()
+            for name, param in self._params
         }
         return float(loss.item()), grads
 

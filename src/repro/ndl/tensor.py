@@ -88,11 +88,15 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # The first contribution is kept by reference and later ones are
+        # summed out of place: a ``.grad`` buffer is never written through,
+        # so the views and shared arrays that backward closures hand in
+        # (both operands of ``a + b`` get the same one) need no copy.
         grad = np.asarray(grad, dtype=np.float32)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
         if self._grad_hooks:
             for hook in self._grad_hooks:
                 hook(self, self.grad)
@@ -397,9 +401,8 @@ def _bw_add(tensor: Tensor, grad: np.ndarray) -> None:
     Interior nodes buffer into ``grad`` too and are re-dispatched by the
     engine; see :func:`backward_pass`.
     """
-    if not tensor.requires_grad:
-        return
-    tensor._accumulate(np.asarray(grad, dtype=np.float32))
+    if tensor.requires_grad:
+        tensor._accumulate(grad)
 
 
 def backward_pass(root: Tensor, seed: np.ndarray | None = None) -> None:
@@ -431,7 +434,8 @@ def backward_pass(root: Tensor, seed: np.ndarray | None = None) -> None:
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
-    root._accumulate(np.asarray(seed, dtype=np.float32))
+    # Copied: a leaf root would otherwise keep the caller's seed as its grad.
+    root._accumulate(np.array(seed, dtype=np.float32))
     for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
             continue

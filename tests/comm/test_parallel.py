@@ -12,6 +12,7 @@ Three tiers, cheapest first:
   import costs (seconds each), so they are deliberately few.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.comm.parallel import (
     ParallelRunConfig,
     ParallelWorkerCommunicator,
     model_digest,
+    rank_thread_env,
     run_parallel,
 )
 from repro.comm.shm import (
@@ -341,6 +343,30 @@ class TestRunParallel:
         assert san.ok, [str(v) for v in san.violations]
         assert san.events_total > 0
         assert set(san.per_rank_events) == {0, 1}
+
+    def test_ranks_share_the_cores_unless_the_user_pinned_them(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        share = str(max(1, os.cpu_count() // 2))
+        expected = {
+            "OMP_NUM_THREADS": share,
+            "OPENBLAS_NUM_THREADS": "3",  # the user's value wins
+            "MKL_NUM_THREADS": share,
+        }
+        assert rank_thread_env(2) == expected
+        result = run_parallel(ParallelRunConfig(
+            benchmark="ncf-movielens", compressor="none", nproc=2,
+            seed=0, epochs=1,
+        ))
+        # What the leader rank itself read from its environment ...
+        assert result.environment == expected
+        # ... and the parent's own is back to what it was.
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
 
     def test_worker_failure_is_typed_not_a_hang(self):
         with pytest.raises(ParallelCrashError) as excinfo:

@@ -106,6 +106,31 @@ class TestConv2d:
         with pytest.raises(ValueError, match="square"):
             F.conv2d(x, w)
 
+    @pytest.mark.parametrize("stride", (0, -1))
+    def test_rejects_non_positive_stride(self, stride):
+        x = Tensor(np.ones((1, 1, 4, 4), np.float32))
+        w = Tensor(np.ones((1, 1, 3, 3), np.float32))
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            F.conv2d(x, w, stride=stride)
+
+    def test_rejects_negative_padding(self):
+        x = Tensor(np.ones((1, 1, 6, 6), np.float32))
+        w = Tensor(np.ones((1, 1, 3, 3), np.float32))
+        with pytest.raises(ValueError, match="padding must be non-negative"):
+            F.conv2d(x, w, padding=-1)
+
+    def test_im2col_and_col2im_reject_the_same_windows(self):
+        x = np.ones((1, 1, 6, 6), np.float32)
+        with pytest.raises(ValueError, match="stride"):
+            F.im2col(x, kernel=3, stride=0, padding=0)
+        with pytest.raises(ValueError, match="padding"):
+            F.im2col(x, kernel=3, stride=1, padding=-1)
+        cols = np.ones((1, 9, 16), np.float32)
+        with pytest.raises(ValueError, match="stride"):
+            F.col2im(cols, x.shape, kernel=3, stride=0, padding=0)
+        with pytest.raises(ValueError, match="padding"):
+            F.col2im(cols, x.shape, kernel=3, stride=1, padding=-1)
+
 
 class TestPooling:
     def test_max_pool_values(self):

@@ -151,6 +151,42 @@ class TestEngine:
         (b + c).backward()
         np.testing.assert_allclose(a.grad, [7.0])
 
+    def test_shared_contribution_is_not_written_through(self):
+        # ``a + b`` hands one buffer to both operands; a second
+        # accumulation into ``a`` must not show up in ``b``.
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        ((a + b) + a * 3.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0, 4.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+    def test_tied_weight_sums_every_use(self):
+        rng = np.random.default_rng(0)
+        uses = [rng.standard_normal(5).astype(np.float32) for _ in range(4)]
+        kept = [use.copy() for use in uses]
+        w = Tensor(np.ones(5), requires_grad=True)
+        seen = []
+        w.register_grad_hook(lambda t, g: seen.append(g.copy()))
+        total = (w * uses[0]).sum()
+        for use in uses[1:]:
+            total = total + (w * use).sum()
+        total.backward()
+        np.testing.assert_allclose(w.grad, np.sum(kept, axis=0), rtol=1e-6)
+        # One firing per use, each seeing the running sum; no
+        # contribution was modified on the way.
+        assert len(seen) == 4
+        np.testing.assert_array_equal(seen[-1], w.grad)
+        assert any(np.array_equal(seen[0], use) for use in kept)
+        for use, original in zip(uses, kept):
+            np.testing.assert_array_equal(use, original)
+
+    def test_seed_is_not_kept_by_reference(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        seed = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+        a.backward(seed)
+        seed[:] = 0.0
+        np.testing.assert_array_equal(a.grad, [1.0, 2.0, 3.0])
+
     def test_deep_chain_does_not_recurse(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
         out = a
