@@ -38,11 +38,12 @@ GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "golden", "kernel_digests.json"
 )
 
-#: Registry compressors whose kernels sit on the shared primitives.
+#: Registry compressors whose kernels sit on the shared primitives
+#: (``tensorlib`` packing, sketch, encoding, quantize and segments).
 COMPRESSORS = (
-    "efsignsgd", "eightbit", "inceptionn", "lpcsvrg", "natural", "none",
-    "onebit", "qsgd", "qsparse", "signsgd", "signum", "sketchml",
-    "sketchsgd", "terngrad", "threelc", "thresholdv",
+    "adaptive", "dgc", "efsignsgd", "eightbit", "inceptionn", "lpcsvrg",
+    "natural", "none", "onebit", "qsgd", "qsparse", "signsgd", "signum",
+    "sketchml", "sketchsgd", "terngrad", "threelc", "thresholdv", "variance",
 )
 SEEDS = (0, 3)
 
