@@ -12,12 +12,19 @@ cost of its own links.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import networkx as nx
 
 from repro.comm.backends import Backend, OPENMPI_TCP
 from repro.comm.collectives import CommRecord, Payload, payload_nbytes
 from repro.comm.network import NetworkModel, ethernet
+
+if TYPE_CHECKING:
+    # networkx takes 120-260 ms to import and only the overlay code below
+    # uses it: it is imported where a graph is built or checked, so that
+    # `import repro` — every spawned rank, every CLI call — does not pay.
+    import networkx as nx
 
 
 class Topology:
@@ -29,6 +36,8 @@ class Topology:
     """
 
     def __init__(self, graph: nx.Graph):
+        import networkx as nx
+
         if graph.number_of_nodes() < 2:
             raise ValueError("topology needs at least 2 nodes")
         if not nx.is_connected(graph):
@@ -74,17 +83,23 @@ class Topology:
 
 def ring_topology(n_nodes: int) -> Topology:
     """Each node talks to its two ring neighbours."""
+    import networkx as nx
+
     return Topology(nx.cycle_graph(n_nodes))
 
 
 def complete_topology(n_nodes: int) -> Topology:
     """All-to-all overlay (gossip equivalent of dense averaging)."""
+    import networkx as nx
+
     return Topology(nx.complete_graph(n_nodes))
 
 
 def random_regular_topology(n_nodes: int, degree: int = 3,
                             seed: int = 0) -> Topology:
     """Random d-regular overlay (expander-like, good spectral gap)."""
+    import networkx as nx
+
     if degree >= n_nodes:
         raise ValueError("degree must be below the node count")
     if (n_nodes * degree) % 2:

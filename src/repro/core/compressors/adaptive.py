@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
+from repro.tensorlib import segment_means, segment_topk
 
 
 class AdaptiveThresholdCompressor(Compressor):
@@ -25,6 +31,7 @@ class AdaptiveThresholdCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
+    fused_kernel = True
 
     def __init__(self, ratio: float = 0.01, seed: int = 0):
         super().__init__(seed=seed)
@@ -68,8 +75,43 @@ class AdaptiveThresholdCompressor(Compressor):
         dense[sel_neg.astype(np.int64)] = means[1]
         return dense.reshape(shape)
 
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """One sign split per side; selection and mean per tensor on runs.
+
+        The positions of a side are gathered once for the bucket, and a
+        tensor's share of them is a contiguous run: its α-fraction is
+        partitioned out of that run of the magnitudes
+        (:func:`~repro.tensorlib.segment_topk`, ties as in ``compress``)
+        and its mean taken over the run of what was selected.  Wire: one
+        ``[mean⁺, mean⁻]`` pair per tensor, then each side's bucket
+        positions.
+        """
+        means, selected = [], []
+        for side in (buffer > 0, buffer < 0):
+            at = np.flatnonzero(side)
+            ends = np.searchsorted(at, bucket.ends)
+            counts = np.diff(ends, prepend=0)
+            ks = np.ceil(self.ratio * counts).astype(np.int64)
+            np.maximum(ks, 1, out=ks, where=counts > 0)
+            chosen = at[segment_topk(np.abs(buffer[at]), ends, ks)]
+            means.append(segment_means(buffer[chosen], np.cumsum(ks)))
+            selected.append(chosen.astype(np.int32))
+        return CompressedTensor(
+            payload=[np.stack(means, axis=1).ravel(), *selected],
+            ctx=FusedBucketCtx(bucket),
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        means, *selected = payload
+        dense = np.zeros(bucket.numel, dtype=np.float32)
+        for side, chosen in enumerate(selected):
+            at = chosen.astype(np.int64)
+            dense[at] = means[2 * bucket.segment_ids[at] + side]
+        return dense
+
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
-        """All flat indices sent on the wire (both sides)."""
+        """All flat indices sent on the wire (both sides); positions in the
+        bucket for a fused payload."""
         _, sel_pos, sel_neg = compressed.payload
         return np.concatenate(
             [sel_pos.astype(np.int64), sel_neg.astype(np.int64)]

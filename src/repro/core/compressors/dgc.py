@@ -14,8 +14,13 @@ import math
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.tensorlib import desparsify
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
+from repro.tensorlib import desparsify, segment_quantiles, segment_sort
 
 
 class DgcCompressor(Compressor):
@@ -26,6 +31,7 @@ class DgcCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "dgc"
+    fused_kernel = True
 
     def __init__(
         self,
@@ -98,6 +104,78 @@ class DgcCompressor(Compressor):
         values, indices = compressed.payload
         return desparsify(values, indices.astype(np.int64), size).reshape(shape)
 
+    def _estimate_thresholds(
+        self, magnitudes: np.ndarray, bucket, ks: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_estimate_threshold` of every tensor of a bucket, float32.
+
+        The samples are drawn tensor by tensor, in order, as ``compress``
+        draws them; their quantiles come from one interpolation, and every
+        refinement step is one compare of the whole bucket against its
+        tensors' thresholds, each tensor stopping at its own count.
+        """
+        sizes = bucket.sizes
+        sample_sizes = np.maximum(
+            1, (self.sample_fraction * sizes).astype(np.int64)
+        )
+        choice = self._rng.choice
+        drawn = np.concatenate([
+            choice(size, size=sample_size, replace=False)
+            for size, sample_size in zip(sizes.tolist(), sample_sizes.tolist())
+        ])
+        sample = magnitudes[drawn + np.repeat(bucket.offsets, sample_sizes)]
+        sample_ends = np.cumsum(sample_sizes)
+        thresholds = segment_quantiles(
+            segment_sort(sample, sample_ends), sample_ends,
+            (1.0 - ks / sizes)[:, None],
+        )[:, 0]
+        refining = np.ones(sizes.size, dtype=bool)
+        fewest, most = 0.75 * ks, 1.5 * ks
+        for _ in range(self.max_adjust_iters - 1):
+            selected = np.add.reduceat(
+                magnitudes > bucket.expand(thresholds), bucket.offsets
+            )
+            refining &= (selected < fewest) | (selected > most)
+            if not refining.any():
+                break
+            too_many = refining & (selected > most)
+            thresholds[too_many] *= np.float32(1.3)
+            thresholds[refining & ~too_many] *= np.float32(0.7)
+        return thresholds
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """One selection over the bucket, each tensor against its threshold.
+
+        Indices count from the start of the bucket, which is also what
+        :class:`~repro.core.memory.DgcMemory` masks its flat buffers by.
+        """
+        if bucket.has_empty_segment:  # nothing to sample a threshold from
+            return super().compress_fused(buffer, bucket)
+        ks = bucket.ratio_counts(self.ratio)
+        magnitudes = np.abs(buffer)
+        thresholds = self._estimate_thresholds(magnitudes, bucket, ks)
+        selected = magnitudes > bucket.expand(thresholds)
+        indices = np.flatnonzero(selected)
+        unsent = np.flatnonzero(
+            np.add.reduceat(selected, bucket.offsets) == 0
+        )
+        if unsent.size:  # such a tensor sends its largest element
+            largest = [
+                seg.offset + int(np.argmax(magnitudes[seg.offset:seg.end]))
+                for seg in (bucket.segments[at] for at in unsent.tolist())
+            ]
+            indices = np.sort(np.concatenate([indices, largest]))
+        payload = [
+            buffer[indices].astype(np.float32, copy=False),
+            indices.astype(np.int32),
+        ]
+        return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        values, indices = payload
+        return desparsify(values, indices.astype(np.int64), bucket.numel)
+
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
-        """Flat indices sent on the wire (required by DgcMemory masking)."""
+        """Flat indices sent on the wire (required by DgcMemory masking);
+        positions in the bucket for a fused payload."""
         return compressed.payload[1].astype(np.int64)

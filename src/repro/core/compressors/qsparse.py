@@ -15,12 +15,19 @@ import math
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
 from repro.tensorlib import (
     desparsify,
     pack_bits,
     pack_signs,
     quantize_stochastic_levels,
+    segment_norms,
+    segment_topk,
     sparsify_randomk,
     sparsify_topk,
     unpack_bits,
@@ -36,6 +43,7 @@ class QsparseLocalSGDCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "residual"
+    fused_kernel = True
 
     def __init__(
         self,
@@ -102,6 +110,64 @@ class QsparseLocalSGDCompressor(Compressor):
             values.astype(np.float32), indices.astype(np.int64), size
         ).reshape(shape)
 
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """Select per tensor, then quantize and pack what was selected once.
+
+        Top-k selection partitions each tensor's run of the magnitudes
+        (:func:`~repro.tensorlib.segment_topk`, ties as in ``compress``);
+        the selected values then go through the ``qsgd`` kernel: one norm
+        per tensor over its contiguous run of them, one rounding draw over
+        all live ones.  Random-k draws its indices tensor by tensor, and in
+        ``compress`` the rounding draw of a tensor follows its selection
+        draw in the stream, so there the rounding stays with the selection
+        and only the packing is shared.
+        """
+        if bucket.has_empty_segment:
+            return super().compress_fused(buffer, bucket)
+        ks = bucket.ratio_counts(self.ratio)
+        if self.selection == "topk":
+            indices = segment_topk(np.abs(buffer), bucket.ends, ks)
+            values = buffer[indices]
+            norms = segment_norms(values, np.cumsum(ks))
+            codes = quantize_stochastic_levels(
+                np.abs(values), np.repeat(norms, ks), self.levels,
+                rng=self._rng,
+            )
+        else:
+            picked, norms, codes = [], [], []
+            for seg, k in zip(bucket.segments, ks.tolist()):
+                run, local = sparsify_randomk(
+                    buffer[seg.offset:seg.end], k, rng=self._rng
+                )
+                picked.append(local + seg.offset)
+                norms.append(np.float32(np.linalg.norm(run)))
+                codes.append(quantize_stochastic_levels(
+                    np.abs(run), norms[-1], self.levels, rng=self._rng
+                ))
+            indices = np.concatenate(picked)
+            values = buffer[indices]
+            norms = np.array(norms, dtype=np.float32)
+            codes = np.concatenate(codes)
+        payload = [
+            norms,
+            pack_signs(values),
+            pack_bits(codes, bits=self.code_bits),
+            indices.astype(np.int32),
+        ]
+        return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        norms, packed_signs, packed_codes, indices = payload
+        ks = bucket.ratio_counts(self.ratio)
+        count = int(ks.sum())
+        signs = unpack_signs(packed_signs, count)
+        codes = unpack_bits(packed_codes, bits=self.code_bits, count=count)
+        values = (
+            np.repeat(norms, ks) * signs * codes.astype(np.float32)
+            / self.levels
+        )
+        return desparsify(values, indices.astype(np.int64), bucket.numel)
+
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
-        """Flat indices sent on the wire."""
+        """Flat indices sent on the wire (bucket positions when fused)."""
         return compressed.payload[3].astype(np.int64)

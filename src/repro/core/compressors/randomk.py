@@ -150,5 +150,8 @@ class RandomKCompressor(Compressor):
         return self._aggregate_coords(items)
 
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
-        """Flat indices sent on the wire."""
+        """Flat indices sent on the wire; positions in the bucket for a
+        fused payload."""
+        if isinstance(compressed.ctx, _FusedRandomKCtx):
+            return self._coords_form(compressed)[3]
         return compressed.payload[1].astype(np.int64)

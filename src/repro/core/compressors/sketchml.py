@@ -16,10 +16,18 @@ import numpy as np
 from repro.core.api import (
     CompressedTensor,
     Compressor,
+    FusedBucketCtx,
     flatten_with_shape,
     is_fused_concat_ctx,
 )
-from repro.tensorlib import QuantileSketch, pack_bits, unpack_bits
+from repro.tensorlib import (
+    QuantileSketch,
+    pack_bits,
+    segment_quantiles,
+    segment_searchsorted,
+    segment_sort,
+    unpack_bits,
+)
 
 
 class SketchMLCompressor(Compressor):
@@ -30,6 +38,7 @@ class SketchMLCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "residual"
+    fused_kernel = True
     aggregation = "exact-linear"
 
     def __init__(self, num_buckets: int = 64, sketch_size: int = 2048, seed: int = 0):
@@ -58,9 +67,7 @@ class SketchMLCompressor(Compressor):
                 np.zeros(0, dtype=np.uint8),
                 np.zeros(0, dtype=np.int32),
             ]
-            return CompressedTensor(
-                payload=payload, ctx=(shape, flat.size, 0, False)
-            )
+            return CompressedTensor(payload=payload, ctx=(shape, flat.size))
         sketch = QuantileSketch(self.num_buckets, max_size=self.sketch_size)
         # Sub-sample very large tensors into the sketch, as SketchML does.
         if values.size > self.sketch_size:
@@ -81,13 +88,23 @@ class SketchMLCompressor(Compressor):
         ]
         if not is_dense:
             payload.append(indices.astype(np.int32))
-        return CompressedTensor(
-            payload=payload, ctx=(shape, flat.size, values.size, is_dense)
-        )
+        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
+
+    @staticmethod
+    def _sent(payload, size: int) -> tuple[int, bool]:
+        """``(nnz, is_dense)`` of a per-tensor payload, read off its parts.
+
+        How many elements were non-zero is the sender's knowledge, and a
+        worker decodes its peers under its own ctx: a dense tensor sends no
+        index part, any other sends one index per non-zero element.
+        """
+        is_dense = len(payload) == 2
+        return (size if is_dense else payload[2].size), is_dense
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:
         """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size, nnz, is_dense = compressed.ctx
+        shape, size = compressed.ctx
+        nnz, is_dense = self._sent(compressed.payload, size)
         representatives = compressed.payload[0]
         packed_codes = compressed.payload[1]
         dense = np.zeros(size, dtype=np.float32)
@@ -100,10 +117,109 @@ class SketchMLCompressor(Compressor):
                 dense[indices.astype(np.int64)] = representatives[codes]
         return dense.reshape(shape)
 
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """Whole-bucket SketchML: every tensor's codebook from one gather.
+
+        The non-zero values of the bucket are gathered once; a tensor's
+        share of them is a contiguous run.  Each run is sorted on its own,
+        the ``2·num_buckets - 1`` quantiles of every run — boundaries and
+        representatives — are interpolated together
+        (:func:`~repro.tensorlib.segment_quantiles`), each value is looked
+        up among its own run's boundaries, and the codes are bit-packed as
+        one stream.  A tensor with more than ``sketch_size`` non-zeros is
+        sub-sampled by its own draw, in tensor order, as ``compress`` draws.
+
+        Wire: one representative table per tensor, the codes, the non-zero
+        count of every tensor, and the bucket positions of the non-zeros of
+        those tensors that have zeros (a dense tensor's are implicit) —
+        four parts whatever the data, so a peer decodes them under its own
+        ctx.
+        """
+        nonzero = np.flatnonzero(buffer)
+        values = buffer if nonzero.size == buffer.size else buffer[nonzero]
+        value_ends = np.searchsorted(nonzero, bucket.ends)
+        nnz = np.diff(value_ends, prepend=0)
+        sample, sample_ends = self._samples(values, value_ends, nnz)
+        at_boundaries, at_centres = QuantileSketch.grids(self.num_buckets)
+        quantiles = segment_quantiles(
+            segment_sort(sample, sample_ends).astype(np.float64),
+            sample_ends,
+            np.concatenate([at_boundaries, at_centres]),
+        )
+        codes = segment_searchsorted(
+            quantiles[:, :at_boundaries.size], values, value_ends
+        )
+        has_zeros = np.repeat(nnz < bucket.sizes, nnz)
+        payload = [
+            quantiles[:, at_boundaries.size:].astype(np.float32).ravel(),
+            pack_bits(codes, bits=self.code_bits),
+            nnz.astype(np.int32),
+            nonzero[has_zeros].astype(np.int32),
+        ]
+        return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
+
+    def _samples(self, values, value_ends, nnz):
+        """What each run's sketch is built from, and where the runs end."""
+        large = np.flatnonzero(nnz > self.sketch_size).tolist()
+        if not large:
+            return values, value_ends
+        pieces, cursor = [], 0
+        for run in large:
+            start, end = int(value_ends[run] - nnz[run]), int(value_ends[run])
+            drawn = self._rng.choice(
+                end - start, size=self.sketch_size, replace=False
+            )
+            pieces += [values[cursor:start], values[start:end][drawn]]
+            cursor = end
+        pieces.append(values[cursor:])
+        return (
+            np.concatenate(pieces),
+            np.cumsum(np.minimum(nnz, self.sketch_size)),
+        )
+
+    def _bucket_coords(self, payload, bucket):
+        """``(values, positions)`` of a fused payload, ``positions`` in the
+        flat bucket; ``None`` when every element was sent, in order."""
+        representatives, packed_codes, nnz, indices = payload
+        nnz = nnz.astype(np.int64)
+        codes = unpack_bits(
+            packed_codes, bits=self.code_bits, count=int(nnz.sum())
+        )
+        # Each value reads the table of its own tensor.
+        tables = np.repeat(np.arange(nnz.size), nnz)
+        values = representatives.take(codes + self.num_buckets * tables)
+        has_zeros = nnz < bucket.sizes
+        if not has_zeros.any():
+            return values, None
+        indexed = np.repeat(has_zeros, nnz)
+        positions = np.empty(values.size, dtype=np.int64)
+        positions[indexed] = indices
+        positions[~indexed] = np.flatnonzero(
+            np.repeat(~has_zeros, bucket.sizes)
+        )
+        return values, positions
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        values, positions = self._bucket_coords(payload, bucket)
+        if positions is None:
+            return values
+        dense = np.zeros(bucket.numel, dtype=np.float32)
+        dense[positions] = values
+        return dense
+
     def _coords_form(self, compressed: CompressedTensor):
         ctx = compressed.ctx
+        if isinstance(ctx, FusedBucketCtx):
+            numel = int(ctx.bucket.numel)
+            values, positions = self._bucket_coords(
+                compressed.payload, ctx.bucket
+            )
+            if positions is None:
+                positions = np.arange(numel, dtype=np.int64)
+            return (numel,), numel, values, positions
         if isinstance(ctx, tuple):
-            shape, size, nnz, is_dense = ctx
+            shape, size = ctx
+            nnz, is_dense = self._sent(compressed.payload, size)
             if not nnz:
                 return (
                     tuple(shape), int(size),
@@ -145,7 +261,4 @@ class SketchMLCompressor(Compressor):
 
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
         """Flat indices sent on the wire (all positions when dense)."""
-        shape, size, nnz, is_dense = compressed.ctx
-        if is_dense:
-            return np.arange(size, dtype=np.int64)
-        return compressed.payload[2].astype(np.int64)
+        return self._coords_form(compressed)[3]

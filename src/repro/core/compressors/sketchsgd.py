@@ -17,12 +17,13 @@ import numpy as np
 from repro.core.api import (
     CompressedTensor,
     Compressor,
+    FusedBucketCtx,
     flatten_with_shape,
     is_fused_concat_ctx,
     sum_dense,
     summand_count,
 )
-from repro.tensorlib import CountSketch, desparsify
+from repro.tensorlib import CountSketch, desparsify, segment_topk
 
 
 class _AggSketchCtx:
@@ -37,6 +38,16 @@ class _AggSketchCtx:
         self.n_summands = int(n_summands)
 
 
+class _AggFusedSketchCtx:
+    """Ctx of summed fused tables ``[table f32]``: the bucket, and how many."""
+
+    __slots__ = ("bucket", "n_summands")
+
+    def __init__(self, bucket, n_summands):
+        self.bucket = bucket
+        self.n_summands = int(n_summands)
+
+
 class SketchedSGDCompressor(Compressor):
     """Count-sketch transport with heavy-hitter recovery."""
 
@@ -45,6 +56,7 @@ class SketchedSGDCompressor(Compressor):
     stochastic = False  # hash functions are fixed
     communication = "allgather"
     default_memory = "residual"
+    fused_kernel = True
     aggregation = "sketch"
 
     def __init__(
@@ -112,6 +124,62 @@ class SketchedSGDCompressor(Compressor):
         values = sketch.query(indices).astype(np.float32)
         return desparsify(values, indices.astype(np.int64), size).reshape(shape)
 
+    def _bucket_layout(self, bucket):
+        """``(ks, widths)`` of the bucket's tensors, as ``compress`` sizes them."""
+        ks = bucket.ratio_counts(self.ratio)
+        widths = np.maximum(8, (self.width_multiplier * ks).astype(np.int64))
+        return ks, widths
+
+    def _bucket_sketch(self, bucket, widths, table=None) -> CountSketch:
+        return CountSketch.side_by_side(
+            widths.tolist(), self.depth, bucket.sizes.tolist(),
+            seed=self._hash_seed, table=table,
+        )
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """Every tensor's sketch, side by side in one table.
+
+        Each tensor keeps its own hash functions and its own columns
+        (:meth:`CountSketch.side_by_side`), so a cell sums what it sums in
+        ``compress``, in the same order; the bucket is folded in with one
+        scatter-add per row instead of one per row and tensor.
+        """
+        if bucket.has_empty_segment or not CountSketch.memoises(
+            self.depth, bucket.numel
+        ):
+            # No sketch over an empty universe; and the joint hash functions
+            # of a bucket too large to memoise would be concatenated anew on
+            # every call.  Both are the layout's doing, so every rank agrees.
+            return super().compress_fused(buffer, bucket)
+        _, widths = self._bucket_layout(bucket)
+        sketch = self._bucket_sketch(bucket, widths)
+        sketch.update_dense(buffer)
+        return CompressedTensor(
+            payload=[sketch.table.astype(np.float32)],
+            ctx=FusedBucketCtx(bucket),
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        """One query of the whole bucket; heavy hitters tensor by tensor.
+
+        Which of several equal estimates at a tensor's ``k``-th place is
+        recovered is the partition's choice, and equal estimates are
+        structural here — elements that share a cell in most rows of a
+        sketch eight columns wide share their median — so the selection is
+        the per-tensor call on each tensor's run of the magnitudes.
+        """
+        (table,) = payload
+        ks, widths = self._bucket_layout(bucket)
+        if table.shape != (self.depth, int(widths.sum())):
+            raise ValueError(
+                f"sketch table is {table.shape}, the layout for this bucket "
+                f"is {(self.depth, int(widths.sum()))}"
+            )
+        sketch = self._bucket_sketch(bucket, widths, table=table)
+        indices = segment_topk(sketch.magnitudes(), bucket.ends, ks)
+        values = sketch.query(indices).astype(np.float32)
+        return desparsify(values, indices, bucket.numel)
+
     def aggregate_compressed(
         self, items: list[CompressedTensor]
     ) -> CompressedTensor:
@@ -127,6 +195,17 @@ class SketchedSGDCompressor(Compressor):
         ctx = items[0].ctx
         if is_fused_concat_ctx(ctx):
             return self._aggregate_fused_segments(items)
+        if isinstance(ctx, (FusedBucketCtx, _AggFusedSketchCtx)):
+            # Side-by-side tables of one layout add cell by cell.
+            if any(item.ctx.bucket.segments != ctx.bucket.segments
+                   for item in items[1:]):
+                raise ValueError("mismatched sketch layouts in aggregation")
+            return CompressedTensor(
+                payload=[sum_dense([item.payload[0] for item in items])],
+                ctx=_AggFusedSketchCtx(
+                    ctx.bucket, sum(summand_count(item) for item in items)
+                ),
+            )
         if isinstance(ctx, _AggSketchCtx):
             shape, size, k = ctx.shape, ctx.size, ctx.k
         else:
@@ -153,6 +232,8 @@ class SketchedSGDCompressor(Compressor):
         self, compressed: CompressedTensor
     ) -> np.ndarray:
         ctx = compressed.ctx
+        if isinstance(ctx, _AggFusedSketchCtx):
+            return self._decompress_bucket(compressed.payload, ctx.bucket)
         if not isinstance(ctx, _AggSketchCtx):
             return super().decompress_aggregated(compressed)
         return self.decompress(

@@ -110,7 +110,7 @@ class TopKCompressor(Compressor):
             return super().compress_fused(buffer, bucket)
         buffer = np.ascontiguousarray(buffer, dtype=np.float32)
         sizes = bucket.sizes
-        ks = np.maximum(1, np.ceil(self.ratio * sizes).astype(np.int64))
+        ks = bucket.ratio_counts(self.ratio)
         magnitude_bits = np.abs(buffer).view(np.uint32).astype(np.uint64)
         key = bucket.segment_keys | (magnitude_bits ^ np.uint64(0xFFFFFFFF))
         order = np.argsort(key)
@@ -198,5 +198,8 @@ class TopKCompressor(Compressor):
         return self._aggregate_coords(items)
 
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
-        """Flat indices sent on the wire (consumed by DGC-style memories)."""
+        """Flat indices sent on the wire (consumed by DGC-style memories);
+        positions in the bucket for a fused payload."""
+        if isinstance(compressed.ctx, _FusedTopKCtx):
+            return self._coords_form(compressed)[3]
         return self._indices(compressed)

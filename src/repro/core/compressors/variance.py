@@ -13,8 +13,13 @@ import math
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.tensorlib import desparsify
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedBucketCtx,
+    flatten_with_shape,
+)
+from repro.tensorlib import desparsify, segment_sums
 
 
 def selection_probabilities(
@@ -43,6 +48,51 @@ def selection_probabilities(
     return probabilities
 
 
+def bucket_selection_probabilities(
+    magnitudes: np.ndarray, bucket, budgets: np.ndarray, iterations: int = 20
+) -> np.ndarray:
+    """:func:`selection_probabilities` of every tensor of a bucket at once.
+
+    The water level of each tensor is refitted on the whole flat bucket
+    with one ``remaining`` and one ``free_mass`` per tensor, and a tensor
+    leaves the iteration when its own loop would: out of budget or mass,
+    or no coordinate newly saturated.  The free mass of a tensor is summed
+    over its run of the gathered unsaturated magnitudes, the array
+    ``magnitudes[~saturated].sum()`` reduces.
+    """
+    magnitudes = magnitudes.astype(np.float64)
+    expand, ends = bucket.expand, bucket.ends
+    totals = segment_sums(magnitudes, ends)
+    refitting = totals != 0
+    probabilities = np.where(
+        expand(refitting),
+        np.minimum(
+            1.0, expand(budgets / np.where(refitting, totals, 1.0)) * magnitudes
+        ),
+        expand(budgets / bucket.sizes),
+    )
+    for _ in range(iterations):
+        if not refitting.any():
+            break
+        saturated = probabilities >= 1.0
+        n_saturated = np.add.reduceat(saturated, bucket.offsets)
+        remaining = budgets - n_saturated
+        free = magnitudes[~saturated] if n_saturated.any() else magnitudes
+        free_mass = segment_sums(free, ends - np.cumsum(n_saturated))
+        refitting &= (remaining > 0) & (free_mass != 0)
+        refit = np.minimum(
+            1.0,
+            expand(remaining) * magnitudes
+            / expand(np.where(refitting, free_mass, 1.0)),
+        )
+        probabilities = np.where(
+            expand(refitting) & ~saturated, refit, probabilities
+        )
+        newly = (probabilities >= 1.0) != saturated
+        refitting &= np.add.reduceat(newly, bucket.offsets) > 0
+    return probabilities
+
+
 class VarianceSparsifier(Compressor):
     """Unbiased importance sampling of gradient coordinates."""
 
@@ -51,6 +101,7 @@ class VarianceSparsifier(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "none"
+    fused_kernel = True
 
     def __init__(self, ratio: float = 0.01, seed: int = 0):
         super().__init__(seed=seed)
@@ -78,6 +129,31 @@ class VarianceSparsifier(Compressor):
         values, indices = compressed.payload
         return desparsify(values, indices.astype(np.int64), size).reshape(shape)
 
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """Whole-bucket water-filling, then one keep draw over the bucket.
+
+        ``compress`` draws one uniform per coordinate whatever the data, so
+        a single ``numel``-sized draw is the tensors' draws end to end.
+        Indices count from the start of the bucket.
+        """
+        if bucket.has_empty_segment:  # no probabilities over no coordinates
+            return super().compress_fused(buffer, bucket)
+        probabilities = bucket_selection_probabilities(
+            np.abs(buffer), bucket, bucket.ratio_counts(self.ratio)
+        )
+        keep = self._rng.random(size=bucket.numel) < probabilities
+        indices = np.flatnonzero(keep)
+        values = buffer[indices] / probabilities[indices].astype(np.float32)
+        return CompressedTensor(
+            payload=[values.astype(np.float32), indices.astype(np.int32)],
+            ctx=FusedBucketCtx(bucket),
+        )
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        values, indices = payload
+        return desparsify(values, indices.astype(np.int64), bucket.numel)
+
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
-        """Flat indices sent on the wire."""
+        """Flat indices sent on the wire; positions in the bucket for a fused
+        payload."""
         return compressed.payload[1].astype(np.int64)

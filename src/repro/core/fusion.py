@@ -148,6 +148,11 @@ class FusionBucket:
         """One value per segment, repeated for each of its elements."""
         return np.repeat(per_segment, self.sizes)
 
+    def ratio_counts(self, ratio: float) -> np.ndarray:
+        """``max(1, ceil(ratio · size))`` of every segment: how many
+        elements a sparsifier's ``compress`` keeps of each tensor."""
+        return np.maximum(1, np.ceil(ratio * self.sizes).astype(np.int64))
+
     def pack(self, arrays: dict[str, np.ndarray], out: np.ndarray) -> np.ndarray:
         """Copy the named tensors into ``out`` (flat float32) in layout order."""
         for seg in self.segments:

@@ -177,8 +177,13 @@ class DgcMemory(Memory):
     ``v`` is what gets compressed.  After compression, both buffers are
     zeroed at the transmitted indices, which is the paper's masking rule.
     The compressor must expose the transmitted flat indices on its ctx via
-    :meth:`transmitted_indices`.
+    :meth:`transmitted_indices`.  On the fused path both buffers are one
+    flat array per bucket, masked by the positions the kernel sent.
     """
+
+    supports_fused_update = True
+    fused_needs_transmitted = False
+    fused_needs_indices = True
 
     def __init__(self, momentum: float = 0.9):
         if not 0 <= momentum < 1:
@@ -186,6 +191,10 @@ class DgcMemory(Memory):
         self.momentum = float(momentum)
         self._velocity: dict[str, np.ndarray] = {}
         self._accumulated: dict[str, np.ndarray] = {}
+        # Flat per-bucket (velocity, accumulation) pairs (fused path), keyed
+        # by segment layout; the name-keyed dicts hold views into these, so
+        # both stay in sync.
+        self._fused_buffers: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
         """phi(m, g) of Eq. 4."""
@@ -220,6 +229,75 @@ class DgcMemory(Memory):
         self._velocity[name][indices] = 0.0
         self._accumulated[name][indices] = 0.0
         _observe_residual_norm(self, name, self._accumulated[name])
+
+    def _bucket_buffers(self, bucket) -> tuple[np.ndarray, np.ndarray]:
+        """The bucket's flat ``(velocity, accumulation)``, views in place.
+
+        Where a tensor's entry is no longer a view of them (a per-tensor
+        ``compensate``, a restored checkpoint) or never existed, both are
+        first gathered from the per-tensor state.
+        """
+        pair = self._fused_buffers.get(bucket.segments)
+        if pair is not None and all(
+            getattr(held.get(seg.name), "base", None) is flat
+            for held, flat in zip((self._velocity, self._accumulated), pair)
+            for seg in bucket.segments
+        ):
+            return pair
+        pair = (
+            np.zeros(bucket.numel, dtype=np.float32),
+            np.zeros(bucket.numel, dtype=np.float32),
+        )
+        for held, flat in zip((self._velocity, self._accumulated), pair):
+            for seg in bucket.segments:
+                view = flat[seg.offset:seg.end]
+                if seg.name in held:
+                    view[:] = held[seg.name]
+                held[seg.name] = view
+        self._fused_buffers[bucket.segments] = pair
+        return pair
+
+    def compensate_fused(
+        self, gradients: dict[str, np.ndarray], bucket, out: np.ndarray
+    ) -> np.ndarray:
+        """φ over a whole bucket: ``u = βu + g``, ``v = v + u``, in place.
+
+        Elementwise on flat buffers, so bitwise the per-tensor φ on every
+        slice; ``out`` receives a copy of the accumulation.
+        """
+        velocity, accumulated = self._bucket_buffers(bucket)
+        bucket.pack(gradients, out)
+        velocity *= self.momentum
+        velocity += out
+        accumulated += velocity
+        out[:] = accumulated
+        return out
+
+    def update_fused(
+        self,
+        compensated: np.ndarray,
+        bucket,
+        transmitted: np.ndarray | None,
+    ) -> None:
+        """ψ for a whole bucket: clear both buffers where the kernel sent.
+
+        ``transmitted`` holds the sent positions in the flat bucket
+        (``fused_needs_indices``), from the compressor's
+        ``transmitted_indices`` of the fused payload.
+        """
+        if transmitted is None:
+            raise ValueError(
+                "DgcMemory requires a compressor exposing transmitted_indices"
+            )
+        # ψ follows this bucket's φ, which left the flat buffers current.
+        velocity, accumulated = self._fused_buffers[bucket.segments]
+        velocity[transmitted] = 0.0
+        accumulated[transmitted] = 0.0
+        if self.telemetry is not None:
+            for seg in bucket.segments:
+                _observe_residual_norm(
+                    self, seg.name, self._accumulated[seg.name]
+                )
 
 
 def make_memory(kind: str, **params) -> Memory:

@@ -1075,8 +1075,8 @@ class DistributedTrainer:
           vectorized ``compress_fused`` **and** every memory supports
           fused updates — then compression runs once over the whole flat
           bucket instead of once per tensor.  Otherwise compression and
-          ψ stay per-tensor (bit-identical state evolution, e.g. for DGC
-          memories) and only the payloads are concatenated.
+          ψ stay per-tensor (bit-identical state evolution, e.g. for the
+          LAPACK compressors) and only the payloads are concatenated.
         """
         grads0 = grads_per_rank[0]
         plan = self._fusion_plan
@@ -1424,6 +1424,10 @@ class DistributedTrainer:
                     ("transmit", bucket.index), bucket.numel
                 ),
             )
+        elif memory.fused_needs_indices:
+            transmitted = getattr(
+                self.compressors[rank], "transmitted_indices", lambda c: None
+            )(packed)
         memory.update_fused(buffer, bucket, transmitted)
 
     def _aggregation_active(self, decoder: Compressor) -> bool:

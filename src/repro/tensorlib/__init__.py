@@ -41,8 +41,12 @@ from repro.tensorlib.sketch import CountSketch, QuantileSketch
 from repro.tensorlib.segments import (
     segment_means,
     segment_norms,
+    segment_quantiles,
+    segment_searchsorted,
+    segment_sort,
     segment_stds,
     segment_sums,
+    segment_topk,
 )
 from repro.tensorlib.encoding import (
     varint_encode,
@@ -78,4 +82,8 @@ __all__ = [
     "segment_means",
     "segment_norms",
     "segment_stds",
+    "segment_sort",
+    "segment_quantiles",
+    "segment_searchsorted",
+    "segment_topk",
 ]

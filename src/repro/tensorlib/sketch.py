@@ -38,7 +38,39 @@ class HashTableCache:
 
     def get(self, seed: int, depth: int, width: int, universe: int):
         """``(buckets int32, signs int8)``, each ``(depth, universe)``."""
-        key = (seed, depth, width, universe)
+        return self._memo(
+            (seed, depth, width, universe),
+            lambda: _draw_hash_tables(seed, depth, width, universe),
+        )
+
+    def get_side_by_side(
+        self, seed: int, depth: int, widths: tuple, universes: tuple
+    ):
+        """The functions of several sketches as those of one wide sketch.
+
+        ``(buckets, signs)``, each ``(depth, sum(universes))``: sketch ``i``
+        keeps the functions ``get(seed, depth, widths[i], universes[i])``
+        draws for it, its elements following those of the sketches before
+        it and its bucket numbers shifted past their ``widths``.
+        """
+        def side_by_side():
+            parts = [
+                self.get(seed, depth, width, universe)
+                for width, universe in zip(widths, universes)
+            ]
+            shifts = np.cumsum((0,) + widths[:-1])
+            buckets = np.concatenate(
+                [part[0] + shift for part, shift in zip(parts, shifts)],
+                axis=1,
+            ).astype(np.int32)
+            signs = np.concatenate([part[1] for part in parts], axis=1)
+            buckets.setflags(write=False)
+            signs.setflags(write=False)
+            return buckets, signs
+
+        return self._memo((seed, depth, widths, universes), side_by_side)
+
+    def _memo(self, key: tuple, draw):
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -46,7 +78,7 @@ class HashTableCache:
                 self.hits += 1
                 return entry
             self.misses += 1
-        entry = _draw_hash_tables(seed, depth, width, universe)
+        entry = draw()
         size = entry[0].nbytes + entry[1].nbytes
         with self._lock:
             if size <= self.max_bytes and key not in self._entries:
@@ -142,6 +174,42 @@ class CountSketch:
         sketch.table[...] = table
         return sketch
 
+    @classmethod
+    def side_by_side(
+        cls, widths, depth: int, universes, seed: int = 0, table=None
+    ) -> "CountSketch":
+        """The sketches of several tensors as one sketch of their concatenation.
+
+        Tensor ``i`` hashes with the functions of a lone ``CountSketch(
+        widths[i], depth, universes[i], seed)`` into its own ``widths[i]``
+        columns of one ``(depth, sum(widths))`` table, so every cell takes
+        the addends it takes there, in the same order, and an update or a
+        query of the whole bucket is one pass per row.  Only
+        :meth:`heavy_hitters` has no meaning across tensors: rank
+        :meth:`magnitudes` tensor by tensor instead.  ``table`` given, its
+        state is that received table.  Worth it while the joint functions
+        stay memoised (:meth:`memoises`).
+        """
+        widths, universes = tuple(widths), tuple(universes)
+        sketch = cls.__new__(cls)
+        sketch.width = int(sum(widths))
+        sketch.depth = int(depth)
+        sketch.universe = int(sum(universes))
+        sketch._buckets, sketch._signs = _HASH_TABLES.get_side_by_side(
+            int(seed), sketch.depth, widths, universes
+        )
+        sketch.table = np.zeros((sketch.depth, sketch.width), dtype=np.float64)
+        if table is not None:
+            sketch.table[...] = table
+        return sketch
+
+    @staticmethod
+    def memoises(depth: int, universe: int) -> bool:
+        """Whether the hash functions of a sketch over ``universe`` indices
+        (an int32 and an int8 per index and row) fit the process-wide memo;
+        larger ones are served, but drawn anew at every construction."""
+        return (4 + 1) * depth * universe <= _HASH_TABLES.max_bytes
+
     def update(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Add ``values`` at ``indices`` into the sketch."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -195,9 +263,13 @@ class CountSketch:
             estimates[row] *= self._signs[row]
         return _median_of_rows(estimates)
 
+    def magnitudes(self) -> np.ndarray:
+        """``|query(i)|`` of every index: what :meth:`heavy_hitters` ranks."""
+        return np.abs(self._query_all())
+
     def heavy_hitters(self, k: int) -> np.ndarray:
         """Return the ``k`` indices with the largest estimated magnitude."""
-        estimates = np.abs(self._query_all())
+        estimates = self.magnitudes()
         k = int(min(max(k, 1), self.universe))
         idx = np.argpartition(estimates, self.universe - k)[-k:]
         return np.sort(idx)
@@ -291,20 +363,24 @@ class QuantileSketch:
             merged = merged[keep]
         self._samples = merged
 
+    @staticmethod
+    def grids(num_buckets: int) -> tuple[np.ndarray, np.ndarray]:
+        """The quantiles the ``num_buckets - 1`` bucket boundaries and the
+        ``num_buckets`` bucket representatives (the centres) sit at."""
+        edges = np.linspace(0, 1, num_buckets + 1)
+        return edges[1:-1], edges[:-1] + 0.5 / num_buckets
+
     def boundaries(self) -> np.ndarray:
         """Bucket boundary values (length ``num_buckets - 1``)."""
         if self._samples.size == 0:
             raise ValueError("sketch is empty")
-        quantiles = np.linspace(0, 1, self.num_buckets + 1)[1:-1]
-        return np.quantile(self._samples, quantiles)
+        return np.quantile(self._samples, self.grids(self.num_buckets)[0])
 
     def representatives(self) -> np.ndarray:
         """Representative (median) value of each bucket."""
         if self._samples.size == 0:
             raise ValueError("sketch is empty")
-        centers = (np.linspace(0, 1, self.num_buckets + 1)[:-1]
-                   + 0.5 / self.num_buckets)
-        return np.quantile(self._samples, centers)
+        return np.quantile(self._samples, self.grids(self.num_buckets)[1])
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Map values to bucket indices in ``[0, num_buckets)``."""

@@ -1,5 +1,9 @@
 """Gossip topologies and the neighbourhood exchange."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,31 @@ from repro.comm import (
     random_regular_topology,
     ring_topology,
 )
+
+
+def test_importing_the_package_leaves_networkx_out():
+    """networkx costs 120-260 ms to import and only the overlay builders
+    use it; every spawned rank and every CLI call imports ``repro``."""
+    script = (
+        "import sys, repro, repro.comm.parallel, repro.bench.runner\n"
+        "assert 'networkx' not in sys.modules, 'imported at start-up'\n"
+        "from repro.comm import ring_topology\n"
+        "ring = ring_topology(4)\n"
+        "assert ring.neighbors(0) == [1, 3] and ring.degree(2) == 2\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    src = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "..", "src"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in (env.get("PYTHONPATH"),) if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestTopologies:

@@ -231,7 +231,8 @@ class TestDeadLayerOnOneRank:
 
     @pytest.mark.parametrize("compressor", [
         "qsgd", "terngrad", "eightbit", "threelc", "inceptionn", "lpcsvrg",
-        "onebit", "thresholdv",
+        "onebit", "thresholdv", "sketchml", "sketchsgd", "qsparse", "dgc",
+        "adaptive", "variance",
     ])
     def test_worker_mode_matches_sequential_bitwise(
         self, two_rank_comms, compressor
@@ -331,6 +332,22 @@ class TestRunParallel:
         assert (
             result.report.bytes_per_worker == seq_report.bytes_per_worker
         )
+
+    @pytest.mark.parametrize("fusion_mb", [0.0, 64.0])
+    def test_sketchml_decodes_peers_whose_zeros_fall_elsewhere(
+        self, fusion_mb
+    ):
+        """Each rank's batch touches other embedding rows, so the ranks'
+        gradients differ in where they are zero, and a rank decodes its
+        peer under its own ctx: per tensor the non-zero count used to ride
+        in ctx (``ValueError: shape mismatch`` on step 1), and the fused
+        format may depend on the bucket layout only."""
+        result = run_parallel(ParallelRunConfig(
+            benchmark="ncf-movielens", compressor="sketchml", nproc=2,
+            seed=0, epochs=1, fusion_mb=fusion_mb,
+        ))
+        assert len(set(result.digests.values())) == 1
+        assert len(result.digests) == 2 and result.report.losses
 
     def test_sanitize_arena_attaches_a_clean_replay_report(self):
         result = run_parallel(ParallelRunConfig(

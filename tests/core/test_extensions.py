@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import create
-from repro.core.compressors.variance import selection_probabilities
+from repro.core import FusionPlan, create
+from repro.core.compressors.variance import (
+    bucket_selection_probabilities,
+    selection_probabilities,
+)
 
 
 def gradient(shape, seed=0, scale=1e-2):
@@ -71,6 +74,37 @@ class TestVarianceSparsifier:
     def test_zero_gradient_uniform_probabilities(self):
         probabilities = selection_probabilities(np.zeros(10), budget=5)
         np.testing.assert_allclose(probabilities, 0.5)
+
+    def test_bucket_water_filling_is_the_per_tensor_one_bitwise(self):
+        """Tensors that saturate nothing, a few coordinates over several
+        rounds, everything, and one with no mass, side by side."""
+        rng = np.random.default_rng(6)
+        heavy = np.abs(rng.standard_cauchy(400)) ** 2
+        tensors = {
+            "gauss": np.abs(rng.standard_normal(300)),
+            "heavy": heavy,
+            "spike": np.r_[np.full(50, 1e-6), 1e3, 5e2, np.full(9, 1.0)],
+            "dead": np.zeros(17),
+            "few": np.abs(rng.standard_normal(3)),
+            "one": np.array([0.7]),
+        }
+        budgets = np.array([3, 120, 20, 5, 3, 1])
+        plan = FusionPlan(
+            [(name, value.shape) for name, value in tensors.items()], 1 << 20
+        )
+        (bucket,) = plan.buckets
+        flat = np.concatenate(list(tensors.values())).astype(np.float32)
+        got = bucket_selection_probabilities(flat, bucket, budgets)
+        assert got.dtype == np.float64
+        saturated = []
+        for seg, budget in zip(bucket.segments, budgets):
+            run = flat[seg.offset:seg.end]
+            expected = selection_probabilities(run, int(budget))
+            assert got[seg.offset:seg.end].tobytes() == expected.tobytes(), (
+                seg.name
+            )
+            saturated.append(np.count_nonzero(expected >= 1.0))
+        assert saturated[0] == 0 and saturated[1] > 10 and saturated[2] >= 2
 
     def test_unbiasedness(self):
         tensor = gradient((64,), seed=3)

@@ -8,6 +8,7 @@ import pytest
 from repro.comm import Communicator
 from repro.core import (
     BucketSegment,
+    DgcMemory,
     DistributedTrainer,
     FusionBucket,
     FusionPlan,
@@ -16,7 +17,7 @@ from repro.core import (
     available_compressors,
     create,
 )
-from repro.core.api import Compressor, FusedConcatCtx
+from repro.core.api import CompressedTensor, Compressor, FusedConcatCtx
 
 
 class MultiTask:
@@ -146,6 +147,8 @@ class TestFusionBucket:
         assert list(bucket.expand(np.float32([0.5, 2.0]))) == (
             [0.5] * 6 + [2.0] * 4
         )
+        assert list(bucket.ratio_counts(0.01)) == [1, 1]
+        assert list(bucket.ratio_counts(0.4)) == [3, 2]  # ceil(2.4), ceil(1.6)
 
     def test_segment_max_of_an_empty_segment_is_zero(self):
         bucket = FusionBucket(0, (
@@ -215,12 +218,6 @@ UNFUSED = {
     "gradiveq": "per-tensor LAPACK on each tensor's own matrix shape",
     "gradzip": "per-tensor LAPACK on each tensor's own matrix shape",
     "powersgd": "per-tensor LAPACK on each tensor's own matrix shape",
-    "sketchml": "per-tensor sketch numerics",
-    "sketchsgd": "per-tensor sketch numerics",
-    "dgc": "DGC memory needs per-tensor compressed objects",
-    "qsparse": "per-tensor selection and tie order",
-    "adaptive": "per-tensor selection and tie order",
-    "variance": "per-tensor selection and tie order",
 }
 
 #: Constructor arguments that make the tiny tensors below select more than
@@ -231,7 +228,7 @@ PARAMS = {"topk": {"ratio": 0.25}, "randomk": {"ratio": 0.3}}
 def test_every_compressor_ships_a_kernel_or_says_why_not():
     assert set(FUSED).isdisjoint(UNFUSED)
     assert set(FUSED) | set(UNFUSED) == set(available_compressors())
-    assert len(FUSED) == 15
+    assert len(FUSED) == 21
 
 
 class TestFusedParity:
@@ -241,18 +238,22 @@ class TestFusedParity:
     are seeded, and the fused kernels consume the per-rank random streams
     in the same order as the per-tensor path, so they too match bitwise.
     Every kernel in the registry runs with its default memory and, where
-    that is an error-feedback memory, without one; dgc stands for the
-    generic concatenating path.
+    that is an error-feedback memory, without one; powersgd stands for the
+    generic concatenating path, and three sparsifiers also run under the
+    DGC memory, which masks by the positions their kernels sent.
     """
 
-    CASES = [("dgc", {}, None)] + [
+    CASES = [("powersgd", {}, None)] + [
         (name, PARAMS.get(name, {}), memory)
         for name in FUSED
         for memory in (
             (None,) if create(name).default_memory == "none"
             else (None, "none")
         )
-    ]
+    ] + [
+        (name, PARAMS.get(name, {}), "dgc")
+        for name in ("topk", "randomk", "thresholdv", "sketchml")
+    ] + [("qsparse", {"selection": "randomk", "ratio": 0.3}, None)]
 
     @pytest.mark.parametrize("fusion_mb", [WHOLE, SPLIT, EXACT, PER_TENSOR])
     @pytest.mark.parametrize("name,params,memory", CASES)
@@ -263,6 +264,22 @@ class TestFusedParity:
                                   **params)
         for key in baseline:
             assert np.array_equal(baseline[key], fused[key]), (name, key)
+
+    def test_dgc_memory_state_matches(self):
+        _, unfused = run_trajectory("dgc", fusion_mb=0.0, ratio=0.25)
+        for fusion_mb in (WHOLE, SPLIT):
+            _, fused = run_trajectory("dgc", fusion_mb=fusion_mb, ratio=0.25)
+            for rank in range(3):
+                base = unfused.memories[rank]
+                other = fused.memories[rank]
+                assert isinstance(other, DgcMemory)
+                assert other._fused_buffers  # the kernel path ran
+                for held in ("_velocity", "_accumulated"):
+                    for name in MultiTask.SHAPES:
+                        assert (
+                            getattr(base, held)[name].tobytes()
+                            == getattr(other, held)[name].tobytes()
+                        ), (fusion_mb, rank, held, name)
 
     def test_residual_memory_state_matches(self):
         _, unfused = run_trajectory("topk", fusion_mb=0.0, ratio=0.25)
@@ -350,6 +367,26 @@ class TestFusedKernelsOnEdgeBuckets:
             )
         ]
         assert formats[0] == formats[1]
+
+
+def test_sketchsgd_keeps_the_concatenation_where_hashes_are_not_memoised(
+    monkeypatch,
+):
+    """A bucket whose joint hash functions outgrow the memo would have them
+    concatenated anew on every call: the layout decides, on every rank."""
+    from repro.tensorlib import sketch
+
+    bucket, buffer = _edge_bucket()
+    kernel = create("sketchsgd")
+    assert not isinstance(
+        kernel.compress_fused(buffer.copy(), bucket).ctx, FusedConcatCtx
+    )
+    monkeypatch.setattr(
+        sketch._HASH_TABLES, "max_bytes", 5 * kernel.depth * bucket.numel - 1
+    )
+    generic = kernel.compress_fused(buffer.copy(), bucket)
+    assert isinstance(generic.ctx, FusedConcatCtx)
+    assert kernel.decompress_fused(generic).shape == (bucket.numel,)
 
 
 class DeadLayerTask(MultiTask):
@@ -490,6 +527,80 @@ class TestFusedMemoryFastPath:
                                       np.empty(8, dtype=np.float32))
         assert np.array_equal(out[:4], np.full(4, 8.0, dtype=np.float32))
         assert np.array_equal(out[4:], np.full(4, 2.0, dtype=np.float32))
+
+
+class TestFusedDgcMemory:
+    """Flat per-bucket velocity/accumulation against the per-tensor dicts."""
+
+    def setup_method(self):
+        (self.bucket,) = FusionPlan([("a", (2, 3)), ("b", (10,))],
+                                    1 << 20).buckets
+        self.rng = np.random.default_rng(4)
+
+    def grads(self):
+        return {
+            "a": self.rng.standard_normal((2, 3)).astype(np.float32),
+            "b": self.rng.standard_normal(10).astype(np.float32),
+        }
+
+    def step(self, fused, classic, grads, sent):
+        """One φ/ψ round both ways; ``sent`` are flat bucket positions."""
+        out = fused.compensate_fused(grads, self.bucket,
+                                     np.empty(16, dtype=np.float32))
+        fused.update_fused(out, self.bucket, sent)
+        compressor = create("dgc")
+        for seg in self.bucket.segments:
+            expected = classic.compensate(grads[seg.name], seg.name)
+            assert np.array_equal(
+                out[seg.offset:seg.end].reshape(seg.shape), expected
+            )
+            local = sent[(sent >= seg.offset) & (sent < seg.end)] - seg.offset
+            classic.update(expected, seg.name, compressor, CompressedTensor(
+                payload=[np.zeros(local.size, dtype=np.float32),
+                         local.astype(np.int32)],
+                ctx=(seg.shape, seg.size),
+            ))
+        for held in ("_velocity", "_accumulated"):
+            for seg in self.bucket.segments:
+                assert (
+                    getattr(fused, held)[seg.name].tobytes()
+                    == getattr(classic, held)[seg.name].tobytes()
+                ), (held, seg.name)
+
+    def test_state_matches_per_tensor_path_across_steps(self):
+        fused, classic = DgcMemory(0.9), DgcMemory(0.9)
+        for sent in ([0, 7, 15], [], [5, 6, 7, 8]):
+            self.step(fused, classic, self.grads(), np.array(sent, np.int64))
+        velocity, _ = fused._fused_buffers[self.bucket.segments]
+        assert fused._velocity["b"].base is velocity  # views, not copies
+
+    def test_restored_checkpoint_is_regathered(self):
+        fused, classic = DgcMemory(0.5), DgcMemory(0.5)
+        self.step(fused, classic, self.grads(), np.array([1, 9]))
+        snapshot = fused.state_dict()
+        self.step(fused, classic, self.grads(), np.array([2]))
+        restored, replay = DgcMemory(0.5), DgcMemory(0.5)
+        restored.load_state_dict(snapshot)
+        replay.load_state_dict(snapshot)
+        # The deep copy cut the views loose from the flat buffers: the
+        # per-tensor entries are the state, and the next φ gathers them.
+        self.step(restored, replay, self.grads(), np.array([0, 15]))
+
+    def test_per_tensor_compensate_in_between_is_seen(self):
+        fused, classic = DgcMemory(0.9), DgcMemory(0.9)
+        self.step(fused, classic, self.grads(), np.array([3]))
+        extra = self.grads()["a"]
+        fused.compensate(extra, "a")  # replaces a's entries with new arrays
+        classic.compensate(extra, "a")
+        self.step(fused, classic, self.grads(), np.array([4, 12]))
+
+    def test_a_compressor_without_transmitted_indices_is_refused(self):
+        trainer = DistributedTrainer(
+            MultiTask(), create("qsgd"), n_workers=2, memory="dgc",
+            fusion_mb=WHOLE,
+        )
+        with pytest.raises(ValueError, match="transmitted_indices"):
+            trainer.step([(0, None), (1, None)])
 
 
 class TestTrainerValidation:

@@ -172,3 +172,71 @@ class TestHashTableMemo:
         assert np.array_equal(
             signs, rng.choice(np.array([-1.0, 1.0]), size=(3, 400))
         )
+
+
+class TestSideBySide:
+    """A bucket's sketches as one: each tensor hashes as it does alone."""
+
+    WIDTHS, UNIVERSES, DEPTH, SEED = (8, 24, 8, 16), (5, 300, 1, 64), 5, 0x5EED
+
+    def alone(self):
+        return [
+            CountSketch(width, self.DEPTH, universe, seed=self.SEED)
+            for width, universe in zip(self.WIDTHS, self.UNIVERSES)
+        ]
+
+    def values(self):
+        rng = np.random.default_rng(3)
+        return rng.standard_normal(sum(self.UNIVERSES)).astype(np.float32)
+
+    def test_update_and_queries_equal_the_lone_sketches_bitwise(self):
+        values = self.values()
+        wide = CountSketch.side_by_side(
+            self.WIDTHS, self.DEPTH, self.UNIVERSES, seed=self.SEED
+        )
+        wide.update_dense(values)
+        assert wide.table.shape == (self.DEPTH, sum(self.WIDTHS))
+        column = start = 0
+        for sketch in self.alone():
+            run = slice(start, start + sketch.universe)
+            sketch.update_dense(values[run])
+            cells = slice(column, column + sketch.width)
+            assert wide.table[:, cells].tobytes() == sketch.table.tobytes()
+            assert (
+                wide.magnitudes()[run].tobytes()
+                == sketch.magnitudes().tobytes()
+            )
+            some = np.arange(0, sketch.universe, 3)
+            assert (
+                wide.query(some + start).tobytes()
+                == sketch.query(some).tobytes()
+            )
+            start += sketch.universe
+            column += sketch.width
+
+    def test_a_received_table_is_the_state(self):
+        wide = CountSketch.side_by_side(
+            self.WIDTHS, self.DEPTH, self.UNIVERSES, seed=self.SEED
+        )
+        wide.update_dense(self.values())
+        received = CountSketch.side_by_side(
+            self.WIDTHS, self.DEPTH, self.UNIVERSES, seed=self.SEED,
+            table=wide.table.astype(np.float32),
+        )
+        assert np.array_equal(received.table, wide.table.astype(np.float32))
+        assert received.table is not wide.table
+
+    def test_hashes_are_memoised_read_only_per_layout(self):
+        make = lambda widths: CountSketch.side_by_side(  # noqa: E731
+            widths, self.DEPTH, self.UNIVERSES, seed=self.SEED
+        )
+        a, b = make(self.WIDTHS), make(list(self.WIDTHS))
+        assert a._buckets is b._buckets and a._signs is b._signs
+        assert a.table is not b.table
+        assert a._buckets.dtype == np.int32 and a._signs.dtype == np.int8
+        assert not a._buckets.flags.writeable
+        assert make((8, 24, 8, 17))._buckets is not a._buckets
+        cache = HashTableCache(max_bytes=1 << 20)
+        cache.get_side_by_side(1, 2, (8, 8), (10, 20))
+        assert len(cache) == 3  # the two lone entries and their union
+        assert cache.nbytes == 5 * 2 * (10 + 20) * 2
