@@ -598,11 +598,7 @@ class Compressor(abc.ABC):
         ).astype(np.int64, copy=False)
         dense = np.zeros(size, dtype=np.float32)
         np.add.at(dense, indices, values)
-        # The sorted union of the supports, read off a mask: hashing the
-        # indices (np.unique) costs 60 ns apiece on a bucket's worth.
-        touched = np.zeros(size, dtype=bool)
-        touched[indices] = True
-        union = np.flatnonzero(touched)
+        union = np.unique(indices)
         if size <= np.iinfo(np.int32).max:
             union = union.astype(np.int32)
         total = sum(summand_count(item) for item in items)
@@ -739,13 +735,12 @@ class Memory(abc.ABC):
     #: this False keeps the trainer on the per-tensor kernel path (the
     #: bucket collective stays fused either way).
     supports_fused_update: bool = False
-    #: Whether :meth:`update_fused` needs the transmitted (decompressed)
-    #: values; False lets the trainer skip a decompress pass per rank.
-    fused_needs_transmitted: bool = True
-    #: Whether :meth:`update_fused` instead takes, in the same argument,
-    #: the flat bucket positions the kernel sent (DGC's masking rule):
-    #: the compressor's ``transmitted_indices`` of the fused payload.
-    fused_needs_indices: bool = False
+    #: What :meth:`update_fused` consumes as ``transmitted``:
+    #: ``"values"`` — the decompressed bucket (one decompress pass per
+    #: rank); ``"indices"`` — the flat bucket positions that were sent,
+    #: from the compressor's ``transmitted_indices`` (DGC's masking
+    #: rule); ``"none"`` — nothing, the trainer passes ``None``.
+    fused_transmitted: str = "values"
 
     def attach_telemetry(self, registry) -> None:
         """Route this memory's diagnostics into ``registry``."""
@@ -805,8 +800,8 @@ class Memory(abc.ABC):
 
         ``compensated`` and ``transmitted`` are the whole bucket's flat
         float32 compensated and decompressed buffers (``transmitted`` is
-        ``None`` when ``fused_needs_transmitted`` is False, or the int64
-        positions that were sent when ``fused_needs_indices`` is True).
+        instead the int64 positions that were sent, or ``None``, as
+        :attr:`fused_transmitted` says).
         Implementations must not retain these arrays or views of them —
         they alias reused scratch buffers.
         """

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from repro.core.api import (
+    AggregatedCoordsCtx,
     CompressedTensor,
     Compressor,
     FusedBucketCtx,
@@ -177,27 +178,34 @@ class SketchMLCompressor(Compressor):
             np.cumsum(np.minimum(nnz, self.sketch_size)),
         )
 
+    @staticmethod
+    def _bucket_positions(payload, bucket) -> np.ndarray | None:
+        """Flat bucket positions of a fused payload's values, in order;
+        ``None`` when every element was sent."""
+        nnz = payload[2].astype(np.int64)
+        has_zeros = nnz < bucket.sizes
+        if not has_zeros.any():
+            return None
+        indexed = np.repeat(has_zeros, nnz)
+        positions = np.empty(indexed.size, dtype=np.int64)
+        positions[indexed] = payload[3]
+        positions[~indexed] = np.flatnonzero(
+            np.repeat(~has_zeros, bucket.sizes)
+        )
+        return positions
+
     def _bucket_coords(self, payload, bucket):
-        """``(values, positions)`` of a fused payload, ``positions`` in the
-        flat bucket; ``None`` when every element was sent, in order."""
-        representatives, packed_codes, nnz, indices = payload
-        nnz = nnz.astype(np.int64)
+        """``(values, positions)`` of a fused payload, ``positions`` as
+        :meth:`_bucket_positions` gives them."""
+        representatives, packed_codes = payload[:2]
+        nnz = payload[2].astype(np.int64)
         codes = unpack_bits(
             packed_codes, bits=self.code_bits, count=int(nnz.sum())
         )
         # Each value reads the table of its own tensor.
         tables = np.repeat(np.arange(nnz.size), nnz)
         values = representatives.take(codes + self.num_buckets * tables)
-        has_zeros = nnz < bucket.sizes
-        if not has_zeros.any():
-            return values, None
-        indexed = np.repeat(has_zeros, nnz)
-        positions = np.empty(values.size, dtype=np.int64)
-        positions[indexed] = indices
-        positions[~indexed] = np.flatnonzero(
-            np.repeat(~has_zeros, bucket.sizes)
-        )
-        return values, positions
+        return values, self._bucket_positions(payload, bucket)
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         values, positions = self._bucket_coords(payload, bucket)
@@ -257,8 +265,54 @@ class SketchMLCompressor(Compressor):
             raise ValueError("nothing to aggregate")
         if is_fused_concat_ctx(items[0].ctx):
             return self._aggregate_fused_segments(items)
+        if all(isinstance(item.ctx, FusedBucketCtx) for item in items):
+            return self._aggregate_buckets(items)
         return self._aggregate_coords(items)
 
+    def _aggregate_buckets(
+        self, items: list[CompressedTensor]
+    ) -> CompressedTensor:
+        """Kernel payloads of one bucket, summed in worker order.
+
+        The payload :meth:`_aggregate_coords` would build — every worker's
+        values scatter-added into one dense bucket, kept on the union of
+        the supports — without sorting every worker's positions for that
+        union: a worker sends a position once, and most send them all, so
+        each worker is one indexed add and the union is read off a mask.
+        """
+        bucket = items[0].ctx.bucket
+        dense = np.zeros(bucket.numel, dtype=np.float32)
+        touched = np.zeros(bucket.numel, dtype=bool)
+        for item in items:
+            if item.ctx.bucket.segments != bucket.segments:
+                raise ValueError(
+                    "cannot aggregate fused payloads with different "
+                    "bucket layouts"
+                )
+            values, positions = self._bucket_coords(item.payload, bucket)
+            if positions is None:
+                positions = slice(None)
+            dense[positions] += values
+            touched[positions] = True
+        union = np.flatnonzero(touched).astype(np.int32)
+        return CompressedTensor(
+            payload=[dense[union], union],
+            ctx=AggregatedCoordsCtx(
+                (bucket.numel,), bucket.numel, len(items)
+            ),
+        )
+
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
-        """Flat indices sent on the wire (all positions when dense)."""
-        return self._coords_form(compressed)[3]
+        """Flat indices sent on the wire (all positions when dense);
+        positions in the bucket for a fused payload."""
+        ctx = compressed.ctx
+        if isinstance(ctx, FusedBucketCtx):
+            positions = self._bucket_positions(compressed.payload, ctx.bucket)
+            if positions is None:
+                return np.arange(ctx.bucket.numel, dtype=np.int64)
+            return positions
+        _, size = ctx
+        _, is_dense = self._sent(compressed.payload, size)
+        if is_dense:
+            return np.arange(size, dtype=np.int64)
+        return compressed.payload[2].astype(np.int64)

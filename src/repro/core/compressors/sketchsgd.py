@@ -144,12 +144,7 @@ class SketchedSGDCompressor(Compressor):
         ``compress``, in the same order; the bucket is folded in with one
         scatter-add per row instead of one per row and tensor.
         """
-        if bucket.has_empty_segment or not CountSketch.memoises(
-            self.depth, bucket.numel
-        ):
-            # No sketch over an empty universe; and the joint hash functions
-            # of a bucket too large to memoise would be concatenated anew on
-            # every call.  Both are the layout's doing, so every rank agrees.
+        if bucket.has_empty_segment:  # no sketch over an empty universe
             return super().compress_fused(buffer, bucket)
         _, widths = self._bucket_layout(bucket)
         sketch = self._bucket_sketch(bucket, widths)

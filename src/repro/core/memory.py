@@ -39,7 +39,7 @@ class NoneMemory(Memory):
     """No error feedback: φ is the identity, ψ discards the error."""
 
     supports_fused_update = True
-    fused_needs_transmitted = False
+    fused_transmitted = "none"
 
     def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
         """phi(m, g) of Eq. 4."""
@@ -163,7 +163,7 @@ class ResidualMemory(Memory):
                 _observe_residual_norm(self, seg.name, residuals[seg.name])
 
     supports_fused_update = True
-    fused_needs_transmitted = True
+    fused_transmitted = "values"
 
     def residual(self, name: str) -> np.ndarray | None:
         """Expose the stored residual (used by tests and diagnostics)."""
@@ -182,8 +182,7 @@ class DgcMemory(Memory):
     """
 
     supports_fused_update = True
-    fused_needs_transmitted = False
-    fused_needs_indices = True
+    fused_transmitted = "indices"
 
     def __init__(self, momentum: float = 0.9):
         if not 0 <= momentum < 1:
@@ -282,7 +281,7 @@ class DgcMemory(Memory):
         """ψ for a whole bucket: clear both buffers where the kernel sent.
 
         ``transmitted`` holds the sent positions in the flat bucket
-        (``fused_needs_indices``), from the compressor's
+        (``fused_transmitted = "indices"``), from the compressor's
         ``transmitted_indices`` of the fused payload.
         """
         if transmitted is None:

@@ -1416,19 +1416,50 @@ class DistributedTrainer:
     ) -> None:
         """Run ψ over the whole flat bucket (fused-kernel path only)."""
         memory = self.memories[rank]
+        compressor = self.compressors[rank]
         transmitted = None
-        if memory.fused_needs_transmitted:
-            transmitted = self.compressors[rank].decompress_fused(
+        if memory.fused_transmitted == "values":
+            transmitted = compressor.decompress_fused(
                 packed,
                 out=self._rank_scratch[rank].take(
                     ("transmit", bucket.index), bucket.numel
                 ),
             )
-        elif memory.fused_needs_indices:
-            transmitted = getattr(
-                self.compressors[rank], "transmitted_indices", lambda c: None
-            )(packed)
+        elif memory.fused_transmitted == "indices":
+            transmitted = self._transmitted_positions(compressor, packed)
         memory.update_fused(buffer, bucket, transmitted)
+
+    @staticmethod
+    def _transmitted_positions(
+        compressor: Compressor, packed: CompressedTensor
+    ) -> np.ndarray | None:
+        """Flat bucket positions a fused payload carries (``None`` when the
+        compressor exposes no ``transmitted_indices``).
+
+        A kernel payload answers for the whole bucket; where the kernel
+        fell back to the generic concatenation, each tensor's payload
+        answers for its own slice, as :meth:`Compressor.decompress_fused`
+        decodes it.
+        """
+        indices_of = getattr(compressor, "transmitted_indices", None)
+        if indices_of is None:
+            return None
+        ctx = packed.ctx
+        if not isinstance(ctx, FusedConcatCtx):
+            return indices_of(packed)
+        positions = []
+        start = 0
+        for seg, n_parts, seg_ctx in zip(
+            ctx.bucket.segments, ctx.splits, ctx.ctxs
+        ):
+            sub = CompressedTensor(
+                payload=packed.payload[start:start + n_parts], ctx=seg_ctx
+            )
+            positions.append(
+                np.asarray(indices_of(sub), dtype=np.int64) + seg.offset
+            )
+            start += n_parts
+        return np.concatenate(positions)
 
     def _aggregation_active(self, decoder: Compressor) -> bool:
         """Whether the compressed-domain aggregation fast path applies.

@@ -187,8 +187,7 @@ class CountSketch:
         query of the whole bucket is one pass per row.  Only
         :meth:`heavy_hitters` has no meaning across tensors: rank
         :meth:`magnitudes` tensor by tensor instead.  ``table`` given, its
-        state is that received table.  Worth it while the joint functions
-        stay memoised (:meth:`memoises`).
+        state is that received table.
         """
         widths, universes = tuple(widths), tuple(universes)
         sketch = cls.__new__(cls)
@@ -202,13 +201,6 @@ class CountSketch:
         if table is not None:
             sketch.table[...] = table
         return sketch
-
-    @staticmethod
-    def memoises(depth: int, universe: int) -> bool:
-        """Whether the hash functions of a sketch over ``universe`` indices
-        (an int32 and an int8 per index and row) fit the process-wide memo;
-        larger ones are served, but drawn anew at every construction."""
-        return (4 + 1) * depth * universe <= _HASH_TABLES.max_bytes
 
     def update(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Add ``values`` at ``indices`` into the sketch."""

@@ -265,10 +265,9 @@ class TestRegistryCapabilityHonesty:
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(decoded - reference)) < 0.5 * scale
 
-    @pytest.mark.parametrize("name", ("none", "eightbit", "natural"))
-    def test_kernel_payloads_aggregate_like_the_generic_concat(self, name):
-        """A fused kernel's payloads sum to, bit for bit, what the per-tensor
-        payloads of the same bucket sum to segment by segment."""
+    @staticmethod
+    def _dead_on_some_ranks():
+        """A bucket and three ranks' buffers, one tensor dead on two."""
         bucket = FusionBucket(0, (
             BucketSegment("a", (6, 8), 0, 48),
             BucketSegment("dead", (5,), 48, 5),
@@ -285,6 +284,15 @@ class TestRegistryCapabilityHonesty:
         for flat in flats[1:]:
             flat[48:53] = 0.0  # dead on some ranks only
         flats[0][48:53] = -0.0
+        return bucket, flats
+
+    @pytest.mark.parametrize(
+        "name", ("none", "eightbit", "natural", "sketchml")
+    )
+    def test_kernel_payloads_aggregate_like_the_generic_concat(self, name):
+        """A fused kernel's payloads sum to, bit for bit, what the per-tensor
+        payloads of the same bucket sum to segment by segment."""
+        bucket, flats = self._dead_on_some_ranks()
         proto = create(name, seed=0)
         kernels = [proto.clone(seed=r) for r in range(3)]
         generics = [proto.clone(seed=r) for r in range(3)]
@@ -307,6 +315,27 @@ class TestRegistryCapabilityHonesty:
         # Rack-level sums re-aggregate (the hierarchical reducer).
         again = proto.aggregate_compressed([ours, fused[0]])
         assert summand_count(again) == 4
+
+    def test_sketchml_sums_kernel_payloads_as_coordinate_lists_sum(self):
+        """sketchml adds kernel payloads bucket by bucket instead of sorting
+        every rank's positions: the payload is, part for part, the one the
+        shared scatter-add over coordinate lists builds."""
+        bucket, flats = self._dead_on_some_ranks()
+        flats[2][60:70] = 0.0  # zeros inside a live tensor, on one rank
+        no_zeros = [np.abs(flat) + np.float32(1.0) for flat in flats]
+        proto = create("sketchml", seed=0)
+        for buffers in (flats, flats[1:], no_zeros):
+            fused = [
+                proto.clone(seed=rank).compress_fused(flat.copy(), bucket)
+                for rank, flat in enumerate(buffers)
+            ]
+            ours = proto.aggregate_compressed(fused)
+            theirs = proto._aggregate_coords(fused)
+            assert summand_count(ours) == summand_count(theirs) == len(fused)
+            assert ours.ctx.shape == theirs.ctx.shape
+            for mine, other in zip(ours.payload, theirs.payload, strict=True):
+                assert mine.dtype == other.dtype
+                assert mine.tobytes() == other.tobytes()
 
     @pytest.mark.parametrize("name", ("topk", "qsgd"))
     def test_generic_concat_fusion_aggregates(self, name):

@@ -64,10 +64,17 @@ TOTAL_BYTES = sum(
 )
 
 
+class EmptyTensorTask(MultiTask):
+    """MultiTask plus a tensor of no elements: a bucket that holds it sends
+    the kernels that cannot place one back to the generic concatenation."""
+
+    SHAPES = dict(MultiTask.SHAPES, empty=(0, 3))
+
+
 def run_trajectory(name, fusion_mb, steps=6, n_workers=3, memory=None,
-                   **params):
-    """Train MultiTask and return (final params, trainer)."""
-    task = MultiTask()
+                   task_cls=MultiTask, **params):
+    """Train ``task_cls`` and return (final params, trainer)."""
+    task = task_cls()
     trainer = DistributedTrainer(
         task, create(name, **params), n_workers=n_workers, seed=0,
         memory=memory, fusion_mb=fusion_mb,
@@ -269,17 +276,7 @@ class TestFusedParity:
         _, unfused = run_trajectory("dgc", fusion_mb=0.0, ratio=0.25)
         for fusion_mb in (WHOLE, SPLIT):
             _, fused = run_trajectory("dgc", fusion_mb=fusion_mb, ratio=0.25)
-            for rank in range(3):
-                base = unfused.memories[rank]
-                other = fused.memories[rank]
-                assert isinstance(other, DgcMemory)
-                assert other._fused_buffers  # the kernel path ran
-                for held in ("_velocity", "_accumulated"):
-                    for name in MultiTask.SHAPES:
-                        assert (
-                            getattr(base, held)[name].tobytes()
-                            == getattr(other, held)[name].tobytes()
-                        ), (fusion_mb, rank, held, name)
+            assert_dgc_state_equal(unfused, fused)
 
     def test_residual_memory_state_matches(self):
         _, unfused = run_trajectory("topk", fusion_mb=0.0, ratio=0.25)
@@ -292,6 +289,59 @@ class TestFusedParity:
                 assert np.array_equal(
                     base.residual(name), other.residual(name)
                 ), (rank, name)
+
+
+def assert_dgc_state_equal(unfused, fused):
+    """Velocity and accumulation of every tensor on every rank, bitwise."""
+    for rank, (base, other) in enumerate(zip(unfused.memories,
+                                             fused.memories)):
+        assert isinstance(other, DgcMemory)
+        assert other._fused_buffers  # ψ ran over whole buckets
+        for held in ("_velocity", "_accumulated"):
+            for name in unfused.task.SHAPES:
+                assert (
+                    getattr(base, held)[name].tobytes()
+                    == getattr(other, held)[name].tobytes()
+                ), (rank, held, name)
+
+
+class TestDgcMemoryWhereAKernelFallsBack:
+    """A kernel that keeps the generic concatenation for a bucket (an empty
+    tensor in it, an index encoding) answers ``transmitted_indices`` tensor
+    by tensor, in each tensor's own coordinates; the DGC memory must still
+    clear the positions of every tensor of the bucket."""
+
+    CASES = [
+        ("topk", {"ratio": 0.25}, EmptyTensorTask),
+        ("randomk", {"ratio": 0.3}, EmptyTensorTask),
+        ("qsparse", {}, EmptyTensorTask),
+        ("topk", {"ratio": 0.25, "index_encoding": "delta"}, MultiTask),
+    ]
+
+    @pytest.mark.parametrize("fusion_mb", [WHOLE, SPLIT])
+    @pytest.mark.parametrize("name,params,task_cls", CASES)
+    def test_trajectory_and_state_equal_the_per_tensor_path(
+        self, name, params, task_cls, fusion_mb
+    ):
+        baseline, unfused = run_trajectory(
+            name, fusion_mb=0.0, memory="dgc", task_cls=task_cls, **params
+        )
+        fused_params, fused = run_trajectory(
+            name, fusion_mb=fusion_mb, memory="dgc", task_cls=task_cls,
+            **params
+        )
+        assert any(  # the fallback ran
+            isinstance(
+                create(name, **params).compress_fused(
+                    np.ones(bucket.numel, dtype=np.float32), bucket
+                ).ctx,
+                FusedConcatCtx,
+            )
+            for bucket in fused._fusion_plan.buckets
+        )
+        for key in baseline:
+            assert np.array_equal(baseline[key], fused_params[key]), key
+        assert_dgc_state_equal(unfused, fused)
 
 
 def _edge_bucket():
@@ -367,26 +417,6 @@ class TestFusedKernelsOnEdgeBuckets:
             )
         ]
         assert formats[0] == formats[1]
-
-
-def test_sketchsgd_keeps_the_concatenation_where_hashes_are_not_memoised(
-    monkeypatch,
-):
-    """A bucket whose joint hash functions outgrow the memo would have them
-    concatenated anew on every call: the layout decides, on every rank."""
-    from repro.tensorlib import sketch
-
-    bucket, buffer = _edge_bucket()
-    kernel = create("sketchsgd")
-    assert not isinstance(
-        kernel.compress_fused(buffer.copy(), bucket).ctx, FusedConcatCtx
-    )
-    monkeypatch.setattr(
-        sketch._HASH_TABLES, "max_bytes", 5 * kernel.depth * bucket.numel - 1
-    )
-    generic = kernel.compress_fused(buffer.copy(), bucket)
-    assert isinstance(generic.ctx, FusedConcatCtx)
-    assert kernel.decompress_fused(generic).shape == (bucket.numel,)
 
 
 class DeadLayerTask(MultiTask):
