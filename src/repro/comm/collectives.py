@@ -75,6 +75,9 @@ class CommRecord:
             "comm_op_bytes_per_worker", unit="bytes",
             help="per-op bytes each worker sent",
         )
+        # op kind -> its (bytes, seconds, count) counters, resolved on
+        # the first charge of that kind.
+        self._per_op: dict[str, tuple] = {}
         if previous is not None:
             for instrument in previous.instruments():
                 if not instrument.name.startswith("comm_"):
@@ -109,19 +112,28 @@ class CommRecord:
         self._ops.inc(1)
         self._op_bytes.observe(bytes_per_worker)
         if op is not None:
-            labels = {"op": op}
-            self.registry.counter(
-                "comm_op_bytes_per_worker_total", labels, unit="bytes",
-                help="per-worker bytes by collective op",
-            ).inc(bytes_per_worker)
-            self.registry.counter(
-                "comm_op_sim_seconds_total", labels, unit="seconds",
-                help="simulated seconds by collective op",
-            ).inc(seconds)
-            self.registry.counter(
-                "comm_op_count_total", labels,
-                help="operations by collective op",
-            ).inc(1)
+            counters = self._per_op.get(op)
+            if counters is None:
+                labels = {"op": op}
+                counters = self._per_op[op] = (
+                    self.registry.counter(
+                        "comm_op_bytes_per_worker_total", labels,
+                        unit="bytes",
+                        help="per-worker bytes by collective op",
+                    ),
+                    self.registry.counter(
+                        "comm_op_sim_seconds_total", labels, unit="seconds",
+                        help="simulated seconds by collective op",
+                    ),
+                    self.registry.counter(
+                        "comm_op_count_total", labels,
+                        help="operations by collective op",
+                    ),
+                )
+            op_bytes, op_seconds, op_count = counters
+            op_bytes.inc(bytes_per_worker)
+            op_seconds.inc(seconds)
+            op_count.inc(1)
 
     def charge_overhead(self, seconds: float, bytes_per_worker: float = 0.0,
                         reason: str = "fault") -> None:
@@ -319,6 +331,11 @@ class Communicator:
         backends with ``requires_uniform_input`` reject that, as NCCL does.
         """
         self._check_rank_count(payloads)
+        self._charge_allgather(payloads)
+        return [list(p) for p in payloads]
+
+    def _charge_allgather(self, payloads: list[Payload]) -> float:
+        """Charge one ring Allgather of ``payloads``; the seconds charged."""
         sizes = [payload_nbytes(p) for p in payloads]
         if self.backend.requires_uniform_input and len(set(sizes)) > 1:
             raise ValueError(
@@ -326,10 +343,10 @@ class Communicator:
                 f"got {sizes}"
             )
         seconds = allgather_time(sizes, self.network, self.backend)
-        mean_contribution = float(np.mean(sizes)) if sizes else 0.0
-        self.record.charge(bytes_per_worker=mean_contribution,
+        # Exact integers: the same float np.mean gives, without its call.
+        self.record.charge(bytes_per_worker=sum(sizes) / len(sizes),
                            seconds=seconds, op="allgather")
-        return [list(p) for p in payloads]
+        return seconds
 
     # -- nonblocking collectives --------------------------------------------
 
@@ -409,20 +426,27 @@ class Communicator:
                     f"{first.shape}/{first.dtype}, rank {rank} has "
                     f"{tensor.shape}/{tensor.dtype}"
                 )
+        return self._sparse_sum(tensors, block_size)
+
+    def _sparse_sum(
+        self, tensors: list[np.ndarray], block_size: int
+    ) -> np.ndarray:
+        """Charge, then sum, uniform per-rank ``tensors`` block-sparsely."""
+        n_workers = len(tensors)
         stacked = np.stack([np.ravel(np.asarray(t)) for t in tensors])
         n_elements = stacked.shape[1]
         n_blocks = (n_elements + block_size - 1) // block_size
         pad = n_blocks * block_size - n_elements
         padded = np.pad(stacked, ((0, 0), (0, pad)))
-        blocks = padded.reshape(self.n_workers, n_blocks, block_size)
+        blocks = padded.reshape(n_workers, n_blocks, block_size)
         nonzero = np.any(blocks != 0, axis=2)  # (workers, blocks)
         union_blocks = int(np.any(nonzero, axis=0).sum())
         per_worker_blocks = nonzero.sum(axis=1)
-        item = first.dtype.itemsize
+        item = stacked.dtype.itemsize
         union_nbytes = union_blocks * block_size * item
-        bitmap_nbytes = self.n_workers * ((n_blocks + 7) // 8)
+        bitmap_nbytes = n_workers * ((n_blocks + 7) // 8)
         seconds = sparse_allreduce_time(
-            union_nbytes, bitmap_nbytes, self.n_workers, self.network,
+            union_nbytes, bitmap_nbytes, n_workers, self.network,
             self.backend,
         )
         mean_contribution = float(

@@ -67,12 +67,14 @@ import contextlib
 import hashlib
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_module
 import shutil
 import tempfile
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,7 +87,6 @@ from repro.comm.collectives import (
     payload_nbytes,
 )
 from repro.comm.cost import (
-    allgather_time,
     broadcast_time,
     fused_allreduce_time,
     ring_allreduce_time,
@@ -95,6 +96,7 @@ from repro.comm.shm import (
     DEFAULT_DATA_BYTES,
     DEFAULT_TIMEOUT,
     KIND_DENSE,
+    KIND_OBJECT,
     KIND_WIRE,
     STATUS_DONE,
     STATUS_FAILED,
@@ -131,27 +133,77 @@ class ParallelCrashError(WorkerCrashError):
 
 
 class ParallelAsyncHandle(AsyncHandle):
-    """Nonblocking handle whose result is materialized by ``wait()``.
+    """One in-flight arena collective, advanced by polling.
 
-    The sequential :class:`AsyncHandle` carries an eagerly computed
-    result; here the gather/reduce side of the collective is deferred
-    into ``finish`` so the worker can keep computing while peers post.
-    ``wait()`` runs ``finish`` exactly once — the arena sequence number
-    is drained on that first call and later waits return the cached
-    result, so double-draining cannot corrupt peer reclamation.
+    A handle is born *posted* (this rank's contribution is published)
+    and moves through three more states: every peer *arrived* (its
+    contribution fetched — CRC-checked and unframed, or viewed in place
+    — in whatever order the peers post), *reduced* (the result built
+    from the contributions in ascending rank order, which keeps sums
+    bitwise the sequential ones) and *drained* (by the communicator's
+    engine, never by the handle: see
+    :meth:`ParallelWorkerCommunicator._retire`).  :meth:`test` advances
+    as far as the posted peers allow and never blocks; :meth:`wait`
+    blocks on the peers still missing and returns the result.  A sim
+    charge that needs the peers' sizes is made by the first ``wait()``,
+    not on arrival, so charges land in program order whatever order
+    the engine completed the handles in.
     """
 
-    __slots__ = ("_finish",)
+    __slots__ = (
+        "seq", "_comm", "_ranks", "_pending", "_parts", "_fetch", "_reduce",
+        "_collect",
+    )
 
-    def __init__(self, finish, event=None):
-        super().__init__(None, event)
-        self._finish = finish
+    def __init__(self, comm, seq, ranks, local, fetch, reduce, collect=None):
+        super().__init__(None, None)
+        self.seq = seq
+        self._comm = comm
+        self._ranks = ranks  # contributing ranks, ascending
+        self._pending = [r for r in ranks if r != comm.rank]
+        self._parts = {comm.rank: local}
+        self._fetch = fetch
+        self._reduce = reduce
+        self._collect = collect
+
+    def _advance(self, block: bool = False) -> bool:
+        """Fetch what has arrived (``block``: and the first peer that has
+        not); reduce once nobody is missing.  True when reduced."""
+        pending = self._pending
+        if pending is None:
+            return True
+        if pending:
+            arrived = self._comm.arena.arrived
+            missing = []
+            for peer in pending:
+                if block or arrived(self.seq, peer):
+                    self._parts[peer] = self._fetch(self.seq, peer)
+                    block = False
+                else:
+                    missing.append(peer)
+            self._pending = missing
+            if missing:
+                return False
+        self._result = self._reduce([self._parts[r] for r in self._ranks])
+        # Reduced: nothing here refers to the shared segments any more.
+        self._pending = self._parts = self._fetch = self._reduce = None
+        return True
+
+    def test(self) -> bool:
+        """Advance without blocking; whether the result is ready."""
+        ready = self._advance()
+        self._comm._retire()
+        return ready
 
     def wait(self):
         if self._waited:
             return self._result
-        finish, self._finish = self._finish, None
-        self._result = finish()
+        while not self._advance(block=True):
+            pass
+        self._comm._retire()
+        if self._collect is not None:
+            collect, self._collect = self._collect, None
+            collect(self)
         self._waited = True
         return self._result
 
@@ -168,9 +220,18 @@ class ParallelWorkerCommunicator(Communicator):
 
     Collectives span the arena's **active cohort** (all ranks in a
     first incarnation; the survivors after a degrade recovery), always
-    iterated in ascending rank order so reductions stay bit-stable.
+    reduced in ascending rank order so reductions stay bit-stable.
     Simulated costs are charged for the cohort that actually
     communicates.
+
+    Underneath sits a small **progress engine**.  Every collective,
+    blocking or not, is a :class:`ParallelAsyncHandle` kept in
+    ``_live`` in issue order (a blocking call is a handle waited on at
+    once); :meth:`progress` advances all of them without blocking, and
+    a post that has to wait for a metadata slot or segment space runs
+    it between polls, so any number of collectives can be in flight on
+    any ring or segment size.  The engine alone moves this rank's
+    ``drained`` counter (:meth:`_retire`).
     """
 
     def __init__(
@@ -195,6 +256,7 @@ class ParallelWorkerCommunicator(Communicator):
         self.rank = int(rank)
         self.timeout = float(timeout)
         self._seq = 0
+        self._live: deque[ParallelAsyncHandle] = deque()
         self._cohort = tuple(arena.active_ranks())
         if self.rank not in self._cohort:
             raise ValueError(
@@ -209,12 +271,54 @@ class ParallelWorkerCommunicator(Communicator):
         """Refresh this rank's arena heartbeat (and progress word)."""
         self.arena.heartbeat(progress)
 
-    # -- plumbing -----------------------------------------------------------
+    # -- progress engine ----------------------------------------------------
 
-    def _next_seq(self) -> int:
+    def progress(self) -> None:
+        """Advance every live handle as far as the posted peers allow."""
+        for handle in self._live:
+            handle._advance()
+        self._retire()
+
+    def _retire(self) -> None:
+        """Forget reduced handles and publish how far this rank has read.
+
+        ``drained`` is one cumulative counter per rank and a peer
+        reclaims everything below the cohort's minimum, so however the
+        handles finish it may only ever rise to the lowest sequence
+        number a live handle still has to read — or, with none left,
+        to the next one to be issued.  The front handle is given a
+        chance first: one issued early and collected late (the trainer's
+        loss gather) must not hold a whole step's payloads in place.
+        """
+        live = self._live
+        while live and live[0]._advance():
+            live.popleft()
+        floor = live[0].seq if live else self._seq
+        if floor:
+            self.arena.drain(floor - 1)
+
+    def _start(
+        self, data, kind, local, fetch, reduce, collect=None, ranks=None
+    ) -> ParallelAsyncHandle:
+        """Post ``data`` under the next sequence number; its live handle.
+
+        ``data=None`` consumes the number without posting (a broadcast's
+        non-root ranks).  ``_seq`` moves only after the post: a post
+        that waits runs :meth:`progress`, whose drained floor must stop
+        below the collective being posted.
+        """
         seq = self._seq
-        self._seq += 1
-        return seq
+        if data is not None:
+            self.arena.post(seq, data, kind, progress=self.progress)
+        self._seq = seq + 1
+        handle = ParallelAsyncHandle(
+            self, seq, self._cohort if ranks is None else ranks, local,
+            fetch, reduce, collect,
+        )
+        self._live.append(handle)
+        return handle
+
+    # -- plumbing -----------------------------------------------------------
 
     def _local(self, items: list, what: str):
         """The caller's own contribution (worker mode passes exactly one)."""
@@ -225,34 +329,31 @@ class ParallelWorkerCommunicator(Communicator):
             )
         return items[0]
 
-    def _post_payload(self, seq: int, parts: Payload) -> bool:
-        """Publish a payload; returns True when the dense path was used."""
-        if len(parts) == 1:
-            # Dense fast path: the fused single-part case (a flat bucket
-            # buffer) ships raw bytes and is reduced through zero-copy
-            # views on the reader side.
-            self.arena.post(seq, parts[0], KIND_DENSE)
-            return True
-        self.arena.post(seq, frame_payload(parts), KIND_WIRE)
-        return False
+    def _local_parts(self, payloads: list[Payload], what: str) -> Payload:
+        return [
+            np.ascontiguousarray(np.asarray(p))
+            for p in self._local(payloads, what)
+        ]
 
-    def _dense_view(self, seq: int, rank: int, ref: np.ndarray) -> np.ndarray:
-        """Peer ``rank``'s dense contribution as a view shaped like ``ref``."""
-        if rank == self.rank:
-            return ref
-        buf, kind = self.arena.view(seq, rank, timeout=self.timeout)
-        if kind != KIND_DENSE or buf.size != ref.nbytes:
-            raise ArenaProtocolError(
-                f"seq {seq}: expected a {ref.nbytes}-byte dense payload "
-                f"from rank {rank}, got kind={kind} nbytes={buf.size} — "
-                f"ranks have desynchronized"
-            )
-        return buf.view(ref.dtype).reshape(ref.shape)
+    def _dense_fetch(self, ref: np.ndarray):
+        """Fetch function for dense contributions shaped like ``ref``."""
 
-    def _wire_parts(self, seq: int, rank: int, local: Payload) -> Payload:
+        def fetch(seq: int, rank: int) -> np.ndarray:
+            buf, kind = self.arena.view(seq, rank, timeout=self.timeout)
+            if kind != KIND_DENSE or buf.size != ref.nbytes:
+                raise ArenaProtocolError(
+                    f"seq {seq}: expected a {ref.nbytes}-byte dense payload "
+                    f"from rank {rank}, got kind={kind} nbytes={buf.size} — "
+                    f"ranks have desynchronized"
+                )
+            # Zero copy: valid until this rank drains seq, which the
+            # engine does only after the handle has reduced.
+            return buf.view(ref.dtype).reshape(ref.shape)
+
+        return fetch
+
+    def _wire_parts(self, seq: int, rank: int) -> Payload:
         """Peer ``rank``'s CRC-framed payload, validated and deserialized."""
-        if rank == self.rank:
-            return local
         data, kind = self.arena.read(seq, rank, timeout=self.timeout)
         if kind != KIND_WIRE:
             raise ArenaProtocolError(
@@ -260,20 +361,6 @@ class ParallelWorkerCommunicator(Communicator):
                 f"{rank}, got kind={kind} — ranks have desynchronized"
             )
         return unframe_payload(data)
-
-    def _gather_parts(
-        self, seq: int, local: Payload, dense: bool
-    ) -> list[Payload]:
-        """Every active rank's payload for ``seq``, in rank order."""
-        if dense:
-            return [
-                [self._dense_view(seq, rank, local[0])]
-                for rank in self._cohort
-            ]
-        return [
-            self._wire_parts(seq, rank, local)
-            for rank in self._cohort
-        ]
 
     @staticmethod
     def _reduce_parts(all_parts: list[Payload]) -> Payload:
@@ -306,16 +393,10 @@ class ParallelWorkerCommunicator(Communicator):
         local = np.ascontiguousarray(
             np.asarray(self._local(tensors, "allreduce"))
         )
-        seq = self._next_seq()
-        self.arena.post(seq, local, KIND_DENSE)
-        total = np.sum(
-            np.stack([
-                self._dense_view(seq, rank, local)
-                for rank in self._cohort
-            ]),
-            axis=0,
-        )
-        self.arena.drain(seq)
+        total = self._start(
+            local, KIND_DENSE, local, self._dense_fetch(local),
+            lambda views: np.sum(np.stack(views), axis=0),
+        ).wait()
         seconds = ring_allreduce_time(
             local.nbytes, self._n_active, self.network, self.backend
         )
@@ -324,37 +405,31 @@ class ParallelWorkerCommunicator(Communicator):
         return total
 
     def allreduce_parts(self, payloads: list[Payload]) -> Payload:
-        local = [
-            np.ascontiguousarray(np.asarray(p))
-            for p in self._local(payloads, "fused allreduce")
-        ]
-        seq = self._next_seq()
-        dense = self._post_payload(seq, local)
-        summed = self._reduce_parts(self._gather_parts(seq, local, dense))
-        self.arena.drain(seq)
-        self._charge_allreduce_parts(local)
-        return summed
+        return self.iallreduce_parts(payloads).wait()
 
     def allgather(self, payloads: list[Payload]) -> list[Payload]:
-        local = [
-            np.ascontiguousarray(np.asarray(p))
-            for p in self._local(payloads, "allgather")
-        ]
-        seq = self._next_seq()
-        self.arena.post(seq, frame_payload(local), KIND_WIRE)
-        gathered = [
-            list(self._wire_parts(seq, rank, local))
-            for rank in self._cohort
-        ]
-        self.arena.drain(seq)
-        self._charge_allgather(gathered)
-        return gathered
+        return self.iallgather(payloads).wait()
 
-    def sparse_allreduce(self, tensors, block_size: int = 256):
-        raise NotImplementedError(
-            "the parallel backend does not implement sparse_allreduce; "
-            "use the sequential simulator for block-sparse experiments"
+    def sparse_allreduce(
+        self, tensors: list[np.ndarray], block_size: int = 256
+    ) -> np.ndarray:
+        """Block-sparse sum: a dense post reduced through zero-copy views.
+
+        The arena moves the whole tensor (shared memory has no wire to
+        save); the sequential communicator's expression and its
+        block-sparse charge run over the gathered views while they are
+        still valid, i.e. inside the reduce step.  That is in program
+        order because the handle is waited on at once.
+        """
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
+        local = np.ascontiguousarray(
+            np.asarray(self._local(tensors, "sparse allreduce"))
         )
+        return self._start(
+            local, KIND_DENSE, local, self._dense_fetch(local),
+            lambda views: self._sparse_sum(views, block_size),
+        ).wait()
 
     def broadcast(self, payload: Payload, root: int = 0) -> list[Payload]:
         """One-to-all over the arena: only ``root`` publishes.
@@ -372,13 +447,14 @@ class ParallelWorkerCommunicator(Communicator):
                 f"root {root} is not an active rank "
                 f"(cohort {list(self._cohort)})"
             )
-        seq = self._next_seq()
-        local: Payload = []
+        local = frame = None
         if self.rank == root:
             local = [np.ascontiguousarray(np.asarray(p)) for p in payload]
-            self.arena.post(seq, frame_payload(local), KIND_WIRE)
-        parts = self._wire_parts(seq, root, local)
-        self.arena.drain(seq)
+            frame = frame_payload(local)
+        parts = self._start(
+            frame, KIND_WIRE, local, self._wire_parts,
+            lambda contributions: contributions[0], ranks=(root,),
+        ).wait()
         nbytes = float(payload_nbytes(parts))
         seconds = broadcast_time(
             nbytes, self._n_active, self.network, self.backend
@@ -396,34 +472,34 @@ class ParallelWorkerCommunicator(Communicator):
         ready_at: float = 0.0,
         timeline: SimTimeline | None = None,
     ) -> ParallelAsyncHandle:
-        """Post now, reduce at ``wait()``.
+        """Post now, reduce once every peer has posted.
 
         The fused-allreduce cost depends only on the local part sizes
         (inputs are uniform across ranks), so the sim charge and the
         timeline event happen at issue exactly like the sequential
         nonblocking call — sim makespans match the simulator's.
         """
-        local = [
-            np.ascontiguousarray(np.asarray(p))
-            for p in self._local(payloads, "fused allreduce")
-        ]
-        seq = self._next_seq()
-        dense = self._post_payload(seq, local)
+        local = self._local_parts(payloads, "fused allreduce")
+        if len(local) == 1:
+            # Dense fast path: the fused single-part case (a flat bucket
+            # buffer) ships raw bytes and is reduced through zero-copy
+            # views on the reader side.
+            fetch_part = self._dense_fetch(local[0])
+            handle = self._start(
+                local[0], KIND_DENSE, local,
+                lambda seq, rank: [fetch_part(seq, rank)], self._reduce_parts,
+            )
+        else:
+            handle = self._start(
+                frame_payload(local), KIND_WIRE, local,
+                self._wire_parts, self._reduce_parts,
+            )
         seconds = self._charge_allreduce_parts(local)
-        event = None
         if timeline is not None:
-            event = timeline.schedule(
+            handle.event = timeline.schedule(
                 NETWORK, seconds, not_before=ready_at, name="allreduce",
             )
-
-        def finish() -> Payload:
-            summed = self._reduce_parts(
-                self._gather_parts(seq, local, dense)
-            )
-            self.arena.drain(seq)
-            return summed
-
-        return ParallelAsyncHandle(finish, event)
+        return handle
 
     def iallgather(
         self,
@@ -432,58 +508,50 @@ class ParallelWorkerCommunicator(Communicator):
         ready_at: float = 0.0,
         timeline: SimTimeline | None = None,
     ) -> ParallelAsyncHandle:
-        """Post now, gather at ``wait()``.
+        """Post now, gather as peers post.
 
         Peer payload sizes are unknown until gathered, so unlike
         :meth:`iallreduce_parts` the sim charge and timeline event are
         deferred to ``wait()``; the event still starts no earlier than
         ``ready_at``, so the charged occupancy is identical — only
-        ``handle.event`` is unavailable between issue and wait (the
-        trainer's span sim-windows skip it, a cosmetic difference).
+        ``handle.event`` is unavailable between issue and wait.
         """
-        local = [
-            np.ascontiguousarray(np.asarray(p))
-            for p in self._local(payloads, "allgather")
-        ]
-        seq = self._next_seq()
-        self.arena.post(seq, frame_payload(local), KIND_WIRE)
-        handle = ParallelAsyncHandle(None, None)
+        local = self._local_parts(payloads, "allgather")
 
-        def finish() -> list[Payload]:
-            gathered = [
-                list(self._wire_parts(seq, rank, local))
-                for rank in self._cohort
-            ]
-            self.arena.drain(seq)
-            seconds = self._charge_allgather(gathered)
+        def collect(handle: ParallelAsyncHandle) -> None:
+            seconds = self._charge_allgather(handle._result)
             if timeline is not None:
                 handle.event = timeline.schedule(
                     NETWORK, seconds, not_before=ready_at, name="allgather",
                 )
-            return gathered
 
-        handle._finish = finish
-        return handle
+        return self._start(
+            frame_payload(local), KIND_WIRE, local, self._wire_parts,
+            lambda gathered: [list(parts) for parts in gathered], collect,
+        )
 
     # -- control plane ------------------------------------------------------
 
-    def exchange_objects(self, obj) -> list:
+    def iexchange_objects(self, obj) -> ParallelAsyncHandle:
         """Allgather a small pickled Python object (no sim cost charged).
 
         Control-plane traffic only — the trainer gathers per-rank loss
-        scalars with this.  Consumes an arena sequence number so ranks
+        scalars with this, posted before the gradient exchange and
+        collected after it.  Consumes an arena sequence number so ranks
         stay aligned, but charges nothing: the sequential simulator has
         the losses in-process for free and the sim clocks must agree.
         """
-        seq = self._next_seq()
-        self.arena.post_object(seq, obj)
-        gathered = [
-            obj if rank == self.rank
-            else self.arena.read_object(seq, rank, timeout=self.timeout)
-            for rank in self._cohort
-        ]
-        self.arena.drain(seq)
-        return gathered
+        return self._start(
+            pickle.dumps(obj), KIND_OBJECT, obj,
+            lambda seq, rank: self.arena.read_object(
+                seq, rank, timeout=self.timeout
+            ),
+            list,
+        )
+
+    def exchange_objects(self, obj) -> list:
+        """Blocking :meth:`iexchange_objects`."""
+        return self.iexchange_objects(obj).wait()
 
     # -- cost accounting ----------------------------------------------------
 
@@ -496,19 +564,6 @@ class ParallelWorkerCommunicator(Communicator):
             bytes_per_worker=float(sum(part_nbytes)), seconds=seconds,
             op="allreduce",
         )
-        return seconds
-
-    def _charge_allgather(self, gathered: list[Payload]) -> float:
-        sizes = [payload_nbytes(p) for p in gathered]
-        if self.backend.requires_uniform_input and len(set(sizes)) > 1:
-            raise ValueError(
-                f"backend {self.backend.name!r} requires uniform input "
-                f"sizes, got {sizes}"
-            )
-        seconds = allgather_time(sizes, self.network, self.backend)
-        mean_contribution = float(np.mean(sizes)) if sizes else 0.0
-        self.record.charge(bytes_per_worker=mean_contribution,
-                           seconds=seconds, op="allgather")
         return seconds
 
 
@@ -712,6 +767,8 @@ def _worker_main(
             active_ranks=active,
             consumed_faults=consumed_faults,
         )
+        if config.metrics or tracer is not None:
+            arena.attach_telemetry(trainer.metrics)
         if start_iteration > 0:
             checkpoint = WorkerCheckpoint.load(
                 config.checkpoint_dir, rank, start_iteration

@@ -18,12 +18,27 @@ Protocol (per rank ``r``, collective ``seq``):
    ``posted[r] = seq + 1``.  Publication is the last store, so a reader
    that observes ``posted[r] > seq`` sees complete metadata and data.
 2. *read* — peers poll ``posted[r]`` until it exceeds ``seq`` (bounded
-   by a timeout), then copy the bytes out.
+   by a timeout), then copy the bytes out; :meth:`SharedArena.arrived`
+   is the same test without the wait.
 3. *drain* — once a rank has finished reading every peer's contribution
-   for ``seq`` it stores ``drained[rank] = max(current, seq + 1)``
-   (idempotent, so a nonblocking handle finishing exactly once and a
-   defensive re-drain agree).  A writer reclaims the data bytes for
-   ``seq`` only when ``min(drained)`` over all ranks has passed it.
+   for ``seq`` *and for every earlier sequence number* it stores
+   ``drained[rank] = max(current, seq + 1)`` (idempotent, so a defensive
+   re-drain agrees).  The counter is cumulative: a rank with several
+   collectives in flight may finish them in any order but must only
+   ever drain to the lowest one it still has to read — the
+   communicator's progress engine owns that rule.  A writer reclaims
+   the data bytes for ``seq`` only when ``min(drained)`` over all ranks
+   has passed it.
+
+Every wait of the protocol — for a peer to post, for a metadata slot,
+for segment space — is one loop, :meth:`SharedArena._poll`: it polls
+without sleeping for ``_SPIN_SECONDS`` (a post→view hop is tens of
+microseconds, a ``time.sleep(50e-6)`` really lasts over 100), then
+backs off to the sleep, and yields the core between polls instead of
+spinning when the cohort outnumbers the cores this process may run on.
+The two waits of a *post* additionally run the caller's ``progress``
+callback between polls, so a rank whose own undrained collectives hold
+the ring or the segment completes them instead of waiting on itself.
 
 The control layout is plain aligned int64 slots; on the platforms we
 target (CPython on x86-64/aarch64) aligned 8-byte loads/stores through
@@ -33,7 +48,8 @@ There are no locks: each control slot has exactly one writer.
 
 Failure handling is typed, never a hang: peers that fail set
 ``status[rank] = STATUS_FAILED`` and the parent (or any rank) can set
-the global *abort* flag, which every poll loop checks —
+the global *abort* flag, which the poll loop checks on every iteration,
+spinning or sleeping —
 :class:`ArenaAbortedError` (a :class:`~repro.faults.WorkerCrashError`)
 for aborts, :class:`ArenaTimeoutError` (a
 :class:`~repro.faults.CollectiveTimeoutError`) for missing peers, and
@@ -43,8 +59,8 @@ waiting for reclamation.
 Liveness is observable from outside: each rank owns a **heartbeat**
 pair (a monotonic-ns timestamp plus a progress word holding the last
 iteration it started) that it refreshes at every iteration boundary
-*and* inside every arena poll loop, so a rank blocked waiting on a
-peer still reads as alive while a SIGKILLed or wedged one goes stale.
+*and* on every iteration of the poll loop, so a rank blocked waiting on
+a peer still reads as alive while a SIGKILLed or wedged one goes stale.
 The parent's watchdog (see :mod:`repro.comm.parallel`) reads the
 heartbeats; CLOCK_MONOTONIC is system-wide on the platforms we target,
 so cross-process timestamp arithmetic is sound.  The control segment
@@ -63,6 +79,7 @@ clears the tracker entry — no segment outlives the parent.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from dataclasses import dataclass
@@ -100,7 +117,8 @@ DEFAULT_DATA_BYTES = 32 * 1024 * 1024
 DEFAULT_META_SLOTS = 1024
 DEFAULT_TIMEOUT = 60.0
 
-_POLL_SLEEP = 50e-6  # 50 µs between control-word polls
+_SPIN_SECONDS = 200e-6  # poll this long without sleeping, then back off
+_POLL_SLEEP = 50e-6  # requested sleep between polls after the spin budget
 
 _ALIGN = 64  # data-segment allocation alignment (dtype-view friendly)
 
@@ -162,8 +180,6 @@ _EV_BEAT_THROTTLE_NS = 1_000_000  # at most one EV_BEAT per ms per rank
 
 def _event_slots_total(n_ranks: int, event_slots: int) -> int:
     return n_ranks * (_EV_HEADER + event_slots * _EV_FIELDS)
-
-
 
 
 class SharedArena:
@@ -228,6 +244,10 @@ class SharedArena:
         # rank is not None): blocks still owned by undrained seqs.
         self._head = 0
         self._outstanding: list[tuple[int, int, int]] = []  # (seq, off, nbytes)
+        # Whether a waiting rank may keep its core (see _poll); decided
+        # at the first wait, when the active mask is certainly final.
+        self._spins: bool | None = None
+        self._wait_metrics = None  # set by attach_telemetry
 
     # -- lifecycle
 
@@ -419,6 +439,36 @@ class SharedArena:
             return 0
         return int(self._ev_dropped[rank])
 
+    # -- wait telemetry
+
+    def attach_telemetry(self, registry) -> None:
+        """Record every wait of :meth:`_poll` into ``registry``.
+
+        ``arena_wait_seconds{peer}`` observes how long each wait lasted
+        (``peer`` is the rank waited on, or ``reclaim`` for a metadata
+        slot or segment space, which wait on the slowest drainer) and
+        ``arena_polls_total{phase}`` counts the polls it took, split
+        into the spin and the sleep phase.  Waits that find their
+        condition already true are not waits and record nothing.
+        """
+        self._wait_metrics = registry
+
+    def _observe_wait(
+        self, peer: int | None, seconds: float, spins: int, sleeps: int
+    ) -> None:
+        registry = self._wait_metrics
+        registry.histogram(
+            "arena_wait_seconds",
+            {"peer": "reclaim" if peer is None else str(peer)},
+            unit="seconds",
+            help="time blocked in the arena poll loop, by what was awaited",
+        ).observe(seconds)
+        for phase, polls in (("spin", spins), ("sleep", sleeps)):
+            registry.counter(
+                "arena_polls_total", {"phase": phase},
+                help="arena control-word polls, by poll-loop phase",
+            ).inc(polls)
+
     # -- failure signalling
 
     def abort(self) -> None:
@@ -517,14 +567,80 @@ class SharedArena:
                 f"died or failed{detail}"
             )
 
+    # -- the poll loop
+
+    def _poll(
+        self,
+        ready,
+        context: str,
+        timeout: float,
+        expired,
+        peer: int | None = None,
+        progress=None,
+    ):
+        """Block until ``ready()`` returns something other than ``None``.
+
+        The arena's one wait loop.  Every iteration beats the heartbeat,
+        checks the abort word, the awaited ``peer``'s status and the
+        deadline (``expired()`` builds the typed error), then runs
+        ``progress`` if the caller passed one.  The first
+        ``_SPIN_SECONDS`` poll back to back — yielding the core between
+        polls when the cohort outnumbers the cores this process may run
+        on, where a spinning rank would only keep the peer it waits for
+        off the CPU — and after that each poll sleeps ``_POLL_SLEEP``.
+        """
+        value = ready()
+        if value is not None:
+            return value
+        if self._spins is None:
+            cores = (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            )
+            self._spins = len(self.active_ranks()) <= cores
+        start = now = time.monotonic()
+        spin_until = start + _SPIN_SECONDS
+        deadline = start + timeout
+        spins = sleeps = 0
+        while value is None:
+            self._beat()
+            self._check_abort(context)
+            if peer is not None and self._status[peer] == STATUS_FAILED:
+                raise ArenaAbortedError(
+                    f"rank {peer} failed during {context}"
+                )
+            if now > deadline:
+                raise expired()
+            if progress is not None:
+                progress()
+            if now < spin_until:
+                spins += 1
+                if not self._spins:
+                    os.sched_yield()
+            else:
+                sleeps += 1
+                time.sleep(_POLL_SLEEP)
+            value = ready()
+            now = time.monotonic()
+        if self._wait_metrics is not None:
+            self._observe_wait(peer, now - start, spins, sleeps)
+        return value
+
     # -- posting
 
-    def post(self, seq: int, data, kind: int) -> None:
+    def post(self, seq: int, data, kind: int, progress=None) -> None:
         """Publish this rank's contribution to collective ``seq``.
 
         ``data`` is anything exposing a C-contiguous buffer (bytes or a
         contiguous ndarray).  The bytes are copied into the shared data
         segment, so the caller's buffer can be reused immediately.
+
+        ``progress`` is called between polls while the post waits for a
+        metadata slot or segment space.  A caller that keeps earlier
+        collectives unread passes what reads and drains them: the
+        reclamation floor is a minimum over *all* active ranks, this
+        one included, so without it a rank with more collectives in
+        flight than the ring or the segment holds waits on itself.
         """
         if self.rank is None:
             raise RuntimeError("the parent arena view cannot post")
@@ -532,8 +648,8 @@ class SharedArena:
             raise ValueError(f"unknown payload kind {kind}")
         raw = np.frombuffer(data, dtype=np.uint8)
         nbytes = int(raw.size)
-        self._wait_meta_slot(seq)
-        offset = self._allocate(seq, nbytes)
+        self._wait_meta_slot(seq, progress=progress)
+        offset = self._allocate(seq, nbytes, progress=progress)
         if nbytes:
             self._data[self.rank][offset:offset + nbytes] = raw
         slot = self._meta[self.rank, seq % self.spec.meta_slots]
@@ -554,24 +670,30 @@ class SharedArena:
         """Post a pickled control-plane object (no cost accounting)."""
         self.post(seq, pickle.dumps(obj), KIND_OBJECT)
 
-    def _wait_meta_slot(self, seq: int, timeout: float = DEFAULT_TIMEOUT):
+    def _wait_meta_slot(
+        self, seq: int, timeout: float = DEFAULT_TIMEOUT, progress=None
+    ) -> None:
         """Block until the ring slot for ``seq`` is reusable."""
         horizon = seq - self.spec.meta_slots
         if horizon < 0:
             return
-        deadline = time.monotonic() + timeout
-        while self._drained_floor() <= horizon:
-            self._beat()
-            self._check_abort(f"meta-slot wait (seq={seq})")
-            if time.monotonic() > deadline:
-                raise ArenaTimeoutError(
-                    f"rank {self.rank}: metadata ring full at seq {seq}; "
-                    f"peers stopped draining (drained={self._drained.tolist()})"
-                )
-            time.sleep(_POLL_SLEEP)
+        self._poll(
+            lambda: True if self._drained_floor() > horizon else None,
+            f"meta-slot wait (seq={seq})",
+            timeout,
+            lambda: ArenaTimeoutError(
+                f"rank {self.rank}: metadata ring full at seq {seq}; "
+                f"peers stopped draining (drained={self._drained.tolist()})"
+            ),
+            progress=progress,
+        )
 
     def _allocate(
-        self, seq: int, nbytes: int, timeout: float = DEFAULT_TIMEOUT
+        self,
+        seq: int,
+        nbytes: int,
+        timeout: float = DEFAULT_TIMEOUT,
+        progress=None,
     ) -> int:
         """Bump-allocate ``nbytes`` in this rank's data segment."""
         capacity = self.spec.data_bytes
@@ -583,8 +705,8 @@ class SharedArena:
         if nbytes == 0:
             self._outstanding.append((seq, 0, 0))
             return 0
-        deadline = time.monotonic() + timeout
-        while True:
+
+        def grant() -> int | None:
             self._reclaim()
             # Align starts so dense payloads can be reinterpreted as
             # wider dtypes through zero-copy views.
@@ -592,34 +714,42 @@ class SharedArena:
             if start + nbytes > capacity:
                 start = 0  # wrap; payloads are never split
             end = start + nbytes
-            if not any(
-                start < off + nb and off < end
-                for _, off, nb in self._outstanding
-                if nb
-            ):
-                self._head = end
-                self._outstanding.append((seq, start, nbytes))
-                self._record(EV_ALLOC, seq, start, nbytes)
-                return start
-            self._beat()
-            self._check_abort(f"allocation (seq={seq})")
-            if time.monotonic() > deadline:
-                raise ArenaOverflowError(
-                    f"rank {self.rank}: no room for {nbytes} bytes at seq "
-                    f"{seq}; {len(self._outstanding)} undrained payloads "
-                    f"occupy the segment (drained={self._drained.tolist()})"
-                )
-            time.sleep(_POLL_SLEEP)
+            for _, off, nb in self._outstanding:
+                if nb and start < off + nb and off < end:
+                    return None
+            return start
+
+        start = self._poll(
+            grant,
+            f"allocation (seq={seq})",
+            timeout,
+            lambda: ArenaOverflowError(
+                f"rank {self.rank}: no room for {nbytes} bytes at seq "
+                f"{seq}; {len(self._outstanding)} undrained payloads "
+                f"occupy the segment (drained={self._drained.tolist()})"
+            ),
+            progress=progress,
+        )
+        self._head = start + nbytes
+        self._outstanding.append((seq, start, nbytes))
+        self._record(EV_ALLOC, seq, start, nbytes)
+        return start
 
     def _reclaim(self) -> None:
         """Free blocks whose seq every active rank has drained past."""
+        if not self._outstanding:
+            return
         floor = self._drained_floor()
-        if floor:
+        if self._outstanding[0][0] < floor:
             self._outstanding = [
                 entry for entry in self._outstanding if entry[0] >= floor
             ]
 
     # -- reading
+
+    def arrived(self, seq: int, rank: int) -> bool:
+        """Whether ``rank`` has published ``seq`` (never waits)."""
+        return bool(self._posted[rank] > seq)
 
     def _wait_posted(self, seq: int, rank: int, timeout: float) -> None:
         if not self._active[rank]:
@@ -627,21 +757,18 @@ class SharedArena:
                 f"rank {rank} is not in this incarnation's active cohort; "
                 f"nothing will ever be posted for seq {seq}"
             )
-        deadline = time.monotonic() + timeout
-        while int(self._posted[rank]) <= seq:
-            self._beat()
-            self._check_abort(f"read of rank {rank} (seq={seq})")
-            if self._status[rank] == STATUS_FAILED:
-                raise ArenaAbortedError(
-                    f"rank {rank} failed before posting seq {seq}"
-                )
-            if time.monotonic() > deadline:
-                raise ArenaTimeoutError(
-                    f"waited {timeout:.1f}s for rank {rank} to post "
-                    f"collective seq {seq} "
-                    f"(posted={self._posted.tolist()})"
-                )
-            time.sleep(_POLL_SLEEP)
+        # No local alias of the control views here: a typed error's
+        # traceback would keep the mapping exported past close().
+        self._poll(
+            lambda: True if self._posted[rank] > seq else None,
+            f"read of rank {rank} (seq={seq})",
+            timeout,
+            lambda: ArenaTimeoutError(
+                f"waited {timeout:.1f}s for rank {rank} to post "
+                f"collective seq {seq} (posted={self._posted.tolist()})"
+            ),
+            peer=rank,
+        )
 
     def view(
         self, seq: int, rank: int, timeout: float = DEFAULT_TIMEOUT

@@ -288,6 +288,32 @@ class TrainingReport:
         return max(self.epoch_quality)
 
 
+class _DecodeOnce:
+    """A worker's own compressor, as its memory sees it.
+
+    ψ decodes the rank's payload to form the residual, and Agg would
+    decode the same payload again once it is gathered; each decode ψ
+    asks for is kept until Agg takes it.  Lives for one exchange.
+    """
+
+    def __init__(self, inner: Compressor):
+        self.inner = inner
+        self._kept: dict[int, np.ndarray] = {}
+
+    def __getattr__(self, attr: str):
+        return getattr(self.inner, attr)
+
+    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
+        decoded = self._kept[id(compressed)] = self.inner.decompress(
+            compressed
+        )
+        return decoded
+
+    def kept(self, compressed: CompressedTensor) -> np.ndarray | None:
+        """ψ's decode of ``compressed``, if it made one."""
+        return self._kept.pop(id(compressed), None)
+
+
 class DistributedTrainer:
     """Runs Algorithm 1 over a :class:`DistributedTask`.
 
@@ -710,10 +736,13 @@ class DistributedTrainer:
                 losses.append(loss)
                 grads_by_rank[rank] = grads
                 n_samples += _batch_size(inputs)
+            loss_gather = None
             if self.rank is not None:
                 # Control-plane gather so every process reports the same
-                # cohort-mean loss the sequential simulator computes.
-                losses = self.comm.exchange_objects(losses[0])
+                # cohort-mean loss the sequential simulator computes;
+                # posted now and collected after the gradient exchange,
+                # so it costs the ranks no rendezvous of its own.
+                loss_gather = self.comm.iexchange_objects(losses[0])
             sim_compute = 0.0
             if self.perf_model is not None:
                 computing = (
@@ -737,6 +766,8 @@ class DistributedTrainer:
                 )
             else:
                 aggregated = self._exchange(grads_per_rank)
+            if loss_gather is not None:
+                losses = loss_gather.wait()
             if self.check_finite:
                 for name, grad in aggregated.items():
                     if not np.all(np.isfinite(grad)):
@@ -991,9 +1022,13 @@ class DistributedTrainer:
         if self.rank is None:
             return compressed
         ctx = compressed[0].ctx
+        own = self._active_ranks.index(self.rank)
+        # This rank's slot keeps the object it compressed, which is what
+        # ψ may already have decoded (see _DecodeOnce).
         return [
-            CompressedTensor(payload=list(payload), ctx=ctx)
-            for payload in gathered
+            compressed[0] if position == own
+            else CompressedTensor(payload=list(payload), ctx=ctx)
+            for position, payload in enumerate(gathered)
         ]
 
     def _clear_scratch(self) -> None:
@@ -1005,29 +1040,42 @@ class DistributedTrainer:
     def _exchange(
         self, grads_per_rank: list[dict[str, np.ndarray]]
     ) -> dict[str, np.ndarray]:
-        """Compress, communicate and aggregate every gradient tensor."""
+        """Compress, communicate and aggregate every gradient tensor.
+
+        Split-phase: every tensor's collective is issued before any is
+        finished, so real ranks meet about once per step instead of
+        once per tensor.  (The sequential communicator completes a
+        collective at issue; nothing moves on the simulator.)
+        """
         if self._fusion_max_bytes > 0:
             return self._exchange_fused(grads_per_rank)
-        names = list(grads_per_rank[0])
-        aggregated: dict[str, np.ndarray] = {}
         tracer = self.tracer
         traced = tracer.enabled
         record = self.comm.record
         comm_before = record.simulated_seconds
         bytes_before = record.bytes_sent_per_worker
-        for name in names:
+        own = (
+            _DecodeOnce(self.compressors[self.rank])
+            if self.rank is not None else None
+        )
+        started = time.perf_counter()
+        pending = []
+        for name in grads_per_rank[0]:
             compressed: list[CompressedTensor] = []
             first_compress_span = None
-            kernel_start = time.perf_counter()
             for position, rank in self._exchange_pairs():
                 memory = self.memories[rank]
+                compressor = self.compressors[rank]
                 with tracer.span("memory_compensate", rank=rank, tensor=name):
                     compensated = memory.compensate(
                         grads_per_rank[position][name], name
                     )
                 with tracer.span("compress", rank=rank, tensor=name) as span:
-                    packed = self.compressors[rank].compress(compensated, name)
-                memory.update(compensated, name, self.compressors[rank], packed)
+                    packed = compressor.compress(compensated, name)
+                memory.update(
+                    compensated, name,
+                    compressor if own is None else own, packed,
+                )
                 if traced:
                     if position == 0:
                         first_compress_span = span
@@ -1036,9 +1084,8 @@ class DistributedTrainer:
                         compensated, packed,
                     )
                 compressed.append(packed)
-            aggregated[name] = self._communicate(name, compressed)
-            self.report.measured_compression_seconds += (
-                time.perf_counter() - kernel_start
+            pending.append(
+                (name, compressed, *self._issue(compressed, tensor=name))
             )
             if self.perf_model is not None:
                 n_elements = int(np.prod(grads_per_rank[0][name].shape))
@@ -1050,6 +1097,13 @@ class DistributedTrainer:
                     # Once per tensor: ranks compress concurrently in
                     # simulated time.
                     first_compress_span.add_sim(sim_kernel)
+        aggregated = {
+            name: self._finish(name, compressed, kind, handle, span, own)
+            for name, compressed, kind, handle, span in pending
+        }
+        self.report.measured_compression_seconds += (
+            time.perf_counter() - started
+        )
         self.report.sim_comm_seconds += (
             record.simulated_seconds - comm_before
         )
@@ -1094,9 +1148,28 @@ class DistributedTrainer:
         use_kernel = self.compressors[0].fused_kernel and all(
             memory.supports_fused_update for memory in self.memories
         )
-        aggregated: dict[str, np.ndarray] = {}
+        started = time.perf_counter()
+        pending = []
         for bucket in plan.buckets:
-            self._process_bucket(bucket, grads_per_rank, use_kernel, aggregated)
+            compressed, first_compress_span = self._compress_bucket(
+                bucket, grads_per_rank, use_kernel
+            )
+            pending.append((bucket, compressed, *self._issue(
+                compressed, bucket=bucket.index, fused=True
+            )))
+            if self.perf_model is not None:
+                sim_kernel = self._bucket_sim_kernel(
+                    bucket, compressed, use_kernel
+                )
+                self.report.sim_compression_seconds += sim_kernel
+                if first_compress_span is not None:
+                    first_compress_span.add_sim(sim_kernel)
+        aggregated: dict[str, np.ndarray] = {}
+        for unit in pending:
+            self._finish_bucket(*unit, aggregated)
+        self.report.measured_compression_seconds += (
+            time.perf_counter() - started
+        )
         self.report.sim_comm_seconds += (
             record.simulated_seconds - comm_before
         )
@@ -1104,28 +1177,6 @@ class DistributedTrainer:
             record.bytes_sent_per_worker - bytes_before
         )
         return aggregated
-
-    def _process_bucket(
-        self,
-        bucket: FusionBucket,
-        grads_per_rank: list[dict[str, np.ndarray]],
-        use_kernel: bool,
-        aggregated: dict[str, np.ndarray],
-    ) -> None:
-        """Compensate, compress, communicate and aggregate one bucket."""
-        kernel_start = time.perf_counter()
-        compressed, first_compress_span = self._compress_bucket(
-            bucket, grads_per_rank, use_kernel
-        )
-        self._communicate_bucket(bucket, compressed, aggregated)
-        self.report.measured_compression_seconds += (
-            time.perf_counter() - kernel_start
-        )
-        if self.perf_model is not None:
-            sim_kernel = self._bucket_sim_kernel(bucket, compressed, use_kernel)
-            self.report.sim_compression_seconds += sim_kernel
-            if first_compress_span is not None:
-                first_compress_span.add_sim(sim_kernel)
 
     def _compress_bucket(
         self,
@@ -1243,7 +1294,6 @@ class DistributedTrainer:
         """
         grads0 = grads_per_rank[0]
         plan = self._ensure_overlap_plan(grads0)
-        tracer = self.tracer
         record = self.comm.record
         comm_before = record.simulated_seconds
         bytes_before = record.bytes_sent_per_worker
@@ -1260,13 +1310,7 @@ class DistributedTrainer:
         use_kernel = self.compressors[0].fused_kernel and all(
             memory.supports_fused_update for memory in self.memories
         )
-        strategy = self.compressors[0].communication
-        if strategy not in ("allreduce", "allgather", "broadcast"):
-            raise ValueError(f"unknown communication strategy {strategy!r}")
-        op_name = "allreduce" if strategy == "allreduce" else "allgather"
-        aggregated: dict[str, np.ndarray] = {}
-        pending: list[tuple[FusionBucket, list[CompressedTensor],
-                            AsyncHandle]] = []
+        pending = []
         for bucket in plan.buckets:
             # The bucket is ready when its *last* gradient materializes;
             # ready times interpolate the backward window by cumulative
@@ -1300,40 +1344,15 @@ class DistributedTrainer:
                             epoch + kernel_event.start,
                             epoch + kernel_event.end,
                         )
-            with tracer.span("collective", bucket=bucket.index,
-                             op=op_name, fused=True, overlap=True) as span:
-                sent_before = record.bytes_sent_per_worker
-                if strategy == "allreduce":
-                    handle = self.comm.iallreduce_parts(
-                        [c.payload for c in compressed],
-                        ready_at=collective_ready, timeline=timeline,
-                    )
-                else:
-                    handle = self.comm.iallgather(
-                        [c.payload for c in compressed],
-                        ready_at=collective_ready, timeline=timeline,
-                    )
-                span.set(
-                    bytes_per_worker=record.bytes_sent_per_worker - sent_before
-                )
-                if handle.event is not None:
-                    span.set_sim_window(
-                        epoch + handle.event.start, epoch + handle.event.end
-                    )
-            pending.append((bucket, compressed, handle))
+            pending.append((bucket, compressed, *self._issue(
+                compressed, ready_at=collective_ready, timeline=timeline,
+                bucket=bucket.index, fused=True, overlap=True,
+            )))
         # Drain: every handle completes before apply_update.
         drain_start = time.perf_counter()
-        for bucket, compressed, handle in pending:
-            result = handle.wait()
-            if strategy == "allreduce":
-                self._finish_bucket_allreduce(
-                    bucket, compressed, result, aggregated
-                )
-            else:
-                self._finish_bucket_allgather(
-                    bucket, self._gathered_compressed(compressed, result),
-                    aggregated,
-                )
+        aggregated: dict[str, np.ndarray] = {}
+        for unit in pending:
+            self._finish_bucket(*unit, aggregated)
         self.report.measured_compression_seconds += (
             time.perf_counter() - drain_start
         )
@@ -1464,8 +1483,9 @@ class DistributedTrainer:
     def _aggregation_active(self, decoder: Compressor) -> bool:
         """Whether the compressed-domain aggregation fast path applies.
 
-        Requires a sequential run (worker mode ships payloads between
-        processes, not decoded results), a communicator advertising
+        Requires a sequential, non-overlapped run (worker mode ships
+        payloads between processes, not decoded results; the overlapped
+        exchange schedules plain gathers), a communicator advertising
         ``supports_compressed_aggregation`` (the resilient wrapper does
         not, so fault injection auto-disables the path), a gather-style
         strategy, and the default mean :meth:`Compressor.aggregate`
@@ -1475,7 +1495,7 @@ class DistributedTrainer:
         declared kind (codebook/sketch), trading bounded decode error
         for the single-fan-out download.
         """
-        if self.aggregation == "off" or self.rank is not None:
+        if self.aggregation == "off" or self.rank is not None or self.overlap:
             return False
         if not getattr(self.comm, "supports_compressed_aggregation", False):
             return False
@@ -1487,111 +1507,109 @@ class DistributedTrainer:
             return decoder.aggregation != "none"
         return decoder.aggregation == "exact-linear"
 
-    def _communicate_bucket(
+    def _issue(
+        self,
+        compressed: list[CompressedTensor],
+        ready_at: float = 0.0,
+        timeline: SimTimeline | None = None,
+        **where,
+    ) -> tuple[str, AsyncHandle, Any]:
+        """Issue half of one tensor's or bucket's collective.
+
+        Returns the kind of finish the result needs (``"allreduce"``,
+        ``"allgather"`` or ``"aggregated"``), the handle and the
+        ``collective`` span, which :meth:`_wait` completes.
+        """
+        decoder = self.compressors[0]
+        strategy = decoder.communication
+        if strategy == "allreduce":
+            kind, attrs = "allreduce", {"op": "allreduce"}
+        elif strategy not in ("allgather", "broadcast"):
+            raise ValueError(f"unknown communication strategy {strategy!r}")
+        elif self._aggregation_active(decoder):
+            kind = "aggregated"
+            attrs = {"op": "allgather", "aggregation": "compressed"}
+        else:
+            kind = "allgather"
+            attrs = {"op": "allgather", "aggregation": "legacy"}
+        record = self.comm.record
+        with self.tracer.span("collective", **where, **attrs) as span:
+            sim_before = record.simulated_seconds
+            sent_before = record.bytes_sent_per_worker
+            if kind == "aggregated":
+                handle = AsyncHandle(
+                    self.comm.allreduce_compressed(list(compressed), decoder)
+                )
+            else:
+                # All payload parts travel as one message: a single
+                # per-message latency per tensor, not one per part.
+                start = (
+                    self.comm.iallreduce_parts if kind == "allreduce"
+                    else self.comm.iallgather
+                )
+                handle = start(
+                    [c.payload for c in compressed],
+                    ready_at=ready_at, timeline=timeline,
+                )
+            span.set(
+                bytes_per_worker=record.bytes_sent_per_worker - sent_before
+            )
+            if timeline is None:
+                span.add_sim(record.simulated_seconds - sim_before)
+        return kind, handle, span
+
+    def _wait(self, handle: AsyncHandle, span):
+        """The collective's result; what was charged or scheduled only
+        now (the arena's allgather learns the peers' sizes at the wait)
+        lands on the span it was issued under."""
+        record = self.comm.record
+        sim_before = record.simulated_seconds
+        sent_before = record.bytes_sent_per_worker
+        result = handle.wait()
+        if record.simulated_seconds != sim_before:
+            span.set(
+                bytes_per_worker=record.bytes_sent_per_worker - sent_before
+            )
+        if handle.event is None:
+            span.add_sim(record.simulated_seconds - sim_before)
+        else:
+            span.set_sim_window(
+                self._sim_epoch + handle.event.start,
+                self._sim_epoch + handle.event.end,
+            )
+        return result
+
+    def _finish_bucket(
         self,
         bucket: FusionBucket,
         compressed: list[CompressedTensor],
+        kind: str,
+        handle: AsyncHandle,
+        span,
         aggregated: dict[str, np.ndarray],
     ) -> None:
-        """One collective for the whole bucket, then per-tensor unpack."""
-        decoder = self.compressors[0]
-        strategy = decoder.communication
-        tracer = self.tracer
-        record = self.comm.record
-        if strategy == "allreduce":
-            with tracer.span("collective", bucket=bucket.index,
-                             op="allreduce", fused=True) as span:
-                sim_before = record.simulated_seconds
-                sent_before = record.bytes_sent_per_worker
-                summed_parts = self.comm.allreduce_parts(
-                    [c.payload for c in compressed]
-                )
-                span.add_sim(record.simulated_seconds - sim_before)
-                span.set(
-                    bytes_per_worker=record.bytes_sent_per_worker - sent_before
-                )
-            self._finish_bucket_allreduce(
-                bucket, compressed, summed_parts, aggregated
-            )
-            return
-        if strategy in ("allgather", "broadcast"):
-            if self._aggregation_active(decoder):
-                with tracer.span("collective", bucket=bucket.index,
-                                 op="allgather", fused=True,
-                                 aggregation="compressed") as span:
-                    sim_before = record.simulated_seconds
-                    sent_before = record.bytes_sent_per_worker
-                    root = self.comm.allreduce_compressed(
-                        list(compressed), decoder
-                    )
-                    span.add_sim(record.simulated_seconds - sim_before)
-                    span.set(
-                        bytes_per_worker=(
-                            record.bytes_sent_per_worker - sent_before
-                        )
-                    )
-                self._finish_bucket_aggregated(bucket, root, aggregated)
-                return
-            with tracer.span("collective", bucket=bucket.index,
-                             op="allgather", fused=True,
-                             aggregation="legacy") as span:
-                sim_before = record.simulated_seconds
-                sent_before = record.bytes_sent_per_worker
-                gathered = self.comm.allgather(
-                    [c.payload for c in compressed]
-                )
-                span.add_sim(record.simulated_seconds - sim_before)
-                span.set(
-                    bytes_per_worker=record.bytes_sent_per_worker - sent_before
-                )
+        """Finish half of a bucket: decode, aggregate, per-tensor unpack."""
+        result = self._wait(handle, span)
+        if kind == "allgather":
             self._finish_bucket_allgather(
-                bucket, self._gathered_compressed(compressed, gathered),
+                bucket, self._gathered_compressed(compressed, result),
                 aggregated,
             )
             return
-        raise ValueError(f"unknown communication strategy {strategy!r}")
-
-    def _finish_bucket_allreduce(
-        self,
-        bucket: FusionBucket,
-        compressed: list[CompressedTensor],
-        summed_parts: list[np.ndarray],
-        aggregated: dict[str, np.ndarray],
-    ) -> None:
-        """Decompress + aggregate a bucket's Allreduce result."""
         decoder = self.compressors[0]
         tracer = self.tracer
-        summed = CompressedTensor(payload=summed_parts,
-                                  ctx=compressed[0].ctx)
         with tracer.span("decompress", bucket=bucket.index):
-            flat = decoder.decompress_fused(
-                summed,
-                out=self._agg_scratch.take(("reduce", bucket.index),
-                                           bucket.numel),
-            )
-        with tracer.span("aggregate", bucket=bucket.index):
-            mean_flat = flat / self._n_active
-            for seg in bucket.segments:
-                aggregated[seg.name] = (
-                    mean_flat[seg.offset:seg.end].reshape(seg.shape)
+            if kind == "allreduce":
+                flat = decoder.decompress_fused(
+                    CompressedTensor(payload=result, ctx=compressed[0].ctx),
+                    out=self._agg_scratch.take(("reduce", bucket.index),
+                                               bucket.numel),
                 )
-
-    def _finish_bucket_aggregated(
-        self,
-        bucket: FusionBucket,
-        root: CompressedTensor,
-        aggregated: dict[str, np.ndarray],
-    ) -> None:
-        """Decode ONE compressed-domain aggregate for the whole bucket.
-
-        The communicator already summed the cohort's payloads server
-        side, so decode cost is a single pass regardless of rank count
-        and the mean falls out of the summand-count division.
-        """
-        decoder = self.compressors[0]
-        tracer = self.tracer
-        with tracer.span("decompress", bucket=bucket.index):
-            flat = np.ravel(decoder.decompress_aggregated(root))
+            else:
+                # The communicator already summed the cohort's payloads
+                # server side: one decode whatever the rank count, and
+                # the mean falls out of the summand-count division.
+                flat = np.ravel(decoder.decompress_aggregated(result))
         with tracer.span("aggregate", bucket=bucket.index):
             mean_flat = flat / self._n_active
             for seg in bucket.segments:
@@ -1706,67 +1724,39 @@ class DistributedTrainer:
             help="per-layer gradient L2 norm (pre-compensation)",
         ).observe(float(np.linalg.norm(grad)))
 
-    def _communicate(
-        self, name: str, compressed: list[CompressedTensor]
+    def _finish(
+        self,
+        name: str,
+        compressed: list[CompressedTensor],
+        kind: str,
+        handle: AsyncHandle,
+        span,
+        own: "_DecodeOnce | None",
     ) -> np.ndarray:
-        strategy = self.compressors[0].communication
+        """Finish half of one tensor: decode and aggregate its result."""
         decoder = self.compressors[0]
         tracer = self.tracer
-        record = self.comm.record
-        if strategy == "allreduce":
-            with tracer.span("collective", tensor=name, op="allreduce") as span:
-                sim_before = record.simulated_seconds
-                sent_before = record.bytes_sent_per_worker
-                # All payload parts travel as one message: a single
-                # per-message latency per tensor, not one per part.
-                summed_parts = self.comm.allreduce_parts(
-                    [c.payload for c in compressed]
-                )
-                span.add_sim(record.simulated_seconds - sim_before)
-                span.set(
-                    bytes_per_worker=record.bytes_sent_per_worker - sent_before
-                )
-            summed = CompressedTensor(payload=summed_parts, ctx=compressed[0].ctx)
-            with tracer.span("decompress", tensor=name):
-                restored = decoder.decompress(summed)
-            with tracer.span("aggregate", tensor=name):
-                return restored / self._n_active
-        if strategy in ("allgather", "broadcast"):
-            if self._aggregation_active(decoder):
-                with tracer.span("collective", tensor=name, op="allgather",
-                                 aggregation="compressed") as span:
-                    sim_before = record.simulated_seconds
-                    sent_before = record.bytes_sent_per_worker
-                    root = self.comm.allreduce_compressed(
-                        list(compressed), decoder
-                    )
-                    span.add_sim(record.simulated_seconds - sim_before)
-                    span.set(
-                        bytes_per_worker=(
-                            record.bytes_sent_per_worker - sent_before
-                        )
-                    )
-                with tracer.span("decompress", tensor=name):
-                    restored = decoder.decompress_aggregated(root)
-                with tracer.span("aggregate", tensor=name):
-                    return restored / self._n_active
-            with tracer.span("collective", tensor=name, op="allgather",
-                             aggregation="legacy") as span:
-                sim_before = record.simulated_seconds
-                sent_before = record.bytes_sent_per_worker
-                gathered = self.comm.allgather(
-                    [c.payload for c in compressed]
-                )
-                span.add_sim(record.simulated_seconds - sim_before)
-                span.set(
-                    bytes_per_worker=record.bytes_sent_per_worker - sent_before
-                )
-            compressed = self._gathered_compressed(compressed, gathered)
+        result = self._wait(handle, span)
+        if kind == "allgather":
+            compressed = self._gathered_compressed(compressed, result)
             with tracer.span("decompress", tensor=name, ranks=len(compressed)):
-                decompressed = [decoder.decompress(c) for c in compressed]
+                decompressed = []
+                for c in compressed:
+                    kept = own.kept(c) if own is not None else None
+                    decompressed.append(
+                        decoder.decompress(c) if kept is None else kept
+                    )
             with tracer.span("aggregate", tensor=name):
                 return decoder.aggregate(decompressed)
-        raise ValueError(f"unknown communication strategy {strategy!r}")
+        with tracer.span("decompress", tensor=name):
+            if kind == "allreduce":
+                restored = decoder.decompress(
+                    CompressedTensor(payload=result, ctx=compressed[0].ctx)
+                )
+            else:
+                restored = decoder.decompress_aggregated(result)
+        with tracer.span("aggregate", tensor=name):
+            return restored / self._n_active
 
     # ------------------------------------------------------------------
 

@@ -9,8 +9,10 @@ used with.
 
 METRIC_MANIFEST: dict[str, tuple[str, ...]] = {
     "aborted_iterations_total": ("counter",),
+    "arena_polls_total": ("counter",),
     "arena_sanitizer_events_total": ("counter",),
     "arena_sanitizer_violations_total": ("counter",),
+    "arena_wait_seconds": ("histogram",),
     "checkpoints_total": ("counter",),
     "comm_bytes_per_worker_total": ("counter",),
     "comm_checksum_failures_total": ("counter",),
