@@ -30,6 +30,7 @@ from repro.analysis.lint.engine import ModuleSource, Rule
 #: Attribute names of the nonblocking collective launchers.
 NONBLOCKING_CALLS = frozenset({
     "iallreduce_parts", "iallgather", "iallreduce", "ibroadcast", "ireduce",
+    "iexchange_objects",
 })
 
 #: Handle types whose direct construction creates drain responsibility.

@@ -9,18 +9,23 @@ that does neither is invisible to the watchdog while alive and immune
 to it when aborted — the precise shape of bug the runtime machinery
 cannot catch, because the symptom is a hang.
 
-The rule finds ``while`` loops in ``comm/`` files whose body sleeps
-(``time.sleep`` or an ``Event.wait``-style timed wait) and demands that
-the loop body — or anything transitively reachable from it through the
-module call graph — shows both:
+The rule finds the poll loops of ``comm/`` — a ``while`` that sleeps
+(``time.sleep`` or an ``Event.wait``-style timed wait), or one whose
+condition or body re-reads an arena control word (``_posted``,
+``_drained``, ``_status``, the abort flag; directly, through a local
+alias, or in a module-local helper it calls), *sleeping or not*: the
+spin phase of a spin-then-sleep wait is exactly a poll loop that does
+not sleep — and demands that the loop, or anything transitively
+reachable from it through the module call graph, shows both:
 
 * heartbeat evidence: a call whose name contains ``beat``/``heartbeat``
   or a store to an ``_hb_*`` slot;
 * abort evidence: a call to ``_check_abort``-style helpers or a read of
   an ``abort``/``aborted`` attribute.
 
-Loops that sleep without looping (one-shot backoff) and loops that
-don't sleep at all (bounded drains) are out of scope.
+Sleeps that do not loop (one-shot backoff) and loops that neither sleep
+nor look at the arena (bounded drains of a local queue) are out of
+scope.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ _BEAT_CALL_FRAGMENTS = ("beat", "heartbeat")
 _BEAT_STORE_PREFIX = "_hb_"
 _ABORT_CALL_FRAGMENTS = ("check_abort", "abort")
 _ABORT_ATTRS = frozenset({"aborted", "abort", "_abort"})
+# What a rank polls.  Not plain ``abort``: ``arena.abort()`` raises the
+# flag (the parent's loops do that), it does not wait on it.
+_CONTROL_WORDS = frozenset(
+    {"_posted", "_drained", "_status", "aborted", "_abort"}
+)
 
 
 def _sleeps(node: ast.AST, module: ModuleSource) -> bool:
@@ -54,6 +64,20 @@ def _sleeps(node: ast.AST, module: ModuleSource) -> bool:
         ):
             # Timed Event.wait(timeout) — a sleep in disguise.
             return True
+    return False
+
+
+def _reads_control_word(node: ast.AST, aliases) -> bool:
+    """A load of an arena control word, by name or through a local
+    that aliases one (``posted = self._posted``)."""
+    for sub in ast.walk(node):
+        if not isinstance(getattr(sub, "ctx", None), ast.Load):
+            continue
+        if isinstance(sub, ast.Attribute) and sub.attr in _CONTROL_WORDS:
+            return True
+        if isinstance(sub, ast.Name) and aliases.get(sub.id) is not None:
+            if chain_tail(resolve_chain(sub, aliases)) in _CONTROL_WORDS:
+                return True
     return False
 
 
@@ -105,7 +129,8 @@ def _checks_abort(node: ast.AST) -> bool:
 
 
 class UncooperativePollLoopRule(Rule):
-    """Flag sleeping while-loops that neither beat nor check abort."""
+    """Flag poll loops (sleeping or spinning) that neither beat nor
+    check abort."""
 
     rule_id = "GR008"
     title = "poll loop without heartbeat or abort check"
@@ -118,24 +143,33 @@ class UncooperativePollLoopRule(Rule):
         for loop in ast.walk(module.tree):
             if not isinstance(loop, ast.While):
                 continue
-            if not _sleeps(loop, module):
-                continue
             caller = graph.enclosing(loop)
             aliases = (
                 local_aliases(caller.node) if caller is not None else {}
             )
-            beats = _beats(loop, aliases)
-            aborts = _checks_abort(loop)
-            if beats and aborts:
+            # Follow calls out of the loop before concluding anything.
+            callees = [
+                graph.functions[qualname] for qualname in sorted(
+                    graph.reachable_from_node(loop, caller=caller)
+                )
+            ]
+            callee_aliases = [local_aliases(info.node) for info in callees]
+            if not (
+                _sleeps(loop, module)
+                or _reads_control_word(loop, aliases)
+                or any(
+                    _reads_control_word(info.node, local)
+                    for info, local in zip(callees, callee_aliases)
+                )
+            ):
                 continue
-            # Follow calls out of the loop body before concluding.
-            for qualname in graph.reachable_from_node(loop, caller=caller):
-                info = graph.functions[qualname]
-                callee_aliases = local_aliases(info.node)
-                beats = beats or _beats(info.node, callee_aliases)
-                aborts = aborts or _checks_abort(info.node)
-                if beats and aborts:
-                    break
+            beats = _beats(loop, aliases) or any(
+                _beats(info.node, local)
+                for info, local in zip(callees, callee_aliases)
+            )
+            aborts = _checks_abort(loop) or any(
+                _checks_abort(info.node) for info in callees
+            )
             if beats and aborts:
                 continue
             missing = []
@@ -145,7 +179,7 @@ class UncooperativePollLoopRule(Rule):
                 missing.append("check the abort word")
             findings.append(self.finding(
                 module, loop,
-                "sleeping poll loop does not "
+                "poll loop does not "
                 + " or ".join(missing)
                 + " (directly or via any called helper); the watchdog "
                 "cannot distinguish it from a dead rank while it runs "

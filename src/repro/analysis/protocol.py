@@ -26,18 +26,26 @@ The model mirrors the implementation step for step:
 * ``drain`` — ``drained[r] = seq + 1``;
 * ``die`` / ``convict`` — a worker vanishing at any micro-step and the
   parent watchdog's mark_failed + abort; every blocked step is
-  abort-unblockable, so the deadlock-freedom invariant has teeth.
+  abort-unblockable, so the deadlock-freedom invariant has teeth;
+* ``progress`` — the communicator's progress engine
+  (``ParallelWorkerCommunicator.progress``), for the *split-phase*
+  program (``window > 0``: W posts first, then the reads, in any finish
+  order): while a rank is blocked in a post or in a wait it reads
+  whatever issued collective its peers have posted, and ``drained``
+  only ever rises to the lowest sequence number the rank has yet to
+  read.  ``progress=False`` takes the engine out of the waits, and the
+  model must then report the self-deadlock.
 
 Violations are typed (:class:`ProtocolViolation` naming rank, seq and
 schedule); :func:`run_protocol_check` runs the CI scenario suite —
-clean wraparound, die-anywhere, degraded cohort, plus the
-broken-variant expectation — and is what ``repro protocol-check``
-drives.
+clean wraparound, die-anywhere, degraded cohort, the split-phase
+window, plus the two negative controls — and is what
+``repro protocol-check`` drives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 #: Micro-op kinds, in per-seq program order.
 _OPS = ("alloc", "write", "publish", "read", "drain")
@@ -51,6 +59,13 @@ class ModelConfig:
     three posts wrap the segment, which is what exercises reclamation.
     ``crash_rank`` enables a ``die`` step for that rank at *every*
     point of its program; ``broken`` swaps publish before write.
+
+    ``window > 0`` switches to the split-phase program: ``window``
+    collectives are posted before any is read, then finished in
+    ``finish_order`` (default: the last one first).  ``payloads`` gives
+    each rank its own payload size — a rank whose posts all fit can then
+    sit in a wait while its peer is short of room.  ``progress`` is
+    whether blocked posts and waits run the progress engine.
     """
 
     n_ranks: int = 2
@@ -61,12 +76,19 @@ class ModelConfig:
     active: tuple[int, ...] | None = None
     crash_rank: int | None = None
     broken: bool = False
+    window: int = 0
+    finish_order: tuple[int, ...] | None = None
+    payloads: tuple[int, ...] | None = None
+    progress: bool = True
 
     @property
     def active_ranks(self) -> tuple[int, ...]:
         if self.active is not None:
             return self.active
         return tuple(range(self.n_ranks))
+
+    def payload_of(self, rank: int) -> int:
+        return self.payload if self.payloads is None else self.payloads[rank]
 
 
 @dataclass(frozen=True)
@@ -107,18 +129,33 @@ class ModelResult:
 #   data[r]      — tuple(capacity) of (rank, seq) token or None
 #   head[r]      — bump pointer
 #   outstanding[r] — tuple of (seq, offset, nbytes)
+#   got[r]       — frozenset of (seq, peer) contributions r has read
+#                  (split-phase program only; empty otherwise)
 
 
 def _program(config: ModelConfig, rank: int) -> tuple[tuple, ...]:
     peers = [p for p in config.active_ranks if p != rank]
     ops: list[tuple] = []
-    for seq in range(config.seqs):
-        post_ops = [("alloc", seq), ("write", seq), ("publish", seq)]
+
+    def post(seq):
         if config.broken:
-            post_ops = [("alloc", seq), ("publish", seq), ("write", seq)]
-        ops.extend(post_ops)
-        ops.extend(("read", seq, p) for p in peers)
-        ops.append(("drain", seq))
+            return [("alloc", seq), ("publish", seq), ("write", seq)]
+        return [("alloc", seq), ("write", seq), ("publish", seq)]
+
+    def finish(seq):
+        return [("read", seq, p) for p in peers] + [("drain", seq)]
+
+    if config.window:
+        order = config.finish_order
+        if order is None:
+            order = (config.window - 1, *range(config.window - 1))
+        for seq in range(config.window):
+            ops.extend(post(seq))
+        for seq in order:
+            ops.extend(finish(seq))
+    else:
+        for seq in range(config.seqs):
+            ops.extend(post(seq) + finish(seq))
     return tuple(ops)
 
 
@@ -147,6 +184,7 @@ class ProtocolModel:
             tuple(tuple(None for _ in range(c.capacity)) for _ in ranks),
             tuple(0 for _ in ranks),  # head
             tuple(() for _ in ranks),  # outstanding
+            tuple(frozenset() for _ in ranks),  # got
         )
 
     def _floor(self, state) -> int:
@@ -173,14 +211,24 @@ class ProtocolModel:
             entry for entry in state[9][index] if entry[0] >= floor
         )
         head = state[8][index]
+        payload = c.payload_of(c.active_ranks[index])
         start = head
-        if start + c.payload > c.capacity:
+        if start + payload > c.capacity:
             start = 0  # wrap; payloads are never split
-        end = start + c.payload
+        end = start + payload
         for _, off, nb in outstanding:
             if start < off + nb and off < end:
                 return None  # blocked on undrained bytes
-        return start, outstanding + ((seq, start, c.payload),)
+        return start, outstanding + ((seq, start, payload),)
+
+    def _engine_floor(self, rank: int, got) -> int:
+        """What ``_retire`` publishes: the lowest sequence number
+        ``rank`` still has to read (the window's end when none)."""
+        peers = [p for p in self.config.active_ranks if p != rank]
+        for seq in range(self.config.window):
+            if any((seq, p) not in got for p in peers):
+                return seq
+        return self.config.window
 
     # -- exploration --------------------------------------------------------
 
@@ -228,7 +276,7 @@ class ProtocolModel:
         c = self.config
         ranks = c.active_ranks
         (pc, alive, aborted, exited, posted, drained,
-         meta, data, head, outstanding) = state
+         meta, data, head, outstanding, got) = state
         out = []
 
         def rebuild(**overrides):
@@ -236,15 +284,67 @@ class ProtocolModel:
                 "pc": pc, "alive": alive, "aborted": aborted,
                 "exited": exited, "posted": posted, "drained": drained,
                 "meta": meta, "data": data, "head": head,
-                "outstanding": outstanding,
+                "outstanding": outstanding, "got": got,
             }
             fields.update(overrides)
             return (
                 fields["pc"], fields["alive"], fields["aborted"],
                 fields["exited"], fields["posted"], fields["drained"],
                 fields["meta"], fields["data"], fields["head"],
-                fields["outstanding"],
+                fields["outstanding"], fields["got"],
             )
+
+        def checked_read(rank, seq, peer, label):
+            """Validate what ``rank`` reads of ``peer``'s ``seq``: the
+            read-after-reclaim detector (tokens name their owner)."""
+            j = ranks.index(peer)
+            slot = meta[j][seq % c.meta_slots]
+            if slot is None or slot[0] != seq:
+                result.violations.append(ProtocolViolation(
+                    "stale-meta", rank, seq,
+                    f"read of rank {peer} observed metadata "
+                    f"{slot!r} instead of seq {seq} after its "
+                    "publication was visible",
+                    schedule + (label,),
+                ))
+                return
+            offset = slot[1]
+            cells = data[j][offset:offset + c.payload_of(peer)]
+            if any(cell != (peer, seq) for cell in cells):
+                result.violations.append(ProtocolViolation(
+                    "torn-read", rank, seq,
+                    f"read of rank {peer} copied tokens "
+                    f"{list(cells)} instead of {(peer, seq)} — "
+                    "published bytes were stale or reused",
+                    schedule + (label,),
+                ))
+
+        def progress_steps(i, rank):
+            """The engine, run from a blocked post or wait of ``rank``:
+            read any issued collective a peer has posted, then publish
+            the drained floor."""
+            if not c.window or not c.progress or aborted:
+                return
+            for seq in range(posted[i]):  # issued = own post published
+                for peer in ranks:
+                    if peer == rank or (seq, peer) in got[i]:
+                        continue
+                    if posted[ranks.index(peer)] <= seq:
+                        continue
+                    label = f"r{rank}:progress@{seq}"
+                    checked_read(rank, seq, peer, label)
+                    new_got = got[i] | {(seq, peer)}
+                    out.append((
+                        rebuild(
+                            got=bump(got, i, new_got),
+                            drained=bump(
+                                drained, i,
+                                max(drained[i],
+                                    self._engine_floor(rank, new_got)),
+                            ),
+                        ),
+                        schedule + (label,),
+                    ))
 
         def bump(seq_tuple, index, value):
             items = list(seq_tuple)
@@ -275,6 +375,7 @@ class ProtocolModel:
                             rebuild(exited=bump(exited, i, 1)),
                             schedule + (label + ":abort",),
                         ))
+                    progress_steps(i, rank)
                     continue
                 offset, new_outstanding = granted
                 out.append((
@@ -318,34 +419,27 @@ class ProtocolModel:
                         schedule + (label + ":abort",),
                     ))
                     continue
-                if posted[j] <= seq:
-                    continue  # still waiting on the peer
-                slot = meta[j][seq % c.meta_slots]
-                if slot is None or slot[0] != seq:
-                    result.violations.append(ProtocolViolation(
-                        "stale-meta", rank, seq,
-                        f"read of rank {peer} observed metadata "
-                        f"{slot!r} instead of seq {seq} after its "
-                        "publication was visible",
-                        schedule + (label,),
-                    ))
+                if (seq, peer) in got[i]:  # the engine already has it
                     out.append((rebuild(pc=advance), schedule + (label,)))
                     continue
-                offset = slot[1]
-                cells = data[j][offset:offset + c.payload]
-                if any(cell != (peer, seq) for cell in cells):
-                    result.violations.append(ProtocolViolation(
-                        "torn-read", rank, seq,
-                        f"read of rank {peer} copied tokens "
-                        f"{list(cells)} instead of {(peer, seq)} — "
-                        "published bytes were stale or reused",
-                        schedule + (label,),
-                    ))
-                out.append((rebuild(pc=advance), schedule + (label,)))
+                if posted[j] <= seq:
+                    progress_steps(i, rank)
+                    continue  # still waiting on the peer
+                checked_read(rank, seq, peer, label)
+                new_got = got[i] | {(seq, peer)} if c.window else got[i]
+                out.append((
+                    rebuild(pc=advance, got=bump(got, i, new_got)),
+                    schedule + (label,),
+                ))
             elif op[0] == "drain":
+                through = (
+                    self._engine_floor(rank, got[i]) if c.window
+                    else op[1] + 1
+                )
                 out.append((
                     rebuild(
-                        pc=advance, drained=bump(drained, i, op[1] + 1)
+                        pc=advance,
+                        drained=bump(drained, i, max(drained[i], through)),
                     ),
                     schedule + (label,),
                 ))
@@ -360,19 +454,41 @@ def check_model(config: ModelConfig) -> ModelResult:
 def run_protocol_check(seqs: int = 3) -> dict:
     """The CI scenario suite; returns a JSON-ready summary.
 
-    Four claims, each over *every* interleaving of its scenario:
+    Six claims, each over *every* interleaving of its scenario:
 
     1. clean 2-rank run with wraparound — no violation, no deadlock;
     2. rank 1 may die at any micro-step — every execution terminates
        (done or typed abort), never a deadlock;
     3. degraded cohort (rank 1 inactive) — rank 0 alone is clean;
-    4. the broken variant (publish before write) — the model *must*
-       catch it, otherwise the model itself has lost its teeth.
+    4. split-phase, more collectives in flight than the metadata ring
+       has slots, the last one finished first — no deadlock and no read
+       of reclaimed bytes, because a blocked post runs the engine;
+    5. split-phase, rank 1's payloads outgrow its segment while rank
+       0's all fit — rank 0 is in a *wait* (on the last collective)
+       when rank 1 needs it to drain the first, so waits run the
+       engine too;
+    6. negative controls, which the model *must* catch or it has lost
+       its teeth: publish before write (a stale read), and scenarios 4
+       and 5 with the engine taken out of the waits (a deadlock).
     """
+    window = max(seqs, 3)
+    ring = ModelConfig(window=window, meta_slots=2, capacity=window)
+    room = ModelConfig(
+        window=window, meta_slots=window, capacity=4, payloads=(1, 2)
+    )
     scenarios = {
         "clean-wraparound": ModelConfig(seqs=seqs),
         "die-anywhere": ModelConfig(seqs=seqs, crash_rank=1),
         "degraded-cohort": ModelConfig(seqs=seqs, active=(0,)),
+        "split-phase-ring": ring,
+        "split-phase-room": room,
+    }
+    controls = {
+        "broken-publish-first": (
+            ModelConfig(seqs=seqs, broken=True), ("stale-meta", "torn-read")
+        ),
+        "no-progress-ring": (replace(ring, progress=False), ("deadlock",)),
+        "no-progress-room": (replace(room, progress=False), ("deadlock",)),
     }
     summary: dict = {"ok": True, "scenarios": {}}
     for name, config in scenarios.items():
@@ -384,16 +500,15 @@ def run_protocol_check(seqs: int = 3) -> dict:
             "violations": [str(v) for v in result.violations[:10]],
         }
         summary["ok"] = summary["ok"] and result.ok
-    broken = check_model(ModelConfig(seqs=seqs, broken=True))
-    caught = any(
-        v.kind in ("stale-meta", "torn-read") for v in broken.violations
-    )
-    summary["scenarios"]["broken-publish-first"] = {
-        "ok": caught,
-        "states": broken.states,
-        "terminals": broken.terminals,
-        "violations": [str(v) for v in broken.violations[:3]],
-        "expectation": "must be caught",
-    }
-    summary["ok"] = summary["ok"] and caught
+    for name, (config, expected) in controls.items():
+        result = check_model(config)
+        caught = any(v.kind in expected for v in result.violations)
+        summary["scenarios"][name] = {
+            "ok": caught,
+            "states": result.states,
+            "terminals": result.terminals,
+            "violations": [str(v) for v in result.violations[:3]],
+            "expectation": "must be caught",
+        }
+        summary["ok"] = summary["ok"] and caught
     return summary

@@ -166,9 +166,9 @@ class ParallelAsyncHandle(AsyncHandle):
         self._reduce = reduce
         self._collect = collect
 
-    def _advance(self, block: bool = False) -> bool:
-        """Fetch what has arrived (``block``: and the first peer that has
-        not); reduce once nobody is missing.  True when reduced."""
+    def _advance(self) -> bool:
+        """Fetch what has arrived and reduce once nobody is missing;
+        whether the handle is reduced.  Never blocks."""
         pending = self._pending
         if pending is None:
             return True
@@ -176,9 +176,8 @@ class ParallelAsyncHandle(AsyncHandle):
             arrived = self._comm.arena.arrived
             missing = []
             for peer in pending:
-                if block or arrived(self.seq, peer):
+                if arrived(self.seq, peer):
                     self._parts[peer] = self._fetch(self.seq, peer)
-                    block = False
                 else:
                     missing.append(peer)
             self._pending = missing
@@ -198,9 +197,16 @@ class ParallelAsyncHandle(AsyncHandle):
     def wait(self):
         if self._waited:
             return self._result
-        while not self._advance(block=True):
-            pass
-        self._comm._retire()
+        comm = self._comm
+        while not self._advance():
+            # The engine keeps running while this rank waits: a peer may
+            # be unable to post this collective until an earlier one is
+            # drained here (handles finished out of issue order).
+            comm.arena.wait_posted(
+                self.seq, self._pending[0], comm.timeout,
+                progress=comm.progress,
+            )
+        comm._retire()
         if self._collect is not None:
             collect, self._collect = self._collect, None
             collect(self)

@@ -16,6 +16,11 @@ checker and reports typed :class:`ArenaViolation`\\ s:
   publication store is not in the read's causal past;
 * ``drain-unpublished`` — a rank advanced its drained counter past a
   sequence number it neither posted nor read;
+* ``read-after-drain`` — a rank read a contribution to a sequence
+  number its own drained counter had already passed (the counter is
+  cumulative: with collectives finished out of issue order it may only
+  rise to the lowest one still unread, or a peer is free to reclaim
+  bytes this rank has yet to read);
 * ``reuse-before-floor`` — the bump allocator handed out bytes still
   owned by a sequence number some active rank had not drained at
   allocation time (the wraparound bug class);
@@ -181,6 +186,7 @@ def check_streams(
         written: set[int] = set()
         observed: set[int] = set()  # seqs this rank posted or read
         timeline = drains.setdefault(rank, _DrainTimeline())
+        drained_through = 0
         last_t: int | None = None
         for etype, seq, a, b, t_ns in streams[rank]:
             if (
@@ -211,6 +217,15 @@ def check_streams(
                 observed.add(seq)
             elif etype == EV_READ:
                 observed.add(seq)
+                if seq < drained_through:
+                    report.violations.append(ArenaViolation(
+                        "read-after-drain", rank, seq,
+                        f"read of rank {a}'s contribution after this "
+                        f"rank's drained counter reached {drained_through}"
+                        " — the writer may already have reclaimed the "
+                        "bytes; drained may only rise to the lowest "
+                        "sequence number still unread",
+                    ))
             elif etype == EV_DRAIN:
                 if seq not in observed and not lossy:
                     report.violations.append(ArenaViolation(
@@ -221,6 +236,7 @@ def check_streams(
                         "consumed",
                     ))
                 timeline.record(t_ns, seq)
+                drained_through = max(drained_through, seq + 1)
 
     # --- cross-rank happens-before (vector clocks) -----------------------
     merged: list[tuple[int, int, tuple[int, int, int, int, int]]] = []

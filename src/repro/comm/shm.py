@@ -751,7 +751,15 @@ class SharedArena:
         """Whether ``rank`` has published ``seq`` (never waits)."""
         return bool(self._posted[rank] > seq)
 
-    def _wait_posted(self, seq: int, rank: int, timeout: float) -> None:
+    def wait_posted(
+        self, seq: int, rank: int, timeout: float, progress=None
+    ) -> None:
+        """Block until ``rank`` has published ``seq``.
+
+        ``progress`` runs between polls, as in :meth:`post`: a peer
+        that cannot post ``seq`` before this rank drains something
+        earlier must not find this rank doing nothing but wait.
+        """
         if not self._active[rank]:
             raise ArenaProtocolError(
                 f"rank {rank} is not in this incarnation's active cohort; "
@@ -768,6 +776,7 @@ class SharedArena:
                 f"collective seq {seq} (posted={self._posted.tolist()})"
             ),
             peer=rank,
+            progress=progress,
         )
 
     def view(
@@ -779,7 +788,7 @@ class SharedArena:
         only until this rank drains ``seq`` (the writer may then reuse
         the bytes), so callers must finish reducing before draining.
         """
-        self._wait_posted(seq, rank, timeout)
+        self.wait_posted(seq, rank, timeout)
         slot = self._meta[rank, seq % self.spec.meta_slots]
         offset, nbytes, kind = int(slot[0]), int(slot[1]), int(slot[2])
         if kind not in _KNOWN_KINDS:

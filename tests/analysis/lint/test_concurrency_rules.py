@@ -142,6 +142,64 @@ class TestGR008UncooperativePollLoop:
         """)
         assert findings == []
 
+    def test_flags_spin_loop_that_rereads_a_control_word(self):
+        # The spin phase of a spin-then-sleep wait: no sleep anywhere,
+        # the abort word is checked, but nothing beats — the watchdog
+        # would convict a rank that is merely waiting.
+        findings = _lint(UncooperativePollLoopRule(), """
+            class Arena:
+                def wait_posted(self, seq, rank):
+                    while self._posted[rank] <= seq:
+                        self._check_abort()
+        """)
+        assert [f.rule_id for f in findings] == ["GR008"]
+        assert "beat the heartbeat" in findings[0].message
+        assert "check the abort word" not in findings[0].message
+
+    def test_flags_spin_on_an_aliased_control_word(self):
+        findings = _lint(UncooperativePollLoopRule(), """
+            class Arena:
+                def wait_drained(self, horizon):
+                    drained = self._drained
+                    while min(drained) <= horizon:
+                        pass
+        """)
+        assert len(findings) == 1
+        assert "beat the heartbeat" in findings[0].message
+        assert "check the abort word" in findings[0].message
+
+    def test_flags_spin_that_polls_through_a_helper(self):
+        findings = _lint(UncooperativePollLoopRule(), """
+            class Arena:
+                def arrived(self, seq, rank):
+                    return self._posted[rank] > seq
+
+                def wait_posted(self, seq, rank):
+                    while not self.arrived(seq, rank):
+                        self._beat()
+        """)
+        assert len(findings) == 1
+        assert "check the abort word" in findings[0].message
+
+    def test_cooperative_spin_then_sleep_loop_is_clean(self):
+        findings = _lint(UncooperativePollLoopRule(), """
+            import time
+
+            class Arena:
+                def _poll(self, ready, peer, spin_until):
+                    value = ready()
+                    while value is None:
+                        self._beat()
+                        self._check_abort()
+                        if self._status[peer] == 2:
+                            raise RuntimeError
+                        if time.monotonic() > spin_until:
+                            time.sleep(0.00005)
+                        value = ready()
+                    return value
+        """)
+        assert findings == []
+
     def test_non_sleeping_drain_loop_is_out_of_scope(self):
         findings = _lint(UncooperativePollLoopRule(), """
             def drain(queue):

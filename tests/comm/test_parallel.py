@@ -14,6 +14,7 @@ Three tiers, cheapest first:
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -172,10 +173,191 @@ class TestInProcessCollectives:
         for comm, prior in zip(two_rank_comms, before):
             assert comm.record.simulated_seconds > prior
 
-    def test_simulator_only_collectives_are_refused(self, two_rank_comms):
-        comm = two_rank_comms[0]
-        with pytest.raises(NotImplementedError):
-            comm.sparse_allreduce([np.ones(2, np.float32)])
+    def test_sparse_allreduce_matches_sequential(self, two_rank_comms):
+        """Same sum, bit for bit, and the same block-sparse charge as the
+        sequential communicator (a few non-zero blocks, a ragged tail)."""
+        from repro.comm.collectives import Communicator
+
+        rng = np.random.default_rng(3)
+        tensors = []
+        for rank in range(2):
+            tensor = np.zeros(1000, dtype=np.float32)
+            start = 256 * rank + 17
+            tensor[start:start + 40] = rng.standard_normal(40)
+            tensors.append(tensor.reshape(10, 100))
+        sequential = Communicator(2)
+        expected = sequential.sparse_allreduce(tensors, block_size=64)
+        totals = _both(
+            two_rank_comms,
+            lambda c: c.sparse_allreduce([tensors[c.rank]], block_size=64),
+        )
+        for comm, total in zip(two_rank_comms, totals):
+            assert total.tobytes() == expected.tobytes()
+            assert total.shape == expected.shape
+            assert (
+                comm.record.simulated_seconds
+                == sequential.record.simulated_seconds
+            )
+            assert (
+                comm.record.bytes_sent_per_worker
+                == sequential.record.bytes_sent_per_worker
+            )
+            assert comm.record.registry.value(
+                "comm_op_count_total", {"op": "sparse_allreduce"}
+            ) == 1.0
+        with pytest.raises(ValueError, match="block_size"):
+            two_rank_comms[0].sparse_allreduce([tensors[0]], block_size=0)
+
+
+@pytest.fixture
+def tight_comms():
+    """Two ranks on a 4-slot metadata ring and a 4 KiB data segment."""
+    owner = SharedArena.create(n_ranks=2, data_bytes=4096, meta_slots=4)
+    arenas = [SharedArena.attach(owner.spec, rank=r) for r in range(2)]
+    yield [
+        ParallelWorkerCommunicator(arena, rank, timeout=10.0)
+        for rank, arena in enumerate(arenas)
+    ]
+    for arena in arenas:
+        arena.close()
+    owner.close()
+
+
+class TestWideWindows:
+    """More collectives in flight than the arena holds at once.
+
+    The reclamation floor is a minimum over every active rank, the
+    poster included, so a rank that only *waited* for room would wait
+    on its own unread handles (60 s, then a timeout blaming its peers).
+    A post that has to wait runs the progress engine instead.
+    """
+
+    @staticmethod
+    def _window(comm, payloads, finish_order):
+        start = time.perf_counter()
+        handles = [comm.iallgather([[p]]) for p in payloads[comm.rank]]
+        results = {i: handles[i].wait() for i in finish_order}
+        return time.perf_counter() - start, [results[i] for i in sorted(results)]
+
+    @pytest.mark.parametrize("order", ["issue", "reversed"])
+    def test_twice_the_metadata_ring_in_flight(self, tight_comms, order):
+        n = 2 * tight_comms[0].arena.spec.meta_slots
+        payloads = [
+            [np.full(3, 10 * rank + i, dtype=np.float32) for i in range(n)]
+            for rank in range(2)
+        ]
+        finish = range(n) if order == "issue" else reversed(range(n))
+        finish = list(finish)
+        outcomes = _both(
+            tight_comms, lambda c: self._window(c, payloads, finish)
+        )
+        for elapsed, gathered in outcomes:
+            assert elapsed < 1.0
+            for i, per_rank in enumerate(gathered):
+                for rank in range(2):
+                    np.testing.assert_array_equal(
+                        per_rank[rank][0], payloads[rank][i]
+                    )
+        for comm in tight_comms:
+            assert int(comm.arena._drained[comm.rank]) == n
+            assert not comm._live
+
+    def test_window_larger_than_the_data_segment(self, tight_comms):
+        capacity = tight_comms[0].arena.spec.data_bytes
+        payloads = [
+            [np.full(400, 7 * rank + i, dtype=np.float32) for i in range(4)]
+            for rank in range(2)
+        ]
+        assert sum(p.nbytes for p in payloads[0]) > capacity
+        outcomes = _both(
+            tight_comms, lambda c: self._window(c, payloads, range(4))
+        )
+        for elapsed, gathered in outcomes:
+            assert elapsed < 1.0
+            for i, per_rank in enumerate(gathered):
+                for rank in range(2):
+                    np.testing.assert_array_equal(
+                        per_rank[rank][0], payloads[rank][i]
+                    )
+
+    def test_last_issued_finished_first_while_the_peer_is_short_of_room(
+        self, tight_comms
+    ):
+        """Rank 0's payloads all fit, rank 1's do not: rank 1 can only
+        post its third once rank 0 has drained the first, and rank 0 is
+        by then blocked waiting on the *last* — so a blocking wait has
+        to keep the engine running too."""
+        payloads = [
+            [np.full(20, i, dtype=np.float32) for i in range(6)],
+            [np.full(400, -i, dtype=np.float32) for i in range(6)],
+        ]
+        outcomes = _both(
+            tight_comms,
+            lambda c: self._window(c, payloads, list(reversed(range(6)))),
+        )
+        for elapsed, gathered in outcomes:
+            assert elapsed < 1.0
+            for i, per_rank in enumerate(gathered):
+                for rank in range(2):
+                    np.testing.assert_array_equal(
+                        per_rank[rank][0], payloads[rank][i]
+                    )
+
+    def test_reverse_finish_replays_clean_under_the_sanitizer(self):
+        """Handles finished last-issued-first on a ring they overflow:
+        the happens-before replay (reads vs publications, allocator
+        reuse vs the drained floor, reads vs this rank's own drains)
+        finds nothing."""
+        from repro.comm.sanitizer import collect_report
+
+        owner = SharedArena.create(
+            n_ranks=2, data_bytes=4096, meta_slots=4, event_slots=1024
+        )
+        arenas = [SharedArena.attach(owner.spec, rank=r) for r in range(2)]
+        try:
+            comms = [
+                ParallelWorkerCommunicator(arena, rank, timeout=10.0)
+                for rank, arena in enumerate(arenas)
+            ]
+            payloads = [
+                [np.full(120, 9 * rank + i, dtype=np.float32)
+                 for i in range(10)]
+                for rank in range(2)
+            ]
+            _both(comms, lambda c: self._window(
+                c, payloads, list(reversed(range(10)))
+            ))
+            report = collect_report(owner)
+        finally:
+            for arena in arenas:
+                arena.close()
+            owner.close()
+        assert report.ok, [str(v) for v in report.violations]
+        assert not report.dropped
+        assert set(report.per_rank_events) == {0, 1}
+
+    def test_drained_never_passes_a_handle_still_to_be_read(
+        self, two_rank_comms
+    ):
+        """Rank 0 finishes its second collective (a broadcast it is the
+        root of, so nobody to wait for) while its first is unread:
+        ``drained`` must stay put, or rank 1 could reclaim the bytes of
+        the first before rank 0 has read them."""
+        zero, one = two_rank_comms
+        payload = [np.arange(6, dtype=np.float32)]
+        first = zero.iallgather([[np.zeros(2, np.float32)]])
+        zero.broadcast(payload, root=0)
+        assert not first.test()
+        assert int(zero.arena._drained[0]) == 0
+        # Rank 1 catches up; nothing below blocks.
+        one.iallgather([[np.ones(2, np.float32)]]).wait()
+        np.testing.assert_array_equal(
+            one.broadcast([], root=0)[1][0], payload[0]
+        )
+        assert int(one.arena._drained[1]) == 2
+        gathered = first.wait()
+        np.testing.assert_array_equal(gathered[1][0], 1.0)
+        assert int(zero.arena._drained[0]) == 2
 
 
 class DeadLayerTask:
@@ -301,12 +483,14 @@ class TestNonblockingHandles:
 # ---------------------------------------------------------------------------
 
 
-def _sequential_run(compressor: str):
+def _sequential_run(compressor: str, n_workers: int = 4, **kwargs):
     from repro.bench.runner import build_trainer
     from repro.bench.suite import get_benchmark
 
     spec = get_benchmark(FIG6A)
-    trainer, run = build_trainer(spec, compressor, n_workers=4, seed=0)
+    trainer, run = build_trainer(
+        spec, compressor, n_workers=n_workers, seed=0, **kwargs
+    )
     report = trainer.train(run.loader, epochs=1, eval_fn=run.eval_fn)
     params = {
         name: np.asarray(param.data)
@@ -332,6 +516,50 @@ class TestRunParallel:
         assert (
             result.report.bytes_per_worker == seq_report.bytes_per_worker
         )
+
+    @pytest.mark.parametrize("compressor, fusion_mb", [
+        ("qsgd", 0.0),  # stochastic; 29 allgathers a step, split-phase
+        ("none", 64.0),  # one zero-copy dense allreduce a step
+    ])
+    def test_two_rank_cells_match_sequential(self, compressor, fusion_mb):
+        seq_report, seq_params = _sequential_run(
+            compressor, n_workers=2, fusion_mb=fusion_mb
+        )
+        result = run_parallel(ParallelRunConfig(
+            benchmark=FIG6A, compressor=compressor, nproc=2, seed=0,
+            epochs=1, fusion_mb=fusion_mb,
+        ))
+        assert set(result.digests.values()) == {model_digest(seq_params)}
+        assert len(result.digests) == 2
+        assert result.report.losses == seq_report.losses
+        assert (
+            result.report.sim_comm_seconds == seq_report.sim_comm_seconds
+        )
+        assert (
+            result.report.bytes_per_worker == seq_report.bytes_per_worker
+        )
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity"
+    )
+    def test_two_ranks_on_one_core_finish_in_time(self):
+        """Oversubscribed: the ranks inherit the parent's one-core mask,
+        so a rank that spun through its poll budget would keep the peer
+        it waits for off the CPU.  Same model, inside a time cap."""
+        _, seq_params = _sequential_run("topk", n_workers=2)
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            start = time.perf_counter()
+            result = run_parallel(ParallelRunConfig(
+                benchmark=FIG6A, compressor="topk", nproc=2, seed=0,
+                epochs=1,
+            ))
+            elapsed = time.perf_counter() - start
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert set(result.digests.values()) == {model_digest(seq_params)}
+        assert elapsed < 30.0
 
     @pytest.mark.parametrize("fusion_mb", [0.0, 64.0])
     def test_sketchml_decodes_peers_whose_zeros_fall_elsewhere(
@@ -360,6 +588,34 @@ class TestRunParallel:
         assert san.ok, [str(v) for v in san.violations]
         assert san.events_total > 0
         assert set(san.per_rank_events) == {0, 1}
+
+    def test_merged_metrics_say_who_waited_on_whom(self):
+        result = run_parallel(ParallelRunConfig(
+            benchmark="ncf-movielens", compressor="topk", nproc=2,
+            seed=0, epochs=1, metrics=True,
+        ))
+        metrics = result.metrics
+        waited = {
+            (dict(h.labels)["rank"], dict(h.labels)["peer"]): h
+            for h in metrics.instruments("arena_wait_seconds")
+        }
+        # Whichever rank reaches a rendezvous first waits on the other;
+        # spawn skew alone makes the first one a wait for somebody.
+        assert waited and set(waited) <= {
+            ("0", "1"), ("1", "0"), ("0", "reclaim"), ("1", "reclaim"),
+        }
+        assert {("0", "1"), ("1", "0")} & set(waited)
+        for histogram in waited.values():
+            assert histogram.count >= 1 and histogram.sum > 0.0
+        polls = sum(
+            counter.value
+            for counter in metrics.instruments("arena_polls_total")
+        )
+        assert polls >= sum(h.count for h in waited.values())
+        assert {
+            dict(c.labels)["phase"]
+            for c in metrics.instruments("arena_polls_total")
+        } == {"spin", "sleep"}
 
     def test_ranks_share_the_cores_unless_the_user_pinned_them(
         self, monkeypatch

@@ -83,6 +83,26 @@ class TestCheckStreams:
         assert [v.kind for v in report.violations] == ["drain-unpublished"]
         assert report.violations[0].seq == 4
 
+    def test_read_after_own_drain_passed_it(self):
+        # Two collectives in flight, the second finished first, and the
+        # handle drained *its own* seq: drained is cumulative, so rank 1
+        # just told rank 0 it may reclaim seq 0 — which it reads later.
+        streams = {
+            0: [_ev(EV_WRITE, 0, t=1), _ev(EV_POST, 0, t=2),
+                _ev(EV_WRITE, 1, t=3), _ev(EV_POST, 1, t=4)],
+            1: [_ev(EV_READ, 1, a=0, t=10), _ev(EV_DRAIN, 1, t=11),
+                _ev(EV_READ, 0, a=0, t=12), _ev(EV_DRAIN, 0, t=13)],
+        }
+        report = check_streams(streams)
+        assert [v.kind for v in report.violations] == ["read-after-drain"]
+        assert (report.violations[0].rank, report.violations[0].seq) == (1, 0)
+        # The engine's order: read both, then one cumulative drain.
+        streams[1] = [
+            _ev(EV_READ, 1, a=0, t=10), _ev(EV_READ, 0, a=0, t=12),
+            _ev(EV_DRAIN, 1, t=13),
+        ]
+        assert check_streams(streams).ok
+
     def test_drain_after_own_post_or_read_is_ok(self):
         streams = {
             0: [_ev(EV_WRITE, 0, t=1), _ev(EV_POST, 0, t=2),

@@ -198,6 +198,71 @@ class TestReclamation:
             r0._allocate(2, 1500, timeout=0.05)
 
 
+class TestPollLoop:
+    """The one wait loop: spin budget, back-off, telemetry."""
+
+    def test_wait_is_recorded_by_peer_and_phase(self, arena_pair):
+        import threading
+
+        from repro.telemetry.metrics import MetricsRegistry
+
+        _, (r0, r1) = arena_pair
+        registry = MetricsRegistry()
+        r0.attach_telemetry(registry)
+        poster = threading.Timer(0.01, r1.post, args=(0, b"late", KIND_WIRE))
+        poster.start()
+        try:
+            data, _ = r0.read(0, rank=1, timeout=5.0)
+        finally:
+            poster.join()
+        assert data == b"late"
+        waits = registry.histogram("arena_wait_seconds", {"peer": "1"})
+        assert waits.count == 1
+        assert 0.005 < waits.sum < 5.0
+        spins = registry.value("arena_polls_total", {"phase": "spin"})
+        sleeps = registry.value("arena_polls_total", {"phase": "sleep"})
+        # 10 ms is far beyond the spin budget: both phases polled.
+        assert spins >= 1 and sleeps >= 1
+        # Already posted: not a wait, nothing more recorded.
+        r0.read(0, rank=1, timeout=5.0)
+        assert waits.count == 1
+
+    def test_reclaim_waits_are_labelled_and_run_progress(self, arena_pair):
+        from repro.telemetry.metrics import MetricsRegistry
+
+        _, (r0, r1) = arena_pair
+        registry = MetricsRegistry()
+        r0.attach_telemetry(registry)
+        big = np.zeros(1500, dtype=np.uint8)
+        for view in (r0, r1):
+            view.post(0, big, KIND_DENSE)
+            view.post(1, big, KIND_DENSE)
+        calls = []
+
+        def progress():
+            # What a communicator's engine does: read, then drain.
+            calls.append(len(calls))
+            for view in (r0, r1):
+                view.drain(0)
+
+        r0.post(2, big, KIND_DENSE, progress=progress)
+        assert calls == [0]
+        assert registry.histogram(
+            "arena_wait_seconds", {"peer": "reclaim"}
+        ).count == 1
+
+    def test_spinning_rank_still_beats_and_sees_abort(self, arena_pair):
+        import threading
+
+        owner, (r0, _) = arena_pair
+        # Abort lands inside the spin budget of a wait that would
+        # otherwise last 5 s; the waiter must have beaten before it.
+        threading.Timer(0.00005, owner.abort).start()
+        with pytest.raises(ArenaAbortedError):
+            r0.read(0, rank=1, timeout=5.0)
+        assert owner.heartbeat_ns(0) > 0
+
+
 class TestFailurePaths:
     def test_timeout_waiting_for_silent_peer(self, arena_pair):
         _, (r0, _) = arena_pair
