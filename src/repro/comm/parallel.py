@@ -263,6 +263,7 @@ class ParallelWorkerCommunicator(Communicator):
         self.timeout = float(timeout)
         self._seq = 0
         self._live: deque[ParallelAsyncHandle] = deque()
+        self._progressed = None  # what progress() last ran against
         self._cohort = tuple(arena.active_ranks())
         if self.rank not in self._cohort:
             raise ValueError(
@@ -280,10 +281,18 @@ class ParallelWorkerCommunicator(Communicator):
     # -- progress engine ----------------------------------------------------
 
     def progress(self) -> None:
-        """Advance every live handle as far as the posted peers allow."""
-        for handle in self._live:
-            handle._advance()
-        self._retire()
+        """Advance every live handle as far as the posted peers allow.
+
+        Called once per poll by whatever wait this rank is in, so it
+        returns at once unless a peer has posted or a handle has been
+        issued since it last ran.
+        """
+        state = (self.arena.posted(), self._seq)
+        if state != self._progressed:
+            self._progressed = state
+            for handle in self._live:
+                handle._advance()
+            self._retire()
 
     def _retire(self) -> None:
         """Forget reduced handles and publish how far this rank has read.

@@ -244,8 +244,10 @@ class SharedArena:
         # rank is not None): blocks still owned by undrained seqs.
         self._head = 0
         self._outstanding: list[tuple[int, int, int]] = []  # (seq, off, nbytes)
-        # Whether a waiting rank may keep its core (see _poll); decided
-        # at the first wait, when the active mask is certainly final.
+        # The active ranks and whether a waiting rank may keep its core
+        # (see _poll), both read at first use: a worker attaches after
+        # the parent has written the mask, which then never changes.
+        self._cohort: list[int] | None = None
         self._spins: bool | None = None
         self._wait_metrics = None  # set by attach_telemetry
 
@@ -543,17 +545,14 @@ class SharedArena:
         A dead rank's drained counter freezes; flooring over the active
         mask keeps it from wedging the survivors' allocator.
         """
-        active = self._active
-        drained = self._drained
-        floor = None
-        for r in range(self.spec.n_ranks):
-            if active[r]:
-                value = int(drained[r])
-                if floor is None or value < floor:
-                    floor = value
+        if self._cohort is None:
+            self._cohort = self.active_ranks()
+        drained = self._drained.tolist()
         # No active ranks can only happen mid-teardown; treat
         # everything as drained so no loop spins on it.
-        return floor if floor is not None else int(drained.max())
+        return min(
+            (drained[r] for r in self._cohort), default=max(drained)
+        )
 
     def _check_abort(self, context: str) -> None:
         if self.aborted:
@@ -580,18 +579,16 @@ class SharedArena:
     ):
         """Block until ``ready()`` returns something other than ``None``.
 
-        The arena's one wait loop.  Every iteration beats the heartbeat,
-        checks the abort word, the awaited ``peer``'s status and the
-        deadline (``expired()`` builds the typed error), then runs
-        ``progress`` if the caller passed one.  The first
+        The arena's one wait loop; callers try ``ready`` themselves
+        first and come here only to wait.  Every iteration beats the
+        heartbeat, checks the abort word, the awaited ``peer``'s status
+        and the deadline (``expired()`` builds the typed error), then
+        runs ``progress`` if the caller passed one.  The first
         ``_SPIN_SECONDS`` poll back to back — yielding the core between
         polls when the cohort outnumbers the cores this process may run
         on, where a spinning rank would only keep the peer it waits for
         off the CPU — and after that each poll sleeps ``_POLL_SLEEP``.
         """
-        value = ready()
-        if value is not None:
-            return value
         if self._spins is None:
             cores = (
                 len(os.sched_getaffinity(0))
@@ -602,6 +599,7 @@ class SharedArena:
         spin_until = start + _SPIN_SECONDS
         deadline = start + timeout
         spins = sleeps = 0
+        value = None
         while value is None:
             self._beat()
             self._check_abort(context)
@@ -675,7 +673,7 @@ class SharedArena:
     ) -> None:
         """Block until the ring slot for ``seq`` is reusable."""
         horizon = seq - self.spec.meta_slots
-        if horizon < 0:
+        if horizon < 0 or self._drained_floor() > horizon:
             return
         self._poll(
             lambda: True if self._drained_floor() > horizon else None,
@@ -719,17 +717,19 @@ class SharedArena:
                     return None
             return start
 
-        start = self._poll(
-            grant,
-            f"allocation (seq={seq})",
-            timeout,
-            lambda: ArenaOverflowError(
-                f"rank {self.rank}: no room for {nbytes} bytes at seq "
-                f"{seq}; {len(self._outstanding)} undrained payloads "
-                f"occupy the segment (drained={self._drained.tolist()})"
-            ),
-            progress=progress,
-        )
+        start = grant()
+        if start is None:
+            start = self._poll(
+                grant,
+                f"allocation (seq={seq})",
+                timeout,
+                lambda: ArenaOverflowError(
+                    f"rank {self.rank}: no room for {nbytes} bytes at seq "
+                    f"{seq}; {len(self._outstanding)} undrained payloads "
+                    f"occupy the segment (drained={self._drained.tolist()})"
+                ),
+                progress=progress,
+            )
         self._head = start + nbytes
         self._outstanding.append((seq, start, nbytes))
         self._record(EV_ALLOC, seq, start, nbytes)
@@ -751,6 +751,10 @@ class SharedArena:
         """Whether ``rank`` has published ``seq`` (never waits)."""
         return bool(self._posted[rank] > seq)
 
+    def posted(self) -> list[int]:
+        """Every rank's publication counter, as of now."""
+        return self._posted.tolist()
+
     def wait_posted(
         self, seq: int, rank: int, timeout: float, progress=None
     ) -> None:
@@ -765,6 +769,8 @@ class SharedArena:
                 f"rank {rank} is not in this incarnation's active cohort; "
                 f"nothing will ever be posted for seq {seq}"
             )
+        if self._posted[rank] > seq:
+            return
         # No local alias of the control views here: a typed error's
         # traceback would keep the mapping exported past close().
         self._poll(
