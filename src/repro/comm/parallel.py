@@ -13,18 +13,32 @@ Pieces:
   :class:`~repro.comm.collectives.Communicator` used *inside* a worker.
   Each call takes the rank's **own** contribution (a one-element
   per-rank list, matching the trainer's worker mode), publishes it to
-  the arena, reads back every **active** rank's contribution in rank
-  order and reduces them with the exact expression the sequential
+  the arena, fetches every other **active** rank's contribution and
+  reduces them in rank order with the exact expression the sequential
   communicator uses — which is what makes the final model state bitwise
   identical for deterministic compressors.  Dense single-part payloads
   are reduced zero-copy through NumPy views over the shared segments;
   variable-size compressed payloads travel as CRC32-framed
   ``core.wire`` byte streams, so a flipped bit in shared memory
   surfaces as :class:`~repro.core.wire.WireChecksumError` instead of a
-  silently wrong gradient.
-* :class:`ParallelAsyncHandle` — nonblocking-collective handle whose
-  gather/reduce work runs in ``wait()`` exactly once, no matter how
-  many processes hold sibling handles for the same sequence number.
+  silently wrong gradient.  The whole ``Communicator`` interface is
+  implemented, ``sparse_allreduce`` included.
+* :class:`ParallelAsyncHandle` — one in-flight collective as a small
+  state machine (posted → every peer arrived → reduced → drained) with
+  a non-blocking ``test()`` and a blocking ``wait()``.  Blocking
+  collectives are handles waited on at once.
+* the **progress engine** under both — the communicator keeps its live
+  handles in issue order, ``progress()`` advances all of them without
+  blocking, and every wait (a post short of a metadata slot or segment
+  space, a ``wait()`` short of a peer) runs it between polls, so a
+  window of collectives wider than the ring or the segment completes
+  instead of waiting on itself.  The engine, not the handles, moves
+  the rank's ``drained`` counter, only ever to the lowest sequence
+  number a live handle still has to read (``docs/ROBUSTNESS.md``,
+  "Windows wider than the arena").  The trainer's worker exchange uses
+  it split-phase: every tensor's or bucket's collective is issued
+  before any is finished and the loss gather spans the exchange, so
+  two ranks meet about once per step.
 * :func:`run_parallel` — the parent orchestration: create the arena,
   spawn workers, watch their liveness, merge per-rank trace shards,
   metric registries and memory high-water marks, verify cross-rank
@@ -34,12 +48,12 @@ Survivability
 -------------
 
 A :class:`_Watchdog` thread in the parent samples each worker's
-exitcode and heartbeat (ranks beat once per training iteration and
-inside every arena poll loop).  A non-zero exit or a heartbeat silent
-past the stall deadline convicts the rank: the watchdog marks it
-failed, flips the arena abort flag so blocked survivors raise a typed
-error instead of hanging, and hands the parent the victim set with each
-victim's last-started iteration.
+exitcode and heartbeat (ranks beat once per training iteration and on
+every iteration of the arena's poll loop, spinning or sleeping).  A
+non-zero exit or a heartbeat silent past the stall deadline convicts
+the rank: the watchdog marks it failed, flips the arena abort flag so
+blocked survivors raise a typed error instead of hanging, and hands the
+parent the victim set with each victim's last-started iteration.
 
 When checkpointing is enabled (``checkpoint_every > 0`` — every rank
 snapshots its shard of trainer state to ``checkpoint_dir``), the parent
@@ -86,11 +100,7 @@ from repro.comm.collectives import (
     Payload,
     payload_nbytes,
 )
-from repro.comm.cost import (
-    broadcast_time,
-    fused_allreduce_time,
-    ring_allreduce_time,
-)
+from repro.comm.cost import broadcast_time, fused_allreduce_time
 from repro.comm.network import NetworkModel, ethernet
 from repro.comm.shm import (
     DEFAULT_DATA_BYTES,
@@ -405,19 +415,9 @@ class ParallelWorkerCommunicator(Communicator):
     # -- blocking collectives ----------------------------------------------
 
     def allreduce(self, tensors: list[np.ndarray]) -> np.ndarray:
-        local = np.ascontiguousarray(
-            np.asarray(self._local(tensors, "allreduce"))
-        )
-        total = self._start(
-            local, KIND_DENSE, local, self._dense_fetch(local),
-            lambda views: np.sum(np.stack(views), axis=0),
-        ).wait()
-        seconds = ring_allreduce_time(
-            local.nbytes, self._n_active, self.network, self.backend
-        )
-        self.record.charge(bytes_per_worker=float(local.nbytes),
-                           seconds=seconds, op="allreduce")
-        return total
+        # One dense part: same post, same sum and same ring-allreduce
+        # charge as the fused call's single-part fast path.
+        return self.allreduce_parts([[self._local(tensors, "allreduce")]])[0]
 
     def allreduce_parts(self, payloads: list[Payload]) -> Payload:
         return self.iallreduce_parts(payloads).wait()
