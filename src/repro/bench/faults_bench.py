@@ -1,8 +1,8 @@
 """Fault-injection resilience benchmark (`repro bench faults`).
 
 Trains the same small strongly-convex task once fault-free and once per
-fault scenario — crashes under both recovery policies (with and without
-EF-memory restore), payload corruption, packet drops and stragglers —
+fault scenario — crashes under both recovery policies, payload
+corruption, packet drops and stragglers —
 all with an error-feedback compressor, where lost residual state is the
 failure mode worth measuring.
 
@@ -42,11 +42,6 @@ SCENARIOS: dict[str, dict] = {
     "crash-degrade": {
         "faults": "crash@8:rank=3,rejoin=12",
         "recovery": "degrade",
-    },
-    "crash-degrade-no-ef": {
-        "faults": "crash@8:rank=3,rejoin=12",
-        "recovery": "degrade",
-        "ef_restore": False,
     },
     "crash-restart": {
         "faults": "crash@8:rank=3,rejoin=12",
