@@ -120,7 +120,7 @@ PROBES = {
 @pytest.mark.parametrize("name", available_compressors())
 def test_ctx_is_receiver_known_per_tensor(name, probe):
     """In worker mode a rank decodes its peers' payloads under its *own*
-    ctx (``_gathered_compressed``), so ctx may hold only what every rank
+    ctx (the trainer's ``_like``), so ctx may hold only what every rank
     knows — shape, size, parameters — and ``decompress(payload_B, ctx_A)``
     must be ``decompress(payload_B, ctx_B)`` for same-shape A and B.
     (sketchml's ctx used to carry the sender's non-zero count.)"""

@@ -1,5 +1,7 @@
 """Algorithm 1 trainer: convergence, accounting and strategy dispatch."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,42 @@ class TestAccounting:
         assert trainer.report.sim_compute_seconds == pytest.approx(0.010)
         assert trainer.report.sim_compression_seconds == pytest.approx(0.001)
         assert trainer.report.sim_total_seconds > 0.011
+
+
+class SlowCommunicator(Communicator):
+    """Every collective takes 10 ms of wall clock where it runs: at issue."""
+
+    SECONDS = 0.010
+
+    def allgather(self, payloads):
+        time.sleep(self.SECONDS)
+        return super().allgather(payloads)
+
+    def allreduce_parts(self, payloads):
+        time.sleep(self.SECONDS)
+        return super().allreduce_parts(payloads)
+
+
+class TestMeasuredExchangeTime:
+    @pytest.mark.parametrize("name", ["topk", "none"])
+    @pytest.mark.parametrize("fusion_mb,overlap", [
+        (0.0, False), (64.0, False), (0.0, True), (64.0, True),
+    ])
+    def test_measured_time_includes_every_collective(
+        self, name, fusion_mb, overlap
+    ):
+        trainer = DistributedTrainer(
+            QuadraticTask(), create(name), n_workers=2,
+            communicator=SlowCommunicator(2), fusion_mb=fusion_mb,
+            overlap=overlap,
+        )
+        for step in range(3):
+            trainer.step(noise_batches(2, 32, seed=step))
+        collectives = trainer.comm.record.num_ops
+        assert collectives == 3
+        assert trainer.report.measured_compression_seconds >= (
+            SlowCommunicator.SECONDS * collectives
+        )
 
 
 class TestStrategies:
