@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.core.config import Resilience
 from repro.core.registry import create
 from repro.core.trainer import DistributedTrainer
 
@@ -224,7 +225,7 @@ def _run_cell(
         n_workers=n_workers,
         memory_params={"beta": 1.0, "gamma": task.lr},
         seed=seed,
-        **options,
+        resilience=Resilience(**options),
     )
     loss = 0.0
     for step in range(iterations):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.suite import BenchmarkSpec
+from repro.core.config import Resilience, WorkerMode, sanitizes
 from repro.core.registry import create
 from repro.core.trainer import DistributedTrainer, TrainingReport
 
@@ -42,17 +43,10 @@ def build_trainer(
     tracer=None,
     fusion_mb: float = 0.0,
     overlap: bool = False,
-    faults: str | None = None,
-    recovery: str = "degrade",
-    checkpoint_every: int = 0,
-    checkpoint_dir: str | None = None,
-    straggler_policy: str = "wait",
-    sanitize: bool = False,
-    sanitize_every: int = 1,
+    resilience: Resilience = Resilience(),
+    sanitize: str = "off",
     communicator=None,
-    rank: int | None = None,
-    active_ranks: list[int] | None = None,
-    consumed_faults=(),
+    worker: WorkerMode | None = None,
     topology: str = "flat",
     racks: int = 2,
     aggregation: str = "auto",
@@ -62,10 +56,10 @@ def build_trainer(
     This is the single construction path for sequential runs *and* for
     each rank of the real-parallel backend: a worker process passes its
     :class:`~repro.comm.parallel.ParallelWorkerCommunicator` plus its
-    ``rank`` and gets a trainer whose model, optimizer, compressors and
-    per-rank RNG streams are built bit-identically to the sequential
-    simulator's — which is what makes the sequential-vs-parallel
-    agreement check meaningful.
+    :class:`~repro.core.config.WorkerMode` and gets a trainer whose
+    model, optimizer, compressors and per-rank RNG streams are built
+    bit-identically to the sequential simulator's — which is what makes
+    the sequential-vs-parallel agreement check meaningful.
 
     ``topology`` selects the simulated reduction substrate: ``flat``
     (the default ring/allgather communicator), ``ps`` (a central
@@ -91,10 +85,10 @@ def build_trainer(
     run = spec.build(n_workers=n_workers, seed=seed,
                      compressor_name=compressor_name)
     compressor = create(compressor_name, seed=seed, **(compressor_params or {}))
-    if sanitize:
+    if sanitizes(sanitize, "contract"):
         from repro.core.contract import ContractChecker
 
-        compressor = ContractChecker(compressor, check_every=sanitize_every)
+        compressor = ContractChecker(compressor)
     params = dict(memory_params or {})
     if compressor_name == "efsignsgd" and memory is None and not params:
         # §V-A: EFsignSGD runs with beta=1 and gamma = the initial LR.
@@ -110,16 +104,10 @@ def build_trainer(
         fusion_mb=fusion_mb,
         perf_model=spec.make_perf_model() if overlap else None,
         overlap=overlap,
-        faults=faults,
-        recovery=recovery,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        straggler_policy=straggler_policy,
         communicator=communicator,
-        rank=rank,
-        active_ranks=active_ranks,
-        consumed_faults=consumed_faults,
         aggregation=aggregation,
+        resilience=resilience,
+        worker=worker,
     )
     return trainer, run
 
@@ -136,12 +124,8 @@ def train_quality(
     tracer=None,
     fusion_mb: float = 0.0,
     overlap: bool = False,
-    faults: str | None = None,
-    recovery: str = "degrade",
-    checkpoint_every: int = 0,
-    straggler_policy: str = "wait",
-    sanitize: bool = False,
-    sanitize_every: int = 1,
+    resilience: Resilience = Resilience(),
+    sanitize: str = "off",
     topology: str = "flat",
     racks: int = 2,
     aggregation: str = "auto",
@@ -151,12 +135,13 @@ def train_quality(
     ``overlap=True`` turns on the DDP-style overlapped exchange and
     attaches the benchmark's calibrated perf model so the event timeline
     has a compute phase to hide communication under; the parameter math
-    is unchanged either way.  ``faults`` injects a deterministic fault
-    plan (spec grammar in ``docs/ROBUSTNESS.md``) and the remaining
-    knobs choose the trainer's recovery behaviour.  ``sanitize=True``
-    wraps the compressor in :class:`repro.core.contract.ContractChecker`
-    so every compress call re-validates the §IV-B contract (the training
-    math is unchanged; a violation raises ``ContractViolation``).
+    is unchanged either way.  ``resilience`` injects a deterministic
+    fault plan (spec grammar in ``docs/ROBUSTNESS.md``) and chooses the
+    trainer's recovery behaviour.  ``sanitize="contract"`` (or
+    ``"all"``) wraps the compressor in
+    :class:`repro.core.contract.ContractChecker` so every compress call
+    re-validates the §IV-B contract (the training math is unchanged; a
+    violation raises ``ContractViolation``).
     """
     trainer, run = build_trainer(
         spec,
@@ -169,12 +154,8 @@ def train_quality(
         tracer=tracer,
         fusion_mb=fusion_mb,
         overlap=overlap,
-        faults=faults,
-        recovery=recovery,
-        checkpoint_every=checkpoint_every,
-        straggler_policy=straggler_policy,
+        resilience=resilience,
         sanitize=sanitize,
-        sanitize_every=sanitize_every,
         topology=topology,
         racks=racks,
         aggregation=aggregation,

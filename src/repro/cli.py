@@ -87,6 +87,74 @@ def cmd_compress(args) -> int:
     return 0
 
 
+#: ``train`` flags only one backend reads, with that backend's defaults.
+_BACKEND_FLAGS = {
+    "sim": {"workers": 4},
+    "parallel": {"nproc": 4, "arena_mb": 32.0, "stall_timeout": 30.0,
+                 "checkpoint_dir": None},
+}
+
+
+def _backend_flags(args) -> None:
+    """Reject each flag the chosen backend would ignore; default the rest."""
+    from repro.core.config import sanitizes
+
+    for backend, flags in _BACKEND_FLAGS.items():
+        for dest, default in flags.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif backend != args.backend:
+                raise SystemExit(
+                    f"--{dest.replace('_', '-')} requires --backend {backend}"
+                )
+    if args.backend == "sim" and sanitizes(args.sanitize, "arena"):
+        raise SystemExit(f"--sanitize {args.sanitize} requires --backend "
+                         "parallel")
+
+
+def _add_resilience_flags(parser, chaos: bool = False) -> None:
+    """The :class:`~repro.core.config.Resilience` fields as flags.
+
+    ``chaos`` injects its own kills: it takes no ``--faults`` or
+    ``--straggler-policy`` and defaults to lossless restart recovery.
+    """
+    from repro.core.config import RECOVERY_POLICIES, STRAGGLER_POLICIES
+
+    if not chaos:
+        parser.add_argument("--faults", metavar="SPEC",
+                            help="inject a deterministic fault plan, e.g. "
+                                 "'crash@10:rank=1,rejoin=14;"
+                                 "degrade@20-25:bw=0.25' "
+                                 "(grammar in docs/ROBUSTNESS.md)")
+        parser.add_argument("--straggler-policy", default="wait",
+                            choices=STRAGGLER_POLICIES,
+                            help="wait for the slowest rank (default), drop "
+                                 "slow ranks from the cohort, or fold their "
+                                 "gradients back in while fresh (backup)")
+    parser.add_argument("--recovery", choices=RECOVERY_POLICIES,
+                        default="restart" if chaos else "degrade",
+                        help="crash handling: re-normalize over survivors "
+                             "or roll back to the latest EF-aware "
+                             "checkpoint (default %(default)s)")
+    parser.add_argument("--checkpoint-every", type=int, metavar="N",
+                        default=1 if chaos else 0,
+                        help="checkpoint every N iterations (0: never, "
+                             "or every one for restart recovery under "
+                             "faults; default %(default)s)")
+
+
+def _resilience(args):
+    """The run's one :class:`~repro.core.config.Resilience`."""
+    from repro.core.config import Resilience
+
+    try:
+        return Resilience(getattr(args, "faults", None), args.recovery,
+                          args.checkpoint_every,
+                          getattr(args, "straggler_policy", "wait"))
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+
 def cmd_train(args) -> int:
     """Train one (benchmark, compressor) cell and print the report."""
     from repro.bench.runner import train_quality
@@ -98,13 +166,10 @@ def cmd_train(args) -> int:
             f"choose from {', '.join(sorted(BENCHMARKS))}"
         )
     spec = get_benchmark(args.benchmark)
+    _backend_flags(args)
+    resilience = _resilience(args)
     if args.backend == "parallel":
-        return _train_parallel(args, spec)
-    if args.checkpoint_dir:
-        raise SystemExit(
-            "--checkpoint-dir requires --backend parallel (sequential "
-            "restart recovery keeps its checkpoint in memory)"
-        )
+        return _train_parallel(args, spec, resilience)
     tracing = bool(args.trace or args.chrome_trace or args.metrics_out)
     tracer = None
     if tracing:
@@ -129,12 +194,8 @@ def cmd_train(args) -> int:
         tracer=tracer,
         fusion_mb=args.fusion_mb,
         overlap=args.overlap,
-        faults=args.faults,
-        recovery=args.recovery,
-        checkpoint_every=args.checkpoint_every,
-        straggler_policy=args.straggler_policy,
+        resilience=resilience,
         sanitize=args.sanitize,
-        sanitize_every=args.sanitize_every,
         topology=args.topology,
         racks=args.racks,
         aggregation=args.aggregation,
@@ -183,7 +244,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _train_parallel(args, spec) -> int:
+def _train_parallel(args, spec, resilience) -> int:
     """Train one cell across real worker processes and print the report."""
     from repro.comm.parallel import ParallelRunConfig, run_parallel
 
@@ -202,17 +263,12 @@ def _train_parallel(args, spec) -> int:
         fusion_mb=args.fusion_mb,
         overlap=args.overlap,
         sanitize=args.sanitize,
-        sanitize_every=args.sanitize_every,
         trace=bool(args.trace or args.chrome_trace),
-        arena_bytes=int(args.arena_mb * 1024 * 1024),
-        faults=args.faults,
-        recovery=args.recovery,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        straggler_policy=args.straggler_policy,
         metrics=bool(args.metrics_out),
+        arena_bytes=int(args.arena_mb * 1024 * 1024),
+        resilience=resilience,
+        checkpoint_dir=args.checkpoint_dir,
         stall_timeout=args.stall_timeout,
-        sanitize_arena=args.sanitize_arena,
     )
     try:
         result = run_parallel(config)
@@ -324,8 +380,7 @@ def cmd_chaos(args) -> int:
         trials=args.trials,
         seed=args.seed,
         epochs=args.epochs,
-        recovery=args.recovery,
-        checkpoint_every=args.checkpoint_every,
+        resilience=_resilience(args),
         loss_tolerance=args.loss_tolerance,
         arena_bytes=int(args.arena_mb * 1024 * 1024),
         stall_timeout=args.stall_timeout,
@@ -726,6 +781,8 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser."""
+    from repro.core.config import SANITIZE_LEVELS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GRACE (ICDCS 2021) reproduction — compressed "
@@ -747,7 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one benchmark cell")
     train.add_argument("--benchmark", required=True)
     train.add_argument("--compressor", default="none")
-    train.add_argument("--workers", type=int, default=4)
+    train.add_argument("--workers", type=int, default=None, metavar="N",
+                       help="simulated ranks for --backend sim (default 4)")
     train.add_argument("--epochs", type=int, default=None)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--param", action="append", default=[],
@@ -775,44 +833,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "backward pass (DDP-style bucketed schedule; "
                             "same parameter math, adds sim makespan and "
                             "overlap-fraction accounting)")
-    train.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject a deterministic fault plan, e.g. "
-                            "'crash@10:rank=1,rejoin=14;"
-                            "degrade@20-25:bw=0.25' "
-                            "(grammar in docs/ROBUSTNESS.md)")
-    train.add_argument("--recovery", choices=["degrade", "restart"],
-                       default="degrade",
-                       help="crash handling: re-normalize over survivors "
-                            "(degrade, default) or roll back to the latest "
-                            "EF-aware checkpoint (restart)")
-    train.add_argument("--checkpoint-every", type=int, default=0,
-                       metavar="N",
-                       help="capture an EF-aware checkpoint every N "
-                            "iterations (0 disables; restart recovery "
-                            "defaults to 1)")
-    train.add_argument("--straggler-policy",
-                       choices=["wait", "drop", "backup"], default="wait",
-                       help="straggler handling: wait for the slowest rank "
-                            "(default), drop slow ranks from the cohort, or "
-                            "fold their gradients back in while fresh "
-                            "(backup)")
-    train.add_argument("--sanitize", action="store_true",
-                       help="wrap the compressor in the runtime contract "
-                            "checker: every compress call re-validates "
-                            "payload types, ctx honesty, wire round-trip, "
-                            "determinism and fused parity "
-                            "(see docs/ANALYSIS.md)")
-    train.add_argument("--sanitize-every", type=int, default=1, metavar="N",
-                       help="run the expensive sanitizer checks (snapshot "
-                            "replay, fused reference) every N-th call "
-                            "(default 1; structural checks always run)")
-    train.add_argument("--sanitize-arena", action="store_true",
-                       help="--backend parallel: record every arena "
-                            "protocol event (write/post/read/drain/alloc/"
-                            "beat) per rank and replay the merged streams "
-                            "through a happens-before checker after the "
-                            "run; violations fail the run "
-                            "(see docs/ANALYSIS.md)")
+    _add_resilience_flags(train)
+    train.add_argument("--sanitize", nargs="?", const="contract",
+                       default="off", choices=SANITIZE_LEVELS,
+                       help="runtime sanitizers (docs/ANALYSIS.md): "
+                            "contract re-validates every compress call, "
+                            "arena (--backend parallel) replays every "
+                            "rank's arena protocol events through a "
+                            "happens-before checker, all does both "
+                            "(default off; bare --sanitize: contract)")
     train.add_argument("--trace", default=None, metavar="PATH",
                        help="write a JSONL telemetry trace here")
     train.add_argument("--chrome-trace", default=None, metavar="PATH",
@@ -826,17 +855,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default) or real OS processes exchanging "
                             "gradients through shared memory (bitwise the "
                             "same model; see docs/PERFORMANCE.md)")
-    train.add_argument("--nproc", type=int, default=4, metavar="N",
+    train.add_argument("--nproc", type=int, default=None, metavar="N",
                        help="worker processes for --backend parallel "
                             "(replaces --workers there; default 4)")
-    train.add_argument("--arena-mb", type=float, default=32.0, metavar="MB",
+    train.add_argument("--arena-mb", type=float, default=None, metavar="MB",
                        help="per-rank shared-memory data segment size for "
                             "--backend parallel (default 32)")
     train.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="directory for per-rank worker checkpoints "
                             "under --backend parallel (default: a "
                             "temporary directory, removed after the run)")
-    train.add_argument("--stall-timeout", type=float, default=30.0,
+    train.add_argument("--stall-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="parallel watchdog: convict a rank whose "
                             "heartbeat has been silent this long "
@@ -986,13 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0,
                        help="kill-schedule seed (also the training seed)")
     chaos.add_argument("--epochs", type=int, default=1)
-    chaos.add_argument("--recovery", choices=["degrade", "restart"],
-                       default="restart",
-                       help="recovery mode under test (default restart, "
-                            "which must reproduce the clean run bitwise)")
-    chaos.add_argument("--checkpoint-every", type=int, default=1,
-                       metavar="N",
-                       help="per-rank checkpoint cadence (default 1)")
+    _add_resilience_flags(chaos, chaos=True)
     chaos.add_argument("--loss-tolerance", type=float, default=0.15,
                        metavar="GAP",
                        help="max |final loss - clean loss| for degrade "

@@ -119,6 +119,7 @@ from repro.core.checkpoint import (
     latest_common_iteration,
     worker_checkpoint_path,
 )
+from repro.core.config import Resilience, WorkerMode, sanitizes
 from repro.core.wire import frame_payload, unframe_payload
 from repro.faults.plan import FaultPlan, WorkerCrashError
 from repro.faults.real import validate_worker_plan
@@ -136,6 +137,16 @@ _DRAIN_GRACE = 10.0
 #: Network used to price shipping the restored checkpoint during a
 #: recovery — the same default the communicators assume.
 _RECOVERY_NETWORK_GBPS = 10.0
+
+#: Fixed by the parent's supervision, not options: the watchdog's sweep
+#: interval (s), the cohort respawns before a death is fatal, the arena
+#: sanitizer's per-rank event slots, and the seconds a worker gets to
+#: exit after SIGTERM, then after SIGKILL.
+WATCHDOG_INTERVAL = 0.25
+MAX_RECOVERIES = 8
+SANITIZE_SLOTS = 8192
+TERM_GRACE = 5.0
+KILL_GRACE = 5.0
 
 
 class ParallelCrashError(WorkerCrashError):
@@ -605,14 +616,15 @@ class ParallelRunConfig:
     :func:`repro.bench.runner.build_trainer`) instead of receiving live
     objects, which is what keeps parent and workers bit-identical.
 
-    The resilience knobs: ``faults`` is the usual clause grammar
-    restricted to the real kinds (``crash``/``straggler``/``stall``);
-    ``checkpoint_every > 0`` turns on per-rank checkpointing *and*
-    crash recovery (``recovery`` picks restart-the-full-cohort vs
-    degrade-to-survivors); the watchdog convicts a rank whose heartbeat
-    has been silent for ``stall_timeout`` seconds (tightened to
-    ``straggler_timeout`` under the ``drop`` straggler policy); and the
-    ``join/term/kill`` graces bound each rung of the teardown ladder.
+    ``resilience`` reaches every worker's trainer unchanged: its faults
+    are restricted to the real kinds (``crash``/``straggler``/``stall``)
+    and ``checkpoint_every > 0`` turns on per-rank checkpointing (to
+    ``checkpoint_dir``, a temporary directory by default) *and* crash
+    recovery.  The watchdog convicts a rank silent for ``stall_timeout``
+    seconds; teardown waits ``join_grace`` before signalling a worker.
+    ``sanitize="arena"`` (or ``"all"``) replays every rank's arena
+    protocol events after each round; a violation fails the run with
+    ``ArenaSanitizerError``.
     """
 
     benchmark: str
@@ -620,36 +632,18 @@ class ParallelRunConfig:
     nproc: int
     seed: int = 0
     epochs: int | None = None
-    memory: str | None = None
-    memory_params: dict | None = None
     compressor_params: dict | None = None
     fusion_mb: float = 0.0
     overlap: bool = False
-    sanitize: bool = False
-    sanitize_every: int = 1
+    sanitize: str = "off"
     profile: bool = False
     trace: bool = False
-    arena_bytes: int = DEFAULT_DATA_BYTES
-    timeout: float = DEFAULT_TIMEOUT
-    faults: str | None = None
-    recovery: str = "degrade"
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
-    straggler_policy: str = "wait"
     metrics: bool = False
-    # Arena happens-before sanitizer (repro.comm.sanitizer): when on,
-    # every rank records post/read/drain/alloc/beat events into a
-    # shared ring and the parent replays them after each round; any
-    # violation fails the run with ArenaSanitizerError.
-    sanitize_arena: bool = False
-    sanitize_slots: int = 8192
-    watchdog_interval: float = 0.25
+    arena_bytes: int = DEFAULT_DATA_BYTES
+    resilience: Resilience = Resilience()
+    checkpoint_dir: str | None = None
     stall_timeout: float = 30.0
-    straggler_timeout: float | None = None
-    max_recoveries: int = 8
     join_grace: float = 10.0
-    term_grace: float = 5.0
-    kill_grace: float = 5.0
 
 
 #: Thread pools a rank would otherwise size to the whole machine.
@@ -699,7 +693,7 @@ class ParallelResult:
     memory_high_water: dict[str, int] = field(default_factory=dict)
     recoveries: list[dict] = field(default_factory=list)  # one per respawn
     metrics: MetricsRegistry | None = None  # merged per-rank registries
-    sanitizer: object | None = None  # SanitizerReport when --sanitize-arena
+    sanitizer: object | None = None  # SanitizerReport under --sanitize arena
     #: THREAD_VARS as the leader rank saw them (see rank_thread_env).
     environment: dict[str, str] = field(default_factory=dict)
 
@@ -725,19 +719,19 @@ def _report_fields(report) -> dict:
 def _worker_main(
     config: ParallelRunConfig,
     arena_spec: ArenaSpec,
-    rank: int,
+    worker: WorkerMode,
     out_queue,
     start_iteration: int = 0,
-    consumed_faults: tuple = (),
 ) -> None:
     """Entry point of one spawned worker rank (module-level for pickling).
 
-    ``start_iteration``/``consumed_faults`` are non-zero only on
-    recovery respawns: the worker restores its checkpoint shard for
+    ``start_iteration`` and ``worker.consumed_faults`` are non-zero only
+    on recovery respawns: the worker restores its checkpoint shard for
     ``start_iteration`` before training, and inherits the clause
     indices earlier incarnations already paid for so a handled crash
     does not re-fire.
     """
+    rank = worker.rank
     arena = None
     try:
         arena = SharedArena.attach(arena_spec, rank)
@@ -755,38 +749,25 @@ def _worker_main(
         from repro.core.checkpoint import WorkerCheckpoint
 
         spec = get_benchmark(config.benchmark)
-        comm = ParallelWorkerCommunicator(
-            arena, rank, timeout=config.timeout
-        )
-        active = arena.active_ranks()
         trainer, run = build_trainer(
             spec,
             config.compressor,
             n_workers=config.nproc,
             seed=config.seed,
-            memory=config.memory,
-            memory_params=config.memory_params,
             compressor_params=config.compressor_params,
             tracer=tracer,
             fusion_mb=config.fusion_mb,
             overlap=config.overlap,
-            faults=config.faults,
-            recovery=config.recovery,
-            checkpoint_every=config.checkpoint_every,
-            checkpoint_dir=config.checkpoint_dir,
-            straggler_policy=config.straggler_policy,
+            resilience=config.resilience,
             sanitize=config.sanitize,
-            sanitize_every=config.sanitize_every,
-            communicator=comm,
-            rank=rank,
-            active_ranks=active,
-            consumed_faults=consumed_faults,
+            communicator=ParallelWorkerCommunicator(arena, rank),
+            worker=worker,
         )
         if config.metrics or tracer is not None:
             arena.attach_telemetry(trainer.metrics)
         if start_iteration > 0:
             checkpoint = WorkerCheckpoint.load(
-                config.checkpoint_dir, rank, start_iteration
+                worker.checkpoint_dir, rank, start_iteration
             )
             checkpoint.restore(trainer)
         report = trainer.train(
@@ -814,7 +795,7 @@ def _worker_main(
                 if var in os.environ
             },
         }
-        if rank == min(active):
+        if rank == min(worker.active_ranks):
             result["params"] = params
         if config.metrics:
             result["metrics"] = snapshot_registry(trainer.metrics)
@@ -857,13 +838,11 @@ class _Watchdog(threading.Thread):
         self,
         arena: SharedArena,
         workers: dict[int, mp.process.BaseProcess],
-        interval: float,
         stall_timeout: float,
     ):
         super().__init__(name="repro-watchdog", daemon=True)
         self.arena = arena
         self.workers = dict(workers)
-        self.interval = float(interval)
         self.stall_timeout = float(stall_timeout)
         self.victims: dict[int, str] = {}
         self.progress: dict[int, int] = {}
@@ -876,7 +855,7 @@ class _Watchdog(threading.Thread):
 
     def run(self) -> None:
         spawn_ns = time.monotonic_ns()
-        while not self._halt.wait(self.interval):
+        while not self._halt.wait(WATCHDOG_INTERVAL):
             verdicts: dict[int, str] = {}
             now_ns = time.monotonic_ns()
             for rank, worker in self.workers.items():
@@ -917,8 +896,6 @@ def _teardown_workers(
     arena: SharedArena,
     registry: MetricsRegistry,
     join_grace: float,
-    term_grace: float,
-    kill_grace: float,
 ) -> None:
     """Escalating join → SIGTERM → SIGKILL ladder over one cohort.
 
@@ -938,7 +915,7 @@ def _teardown_workers(
             help="worker processes that needed a signal to exit",
         ).inc()
     for worker in stubborn:
-        worker.join(timeout=term_grace)
+        worker.join(timeout=TERM_GRACE)
     hard = [worker for worker in stubborn if worker.is_alive()]
     for worker in hard:  # pragma: no cover - needs a SIGTERM-proof child
         worker.kill()
@@ -946,7 +923,7 @@ def _teardown_workers(
             "comm_workers_killed_total", {"signal": "kill"},
             help="worker processes that needed a signal to exit",
         ).inc()
-        worker.join(timeout=kill_grace)
+        worker.join(timeout=KILL_GRACE)
 
 
 @dataclass
@@ -969,7 +946,6 @@ def _run_round(
     consumed: set[int],
     incarnation: int,
     registry: MetricsRegistry,
-    stall_timeout: float,
 ) -> _RoundOutcome:
     """Run one incarnation of the cohort to completion or first failure."""
     arena = SharedArena.create(
@@ -977,15 +953,21 @@ def _run_round(
         data_bytes=config.arena_bytes,
         active_ranks=active,
         incarnation=incarnation,
-        event_slots=config.sanitize_slots if config.sanitize_arena else 0,
+        event_slots=(
+            SANITIZE_SLOTS if sanitizes(config.sanitize, "arena") else 0
+        ),
     )
     out_queue = ctx.Queue()
     workers = {
         rank: ctx.Process(
             target=_worker_main,
             args=(
-                config, arena.spec, rank, out_queue,
-                start_iteration, tuple(sorted(consumed)),
+                config, arena.spec,
+                WorkerMode(
+                    rank, tuple(active), tuple(sorted(consumed)),
+                    config.checkpoint_dir,
+                ),
+                out_queue, start_iteration,
             ),
             name=f"repro-rank{rank}",
             daemon=True,
@@ -995,9 +977,7 @@ def _run_round(
     results: dict[int, dict] = {}
     errors: dict[int, str] = {}
     reported: set[int] = set()
-    watchdog = _Watchdog(
-        arena, workers, config.watchdog_interval, stall_timeout
-    )
+    watchdog = _Watchdog(arena, workers, config.stall_timeout)
 
     def pending() -> list[int]:
         return [r for r in active if r not in results and r not in errors]
@@ -1007,7 +987,7 @@ def _run_round(
             for worker in workers.values():
                 worker.start()
         watchdog.start()
-        deadline = time.monotonic() + config.timeout + 3600.0
+        deadline = time.monotonic() + DEFAULT_TIMEOUT + 3600.0
         drain_deadline = None
         while pending():
             try:
@@ -1045,8 +1025,7 @@ def _run_round(
     finally:
         watchdog.stop()
         _teardown_workers(
-            list(workers.values()), arena, registry,
-            config.join_grace, config.term_grace, config.kill_grace,
+            list(workers.values()), arena, registry, config.join_grace
         )
         if not watchdog.progress:
             watchdog.progress = {
@@ -1060,7 +1039,7 @@ def _run_round(
             from repro.comm.sanitizer import collect_report
 
             sanitizer_report = collect_report(
-                arena, hb_gap_ns=int(stall_timeout * 1e9)
+                arena, hb_gap_ns=int(config.stall_timeout * 1e9)
             )
             registry.counter(
                 "arena_sanitizer_events_total",
@@ -1082,37 +1061,32 @@ def _run_round(
 
 
 def _validate_config(config: ParallelRunConfig) -> FaultPlan | None:
-    """Fail fast in the parent, before any process is spawned."""
+    """Fail fast in the parent, before any process is spawned.
+
+    These are the parallel backend's own rules; what holds for every
+    backend was checked when ``config.resilience`` was built.
+    """
     if config.nproc < 1:
         raise ValueError(f"nproc must be >= 1, got {config.nproc}")
-    if config.recovery not in ("degrade", "restart"):
-        raise ValueError(
-            f"recovery must be 'degrade' or 'restart', "
-            f"got {config.recovery!r}"
-        )
-    if config.straggler_policy not in ("wait", "drop"):
+    resilience = config.resilience
+    if resilience.straggler_policy == "backup":
         raise ValueError(
             "the parallel backend supports straggler policies 'wait' and "
-            f"'drop', got {config.straggler_policy!r} ('backup' buffers "
-            "peer gradients in-process and is sequential-only)"
+            "'drop', got 'backup' (it buffers peer gradients in-process "
+            "and is sequential-only)"
         )
-    if config.straggler_policy == "drop" and config.recovery == "restart":
+    if (
+        resilience.straggler_policy == "drop"
+        and resilience.recovery == "restart"
+    ):
         raise ValueError(
             "straggler eviction ('drop') permanently removes the rank and "
             "requires --recovery degrade; 'restart' would respawn the "
             "straggler into the same clause forever"
         )
-    if config.checkpoint_every < 0:
-        raise ValueError(
-            f"checkpoint_every must be >= 0, got {config.checkpoint_every}"
-        )
-    if config.max_recoveries < 0:
-        raise ValueError(
-            f"max_recoveries must be >= 0, got {config.max_recoveries}"
-        )
-    if config.faults is None:
+    plan = resilience.plan(config.seed)
+    if plan is None:
         return None
-    plan = FaultPlan.parse(config.faults, seed=config.seed)
     validate_worker_plan(plan)
     for event in plan.events:
         if event.rank is not None and event.rank >= config.nproc:
@@ -1123,7 +1097,7 @@ def _validate_config(config: ParallelRunConfig) -> FaultPlan | None:
         if (
             event.kind == "crash"
             and event.rejoin is not None
-            and config.recovery == "degrade"
+            and resilience.recovery == "degrade"
         ):
             raise ValueError(
                 "crash rejoin= requires --recovery restart under the "
@@ -1170,27 +1144,13 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
     shared segment, no matter how the run ends.
     """
     plan = _validate_config(config)
-    checkpoint_every = config.checkpoint_every
-    if plan is not None and config.recovery == "restart" \
-            and checkpoint_every == 0:
-        # Mirror the sequential trainer: restart recovery is useless
-        # without checkpoints, so it implies checkpointing every step.
-        checkpoint_every = 1
-    recovery_enabled = checkpoint_every > 0
+    recovery_enabled = config.resilience.checkpoint_every > 0
     checkpoint_dir = config.checkpoint_dir
     own_checkpoint_dir = False
     if recovery_enabled and checkpoint_dir is None:
         checkpoint_dir = tempfile.mkdtemp(prefix="repro-parallel-ckpt-")
         own_checkpoint_dir = True
-    worker_config = replace(
-        config,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-    )
-    stall_timeout = config.stall_timeout
-    if config.straggler_policy == "drop" \
-            and config.straggler_timeout is not None:
-        stall_timeout = min(stall_timeout, config.straggler_timeout)
+    worker_config = replace(config, checkpoint_dir=checkpoint_dir)
 
     ctx = mp.get_context("spawn")
     registry = MetricsRegistry()
@@ -1204,7 +1164,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
         while True:
             outcome = _run_round(
                 ctx, worker_config, active, start_iteration, consumed,
-                len(recoveries), registry, stall_timeout,
+                len(recoveries), registry,
             )
             if outcome.sanitizer is not None:
                 if sanitizer_total is None:
@@ -1227,7 +1187,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
                 not recovery_enabled
                 or not dead
                 or not survivors
-                or len(recoveries) >= config.max_recoveries
+                or len(recoveries) >= MAX_RECOVERIES
             ):
                 detail = "\n".join(
                     f"rank {rank}: {message}"
@@ -1238,7 +1198,8 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
                     f"failed:\n{detail}"
                 )
             next_active = (
-                survivors if config.recovery == "degrade" else list(active)
+                survivors if config.resilience.recovery == "degrade"
+                else list(active)
             )
             if plan is not None:
                 _consume_clauses(plan, consumed, set(dead), outcome.progress)

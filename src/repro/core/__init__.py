@@ -9,7 +9,9 @@ Public surface:
 * :func:`~repro.core.registry.create` — instantiate any of the 16
   implemented compressors (plus the no-compression baseline) by name.
 * :class:`~repro.core.trainer.DistributedTrainer` — Algorithm 1, the
-  distributed training loop with compressed communication.
+  distributed training loop with compressed communication, configured
+  by :class:`~repro.core.config.Resilience` and
+  :class:`~repro.core.config.WorkerMode`.
 """
 
 from repro.core.api import (
@@ -18,6 +20,7 @@ from repro.core.api import (
     CompressedTensor,
     concat_compressed,
 )
+from repro.core.config import Resilience, WorkerMode
 from repro.core.fusion import (
     DEFAULT_FUSION_MB,
     BucketSegment,
@@ -63,5 +66,7 @@ __all__ = [
     "register",
     "CompressorInfo",
     "DistributedTrainer",
+    "Resilience",
     "TrainingReport",
+    "WorkerMode",
 ]

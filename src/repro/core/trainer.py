@@ -47,6 +47,7 @@ from repro.core.checkpoint import (
     WorkerCheckpoint,
     prune_worker_checkpoints,
 )
+from repro.core.config import Resilience, WorkerMode
 from repro.core.fusion import FusionBucket, FusionPlan, ScratchPool
 from repro.core.memory import Memory, make_memory
 from repro.core.rng import spawn_worker_seeds
@@ -54,7 +55,6 @@ from repro.core.wire import framing_header_bytes
 from repro.faults import (
     CollectiveTimeoutError,
     FaultInjector,
-    FaultPlan,
     IterationFaults,
     WorkerCrashError,
 )
@@ -378,60 +378,27 @@ class DistributedTrainer:
     metrics:
         Registry the report/communicator totals are counted into.
         Defaults to the tracer's registry (traced) or a private one.
-    faults:
-        A :class:`~repro.faults.FaultPlan` (or its spec string — see
-        ``docs/ROBUSTNESS.md``) of deterministic faults to inject.
-        ``None`` (the default) leaves the communicator unwrapped and
+    aggregation:
+        Compressed-domain aggregation policy (``"auto"``, ``"off"`` or
+        ``"all"``; see :meth:`_aggregation_active`).
+    resilience:
+        A :class:`~repro.core.config.Resilience`: faults to inject and
+        the recovery, checkpoint and straggler policies (stragglers are
+        excluded at :data:`STRAGGLER_THRESHOLD`×, a ``backup`` gradient
+        may lag :data:`STALENESS_BOUND` iterations).  The default keeps
         the loop bitwise-identical to a fault-free build.
-    recovery:
-        Crash handling: ``"degrade"`` (default) re-normalizes the
-        aggregation over the survivors until the worker rejoins;
-        ``"restart"`` rolls back to the latest EF-aware checkpoint and
-        charges the outage to ``sim_recovery_seconds`` (forces
-        ``checkpoint_every=1`` when unset, making recovery lossless).
-    checkpoint_every:
-        Capture an EF-aware :class:`Checkpoint` every N completed
-        iterations (0 disables periodic capture).
-    straggler_policy:
-        ``"wait"`` (default) stretches the iteration to its slowest
-        rank; ``"drop"`` excludes ranks slowed by at least
-        :data:`STRAGGLER_THRESHOLD`× from the cohort; ``"backup"``
-        additionally buffers an excluded rank's gradient and folds it
-        back in the next time the rank is excluded, while no staler
-        than :data:`STALENESS_BOUND` iterations.
-    rank:
-        ``None`` (the default) runs the driver-style simulator: this
-        process computes *every* rank.  An integer puts the trainer in
-        **worker mode** for the real-parallel backend: this process
-        computes only rank ``rank``'s forward/backward, compensate and
-        compress, and the communicator (a
+    worker:
+        ``None`` runs the simulator: this process computes *every* rank.
+        A :class:`~repro.core.config.WorkerMode` computes one rank of a
+        real-parallel run; the communicator (a
         :class:`repro.comm.parallel.ParallelWorkerCommunicator`) moves
-        only this rank's contribution — peers run in their own
-        processes.  Per-rank state (compressor clones, memories, seeds,
-        fusion plans) is still built for all ``n_workers`` ranks so
-        layouts and random streams match the sequential run exactly;
-        only rank ``rank``'s state advances.  In worker mode faults are
-        *executed for real* (see :mod:`repro.faults.real`): crash
-        SIGKILLs this process, stall wedges it, straggler injects a
-        real sleep — only those kinds are accepted, and membership /
-        recovery are the parent's job (see ``run_parallel``), not this
-        process's.
-    checkpoint_dir:
-        Worker-mode only: directory per-rank
-        :class:`~repro.core.checkpoint.WorkerCheckpoint` snapshots are
-        persisted to every ``checkpoint_every`` iterations (the last
-        two generations are kept).  Required when worker-mode
-        checkpointing is on.
-    active_ranks:
-        Worker-mode only: the survivor cohort this incarnation runs
-        with (must contain ``rank``).  ``None`` means every rank
-        participates.  Aggregation normalizes over this cohort and
-        inactive ranks' batches are skipped, mirroring the sequential
-        simulator's degraded cohort.
-    consumed_faults:
-        Worker-mode only: fault-plan clause indices an earlier
-        incarnation already executed (the parent's recovery history),
-        so a respawned worker does not re-crash on a handled clause.
+        only its contribution.  Per-rank state is still built for all
+        ranks, so layouts and random streams match the simulator's.
+        Faults are executed for real (:mod:`repro.faults.real`); which
+        plans a worker accepts, membership and recovery are
+        ``run_parallel``'s job, and the worker only persists a
+        :class:`~repro.core.checkpoint.WorkerCheckpoint` every
+        ``checkpoint_every`` iterations (keeping two generations).
     """
 
     def __init__(
@@ -450,15 +417,9 @@ class DistributedTrainer:
         fusion_mb: float = 0.0,
         overlap: bool = False,
         bucket_order: str = "ready",
-        faults: FaultPlan | str | None = None,
-        recovery: str = "degrade",
-        checkpoint_every: int = 0,
-        straggler_policy: str = "wait",
-        rank: int | None = None,
         aggregation: str = "auto",
-        checkpoint_dir: str | None = None,
-        active_ranks: list[int] | None = None,
-        consumed_faults: Iterable[int] = (),
+        resilience: Resilience = Resilience(),
+        worker: WorkerMode | None = None,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -467,24 +428,14 @@ class DistributedTrainer:
                 f"aggregation must be 'auto', 'off' or 'all', "
                 f"got {aggregation!r}"
             )
-        if rank is not None and not 0 <= rank < n_workers:
+        if (
+            worker is not None
+            and resilience.checkpoint_every
+            and worker.checkpoint_dir is None
+        ):
             raise ValueError(
-                f"rank must be in [0, {n_workers}), got {rank}"
-            )
-        if rank is not None and checkpoint_every and checkpoint_dir is None:
-            raise ValueError(
-                "worker mode (rank=...) persists per-rank checkpoints to "
-                "disk; checkpoint_every > 0 needs a checkpoint_dir"
-            )
-        if rank is None and checkpoint_dir is not None:
-            raise ValueError(
-                "checkpoint_dir is worker-mode only; the sequential "
-                "simulator checkpoints in memory (save_checkpoint persists)"
-            )
-        if rank is None and active_ranks is not None:
-            raise ValueError(
-                "active_ranks is worker-mode only; the sequential "
-                "simulator derives the cohort from the fault plan"
+                "worker mode persists per-rank checkpoints to disk; "
+                "checkpoint_every > 0 needs a checkpoint_dir"
             )
         if fusion_mb < 0:
             raise ValueError(f"fusion_mb must be >= 0, got {fusion_mb}")
@@ -495,7 +446,8 @@ class DistributedTrainer:
             )
         self.task = task
         self.n_workers = int(n_workers)
-        self.rank = int(rank) if rank is not None else None
+        self.worker = worker
+        self.rank = worker.rank if worker is not None else None
         self.comm = (
             communicator
             if communicator is not None
@@ -553,45 +505,23 @@ class DistributedTrainer:
         self._ready_fraction: dict[str, float] = {}
         self._sim_epoch = 0.0  # cumulative makespan: span sim offsets
         self.report = TrainingReport(metrics=self.metrics)
-        if recovery not in ("degrade", "restart"):
-            raise ValueError(
-                f"recovery must be 'degrade' or 'restart', got {recovery!r}"
-            )
-        if straggler_policy not in ("wait", "drop", "backup"):
-            raise ValueError(
-                f"straggler_policy must be 'wait', 'drop' or 'backup', "
-                f"got {straggler_policy!r}"
-            )
-        if checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        self.recovery = recovery
-        self.straggler_policy = straggler_policy
-        self.checkpoint_every = int(checkpoint_every)
-        self.checkpoint_dir = checkpoint_dir
-        if isinstance(faults, str):
-            faults = FaultPlan.parse(faults, seed=seed)
+        self.resilience = resilience
+        self._all_ranks = list(range(self.n_workers))
+        self._active_ranks = (
+            worker.cohort(self.n_workers) if worker is not None
+            else self._all_ranks
+        )
+        faults = resilience.plan(seed)
         self.injector: FaultInjector | None = None
         self._real_faults = None
         if faults is not None:
-            if self.rank is not None:
-                from repro.faults.real import (
-                    RealFaultExecutor,
-                    validate_worker_plan,
-                )
+            self.injector = FaultInjector(
+                faults, self.n_workers, registry=self.metrics
+            )
+            if worker is not None:
+                from repro.faults.real import RealFaultExecutor
 
-                validate_worker_plan(faults)
-                if straggler_policy == "backup":
-                    raise ValueError(
-                        "the backup straggler policy buffers peer "
-                        "gradients in-process and is not supported in "
-                        "worker mode; use 'wait' or 'drop'"
-                    )
-                self.injector = FaultInjector(
-                    faults, self.n_workers, registry=self.metrics
-                )
-                self.injector.preconsume(consumed_faults)
+                self.injector.preconsume(worker.consumed_faults)
                 self._real_faults = RealFaultExecutor(self.rank)
             else:
                 from repro.comm.resilience import ResilientCommunicator
@@ -602,32 +532,8 @@ class DistributedTrainer:
                         "wedged OS process); the sequential simulator "
                         "models slow ranks with 'straggler' instead"
                     )
-                self.injector = FaultInjector(
-                    faults, self.n_workers, registry=self.metrics
-                )
                 self.comm = ResilientCommunicator(self.comm, seed=seed)
-            if (
-                self.recovery == "restart"
-                and self.checkpoint_every == 0
-                and (self.rank is None or self.checkpoint_dir is not None)
-            ):
-                self.checkpoint_every = 1
         self.aggregation = aggregation
-        self._all_ranks = list(range(self.n_workers))
-        if active_ranks is not None:
-            cohort = sorted(set(int(r) for r in active_ranks))
-            if self.rank not in cohort:
-                raise ValueError(
-                    f"rank {self.rank} is not in active_ranks {cohort}"
-                )
-            if cohort[0] < 0 or cohort[-1] >= self.n_workers:
-                raise ValueError(
-                    f"active_ranks {cohort} out of range for "
-                    f"{self.n_workers} workers"
-                )
-            self._active_ranks = cohort
-        else:
-            self._active_ranks = self._all_ranks
         self._n_active = len(self._active_ranks)
         self._worker_cohort = frozenset(self._active_ranks)
         self._last_checkpoint: Checkpoint | None = None
@@ -782,7 +688,7 @@ class DistributedTrainer:
             self._real_faults.execute(faults)
             return None
         faults = self.injector.begin_iteration(iteration)
-        if faults.crashed and self.recovery == "restart":
+        if faults.crashed and self.resilience.recovery == "restart":
             self._restart_recover(iteration, faults)
             faults = self.injector.refresh(iteration)
         # A crashed rank computes nothing while down, so it rejoins with
@@ -796,7 +702,8 @@ class DistributedTrainer:
                 f"no surviving workers at iteration {iteration}"
             )
         excluded: list[int] = []
-        if self.straggler_policy != "wait" and faults.compute_slowdown:
+        policy = self.resilience.straggler_policy
+        if policy != "wait" and faults.compute_slowdown:
             excluded = [
                 rank for rank in active
                 if faults.compute_slowdown.get(rank, 1.0)
@@ -832,7 +739,10 @@ class DistributedTrainer:
             return list(grads_by_rank.values())
         participating = list(self._active_ranks)
         grads = [grads_by_rank[rank] for rank in participating]
-        if self.straggler_policy == "backup" and self._excluded_stragglers:
+        if (
+            self.resilience.straggler_policy == "backup"
+            and self._excluded_stragglers
+        ):
             iteration = self.report.iterations
             for rank in self._excluded_stragglers:
                 buffered = self._stale_grads.pop(rank, None)
@@ -892,16 +802,13 @@ class DistributedTrainer:
         ).inc(len(consumed))
 
     def _maybe_checkpoint(self) -> None:
-        if not (
-            self.checkpoint_every > 0
-            and self.report.iterations % self.checkpoint_every == 0
-        ):
+        every = self.resilience.checkpoint_every
+        if not (every > 0 and self.report.iterations % every == 0):
             return
-        if self.rank is not None:
-            WorkerCheckpoint.capture(self).save(self.checkpoint_dir)
-            prune_worker_checkpoints(
-                self.checkpoint_dir, self.rank, keep=2
-            )
+        if self.worker is not None:
+            directory = self.worker.checkpoint_dir
+            WorkerCheckpoint.capture(self).save(directory)
+            prune_worker_checkpoints(directory, self.rank, keep=2)
         else:
             self._last_checkpoint = Checkpoint.capture(self)
         self.metrics.counter(

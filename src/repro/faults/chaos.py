@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import glob
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.comm.parallel import ParallelRunConfig, run_parallel
 from repro.comm.sanitizer import ArenaSanitizerError
+from repro.core.config import Resilience
 
 #: Domain separator for the kill-schedule RNG (arbitrary, fixed).
 _CHAOS_STREAM = 0xC4A05
@@ -198,21 +199,20 @@ def run_chaos(
     trials: int = 3,
     seed: int = 0,
     epochs: int | None = 1,
-    recovery: str = "restart",
-    checkpoint_every: int = 1,
+    resilience: Resilience = Resilience(recovery="restart",
+                                        checkpoint_every=1),
     loss_tolerance: float = 0.15,
     arena_bytes: int = 8 << 20,
     stall_timeout: float = 30.0,
-    join_grace: float = 5.0,
-    sanitize_arena: bool = True,
 ) -> ChaosResult:
     """Run a chaos campaign; every trial SIGKILLs one seeded victim.
 
-    ``loss_tolerance`` bounds ``|final_loss - clean_loss|`` for
-    ``degrade`` recovery (restart demands bitwise equality instead).
-    Raises nothing on trial failure — failures are recorded on the
-    returned :class:`ChaosResult` so the caller (CLI, CI) decides the
-    exit code.
+    Each trial runs under ``resilience`` with its kill as the fault
+    plan; the clean reference run injects nothing.  ``loss_tolerance``
+    bounds ``|final_loss - clean_loss|`` for ``degrade`` recovery
+    (restart demands bitwise equality instead).  Raises nothing on
+    trial failure — failures are recorded on the returned
+    :class:`ChaosResult` so the caller (CLI, CI) decides the exit code.
     """
     base = dict(
         benchmark=benchmark,
@@ -221,7 +221,7 @@ def run_chaos(
         seed=seed,
         epochs=epochs,
         arena_bytes=arena_bytes,
-        sanitize_arena=sanitize_arena,
+        sanitize="arena",
     )
     clean = run_parallel(ParallelRunConfig(**base))
     baseline_iterations = int(clean.report.iterations)
@@ -231,7 +231,7 @@ def run_chaos(
         benchmark=benchmark,
         compressor=compressor,
         nproc=nproc,
-        recovery=recovery,
+        recovery=resilience.recovery,
         seed=seed,
         baseline_iterations=baseline_iterations,
         baseline_loss=baseline_loss,
@@ -251,11 +251,11 @@ def run_chaos(
         try:
             run = run_parallel(ParallelRunConfig(
                 **base,
-                faults=f"crash@{kill}:rank={victim}",
-                recovery=recovery,
-                checkpoint_every=checkpoint_every,
+                resilience=replace(
+                    resilience, faults=f"crash@{kill}:rank={victim}"
+                ),
                 stall_timeout=stall_timeout,
-                join_grace=join_grace,
+                join_grace=5.0,
             ))
         except ArenaSanitizerError as exc:
             outcome.error = f"{type(exc).__name__}: {exc}"
@@ -278,7 +278,7 @@ def run_chaos(
             )
             outcome.final_loss = float(run.report.losses[-1])
             outcome.loss_gap = abs(outcome.final_loss - baseline_loss)
-            if recovery == "restart":
+            if resilience.recovery == "restart":
                 outcome.digest_match = (
                     next(iter(run.digests.values())) == baseline_digest
                 )

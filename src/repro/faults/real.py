@@ -14,9 +14,10 @@ actions instead:
   Only heartbeat staleness can surface this one; the process stays
   alive until the parent's escalating teardown removes it.
 * ``straggler`` — the targeted rank sleeps ``(slow - 1) x base`` real
-  seconds *without* refreshing its heartbeat, so a tight
-  ``straggler_timeout`` (the ``drop`` policy) can evict it while the
-  default ``wait`` policy simply stretches the iteration.
+  seconds *without* refreshing its heartbeat, so a sleep longer than
+  the watchdog's ``stall_timeout`` evicts it (the ``drop`` policy, which
+  degrades the cohort) while a shorter one simply stretches the
+  iteration.
 
 The remaining kinds (``drop``/``corrupt``/``degrade``) manipulate
 simulator-only wire state and are rejected for worker mode before a
@@ -33,7 +34,7 @@ from repro.faults.plan import REAL_KINDS, FaultPlan, IterationFaults
 
 #: Real seconds of injected sleep per 1.0 of straggler slowdown beyond
 #: parity.  Chosen so ``slow=3`` delays ~0.5s: long enough for a tight
-#: straggler deadline to evict, short enough for tests.
+#: stall timeout to evict, short enough for tests.
 DEFAULT_STRAGGLER_SECONDS = 0.25
 
 _STALL_NAP = 3600.0  # re-sleep interval while wedged (never beats)

@@ -33,6 +33,7 @@ from repro.comm.shm import (
     SharedArena,
 )
 from repro.comm.timeline import SimTimeline
+from repro.core.config import WorkerMode
 from repro.faults.plan import WorkerCrashError
 
 FIG6A = "resnet20-cifar10"
@@ -399,7 +400,8 @@ def _dead_layer_run(compressor: str, comm=None, rank=None, dead_rank=1,
     task = DeadLayerTask(dead_rank)
     trainer = DistributedTrainer(
         task, create(compressor), n_workers=2, seed=0, fusion_mb=fusion_mb,
-        communicator=comm, rank=rank,
+        communicator=comm,
+        worker=WorkerMode(rank) if rank is not None else None,
     )
     for step in range(4):
         trainer.step([((r, step), None) for r in range(2)])
@@ -452,7 +454,7 @@ class TestDecodeOnceInWorkerMode:
         def per_step(comm):
             trainer = DistributedTrainer(
                 DeadLayerTask(dead_rank=1), create("topk"), n_workers=2,
-                seed=0, communicator=comm, rank=comm.rank,
+                seed=0, communicator=comm, worker=WorkerMode(comm.rank),
             )
             counts = []
             for step in range(3):
@@ -634,7 +636,7 @@ class TestRunParallel:
         result = run_parallel(ParallelRunConfig(
             benchmark=FIG6A, compressor="topk", nproc=2,
             seed=0, epochs=1, arena_bytes=8 * 1024 * 1024,
-            sanitize_arena=True,
+            sanitize="arena",
         ))
         san = result.sanitizer
         assert san is not None
@@ -665,10 +667,14 @@ class TestRunParallel:
             for counter in metrics.instruments("arena_polls_total")
         )
         assert polls >= sum(h.count for h in waited.values())
-        assert {
+        # Every wait spins first; it sleeps only if it outlasts the spin
+        # budget, which depends on the host (TestPollLoop in test_shm.py
+        # drives the sleep phase deterministically).
+        phases = {
             dict(c.labels)["phase"]
             for c in metrics.instruments("arena_polls_total")
-        } == {"spin", "sleep"}
+        }
+        assert "spin" in phases and phases <= {"spin", "sleep"}
 
     def test_ranks_share_the_cores_unless_the_user_pinned_them(
         self, monkeypatch

@@ -22,6 +22,7 @@ from repro.comm.parallel import (
     ParallelRunConfig,
     run_parallel,
 )
+from repro.core.config import Resilience
 
 BENCH = "ncf-movielens"
 
@@ -30,10 +31,14 @@ def _shm_segments() -> set:
     return set(glob.glob("/dev/shm/psm_*"))
 
 
-def _config(**overrides) -> ParallelRunConfig:
+def _config(faults=None, recovery="degrade", checkpoint_every=0,
+            straggler_policy="wait", **overrides) -> ParallelRunConfig:
     base = dict(
         benchmark=BENCH, compressor="topk", nproc=2,
         seed=0, epochs=1, arena_bytes=8 * 1024 * 1024,
+        resilience=Resilience(
+            faults, recovery, checkpoint_every, straggler_policy
+        ),
     )
     base.update(overrides)
     return ParallelRunConfig(**base)
@@ -124,7 +129,7 @@ class TestDegradeRecovery:
         result = run_parallel(_config(
             faults="straggler@1:rank=1,slow=20",
             straggler_policy="drop",
-            straggler_timeout=1.5,
+            stall_timeout=1.5,
             recovery="degrade",
             checkpoint_every=1,
         ))

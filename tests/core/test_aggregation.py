@@ -512,12 +512,14 @@ class TestTrainerParity:
             )
 
     def test_faults_auto_disable_aggregation(self):
+        from repro.core.config import Resilience
         from repro.core.trainer import DistributedTrainer
 
         trainer = DistributedTrainer(
             _QuadraticTask(), create("topk"), n_workers=4,
             communicator=ParameterServerCommunicator(n_workers=4),
-            aggregation="auto", faults="crash@2:rank=1",
+            aggregation="auto",
+            resilience=Resilience(faults="crash@2:rank=1"),
         )
         # The resilient wrapper hides the capability flag, so the fast
         # path must report inactive under fault injection.

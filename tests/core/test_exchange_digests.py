@@ -27,7 +27,7 @@ import pytest
 
 from repro.comm import Communicator
 from repro.comm.parameter_server import ParameterServerCommunicator
-from repro.core import DistributedTrainer, create
+from repro.core import DistributedTrainer, Resilience, create
 from repro.core.trainer import TrainingReport
 from repro.telemetry import Tracer
 
@@ -176,7 +176,7 @@ def _metrics(registry) -> dict:
 
 
 def run_cell(compressor, fusion_mb=0.0, overlap=False, bucket_order="ready",
-             ps=False, **options) -> dict:
+             ps=False, **resilience) -> dict:
     """Train one cell; return its digest."""
     tracer = Tracer()
     task = ManyTensorTask()
@@ -195,7 +195,7 @@ def run_cell(compressor, fusion_mb=0.0, overlap=False, bucket_order="ready",
         overlap=overlap,
         bucket_order=bucket_order,
         aggregation="auto",
-        **options,
+        resilience=Resilience(**resilience),
     )
     losses = [trainer.step(_batches(step)) for step in range(STEPS)]
     report = trainer.report

@@ -14,6 +14,7 @@ import pytest
 
 from repro.comm.parallel import ParallelWorkerCommunicator, model_digest
 from repro.comm.shm import SharedArena
+from repro.core.config import Resilience, WorkerMode
 from repro.core.checkpoint import (
     WorkerCheckpoint,
     latest_common_iteration,
@@ -73,8 +74,8 @@ def solo_trainer(tmp_path):
     comm = ParallelWorkerCommunicator(arena, 0, timeout=10.0)
     trainer, run = build_trainer(
         get_benchmark(BENCH), "topk", n_workers=1, seed=0,
-        communicator=comm, rank=0,
-        checkpoint_every=1, checkpoint_dir=str(tmp_path),
+        communicator=comm, resilience=Resilience(checkpoint_every=1),
+        worker=WorkerMode(0, checkpoint_dir=str(tmp_path)),
     )
     yield trainer, run, str(tmp_path)
     arena.close()
@@ -111,7 +112,7 @@ class TestRoundTrip:
             comm = ParallelWorkerCommunicator(arena, 0, timeout=10.0)
             fresh, fresh_run = build_trainer(
                 get_benchmark(BENCH), "topk", n_workers=1, seed=0,
-                communicator=comm, rank=0,
+                communicator=comm, worker=WorkerMode(0),
             )
             checkpoint = WorkerCheckpoint.load(directory, 0, resume_at)
             checkpoint.restore(fresh)

@@ -9,7 +9,7 @@ residuals included.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DistributedTrainer, create
+from repro.core import DistributedTrainer, Resilience, create
 
 from tests.core.test_trainer import QuadraticTask, noise_batches
 
@@ -26,9 +26,11 @@ def _train(compressor, seed, faults=None):
         n_workers=N_WORKERS,
         memory="residual",
         seed=seed,
-        faults=faults,
-        recovery="restart" if faults else "degrade",
-        checkpoint_every=1 if faults else 0,
+        resilience=Resilience(
+            faults=faults,
+            recovery="restart" if faults else "degrade",
+            checkpoint_every=1 if faults else 0,
+        ),
     )
     losses = [trainer.step(noise_batches(N_WORKERS, DIM, seed=s))
               for s in range(STEPS)]

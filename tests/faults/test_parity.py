@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.comm.resilience import ResilientCommunicator
-from repro.core import DistributedTrainer, create
+from repro.core import DistributedTrainer, Resilience, create
 from repro.core.trainer import TrainingReport
 from repro.faults import FaultPlan
 
@@ -35,7 +35,7 @@ def _run_golden(faults):
     task = QuadraticTask(dim=32, lr=0.05, seed=0)
     trainer = DistributedTrainer(
         task, create("topk", ratio=0.25), n_workers=2,
-        perf_model=FlatPerf(), seed=0, faults=faults,
+        perf_model=FlatPerf(), seed=0, resilience=Resilience(faults=faults),
     )
     losses = [trainer.step(noise_batches(2, 32, seed=s)) for s in range(5)]
     return task, trainer, losses

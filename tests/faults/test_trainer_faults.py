@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import DistributedTrainer, create
+from repro.core import DistributedTrainer, Resilience, create
 from repro.core.checkpoint import Checkpoint
 from repro.faults import CollectiveTimeoutError, WorkerCrashError
 
@@ -21,11 +21,12 @@ class FlatPerf:
 
 
 def _run(n_workers=4, steps=8, dim=32, compressor="topk", memory="residual",
-         **kwargs):
+         memory_params=None, perf_model=None, **resilience):
     task = QuadraticTask(dim=dim, lr=0.05, seed=0)
     trainer = DistributedTrainer(
         task, create(compressor, seed=0), n_workers=n_workers,
-        memory=memory, seed=0, **kwargs,
+        memory=memory, memory_params=memory_params, perf_model=perf_model,
+        seed=0, resilience=Resilience(**resilience),
     )
     losses = [trainer.step(noise_batches(n_workers, dim, seed=s))
               for s in range(steps)]
@@ -64,7 +65,7 @@ class TestCrashDegrade:
         task = QuadraticTask(dim=32, lr=0.05, seed=0)
         trainer = DistributedTrainer(
             task, create("topk", seed=0), n_workers=4, memory="residual",
-            seed=0, faults="crash@2:rank=3,rejoin=4",
+            seed=0, resilience=Resilience(faults="crash@2:rank=3,rejoin=4"),
         )
         residuals = {}
         for step in range(5):
@@ -197,14 +198,15 @@ class TestValidation:
     def test_bad_params_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             DistributedTrainer(
-                QuadraticTask(), create("none"), n_workers=2, **kwargs
+                QuadraticTask(), create("none"), n_workers=2,
+                resilience=Resilience(**kwargs),
             )
 
     def test_bad_fault_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             DistributedTrainer(
                 QuadraticTask(), create("none"), n_workers=2,
-                faults="explode@1",
+                resilience=Resilience(faults="explode@1"),
             )
 
 
@@ -215,7 +217,7 @@ class TestAbortedIterationAccounting:
         task = QuadraticTask(dim=32, lr=0.05, seed=0)
         trainer = DistributedTrainer(
             task, create("topk", seed=0), n_workers=2, memory="residual",
-            seed=0, faults="drop@1:rank=0,count=10",
+            seed=0, resilience=Resilience(faults="drop@1:rank=0,count=10"),
         )
         trainer.step(noise_batches(2, 32, seed=0))
         with pytest.raises(CollectiveTimeoutError):
@@ -237,7 +239,7 @@ class TestAbortedIterationAccounting:
         task = QuadraticTask(dim=32, lr=0.05, seed=0)
         trainer = DistributedTrainer(
             task, create("topk", seed=0), n_workers=2, memory="residual",
-            seed=0, faults="drop@1:rank=0,count=10",
+            seed=0, resilience=Resilience(faults="drop@1:rank=0,count=10"),
         )
         trainer.step(noise_batches(2, 32, seed=0))
         for attempt in range(3):

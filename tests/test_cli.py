@@ -118,6 +118,41 @@ class TestParallelBackendFlags:
                   "--compressor", "topk", "--backend", "parallel",
                   "--nproc", "2", "--arena-mb", "8"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--nproc", "2"],
+        ["--arena-mb", "8"],
+        ["--stall-timeout", "5"],
+        ["--sanitize", "arena"],
+        ["--sanitize", "all"],
+    ])
+    def test_sim_backend_rejects_parallel_only_flags(self, flags):
+        # These used to be accepted and ignored: the run trained without
+        # them and exited 0.
+        with pytest.raises(SystemExit,
+                           match=f"{flags[0]}.*requires --backend parallel"):
+            main(["train", "--benchmark", "ncf-movielens",
+                  "--compressor", "topk", "--workers", "2",
+                  "--epochs", "1", *flags])
+
+    def test_parallel_backend_rejects_workers(self):
+        with pytest.raises(SystemExit, match="--workers requires --backend sim"):
+            main(["train", "--benchmark", "ncf-movielens",
+                  "--compressor", "topk", "--backend", "parallel",
+                  "--workers", "2"])
+
+    def test_sanitize_takes_a_level(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        base = ["train", "--benchmark", "ncf-movielens"]
+        assert parser.parse_args(base).sanitize == "off"
+        assert parser.parse_args(base + ["--sanitize"]).sanitize == "contract"
+        assert parser.parse_args(
+            base + ["--sanitize", "all"]
+        ).sanitize == "all"
+        with pytest.raises(SystemExit):
+            parser.parse_args(base + ["--sanitize-every", "5"])
+
     def test_bench_parallel_flag_parses(self):
         with pytest.raises(ValueError, match="has no benchmark"):
             main(["bench", "throughput", "--benchmark", "alexnet",
