@@ -74,7 +74,7 @@ def run_gossip(topology, train, test):
     ]))
     return (
         accuracy,
-        trainer.report.consensus_distances[-1],
+        trainer.consensus_distances[-1],
         trainer.report.bytes_per_worker / STEPS,
     )
 

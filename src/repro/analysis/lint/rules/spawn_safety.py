@@ -2,7 +2,7 @@
 
 The parallel backend uses the ``spawn`` start method (PR 7): everything
 handed to a worker — the ``Process`` target, its args, the
-``WorkerCheckpoint`` payloads recovery reloads — is pickled in the
+``Checkpoint`` payloads recovery reloads — is pickled in the
 parent and rebuilt in a fresh interpreter.  Three shapes break that
 contract, and today each one is discovered only when pickling throws
 (or worse, silently re-runs module side effects in every worker):
@@ -32,7 +32,7 @@ from repro.analysis.lint.dataflow import local_aliases, resolve_chain
 from repro.analysis.lint.engine import ModuleSource, Rule
 
 #: Constructors whose arguments cross the pickle boundary.
-SPAWN_SINKS = frozenset({"Process", "WorkerCheckpoint"})
+SPAWN_SINKS = frozenset({"Process", "Checkpoint"})
 
 #: Call names that yield live parameter objects.
 _LIVE_PARAM_CALLS = frozenset({"parameters", "named_parameters"})

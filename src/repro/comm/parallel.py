@@ -116,7 +116,9 @@ from repro.comm.shm import (
 )
 from repro.comm.timeline import NETWORK, SimTimeline
 from repro.core.checkpoint import (
+    Checkpoint,
     latest_common_iteration,
+    outage_seconds,
     worker_checkpoint_path,
 )
 from repro.core.config import Resilience, WorkerMode, sanitizes
@@ -746,7 +748,6 @@ def _worker_main(
             tracer = Tracer()
         from repro.bench.runner import build_trainer
         from repro.bench.suite import get_benchmark
-        from repro.core.checkpoint import WorkerCheckpoint
 
         spec = get_benchmark(config.benchmark)
         trainer, run = build_trainer(
@@ -766,10 +767,11 @@ def _worker_main(
         if config.metrics or tracer is not None:
             arena.attach_telemetry(trainer.metrics)
         if start_iteration > 0:
-            checkpoint = WorkerCheckpoint.load(
+            # Only a respawn rewinds the report: this process starts
+            # from nothing and resumes the run at ``start_iteration``.
+            Checkpoint.load(worker_checkpoint_path(
                 worker.checkpoint_dir, rank, start_iteration
-            )
-            checkpoint.restore(trainer)
+            )).restore(trainer, report=True)
         report = trainer.train(
             run.loader,
             epochs=(
@@ -1254,9 +1256,8 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
     leader = min(results)
     report = TrainingReport(**results[leader]["report"])
     if recoveries:
-        # Price every outage the way the sequential restart path does:
-        # the redone iterations at this run's mean sim iteration cost,
-        # plus shipping the restored checkpoint over the modeled link.
+        # Priced as the sequential restart is: the redone iterations at
+        # this run's mean sim iteration cost, plus the checkpoint files.
         mean_iteration_seconds = (
             report.sim_total_seconds / max(1, int(report.iterations))
         )
@@ -1264,8 +1265,10 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
             _RECOVERY_NETWORK_GBPS
         ).effective_bytes_per_second
         recovery_seconds = sum(
-            rec["lost_iterations"] * mean_iteration_seconds
-            + rec["checkpoint_bytes"] / bandwidth
+            outage_seconds(
+                rec["lost_iterations"], mean_iteration_seconds,
+                rec["checkpoint_bytes"], bandwidth,
+            )
             for rec in recoveries
         )
         report.sim_recovery_seconds = (

@@ -38,13 +38,11 @@ from repro.core.registry import (
     CompressorInfo,
 )
 from repro.core.trainer import DistributedTrainer, TrainingReport
-from repro.core.decentralized import DecentralizedReport, DecentralizedTrainer
-from repro.core.local_sgd import LocalSGDReport, LocalSGDTrainer
+from repro.core.decentralized import DecentralizedTrainer
+from repro.core.local_sgd import LocalSGDTrainer
 
 __all__ = [
-    "DecentralizedReport",
     "DecentralizedTrainer",
-    "LocalSGDReport",
     "LocalSGDTrainer",
     "Compressor",
     "Memory",

@@ -7,24 +7,31 @@ silently changes the training trajectory on restore: a rejoining worker
 whose residuals were dropped re-injects gradient error the rest of the
 cohort already compensated for.
 
-:class:`Checkpoint` therefore captures, by deep copy:
+One :class:`Checkpoint` serves both backends.  It captures the ranks
+this process owns — every rank in the sequential simulator, its own
+rank in a real-parallel worker — and holds:
 
-* the task's full instance state — model parameters *and* optimizer
-  slots (momentum/Adam moments live in the optimizer's ``__dict__``);
-* every rank's :meth:`~repro.core.api.Memory.state_dict`;
-* every rank's compressor instance state, including the
-  ``numpy.random.Generator`` — so stochastic compressors resume their
-  exact random stream and a restored run replays bitwise (the property
-  ``tests/faults/test_checkpoint_property.py`` proves).
+* the task's numeric state.  A task with ``state_dict`` /
+  ``load_state_dict`` (:class:`repro.ndl.ModelTask`: parameters,
+  module buffers, optimizer slots) is restored in place, so the
+  caller's model keeps training; any other task is deep-copied through
+  its ``__dict__``;
+* each owned rank's :meth:`~repro.core.api.Memory.state_dict` and
+  compressor instance state, including the ``numpy.random.Generator``
+  — so stochastic compressors resume their exact random stream and a
+  restored run replays bitwise (the property
+  ``tests/faults/test_checkpoint_property.py`` proves);
+* a snapshot of the report.  Only a respawned worker applies it: the
+  simulator's rollback keeps its clock and prices the outage instead.
 
-Restore mutates the trainer's existing objects in place (the task's
-gradient hooks close over the live instance, so identity must be
-preserved) and always copies, letting one snapshot be restored many
-times.
+It has two sinks: memory (the simulator's rollback) and an atomic file,
+under the canonical per-rank name in a worker's checkpoint directory.
+Restore always copies, so one snapshot can be restored many times.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 import pickle
@@ -32,6 +39,10 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that does not hold a readable :class:`Checkpoint`."""
 
 
 def _array_nbytes(states: list) -> int:
@@ -55,91 +66,149 @@ def _array_nbytes(states: list) -> int:
     return total
 
 
+def outage_seconds(
+    lost_iterations: float,
+    mean_iteration_seconds: float,
+    checkpoint_bytes: float,
+    bytes_per_second: float,
+) -> float:
+    """Simulated cost of one restart: the cohort redoes (or waits out)
+    ``lost_iterations`` at the mean iteration cost, then ships the
+    restored checkpoint over the modeled link."""
+    return (
+        lost_iterations * mean_iteration_seconds
+        + checkpoint_bytes / bytes_per_second
+    )
+
+
+def _owned_ranks(trainer) -> list[int]:
+    return (
+        list(range(trainer.n_workers)) if trainer.rank is None
+        else [trainer.rank]
+    )
+
+
 @dataclass
 class Checkpoint:
-    """One restorable snapshot of a :class:`DistributedTrainer`'s state."""
+    """One restorable snapshot of a trainer's state, for the ranks it owns."""
 
     iteration: int
+    n_workers: int
     task_state: dict = field(repr=False)
-    memory_states: list[dict] = field(repr=False)
-    compressor_states: list[dict] = field(repr=False)
-
-    # -- capture / restore --------------------------------------------------
+    memory_states: dict[int, dict] = field(repr=False)
+    compressor_states: dict[int, dict] = field(repr=False)
+    report_state: dict = field(repr=False)
 
     @classmethod
     def capture(cls, trainer) -> "Checkpoint":
         """Snapshot a trainer after its current iteration."""
+        task = trainer.task
+        report = trainer.report
+        report_state = {
+            name: copy.copy(getattr(report, name)) for name in report._FIELDS
+        }
+        report_state["_sim_epoch"] = trainer._sim_epoch
+        ranks = _owned_ranks(trainer)
         return cls(
-            iteration=trainer.report.iterations,
-            task_state=copy.deepcopy(trainer.task.__dict__),
-            memory_states=[m.state_dict() for m in trainer.memories],
-            compressor_states=[
-                copy.deepcopy(c.__dict__) for c in trainer.compressors
-            ],
+            iteration=report.iterations,
+            n_workers=trainer.n_workers,
+            task_state=(
+                task.state_dict() if hasattr(task, "state_dict")
+                else copy.deepcopy(task.__dict__)
+            ),
+            memory_states={r: trainer.memories[r].state_dict() for r in ranks},
+            compressor_states={
+                r: copy.deepcopy(trainer.compressors[r].__dict__)
+                for r in ranks
+            },
+            report_state=report_state,
         )
 
-    def restore(self, trainer) -> None:
-        """Load this snapshot back into a compatible trainer, in place."""
-        if len(self.memory_states) != len(trainer.memories):
-            raise ValueError(
-                f"checkpoint holds {len(self.memory_states)} memories, "
-                f"trainer has {len(trainer.memories)}"
-            )
-        if len(self.compressor_states) != len(trainer.compressors):
-            raise ValueError(
-                f"checkpoint holds {len(self.compressor_states)} "
-                f"compressors, trainer has {len(trainer.compressors)}"
-            )
-        trainer.task.__dict__.update(copy.deepcopy(self.task_state))
-        for memory, state in zip(trainer.memories, self.memory_states):
-            memory.load_state_dict(state)
-        for compressor, state in zip(
-            trainer.compressors, self.compressor_states
-        ):
-            compressor.__dict__.update(copy.deepcopy(state))
+    def restore(self, trainer, report: bool = False) -> None:
+        """Load this snapshot back into a compatible trainer, in place.
 
-    def restore_rank(self, trainer, rank: int) -> None:
-        """Restore only one worker's EF state (rejoin without residual loss).
-
-        The model itself needs no per-rank restore — parameters are
-        shared — but a rejoining worker wants its memory and compressor
-        stream back as of the snapshot.
+        ``report=True`` also rewinds the report and simulated clock —
+        what a respawned worker resuming mid-run needs.
         """
-        if not 0 <= rank < len(self.memory_states):
-            raise ValueError(f"rank {rank} outside checkpoint")
-        trainer.memories[rank].load_state_dict(self.memory_states[rank])
-        trainer.compressors[rank].__dict__.update(
-            copy.deepcopy(self.compressor_states[rank])
-        )
-
-    # -- sizing -------------------------------------------------------------
+        if trainer.n_workers != self.n_workers:
+            raise ValueError(
+                f"checkpoint was taken with {self.n_workers} workers, "
+                f"trainer has {trainer.n_workers}"
+            )
+        ranks = _owned_ranks(trainer)
+        if list(self.memory_states) != ranks:
+            raise ValueError(
+                f"checkpoint holds ranks {list(self.memory_states)}, "
+                f"trainer owns ranks {ranks}"
+            )
+        task = trainer.task
+        if hasattr(task, "load_state_dict"):
+            task.load_state_dict(self.task_state)
+        else:
+            task.__dict__.update(copy.deepcopy(self.task_state))
+        for r in ranks:
+            trainer.memories[r].load_state_dict(self.memory_states[r])
+            trainer.compressors[r].__dict__.update(
+                copy.deepcopy(self.compressor_states[r])
+            )
+        if report:
+            state = dict(self.report_state)
+            trainer._sim_epoch = float(state.pop("_sim_epoch"))
+            for name, value in state.items():
+                setattr(trainer.report, name, copy.copy(value))
 
     @property
     def nbytes(self) -> int:
-        """Approximate checkpoint payload size (array bytes only).
+        """Array payload size (what recovery pricing charges).
 
-        This is what the recovery cost model charges for shipping a
-        checkpoint to a replacement worker; python object overhead is
-        noise next to the parameter/residual arrays and is ignored.
+        Python object overhead is noise next to the parameter and
+        residual arrays and is ignored.
         """
-        return _array_nbytes(
-            [self.task_state, *self.memory_states, *self.compressor_states]
-        )
+        return _array_nbytes([
+            self.task_state,
+            *self.memory_states.values(),
+            *self.compressor_states.values(),
+        ])
 
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Pickle this checkpoint to disk."""
-        with open(path, "wb") as handle:
-            pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        """Pickle to ``path`` atomically (write a temp file, then rename).
+
+        A crash mid-write never leaves a torn file under ``path``, where
+        :func:`latest_common_iteration` or :meth:`load` would find it.
+        """
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        tmp = f"{path}.tmp-{os.getpid()}"
+        try:
+            with open(tmp, "wb") as handle:
+                pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
-        """Read a checkpoint written by :meth:`save`."""
+        """Read a checkpoint :meth:`save` wrote.
+
+        Raises :class:`CheckpointError`, naming ``path``, when the file
+        is truncated, corrupt or holds anything but a checkpoint.
+        """
         with open(path, "rb") as handle:
-            checkpoint = pickle.load(handle)
+            try:
+                checkpoint = pickle.load(handle)
+            except (  # what the pickle docs list for a malformed stream
+                pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, IndexError,
+            ) as exc:
+                raise CheckpointError(
+                    f"{path!r} is not a readable Checkpoint "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
         if not isinstance(checkpoint, cls):
-            raise TypeError(
+            raise CheckpointError(
                 f"{path!r} does not contain a Checkpoint "
                 f"(got {type(checkpoint).__name__})"
             )
@@ -147,13 +216,11 @@ class Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Per-rank checkpoints for the real-parallel backend
+# Per-rank checkpoint directories for the real-parallel backend
 # ---------------------------------------------------------------------------
 #
-# A parallel worker process owns exactly one rank's EF state, so the
-# sequential :class:`Checkpoint` (which snapshots *every* rank) does not
-# apply.  Each worker instead persists a :class:`WorkerCheckpoint` to a
-# shared directory; after a crash the parent restores the survivors (or
+# Each worker saves its checkpoint to a shared directory under a
+# canonical name; after a crash the parent restores the survivors (or
 # the whole respawned cohort) from the newest iteration **every required
 # rank** has on disk, so the restored cohort is mutually consistent.
 
@@ -211,162 +278,3 @@ def prune_worker_checkpoints(
             os.remove(worker_checkpoint_path(directory, rank, iteration))
         except FileNotFoundError:  # pragma: no cover - concurrent prune
             pass
-
-
-def _numeric_module_states(model) -> list[dict]:
-    """Per-module numeric buffers, in ``model.modules()`` order.
-
-    Captures plain-ndarray attributes (BatchNorm running stats) and
-    RNG generators (Dropout masks), which is exactly the model state
-    that is neither a Parameter nor rebuildable from the config.  The
-    module *graph* itself is deliberately not captured: closures (grad
-    hooks) do not pickle, and the respawned worker rebuilds an
-    identical graph from the run config anyway.
-    """
-    states: list[dict] = []
-    for module in model.modules():
-        state: dict = {}
-        for key, value in module.__dict__.items():
-            if isinstance(value, np.ndarray):
-                state[key] = value.copy()
-            elif isinstance(value, np.random.Generator):
-                state[key] = copy.deepcopy(value)
-        states.append(state)
-    return states
-
-
-@dataclass
-class WorkerCheckpoint:
-    """One rank's restorable snapshot, for the real-parallel backend.
-
-    Captures the shared model/optimizer state (bitwise identical across
-    ranks, since every rank applies the same aggregated update) plus
-    *this rank's* EF memory, compressor stream and report totals, so a
-    respawned worker resumes its exact trajectory — the parallel twin of
-    :class:`Checkpoint`'s bitwise-restore guarantee.  Only numeric
-    state is persisted (parameter arrays, module buffers, optimizer
-    slots); the unpicklable autograd graph is rebuilt from the run
-    config by the respawned worker.
-    """
-
-    rank: int
-    n_workers: int
-    iteration: int
-    task_state: dict = field(repr=False)
-    memory_state: dict = field(repr=False)
-    compressor_state: dict = field(repr=False)
-    report_state: dict = field(repr=False)
-
-    @classmethod
-    def capture(cls, trainer) -> "WorkerCheckpoint":
-        """Snapshot a worker-mode trainer after its current iteration."""
-        if trainer.rank is None:
-            raise ValueError(
-                "WorkerCheckpoint.capture needs a worker-mode trainer "
-                "(rank=...); use Checkpoint for the sequential simulator"
-            )
-        report = trainer.report
-        report_state = {
-            name: copy.deepcopy(getattr(report, name))
-            for name in report._FIELDS
-        }
-        report_state["_sim_epoch"] = trainer._sim_epoch
-        task = trainer.task
-        task_state = {
-            "params": {
-                name: np.array(param.data, copy=True)
-                for name, param in task.model.named_parameters()
-            },
-            "modules": _numeric_module_states(task.model),
-            "optimizer": {
-                key: copy.deepcopy(value)
-                for key, value in task.optimizer.__dict__.items()
-                if key != "params"  # live Parameter refs; graph-bound
-            },
-        }
-        return cls(
-            rank=trainer.rank,
-            n_workers=trainer.n_workers,
-            iteration=report.iterations,
-            task_state=task_state,
-            memory_state=trainer.memories[trainer.rank].state_dict(),
-            compressor_state=copy.deepcopy(
-                trainer.compressors[trainer.rank].__dict__
-            ),
-            report_state=report_state,
-        )
-
-    def restore(self, trainer) -> None:
-        """Load this snapshot back into a compatible worker, in place."""
-        if trainer.rank != self.rank:
-            raise ValueError(
-                f"checkpoint belongs to rank {self.rank}, "
-                f"trainer is rank {trainer.rank}"
-            )
-        if trainer.n_workers != self.n_workers:
-            raise ValueError(
-                f"checkpoint was taken with {self.n_workers} workers, "
-                f"trainer has {trainer.n_workers}"
-            )
-        model = trainer.task.model
-        params = self.task_state["params"]
-        live = dict(model.named_parameters())
-        if set(params) != set(live):
-            raise ValueError(
-                "checkpoint parameters do not match the trainer's model: "
-                f"{sorted(set(params) ^ set(live))}"
-            )
-        for name, param in live.items():
-            param.data = params[name].copy()
-        for module, state in zip(
-            model.modules(), self.task_state["modules"], strict=True
-        ):
-            for key, value in state.items():
-                setattr(module, key, copy.deepcopy(value))
-        trainer.task.optimizer.__dict__.update(
-            copy.deepcopy(self.task_state["optimizer"])
-        )
-        trainer.memories[self.rank].load_state_dict(self.memory_state)
-        trainer.compressors[self.rank].__dict__.update(
-            copy.deepcopy(self.compressor_state)
-        )
-        state = dict(self.report_state)
-        trainer._sim_epoch = float(state.pop("_sim_epoch", 0.0))
-        for name, value in state.items():
-            setattr(trainer.report, name, copy.deepcopy(value))
-
-    @property
-    def nbytes(self) -> int:
-        """Array payload size (what recovery pricing charges per rank)."""
-        return _array_nbytes(
-            [self.task_state, self.memory_state, self.compressor_state]
-        )
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, directory: str) -> str:
-        """Atomically persist under the canonical per-rank name.
-
-        Write-to-temp + rename, so a crash mid-write never leaves a
-        torn file where :func:`latest_common_iteration` would find it.
-        """
-        os.makedirs(directory, exist_ok=True)
-        path = worker_checkpoint_path(directory, self.rank, self.iteration)
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        return path
-
-    @classmethod
-    def load(cls, directory: str, rank: int, iteration: int) -> "WorkerCheckpoint":
-        """Read the snapshot :meth:`save` wrote for (rank, iteration)."""
-        path = worker_checkpoint_path(directory, rank, iteration)
-        with open(path, "rb") as handle:
-            checkpoint = pickle.load(handle)
-        if not isinstance(checkpoint, cls):
-            raise TypeError(
-                f"{path!r} does not contain a WorkerCheckpoint "
-                f"(got {type(checkpoint).__name__})"
-            )
-        return checkpoint

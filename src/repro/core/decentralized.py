@@ -20,7 +20,6 @@ model replica, so the caller supplies one task per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -28,21 +27,10 @@ import numpy as np
 from repro.comm.gossip import GossipCommunicator, Topology
 from repro.core.api import Compressor
 from repro.core.memory import Memory, make_memory
-from repro.core.trainer import DistributedTask
+from repro.core.trainer import DistributedTask, TrainingReport
 from repro.core.rng import spawn_worker_seeds
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import NULL_TRACER
-
-
-@dataclass
-class DecentralizedReport:
-    """Per-round accounting for gossip training."""
-
-    losses: list[float] = field(default_factory=list)  # mean over nodes
-    iterations: int = 0
-    sim_comm_seconds: float = 0.0
-    bytes_per_worker: float = 0.0
-    consensus_distances: list[float] = field(default_factory=list)
 
 
 class DecentralizedTrainer:
@@ -119,7 +107,9 @@ class DecentralizedTrainer:
         if self.tracer.enabled:
             for mem in self.memories:
                 mem.attach_telemetry(self.metrics)
-        self.report = DecentralizedReport()
+        self.report = TrainingReport(metrics=self.metrics)
+        #: :meth:`consensus_distance` after every iteration.
+        self.consensus_distances: list[float] = []
 
     # ------------------------------------------------------------------
 
@@ -211,7 +201,7 @@ class DecentralizedTrainer:
         ):
             with tracer.span("parameter_consensus"):
                 self._parameter_consensus()
-        self.report.consensus_distances.append(self.consensus_distance())
+        self.consensus_distances.append(self.consensus_distance())
         mean_loss = float(np.mean(losses))
         self.report.losses.append(mean_loss)
         return mean_loss

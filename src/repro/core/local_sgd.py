@@ -13,7 +13,6 @@ SGD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -21,19 +20,8 @@ import numpy as np
 from repro.comm.collectives import Communicator
 from repro.core.api import Compressor
 from repro.core.memory import Memory, make_memory
-from repro.core.trainer import DistributedTask
+from repro.core.trainer import DistributedTask, TrainingReport
 from repro.core.rng import spawn_worker_seeds
-
-
-@dataclass
-class LocalSGDReport:
-    """Accounting for periodic-averaging training."""
-
-    losses: list[float] = field(default_factory=list)
-    iterations: int = 0
-    sync_rounds: int = 0
-    sim_comm_seconds: float = 0.0
-    bytes_per_worker: float = 0.0
 
 
 class LocalSGDTrainer:
@@ -90,7 +78,12 @@ class LocalSGDTrainer:
             for name, value in task.model.state_dict().items():
                 if not np.array_equal(value, self._sync_point[name]):
                     raise ValueError("replicas must start identical")
-        self.report = LocalSGDReport()
+        self.report = TrainingReport()
+
+    @property
+    def sync_rounds(self) -> int:
+        """Synchronizations so far: one every ``sync_period`` iterations."""
+        return self.report.iterations // self.sync_period
 
     # ------------------------------------------------------------------
 
@@ -153,7 +146,6 @@ class LocalSGDTrainer:
             task.model.load_state_dict(
                 {name: value.copy() for name, value in new_point.items()}
             )
-        self.report.sync_rounds += 1
         self.report.sim_comm_seconds += (
             self.comm.record.simulated_seconds - comm_before
         )

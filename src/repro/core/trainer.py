@@ -44,8 +44,9 @@ from repro.core.api import (
 )
 from repro.core.checkpoint import (
     Checkpoint,
-    WorkerCheckpoint,
+    outage_seconds,
     prune_worker_checkpoints,
+    worker_checkpoint_path,
 )
 from repro.core.config import Resilience, WorkerMode
 from repro.core.fusion import FusionBucket, FusionPlan, ScratchPool
@@ -396,8 +397,8 @@ class DistributedTrainer:
         ranks, so layouts and random streams match the simulator's.
         Faults are executed for real (:mod:`repro.faults.real`); which
         plans a worker accepts, membership and recovery are
-        ``run_parallel``'s job, and the worker only persists a
-        :class:`~repro.core.checkpoint.WorkerCheckpoint` every
+        ``run_parallel``'s job, and the worker only saves its rank's
+        :class:`~repro.core.checkpoint.Checkpoint` every
         ``checkpoint_every`` iterations (keeping two generations).
     """
 
@@ -778,24 +779,21 @@ class DistributedTrainer:
         if not consumed:
             return
         completed = self.report.iterations
-        mean_iter = (
-            self.report.sim_total_seconds / completed if completed else 0.0
-        )
         # The cohort stalls until the replacement is up: the rejoin gap
         # at the mean iteration rate, plus shipping the checkpoint.
         gap = max(
             (event.rejoin - iteration) if event.rejoin is not None else 1
             for event in consumed
         )
-        overhead = gap * mean_iter
         checkpoint = self._last_checkpoint
+        self.report.sim_recovery_seconds += outage_seconds(
+            gap,
+            self.report.sim_total_seconds / completed if completed else 0.0,
+            checkpoint.nbytes if checkpoint is not None else 0,
+            self.comm.network.effective_bytes_per_second,
+        )
         if checkpoint is not None:
-            overhead += (
-                checkpoint.nbytes
-                / self.comm.network.effective_bytes_per_second
-            )
             checkpoint.restore(self)
-        self.report.sim_recovery_seconds += overhead
         self.metrics.counter(
             "recoveries_total",
             help="crash recoveries performed (restart policy)",
@@ -805,18 +803,21 @@ class DistributedTrainer:
         every = self.resilience.checkpoint_every
         if not (every > 0 and self.report.iterations % every == 0):
             return
+        checkpoint = Checkpoint.capture(self)
         if self.worker is not None:
             directory = self.worker.checkpoint_dir
-            WorkerCheckpoint.capture(self).save(directory)
+            checkpoint.save(worker_checkpoint_path(
+                directory, self.rank, checkpoint.iteration
+            ))
             prune_worker_checkpoints(directory, self.rank, keep=2)
         else:
-            self._last_checkpoint = Checkpoint.capture(self)
+            self._last_checkpoint = checkpoint
         self.metrics.counter(
             "checkpoints_total", help="EF-aware checkpoints captured",
         ).inc(1)
 
     def save_checkpoint(self, path: str | None = None) -> Checkpoint:
-        """Capture (and optionally persist) an EF-aware checkpoint now."""
+        """Capture (and optionally save to ``path``) a checkpoint now."""
         checkpoint = Checkpoint.capture(self)
         self._last_checkpoint = checkpoint
         if path is not None:
@@ -824,7 +825,11 @@ class DistributedTrainer:
         return checkpoint
 
     def restore_checkpoint(self, checkpoint: Checkpoint | str) -> None:
-        """Restore a checkpoint (or a path to one) into this trainer."""
+        """Restore a checkpoint (or a path to one) into this trainer.
+
+        Training state is restored in place; the report and simulated
+        clock run on.
+        """
         if isinstance(checkpoint, str):
             checkpoint = Checkpoint.load(checkpoint)
         checkpoint.restore(self)

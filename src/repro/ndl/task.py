@@ -14,6 +14,7 @@ approximately reverse layer order.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
@@ -105,3 +106,45 @@ class ModelTask:
     def apply_update(self, gradients: dict[str, np.ndarray]) -> None:
         """Push the aggregated gradient through the optimizer."""
         self.optimizer.step(gradients)
+
+    # -- checkpointing -------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """Copy of the numeric training state.
+
+        Parameters, each module's plain-ndarray attributes (BatchNorm
+        running stats) and RNG generators (Dropout masks), and the
+        optimizer's slots — the state that is neither rebuildable from
+        the config nor part of the autograd graph.  The graph itself is
+        not captured: its grad hooks are closures, which do not pickle.
+        """
+        return {
+            "params": self.model.state_dict(),
+            "modules": [
+                {
+                    key: copy.deepcopy(value)
+                    for key, value in vars(module).items()
+                    if isinstance(value, (np.ndarray, np.random.Generator))
+                }
+                for module in self.model.modules()
+            ],
+            "optimizer": copy.deepcopy({
+                key: value for key, value in vars(self.optimizer).items()
+                if key != "params"  # live Parameter refs; graph-bound
+            }),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot in place.
+
+        Parameter objects, the model and the optimizer keep their
+        identity — the hooks and any caller holding the model (an
+        ``eval_fn``) go on seeing the restored values.
+        """
+        self.model.load_state_dict(state["params"])
+        for module, buffers in zip(
+            self.model.modules(), state["modules"], strict=True
+        ):
+            for key, value in buffers.items():
+                setattr(module, key, copy.deepcopy(value))
+        vars(self.optimizer).update(copy.deepcopy(state["optimizer"]))

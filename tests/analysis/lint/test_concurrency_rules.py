@@ -249,7 +249,7 @@ class TestGR009SpawnSafety:
         findings = _lint(SpawnSafetyRule(), """
             def snapshot(model, path):
                 params = list(model.parameters())
-                ckpt = WorkerCheckpoint(params, path)
+                ckpt = Checkpoint(params, path)
                 return ckpt
         """, path=FAULTS_PATH)
         assert len(findings) == 1
@@ -286,7 +286,7 @@ class TestGR009SpawnSafety:
         findings = _lint(SpawnSafetyRule(), """
             def snapshot(model, path):
                 arrays = [p.detach_array() for p in model.layers]
-                return WorkerCheckpoint(arrays, path)
+                return Checkpoint(arrays, path)
         """, path=FAULTS_PATH)
         assert findings == []
 

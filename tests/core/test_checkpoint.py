@@ -1,0 +1,121 @@
+"""The one `Checkpoint` on a real model: in-place restore and its file sink.
+
+The simulator's restart and `save_checkpoint(path)` run here on
+`ncf-movielens` (an `ndl` model with Adam slots) with error feedback;
+the per-rank directory helpers and the worker-mode round trip live in
+`test_worker_checkpoint.py`.
+"""
+
+import os
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.bench.runner import build_trainer
+from repro.bench.suite import get_benchmark
+from repro.core.checkpoint import Checkpoint, CheckpointError
+from repro.core.config import Resilience
+
+BENCH = "ncf-movielens"
+
+
+def _build(resilience=Resilience()):
+    return build_trainer(
+        get_benchmark(BENCH), "efsignsgd", n_workers=4, seed=0,
+        resilience=resilience,
+    )
+
+
+def _state(trainer, run) -> dict[str, bytes]:
+    """Every numeric array a resume depends on, as bytes."""
+    state = {
+        f"param/{name}": param.data.tobytes()
+        for name, param in run.model.named_parameters()
+    }
+    optimizer = run.task.optimizer
+    for slot in ("_m", "_v"):
+        for name, value in getattr(optimizer, slot).items():
+            state[f"{slot}/{name}"] = value.tobytes()
+    state["_t"] = repr(optimizer._t).encode()
+    for rank, memory in enumerate(trainer.memories):
+        for name, value in memory._residuals.items():
+            state[f"residual{rank}/{name}"] = value.tobytes()
+    return state
+
+
+class TestRestartRestoresInPlace:
+    def test_trained_model_is_the_callers_model(self):
+        trainer, run = _build(Resilience(
+            faults="crash@3:rank=1,rejoin=6", recovery="restart",
+        ))
+        report = trainer.train(run.loader, epochs=1, eval_fn=run.eval_fn)
+        assert trainer.metrics.value("recoveries_total") == 1
+        assert run.model is trainer.task.model
+        assert report.epoch_quality[-1] == run.eval_fn()
+
+
+class TestFileRoundTrip:
+    def test_restores_parameters_slots_and_residuals_bitwise(self, tmp_path):
+        trainer, run = _build()
+        batches = iter(run.loader)
+        for _ in range(3):
+            trainer.step(next(batches))
+        path = str(tmp_path / "ckpt.pkl")
+        trainer.save_checkpoint(path)
+        saved = _state(trainer, run)
+        step = next(batches)
+        loss = trainer.step(step)
+        assert _state(trainer, run) != saved
+
+        trainer.restore_checkpoint(path)
+        assert _state(trainer, run) == saved
+        # The compressor streams came back too: the step replays.
+        assert trainer.step(step) == loss
+
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        trainer, run = _build()
+        trainer.step(next(iter(run.loader)))
+        path = str(tmp_path / "ckpt.pkl")
+        trainer.save_checkpoint(path)
+        before = open(path, "rb").read()
+
+        def torn_dump(obj, handle, protocol=None):
+            handle.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pickle, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            trainer.save_checkpoint(path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["ckpt.pkl"]
+
+    def test_truncated_file_raises_typed_error_naming_path(self, tmp_path):
+        trainer, run = _build()
+        trainer.step(next(iter(run.loader)))
+        path = str(tmp_path / "ckpt.pkl")
+        trainer.save_checkpoint(path)
+        whole = open(path, "rb").read()
+        for cut in (0, 1, 2, 64, len(whole) // 2, len(whole) - 1):
+            with open(path, "wb") as handle:
+                handle.write(whole[:cut])
+            with pytest.raises(CheckpointError, match="ckpt.pkl"):
+                Checkpoint.load(path)
+
+    def test_foreign_pickle_raises_the_same_error(self, tmp_path):
+        path = str(tmp_path / "foreign.pkl")
+        with open(path, "wb") as handle:
+            pickle.dump({"not": "a checkpoint"}, handle)
+        with pytest.raises(CheckpointError, match="foreign.pkl"):
+            Checkpoint.load(path)
+
+
+def test_numeric_state_has_no_live_objects():
+    trainer, run = _build()
+    trainer.step(next(iter(run.loader)))
+    state = Checkpoint.capture(trainer).task_state
+    assert set(state) == {"params", "modules", "optimizer"}
+    assert all(
+        isinstance(value, np.ndarray) for value in state["params"].values()
+    )
+    assert "params" not in state["optimizer"]

@@ -94,7 +94,7 @@ class TestLearning:
         )
         for step in range(12):
             trainer.step(make_batches(4, step))
-        distances = trainer.report.consensus_distances
+        distances = trainer.consensus_distances
         assert distances[-1] < 0.5
         assert len(distances) == 12
 
@@ -107,7 +107,7 @@ class TestLearning:
             )
             for step in range(20):
                 trainer.step(make_batches(4, step))
-            return trainer.report.consensus_distances[-1]
+            return trainer.consensus_distances[-1]
 
         assert final_distance(0) >= final_distance(2)
 
@@ -124,7 +124,7 @@ class TestLearning:
                     for node in range(topology.n_nodes)
                 ]
                 trainer.step(batches)
-            return trainer.report.consensus_distances[-1]
+            return trainer.consensus_distances[-1]
 
         assert distance(complete_topology(6)) <= distance(ring_topology(6))
 

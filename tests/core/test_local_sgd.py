@@ -106,12 +106,13 @@ class TestLearningAndAccounting:
                                       sync_period=sync_period)
             for step in range(12):
                 trainer.step(batches_from(x, y, 2, step))
-            return trainer.report
+            return trainer
 
         frequent = run(1)
         rare = run(4)
         assert frequent.sync_rounds == 12 and rare.sync_rounds == 3
-        assert rare.bytes_per_worker < 0.5 * frequent.bytes_per_worker
+        assert (rare.report.bytes_per_worker
+                < 0.5 * frequent.report.bytes_per_worker)
 
     def test_replicas_identical_right_after_sync(self):
         x, y = shared_data()

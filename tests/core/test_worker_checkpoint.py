@@ -7,6 +7,7 @@ asserts the bitwise-resume guarantee the parallel backend's restart
 recovery depends on.
 """
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.comm.parallel import ParallelWorkerCommunicator, model_digest
 from repro.comm.shm import SharedArena
 from repro.core.config import Resilience, WorkerMode
 from repro.core.checkpoint import (
-    WorkerCheckpoint,
+    Checkpoint,
+    CheckpointError,
     latest_common_iteration,
     list_worker_checkpoints,
     prune_worker_checkpoints,
@@ -82,6 +84,10 @@ def solo_trainer(tmp_path):
     owner.close()
 
 
+def _load(directory, iteration):
+    return Checkpoint.load(worker_checkpoint_path(directory, 0, iteration))
+
+
 def _params(run):
     return {
         name: np.asarray(param.data)
@@ -114,8 +120,8 @@ class TestRoundTrip:
                 get_benchmark(BENCH), "topk", n_workers=1, seed=0,
                 communicator=comm, worker=WorkerMode(0),
             )
-            checkpoint = WorkerCheckpoint.load(directory, 0, resume_at)
-            checkpoint.restore(fresh)
+            checkpoint = _load(directory, resume_at)
+            checkpoint.restore(fresh, report=True)
             resumed = fresh.train(
                 fresh_run.loader, epochs=1, start_iteration=resume_at
             )
@@ -125,37 +131,43 @@ class TestRoundTrip:
             arena.close()
             owner.close()
 
-    def test_capture_requires_worker_mode(self):
-        class _Sequentialish:
-            rank = None
+    def test_worker_capture_holds_only_its_own_rank(self):
+        from repro.bench.runner import build_trainer
+        from repro.bench.suite import get_benchmark
 
-        with pytest.raises(ValueError, match="worker-mode"):
-            WorkerCheckpoint.capture(_Sequentialish())
+        owner = SharedArena.create(
+            n_ranks=2, data_bytes=1 << 20, meta_slots=64
+        )
+        arena = SharedArena.attach(owner.spec, rank=1)
+        try:
+            trainer, _ = build_trainer(
+                get_benchmark(BENCH), "topk", n_workers=2, seed=0,
+                communicator=ParallelWorkerCommunicator(arena, 1),
+                worker=WorkerMode(1),
+            )
+            checkpoint = Checkpoint.capture(trainer)
+        finally:
+            arena.close()
+            owner.close()
+        assert list(checkpoint.memory_states) == [1]
+        assert list(checkpoint.compressor_states) == [1]
 
     def test_restore_rejects_mismatched_identity(self, solo_trainer):
         trainer, run, directory = solo_trainer
         trainer.train(run.loader, epochs=1)
         resume_at = latest_common_iteration(directory, [0])
-        checkpoint = WorkerCheckpoint.load(directory, 0, resume_at)
+        checkpoint = _load(directory, resume_at)
 
-        wrong_rank = WorkerCheckpoint(
-            rank=1, n_workers=checkpoint.n_workers,
-            iteration=checkpoint.iteration,
-            task_state=checkpoint.task_state,
-            memory_state=checkpoint.memory_state,
-            compressor_state=checkpoint.compressor_state,
-            report_state=checkpoint.report_state,
+        wrong_rank = dataclasses.replace(
+            checkpoint,
+            memory_states={1: checkpoint.memory_states[0]},
+            compressor_states={1: checkpoint.compressor_states[0]},
         )
         with pytest.raises(ValueError, match="rank"):
             wrong_rank.restore(trainer)
 
-        wrong_world = WorkerCheckpoint(
-            rank=0, n_workers=checkpoint.n_workers + 1,
-            iteration=checkpoint.iteration,
-            task_state=checkpoint.task_state,
-            memory_state=checkpoint.memory_state,
-            compressor_state=checkpoint.compressor_state,
-            report_state=checkpoint.report_state,
+        wrong_world = dataclasses.replace(
+            checkpoint, n_workers=checkpoint.n_workers + 1
         )
         with pytest.raises(ValueError, match="workers"):
             wrong_world.restore(trainer)
@@ -164,13 +176,13 @@ class TestRoundTrip:
         trainer, run, directory = solo_trainer
         trainer.train(run.loader, epochs=1)
         resume_at = latest_common_iteration(directory, [0])
-        checkpoint = WorkerCheckpoint.load(directory, 0, resume_at)
+        checkpoint = _load(directory, resume_at)
         params = dict(checkpoint.task_state["params"])
         params["phantom.weight"] = params.pop(next(iter(params)))
         checkpoint.task_state = dict(
             checkpoint.task_state, params=params
         )
-        with pytest.raises(ValueError, match="do not match"):
+        with pytest.raises(ValueError, match="mismatch"):
             checkpoint.restore(trainer)
 
     def test_load_rejects_foreign_pickles(self, tmp_path):
@@ -179,12 +191,12 @@ class TestRoundTrip:
         path = worker_checkpoint_path(str(tmp_path), 0, 1)
         with open(path, "wb") as handle:
             pickle.dump({"not": "a checkpoint"}, handle)
-        with pytest.raises(TypeError, match="WorkerCheckpoint"):
-            WorkerCheckpoint.load(str(tmp_path), 0, 1)
+        with pytest.raises(CheckpointError, match="Checkpoint"):
+            _load(str(tmp_path), 1)
 
     def test_nbytes_counts_array_payload(self, solo_trainer):
         trainer, run, directory = solo_trainer
         trainer.train(run.loader, epochs=1)
         resume_at = latest_common_iteration(directory, [0])
-        checkpoint = WorkerCheckpoint.load(directory, 0, resume_at)
+        checkpoint = _load(directory, resume_at)
         assert checkpoint.nbytes > 0

@@ -68,7 +68,7 @@ class TestExtensionCompose:
         )
         for step in range(4):
             trainer.step(make_batches(2, step))
-        assert trainer.report.sync_rounds == 2
+        assert trainer.sync_rounds == 2
 
     def test_decentralized_trainer(self, name, params):
         trainer = DecentralizedTrainer(
@@ -78,4 +78,4 @@ class TestExtensionCompose:
         for step in range(4):
             loss = trainer.step(make_batches(3, step))
         assert np.isfinite(loss)
-        assert np.isfinite(trainer.report.consensus_distances[-1])
+        assert np.isfinite(trainer.consensus_distances[-1])
