@@ -25,6 +25,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.fusion import tensor_bucket
+
 Payload = list[np.ndarray]
 Context = Any
 
@@ -347,18 +349,18 @@ class Compressor(abc.ABC):
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """Compress a whole fusion bucket (flat float32) in one call.
 
-        ``bucket`` is a :class:`repro.core.fusion.FusionBucket` (duck
-        typed: ``segments`` with name/shape/offset/size, ``numel``).
-        The generic fallback concatenates per-tensor :meth:`compress`
-        calls in segment order — correct for every compressor, and
-        consuming the random stream exactly like the per-tensor path.
-        Subclasses with ``fused_kernel = True`` override this with a
-        vectorized whole-bucket implementation returning a
-        :class:`FusedBucketCtx` payload, and decode it in
-        :meth:`_decompress_bucket`.  Two rules bind every kernel: decoded
-        values, the random stream and any compressor state afterwards
-        are bitwise those of this generic path; and the wire format is a
-        function of parameters and bucket layout only (see
+        The trainer compresses every unit this way; a run that does not
+        fuse has one-segment buckets.  ``bucket`` is a
+        :class:`repro.core.fusion.FusionBucket`.  The generic fallback
+        concatenates per-tensor :meth:`compress` calls in segment order —
+        correct for every compressor, and consuming the random stream
+        exactly like the per-tensor path.  Subclasses with ``fused_kernel
+        = True`` override this with a vectorized whole-bucket
+        implementation returning a :class:`FusedBucketCtx` payload, and
+        decode it in :meth:`_decompress_bucket`.  Two rules bind every
+        kernel: decoded values, the random stream and any compressor state
+        afterwards are bitwise those of this generic path; and the wire
+        format is a function of parameters and bucket layout only (see
         :class:`FusedBucketCtx`).
         """
         return concat_compressed(
@@ -635,7 +637,7 @@ class Compressor(abc.ABC):
             )
         if isinstance(ctx, FusedBucketCtx):
             bucket = ctx.bucket
-            shape = (int(bucket.numel),)
+            shape = bucket.shape
             flat = self.decompress_fused(compressed).astype(np.float64)
             seg_sizes = bucket.sizes
             deltas = (
@@ -718,6 +720,39 @@ class Compressor(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+class KernelCompressor(Compressor):
+    """A built-in written as its bucket kernel alone.
+
+    ``compress`` runs :meth:`compress_fused` on the tensor's one-segment
+    bucket (:func:`~repro.core.fusion.tensor_bucket`) and ``decompress``
+    decodes that payload back to the tensor's shape: one body serves a
+    tensor and a bucket.  A compressor written against the GRACE API
+    subclasses :class:`Compressor` and writes ``compress``/``decompress``
+    instead, which the generic :meth:`Compressor.compress_fused`
+    concatenates — that is why this adapter is a subclass and not the base
+    class's default: with both defaults a compressor that wrote neither
+    would bounce between them.
+    """
+
+    fused_kernel = True
+
+    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
+        """Apply Q: the kernel over the one-segment bucket of ``tensor``.
+
+        A kernel neither writes its buffer nor hands it out in a payload,
+        so a float32 tensor goes in uncopied.
+        """
+        array = np.asarray(tensor, dtype=np.float32)
+        return self.compress_fused(
+            array.reshape(-1), tensor_bucket(name, array.shape)
+        )
+
+    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
+        """Apply Q⁻¹: the kernel's decode, in the tensor's shape."""
+        bucket = compressed.ctx.bucket
+        return self.decompress_fused(compressed).reshape(bucket.shape)
+
+
 class Memory(abc.ABC):
     """Error-feedback memory: φ (compensate) and ψ (update) of Algorithm 1.
 
@@ -729,12 +764,6 @@ class Memory(abc.ABC):
 
     telemetry = None  # class-level default: no per-instance cost when off
 
-    #: True when this memory implements :meth:`update_fused` — the
-    #: fused trainer path then updates from whole flat buckets instead of
-    #: per-tensor ``CompressedTensor`` objects.  A memory that leaves
-    #: this False keeps the trainer on the per-tensor kernel path (the
-    #: bucket collective stays fused either way).
-    supports_fused_update: bool = False
     #: What :meth:`update_fused` consumes as ``transmitted``:
     #: ``"values"`` — the decompressed bucket (one decompress pass per
     #: rank); ``"indices"`` — the flat bucket positions that were sent,

@@ -10,20 +10,13 @@ of each part.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import segment_means, segment_topk
 
 
-class AdaptiveThresholdCompressor(Compressor):
+class AdaptiveThresholdCompressor(KernelCompressor):
     """α-ratio two-sided threshold selection with per-side mean decoding."""
 
     name = "adaptive"
@@ -31,7 +24,6 @@ class AdaptiveThresholdCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
 
     def __init__(self, ratio: float = 0.01, seed: int = 0):
         super().__init__(seed=seed)
@@ -42,49 +34,15 @@ class AdaptiveThresholdCompressor(Compressor):
     def _clone_args(self) -> dict:
         return {"ratio": self.ratio}
 
-    def _select_side(self, values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Indices of the α-fraction largest-magnitude elements of one side."""
-        if indices.size == 0:
-            return indices
-        k = max(1, math.ceil(self.ratio * indices.size))
-        order = np.argpartition(np.abs(values), values.size - k)[-k:]
-        return np.sort(indices[order])
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        pos_idx = np.flatnonzero(flat > 0)
-        neg_idx = np.flatnonzero(flat < 0)
-        sel_pos = self._select_side(flat[pos_idx], pos_idx)
-        sel_neg = self._select_side(flat[neg_idx], neg_idx)
-        mean_pos = np.float32(flat[sel_pos].mean()) if sel_pos.size else np.float32(0.0)
-        mean_neg = np.float32(flat[sel_neg].mean()) if sel_neg.size else np.float32(0.0)
-        payload = [
-            np.array([mean_pos, mean_neg], dtype=np.float32),
-            sel_pos.astype(np.int32),
-            sel_neg.astype(np.int32),
-        ]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        means, sel_pos, sel_neg = compressed.payload
-        dense = np.zeros(size, dtype=np.float32)
-        dense[sel_pos.astype(np.int64)] = means[0]
-        dense[sel_neg.astype(np.int64)] = means[1]
-        return dense.reshape(shape)
-
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One sign split per side; selection and mean per tensor on runs.
 
         The positions of a side are gathered once for the bucket, and a
-        tensor's share of them is a contiguous run: its α-fraction is
-        partitioned out of that run of the magnitudes
-        (:func:`~repro.tensorlib.segment_topk`, ties as in ``compress``)
-        and its mean taken over the run of what was selected.  Wire: one
-        ``[mean⁺, mean⁻]`` pair per tensor, then each side's bucket
-        positions.
+        tensor's share of them is a contiguous run: its α-fraction (at
+        least one of a non-empty side) is partitioned out of that run of
+        the magnitudes (:func:`~repro.tensorlib.segment_topk`) and its mean
+        taken over the run of what was selected.  Wire: one ``[mean⁺,
+        mean⁻]`` pair per tensor, then each side's bucket positions.
         """
         means, selected = [], []
         for side in (buffer > 0, buffer < 0):
@@ -106,7 +64,7 @@ class AdaptiveThresholdCompressor(Compressor):
         dense = np.zeros(bucket.numel, dtype=np.float32)
         for side, chosen in enumerate(selected):
             at = chosen.astype(np.int64)
-            dense[at] = means[2 * bucket.segment_ids[at] + side]
+            dense[at] = bucket.expand_at(means[side::2], at)
         return dense
 
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:

@@ -20,7 +20,12 @@ from repro.core.api import (
     FusedBucketCtx,
     flatten_with_shape,
 )
-from repro.tensorlib import desparsify, segment_quantiles, segment_sort
+from repro.tensorlib import (
+    desparsify,
+    segment_counts,
+    segment_quantiles,
+    segment_sort,
+)
 
 
 class DgcCompressor(Compressor):
@@ -84,8 +89,15 @@ class DgcCompressor(Compressor):
         return threshold
 
     def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
+        """Apply Q: returns the wire payload plus decompression ctx.
+
+        An empty tensor sends empty values and indices: there is no
+        threshold to sample.
+        """
         flat, shape = flatten_with_shape(tensor)
+        if flat.size == 0:
+            payload = [flat, np.zeros(0, dtype=np.int32)]
+            return CompressedTensor(payload=payload, ctx=(shape, 0))
         k = max(1, math.ceil(self.ratio * flat.size))
         magnitudes = np.abs(flat)
         threshold = self._estimate_threshold(magnitudes, k)
@@ -112,8 +124,15 @@ class DgcCompressor(Compressor):
         The samples are drawn tensor by tensor, in order, as ``compress``
         draws them; their quantiles come from one interpolation, and every
         refinement step is one compare of the whole bucket against its
-        tensors' thresholds, each tensor stopping at its own count.
+        tensors' thresholds, each tensor stopping at its own count.  A
+        bucket of one tensor runs ``compress``'s own scalar loop, whose
+        steps skip the per-tensor array bookkeeping of the bucket's.
         """
+        if len(bucket) == 1:
+            return np.array(
+                [self._estimate_threshold(magnitudes, int(ks[0]))],
+                dtype=np.float32,
+            )
         sizes = bucket.sizes
         sample_sizes = np.maximum(
             1, (self.sample_fraction * sizes).astype(np.int64)
@@ -132,8 +151,8 @@ class DgcCompressor(Compressor):
         refining = np.ones(sizes.size, dtype=bool)
         fewest, most = 0.75 * ks, 1.5 * ks
         for _ in range(self.max_adjust_iters - 1):
-            selected = np.add.reduceat(
-                magnitudes > bucket.expand(thresholds), bucket.offsets
+            selected = segment_counts(
+                magnitudes > bucket.expand(thresholds), bucket.ends
             )
             refining &= (selected < fewest) | (selected > most)
             if not refining.any():
@@ -156,9 +175,7 @@ class DgcCompressor(Compressor):
         thresholds = self._estimate_thresholds(magnitudes, bucket, ks)
         selected = magnitudes > bucket.expand(thresholds)
         indices = np.flatnonzero(selected)
-        unsent = np.flatnonzero(
-            np.add.reduceat(selected, bucket.offsets) == 0
-        )
+        unsent = np.flatnonzero(segment_counts(selected, bucket.ends) == 0)
         if unsent.size:  # such a tensor sends its largest element
             largest = [
                 seg.offset + int(np.argmax(magnitudes[seg.offset:seg.end]))

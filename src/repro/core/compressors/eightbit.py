@@ -11,15 +11,14 @@ import numpy as np
 
 from repro.core.api import (
     CompressedTensor,
-    Compressor,
     FusedBucketCtx,
-    flatten_with_shape,
+    KernelCompressor,
     is_fused_concat_ctx,
 )
 from repro.tensorlib import dequantize_float8, quantize_float8
 
 
-class EightBitCompressor(Compressor):
+class EightBitCompressor(KernelCompressor):
     """Dynamic 1-3-4 float8 quantization."""
 
     name = "eightbit"
@@ -27,23 +26,7 @@ class EightBitCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
     aggregation = "codebook"
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        codes, scale = quantize_float8(flat)
-        payload = [codes, np.array([scale], dtype=np.float32)]
-        return CompressedTensor(payload=payload, ctx=(shape,))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        (shape,) = compressed.ctx
-        codes, scale = compressed.payload
-        # The wire scale stays float32: widening it changes no decoded
-        # value (the kernel digests hold either way).
-        return dequantize_float8(codes, scale[0]).reshape(shape)
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One float8 pass over the bucket, one max-abs scale per segment."""

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import (
     dequantize_float8,
     pack_bits,
@@ -33,7 +28,7 @@ def _where(tags: np.ndarray, tag: int) -> np.ndarray:
     return np.flatnonzero(tags == tag)
 
 
-class InceptionnCompressor(Compressor):
+class InceptionnCompressor(KernelCompressor):
     """Magnitude-tiered 0/8/16/32-bit encoding with 2-bit tags.
 
     Elements below ``drop_fraction`` of the max magnitude are dropped,
@@ -46,7 +41,6 @@ class InceptionnCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "none"
-    fused_kernel = True
 
     def __init__(
         self,
@@ -71,24 +65,6 @@ class InceptionnCompressor(Compressor):
             "full_fraction": self.full_fraction,
         }
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        # np.float32: the max of a float32 array is exact at float32, and
-        # `rel` below divides a float32 array by it — no float64 detour
-        # through a Python scalar (GR002).
-        mag = np.abs(flat)
-        max_mag = np.float32(np.max(mag)) if flat.size else 0.0
-        if max_mag > 0:
-            tags = self._tags(np.divide(mag, max_mag, out=mag))
-        else:
-            tags = np.full(flat.size, _TAG_DROP, dtype=np.uint8)
-        f8_codes, f8_scale = quantize_float8(flat[_where(tags, _TAG_F8)])
-        payload = self._tiers(
-            flat, tags, f8_codes, np.array([f8_scale], dtype=np.float32)
-        )
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
     def _tags(self, rel: np.ndarray) -> np.ndarray:
         """Tier of every element from its magnitude relative to the max.
 
@@ -110,29 +86,6 @@ class InceptionnCompressor(Compressor):
             flat[_where(tags, _TAG_F32)].astype(np.float32),
         ]
 
-    @staticmethod
-    def _untier(payload, size: int, segment_ids=None) -> np.ndarray:
-        """Flat float32 decode of one tensor, or of a bucket whose float8
-        scales are one per segment (``segment_ids``: segment of each element).
-        """
-        packed_tags, f8_codes, f8_scales, f16_values, f32_values = payload
-        tags = unpack_bits(packed_tags, bits=2, count=size)
-        out = np.zeros(size, dtype=np.float32)
-        f8_at = _where(tags, _TAG_F8)
-        out[f8_at] = dequantize_float8(
-            f8_codes,
-            f8_scales[0] if segment_ids is None
-            else f8_scales[segment_ids[f8_at]],
-        )
-        out[_where(tags, _TAG_F16)] = f16_values.astype(np.float32)
-        out[_where(tags, _TAG_F32)] = f32_values
-        return out
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        return self._untier(compressed.payload, size).reshape(shape)
-
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One tagging pass and one gather per tier for the whole bucket.
 
@@ -151,7 +104,7 @@ class InceptionnCompressor(Compressor):
         )
         f8_at = _where(tags, _TAG_F8)
         f8_codes, _ = quantize_float8(
-            buffer[f8_at], f8_scales[bucket.segment_ids[f8_at]]
+            buffer[f8_at], bucket.expand_at(f8_scales, f8_at)
         )
         return CompressedTensor(
             payload=self._tiers(buffer, tags, f8_codes, f8_scales),
@@ -159,4 +112,13 @@ class InceptionnCompressor(Compressor):
         )
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
-        return self._untier(payload, bucket.numel, bucket.segment_ids)
+        packed_tags, f8_codes, f8_scales, f16_values, f32_values = payload
+        tags = unpack_bits(packed_tags, bits=2, count=bucket.numel)
+        out = np.zeros(bucket.numel, dtype=np.float32)
+        f8_at = _where(tags, _TAG_F8)
+        out[f8_at] = dequantize_float8(
+            f8_codes, bucket.expand_at(f8_scales, f8_at)
+        )
+        out[_where(tags, _TAG_F16)] = f16_values.astype(np.float32)
+        out[_where(tags, _TAG_F32)] = f32_values
+        return out

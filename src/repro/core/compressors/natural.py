@@ -12,9 +12,8 @@ import numpy as np
 
 from repro.core.api import (
     CompressedTensor,
-    Compressor,
     FusedBucketCtx,
-    flatten_with_shape,
+    KernelCompressor,
     is_fused_concat_ctx,
 )
 from repro.tensorlib import pack_signs, stochastic_power_of_two, unpack_signs
@@ -37,7 +36,7 @@ def _exponent_values() -> np.ndarray:
 _EXPONENT_VALUES = _exponent_values()
 
 
-class NaturalCompressor(Compressor):
+class NaturalCompressor(KernelCompressor):
     """Unbiased power-of-two rounding with 9-bit wire format."""
 
     name = "natural"
@@ -45,52 +44,32 @@ class NaturalCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
     aggregation = "codebook"
 
-    def _encode(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Sign bits and wire exponents of the rounded ``flat``.
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """Sign bits and wire exponents of the rounded bucket.
 
         Nothing here looks past one element, and the rounding draws once
         per non-zero element in order: a flat bucket encodes to what its
         tensors encode to one after the other.
         """
-        rounded = stochastic_power_of_two(flat, rng=self._rng)
+        rounded = stochastic_power_of_two(buffer, rng=self._rng)
         # rounded is 0 or +-2^x: frexp reads x + 1 off the representation.
         _, binade = np.frexp(rounded)
         binade += _EXP_BIAS - 1
         np.clip(binade, 0, _ZERO_SENTINEL - 1, out=binade)
         exponents = binade.astype(np.uint8)
         exponents[rounded == 0] = _ZERO_SENTINEL
-        return [pack_signs(rounded), exponents]
-
-    @staticmethod
-    def _decode(payload, size: int) -> np.ndarray:
-        packed_signs, exponents = payload
-        signs = unpack_signs(packed_signs, size)
-        signs *= _EXPONENT_VALUES.take(exponents)
-        return signs
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
         return CompressedTensor(
-            payload=self._encode(flat), ctx=(shape, flat.size)
-        )
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        return self._decode(compressed.payload, size).reshape(shape)
-
-    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
-        """The per-tensor kernel, once over the flat bucket."""
-        return CompressedTensor(
-            payload=self._encode(buffer), ctx=FusedBucketCtx(bucket)
+            payload=[pack_signs(rounded), exponents],
+            ctx=FusedBucketCtx(bucket),
         )
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
-        return self._decode(payload, bucket.numel)
+        packed_signs, exponents = payload
+        signs = unpack_signs(packed_signs, bucket.numel)
+        signs *= _EXPONENT_VALUES.take(exponents)
+        return signs
 
     def aggregate_compressed(
         self, items: list[CompressedTensor]

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import pack_bits, segment_means, unpack_bits
 
 
-class OneBitCompressor(Compressor):
+class OneBitCompressor(KernelCompressor):
     """Threshold sign quantization with per-side mean reconstruction."""
 
     name = "onebit"
@@ -28,7 +23,6 @@ class OneBitCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
 
     def __init__(self, threshold: float = 0.0, seed: int = 0):
         super().__init__(seed=seed)
@@ -36,27 +30,6 @@ class OneBitCompressor(Compressor):
 
     def _clone_args(self) -> dict:
         return {"threshold": self.threshold}
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        high = flat >= self.threshold
-        high_values = flat[high]
-        low_values = flat[~high]
-        mean_high = np.float32(high_values.mean()) if high_values.size else np.float32(0.0)
-        mean_low = np.float32(low_values.mean()) if low_values.size else np.float32(0.0)
-        payload = [
-            pack_bits(high.astype(np.uint8), bits=1),
-            np.array([mean_low, mean_high], dtype=np.float32),
-        ]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        packed, means = compressed.payload
-        bits = unpack_bits(packed, bits=1, count=size)
-        return means.take(bits).reshape(shape)  # means are [low, high]
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One threshold / bit-pack pass; the two means stay per segment.
@@ -86,5 +59,6 @@ class OneBitCompressor(Compressor):
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         packed, means = payload
         bits = unpack_bits(packed, bits=1, count=bucket.numel)
-        bits += 2 * bucket.segment_ids  # row of the segment's [low, high]
+        # Row of the segment's [low, high]:
+        bits += bucket.expand(np.arange(0, means.size, 2))
         return means.take(bits)

@@ -15,10 +15,9 @@ import numpy as np
 
 from repro.core.api import (
     CompressedTensor,
-    Compressor,
     FusedBucketCtx,
+    KernelCompressor,
     _fused_layout,
-    flatten_with_shape,
     is_fused_concat_ctx,
 )
 from repro.tensorlib import (
@@ -31,7 +30,7 @@ from repro.tensorlib import (
 )
 
 
-class QSGDCompressor(Compressor):
+class QSGDCompressor(KernelCompressor):
     """Unbiased stochastic codebook quantizer with ``levels`` bins."""
 
     name = "qsgd"
@@ -39,7 +38,6 @@ class QSGDCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "none"
-    fused_kernel = True
     aggregation = "codebook"
 
     def __init__(self, levels: int = 64, seed: int = 0):
@@ -51,35 +49,6 @@ class QSGDCompressor(Compressor):
 
     def _clone_args(self) -> dict:
         return {"levels": self.levels}
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        # float32 throughout: float() would widen the norm to a 64-bit
-        # Python scalar on its way into the payload scale part (GR002).
-        norm = np.float32(np.linalg.norm(flat))
-        codes = quantize_stochastic_levels(
-            np.abs(flat), norm, self.levels, rng=self._rng
-        )
-        payload = [
-            np.array([norm], dtype=np.float32),
-            pack_signs(flat),
-            pack_bits(codes, bits=self.code_bits),
-        ]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        norm_arr, packed_signs, packed_codes = compressed.payload
-        norm = norm_arr[0]  # float32 scale part, kept at wire precision
-        signs = unpack_signs(packed_signs, size)
-        codes = unpack_bits(packed_codes, bits=self.code_bits, count=size)
-        values = signs
-        values *= norm
-        values *= codes.astype(np.float32)
-        values /= self.levels
-        return values.reshape(shape)
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """Whole-bucket QSGD: one stochastic-rounding pass, one bit-pack.
@@ -140,7 +109,7 @@ class QSGDCompressor(Compressor):
             signed = codes.astype(np.int64) * signs.astype(np.int64)
             signed[np.repeat(deltas, bucket.sizes) == 0.0] = 0
             return (
-                (int(bucket.numel),),
+                bucket.shape,
                 int(bucket.numel),
                 deltas,
                 bucket.sizes.astype(np.int64),
@@ -168,22 +137,6 @@ class QSGDCompressor(Compressor):
                 np.concatenate(deltas_parts),
                 np.concatenate(seg_parts),
                 np.concatenate(code_parts),
-            )
-        if isinstance(ctx, tuple):
-            shape, size = ctx
-            norm_arr, packed_signs, packed_codes = compressed.payload
-            signs = unpack_signs(packed_signs, size)
-            codes = unpack_bits(packed_codes, bits=self.code_bits, count=size)
-            delta = np.float32(norm_arr[0]) / np.float32(self.levels)
-            signed = codes.astype(np.int64) * signs.astype(np.int64)
-            if delta == 0.0:
-                signed[:] = 0
-            return (
-                tuple(shape),
-                int(size),
-                np.array([delta], dtype=np.float32),
-                np.array([size], dtype=np.int64),
-                signed,
             )
         return super()._lattice_form(compressed)
 

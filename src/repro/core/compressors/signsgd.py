@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import pack_signs, unpack_signs
 
 
-class SignSGDCompressor(Compressor):
+class SignSGDCompressor(KernelCompressor):
     """Q(g) = sign(g), decoded as a ±1 vector."""
 
     name = "signsgd"
@@ -27,20 +22,6 @@ class SignSGDCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "none"
-    fused_kernel = True
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        return CompressedTensor(
-            payload=[pack_signs(flat)], ctx=(shape, flat.size)
-        )
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        signs = unpack_signs(compressed.payload[0], size)
-        return signs.reshape(shape)
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One bit-pack over the whole bucket (signs are elementwise)."""

@@ -24,6 +24,7 @@ from repro.core.api import (
 from repro.tensorlib import (
     QuantileSketch,
     pack_bits,
+    segment_counts,
     segment_quantiles,
     segment_searchsorted,
     segment_sort,
@@ -136,10 +137,16 @@ class SketchMLCompressor(Compressor):
         four parts whatever the data, so a peer decodes them under its own
         ctx.
         """
-        nonzero = np.flatnonzero(buffer)
-        values = buffer if nonzero.size == buffer.size else buffer[nonzero]
-        value_ends = np.searchsorted(nonzero, bucket.ends)
-        nnz = np.diff(value_ends, prepend=0)
+        nnz = segment_counts(buffer, bucket.ends)
+        has_zeros = nnz < bucket.sizes
+        if has_zeros.any():
+            nonzero = np.flatnonzero(buffer)
+            values = buffer[nonzero]
+            positions = nonzero[np.repeat(has_zeros, nnz)]
+        else:  # nothing to gather, no position to send
+            values = buffer
+            positions = np.zeros(0, dtype=np.int64)
+        value_ends = np.cumsum(nnz)
         sample, sample_ends = self._samples(values, value_ends, nnz)
         at_boundaries, at_centres = QuantileSketch.grids(self.num_buckets)
         quantiles = segment_quantiles(
@@ -150,12 +157,11 @@ class SketchMLCompressor(Compressor):
         codes = segment_searchsorted(
             quantiles[:, :at_boundaries.size], values, value_ends
         )
-        has_zeros = np.repeat(nnz < bucket.sizes, nnz)
         payload = [
             quantiles[:, at_boundaries.size:].astype(np.float32).ravel(),
             pack_bits(codes, bits=self.code_bits),
             nnz.astype(np.int32),
-            nonzero[has_zeros].astype(np.int32),
+            positions.astype(np.int32),
         ]
         return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
 
@@ -202,9 +208,11 @@ class SketchMLCompressor(Compressor):
         codes = unpack_bits(
             packed_codes, bits=self.code_bits, count=int(nnz.sum())
         )
-        # Each value reads the table of its own tensor.
-        tables = np.repeat(np.arange(nnz.size), nnz)
-        values = representatives.take(codes + self.num_buckets * tables)
+        if nnz.size > 1:  # each value reads the table of its own tensor
+            codes += np.repeat(
+                np.arange(0, representatives.size, self.num_buckets), nnz
+            )
+        values = representatives.take(codes)
         return values, self._bucket_positions(payload, bucket)
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:

@@ -97,9 +97,15 @@ class SketchedSGDCompressor(Compressor):
         return max(8, int(self.width_multiplier * k))
 
     def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
+        """Apply Q: returns the wire payload plus decompression ctx.
+
+        An empty tensor sends an empty table: there is nothing to hash.
+        """
         flat, shape = flatten_with_shape(tensor)
         k = max(1, math.ceil(self.ratio * flat.size))
+        if flat.size == 0:
+            payload = [np.zeros((self.depth, 0), dtype=np.float32)]
+            return CompressedTensor(payload=payload, ctx=(shape, 0, k))
         sketch = CountSketch(
             width=self._width(k), depth=self.depth, universe=flat.size,
             seed=self._hash_seed,
@@ -112,6 +118,8 @@ class SketchedSGDCompressor(Compressor):
         """Apply Q^-1: rebuild a dense tensor of the original shape."""
         shape, size, k = compressed.ctx
         table = compressed.payload[0]
+        if size == 0:
+            return np.zeros(shape, dtype=np.float32)
         if table.shape != (self.depth, self._width(k)):
             raise ValueError(
                 f"sketch table is {table.shape}, the layout for {size} "

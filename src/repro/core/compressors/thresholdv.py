@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import desparsify, sparsify_threshold
 
 
-class ThresholdCompressor(Compressor):
+class ThresholdCompressor(KernelCompressor):
     """Fixed-magnitude-threshold selection with adaptive output size."""
 
     name = "thresholdv"
@@ -26,7 +21,6 @@ class ThresholdCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
 
     def __init__(self, threshold: float = 0.01, seed: int = 0):
         super().__init__(seed=seed)
@@ -36,19 +30,6 @@ class ThresholdCompressor(Compressor):
 
     def _clone_args(self) -> dict:
         return {"threshold": self.threshold}
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        values, indices = sparsify_threshold(flat, self.threshold)
-        payload = [values.astype(np.float32), indices.astype(np.int32)]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        values, indices = compressed.payload
-        return desparsify(values, indices.astype(np.int64), size).reshape(shape)
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One selection over the bucket; indices count from its start."""

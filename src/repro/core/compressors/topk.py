@@ -20,7 +20,7 @@ from repro.core.api import (
     flatten_with_shape,
     is_fused_concat_ctx,
 )
-from repro.tensorlib import desparsify, sparsify_topk
+from repro.tensorlib import desparsify, segment_topk, sparsify_topk
 from repro.tensorlib.indices import decode_indices, encode_indices
 
 
@@ -93,32 +93,16 @@ class TopKCompressor(Compressor):
         )
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
-        """Whole-bucket top-k: one sort selects every segment's k largest.
-
-        The bucket is ordered by a single uint64 composite key — segment
-        id in the high 32 bits, the bitwise complement of the magnitude's
-        IEEE-754 pattern in the low 32 (positive floats order like their
-        bit patterns, so complementing sorts magnitudes descending).
-        Group *g* then occupies exactly ``[offset_g, offset_g + size_g)``
-        in the sorted order and the per-segment top-k are the rows whose
-        within-group position is below ``k_g`` — one sort, no Python
-        loop over tensors.  Selection agrees with the per-tensor
-        ``argpartition`` except on exact magnitude ties at the k-th
-        value.
+        """Whole-bucket top-k: every segment's k largest, partitioned out
+        of its run of the magnitudes by the call ``compress`` makes
+        (:func:`~repro.tensorlib.segment_topk`), so even exact magnitude
+        ties at the k-th value pick the same elements.  Wire: the values,
+        then each one's position in its own tensor, grouped by tensor.
         """
         if self.index_encoding != "int32" or bucket.has_empty_segment:
             return super().compress_fused(buffer, bucket)
-        buffer = np.ascontiguousarray(buffer, dtype=np.float32)
-        sizes = bucket.sizes
         ks = bucket.ratio_counts(self.ratio)
-        magnitude_bits = np.abs(buffer).view(np.uint32).astype(np.uint64)
-        key = bucket.segment_keys | (magnitude_bits ^ np.uint64(0xFFFFFFFF))
-        order = np.argsort(key)
-        keep = bucket.positions_within < np.repeat(ks, sizes)
-        # Segment ranges are disjoint and increasing, so a plain ascending
-        # sort of the selected flat indices is the canonical wire layout
-        # (grouped by segment, indices ascending within each).
-        selected = np.sort(order[keep])
+        selected = segment_topk(np.abs(buffer), bucket.ends, ks)
         values = buffer[selected]
         local = selected - np.repeat(bucket.offsets, ks)
         return CompressedTensor(

@@ -19,7 +19,7 @@ from repro.core.api import (
     FusedBucketCtx,
     flatten_with_shape,
 )
-from repro.tensorlib import desparsify, segment_sums
+from repro.tensorlib import desparsify, segment_counts, segment_sums
 
 
 def selection_probabilities(
@@ -28,6 +28,8 @@ def selection_probabilities(
     """Water-filling probabilities with expected count ``budget``."""
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     d = magnitudes.size
+    if d == 0:
+        return magnitudes  # no coordinates: nothing to keep
     budget = min(max(budget, 1), d)
     total = magnitudes.sum()
     if total == 0:
@@ -75,7 +77,7 @@ def bucket_selection_probabilities(
         if not refitting.any():
             break
         saturated = probabilities >= 1.0
-        n_saturated = np.add.reduceat(saturated, bucket.offsets)
+        n_saturated = segment_counts(saturated, ends)
         remaining = budgets - n_saturated
         free = magnitudes[~saturated] if n_saturated.any() else magnitudes
         free_mass = segment_sums(free, ends - np.cumsum(n_saturated))
@@ -89,7 +91,7 @@ def bucket_selection_probabilities(
             expand(refitting) & ~saturated, refit, probabilities
         )
         newly = (probabilities >= 1.0) != saturated
-        refitting &= np.add.reduceat(newly, bucket.offsets) > 0
+        refitting &= segment_counts(newly, ends) > 0
     return probabilities
 
 

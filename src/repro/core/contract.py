@@ -41,10 +41,12 @@ compressor through it.  Violations raise :class:`ContractViolation` with
 the compressor name and the check that failed.
 
 The fused-parity check compares bitwise, which is exactly what the fused
-kernels document — with one caveat: top-k selection may legitimately
-differ from the per-tensor path on exact magnitude ties at the k-th
-value.  Random float gradients essentially never tie; crafted constant
-inputs can.
+kernels document.  Its reference is the generic concatenation of the
+compressor's own ``compress`` calls — for a built-in written as its
+kernel alone (:class:`~repro.core.api.KernelCompressor`) that is the
+kernel once per one-segment bucket, so the check then holds a bucket to
+its tensors; ``tests/core/golden/kernel_digests.json`` holds the
+one-segment kernels to the per-tensor bodies they replaced.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ This module provides the packing layer:
   and a rank's random stream is consumed in the same tensor order as the
   per-tensor path (the seeded-parity guarantee).
 * :class:`FusionBucket` / :class:`BucketSegment` — the flat layout of
-  one bucket: per-tensor element offsets, sizes and original shapes,
-  plus cached index arrays the batched compressor kernels reuse every
-  iteration.
+  one bucket: per-tensor element offsets, sizes and original shapes.
+  A single tensor is a one-segment bucket (:func:`tensor_bucket`), which
+  is how the trainer and the built-in compressors' per-tensor API run
+  every unit through the same kernel.
 * :class:`ScratchPool` — keyed, reusable float32 flat buffers so the
   trainer's hot loop stops allocating a fresh flat array per (rank,
   bucket, iteration).
@@ -58,14 +59,13 @@ class BucketSegment:
 class FusionBucket:
     """A size-bounded group of tensors moved as one flat buffer.
 
-    Besides the segment layout, the bucket caches the index arrays the
-    batched compressor kernels need (`sizes`, `offsets`,
-    `segment_ids`, `positions_within`), so per-iteration kernel calls
-    perform no layout recomputation, and offers the two segment
-    operations nearly every kernel is built from: :meth:`segment_max`
-    and :meth:`expand`.  (Sums, means, norms and deviations per segment
-    depend on summation order: :mod:`repro.tensorlib.segments`, over
-    ``ends``.)
+    Besides the segment layout (``sizes``, ``offsets``, ``ends``), the
+    bucket offers the segment operations nearly every kernel is built
+    from: :meth:`segment_max`, :meth:`expand` and :meth:`expand_at`.  It
+    keeps no per-element array: a run that does not fuse holds one bucket
+    per tensor for its whole life.  (Sums, means, norms and deviations
+    per segment depend on summation order: :mod:`repro.tensorlib.segments`,
+    over ``ends``.)
     """
 
     def __init__(self, index: int, segments: tuple[BucketSegment, ...]):
@@ -85,9 +85,6 @@ class FusionBucket:
         self._nonempty = (
             None if np.all(self.sizes > 0) else np.flatnonzero(self.sizes)
         )
-        self._segment_ids: np.ndarray | None = None
-        self._segment_keys: np.ndarray | None = None
-        self._positions_within: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
@@ -95,35 +92,12 @@ class FusionBucket:
         return self.numel * _FLOAT32_NBYTES
 
     @property
-    def segment_ids(self) -> np.ndarray:
-        """Per-element segment index (cached; used by batched kernels)."""
-        if self._segment_ids is None:
-            self._segment_ids = np.repeat(
-                np.arange(len(self.segments), dtype=np.int64), self.sizes
-            )
-        return self._segment_ids
-
-    @property
-    def segment_keys(self) -> np.ndarray:
-        """Per-element segment index shifted into the high 32 key bits.
-
-        Cached base for single-sort grouped kernels: OR-ing a 32-bit
-        per-element subkey into the low bits yields one uint64 key whose
-        sort order is (segment ascending, subkey ascending).
-        """
-        if self._segment_keys is None:
-            self._segment_keys = self.segment_ids.astype(np.uint64) << 32
-        return self._segment_keys
-
-    @property
-    def positions_within(self) -> np.ndarray:
-        """Per-element offset inside its own segment (cached)."""
-        if self._positions_within is None:
-            self._positions_within = (
-                np.arange(self.numel, dtype=np.int64)
-                - np.repeat(self.offsets, self.sizes)
-            )
-        return self._positions_within
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the bucket as one array: its tensor's own when the
+        bucket is one tensor, else flat."""
+        if len(self.segments) == 1:
+            return self.segments[0].shape
+        return (self.numel,)
 
     @property
     def has_empty_segment(self) -> bool:
@@ -146,8 +120,24 @@ class FusionBucket:
         return out
 
     def expand(self, per_segment: np.ndarray) -> np.ndarray:
-        """One value per segment, repeated for each of its elements."""
+        """One value per segment, repeated for each of its elements.
+
+        A one-segment bucket gets its value as a scalar, which broadcasts
+        like the repetition and costs what a tensor's own scalar costs.
+        """
+        if len(self.segments) == 1:
+            return per_segment[0]
         return np.repeat(per_segment, self.sizes)
+
+    def expand_at(
+        self, per_segment: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """``expand(per_segment)[positions]`` for ascending ``positions``,
+        without expanding over the whole bucket."""
+        if len(self.segments) == 1:
+            return per_segment[0]
+        counts = np.diff(np.searchsorted(positions, self.ends), prepend=0)
+        return np.repeat(per_segment, counts)
 
     def ratio_counts(self, ratio: float) -> np.ndarray:
         """``max(1, ceil(ratio · size))`` of every segment: how many
@@ -173,6 +163,13 @@ class FusionBucket:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FusionBucket(index={self.index}, tensors={len(self)}, "
                 f"numel={self.numel})")
+
+
+def tensor_bucket(name: str, shape: tuple[int, ...]) -> FusionBucket:
+    """The one-segment bucket that stands for the tensor ``name``."""
+    shape = tuple(int(d) for d in shape)
+    size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    return FusionBucket(0, (BucketSegment(name, shape, 0, size),))
 
 
 class FusionPlan:

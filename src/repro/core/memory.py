@@ -13,9 +13,18 @@ the indices that were transmitted.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, Memory
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedConcatCtx,
+    Memory,
+    concat_compressed,
+)
+from repro.core.fusion import tensor_bucket
 
 
 def _observe_residual_norm(memory: Memory, name: str,
@@ -35,15 +44,24 @@ def _observe_residual_norm(memory: Memory, name: str,
     ).observe(float(np.linalg.norm(residual)))
 
 
-class NoneMemory(Memory):
-    """No error feedback: φ is the identity, ψ discards the error."""
+class _BucketMemory(Memory):
+    """A built-in memory written as its bucket methods alone.
 
-    supports_fused_update = True
-    fused_transmitted = "none"
+    Per tensor, φ and ψ are :meth:`compensate_fused` and
+    :meth:`update_fused` on the tensor's one-segment bucket, so a tensor
+    and a bucket share one body.  (The :class:`Memory` base keeps the
+    GRACE API's direction instead: a memory that writes ``compensate`` and
+    ``update`` gets the generic per-segment ``compensate_fused``.)
+    """
 
     def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
-        """phi(m, g) of Eq. 4."""
-        return tensor
+        """φ(mᵏ, gᵏ) of one tensor."""
+        array = np.asarray(tensor)
+        bucket = tensor_bucket(name, array.shape)
+        out = np.empty(bucket.numel, dtype=np.float32)
+        return self.compensate_fused({name: array}, bucket, out).reshape(
+            array.shape
+        )
 
     def update(
         self,
@@ -52,8 +70,83 @@ class NoneMemory(Memory):
         compressor: Compressor,
         compressed: CompressedTensor,
     ) -> None:
-        """psi(m, g, g~) of Eq. 4."""
+        """ψ(mᵏ, gᵏ, g̃ᵏ) of one tensor: its one-segment bucket's ψ, with
+        the tensor's payload as that bucket's concatenation."""
+        array = np.asarray(compensated)
+        bucket = tensor_bucket(name, array.shape)
+        update_from_payload(
+            self, np.ravel(array), bucket, compressor,
+            concat_compressed(bucket, [compressed]),
+        )
+
+
+def update_from_payload(
+    memory: Memory,
+    compensated: np.ndarray,
+    bucket,
+    compressor: Compressor,
+    compressed: CompressedTensor,
+    scratch: Callable[[], np.ndarray | None] | None = None,
+) -> np.ndarray | None:
+    """ψ of one bucket from the payload Q made of it.
+
+    ψ takes what ``memory.fused_transmitted`` names: the payload's
+    ``decompress_fused``, the positions it carries, or nothing.  Returns
+    that decode — Agg averages it instead of decoding the payload again —
+    or ``None`` where ψ took none.  ``scratch`` gives the buffer to decode
+    into (``None``: a fresh one), and is called only when there is a
+    decode, so a memory that takes none holds no buffer for it.  A
+    function of the memory rather than a method, so a memory wrapped by a
+    proxy is called through the proxy's own ``update_fused``.
+    """
+    kind = memory.fused_transmitted
+    transmitted = None
+    if kind == "values":
+        transmitted = compressor.decompress_fused(
+            compressed, out=scratch() if scratch is not None else None
+        )
+    elif kind == "indices":
+        transmitted = transmitted_positions(compressor, compressed)
+    memory.update_fused(compensated, bucket, transmitted)
+    return transmitted if kind == "values" else None
+
+
+def transmitted_positions(
+    compressor: Compressor, compressed: CompressedTensor
+) -> np.ndarray | None:
+    """Flat positions a payload carries, what a ``fused_transmitted =
+    "indices"`` memory's ψ takes (``None`` when the compressor exposes no
+    ``transmitted_indices``).
+
+    A kernel payload answers for its whole bucket; where the kernel fell
+    back to the generic concatenation, each tensor's payload answers for
+    its own slice, as :meth:`Compressor.decompress_fused` decodes it.
+    """
+    indices_of = getattr(compressor, "transmitted_indices", None)
+    if indices_of is None:
         return None
+    ctx = compressed.ctx
+    if not isinstance(ctx, FusedConcatCtx):
+        return indices_of(compressed)
+    positions = []
+    start = 0
+    for seg, n_parts, seg_ctx in zip(
+        ctx.bucket.segments, ctx.splits, ctx.ctxs
+    ):
+        sub = CompressedTensor(
+            payload=compressed.payload[start:start + n_parts], ctx=seg_ctx
+        )
+        positions.append(
+            np.asarray(indices_of(sub), dtype=np.int64) + seg.offset
+        )
+        start += n_parts
+    return np.concatenate(positions)
+
+
+class NoneMemory(_BucketMemory):
+    """No error feedback: φ is the identity, ψ discards the error."""
+
+    fused_transmitted = "none"
 
     def compensate_fused(
         self, gradients: dict[str, np.ndarray], bucket, out: np.ndarray
@@ -73,7 +166,7 @@ class NoneMemory(Memory):
         return None
 
 
-class ResidualMemory(Memory):
+class ResidualMemory(_BucketMemory):
     """Eq. 4 residual error feedback, keyed by tensor name."""
 
     def __init__(self, beta: float = 1.0, gamma: float = 1.0):
@@ -82,54 +175,43 @@ class ResidualMemory(Memory):
         self.beta = float(beta)
         self.gamma = float(gamma)
         self._residuals: dict[str, np.ndarray] = {}
-        # Flat per-bucket residuals (fused path), keyed by segment layout;
-        # the name-keyed dict holds views into these, so both stay in sync.
+        # Flat residuals of buckets of several tensors, keyed by segment
+        # layout; the name-keyed dict holds views into these, so both stay
+        # in sync.  A one-tensor bucket keeps only its name-keyed entry,
+        # as a tensor does.
         self._fused_residuals: dict[tuple, np.ndarray] = {}
-
-    def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
-        """phi(m, g) of Eq. 4."""
-        residual = self._residuals.get(name)
-        if residual is None:
-            return self.gamma * np.asarray(tensor, dtype=np.float32)
-        return self.beta * residual + self.gamma * np.asarray(
-            tensor, dtype=np.float32
-        )
-
-    def update(
-        self,
-        compensated: np.ndarray,
-        name: str,
-        compressor: Compressor,
-        compressed: CompressedTensor,
-    ) -> None:
-        """psi(m, g, g~) of Eq. 4."""
-        transmitted = compressor.decompress(compressed)
-        self._residuals[name] = np.asarray(compensated, dtype=np.float32) - np.asarray(
-            transmitted, dtype=np.float32
-        )
-        _observe_residual_norm(self, name, self._residuals[name])
 
     def compensate_fused(
         self, gradients: dict[str, np.ndarray], bucket, out: np.ndarray
     ) -> np.ndarray:
-        """φ over a whole bucket in two vectorized passes.
+        """Eq. 4 φ over a whole bucket in two vectorized passes.
 
         When a flat residual for this exact segment layout exists (i.e.
-        :meth:`update_fused` ran last iteration and no per-tensor update
-        replaced any segment's residual since), φ is ``γ·g + β·m`` on the
-        flat buffers — bitwise-identical to the per-segment computation,
-        since elementwise ops on contiguous slices commute with packing
-        and IEEE addition is commutative.  Otherwise (first iteration,
-        plan change, mixed usage) it falls back to the generic
-        per-segment path.
+        :meth:`update_fused` ran last iteration and no update over another
+        layout replaced any segment's residual since), φ is ``γ·g + β·m``
+        on the flat buffers — bitwise-identical to the per-segment
+        computation, since elementwise ops on contiguous slices commute
+        with packing and IEEE addition is commutative.  Otherwise (first
+        iteration, plan change, mixed usage) it runs segment by segment
+        on the name-keyed residuals.
         """
-        flat = self._fused_residuals.get(bucket.segments)
+        flat = (
+            self._fused_residuals.get(bucket.segments) if len(bucket) > 1
+            else None
+        )
         if flat is None or not all(
             self._residuals.get(seg.name) is not None
             and self._residuals[seg.name].base is flat
             for seg in bucket.segments
         ):
-            return super().compensate_fused(gradients, bucket, out)
+            for seg in bucket.segments:
+                residual = self._residuals.get(seg.name)
+                gradient = np.asarray(gradients[seg.name], dtype=np.float32)
+                view = out[seg.offset:seg.end]
+                np.multiply(gradient.reshape(-1), self.gamma, out=view)
+                if residual is not None:
+                    view += self.beta * residual.reshape(-1)
+            return out
         for seg in bucket.segments:
             out[seg.offset:seg.end] = np.ravel(gradients[seg.name])
         np.multiply(out, self.gamma, out=out)
@@ -152,7 +234,8 @@ class ResidualMemory(Memory):
         residual = np.asarray(compensated, dtype=np.float32) - np.asarray(
             transmitted, dtype=np.float32
         )
-        self._fused_residuals[bucket.segments] = residual
+        if len(bucket) > 1:
+            self._fused_residuals[bucket.segments] = residual
         residuals = self._residuals
         for seg in bucket.segments:
             residuals[seg.name] = residual[seg.offset:seg.end].reshape(
@@ -162,15 +245,12 @@ class ResidualMemory(Memory):
             for seg in bucket.segments:
                 _observe_residual_norm(self, seg.name, residuals[seg.name])
 
-    supports_fused_update = True
-    fused_transmitted = "values"
-
     def residual(self, name: str) -> np.ndarray | None:
         """Expose the stored residual (used by tests and diagnostics)."""
         return self._residuals.get(name)
 
 
-class DgcMemory(Memory):
+class DgcMemory(_BucketMemory):
     """Deep-Gradient-Compression momentum correction (§III-B, §IV-C).
 
     Per tensor: ``u = β u + g`` (momentum), ``v = v + u`` (accumulation);
@@ -181,7 +261,6 @@ class DgcMemory(Memory):
     flat array per bucket, masked by the positions the kernel sent.
     """
 
-    supports_fused_update = True
     fused_transmitted = "indices"
 
     def __init__(self, momentum: float = 0.9):
@@ -190,52 +269,25 @@ class DgcMemory(Memory):
         self.momentum = float(momentum)
         self._velocity: dict[str, np.ndarray] = {}
         self._accumulated: dict[str, np.ndarray] = {}
-        # Flat per-bucket (velocity, accumulation) pairs (fused path), keyed
-        # by segment layout; the name-keyed dicts hold views into these, so
-        # both stay in sync.
+        # Flat (velocity, accumulation) pairs of buckets of several tensors,
+        # keyed by segment layout; the name-keyed dicts hold views into
+        # these, so both stay in sync.
         self._fused_buffers: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-    def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
-        """phi(m, g) of Eq. 4."""
-        flat = np.ravel(np.asarray(tensor, dtype=np.float32))
-        velocity = self._velocity.get(name)
-        if velocity is None:
-            velocity = np.zeros_like(flat)
-            accumulated = np.zeros_like(flat)
-        else:
-            accumulated = self._accumulated[name]
-        velocity = self.momentum * velocity + flat
-        accumulated = accumulated + velocity
-        self._velocity[name] = velocity
-        self._accumulated[name] = accumulated
-        return accumulated.reshape(np.asarray(tensor).shape)
-
-    def update(
-        self,
-        compensated: np.ndarray,
-        name: str,
-        compressor: Compressor,
-        compressed: CompressedTensor,
-    ) -> None:
-        """psi(m, g, g~) of Eq. 4."""
-        indices = getattr(compressor, "transmitted_indices", lambda c: None)(
-            compressed
-        )
-        if indices is None:
-            raise ValueError(
-                "DgcMemory requires a compressor exposing transmitted_indices"
-            )
-        self._velocity[name][indices] = 0.0
-        self._accumulated[name][indices] = 0.0
-        _observe_residual_norm(self, name, self._accumulated[name])
 
     def _bucket_buffers(self, bucket) -> tuple[np.ndarray, np.ndarray]:
         """The bucket's flat ``(velocity, accumulation)``, views in place.
 
-        Where a tensor's entry is no longer a view of them (a per-tensor
-        ``compensate``, a restored checkpoint) or never existed, both are
-        first gathered from the per-tensor state.
+        A one-tensor bucket's are the tensor's own (flat) entries.  Where a
+        tensor's entry is no longer a view of a larger bucket's (an update
+        over another layout, a restored checkpoint) or never existed, both
+        are first gathered from the per-tensor state.
         """
+        if len(bucket) == 1:
+            (seg,) = bucket.segments
+            if seg.name not in self._velocity:
+                self._velocity[seg.name] = np.zeros(seg.size, np.float32)
+                self._accumulated[seg.name] = np.zeros(seg.size, np.float32)
+            return self._velocity[seg.name], self._accumulated[seg.name]
         pair = self._fused_buffers.get(bucket.segments)
         if pair is not None and all(
             getattr(held.get(seg.name), "base", None) is flat
@@ -289,7 +341,7 @@ class DgcMemory(Memory):
                 "DgcMemory requires a compressor exposing transmitted_indices"
             )
         # ψ follows this bucket's φ, which left the flat buffers current.
-        velocity, accumulated = self._fused_buffers[bucket.segments]
+        velocity, accumulated = self._bucket_buffers(bucket)
         velocity[transmitted] = 0.0
         accumulated[transmitted] = 0.0
         if self.telemetry is not None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Iterable, Protocol
 
@@ -36,12 +37,7 @@ import numpy as np
 
 from repro.comm.collectives import AsyncHandle, Communicator
 from repro.comm.timeline import COMPUTE, KERNEL, NETWORK, SimTimeline
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedConcatCtx,
-    concat_compressed,
-)
+from repro.core.api import CompressedTensor, Compressor, FusedConcatCtx
 from repro.core.checkpoint import (
     Checkpoint,
     outage_seconds,
@@ -50,7 +46,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import Resilience, WorkerMode
 from repro.core.fusion import FusionBucket, FusionPlan, ScratchPool
-from repro.core.memory import Memory, make_memory
+from repro.core.memory import Memory, make_memory, update_from_payload
 from repro.core.rng import spawn_worker_seeds
 from repro.core.wire import framing_header_bytes
 from repro.faults import (
@@ -289,35 +285,6 @@ class TrainingReport:
         return max(self.epoch_quality)
 
 
-class _DecodeOnce:
-    """A worker's own compressor, as its memory sees it.
-
-    ψ decodes the rank's payload to form the residual, and Agg would
-    decode the same payload again once it is gathered; each decode ψ
-    asks for is kept until Agg takes it.  Lives for one exchange.
-    """
-
-    def __init__(self, inner: Compressor):
-        self.inner = inner
-        self._kept: dict[int, np.ndarray] = {}
-
-    def __getattr__(self, attr: str):
-        return getattr(self.inner, attr)
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        decoded = self._kept[id(compressed)] = self.inner.decompress(
-            compressed
-        )
-        return decoded
-
-    def decoded(
-        self, compressed: CompressedTensor, decoder: Compressor
-    ) -> np.ndarray:
-        """ψ's decode of ``compressed`` if it made one, else ``decoder``'s."""
-        kept = self._kept.pop(id(compressed), None)
-        return decoder.decompress(compressed) if kept is None else kept
-
-
 class DistributedTrainer:
     """Runs Algorithm 1 over a :class:`DistributedTask`.
 
@@ -346,13 +313,12 @@ class DistributedTrainer:
         isolation for debugging diverging runs (off by default; the
         check costs one pass over every tensor).
     fusion_mb:
-        Tensor-fusion buffer budget in MiB.  ``0`` (the default)
-        reproduces the per-tensor exchange exactly; any positive value
-        packs gradients into flat buckets of at most this size and runs
-        **one collective per bucket**, compressing whole buckets at once
-        when the compressor ships a fused kernel
-        (:attr:`Compressor.fused_kernel`) and every rank's memory
-        supports fused updates.  See ``docs/PERFORMANCE.md``.
+        Tensor-fusion buffer budget in MiB.  ``0`` (the default) runs
+        one collective per tensor; any positive value packs gradients
+        into flat buckets of at most this size and runs **one collective
+        per bucket**.  Either way a unit is compressed by
+        :meth:`Compressor.compress_fused` — a tensor is a one-segment
+        bucket.  See ``docs/PERFORMANCE.md``.
     overlap:
         When True, run the DDP-style overlapped exchange: tensors are
         bucketed in first-iteration gradient-ready order, each bucket's
@@ -872,11 +838,9 @@ class DistributedTrainer:
         compressed and its collective issued before any is finished, so
         real ranks meet about once per step (the sequential communicator
         completes a collective at issue; nothing moves on the simulator).
-
-        A unit is compressed one of two ways, fixed for the run: by the
-        compressor's whole-bucket kernel where the run fuses or overlaps
-        and the compressor and every memory support it, else tensor by
-        tensor, with a bucket's payloads concatenated into one message.
+        Every unit goes through ``compensate_fused`` → ``compress_fused``
+        → ``update_fused``, and ψ's decode of a rank's payload is the one
+        Agg averages.
 
         Only the simulated clock depends on ``overlap``.  Blocking, each
         charge lands on its span as it accrues.  Overlapped, a
@@ -886,16 +850,7 @@ class DistributedTrainer:
         time into hidden and exposed are recorded after the drain.
         """
         plan = self._plan(grads_per_rank[0])
-        fused = self._fusion_max_bytes > 0 or self.overlap
-        use_kernel = (
-            fused
-            and self.compressors[0].fused_kernel
-            and all(memory.supports_fused_update for memory in self.memories)
-        )
-        own = (
-            _DecodeOnce(self.compressors[self.rank])
-            if self.rank is not None else None
-        )
+        fused = self._fused
         record = self.comm.record
         comm_before = record.simulated_seconds
         bytes_before = record.bytes_sent_per_worker
@@ -931,8 +886,8 @@ class DistributedTrainer:
                     help="flat float32 size of each communicated fusion "
                          "bucket",
                 ).observe(float(bucket.nbytes))
-            wire, items, first_span = self._compress_unit(
-                bucket, grads_per_rank, use_kernel, where, own
+            wire, decoded, first_span = self._compress_unit(
+                bucket, grads_per_rank, where
             )
             ready_at = 0.0
             if timeline is not None:
@@ -944,7 +899,7 @@ class DistributedTrainer:
                     for seg in bucket.segments
                 )
             if self.perf_model is not None:
-                sim_kernel = self._bucket_sim_kernel(bucket, wire, use_kernel)
+                sim_kernel = self._bucket_sim_kernel(bucket, wire)
                 self.report.sim_compression_seconds += sim_kernel
                 if timeline is None:
                     # Once per unit: ranks compress concurrently.
@@ -958,12 +913,12 @@ class DistributedTrainer:
                     first_span.set_sim_window(
                         epoch + kernel.start, epoch + kernel.end
                     )
-            pending.append((bucket, where, wire, items, *self._issue(
+            pending.append((bucket, where, wire, decoded, *self._issue(
                 wire, ready_at, timeline, **where, **flags
             )))
         aggregated: dict[str, np.ndarray] = {}
         for unit in pending:
-            self._finish_bucket(*unit, own, aggregated)
+            self._finish_bucket(*unit, aggregated)
         self.report.measured_compression_seconds += (
             time.perf_counter() - started
         )
@@ -1038,25 +993,34 @@ class DistributedTrainer:
         # the backward pass (last layer's gradients materialize first).
         return list(reversed(list(grads0)))
 
+    @property
+    def _fused(self) -> bool:
+        """Whether the run fuses or overlaps: its units are buckets."""
+        return self._fusion_max_bytes > 0 or self.overlap
+
+    def _scratch(
+        self, pool: ScratchPool, key, numel: int
+    ) -> np.ndarray | None:
+        """A unit's buffer from ``pool`` in a fused run; ``None`` (the
+        caller allocates) in one that is not, whose pools would keep a
+        buffer per rank and tensor alive between steps."""
+        return pool.take(key, numel) if self._fused else None
+
     def _compress_unit(
         self,
         bucket: FusionBucket,
         grads_per_rank: list[dict[str, np.ndarray]],
-        use_kernel: bool,
         where: dict,
-        own: "_DecodeOnce | None",
-    ) -> tuple[list[CompressedTensor], list | None, Any]:
+    ) -> tuple[list[CompressedTensor], list, Any]:
         """φ, Q and ψ of one unit on every rank this process computes.
 
-        Returns what each rank hands the collective, each rank's
-        per-tensor payloads (``None`` on the kernel path) and the first
-        rank's ``compress`` span.  A lone tensor outside a fused run
-        hands over its own payload; any other per-tensor unit the
-        concatenation of its tensors' payloads.
+        Returns what each rank hands the collective, ψ's decode of each
+        (``None`` where the memory takes none) and the first rank's
+        ``compress`` span.
         """
         tracer = self.tracer
         wire: list[CompressedTensor] = []
-        items: list[list[CompressedTensor]] = []
+        decoded: list[np.ndarray | None] = []
         first_span = None
         # The sequential simulator computes every active rank; a worker
         # process exactly one, its own.
@@ -1066,120 +1030,48 @@ class DistributedTrainer:
         )
         for position, rank in pairs:
             grads = grads_per_rank[position]
-            memory = self.memories[rank]
-            compressor = self.compressors[rank]
-            if use_kernel:
-                buffer = self._rank_scratch[rank].take(
-                    ("pack", bucket.index), bucket.numel
-                )
-                with tracer.span("memory_compensate", rank=rank) as phi_span:
-                    memory.compensate_fused(grads, bucket, buffer)
-                with tracer.span("compress", rank=rank) as span:
-                    packed = compressor.compress_fused(buffer, bucket)
-                self._fused_memory_update(rank, bucket, buffer, packed)
-            else:
-                names = bucket.names
-                compensated, tensors = [], []
-                with tracer.span("memory_compensate", rank=rank) as phi_span:
-                    for name in names:
-                        tensor = memory.compensate(grads[name], name)
-                        compensated.append(tensor)
-                with tracer.span("compress", rank=rank) as span:
-                    for tensor, name in zip(compensated, names):
-                        tensors.append(compressor.compress(tensor, name))
-                decoder = compressor if own is None else own
-                for tensor, name, sent in zip(compensated, names, tensors):
-                    memory.update(tensor, name, decoder, sent)
-                packed = (
-                    tensors[0] if "tensor" in where
-                    else concat_compressed(bucket, tensors)
-                )
-                items.append(tensors)
+            buffer = self._scratch(
+                self._rank_scratch[rank], ("pack", bucket.index), bucket.numel
+            )
+            if buffer is None:
+                buffer = np.empty(bucket.numel, dtype=np.float32)
+            with tracer.span("memory_compensate", rank=rank) as phi_span:
+                self.memories[rank].compensate_fused(grads, bucket, buffer)
+            with tracer.span("compress", rank=rank) as span:
+                packed = self.compressors[rank].compress_fused(buffer, bucket)
+            decoded.append(update_from_payload(
+                self.memories[rank], buffer, bucket, self.compressors[rank],
+                packed, scratch=partial(
+                    self._scratch, self._rank_scratch[rank],
+                    ("transmit", bucket.index), bucket.numel,
+                ),
+            ))
             if tracer.enabled:
                 phi_span.set(**where)
                 self._record_compression(span, bucket, packed, where, grads)
             if first_span is None:
                 first_span = span
             wire.append(packed)
-        return wire, None if use_kernel else items, first_span
+        return wire, decoded, first_span
 
     def _bucket_sim_kernel(
-        self,
-        bucket: FusionBucket,
-        compressed: list[CompressedTensor],
-        use_kernel: bool,
+        self, bucket: FusionBucket, compressed: list[CompressedTensor]
     ) -> float:
         """Simulated compress+decompress kernel time of one unit.
 
-        Priced from the first payload's ctx alone: a kernel falls back to
-        the generic concatenation (an empty tensor in the bucket,
-        ``index_encoding``, ``entropy_coding``) on layout or parameters
-        only, so every rank falls back with it.
+        One kernel launch covers a kernel payload's bucket; the generic
+        concatenation (no kernel, an empty tensor in the bucket,
+        ``index_encoding``, ``entropy_coding``) is priced per tensor.
+        Priced from the first payload's ctx alone: a kernel falls back on
+        layout or parameters only, so every rank falls back with it.
         """
-        decoder = self.compressors[0]
-        if use_kernel and not isinstance(compressed[0].ctx, FusedConcatCtx):
-            # One batched kernel launch covers the whole bucket.
-            return self.perf_model.compression_seconds(
-                decoder.name, bucket.numel
+        name = self.compressors[0].name
+        if isinstance(compressed[0].ctx, FusedConcatCtx):
+            return sum(
+                self.perf_model.compression_seconds(name, seg.size)
+                for seg in bucket.segments
             )
-        return sum(
-            self.perf_model.compression_seconds(decoder.name, seg.size)
-            for seg in bucket.segments
-        )
-
-    def _fused_memory_update(
-        self,
-        rank: int,
-        bucket: FusionBucket,
-        buffer: np.ndarray,
-        packed: CompressedTensor,
-    ) -> None:
-        """Run ψ over the whole flat bucket (fused-kernel path only)."""
-        memory = self.memories[rank]
-        compressor = self.compressors[rank]
-        transmitted = None
-        if memory.fused_transmitted == "values":
-            transmitted = compressor.decompress_fused(
-                packed,
-                out=self._rank_scratch[rank].take(
-                    ("transmit", bucket.index), bucket.numel
-                ),
-            )
-        elif memory.fused_transmitted == "indices":
-            transmitted = self._transmitted_positions(compressor, packed)
-        memory.update_fused(buffer, bucket, transmitted)
-
-    @staticmethod
-    def _transmitted_positions(
-        compressor: Compressor, packed: CompressedTensor
-    ) -> np.ndarray | None:
-        """Flat bucket positions a fused payload carries (``None`` when the
-        compressor exposes no ``transmitted_indices``).
-
-        A kernel payload answers for the whole bucket; where the kernel
-        fell back to the generic concatenation, each tensor's payload
-        answers for its own slice, as :meth:`Compressor.decompress_fused`
-        decodes it.
-        """
-        indices_of = getattr(compressor, "transmitted_indices", None)
-        if indices_of is None:
-            return None
-        ctx = packed.ctx
-        if not isinstance(ctx, FusedConcatCtx):
-            return indices_of(packed)
-        positions = []
-        start = 0
-        for seg, n_parts, seg_ctx in zip(
-            ctx.bucket.segments, ctx.splits, ctx.ctxs
-        ):
-            sub = CompressedTensor(
-                payload=packed.payload[start:start + n_parts], ctx=seg_ctx
-            )
-            positions.append(
-                np.asarray(indices_of(sub), dtype=np.int64) + seg.offset
-            )
-            start += n_parts
-        return np.concatenate(positions)
+        return self.perf_model.compression_seconds(name, bucket.numel)
 
     def _aggregation_active(self, decoder: Compressor) -> bool:
         """Whether the compressed-domain aggregation fast path applies.
@@ -1285,65 +1177,61 @@ class DistributedTrainer:
         bucket: FusionBucket,
         where: dict,
         wire: list[CompressedTensor],
-        items: list | None,
+        decoded: list,
         kind: str,
         handle: AsyncHandle,
         span,
-        own: "_DecodeOnce | None",
         aggregated: dict[str, np.ndarray],
     ) -> None:
         """Finish half of a unit: decode its result and aggregate it.
 
-        Kernel payloads decode with ``decompress_fused`` into
-        aggregate-side scratch and average as one flat bucket; per-tensor
-        payloads decode tensor by tensor, where worker mode reuses ψ's
-        decode of the rank's own payload (``own``).
+        Payloads decode with ``decompress_fused`` into aggregate-side
+        scratch and average as one flat bucket; a rank whose ψ already
+        decoded its own payload (``decoded``) is not decoded again.
         """
         result = self._wait(handle, span)
         decoder = self.compressors[0]
         tracer = self.tracer
         if kind == "allgather":
-            ranks = wire if items is None else items
             if self.rank is not None:
                 # Worker mode: peers' payloads come from the gather and
                 # decode under this rank's ctx, which is receiver-known
                 # metadata by the §IV-B honesty contract.  This rank's
-                # slot keeps what it compressed: what ψ may have decoded.
+                # slot keeps what it compressed, and ψ's decode of it.
                 slot = self._active_ranks.index(self.rank)
-                ranks = [
-                    ranks[0] if position == slot else _like(ranks[0], payload)
+                wire = [
+                    wire[0] if position == slot else CompressedTensor(
+                        payload=list(payload), ctx=wire[0].ctx
+                    )
                     for position, payload in enumerate(result)
                 ]
-            with tracer.span("decompress", **where, ranks=len(ranks)):
-                if items is None:
-                    flats = [
-                        decoder.decompress_fused(c, out=self._agg_scratch.take(
-                            ("gather", rank, bucket.index), bucket.numel
-                        ))
-                        for rank, c in enumerate(ranks)
-                    ]
-                else:
-                    decode = decoder.decompress if own is None else (
-                        lambda c: own.decoded(c, decoder)
+                decoded = [
+                    decoded[0] if position == slot else None
+                    for position in range(len(result))
+                ]
+            with tracer.span("decompress", **where, ranks=len(wire)):
+                flats = [
+                    flat if flat is not None else decoder.decompress_fused(
+                        payload, out=self._scratch(
+                            self._agg_scratch, ("gather", rank, bucket.index),
+                            bucket.numel,
+                        ),
                     )
-                    # Tensor by tensor, each over the cohort's ranks.
-                    per_tensor = [
-                        list(map(decode, sent)) for sent in zip(*ranks)
-                    ]
+                    for rank, (payload, flat) in enumerate(zip(wire, decoded))
+                ]
             with tracer.span("aggregate", **where):
-                if items is None:
-                    if type(decoder).aggregate is Compressor.aggregate:
-                        # Default Agg is an elementwise mean: one
-                        # bucket-level pass, then per-tensor views.
-                        aggregated.update(
-                            bucket.unpack(np.mean(np.stack(flats), axis=0))
-                        )
-                        return
-                    per_tensor = [list(tensors) for tensors in zip(*(
-                        bucket.unpack(flat).values() for flat in flats
-                    ))]
+                if type(decoder).aggregate is Compressor.aggregate:
+                    # Default Agg is an elementwise mean: one bucket-level
+                    # pass, then per-tensor views.
+                    aggregated.update(
+                        bucket.unpack(np.mean(np.stack(flats), axis=0))
+                    )
+                    return
+                per_tensor = zip(*(
+                    bucket.unpack(flat).values() for flat in flats
+                ))
                 for seg, tensors in zip(bucket.segments, per_tensor):
-                    aggregated[seg.name] = decoder.aggregate(tensors)
+                    aggregated[seg.name] = decoder.aggregate(list(tensors))
             return
         with tracer.span("decompress", **where):
             if kind == "aggregated":
@@ -1351,23 +1239,16 @@ class DistributedTrainer:
                 # server side: one decode whatever the rank count, and
                 # the mean falls out of the summand-count division.
                 flat = np.ravel(decoder.decompress_aggregated(result))
-            elif items is None:
+            else:
                 flat = decoder.decompress_fused(
                     CompressedTensor(payload=result, ctx=wire[0].ctx),
-                    out=self._agg_scratch.take(("reduce", bucket.index),
-                                               bucket.numel),
+                    out=self._scratch(
+                        self._agg_scratch, ("reduce", bucket.index),
+                        bucket.numel,
+                    ),
                 )
-            else:
-                flat = None
-                summed = [
-                    decoder.decompress(c) for c in _like(items[0], result)
-                ]
         with tracer.span("aggregate", **where):
-            if flat is not None:
-                aggregated.update(bucket.unpack(flat / self._n_active))
-            else:
-                for seg, tensor in zip(bucket.segments, summed):
-                    aggregated[seg.name] = tensor / self._n_active
+            aggregated.update(bucket.unpack(flat / self._n_active))
 
     def _record_compression(
         self,
@@ -1484,27 +1365,3 @@ def _batch_size(inputs: Any) -> int:
         return len(inputs)
     except TypeError:
         return 1
-
-
-def _like(mine, payload):
-    """A peer's gathered ``payload`` in the form of this rank's ``mine``.
-
-    One :class:`CompressedTensor` under ``mine``'s ctx or, for a unit
-    compressed tensor by tensor, one per tensor, split at ``mine``'s part
-    counts.  The last tensor takes every remaining part, since a lone
-    tensor's part count may depend on its data (sketchml's does).
-    """
-    if isinstance(mine, CompressedTensor):
-        return CompressedTensor(payload=list(payload), ctx=mine.ctx)
-    tensors = []
-    start = 0
-    for item in mine[:-1]:
-        end = start + len(item.payload)
-        tensors.append(
-            CompressedTensor(payload=list(payload[start:end]), ctx=item.ctx)
-        )
-        start = end
-    tensors.append(
-        CompressedTensor(payload=list(payload[start:]), ctx=mine[-1].ctx)
-    )
-    return tensors

@@ -39,6 +39,7 @@ from repro.tensorlib.sparsify import (
 )
 from repro.tensorlib.sketch import CountSketch, QuantileSketch
 from repro.tensorlib.segments import (
+    segment_counts,
     segment_means,
     segment_norms,
     segment_quantiles,
@@ -78,6 +79,7 @@ __all__ = [
     "desparsify",
     "CountSketch",
     "QuantileSketch",
+    "segment_counts",
     "segment_sums",
     "segment_means",
     "segment_norms",

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.tensorlib.sketch import _searchsorted_right
+
 
 def _runs(ends) -> list[tuple[int, int]]:
     ends = np.asarray(ends).tolist()
@@ -34,6 +36,15 @@ def _runs(ends) -> list[tuple[int, int]]:
 
 def _counts(ends) -> np.ndarray:
     return np.diff(np.asarray(ends, dtype=np.int64), prepend=0)
+
+
+def segment_counts(mask: np.ndarray, ends) -> np.ndarray:
+    """``np.count_nonzero`` of every run; a bool ``np.add.reduceat`` over
+    the whole array takes ten times as long."""
+    return np.array(
+        [np.count_nonzero(mask[start:end]) for start, end in _runs(ends)],
+        dtype=np.int64,
+    )
 
 
 def segment_sums(flat: np.ndarray, ends) -> np.ndarray:
@@ -135,13 +146,18 @@ def segment_searchsorted(
     """``np.searchsorted(boundaries[i], run_i, side="right")`` of every run:
     for each element, how many of its own run's boundaries it has reached.
 
-    ``boundaries`` is ``(runs, m)``, every row ascending.  All elements
-    bisect their own rows in step — ``log2(m)`` passes over ``flat``
-    instead of one NumPy call per run, whose unsorted needles cost a
-    mispredicted branch per level.  A NaN element gets code 0 where NumPy
-    ranks it last; its tensor's quantiles, and so every value decoded from
-    its codes, are NaN either way.
+    ``boundaries`` is ``(runs, m)``, every row ascending.  A lone run — a
+    tensor's own bucket — is ``QuantileSketch.encode``'s grid lookup, a
+    few passes over its values whatever ``m``.  Several runs bisect their
+    own rows in step — ``log2(m)`` passes over ``flat`` instead of one
+    NumPy call per run, whose unsorted needles cost a mispredicted branch
+    per level; a NaN element gets code 0 where NumPy ranks it last.  Its
+    tensor's quantiles, and so every value decoded from its codes, are
+    NaN either way.
     """
+    counts = _counts(ends)
+    if counts.size == 1:
+        return _searchsorted_right(boundaries[0], flat)
     runs, m = boundaries.shape
     # Row r sits in slots r*width + 1 .. r*width + m; the NaN around it is
     # never reached, so a row needs no length check while it is bisected.
@@ -152,7 +168,7 @@ def segment_searchsorted(
     slots[:, 1:m + 1] = boundaries
     slots = slots.ravel()
     values = flat.astype(slots.dtype, copy=False)
-    codes = np.repeat(np.arange(runs) * width, _counts(ends))
+    codes = np.repeat(np.arange(runs) * width, counts)
     step = width >> 1
     while step:
         codes += step * (slots.take(codes + step) <= values)

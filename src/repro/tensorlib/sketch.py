@@ -51,8 +51,12 @@ class HashTableCache:
         ``(buckets, signs)``, each ``(depth, sum(universes))``: sketch ``i``
         keeps the functions ``get(seed, depth, widths[i], universes[i])``
         draws for it, its elements following those of the sketches before
-        it and its bucket numbers shifted past their ``widths``.
+        it and its bucket numbers shifted past their ``widths``.  One
+        sketch is its own functions: no second copy is cached.
         """
+        if len(widths) == 1:
+            return self.get(seed, depth, widths[0], universes[0])
+
         def side_by_side():
             parts = [
                 self.get(seed, depth, width, universe)

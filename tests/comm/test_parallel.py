@@ -442,14 +442,14 @@ class TestDecodeOnceInWorkerMode:
         from repro.core.compressors.topk import TopKCompressor
 
         calls: dict[int, int] = {}
-        decompress = TopKCompressor.decompress
+        decompress = TopKCompressor.decompress_fused
 
-        def counting(self, compressed):
+        def counting(self, compressed, out=None):
             thread = threading.get_ident()
             calls[thread] = calls.get(thread, 0) + 1
-            return decompress(self, compressed)
+            return decompress(self, compressed, out=out)
 
-        monkeypatch.setattr(TopKCompressor, "decompress", counting)
+        monkeypatch.setattr(TopKCompressor, "decompress_fused", counting)
 
         def per_step(comm):
             trainer = DistributedTrainer(
@@ -465,6 +465,36 @@ class TestDecodeOnceInWorkerMode:
 
         expected = [2 * len(DeadLayerTask.SHAPES)] * 3
         assert _both(two_rank_comms, per_step) == [expected, expected]
+
+    def test_a_fused_bucket_is_decoded_once_per_rank(
+        self, two_rank_comms, monkeypatch
+    ):
+        """The whole model in one bucket: two decodes a step, the peer's
+        bucket and, once, the rank's own (ψ's decode, reused by Agg)."""
+        from repro.core import DistributedTrainer, create
+        from repro.core.compressors.topk import TopKCompressor
+
+        calls: dict[int, int] = {}
+        decompress = TopKCompressor.decompress_fused
+
+        def counting(self, compressed, out=None):
+            thread = threading.get_ident()
+            calls[thread] = calls.get(thread, 0) + 1
+            return decompress(self, compressed, out=out)
+
+        monkeypatch.setattr(TopKCompressor, "decompress_fused", counting)
+
+        def run(comm):
+            trainer = DistributedTrainer(
+                DeadLayerTask(dead_rank=1), create("topk"), n_workers=2,
+                seed=0, communicator=comm, worker=WorkerMode(comm.rank),
+                fusion_mb=64.0,
+            )
+            for step in range(3):
+                trainer.step([((r, step), None) for r in range(2)])
+            return calls[threading.get_ident()]
+
+        assert _both(two_rank_comms, run) == [6, 6]
 
     def test_dgc_memory_reads_sent_indices_through_the_wrapper(
         self, two_rank_comms

@@ -18,6 +18,7 @@ from repro.core import (
     create,
 )
 from repro.core.api import CompressedTensor, Compressor, FusedConcatCtx
+from repro.core.fusion import tensor_bucket
 
 
 class MultiTask:
@@ -140,10 +141,8 @@ class TestFusionBucket:
         assert bucket.nbytes == 40
         assert list(bucket.sizes) == [6, 4]
         assert list(bucket.offsets) == [0, 6]
-        assert list(bucket.segment_ids) == [0] * 6 + [1] * 4
-        assert list(bucket.positions_within) == list(range(6)) + list(range(4))
-        assert list(bucket.segment_keys) == [0] * 6 + [1 << 32] * 4
         assert list(bucket.ends) == [6, 10]
+        assert bucket.shape == (10,)
         assert not bucket.has_empty_segment
 
     def test_segment_max_and_expand(self):
@@ -154,8 +153,20 @@ class TestFusionBucket:
         assert list(bucket.expand(np.float32([0.5, 2.0]))) == (
             [0.5] * 6 + [2.0] * 4
         )
+        assert list(bucket.expand_at(np.float32([0.5, 2.0]), [1, 5, 8])) == [
+            0.5, 0.5, 2.0
+        ]
         assert list(bucket.ratio_counts(0.01)) == [1, 1]
         assert list(bucket.ratio_counts(0.4)) == [3, 2]  # ceil(2.4), ceil(1.6)
+
+    def test_a_tensor_is_a_one_segment_bucket_with_scalar_expansion(self):
+        bucket = tensor_bucket("conv.w", (4, 3, 2))
+        assert bucket.names == ("conv.w",) and bucket.numel == 24
+        assert bucket.shape == (4, 3, 2)
+        scale = np.float32([0.25])
+        assert np.ndim(bucket.expand(scale)) == 0
+        assert bucket.expand(scale) == np.float32(0.25)
+        assert bucket.expand_at(scale, np.array([3, 7])) == np.float32(0.25)
 
     def test_segment_max_of_an_empty_segment_is_zero(self):
         bucket = FusionBucket(0, (
@@ -380,11 +391,7 @@ class TestFusedKernelsOnEdgeBuckets:
     """Kernel vs generic concatenation on one snapshot: decoded bytes, the
     random stream and the compressor's own state (signum's momentum)."""
 
-    # topk's one documented divergence is the index it picks among exact
-    # magnitude ties, which constant and all-zero tensors are made of.
-    NAMES = [name for name in FUSED if name != "topk"]
-
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("name", FUSED)
     def test_decode_stream_and_state_equal_the_generic_path(self, name):
         bucket, buffer = _edge_bucket()
         kernel = create(name, seed=5, **PARAMS.get(name, {}))
@@ -463,6 +470,71 @@ class TestSimulatedKernelPrice:
         assert len(set(prices)) == 1
         one_launch = 1e-4 + 1e-8 * (TOTAL_BYTES // 4)
         assert prices[0] == pytest.approx(3 * one_launch)  # one a step
+
+
+class TestEmptyTensors:
+    """An empty tensor round-trips to zero elements through the compressors
+    that sample from, water-fill or hash a tensor's elements, per tensor
+    and inside a bucket (where their kernels hand it to ``compress``)."""
+
+    @pytest.mark.parametrize("name", ["dgc", "variance", "sketchsgd"])
+    def test_per_tensor_and_fused_runs_train_bitwise_alike(self, name):
+        baseline, trainer = run_trajectory(
+            name, fusion_mb=0.0, task_cls=EmptyTensorTask, steps=3
+        )
+        fused, _ = run_trajectory(
+            name, fusion_mb=WHOLE, task_cls=EmptyTensorTask, steps=3
+        )
+        assert baseline["empty"].shape == (0, 3)
+        for key in baseline:
+            assert np.array_equal(baseline[key], fused[key]), key
+        assert trainer.report.iterations == 3
+
+
+class TestOneDecodePerPayload:
+    """ψ decodes every rank's payload to form its residual, and Agg
+    averages those decodes instead of decoding the payloads again."""
+
+    def test_the_simulator_decodes_each_rank_once_per_unit(
+        self, monkeypatch
+    ):
+        from repro.core.compressors.topk import TopKCompressor
+
+        calls = []
+        decompress = TopKCompressor.decompress_fused
+
+        def counting(self, compressed, out=None):
+            calls.append(compressed)
+            return decompress(self, compressed, out=out)
+
+        monkeypatch.setattr(TopKCompressor, "decompress_fused", counting)
+        run_trajectory("topk", fusion_mb=0.0, steps=2, n_workers=4,
+                       ratio=0.25)
+        assert len(calls) == 2 * 4 * len(MultiTask.SHAPES)
+
+
+class TestScratchHeldBetweenSteps:
+    """A process may hold many trainers: their pools keep only buffers
+    the next step reuses."""
+
+    def test_a_run_that_does_not_fuse_holds_none(self):
+        _, trainer = run_trajectory("topk", fusion_mb=0.0, steps=2,
+                                    ratio=0.25)
+        assert not any(pool._buffers for pool in trainer._rank_scratch)
+
+    @pytest.mark.parametrize("name, roles", [
+        ("topk", {"pack", "transmit"}),  # ψ takes the decode
+        ("qsgd", {"pack"}),  # ψ takes nothing
+        ("dgc", {"pack"}),  # ψ takes the positions sent
+    ])
+    def test_a_fused_run_holds_a_decode_buffer_only_for_a_decode(
+        self, name, roles
+    ):
+        _, trainer = run_trajectory(name, fusion_mb=WHOLE, steps=2)
+        assert {
+            role for pool in trainer._rank_scratch
+            for role, _ in pool._buffers
+        } == roles
 
 
 class TestFusedCollectives:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensorlib import (
+    segment_counts,
     segment_means,
     segment_norms,
     segment_quantiles,
@@ -56,6 +57,18 @@ def test_equals_the_per_run_numpy_call_bitwise(segmented, stat, seed, scale):
     assert got.dtype == np.float32
     assert got.tobytes() == _per_run(stat, flat, ends).tobytes()
     assert flat.tobytes() == before.tobytes()  # the input is not scratch
+
+
+def test_segment_counts_are_count_nonzero_of_every_run():
+    flat, ends = _flat_and_ends(5)
+    mask = flat > 0.5
+    assert segment_counts(mask, ends).tolist() == [
+        int(np.count_nonzero(mask[a:b])) for a, b in _runs(ends)
+    ]
+    # The non-zero elements of a float array, as np.count_nonzero counts.
+    assert segment_counts(flat, ends).tolist() == [
+        int(np.count_nonzero(flat[a:b])) for a, b in _runs(ends)
+    ]
 
 
 def test_constant_and_subnormal_runs():
@@ -200,6 +213,20 @@ def test_segment_searchsorted_is_the_per_run_lookup(dtype, m):
         assert np.array_equal(
             expected, np.searchsorted(row, flat[start:end], side="right")
         )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_lone_run_takes_the_grid_lookup_and_the_same_codes(dtype):
+    """A tensor's own bucket is looked up on QuantileSketch's grid; every
+    code is np.searchsorted's."""
+    rng = np.random.default_rng(0x6A1D)
+    flat = (0.01 * rng.standard_normal(70000)).astype(dtype)
+    boundaries = np.sort(0.01 * rng.standard_normal((1, 63)), axis=1)
+    flat[100:140] = boundaries[0, rng.integers(0, 63, 40)].astype(dtype)
+    got = segment_searchsorted(boundaries, flat, [flat.size])
+    assert np.array_equal(
+        got, np.searchsorted(boundaries[0], flat, side="right")
+    )
 
 
 def test_segment_topk_is_the_per_run_argpartition():
