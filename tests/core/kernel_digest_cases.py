@@ -13,20 +13,23 @@ Regenerate (only when a wire format is *meant* to change)::
     PYTHONPATH=src python tests/core/kernel_digest_cases.py --write
 
 To freeze the digests of another checkout's kernels, point ``PYTHONPATH``
-at its ``src`` instead.  When a change is meant to move only the *fused*
-wire formats, keep the old file and prove nothing else moved::
+at its ``src`` instead.  When a change is meant to move some wire formats,
+keep the old file and prove nothing else moved::
 
     PYTHONPATH=src python tests/core/kernel_digest_cases.py \
-        --diff old.json --fused-payloads eightbit,natural,qsgd/bucket-zero
+        --diff old.json --payloads eightbit,qsgd/bucket-zero,sketchml/compress
 
 fails unless the golden file differs from ``old.json`` in nothing but the
-``payload`` field of ``<name>/bucket*/seed*/fused*`` entries of the named
-compressors (or compressor/bucket pairs): every decoded array, every random
-stream and every per-tensor payload is byte-identical.
+``payload`` field of the declared entries: ``<name>`` declares the
+``<name>/bucket*/seed*/fused*`` entries of a compressor (or variant),
+``<name>/<bucket>`` those of one bucket, and ``<name>/compress`` its
+per-tensor ``compress`` entries.  Every decoded array and every random
+stream is byte-identical, and so is every payload that was not declared.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,7 +47,21 @@ COMPRESSORS = (
     "adaptive", "dgc", "efsignsgd", "eightbit", "inceptionn", "lpcsvrg",
     "natural", "none", "onebit", "qsgd", "qsparse", "signsgd", "signum",
     "sketchml", "sketchsgd", "terngrad", "threelc", "thresholdv", "variance",
+    "topk", "randomk",
 )
+#: Non-default formats and draws, digested under ``<name>:<variant>``.
+VARIANTS = {
+    "topk:bitmap": ("topk", {"index_encoding": "bitmap"}),
+    "topk:delta": ("topk", {"index_encoding": "delta"}),
+    "topk:auto": ("topk", {"index_encoding": "auto"}),
+    "randomk:unbiased": ("randomk", {"unbiased": True}),
+    "terngrad:entropy": ("terngrad", {"entropy_coding": True}),
+    "qsparse:randomk": ("qsparse", {"selection": "randomk"}),
+}
+#: An index encoding of an empty tensor raised when the corpus was frozen,
+#: so these variants have no ``empty``/``bucket-empty`` digests;
+#: ``tests/core/test_contract_sweep.py`` round-trips that case.
+NO_EMPTY = ("topk:bitmap", "topk:delta", "topk:auto")
 SEEDS = (0, 3)
 
 
@@ -96,6 +113,7 @@ def inputs(seed: int) -> dict:
         cases[f"len{length}"] = (
             0.01 * rng.standard_normal(length)
         ).astype(np.float32)
+    cases["empty"] = np.zeros((0, 3), dtype=np.float32)
     return cases
 
 
@@ -103,19 +121,24 @@ def _payload_digests(compressed) -> list:
     return [digest(part) for part in compressed.payload]
 
 
-def _fused_bucket(seed: int, zero: str | None = None):
+def _fused_bucket(seed: int, zero: str | None = None, empty: bool = False):
     """One bucket of odd-sized segments; ``zero`` names one to blank out
-    (a layer that is dead on this rank: zero norm, zero scale)."""
+    (a layer that is dead on this rank: zero norm, zero scale), ``empty``
+    puts a tensor of no elements between the live ones."""
     from repro.core.fusion import FusionPlan
 
     rng = np.random.default_rng([seed, 0xF05E])
     grads = {
         "a.w": (0.01 * rng.standard_normal((37, 5))).astype(np.float32),
         "a.b": (0.1 * rng.standard_normal(9)).astype(np.float32),
+    }
+    if empty:
+        grads["e.w"] = np.zeros((0, 3), dtype=np.float32)
+    grads.update({
         "b.w": (0.01 * rng.standard_normal((3, 4, 11))).astype(np.float32),
         "b.b": rng.standard_normal(1).astype(np.float32),
         "c.w": (0.001 * rng.standard_normal(4096)).astype(np.float32),
-    }
+    })
     if zero is not None:
         grads[zero] = np.zeros_like(grads[zero])
     (bucket,) = FusionPlan.from_gradients(grads, 1 << 20).buckets
@@ -130,15 +153,21 @@ def compressor_digests() -> dict:
     from repro.core import create
 
     out = {}
+    kinds = dict({name: (name, {}) for name in COMPRESSORS}, **VARIANTS)
     for seed in SEEDS:
         cases = inputs(seed)
         buckets = {
             "bucket": _fused_bucket(seed),
             "bucket-zero": _fused_bucket(seed, zero="b.w"),
+            "bucket-empty": _fused_bucket(seed, empty=True),
         }
-        for name in COMPRESSORS:
+        for name, (kind, params) in kinds.items():
+            make = functools.partial(create, kind, **params)
+            skipped = ("empty", "bucket-empty") if name in NO_EMPTY else ()
             for case, tensor in cases.items():
-                comp = create(name, seed=seed)
+                if case in skipped:
+                    continue
+                comp = make(seed=seed)
                 compressed = comp.compress(tensor.copy(), "t")
                 out[f"{name}/{case}/seed{seed}/compress"] = {
                     "payload": _payload_digests(compressed),
@@ -149,7 +178,9 @@ def compressor_digests() -> dict:
             # or generic concatenation alike: the decoded bucket and the
             # draws must not depend on which of the two a tree ships.
             for case, (bucket, buffer) in buckets.items():
-                comp = create(name, seed=seed)
+                if case in skipped:
+                    continue
+                comp = make(seed=seed)
                 # Twice: the second call sees the advanced random stream
                 # (and signum's momentum).
                 for call in (1, 2):
@@ -159,9 +190,9 @@ def compressor_digests() -> dict:
                         "decoded": digest(comp.decompress_fused(compressed)),
                         "rng": _rng_digest(comp),
                     }
-            comp = create(name, seed=seed)
+            comp = make(seed=seed)
             if comp.aggregation != "none":
-                workers = [create(name, seed=seed + rank) for rank in (0, 1)]
+                workers = [make(seed=seed + rank) for rank in (0, 1)]
                 for case in ("dense", "sparse5", "len9"):
                     items = [
                         worker.compress(cases[case] * np.float32(rank + 1), "t")
@@ -403,24 +434,27 @@ def all_digests() -> dict:
     }
 
 
-def _may_move(key: str, fused_payloads) -> bool:
-    """Whether ``key`` is a fused-bucket entry the caller let move: by
-    compressor (``eightbit``) or by compressor and bucket
-    (``qsgd/bucket-zero``)."""
+def _may_move(key: str, payloads) -> bool:
+    """Whether ``key`` is an entry whose payload the caller let move: a
+    fused-bucket entry by compressor (``eightbit``) or by compressor and
+    bucket (``qsgd/bucket-zero``), a per-tensor one by compressor
+    (``sketchml/compress``)."""
     name, case, _, mode = key.split("/")
+    if mode == "compress":
+        return f"{name}/compress" in payloads
     return (
         case.startswith("bucket")
         and mode.startswith("fused")
-        and (name in fused_payloads or f"{name}/{case}" in fused_payloads)
+        and (name in payloads or f"{name}/{case}" in payloads)
     )
 
 
-def unexpected_changes(old: dict, new: dict, fused_payloads) -> list:
+def unexpected_changes(old: dict, new: dict, payloads) -> list:
     """What differs between two digest files beyond the allowed fields.
 
-    Allowed: the ``payload`` of the fused-bucket entries of the compressors
-    in ``fused_payloads``.  Everything else — an entry added or dropped, a
-    decoded array, a random stream, a per-tensor payload, a tensorlib
+    Allowed: the ``payload`` of the entries ``payloads`` declares (see
+    :func:`_may_move`).  Everything else — an entry added or dropped, a
+    decoded array, a random stream, an undeclared payload, a tensorlib
     primitive — is reported as ``section/key[/field]``.
     """
     problems = []
@@ -432,7 +466,7 @@ def unexpected_changes(old: dict, new: dict, fused_payloads) -> list:
                 continue
             if before[key] == after[key]:
                 continue
-            if section != "compressors" or not _may_move(key, fused_payloads):
+            if section != "compressors" or not _may_move(key, payloads):
                 problems.append(f"{section}/{key}")
                 continue
             problems.extend(
@@ -452,7 +486,7 @@ def main(argv) -> int:
             handle.write("\n")
         print(f"wrote {GOLDEN_PATH}")
         return 0
-    if len(argv) == 4 and argv[0] == "--diff" and argv[2] == "--fused-payloads":
+    if len(argv) == 4 and argv[0] == "--diff" and argv[2] == "--payloads":
         with open(argv[1]) as handle:
             old = json.load(handle)
         with open(GOLDEN_PATH) as handle:

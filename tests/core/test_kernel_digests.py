@@ -37,34 +37,37 @@ def test_tensorlib_primitives_are_bit_identical(golden):
 
 def test_corpus_covers_every_edited_kernel(golden):
     names = {key.split("/")[0] for key in golden["compressors"]}
-    assert names == set(cases.COMPRESSORS)
+    assert names == set(cases.COMPRESSORS) | set(cases.VARIANTS)
     modes = {key.rsplit("/", 1)[1] for key in golden["compressors"]}
     assert modes == {
         "compress", "fused1", "fused2", "aggregate", "fused-aggregate"
     }
     # Every compressor is frozen on its fused entry point too, on a dense
-    # bucket and on one with a dead (all-zero) segment.
-    for name in cases.COMPRESSORS:
-        for case in ("bucket", "bucket-zero"):
-            assert f"{name}/{case}/seed0/fused2" in golden["compressors"]
+    # bucket, on one with a dead (all-zero) segment and on one holding an
+    # empty tensor.
+    for name in names:
+        for case in ("bucket", "bucket-zero", "bucket-empty"):
+            frozen = f"{name}/{case}/seed0/fused2" in golden["compressors"]
+            assert frozen or (case == "bucket-empty" and name in cases.NO_EMPTY)
     for bits in range(1, 17):
         assert f"pack_bits/{bits}/9" in golden["tensorlib"]
         assert f"unpack_bits/{bits}/9" in golden["tensorlib"]
 
 
-def test_diff_mode_lets_only_named_fused_payloads_move():
+def test_diff_mode_lets_only_declared_payloads_move():
     entry = {"payload": ["a"], "decoded": "d", "rng": "r"}
     old = {
         "compressors": {
             "eightbit/bucket/seed0/fused1": dict(entry),
             "eightbit/dense/seed0/compress": dict(entry),
+            "sketchml/dense/seed0/compress": dict(entry),
             "qsgd/bucket/seed0/fused1": dict(entry),
             "qsgd/bucket-zero/seed0/fused1": dict(entry),
             "none/bucket/seed0/fused-aggregate": dict(entry),
         },
         "tensorlib": {"pack_bits/1/9": "x"},
     }
-    allowed = {"eightbit", "none", "qsgd/bucket-zero"}
+    allowed = {"eightbit", "none", "qsgd/bucket-zero", "sketchml/compress"}
     moved = dict(entry, payload=["b"])
 
     def changed(**entries):
@@ -77,8 +80,10 @@ def test_diff_mode_lets_only_named_fused_payloads_move():
         "eightbit/bucket/seed0/fused1": moved,
         "qsgd/bucket-zero/seed0/fused1": moved,
         "none/bucket/seed0/fused-aggregate": moved,
+        "sketchml/dense/seed0/compress": moved,
     }) == []
-    # A per-tensor payload, a kernel that was not named, a decoded array.
+    # An undeclared per-tensor payload, a kernel that was not named, a
+    # decoded array.
     assert changed(**{"eightbit/dense/seed0/compress": moved}) == [
         "compressors/eightbit/dense/seed0/compress"
     ]
@@ -88,6 +93,9 @@ def test_diff_mode_lets_only_named_fused_payloads_move():
     assert changed(**{
         "eightbit/bucket/seed0/fused1": dict(moved, decoded="other")
     }) == ["compressors/eightbit/bucket/seed0/fused1/decoded"]
+    assert changed(**{
+        "sketchml/dense/seed0/compress": dict(moved, rng="other")
+    }) == ["compressors/sketchml/dense/seed0/compress/rng"]
     new = json.loads(json.dumps(old))
     new["tensorlib"]["pack_bits/1/9"] = "y"
     del new["compressors"]["qsgd/bucket/seed0/fused1"]
