@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.bench.report import format_table
 from repro.core import create
+from repro.tensorlib.indices import MODES
 
 RATIOS = (0.001, 0.01, 0.1)
 
@@ -28,7 +29,8 @@ def test_ablation_index_encoding(benchmark, record):
                 "ratio": ratio,
                 "int32_bytes": plain.nbytes,
                 "auto_bytes": auto.nbytes,
-                "mode": auto.ctx[2],
+                # The index part opens with the chosen mode's tag.
+                "mode": MODES[auto.payload[1][0]],
                 "saving": 1 - auto.nbytes / plain.nbytes,
             })
         return rows

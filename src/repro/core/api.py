@@ -97,7 +97,8 @@ class CompressedTensor:
 
 
 class FusedConcatCtx:
-    """Decompression ctx for the generic fused fallback.
+    """Decompression ctx for the generic fused path of a compressor without
+    a kernel (one written against the GRACE API).
 
     Records how the per-tensor payload part lists were concatenated into
     one bucket payload, so :meth:`Compressor.decompress_fused` can split

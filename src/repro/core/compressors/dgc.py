@@ -10,16 +10,9 @@ reproduces the ≈2× faster single-iteration variant discussed there.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import (
     desparsify,
     segment_counts,
@@ -28,7 +21,7 @@ from repro.tensorlib import (
 )
 
 
-class DgcCompressor(Compressor):
+class DgcCompressor(KernelCompressor):
     """Sampled top-ratio threshold selection with momentum-corrected memory."""
 
     name = "dgc"
@@ -36,7 +29,6 @@ class DgcCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "dgc"
-    fused_kernel = True
 
     def __init__(
         self,
@@ -88,54 +80,28 @@ class DgcCompressor(Compressor):
                 threshold *= 0.7
         return threshold
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx.
-
-        An empty tensor sends empty values and indices: there is no
-        threshold to sample.
-        """
-        flat, shape = flatten_with_shape(tensor)
-        if flat.size == 0:
-            payload = [flat, np.zeros(0, dtype=np.int32)]
-            return CompressedTensor(payload=payload, ctx=(shape, 0))
-        k = max(1, math.ceil(self.ratio * flat.size))
-        magnitudes = np.abs(flat)
-        threshold = self._estimate_threshold(magnitudes, k)
-        indices = np.flatnonzero(magnitudes > threshold)
-        if indices.size == 0:
-            indices = np.array([int(np.argmax(magnitudes))], dtype=np.int64)
-        payload = [
-            flat[indices].astype(np.float32),
-            indices.astype(np.int32),
-        ]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        values, indices = compressed.payload
-        return desparsify(values, indices.astype(np.int64), size).reshape(shape)
-
     def _estimate_thresholds(
         self, magnitudes: np.ndarray, bucket, ks: np.ndarray
     ) -> np.ndarray:
         """:meth:`_estimate_threshold` of every tensor of a bucket, float32.
 
-        The samples are drawn tensor by tensor, in order, as ``compress``
-        draws them; their quantiles come from one interpolation, and every
-        refinement step is one compare of the whole bucket against its
-        tensors' thresholds, each tensor stopping at its own count.  A
-        bucket of one tensor runs ``compress``'s own scalar loop, whose
-        steps skip the per-tensor array bookkeeping of the bucket's.
+        The samples are drawn tensor by tensor, in order, as a tensor's own
+        bucket draws them; their quantiles come from one interpolation, and
+        every refinement step is one compare of the whole bucket against
+        its tensors' thresholds, each tensor stopping at its own count.  A
+        bucket of one non-empty tensor runs the scalar loop, whose steps
+        skip the per-tensor array bookkeeping of the bucket's.  An empty
+        tensor draws no sample and selects nothing.
         """
-        if len(bucket) == 1:
+        if len(bucket) == 1 and bucket.numel:
             return np.array(
                 [self._estimate_threshold(magnitudes, int(ks[0]))],
                 dtype=np.float32,
             )
         sizes = bucket.sizes
-        sample_sizes = np.maximum(
-            1, (self.sample_fraction * sizes).astype(np.int64)
+        sample_sizes = np.minimum(
+            sizes,
+            np.maximum(1, (self.sample_fraction * sizes).astype(np.int64)),
         )
         choice = self._rng.choice
         drawn = np.concatenate([
@@ -146,7 +112,7 @@ class DgcCompressor(Compressor):
         sample_ends = np.cumsum(sample_sizes)
         thresholds = segment_quantiles(
             segment_sort(sample, sample_ends), sample_ends,
-            (1.0 - ks / sizes)[:, None],
+            (1.0 - ks / np.maximum(sizes, 1))[:, None],
         )[:, 0]
         refining = np.ones(sizes.size, dtype=bool)
         fewest, most = 0.75 * ks, 1.5 * ks
@@ -168,14 +134,14 @@ class DgcCompressor(Compressor):
         Indices count from the start of the bucket, which is also what
         :class:`~repro.core.memory.DgcMemory` masks its flat buffers by.
         """
-        if bucket.has_empty_segment:  # nothing to sample a threshold from
-            return super().compress_fused(buffer, bucket)
         ks = bucket.ratio_counts(self.ratio)
         magnitudes = np.abs(buffer)
         thresholds = self._estimate_thresholds(magnitudes, bucket, ks)
         selected = magnitudes > bucket.expand(thresholds)
         indices = np.flatnonzero(selected)
-        unsent = np.flatnonzero(segment_counts(selected, bucket.ends) == 0)
+        unsent = np.flatnonzero(
+            (segment_counts(selected, bucket.ends) == 0) & (bucket.sizes > 0)
+        )
         if unsent.size:  # such a tensor sends its largest element
             largest = [
                 seg.offset + int(np.argmax(magnitudes[seg.offset:seg.end]))

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import pack_signs, segment_means, unpack_signs
 
 
-class EFSignSGDCompressor(Compressor):
+class EFSignSGDCompressor(KernelCompressor):
     """Q(φ) = (‖φ‖₁ / d) · sign(φ); residual memory carries the error."""
 
     name = "efsignsgd"
@@ -28,32 +23,14 @@ class EFSignSGDCompressor(Compressor):
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        scale = np.float32(np.mean(np.abs(flat))) if flat.size else np.float32(0.0)
-        payload = [pack_signs(flat), np.array([scale], dtype=np.float32)]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        packed, scale = compressed.payload
-        signs = unpack_signs(packed, size)
-        signs *= scale[0]
-        return signs.reshape(shape)
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One sign-pack over the bucket plus a per-segment ℓ1-mean vector.
 
         The per-segment means run on contiguous views (bitwise-identical
-        to the per-tensor computation); the sign packing — the O(numel)
-        work — runs once for the whole bucket.
+        to the per-tensor computation; an empty tensor's is 0); the sign
+        packing — the O(numel) work — runs once for the whole bucket.
         """
-        if bucket.has_empty_segment:
-            return super().compress_fused(buffer, bucket)
         scales = segment_means(np.abs(buffer), bucket.ends)
         return CompressedTensor(
             payload=[pack_signs(buffer), scales],
@@ -63,4 +40,6 @@ class EFSignSGDCompressor(Compressor):
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         """Rebuild the flat bucket: repeated scales times unpacked signs."""
         packed, scales = payload
-        return bucket.expand(scales) * unpack_signs(packed, bucket.numel)
+        signs = unpack_signs(packed, bucket.numel)
+        signs *= bucket.expand(scales)
+        return signs

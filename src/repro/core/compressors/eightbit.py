@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    FusedBucketCtx,
-    KernelCompressor,
-    is_fused_concat_ctx,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import dequantize_float8, quantize_float8
 
 
@@ -50,6 +45,4 @@ class EightBitCompressor(KernelCompressor):
         """
         if not items:
             raise ValueError("nothing to aggregate")
-        if is_fused_concat_ctx(items[0].ctx):
-            return self._aggregate_fused_segments(items)
         return self._aggregate_lattice(items)

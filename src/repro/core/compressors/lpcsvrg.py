@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import pack_bits, segment_stds, unpack_bits
 
 
-class LPCSVRGCompressor(Compressor):
+class LPCSVRGCompressor(KernelCompressor):
     """Clipped uniform-grid quantization with stochastic rounding."""
 
     name = "lpcsvrg"
@@ -28,7 +23,6 @@ class LPCSVRGCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "none"
-    fused_kernel = True
 
     def __init__(self, bit_width: int = 4, clip_std: float = 2.5, seed: int = 0):
         super().__init__(seed=seed)
@@ -43,27 +37,6 @@ class LPCSVRGCompressor(Compressor):
 
     def _clone_args(self) -> dict:
         return {"bit_width": self.bit_width, "clip_std": self.clip_std}
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        if flat.size == 0:
-            payload = [np.zeros(0, np.uint8), np.zeros(1, np.float32)]
-            return CompressedTensor(payload=payload, ctx=(shape, 0))
-        # np.float32: keep the clip bound at the precision the array ops
-        # would cast it to anyway, instead of a float64 detour through a
-        # Python scalar (GR002).  np.float32(0) is falsy, so the `or`
-        # fallback for constant tensors is unchanged.
-        bound = np.float32(self.clip_std) * np.float32(np.std(flat)) or (
-            np.float32(np.max(np.abs(flat)) or 1.0)
-        )
-        # Grid step so the clipped range maps into the code range.
-        delta = bound / self._offset
-        payload = [
-            self._pack_codes(flat, bound, delta),
-            np.array([delta], dtype=np.float32),
-        ]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
 
     def _pack_codes(self, flat: np.ndarray, bound, delta) -> np.ndarray:
         """Clip to ``±bound``, round stochastically onto the ``delta`` grid.
@@ -84,23 +57,14 @@ class LPCSVRGCompressor(Compressor):
         codes = unpack_bits(packed, bits=self.bit_width, count=size)
         return (codes - self._offset).astype(np.float32) * delta
 
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        packed, delta = compressed.payload
-        if size == 0:
-            return np.zeros(shape, dtype=np.float32)
-        return self._unpack_values(packed, size, delta[0]).reshape(shape)
-
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """One clip / round / bit-pack pass; bounds stay per segment.
 
-        An empty tensor takes no draw and has its own per-tensor format,
-        so a bucket holding one (a property of the layout, the same on
-        every rank) takes the generic path.
+        A tensor is clipped at ``clip_std`` standard deviations, or at its
+        largest magnitude where it has no spread (at 1 where that is 0
+        too); its grid step ``δ`` maps the clipped range into the codes.
+        An empty tensor sends ``δ = 0`` and takes no draw.
         """
-        if bucket.has_empty_segment:
-            return super().compress_fused(buffer, bucket)
         bounds = np.float32(self.clip_std) * segment_stds(buffer, bucket.ends)
         constant = bounds == 0  # no spread to clip at: fall back to max-abs
         if constant.any():
@@ -108,6 +72,7 @@ class LPCSVRGCompressor(Compressor):
             peaks[peaks == 0] = 1.0
             bounds[constant] = peaks[constant]
         deltas = bounds / self._offset
+        deltas[bucket.sizes == 0] = 0.0
         packed = self._pack_codes(
             buffer, bucket.expand(bounds), bucket.expand(deltas)
         )

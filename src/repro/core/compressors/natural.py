@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    FusedBucketCtx,
-    KernelCompressor,
-    is_fused_concat_ctx,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import pack_signs, stochastic_power_of_two, unpack_signs
 
 _EXP_BIAS = 127
@@ -82,6 +77,4 @@ class NaturalCompressor(KernelCompressor):
         """
         if not items:
             raise ValueError("nothing to aggregate")
-        if is_fused_concat_ctx(items[0].ctx):
-            return self._aggregate_fused_segments(items)
         return self._aggregate_lattice(items)

@@ -9,7 +9,6 @@ from repro.core.api import (
     CompressedTensor,
     FusedBucketCtx,
     KernelCompressor,
-    is_fused_concat_ctx,
 )
 
 
@@ -45,8 +44,6 @@ class NoneCompressor(KernelCompressor):
         if not items:
             raise ValueError("nothing to aggregate")
         ctx = items[0].ctx
-        if is_fused_concat_ctx(ctx):
-            return self._aggregate_fused_segments(items)
         shape = (
             ctx.shape if isinstance(ctx, AggregatedDenseCtx)
             else ctx.bucket.shape

@@ -13,13 +13,7 @@ import math
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    FusedBucketCtx,
-    KernelCompressor,
-    _fused_layout,
-    is_fused_concat_ctx,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import (
     pack_bits,
     pack_signs,
@@ -114,29 +108,6 @@ class QSGDCompressor(KernelCompressor):
                 deltas,
                 bucket.sizes.astype(np.int64),
                 signed,
-            )
-        if is_fused_concat_ctx(ctx):
-            # Generic fused fallback payload: per-segment native forms,
-            # concatenated into one multi-segment lattice.
-            numel, offsets, sizes, splits, ctxs = _fused_layout(ctx)
-            deltas_parts, seg_parts, code_parts = [], [], []
-            start = 0
-            for n_parts, seg_ctx in zip(splits, ctxs):
-                sub = CompressedTensor(
-                    payload=compressed.payload[start:start + n_parts],
-                    ctx=seg_ctx,
-                )
-                start += n_parts
-                _, _, deltas, seg_sizes, codes = self._lattice_form(sub)
-                deltas_parts.append(deltas)
-                seg_parts.append(seg_sizes)
-                code_parts.append(codes)
-            return (
-                (int(numel),),
-                int(numel),
-                np.concatenate(deltas_parts),
-                np.concatenate(seg_parts),
-                np.concatenate(code_parts),
             )
         return super()._lattice_form(compressed)
 

@@ -15,12 +15,7 @@ import math
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import (
     desparsify,
     pack_bits,
@@ -29,13 +24,12 @@ from repro.tensorlib import (
     segment_norms,
     segment_topk,
     sparsify_randomk,
-    sparsify_topk,
     unpack_bits,
     unpack_signs,
 )
 
 
-class QsparseLocalSGDCompressor(Compressor):
+class QsparseLocalSGDCompressor(KernelCompressor):
     """Top-k / random-k selection followed by stochastic quantization."""
 
     name = "qsparse"
@@ -43,7 +37,6 @@ class QsparseLocalSGDCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
 
     def __init__(
         self,
@@ -73,57 +66,20 @@ class QsparseLocalSGDCompressor(Compressor):
             "selection": self.selection,
         }
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        k = max(1, math.ceil(self.ratio * flat.size))
-        if self.selection == "topk":
-            values, indices = sparsify_topk(flat, k)
-        else:
-            values, indices = sparsify_randomk(flat, k, rng=self._rng)
-        # float32 throughout: float() would widen the norm to a 64-bit
-        # Python scalar on its way into the payload scale part (GR002).
-        norm = np.float32(np.linalg.norm(values))
-        codes = quantize_stochastic_levels(
-            np.abs(values), norm, self.levels, rng=self._rng
-        )
-        payload = [
-            np.array([norm], dtype=np.float32),
-            pack_signs(values),
-            pack_bits(codes, bits=self.code_bits),
-            indices.astype(np.int32),
-        ]
-        return CompressedTensor(
-            payload=payload, ctx=(shape, flat.size, values.size)
-        )
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size, k = compressed.ctx
-        norm_arr, packed_signs, packed_codes, indices = compressed.payload
-        signs = unpack_signs(packed_signs, k)
-        codes = unpack_bits(packed_codes, bits=self.code_bits, count=k)
-        values = (
-            norm_arr[0] * signs * codes.astype(np.float32) / self.levels
-        )
-        return desparsify(
-            values.astype(np.float32), indices.astype(np.int64), size
-        ).reshape(shape)
-
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """Select per tensor, then quantize and pack what was selected once.
 
         Top-k selection partitions each tensor's run of the magnitudes
-        (:func:`~repro.tensorlib.segment_topk`, ties as in ``compress``);
-        the selected values then go through the ``qsgd`` kernel: one norm
-        per tensor over its contiguous run of them, one rounding draw over
-        all live ones.  Random-k draws its indices tensor by tensor, and in
-        ``compress`` the rounding draw of a tensor follows its selection
-        draw in the stream, so there the rounding stays with the selection
-        and only the packing is shared.
+        (:func:`~repro.tensorlib.segment_topk`, ties as ``sparsify_topk``
+        breaks them); the selected values then go through the ``qsgd``
+        kernel: one norm per tensor over its contiguous run of them, one
+        rounding draw over all live ones.  Random-k draws its indices tensor
+        by tensor, and a tensor's rounding draw follows its selection draw
+        in the stream, so there the rounding stays with the selection and
+        only the packing is shared.  An empty tensor selects nothing and
+        sends a zero norm.  Wire: the norms, the packed signs and level
+        codes of the selected values, and their int32 bucket positions.
         """
-        if bucket.has_empty_segment:
-            return super().compress_fused(buffer, bucket)
         ks = bucket.ratio_counts(self.ratio)
         if self.selection == "topk":
             indices = segment_topk(np.abs(buffer), bucket.ends, ks)

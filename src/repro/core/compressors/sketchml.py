@@ -3,8 +3,9 @@
 Sketch-based hybrid compression: the non-zero gradient values feed a
 non-uniform quantile sketch; each value is encoded as the index of its
 quantile bucket (quantization), and only non-zero elements are kept
-(sparsification).  The wire format is the bucket-representative table,
-the bit-packed bucket codes and the element indices.
+(sparsification).  The wire format is each tensor's bucket-representative
+table, the bit-packed bucket codes, each tensor's non-zero count and the
+positions of the non-zeros.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import numpy as np
 from repro.core.api import (
     AggregatedCoordsCtx,
     CompressedTensor,
-    Compressor,
     FusedBucketCtx,
-    flatten_with_shape,
-    is_fused_concat_ctx,
+    KernelCompressor,
 )
 from repro.tensorlib import (
     QuantileSketch,
@@ -32,7 +31,7 @@ from repro.tensorlib import (
 )
 
 
-class SketchMLCompressor(Compressor):
+class SketchMLCompressor(KernelCompressor):
     """Quantile-sketch bucket quantization of the non-zero elements."""
 
     name = "sketchml"
@@ -40,7 +39,6 @@ class SketchMLCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
     aggregation = "exact-linear"
 
     def __init__(self, num_buckets: int = 64, sketch_size: int = 2048, seed: int = 0):
@@ -54,71 +52,6 @@ class SketchMLCompressor(Compressor):
     def _clone_args(self) -> dict:
         return {"num_buckets": self.num_buckets, "sketch_size": self.sketch_size}
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        if np.count_nonzero(flat) == flat.size:
-            values = flat  # nothing to gather
-        else:
-            indices = np.flatnonzero(flat)
-            values = flat[indices]
-        if values.size == 0:
-            # Degenerate all-zero gradient: send an empty representation.
-            payload = [
-                np.zeros(self.num_buckets, dtype=np.float32),
-                np.zeros(0, dtype=np.uint8),
-                np.zeros(0, dtype=np.int32),
-            ]
-            return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-        sketch = QuantileSketch(self.num_buckets, max_size=self.sketch_size)
-        # Sub-sample very large tensors into the sketch, as SketchML does.
-        if values.size > self.sketch_size:
-            sample = values[
-                self._rng.choice(values.size, size=self.sketch_size, replace=False)
-            ]
-        else:
-            sample = values
-        sketch.insert(sample)
-        codes = sketch.encode(values)
-        # Fully dense tensors (the common DNN-gradient case) need no index
-        # vector: positions are implicit.  SketchML's hashing of indices
-        # serves the same purpose; this is the lossless equivalent.
-        is_dense = values.size == flat.size
-        payload = [
-            sketch.representatives().astype(np.float32),
-            pack_bits(codes, bits=self.code_bits),
-        ]
-        if not is_dense:
-            payload.append(indices.astype(np.int32))
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
-    @staticmethod
-    def _sent(payload, size: int) -> tuple[int, bool]:
-        """``(nnz, is_dense)`` of a per-tensor payload, read off its parts.
-
-        How many elements were non-zero is the sender's knowledge, and a
-        worker decodes its peers under its own ctx: a dense tensor sends no
-        index part, any other sends one index per non-zero element.
-        """
-        is_dense = len(payload) == 2
-        return (size if is_dense else payload[2].size), is_dense
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        nnz, is_dense = self._sent(compressed.payload, size)
-        representatives = compressed.payload[0]
-        packed_codes = compressed.payload[1]
-        dense = np.zeros(size, dtype=np.float32)
-        if nnz:
-            codes = unpack_bits(packed_codes, bits=self.code_bits, count=nnz)
-            if is_dense:
-                dense[:] = representatives[codes]
-            else:
-                indices = compressed.payload[2]
-                dense[indices.astype(np.int64)] = representatives[codes]
-        return dense.reshape(shape)
-
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """Whole-bucket SketchML: every tensor's codebook from one gather.
 
@@ -129,13 +62,13 @@ class SketchMLCompressor(Compressor):
         (:func:`~repro.tensorlib.segment_quantiles`), each value is looked
         up among its own run's boundaries, and the codes are bit-packed as
         one stream.  A tensor with more than ``sketch_size`` non-zeros is
-        sub-sampled by its own draw, in tensor order, as ``compress`` draws.
+        sub-sampled, as SketchML does, by its own draw, in tensor order.
 
         Wire: one representative table per tensor, the codes, the non-zero
         count of every tensor, and the bucket positions of the non-zeros of
-        those tensors that have zeros (a dense tensor's are implicit) —
-        four parts whatever the data, so a peer decodes them under its own
-        ctx.
+        those tensors that have zeros (a dense tensor's are implicit, as
+        SketchML's hashed indices would be) — four parts whatever the data,
+        so a peer decodes them under its own ctx.
         """
         nnz = segment_counts(buffer, bucket.ends)
         has_zeros = nnz < bucket.sizes
@@ -232,31 +165,7 @@ class SketchMLCompressor(Compressor):
             )
             if positions is None:
                 positions = np.arange(numel, dtype=np.int64)
-            return (numel,), numel, values, positions
-        if isinstance(ctx, tuple):
-            shape, size = ctx
-            nnz, is_dense = self._sent(compressed.payload, size)
-            if not nnz:
-                return (
-                    tuple(shape), int(size),
-                    np.zeros(0, dtype=np.float32),
-                    np.zeros(0, dtype=np.int64),
-                )
-            representatives = compressed.payload[0]
-            codes = unpack_bits(
-                compressed.payload[1], bits=self.code_bits, count=nnz
-            )
-            # The table lookup is the whole decode for selected
-            # positions, so the coordinate list carries exactly the
-            # values a local decompress would scatter — exact linearity.
-            values = np.asarray(
-                representatives[codes], dtype=np.float32
-            )
-            if is_dense:
-                indices = np.arange(size, dtype=np.int64)
-            else:
-                indices = compressed.payload[2].astype(np.int64)
-            return tuple(shape), int(size), values, indices
+            return ctx.bucket.shape, numel, values, positions
         return super()._coords_form(compressed)
 
     def aggregate_compressed(
@@ -271,8 +180,6 @@ class SketchMLCompressor(Compressor):
         """
         if not items:
             raise ValueError("nothing to aggregate")
-        if is_fused_concat_ctx(items[0].ctx):
-            return self._aggregate_fused_segments(items)
         if all(isinstance(item.ctx, FusedBucketCtx) for item in items):
             return self._aggregate_buckets(items)
         return self._aggregate_coords(items)
@@ -305,22 +212,14 @@ class SketchMLCompressor(Compressor):
         union = np.flatnonzero(touched).astype(np.int32)
         return CompressedTensor(
             payload=[dense[union], union],
-            ctx=AggregatedCoordsCtx(
-                (bucket.numel,), bucket.numel, len(items)
-            ),
+            ctx=AggregatedCoordsCtx(bucket.shape, bucket.numel, len(items)),
         )
 
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
-        """Flat indices sent on the wire (all positions when dense);
-        positions in the bucket for a fused payload."""
-        ctx = compressed.ctx
-        if isinstance(ctx, FusedBucketCtx):
-            positions = self._bucket_positions(compressed.payload, ctx.bucket)
-            if positions is None:
-                return np.arange(ctx.bucket.numel, dtype=np.int64)
-            return positions
-        _, size = ctx
-        _, is_dense = self._sent(compressed.payload, size)
-        if is_dense:
-            return np.arange(size, dtype=np.int64)
-        return compressed.payload[2].astype(np.int64)
+        """Flat bucket positions sent on the wire (all of them when every
+        element was)."""
+        bucket = compressed.ctx.bucket
+        positions = self._bucket_positions(compressed.payload, bucket)
+        if positions is None:
+            return np.arange(bucket.numel, dtype=np.int64)
+        return positions

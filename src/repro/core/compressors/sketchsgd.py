@@ -10,32 +10,16 @@ large.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.api import (
     CompressedTensor,
-    Compressor,
     FusedBucketCtx,
-    flatten_with_shape,
-    is_fused_concat_ctx,
+    KernelCompressor,
     sum_dense,
     summand_count,
 )
 from repro.tensorlib import CountSketch, desparsify, segment_topk
-
-
-class _AggSketchCtx:
-    """Ctx of an aggregated count-sketch table payload ``[table f32]``."""
-
-    __slots__ = ("shape", "size", "k", "n_summands")
-
-    def __init__(self, shape, size, k, n_summands):
-        self.shape = tuple(shape)
-        self.size = int(size)
-        self.k = int(k)
-        self.n_summands = int(n_summands)
 
 
 class _AggFusedSketchCtx:
@@ -48,7 +32,7 @@ class _AggFusedSketchCtx:
         self.n_summands = int(n_summands)
 
 
-class SketchedSGDCompressor(Compressor):
+class SketchedSGDCompressor(KernelCompressor):
     """Count-sketch transport with heavy-hitter recovery."""
 
     name = "sketchsgd"
@@ -56,7 +40,6 @@ class SketchedSGDCompressor(Compressor):
     stochastic = False  # hash functions are fixed
     communication = "allgather"
     default_memory = "residual"
-    fused_kernel = True
     aggregation = "sketch"
 
     def __init__(
@@ -93,49 +76,13 @@ class SketchedSGDCompressor(Compressor):
         """Replace the private random stream (hashes stay shared)."""
         self._rng = np.random.default_rng(seed)
 
-    def _width(self, k: int) -> int:
-        return max(8, int(self.width_multiplier * k))
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx.
-
-        An empty tensor sends an empty table: there is nothing to hash.
-        """
-        flat, shape = flatten_with_shape(tensor)
-        k = max(1, math.ceil(self.ratio * flat.size))
-        if flat.size == 0:
-            payload = [np.zeros((self.depth, 0), dtype=np.float32)]
-            return CompressedTensor(payload=payload, ctx=(shape, 0, k))
-        sketch = CountSketch(
-            width=self._width(k), depth=self.depth, universe=flat.size,
-            seed=self._hash_seed,
-        )
-        sketch.update_dense(flat)
-        payload = [sketch.table.astype(np.float32)]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size, k))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size, k = compressed.ctx
-        table = compressed.payload[0]
-        if size == 0:
-            return np.zeros(shape, dtype=np.float32)
-        if table.shape != (self.depth, self._width(k)):
-            raise ValueError(
-                f"sketch table is {table.shape}, the layout for {size} "
-                f"elements is {(self.depth, self._width(k))}"
-            )
-        sketch = CountSketch.from_table(
-            table, universe=size, seed=self._hash_seed
-        )
-        indices = sketch.heavy_hitters(k)
-        values = sketch.query(indices).astype(np.float32)
-        return desparsify(values, indices.astype(np.int64), size).reshape(shape)
-
     def _bucket_layout(self, bucket):
-        """``(ks, widths)`` of the bucket's tensors, as ``compress`` sizes them."""
+        """``(ks, widths)`` of the bucket's tensors: ``width_multiplier·k``
+        columns, at least 8, for a tensor that has elements; none for one
+        that has none."""
         ks = bucket.ratio_counts(self.ratio)
         widths = np.maximum(8, (self.width_multiplier * ks).astype(np.int64))
+        widths[bucket.sizes == 0] = 0
         return ks, widths
 
     def _bucket_sketch(self, bucket, widths, table=None) -> CountSketch:
@@ -149,11 +96,10 @@ class SketchedSGDCompressor(Compressor):
 
         Each tensor keeps its own hash functions and its own columns
         (:meth:`CountSketch.side_by_side`), so a cell sums what it sums in
-        ``compress``, in the same order; the bucket is folded in with one
-        scatter-add per row instead of one per row and tensor.
+        the tensor's own sketch, in the same order; the bucket is folded in
+        with one scatter-add per row instead of one per row and tensor.  An
+        empty tensor has no columns.
         """
-        if bucket.has_empty_segment:  # no sketch over an empty universe
-            return super().compress_fused(buffer, bucket)
         _, widths = self._bucket_layout(bucket)
         sketch = self._bucket_sketch(bucket, widths)
         sketch.update_dense(buffer)
@@ -195,40 +141,16 @@ class SketchedSGDCompressor(Compressor):
         """
         if not items:
             raise ValueError("nothing to aggregate")
-        ctx = items[0].ctx
-        if is_fused_concat_ctx(ctx):
-            return self._aggregate_fused_segments(items)
-        if isinstance(ctx, (FusedBucketCtx, _AggFusedSketchCtx)):
-            # Side-by-side tables of one layout add cell by cell.
-            if any(item.ctx.bucket.segments != ctx.bucket.segments
-                   for item in items[1:]):
-                raise ValueError("mismatched sketch layouts in aggregation")
-            return CompressedTensor(
-                payload=[sum_dense([item.payload[0] for item in items])],
-                ctx=_AggFusedSketchCtx(
-                    ctx.bucket, sum(summand_count(item) for item in items)
-                ),
-            )
-        if isinstance(ctx, _AggSketchCtx):
-            shape, size, k = ctx.shape, ctx.size, ctx.k
-        else:
-            shape, size, k = ctx
-        for item in items[1:]:
-            other = item.ctx
-            other_key = (
-                (other.shape, other.size, other.k)
-                if isinstance(other, _AggSketchCtx)
-                else (tuple(other[0]), int(other[1]), int(other[2]))
-            )
-            if other_key != (tuple(shape), int(size), int(k)):
-                raise ValueError("mismatched sketch layouts in aggregation")
-        table = sum_dense(
-            [np.asarray(item.payload[0], dtype=np.float32) for item in items]
-        )
-        total = sum(summand_count(item) for item in items)
+        # Side-by-side tables of one layout add cell by cell.
+        bucket = items[0].ctx.bucket
+        if any(item.ctx.bucket.segments != bucket.segments
+               for item in items[1:]):
+            raise ValueError("mismatched sketch layouts in aggregation")
         return CompressedTensor(
-            payload=[table],
-            ctx=_AggSketchCtx(shape, size, k, total),
+            payload=[sum_dense([item.payload[0] for item in items])],
+            ctx=_AggFusedSketchCtx(
+                bucket, sum(summand_count(item) for item in items)
+            ),
         )
 
     def decompress_aggregated(
@@ -236,12 +158,7 @@ class SketchedSGDCompressor(Compressor):
     ) -> np.ndarray:
         ctx = compressed.ctx
         if isinstance(ctx, _AggFusedSketchCtx):
-            return self._decompress_bucket(compressed.payload, ctx.bucket)
-        if not isinstance(ctx, _AggSketchCtx):
-            return super().decompress_aggregated(compressed)
-        return self.decompress(
-            CompressedTensor(
-                payload=compressed.payload,
-                ctx=(ctx.shape, ctx.size, ctx.k),
-            )
-        )
+            return self._decompress_bucket(
+                compressed.payload, ctx.bucket
+            ).reshape(ctx.bucket.shape)
+        return super().decompress_aggregated(compressed)

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import pack_bits, segment_stds, unpack_bits
 from repro.tensorlib.huffman import (
     HuffmanEncoded,
@@ -36,7 +31,7 @@ def _ternary_codes(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return codes
 
 
-class TernGradCompressor(Compressor):
+class TernGradCompressor(KernelCompressor):
     """Unbiased {-1, 0, +1} quantizer scaled by the clipped infinity norm.
 
     ``entropy_coding=True`` replaces the fixed 2-bit packing with a
@@ -50,7 +45,6 @@ class TernGradCompressor(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "none"
-    fused_kernel = True
 
     def __init__(self, clip_factor: float = 2.5,
                  entropy_coding: bool = False, seed: int = 0):
@@ -65,33 +59,6 @@ class TernGradCompressor(Compressor):
             "clip_factor": self.clip_factor,
             "entropy_coding": self.entropy_coding,
         }
-
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        if flat.size:
-            # np.float32: keep the clip bound at the precision the array
-            # op would cast it to anyway, instead of a float64 detour
-            # through a Python scalar (GR002).
-            bound = np.float32(self.clip_factor) * np.float32(np.std(flat))
-            if bound > 0:
-                flat = np.clip(flat, -bound, bound)
-        mag = np.abs(flat)
-        scale = np.float32(np.max(mag)) if flat.size else np.float32(0.0)
-        codes = _ternary_codes(flat, self._keep(mag, scale))
-        if self.entropy_coding:
-            encoded = huffman_encode(codes, num_symbols=3)
-            payload = [
-                np.array([scale], dtype=np.float32),
-                encoded.buffer,
-                encoded.lengths,
-            ]
-            return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-        payload = [
-            np.array([scale], dtype=np.float32),
-            pack_bits(codes, bits=2),
-        ]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
 
     def _keep(self, mag: np.ndarray, scale) -> np.ndarray:
         """Bernoulli mask with ``P(keep) = mag / scale`` (overwrites ``mag``).
@@ -119,13 +86,11 @@ class TernGradCompressor(Compressor):
         i.e. no clipping).  The Bernoulli mask uses a single
         ``numel``-sized uniform draw — Generator streams concatenate
         exactly, so the codes are seeded-equal to the per-tensor path.
-        A zero-scale segment (a layer dead on this rank) keeps the
-        format: codes zero, no draws.  Entropy coding and empty tensors
-        — parameters and layout, the same on every rank — take the
-        generic path.
+        A zero-scale segment (a layer dead on this rank, or an empty one)
+        keeps the format: codes zero, no draws.  Wire: the scales, then the
+        codes 2-bit packed, or under ``entropy_coding`` one Huffman stream
+        of the whole bucket's codes and its code lengths.
         """
-        if self.entropy_coding or bucket.has_empty_segment:
-            return super().compress_fused(buffer, bucket)
         bounds = np.float32(self.clip_factor) * segment_stds(
             buffer, bucket.ends
         )
@@ -135,28 +100,23 @@ class TernGradCompressor(Compressor):
         mag = np.abs(clipped)
         scales = bucket.segment_max(mag)
         codes = _ternary_codes(clipped, self._keep(mag, bucket.expand(scales)))
-        payload = [scales, pack_bits(codes, bits=2)]
+        if self.entropy_coding:
+            encoded = huffman_encode(codes, num_symbols=3)
+            payload = [scales, encoded.buffer, encoded.lengths]
+        else:
+            payload = [scales, pack_bits(codes, bits=2)]
         return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         """Rebuild the flat bucket from one fused ternary payload."""
-        scales, packed = payload
-        codes = unpack_bits(packed, bits=2, count=bucket.numel)
-        return bucket.expand(scales) * _TERNARY_VALUES.take(codes)
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        scale_arr = compressed.payload[0]
         if self.entropy_coding:
-            encoded = HuffmanEncoded(
-                buffer=compressed.payload[1],
-                lengths=compressed.payload[2],
-                count=size,
-            )
-            codes = huffman_decode(encoded)
+            scales, buffer, lengths = payload
+            codes = huffman_decode(HuffmanEncoded(
+                buffer=buffer, lengths=lengths, count=bucket.numel
+            ))
         else:
-            codes = unpack_bits(compressed.payload[1], bits=2, count=size)
+            scales, packed = payload
+            codes = unpack_bits(packed, bits=2, count=bucket.numel)
         ternary = _TERNARY_VALUES.take(codes)
-        ternary *= scale_arr[0]
-        return ternary.reshape(shape)
+        ternary *= bucket.expand(scales)
+        return ternary

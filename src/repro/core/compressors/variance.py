@@ -9,16 +9,9 @@ variance is minimized for the given expected budget.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedBucketCtx,
-    flatten_with_shape,
-)
+from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import desparsify, segment_counts, segment_sums
 
 
@@ -71,7 +64,7 @@ def bucket_selection_probabilities(
         np.minimum(
             1.0, expand(budgets / np.where(refitting, totals, 1.0)) * magnitudes
         ),
-        expand(budgets / bucket.sizes),
+        expand(budgets / np.maximum(bucket.sizes, 1)),
     )
     for _ in range(iterations):
         if not refitting.any():
@@ -95,7 +88,7 @@ def bucket_selection_probabilities(
     return probabilities
 
 
-class VarianceSparsifier(Compressor):
+class VarianceSparsifier(KernelCompressor):
     """Unbiased importance sampling of gradient coordinates."""
 
     name = "variance"
@@ -103,7 +96,6 @@ class VarianceSparsifier(Compressor):
     stochastic = True
     communication = "allgather"
     default_memory = "none"
-    fused_kernel = True
 
     def __init__(self, ratio: float = 0.01, seed: int = 0):
         super().__init__(seed=seed)
@@ -114,32 +106,13 @@ class VarianceSparsifier(Compressor):
     def _clone_args(self) -> dict:
         return {"ratio": self.ratio}
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        budget = max(1, math.ceil(self.ratio * flat.size))
-        probabilities = selection_probabilities(np.abs(flat), budget)
-        keep = self._rng.random(size=flat.size) < probabilities
-        indices = np.flatnonzero(keep)
-        values = flat[indices] / probabilities[indices].astype(np.float32)
-        payload = [values.astype(np.float32), indices.astype(np.int32)]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size))
-
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size = compressed.ctx
-        values, indices = compressed.payload
-        return desparsify(values, indices.astype(np.int64), size).reshape(shape)
-
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         """Whole-bucket water-filling, then one keep draw over the bucket.
 
-        ``compress`` draws one uniform per coordinate whatever the data, so
-        a single ``numel``-sized draw is the tensors' draws end to end.
+        A tensor draws one uniform per coordinate whatever the data, so a
+        single ``numel``-sized draw is the tensors' draws end to end.
         Indices count from the start of the bucket.
         """
-        if bucket.has_empty_segment:  # no probabilities over no coordinates
-            return super().compress_fused(buffer, bucket)
         probabilities = bucket_selection_probabilities(
             np.abs(buffer), bucket, bucket.ratio_counts(self.ratio)
         )

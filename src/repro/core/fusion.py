@@ -31,6 +31,7 @@ lives on :class:`repro.core.api.Compressor`; the collective side (one
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +100,6 @@ class FusionBucket:
             return self.segments[0].shape
         return (self.numel,)
 
-    @property
-    def has_empty_segment(self) -> bool:
-        """Whether some tensor of the bucket has no elements."""
-        return self._nonempty is not None
-
     def segment_max(self, flat: np.ndarray) -> np.ndarray:
         """Per-segment maximum of ``flat``; zero for an empty segment.
 
@@ -140,9 +136,13 @@ class FusionBucket:
         return np.repeat(per_segment, counts)
 
     def ratio_counts(self, ratio: float) -> np.ndarray:
-        """``max(1, ceil(ratio · size))`` of every segment: how many
-        elements a sparsifier's ``compress`` keeps of each tensor."""
-        return np.maximum(1, np.ceil(ratio * self.sizes).astype(np.int64))
+        """``max(1, ceil(ratio · size))`` of every segment, capped at its
+        size: how many elements a sparsifier keeps of each tensor (none of
+        an empty one)."""
+        return np.minimum(
+            self.sizes,
+            np.maximum(1, np.ceil(ratio * self.sizes).astype(np.int64)),
+        )
 
     def pack(self, arrays: dict[str, np.ndarray], out: np.ndarray) -> np.ndarray:
         """Copy the named tensors into ``out`` (flat float32) in layout order."""
@@ -165,8 +165,14 @@ class FusionBucket:
                 f"numel={self.numel})")
 
 
+@functools.lru_cache(maxsize=1024)
 def tensor_bucket(name: str, shape: tuple[int, ...]) -> FusionBucket:
-    """The one-segment bucket that stands for the tensor ``name``."""
+    """The one-segment bucket that stands for the tensor ``name``.
+
+    A bucket is an immutable layout, so the recent ones are kept: a
+    built-in's per-tensor ``compress`` does no layout work for a tensor it
+    has seen.
+    """
     shape = tuple(int(d) for d in shape)
     size = int(np.prod(shape, dtype=np.int64)) if shape else 1
     return FusionBucket(0, (BucketSegment(name, shape, 0, size),))

@@ -1060,10 +1060,9 @@ class DistributedTrainer:
         """Simulated compress+decompress kernel time of one unit.
 
         One kernel launch covers a kernel payload's bucket; the generic
-        concatenation (no kernel, an empty tensor in the bucket,
-        ``index_encoding``, ``entropy_coding``) is priced per tensor.
-        Priced from the first payload's ctx alone: a kernel falls back on
-        layout or parameters only, so every rank falls back with it.
+        concatenation of a compressor without a kernel is priced per
+        tensor.  Priced from the first payload's ctx alone: every rank runs
+        the same compressor.
         """
         name = self.compressors[0].name
         if isinstance(compressed[0].ctx, FusedConcatCtx):

@@ -337,10 +337,11 @@ class TestRegistryCapabilityHonesty:
                 assert mine.dtype == other.dtype
                 assert mine.tobytes() == other.tobytes()
 
-    @pytest.mark.parametrize("name", ("topk", "qsgd"))
+    @pytest.mark.parametrize("name", ("powersgd", "atomo"))
     def test_generic_concat_fusion_aggregates(self, name):
-        # The concat_compressed fallback path (per-tensor payloads glued
-        # into one frame) must aggregate segment-by-segment too.
+        # The generic concatenation (per-tensor payloads glued into one
+        # frame, what a compressor without a kernel sends for a bucket)
+        # must aggregate segment-by-segment too.
         bucket = FusionBucket(0, (
             BucketSegment("a", (32,), 0, 32),
             BucketSegment("b", (4, 16), 32, 64),

@@ -6,7 +6,8 @@ nbytes accounting, determinism replay and fused-vs-unfused parity — over
 dense, sparse, scalar and empty tensors plus a fused bucket, and held to
 "ctx is receiver-known": a payload decodes the same under the ctx of any
 other tensor of its shape.  A new compressor lands in this sweep
-automatically the moment it registers.
+automatically the moment it registers; the parameter variants that switch
+a kernel's wire format or draws are swept beside the defaults.
 """
 
 import numpy as np
@@ -30,22 +31,38 @@ CASES = {
     "empty": np.zeros((0,), dtype=np.float32),
 }
 
+#: Every registered compressor with its defaults (by name), plus the
+#: kernel digests' parameter variants (``name:variant``).
+SWEPT = dict(
+    {name: (name, {}) for name in available_compressors()},
+    **kernel_digest_cases.VARIANTS,
+)
+
+
+def create_swept(label: str, seed: int):
+    name, params = SWEPT[label]
+    return create(name, seed=seed, **params)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("name", available_compressors())
-def test_contract_holds_per_tensor(name, case):
+@pytest.mark.parametrize("label", sorted(SWEPT))
+def test_contract_holds_per_tensor(label, case):
     tensor = CASES[case].copy()
-    checker = ContractChecker(create(name, seed=3))
+    checker = ContractChecker(create_swept(label, seed=3))
     compressed = checker.compress(tensor, "sweep")
     restored = checker.decompress(compressed)
     assert restored.shape == tensor.shape
     assert restored.dtype == np.float32
 
 
-@pytest.mark.parametrize("name", available_compressors())
-def test_contract_holds_fused(name):
+@pytest.mark.parametrize("label", sorted(SWEPT))
+def test_contract_holds_fused(label):
+    """A bucket with a tensor of no elements between live ones: the
+    kernel must decode it as the tensors' own buckets decode them."""
     rng = np.random.default_rng(11)
     grads = {
         "conv.w": rng.standard_normal((7, 5)).astype(np.float32),
+        "gap.w": np.zeros((0, 3), dtype=np.float32),
         "conv.b": rng.standard_normal((64,)).astype(np.float32),
         "block.w": rng.standard_normal((3, 4, 2)).astype(np.float32),
     }
@@ -55,7 +72,7 @@ def test_contract_holds_fused(name):
     for seg in bucket.segments:
         buffer[seg.offset:seg.end] = grads[seg.name].ravel()
 
-    checker = ContractChecker(create(name, seed=3))
+    checker = ContractChecker(create_swept(label, seed=3))
     compressed = checker.compress_fused(buffer.copy(), bucket)
     restored = checker.decompress_fused(compressed)
     assert restored.shape == (bucket.numel,)
@@ -76,10 +93,7 @@ ONE_SEGMENT_CASES = dict(
 def test_a_tensor_is_a_one_segment_bucket(name, case):
     """The trainer compresses a per-tensor run's units with
     ``compress_fused`` on one-segment buckets: decoded values, draws and
-    serialized bytes must be ``compress``'s.  The one declared difference
-    is ``sketchml``'s fixed four-part format: the non-zero count (4 bytes)
-    and, where ``compress`` sends no index part, an empty one — 16 bytes
-    with framing for a tensor without zeros, 10 for one with."""
+    serialized bytes must be ``compress``'s."""
     tensor = ONE_SEGMENT_CASES[case]
     per_tensor, kernel = create(name, seed=3), create(name, seed=3)
     compressed = per_tensor.compress(tensor.copy(), "t")
@@ -93,14 +107,9 @@ def test_a_tensor_is_a_one_segment_bucket(name, case):
     assert (
         kernel._rng.bit_generator.state == per_tensor._rng.bit_generator.state
     )
-    extra = (
-        len(serialize_payload(fused.payload))
-        - len(serialize_payload(compressed.payload))
+    assert serialize_payload(fused.payload) == serialize_payload(
+        compressed.payload
     )
-    if name != "sketchml":
-        assert extra == 0
-    else:
-        assert extra == (16 if np.all(tensor) and tensor.size else 10)
 
 
 @pytest.mark.parametrize("name", available_compressors())
@@ -144,8 +153,8 @@ PROBES = {
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
-@pytest.mark.parametrize("name", available_compressors())
-def test_ctx_is_receiver_known_per_tensor(name, probe):
+@pytest.mark.parametrize("label", sorted(SWEPT))
+def test_ctx_is_receiver_known_per_tensor(label, probe):
     """In worker mode a rank decodes its peers' payloads under its *own*
     ctx (the trainer's ``_finish_bucket``), so ctx may hold only what every
     rank knows — shape, size, parameters — and
@@ -154,8 +163,8 @@ def test_ctx_is_receiver_known_per_tensor(name, probe):
     (sketchml's ctx used to carry the sender's non-zero count.)"""
     mine = CASES["dense"].copy()
     theirs = PROBES[probe](mine)
-    my_ctx = create(name, seed=3).compress(mine, "t").ctx
-    peer = create(name, seed=3)
+    my_ctx = create_swept(label, seed=3).compress(mine, "t").ctx
+    peer = create_swept(label, seed=3)
     sent = peer.compress(theirs, "t")
     under_their_ctx = peer.decompress(sent)
     under_my_ctx = peer.decompress(CompressedTensor(sent.payload, my_ctx))
@@ -163,8 +172,8 @@ def test_ctx_is_receiver_known_per_tensor(name, probe):
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
-@pytest.mark.parametrize("name", available_compressors())
-def test_ctx_is_receiver_known_fused(name, probe):
+@pytest.mark.parametrize("label", sorted(SWEPT))
+def test_ctx_is_receiver_known_fused(label, probe):
     """The same at bucket level, through every ``compress_fused`` — kernel
     or generic concatenation, whose ctx is the tensors' own ctxs."""
     rng = np.random.default_rng(11)
@@ -177,8 +186,10 @@ def test_ctx_is_receiver_known_fused(name, probe):
     (bucket,) = FusionPlan.from_gradients(grads, 1 << 20).buckets
     mine = bucket.pack(grads, np.empty(bucket.numel, dtype=np.float32))
     theirs = PROBES[probe](mine)  # the block swallows conv.b whole
-    my_ctx = create(name, seed=3).compress_fused(mine.copy(), bucket).ctx
-    peer = create(name, seed=3)
+    my_ctx = create_swept(label, seed=3).compress_fused(
+        mine.copy(), bucket
+    ).ctx
+    peer = create_swept(label, seed=3)
     sent = peer.compress_fused(theirs.copy(), bucket)
     under_their_ctx = peer.decompress_fused(sent).copy()
     under_my_ctx = peer.decompress_fused(

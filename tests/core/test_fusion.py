@@ -17,8 +17,14 @@ from repro.core import (
     available_compressors,
     create,
 )
-from repro.core.api import CompressedTensor, Compressor, FusedConcatCtx
+from repro.core.api import (
+    CompressedTensor,
+    Compressor,
+    FusedConcatCtx,
+    flatten_with_shape,
+)
 from repro.core.fusion import tensor_bucket
+from repro.tensorlib import desparsify, sparsify_topk
 
 
 class MultiTask:
@@ -66,18 +72,21 @@ TOTAL_BYTES = sum(
 
 
 class EmptyTensorTask(MultiTask):
-    """MultiTask plus a tensor of no elements: a bucket that holds it sends
-    the kernels that cannot place one back to the generic concatenation."""
+    """MultiTask plus a tensor of no elements, between live ones."""
 
     SHAPES = dict(MultiTask.SHAPES, empty=(0, 3))
 
 
 def run_trajectory(name, fusion_mb, steps=6, n_workers=3, memory=None,
                    task_cls=MultiTask, **params):
-    """Train ``task_cls`` and return (final params, trainer)."""
+    """Train ``task_cls`` and return (final params, trainer); ``name`` is a
+    registry name or a compressor class."""
     task = task_cls()
+    compressor = (
+        create(name, **params) if isinstance(name, str) else name(**params)
+    )
     trainer = DistributedTrainer(
-        task, create(name, **params), n_workers=n_workers, seed=0,
+        task, compressor, n_workers=n_workers, seed=0,
         memory=memory, fusion_mb=fusion_mb,
     )
     for step in range(steps):
@@ -143,7 +152,6 @@ class TestFusionBucket:
         assert list(bucket.offsets) == [0, 6]
         assert list(bucket.ends) == [6, 10]
         assert bucket.shape == (10,)
-        assert not bucket.has_empty_segment
 
     def test_segment_max_and_expand(self):
         bucket = self.bucket()
@@ -176,9 +184,10 @@ class TestFusionBucket:
             BucketSegment("b", (2,), 3, 2),
             BucketSegment("tail", (0,), 5, 0),
         ))
-        assert bucket.has_empty_segment
         flat = np.float32([-4, -2, -3, 9, 8])
         assert list(bucket.segment_max(flat)) == [0.0, -2.0, 0.0, 9.0, 0.0]
+        # A sparsifier keeps nothing of an empty tensor.
+        assert list(bucket.ratio_counts(0.01)) == [0, 1, 0, 1, 0]
 
     def test_pack_unpack_roundtrip(self):
         bucket = self.bucket()
@@ -316,17 +325,53 @@ def assert_dgc_state_equal(unfused, fused):
                 ), (rank, held, name)
 
 
+class TopKByHand(Compressor):
+    """Top-k written against the GRACE API: ``compress``/``decompress`` per
+    tensor and ``transmitted_indices`` in the tensor's own coordinates, so
+    a bucket takes the generic concatenation."""
+
+    name = "topk-by-hand"
+    family = "sparsification"
+    communication = "allgather"
+    default_memory = "residual"
+
+    def __init__(self, ratio=0.01, seed=0):
+        super().__init__(seed=seed)
+        self.ratio = ratio
+
+    def _clone_args(self):
+        return {"ratio": self.ratio}
+
+    def compress(self, tensor, name):
+        flat, shape = flatten_with_shape(tensor)
+        values, indices = sparsify_topk(
+            flat, int(np.ceil(self.ratio * flat.size))
+        )
+        return CompressedTensor(
+            payload=[values, indices.astype(np.int32)],
+            ctx=(shape, flat.size),
+        )
+
+    def decompress(self, compressed):
+        shape, size = compressed.ctx
+        values, indices = compressed.payload
+        return desparsify(values, indices.astype(np.int64), size).reshape(
+            shape
+        )
+
+    def transmitted_indices(self, compressed):
+        return compressed.payload[1].astype(np.int64)
+
+
 class TestDgcMemoryWhereAKernelFallsBack:
-    """A kernel that keeps the generic concatenation for a bucket (an empty
-    tensor in it, an index encoding) answers ``transmitted_indices`` tensor
-    by tensor, in each tensor's own coordinates; the DGC memory must still
-    clear the positions of every tensor of the bucket."""
+    """A compressor without a kernel sends a bucket as the generic
+    concatenation, whose tensors answer ``transmitted_indices`` one by one,
+    in each tensor's own coordinates; the DGC memory must still clear the
+    positions of every tensor of the bucket."""
 
     CASES = [
-        ("topk", {"ratio": 0.25}, EmptyTensorTask),
-        ("randomk", {"ratio": 0.3}, EmptyTensorTask),
-        ("qsparse", {}, EmptyTensorTask),
-        ("topk", {"ratio": 0.25, "index_encoding": "delta"}, MultiTask),
+        (TopKByHand, {"ratio": 0.25}, MultiTask),
+        (TopKByHand, {"ratio": 0.25}, EmptyTensorTask),
     ]
 
     @pytest.mark.parametrize("fusion_mb", [WHOLE, SPLIT])
@@ -343,7 +388,7 @@ class TestDgcMemoryWhereAKernelFallsBack:
         )
         assert any(  # the fallback ran
             isinstance(
-                create(name, **params).compress_fused(
+                name(**params).compress_fused(
                     np.ones(bucket.numel, dtype=np.float32), bucket
                 ).ctx,
                 FusedConcatCtx,
@@ -475,7 +520,8 @@ class TestSimulatedKernelPrice:
 class TestEmptyTensors:
     """An empty tensor round-trips to zero elements through the compressors
     that sample from, water-fill or hash a tensor's elements, per tensor
-    and inside a bucket (where their kernels hand it to ``compress``)."""
+    and inside a bucket (where their kernels send it in the bucket's own
+    format)."""
 
     @pytest.mark.parametrize("name", ["dgc", "variance", "sketchsgd"])
     def test_per_tensor_and_fused_runs_train_bitwise_alike(self, name):
