@@ -86,6 +86,9 @@ class FusionBucket:
         self._nonempty = (
             None if np.all(self.sizes > 0) else np.flatnonzero(self.sizes)
         )
+        # A layout is shared (``tensor_bucket`` hands one to every caller).
+        for layout in (self.sizes, self.offsets, self.ends):
+            layout.setflags(write=False)
 
     @property
     def nbytes(self) -> int:
