@@ -22,7 +22,7 @@ from repro.core.api import (
     is_fused_concat_ctx,
     summand_count,
 )
-from repro.core.compressors.powersgd import _matrix_view
+from repro.core.compressors.powersgd import _GramSVD, _matrix_view
 from repro.core.compressors.variance import selection_probabilities
 
 
@@ -75,19 +75,18 @@ class AtomoCompressor(Compressor):
                 payload=[flat.astype(np.float32)],
                 ctx=(shape, flat.size, False),
             )
-        matrix = _matrix_view(flat, shape)
-        u, sigma, vt = np.linalg.svd(
-            matrix.astype(np.float64), full_matrices=False
+        svd = _GramSVD(_matrix_view(flat, shape).astype(np.float64))
+        probabilities = selection_probabilities(svd.sigma, self.budget)
+        keep = np.flatnonzero(
+            self._rng.random(size=svd.sigma.size) < probabilities
         )
-        probabilities = selection_probabilities(sigma, self.budget)
-        keep = np.flatnonzero(self._rng.random(size=sigma.size) < probabilities)
         if keep.size == 0:
             keep = np.array([0])
-        scaled_sigma = sigma[keep] / probabilities[keep]
+        u, sigma, vt = svd.triples(keep)
         payload = [
-            u[:, keep].astype(np.float32),
-            scaled_sigma.astype(np.float32),
-            vt[keep, :].astype(np.float32),
+            u.astype(np.float32),
+            (sigma / probabilities[keep]).astype(np.float32),
+            vt.astype(np.float32),
         ]
         return CompressedTensor(payload=payload, ctx=(shape, flat.size, True))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.core.compressors.powersgd import _matrix_view
+from repro.core.compressors.powersgd import _GramSVD, _matrix_view
 
 
 class GradiVeQCompressor(Compressor):
@@ -43,15 +43,9 @@ class GradiVeQCompressor(Compressor):
                 payload=[flat.astype(np.float32)],
                 ctx=(shape, flat.size, False),
             )
-        matrix = _matrix_view(flat, shape)
-        u, sigma, vt = np.linalg.svd(
-            matrix.astype(np.float64), full_matrices=False
-        )
-        rank = min(self.rank, sigma.size)
-        payload = [
-            (u[:, :rank] * sigma[:rank]).astype(np.float32),
-            vt[:rank, :].astype(np.float32),
-        ]
+        svd = _GramSVD(_matrix_view(flat, shape).astype(np.float64))
+        u, sigma, vt = svd.triples(slice(0, self.rank))
+        payload = [(u * sigma).astype(np.float32), vt.astype(np.float32)]
         return CompressedTensor(payload=payload, ctx=(shape, flat.size, True))
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:

@@ -58,6 +58,50 @@ def _matrix_view(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return flat.reshape(rows, -1)
 
 
+class _GramSVD:
+    """Thin-SVD triples of a float64 matrix from its Gram matrix.
+
+    One symmetric eigendecomposition of the short side's Gram matrix —
+    ``AᵀA`` for a tall ``A``, ``AAᵀ`` for a wide one — gives every
+    singular value, ``σ = sqrt(λ)`` in descending order, and that side's
+    singular vectors; :meth:`triples` forms the other side only for the
+    triples asked for (``Uσ = AV`` when tall, ``σVᵀ = UᵀA`` when wide).
+    The eigenvalues' absolute error is about ``n·eps₆₄·σ₁²`` for a short
+    side of ``n``, so a reconstruction is within float32 rounding of the
+    full SVD's.  A ``λ`` inside that error is rounding noise whose formed
+    vector would be noise too (its norm is not 1), so its ``σ`` is 0.  The
+    Gram matrix is a ``matmul``: an ``einsum`` one is not bitwise equal
+    when matrices are stacked.
+    """
+
+    __slots__ = ("matrix", "tall", "sigma", "basis")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.tall = matrix.shape[0] >= matrix.shape[1]
+        gram = matrix.T @ matrix if self.tall else matrix @ matrix.T
+        eigenvalues, eigenvectors = np.linalg.eigh(gram)
+        eigenvalues = eigenvalues[::-1]
+        noise = max(eigenvalues[0], 0.0) * len(gram) * np.finfo(np.float64).eps
+        self.sigma = np.sqrt(np.where(eigenvalues > noise, eigenvalues, 0.0))
+        self.basis = eigenvectors[:, ::-1]
+
+    def triples(self, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(U m×k, σ k, Vᵀ k×L)`` of the triples ``index``; a singular
+        value of 0 gets zero vectors on the formed side."""
+        sigma = self.sigma[index]
+        basis = self.basis[:, index]
+        if self.tall:
+            u_sigma = self.matrix @ basis
+            u = np.divide(u_sigma, sigma, out=np.zeros_like(u_sigma),
+                          where=sigma > 0)
+            return u, sigma, basis.T
+        sigma_vt = basis.T @ self.matrix
+        vt = np.divide(sigma_vt, sigma[:, None], out=np.zeros_like(sigma_vt),
+                       where=sigma[:, None] > 0)
+        return basis, sigma, vt
+
+
 class PowerSGDCompressor(Compressor):
     """Rank-r power-iteration factorization with warm-started Q."""
 
