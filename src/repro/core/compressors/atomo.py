@@ -77,11 +77,11 @@ class AtomoCompressor(Compressor):
             )
         svd = _GramSVD(_matrix_view(flat, shape).astype(np.float64))
         probabilities = selection_probabilities(svd.sigma, self.budget)
+        # No atom drawn sends none (U m×0, σ 0, Vᵀ 0×L): falling back on
+        # the top atom, scaled by 1/p₀, would bias the estimator.
         keep = np.flatnonzero(
             self._rng.random(size=svd.sigma.size) < probabilities
         )
-        if keep.size == 0:
-            keep = np.array([0])
         u, sigma, vt = svd.triples(keep)
         payload = [
             u.astype(np.float32),

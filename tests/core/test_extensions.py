@@ -8,6 +8,7 @@ from repro.core.compressors.variance import (
     bucket_selection_probabilities,
     selection_probabilities,
 )
+from repro.core.wire import deserialize_payload, serialize_payload
 
 
 def gradient(shape, seed=0, scale=1e-2):
@@ -231,6 +232,56 @@ class TestAtomo:
         mean = total / n_trials
         error = np.linalg.norm(mean - tensor) / np.linalg.norm(tensor)
         assert error < 0.2
+
+    @pytest.mark.parametrize("budget", (1, 2))
+    def test_unbiased_on_a_flat_spectrum(self, budget):
+        # Sixteen equal singular values: every atom is kept with p = s/16,
+        # so a draw keeps none with probability (1 − s/16)^16 (0.36 at
+        # s = 1, 0.12 at s = 2).  Such a draw must send nothing; sending
+        # the top atom instead biases the mean by that probability × 16/s
+        # along one atom, 20 (s = 1) and 5.7 (s = 2) standard errors here.
+        rng = np.random.default_rng(3)
+        left, _ = np.linalg.qr(rng.standard_normal((64, 16)))
+        right, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        tensor = (left @ right.T).astype(np.float32)
+        compressor = create(
+            "atomo", budget=budget, min_compress_size=16, seed=0
+        )
+        n_draws = 4000
+        total = np.zeros(tensor.shape)
+        squared_error = 0.0
+        for _ in range(n_draws):
+            draw = compressor.decompress(compressor.compress(tensor, "t"))
+            total += draw
+            squared_error += ((draw - tensor.astype(np.float64)) ** 2).sum()
+        # The mean's standard error, from the per-draw variance.
+        standard_error = np.sqrt(squared_error / n_draws / n_draws)
+        bias = np.linalg.norm(total / n_draws - tensor)
+        assert bias < 4 * standard_error
+
+    def test_no_atom_drawn_sends_none(self):
+        tensor = gradient((64, 48), seed=16, scale=1.0)
+        compressor = create("atomo", budget=2, min_compress_size=16, seed=0)
+        for _ in range(100):
+            compressed = compressor.compress(tensor, "t")
+            if compressed.payload[1].size == 0:
+                break
+        else:
+            pytest.fail("no draw kept zero atoms")
+        u, sigma, vt = compressed.payload
+        assert u.shape == (64, 0) and vt.shape == (0, 48)
+        assert compressed.nbytes == 0
+        decoded = compressor.decompress(compressed)
+        assert decoded.shape == tensor.shape and not decoded.any()
+        wired = deserialize_payload(serialize_payload(compressed.payload))
+        assert [part.shape for part in wired] == [(64, 0), (0,), (0, 48)]
+        # Aggregated with a draw that kept atoms, it adds nothing.
+        other = create("atomo", budget=2, min_compress_size=16, seed=1)
+        kept = other.compress(tensor, "t")
+        merged = compressor.aggregate_compressed([compressed, kept])
+        np.testing.assert_array_equal(
+            compressor.decompress_aggregated(merged), other.decompress(kept)
+        )
 
     def test_small_tensors_uncompressed(self):
         tensor = gradient((10,), seed=10)

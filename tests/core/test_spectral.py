@@ -73,8 +73,6 @@ def svd_atomo(compressor, tensor):
     keep = np.flatnonzero(
         compressor._rng.random(size=sigma.size) < probabilities
     )
-    if keep.size == 0:
-        keep = np.array([0])
     payload = [
         u[:, keep].astype(np.float32),
         (sigma[keep] / probabilities[keep]).astype(np.float32),
@@ -99,8 +97,7 @@ def gram_keep(seed, tensor, budget):
     flat, shape = flatten_with_shape(tensor)
     sigma = _GramSVD(_matrix_view(flat, shape).astype(np.float64)).sigma
     draws = create("atomo", seed=seed)._rng.random(size=sigma.size)
-    keep = np.flatnonzero(draws < selection_probabilities(sigma, budget))
-    return keep if keep.size else np.array([0])
+    return np.flatnonzero(draws < selection_probabilities(sigma, budget))
 
 
 def assert_decodes_alike(decoded, oracle):
