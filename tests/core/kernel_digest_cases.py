@@ -4,7 +4,8 @@ The corpus behind ``tests/core/golden/kernel_digests.json``: SHA-256 of
 every payload part (dtype, shape and bytes), of the decompressed array and
 of the compressor's random stream after the call, for every registry
 compressor built on the ``repro.tensorlib`` packing, sketch, encoding and
-quantize primitives, plus direct digests of those primitives.  A kernel
+quantize primitives and for the four built on LAPACK, plus direct digests
+of those primitives.  A kernel
 rewrite must leave every digest unchanged: same bytes on the wire, same
 values after decode, same draws from ``self._rng``.
 
@@ -49,6 +50,10 @@ COMPRESSORS = (
     "sketchml", "sketchsgd", "terngrad", "threelc", "thresholdv", "variance",
     "topk", "randomk",
 )
+#: Registry compressors that factor a tensor's matrix view with LAPACK
+#: (``matmul``, ``qr``, ``eigh``).  Their digests hold under both BLAS
+#: threadings, which CI checks.
+LAPACK = ("atomo", "gradiveq", "gradzip", "powersgd")
 #: Non-default formats and draws, digested under ``<name>:<variant>``.
 VARIANTS = {
     "topk:bitmap": ("topk", {"index_encoding": "bitmap"}),
@@ -114,6 +119,12 @@ def inputs(seed: int) -> dict:
             0.01 * rng.standard_normal(length)
         ).astype(np.float32)
     cases["empty"] = np.zeros((0, 3), dtype=np.float32)
+    # Matrix views other than the square ``dense``: tall, and a 4-d
+    # convolution kernel whose view is wide.
+    cases["tall"] = (0.01 * rng.standard_normal((1536, 40))).astype(np.float32)
+    cases["conv"] = (
+        0.01 * rng.standard_normal((64, 32, 3, 3))
+    ).astype(np.float32)
     return cases
 
 
@@ -153,7 +164,9 @@ def compressor_digests() -> dict:
     from repro.core import create
 
     out = {}
-    kinds = dict({name: (name, {}) for name in COMPRESSORS}, **VARIANTS)
+    kinds = dict(
+        {name: (name, {}) for name in COMPRESSORS + LAPACK}, **VARIANTS
+    )
     for seed in SEEDS:
         cases = inputs(seed)
         buckets = {

@@ -37,7 +37,9 @@ def test_tensorlib_primitives_are_bit_identical(golden):
 
 def test_corpus_covers_every_edited_kernel(golden):
     names = {key.split("/")[0] for key in golden["compressors"]}
-    assert names == set(cases.COMPRESSORS) | set(cases.VARIANTS)
+    assert names == (
+        set(cases.COMPRESSORS) | set(cases.LAPACK) | set(cases.VARIANTS)
+    )
     modes = {key.rsplit("/", 1)[1] for key in golden["compressors"]}
     assert modes == {
         "compress", "fused1", "fused2", "aggregate", "fused-aggregate"
