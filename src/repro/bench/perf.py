@@ -140,10 +140,10 @@ _RECIPES: dict[str, KernelRecipe] = {
         gpu_passes=2.0, cpu_passes=1.0, host_roundtrips=1, kernel_launches=6
     ),
     # Full SVD dominates the spectral methods (~O(min(m,L)) flops/element)
-    # as the paper's GPU implementation would run them.  This host's
-    # kernels take their few triples from the short side's Gram matrix
-    # instead (one GEMM, one eigh of min(m,L)²); the recipe still prices
-    # the full SVD, because it models that implementation, not this one.
+    # as the paper's GPU implementation would run them.  The NumPy kernels
+    # in core/compressors take their few triples from the short side's
+    # Gram matrix instead (one GEMM, one eigh of min(m,L)²); the recipe
+    # still prices the full SVD, because it models that implementation.
     "atomo": KernelRecipe(
         gpu_passes=1.0, flops_per_element=60.0, kernel_launches=5
     ),

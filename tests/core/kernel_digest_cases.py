@@ -5,9 +5,9 @@ every payload part (dtype, shape and bytes), of the decompressed array and
 of the compressor's random stream after the call, for every registry
 compressor built on the ``repro.tensorlib`` packing, sketch, encoding and
 quantize primitives and for the four built on LAPACK, plus direct digests
-of those primitives.  A kernel
-rewrite must leave every digest unchanged: same bytes on the wire, same
-values after decode, same draws from ``self._rng``.
+of those primitives.  A kernel rewrite must leave every digest unchanged:
+same bytes on the wire, same values after decode, same draws from
+``self._rng``.
 
 Regenerate (only when a wire format is *meant* to change)::
 
