@@ -260,7 +260,7 @@ class PerfModel:
 
 
 def synthesize_tensor_sizes(
-    total_elements: int, n_tensors: int, dominance: float, seed: int = 0
+    total_elements: int, n_tensors: int, dominance: float, seed=0
 ) -> list[int]:
     """Split ``total_elements`` into ``n_tensors`` sizes with realistic skew.
 
@@ -268,6 +268,7 @@ def synthesize_tensor_sizes(
     single largest tensor — near 0.8 for embedding/FC-heavy models (VGG,
     NCF, LSTM), near 0.2 for conv towers.  The remainder follows a
     geometric decay, which matches how layer widths grow through a DNN.
+    ``seed`` is anything :func:`numpy.random.default_rng` accepts.
     """
     import numpy as np
 

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from repro.bench.perf import PerfModel, synthesize_tensor_sizes
+from repro.core.rng import name_seed
 from repro.datasets import (
     make_image_classification,
     make_implicit_feedback,
@@ -112,7 +113,7 @@ class BenchmarkSpec:
             self.paper.params,
             self.paper.gradient_vectors,
             self.paper.dominance,
-            seed=hash(self.key) % (2**31),
+            seed=name_seed(self.key),
         )
 
     def make_perf_model(self) -> PerfModel:

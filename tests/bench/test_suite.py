@@ -1,7 +1,13 @@
 """Benchmark suite definitions against Table II."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bench.suite import (
     BENCHMARKS,
     VANILLA_SGD_COMPRESSORS,
@@ -57,6 +63,27 @@ class TestTable2Rows:
     def test_tensor_sizes_deterministic(self):
         spec = get_benchmark("vgg16-cifar10")
         assert spec.paper_tensor_sizes() == spec.paper_tensor_sizes()
+
+    def test_tensor_sizes_do_not_depend_on_the_hash_seed(self):
+        # ``hash(str)`` is salted per process (PYTHONHASHSEED): two
+        # processes with different salts must still agree.
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        code = (
+            "from repro.bench.suite import BENCHMARKS;"
+            "print([spec.paper_tensor_sizes() for spec in BENCHMARKS.values()])"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": salt},
+            ).stdout
+            for salt in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].strip() == str(
+            [spec.paper_tensor_sizes() for spec in BENCHMARKS.values()]
+        )
 
     def test_unknown_benchmark_raises(self):
         with pytest.raises(KeyError, match="unknown benchmark"):

@@ -94,9 +94,6 @@ class TestSeedBenchParity:
         assert result.unfused.bytes_per_worker == 5280.0
 
     def test_overlap_bench_invariants_hold(self):
-        # The overlap bench's tensor sizes are seeded from ``hash()``
-        # (salted per process), so exact numbers cannot be pinned
-        # across processes — the accounting identities can.
         from repro.bench.overlap_bench import run_overlap_bench
 
         result = run_overlap_bench(networks=("1gbps-tcp",))
