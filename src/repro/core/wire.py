@@ -16,9 +16,9 @@ Format (little-endian)::
       u32  dim[rank]
       raw  data (C order)
 
-The escape exists for fusion: a fused bucket that concatenates many
-per-tensor payloads (the generic ``compress_fused`` fallback) can carry
-far more than 254 parts in one frame.
+The escape exists for fusion: a bucket kernel's payload can carry parts
+per segment (a low-rank kernel's factors), so one frame may carry far
+more than 254 parts.
 
 Malformed input — truncation anywhere, an implausible escaped part
 count, dims whose product overruns the buffer — raises the typed
@@ -38,12 +38,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Payload,
-    PayloadTypeError,
-    validate_payload,
-)
+from repro.core.api import Payload, validate_payload
 
 
 class WireFormatError(ValueError):
@@ -171,54 +166,6 @@ def deserialize_payload(buffer: bytes) -> Payload:
     return payload
 
 
-def serialize_compressed(compressed: CompressedTensor) -> bytes:
-    """Frame one compressed tensor's payload (ctx stays receiver-side)."""
-    return serialize_payload(compressed.payload)
-
-
-#: Leading magic of an aggregated-payload frame (version 1).
-AGGREGATED_MAGIC = b"AGG1"
-
-
-def serialize_aggregated(payload: Payload, n_summands: int) -> bytes:
-    """Frame a compressed-domain aggregate with its summand count.
-
-    Layout is the 4-byte magic ``AGG1``, a little-endian u32 summand
-    count, then :func:`serialize_payload`'s byte stream.  The count is
-    the one piece of aggregation state a receiver cannot reconstruct
-    (it turns the fanned-out sum into a mean), so it travels in the
-    frame rather than in receiver-side ctx.
-    """
-    if n_summands < 1:
-        raise ValueError(f"n_summands must be >= 1, got {n_summands}")
-    if n_summands > _MAX_PARTS:
-        raise ValueError(f"n_summands {n_summands} exceeds wire limit")
-    return (
-        AGGREGATED_MAGIC
-        + struct.pack("<I", n_summands)
-        + serialize_payload(payload)
-    )
-
-
-def deserialize_aggregated(buffer: bytes) -> tuple[Payload, int]:
-    """Inverse of :func:`serialize_aggregated`: ``(payload, n_summands)``.
-
-    Raises :class:`WireFormatError` on a missing/foreign magic, a zero
-    summand count, or any structural damage to the embedded payload.
-    """
-    header = len(AGGREGATED_MAGIC) + 4
-    if len(buffer) < header:
-        raise WireFormatError("truncated aggregated frame (header)")
-    if buffer[: len(AGGREGATED_MAGIC)] != AGGREGATED_MAGIC:
-        raise WireFormatError(
-            f"bad aggregated-frame magic {buffer[:len(AGGREGATED_MAGIC)]!r}"
-        )
-    (n_summands,) = struct.unpack_from("<I", buffer, len(AGGREGATED_MAGIC))
-    if n_summands < 1:
-        raise WireFormatError("aggregated frame with zero summands")
-    return deserialize_payload(buffer[header:]), int(n_summands)
-
-
 #: Size of the CRC32 trailer a checksummed frame appends.
 CHECKSUM_NBYTES = 4
 
@@ -254,19 +201,6 @@ def unframe_payload(frame: bytes) -> Payload:
             f"body hashes to {actual:#010x}"
         )
     return deserialize_payload(body)
-
-
-def frame_checksum_ok(frame: bytes) -> bool:
-    """Whether a checksummed frame passes CRC32 validation (cheap check).
-
-    Only the trailer is verified — the body is not parsed — so this is
-    the receiver's fast accept/NACK decision.
-    """
-    if len(frame) < 1 + CHECKSUM_NBYTES:
-        return False
-    body = frame[:-CHECKSUM_NBYTES]
-    (expected,) = struct.unpack_from("<I", frame, len(body))
-    return (zlib.crc32(body) & 0xFFFFFFFF) == expected
 
 
 def framing_overhead_bytes(payload: Payload) -> int:
