@@ -7,9 +7,9 @@ packed bits), and an object-dtype array counts pointer bytes instead of
 data.  Both silently mis-size the accounted wire volume, which is the
 one number every compression-ratio and throughput claim rests on.  The
 runtime side of this rule is :class:`repro.core.contract.ContractChecker`
-and the typed :class:`repro.core.api.PayloadTypeError` raised by
-``concat_compressed`` and the wire framer; the static side flags payload
-list elements that are obviously not ndarrays.
+and the typed :class:`repro.core.api.PayloadTypeError` raised by the
+wire framer; the static side flags payload list elements that are
+obviously not ndarrays.
 """
 
 from __future__ import annotations

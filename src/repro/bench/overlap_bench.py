@@ -194,7 +194,11 @@ def simulate_overlap_cell(
     fused_kernel = bool(getattr(info, "fused_kernel", False))
 
     sizes = spec.paper_tensor_sizes()  # descending = backward-ready order
-    max_bytes = max(1, int(fusion_mb * 1024 * 1024)) if fusion_mb > 0 else 1
+    # A compressor without a bucket kernel runs one tensor a unit.
+    max_bytes = (
+        max(1, int(fusion_mb * 1024 * 1024))
+        if fusion_mb > 0 and fused_kernel else 1
+    )
     plan = FusionPlan(
         [(f"g{i}", (size,)) for i, size in enumerate(sizes)], max_bytes
     )
@@ -215,13 +219,7 @@ def simulate_overlap_cell(
         ready_elements += bucket.numel
         ready_frac = ready_elements / total_elements
         ready_at = forward_end + backward_seconds * ready_frac
-        if fused_kernel:
-            kernel = kernels.latency_seconds(compressor_name, bucket.numel)
-        else:
-            kernel = sum(
-                kernels.latency_seconds(compressor_name, seg.size)
-                for seg in bucket.segments
-            )
+        kernel = kernels.latency_seconds(compressor_name, bucket.numel)
         part_bytes = [footprint.bytes_for(seg.size) for seg in bucket.segments]
         if strategy == "allreduce":
             comm = fused_allreduce_time(part_bytes, n_workers, network, backend)

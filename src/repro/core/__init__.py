@@ -14,12 +14,7 @@ Public surface:
   :class:`~repro.core.config.WorkerMode`.
 """
 
-from repro.core.api import (
-    Compressor,
-    Memory,
-    CompressedTensor,
-    concat_compressed,
-)
+from repro.core.api import Compressor, Memory, CompressedTensor
 from repro.core.config import Resilience, WorkerMode
 from repro.core.fusion import (
     DEFAULT_FUSION_MB,
@@ -47,7 +42,6 @@ __all__ = [
     "Compressor",
     "Memory",
     "CompressedTensor",
-    "concat_compressed",
     "DEFAULT_FUSION_MB",
     "BucketSegment",
     "FusionBucket",

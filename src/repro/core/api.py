@@ -37,8 +37,8 @@ class PayloadTypeError(TypeError):
     Payload parts cross the (simulated) network: anything that is not an
     ndarray either cannot be framed at all or would be silently coerced
     with a data-dependent size, breaking the §IV-B accounting.  Raised by
-    :func:`validate_payload` (and therefore by :func:`concat_compressed`
-    and the wire framing layer) with the offending part's index and type.
+    :func:`validate_payload` (and therefore by the wire framing layer)
+    with the offending part's index and type.
     """
 
 
@@ -96,23 +96,6 @@ class CompressedTensor:
         return self._nbytes
 
 
-class FusedConcatCtx:
-    """Decompression ctx for the generic fused path of a compressor without
-    a kernel (one written against the GRACE API).
-
-    Records how the per-tensor payload part lists were concatenated into
-    one bucket payload, so :meth:`Compressor.decompress_fused` can split
-    them back and delegate to the per-tensor ``decompress``.
-    """
-
-    __slots__ = ("bucket", "splits", "ctxs")
-
-    def __init__(self, bucket, splits: tuple[int, ...], ctxs: tuple):
-        self.bucket = bucket
-        self.splits = splits
-        self.ctxs = ctxs
-
-
 class FusedBucketCtx:
     """Decompression ctx of a whole-bucket kernel payload: the bucket.
 
@@ -131,29 +114,14 @@ class FusedBucketCtx:
         self.bucket = bucket
 
 
-def concat_compressed(bucket, compressed: list[CompressedTensor]) -> CompressedTensor:
-    """Concatenate per-tensor compressed outputs into one bucket payload.
+class FusionUnsupportedError(NotImplementedError):
+    """The compressor ships no bucket kernel to compress several tensors.
 
-    The result carries every tensor's payload parts back-to-back (one
-    collective moves them all) and a :class:`FusedConcatCtx` remembering
-    the split points.
+    Raised by :meth:`Compressor.compress_fused` on a bucket of more than
+    one segment when the compressor is written against the GRACE API
+    alone (``fused_kernel = False``); the trainer gives such a compressor
+    one-tensor units instead of fusing.
     """
-    if len(compressed) != len(bucket.segments):
-        raise ValueError(
-            f"bucket has {len(bucket.segments)} segments but "
-            f"{len(compressed)} compressed tensors were given"
-        )
-    parts: Payload = []
-    splits = []
-    ctxs = []
-    for item in compressed:
-        parts.extend(validate_payload(item.payload))
-        splits.append(len(item.payload))
-        ctxs.append(item.ctx)
-    return CompressedTensor(
-        payload=parts,
-        ctx=FusedConcatCtx(bucket, tuple(splits), tuple(ctxs)),
-    )
 
 
 class AggregationUnsupportedError(NotImplementedError):
@@ -236,26 +204,6 @@ class AggregatedLatticeCtx:
         self.n_summands = int(n_summands)
 
 
-class AggregatedFusedCtx:
-    """Ctx of a segment-wise aggregated fused-concat payload.
-
-    Mirrors :class:`FusedConcatCtx` without holding the bucket object:
-    ``splits[i]`` payload parts belong to segment ``i``, whose aggregated
-    ctx is ``ctxs[i]`` and whose flat slice is
-    ``[offsets[i], offsets[i]+sizes[i])``.
-    """
-
-    __slots__ = ("numel", "offsets", "sizes", "splits", "ctxs", "n_summands")
-
-    def __init__(self, numel, offsets, sizes, splits, ctxs, n_summands: int):
-        self.numel = int(numel)
-        self.offsets = tuple(int(o) for o in offsets)
-        self.sizes = tuple(int(s) for s in sizes)
-        self.splits = tuple(int(s) for s in splits)
-        self.ctxs = tuple(ctxs)
-        self.n_summands = int(n_summands)
-
-
 def sum_dense(arrays: list[np.ndarray]) -> np.ndarray:
     """Float32 sum in list order, bitwise matching ``np.sum(np.stack(...))``.
 
@@ -269,27 +217,6 @@ def sum_dense(arrays: list[np.ndarray]) -> np.ndarray:
     for array in arrays[1:]:
         out += np.asarray(array, dtype=np.float32).reshape(out.shape)
     return out
-
-
-def _fused_layout(ctx):
-    """(numel, offsets, sizes, splits, ctxs) of either fused ctx flavor."""
-    if isinstance(ctx, FusedConcatCtx):
-        segments = ctx.bucket.segments
-        return (
-            ctx.bucket.numel,
-            tuple(seg.offset for seg in segments),
-            tuple(seg.size for seg in segments),
-            ctx.splits,
-            ctx.ctxs,
-        )
-    if isinstance(ctx, AggregatedFusedCtx):
-        return ctx.numel, ctx.offsets, ctx.sizes, ctx.splits, ctx.ctxs
-    raise TypeError(f"not a fused ctx: {type(ctx).__name__}")
-
-
-def is_fused_concat_ctx(ctx) -> bool:
-    """Whether ``ctx`` is a (possibly aggregated) generic fused-concat ctx."""
-    return isinstance(ctx, (FusedConcatCtx, AggregatedFusedCtx))
 
 
 class Compressor(abc.ABC):
@@ -320,9 +247,9 @@ class Compressor(abc.ABC):
     stochastic: bool = False
     communication: str = "allgather"
     default_memory: str = "none"
-    #: True when this compressor ships a vectorized ``compress_fused``
-    #: kernel; False means fusion falls back to the generic concatenation
-    #: of per-tensor calls (still one collective per bucket).
+    #: True when this compressor ships a ``compress_fused`` bucket kernel;
+    #: False means every unit it compresses is one tensor (the trainer
+    #: ignores ``fusion_mb`` for it).
     fused_kernel: bool = False
     #: Compressed-domain aggregation capability — one of
     #: :data:`AGGREGATION_KINDS`.  ``"none"`` means
@@ -348,65 +275,49 @@ class Compressor(abc.ABC):
     # -- fused (bucketed) path -----------------------------------------------
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
-        """Compress a whole fusion bucket (flat float32) in one call.
+        """Compress one unit of the trainer, a bucket of flat float32.
 
-        The trainer compresses every unit this way; a run that does not
-        fuse has one-segment buckets.  ``bucket`` is a
-        :class:`repro.core.fusion.FusionBucket`.  The generic fallback
-        concatenates per-tensor :meth:`compress` calls in segment order —
-        correct for every compressor, and consuming the random stream
-        exactly like the per-tensor path.  Subclasses with ``fused_kernel
-        = True`` override this with a vectorized whole-bucket
-        implementation returning a :class:`FusedBucketCtx` payload, and
-        decode it in :meth:`_decompress_bucket`.  Two rules bind every
-        kernel: decoded values, the random stream and any compressor state
-        afterwards are bitwise those of this generic path; and the wire
-        format is a function of parameters and bucket layout only (see
-        :class:`FusedBucketCtx`).
+        A run that does not fuse has one-segment buckets.  ``bucket`` is a
+        :class:`repro.core.fusion.FusionBucket`.  Written against the GRACE
+        API alone, a compressor compresses a one-segment bucket as its
+        tensor (:meth:`compress`) and no other: several segments raise
+        :class:`FusionUnsupportedError`.  Subclasses with ``fused_kernel =
+        True`` override this with a whole-bucket kernel returning a
+        :class:`FusedBucketCtx` payload, and decode it in
+        :meth:`_decompress_bucket`.  Two rules bind every kernel: decoded
+        values, the random stream and any compressor state afterwards are
+        bitwise those of compressing each segment alone, as its one-segment
+        bucket, in segment order; and the wire format is a function of
+        parameters and bucket layout only (see :class:`FusedBucketCtx`).
         """
-        return concat_compressed(
-            bucket,
-            [
-                self.compress(
-                    buffer[seg.offset:seg.end].reshape(seg.shape), seg.name
-                )
-                for seg in bucket.segments
-            ],
-        )
+        if len(bucket) != 1:
+            raise FusionUnsupportedError(
+                f"{type(self).__name__} ships no fused kernel: it compresses "
+                f"one tensor at a time, not a bucket of {len(bucket)}"
+            )
+        (seg,) = bucket.segments
+        return self.compress(buffer.reshape(seg.shape), seg.name)
 
     def decompress_fused(
         self, compressed: CompressedTensor, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Decompress a fused bucket back to one flat float32 array.
+        """Decompress one unit back to a flat float32 array.
 
         Kernel payloads (:class:`FusedBucketCtx`) decode through the
-        subclass's :meth:`_decompress_bucket`, generic concatenations
-        (:class:`FusedConcatCtx`) segment by segment through
-        :meth:`decompress`.  ``out`` (when given) is a reusable
-        ``numel``-sized float32 scratch buffer.
+        subclass's :meth:`_decompress_bucket`; any other payload is one
+        tensor's and decodes through :meth:`decompress`.  ``out`` (when
+        given) is a reusable ``numel``-sized float32 scratch buffer.
         """
         ctx = compressed.ctx
         if isinstance(ctx, FusedBucketCtx):
             values = self._decompress_bucket(compressed.payload, ctx.bucket)
-            if out is None:
-                return values
-            out[:] = values
-            return out
-        if not isinstance(ctx, FusedConcatCtx):
-            raise TypeError(
-                f"{type(self).__name__} cannot decompress fused ctx "
-                f"{type(ctx).__name__}"
+        else:
+            values = np.ravel(
+                np.asarray(self.decompress(compressed), dtype=np.float32)
             )
-        bucket = ctx.bucket
         if out is None:
-            out = np.empty(bucket.numel, dtype=np.float32)
-        start = 0
-        for seg, n_parts, seg_ctx in zip(bucket.segments, ctx.splits, ctx.ctxs):
-            sub = CompressedTensor(
-                payload=compressed.payload[start:start + n_parts], ctx=seg_ctx
-            )
-            out[seg.offset:seg.end] = np.ravel(self.decompress(sub))
-            start += n_parts
+            return values
+        out[:] = values
         return out
 
     def _decompress_bucket(self, payload: Payload, bucket) -> np.ndarray:
@@ -474,68 +385,7 @@ class Compressor(abc.ABC):
                 np.float32
             )
             return values.reshape(ctx.shape)
-        if isinstance(ctx, AggregatedFusedCtx):
-            out = np.empty(ctx.numel, dtype=np.float32)
-            start = 0
-            for offset, size, n_parts, seg_ctx in zip(
-                ctx.offsets, ctx.sizes, ctx.splits, ctx.ctxs
-            ):
-                sub = CompressedTensor(
-                    payload=compressed.payload[start:start + n_parts],
-                    ctx=seg_ctx,
-                )
-                out[offset:offset + size] = np.ravel(
-                    self.decompress_aggregated(sub)
-                )
-                start += n_parts
-            return out
         return self.decompress(compressed)
-
-    def _aggregate_fused_segments(
-        self, items: list[CompressedTensor]
-    ) -> CompressedTensor:
-        """Generic fused-concat aggregation: per-segment, then re-concat.
-
-        Accepts any mix of :class:`FusedConcatCtx` payloads (fresh from
-        workers) and :class:`AggregatedFusedCtx` payloads (rack-level
-        sums being re-aggregated), as long as they describe the same
-        bucket layout.
-        """
-        numel, offsets, sizes, _, _ = _fused_layout(items[0].ctx)
-        per_item: list[list[CompressedTensor]] = []
-        for item in items:
-            n2, o2, s2, splits, ctxs = _fused_layout(item.ctx)
-            if (n2, o2, s2) != (numel, offsets, sizes):
-                raise ValueError(
-                    "cannot aggregate fused payloads with different "
-                    "bucket layouts"
-                )
-            subs = []
-            start = 0
-            for n_parts, seg_ctx in zip(splits, ctxs):
-                subs.append(CompressedTensor(
-                    payload=item.payload[start:start + n_parts],
-                    ctx=seg_ctx,
-                ))
-                start += n_parts
-            per_item.append(subs)
-        parts: Payload = []
-        agg_splits = []
-        agg_ctxs = []
-        for seg_idx in range(len(offsets)):
-            seg_agg = self.aggregate_compressed(
-                [subs[seg_idx] for subs in per_item]
-            )
-            parts.extend(seg_agg.payload)
-            agg_splits.append(len(seg_agg.payload))
-            agg_ctxs.append(seg_agg.ctx)
-        total = sum(summand_count(item) for item in items)
-        return CompressedTensor(
-            payload=parts,
-            ctx=AggregatedFusedCtx(
-                numel, offsets, sizes, agg_splits, agg_ctxs, total
-            ),
-        )
 
     def _aggregate_dense(
         self, items: list[CompressedTensor], shape
@@ -729,8 +579,8 @@ class KernelCompressor(Compressor):
     decodes that payload back to the tensor's shape: one body serves a
     tensor and a bucket.  A compressor written against the GRACE API
     subclasses :class:`Compressor` and writes ``compress``/``decompress``
-    instead, which the generic :meth:`Compressor.compress_fused`
-    concatenates — that is why this adapter is a subclass and not the base
+    instead, which :meth:`Compressor.compress_fused` runs on one-tensor
+    units — that is why this adapter is a subclass and not the base
     class's default: with both defaults a compressor that wrote neither
     would bounce between them.
     """

@@ -10,49 +10,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.core.compressors.powersgd import _GramSVD, _matrix_view
+from repro.core.compressors.powersgd import LowRankCompressor, _GramSVD
 
 
-class GradiVeQCompressor(Compressor):
+class GradiVeQCompressor(LowRankCompressor):
     """Deterministic truncated SVD (exact top-r subspace)."""
 
     name = "gradiveq"
-    family = "low-rank"
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
+    ATOM_AXES = (1, 0)  # Uσ m×r, Vᵀ r×L
 
     def __init__(self, rank: int = 2, min_compress_size: int = 1024,
                  seed: int = 0):
-        super().__init__(seed=seed)
+        super().__init__(min_compress_size, seed)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self.rank = int(rank)
-        self.min_compress_size = int(min_compress_size)
 
     def _clone_args(self) -> dict:
         return {"rank": self.rank,
                 "min_compress_size": self.min_compress_size}
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        if flat.size < self.min_compress_size:
-            return CompressedTensor(
-                payload=[flat.astype(np.float32)],
-                ctx=(shape, flat.size, False),
-            )
-        svd = _GramSVD(_matrix_view(flat, shape).astype(np.float64))
+    def _factors(self, matrix: np.ndarray, name: str) -> list[np.ndarray]:
+        """The top ``rank`` singular triples, σ folded into U."""
+        svd = _GramSVD(matrix.astype(np.float64))
         u, sigma, vt = svd.triples(slice(0, self.rank))
-        payload = [(u * sigma).astype(np.float32), vt.astype(np.float32)]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size, True))
+        return [(u * sigma).astype(np.float32), vt.astype(np.float32)]
 
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size, was_compressed = compressed.ctx
-        if not was_compressed:
-            return compressed.payload[0].reshape(shape)
-        u_sigma, vt = compressed.payload
-        matrix = u_sigma.astype(np.float64) @ vt.astype(np.float64)
-        return matrix.astype(np.float32).reshape(shape)
+    def _product(self, factors: list[np.ndarray]) -> np.ndarray:
+        u_sigma, vt = factors
+        return u_sigma @ vt

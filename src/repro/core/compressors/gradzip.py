@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, flatten_with_shape
-from repro.core.compressors.powersgd import _matrix_view
+from repro.core.compressors.powersgd import LowRankCompressor
 from repro.core.rng import name_seed
 
 
-class GradZipCompressor(Compressor):
+class GradZipCompressor(LowRankCompressor):
     """Regularized alternating-least-squares low-rank factorization."""
 
     name = "gradzip"
-    family = "low-rank"
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
+    ATOM_AXES = (1, 1)  # P m×r, R L×r
 
     def __init__(
         self,
@@ -34,7 +33,7 @@ class GradZipCompressor(Compressor):
         min_compress_size: int = 1024,
         seed: int = 0,
     ):
-        super().__init__(seed=seed)
+        super().__init__(min_compress_size, seed)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if als_iterations < 1:
@@ -44,7 +43,6 @@ class GradZipCompressor(Compressor):
         self.rank = int(rank)
         self.als_iterations = int(als_iterations)
         self.regularization = float(regularization)
-        self.min_compress_size = int(min_compress_size)
         self._r_memory: dict[str, np.ndarray] = {}
 
     def _clone_args(self) -> dict:
@@ -55,15 +53,9 @@ class GradZipCompressor(Compressor):
             "min_compress_size": self.min_compress_size,
         }
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        if flat.size < self.min_compress_size:
-            return CompressedTensor(
-                payload=[flat.astype(np.float32)],
-                ctx=(shape, flat.size, False),
-            )
-        matrix = _matrix_view(flat, shape).astype(np.float64)
+    def _factors(self, matrix: np.ndarray, name: str) -> list[np.ndarray]:
+        """ALS steps from the tensor's warm-started R."""
+        matrix = matrix.astype(np.float64)
         m, length = matrix.shape
         rank = min(self.rank, m, length)
         r_factor = self._r_memory.get(name)
@@ -82,14 +74,8 @@ class GradZipCompressor(Compressor):
                 p_factor.T @ p_factor + eye
             )
         self._r_memory[name] = r_factor
-        payload = [p_factor.astype(np.float32), r_factor.astype(np.float32)]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size, True))
+        return [p_factor.astype(np.float32), r_factor.astype(np.float32)]
 
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size, was_compressed = compressed.ctx
-        if not was_compressed:
-            return compressed.payload[0].reshape(shape)
-        p_factor, r_factor = compressed.payload
-        matrix = p_factor.astype(np.float64) @ r_factor.astype(np.float64).T
-        return matrix.astype(np.float32).reshape(shape)
+    def _product(self, factors: list[np.ndarray]) -> np.ndarray:
+        p_factor, r_factor = factors
+        return p_factor @ r_factor.T

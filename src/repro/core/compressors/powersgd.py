@@ -1,4 +1,4 @@
-"""PowerSGD (Vogels et al., NeurIPS 2019).
+"""PowerSGD (Vogels et al., NeurIPS 2019), and the low-rank bucket kernel.
 
 Low-rank compression by a single step of subspace (power) iteration:
 the gradient, viewed as an m×L matrix M, is factorized into P ∈ R^{m×r}
@@ -9,39 +9,26 @@ is biased, so error feedback is on by default (Table I).
 
 Tensors with fewer than ``min_compress_size`` elements — biases, norms —
 are sent uncompressed, as the reference implementation does.
+
+:class:`LowRankCompressor`, the bucket kernel this module shares with
+ATOMO, GradiVeQ and GradZip, lives here beside the matrix view and the
+Gram-matrix SVD they build on.
 """
 
 from __future__ import annotations
 
+import abc
+
 import numpy as np
 
 from repro.core.api import (
-    AggregatedDenseCtx,
     CompressedTensor,
-    Compressor,
-    flatten_with_shape,
-    is_fused_concat_ctx,
+    FusedBucketCtx,
+    KernelCompressor,
+    sum_dense,
     summand_count,
 )
 from repro.core.rng import name_seed
-
-
-class _AggFactorsCtx:
-    """Ctx of an aggregated factor payload ``[P m×R, Q L×R]``.
-
-    ``blocks`` holds each summand's rank: columns ``[c, c+r)`` of both
-    factors form one worker's contribution, and the decode sums the
-    per-block float32 products in block order — the same cast-then-add
-    sequence the legacy decompress-every-payload path performs.
-    """
-
-    __slots__ = ("shape", "size", "blocks", "n_summands")
-
-    def __init__(self, shape, size, blocks, n_summands):
-        self.shape = tuple(shape)
-        self.size = int(size)
-        self.blocks = tuple(int(b) for b in blocks)
-        self.n_summands = int(n_summands)
 
 
 def _orthonormalize(matrix: np.ndarray) -> np.ndarray:
@@ -102,35 +89,216 @@ class _GramSVD:
         return basis, sigma, vt
 
 
-class PowerSGDCompressor(Compressor):
+class AggregatedFactorsCtx:
+    """Ctx of a summed low-rank bucket payload.
+
+    Laid out like one kernel payload of ``bucket``: the dense part, now
+    the summands' sum, then every factored segment's parts, now its
+    summands' factor blocks concatenated along the atom axis.
+    ``blocks[i]`` holds each summand's atom count in the ``i``-th factored
+    segment, in summand order; the decode sums the blocks' float32
+    products in that order — the cast-then-add sequence of decompressing
+    every summand and adding the results.
+    """
+
+    __slots__ = ("bucket", "blocks", "n_summands")
+
+    def __init__(self, bucket, blocks, n_summands: int):
+        self.bucket = bucket
+        self.blocks = tuple(tuple(int(k) for k in seg) for seg in blocks)
+        self.n_summands = int(n_summands)
+
+
+def _atoms(part: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+    """The view of atoms ``[start, stop)`` of a factor part along ``axis``."""
+    index = [slice(None)] * part.ndim
+    index[axis] = slice(start, stop)
+    return part[tuple(index)]
+
+
+class LowRankCompressor(KernelCompressor):
+    """A bucket kernel that factors each large segment's matrix view.
+
+    The wire format depends on ``min_compress_size`` and the layout only.
+    Segments with fewer elements travel as one dense float32 part, in
+    segment order, present only when the layout has such a segment; then
+    come every other segment's factor parts, in segment order.  A
+    one-segment bucket's payload is its tensor's own.  How many atoms
+    (rank-one terms) a segment keeps is read from its parts' shapes, so a
+    peer decodes a payload under its own ctx.
+
+    A subclass writes the factor math of one matrix: :meth:`_factors`
+    builds the float32 parts, :meth:`_product` rebuilds the float64 matrix
+    from them, and ``ATOM_AXES`` names, part by part, the axis the atoms
+    run along — how a sum's blocks are concatenated and cut apart again.
+    """
+
+    family = "low-rank"
+    #: Per factor part, the axis along which it lists its atoms.
+    ATOM_AXES: tuple[int, ...] = ()
+
+    def __init__(self, min_compress_size: int, seed: int):
+        super().__init__(seed=seed)
+        self.min_compress_size = int(min_compress_size)
+
+    @abc.abstractmethod
+    def _factors(self, matrix: np.ndarray, name: str) -> list[np.ndarray]:
+        """The float32 factor parts of one segment's matrix view."""
+
+    @abc.abstractmethod
+    def _product(self, factors: list[np.ndarray]) -> np.ndarray:
+        """The float64 matrix that float64 factors stand for."""
+
+    def _layout(self, bucket) -> tuple[list, list]:
+        """The bucket's segments sent dense, and those factored."""
+        dense, factored = [], []
+        for seg in bucket.segments:
+            (dense if seg.size < self.min_compress_size else factored).append(
+                seg
+            )
+        return dense, factored
+
+    def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
+        """The dense part, then each factored segment's parts, in order."""
+        dense, factored = self._layout(bucket)
+        payload = []
+        if dense:
+            payload.append(np.concatenate(
+                [buffer[seg.offset:seg.end] for seg in dense],
+                dtype=np.float32,
+            ))
+        for seg in factored:
+            payload += self._factors(
+                _matrix_view(buffer[seg.offset:seg.end], seg.shape), seg.name
+            )
+        return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
+
+    def _split(self, payload, factored, blocks=None):
+        """``(dense part or none, factor parts, atom counts)`` of a fresh
+        payload or, given its ``blocks``, a summed one; the last two are
+        per factored segment."""
+        n_parts = len(self.ATOM_AXES)
+        start = len(payload) - n_parts * len(factored)
+        factors = [
+            payload[start + n_parts * i:start + n_parts * (i + 1)]
+            for i in range(len(factored))
+        ]
+        if blocks is None:
+            blocks = [(parts[0].shape[self.ATOM_AXES[0]],) for parts in factors]
+        return payload[:start], factors, blocks
+
+    def _decompress_bucket(self, payload, bucket) -> np.ndarray:
+        return self._decode(payload, bucket)
+
+    def _decode(self, payload, bucket, blocks=None) -> np.ndarray:
+        """Flat float32 bucket of a fresh or summed payload: a factored
+        segment's value is its blocks' float32 products, added in order."""
+        dense_segments, factored = self._layout(bucket)
+        dense, factors, blocks = self._split(payload, factored, blocks)
+        out = np.empty(bucket.numel, dtype=np.float32)
+        start = 0
+        for seg in dense_segments:
+            out[seg.offset:seg.end] = dense[0][start:start + seg.size]
+            start += seg.size
+        for seg, parts, counts in zip(factored, factors, blocks):
+            parts = [np.asarray(part, dtype=np.float64) for part in parts]
+            total = out[seg.offset:seg.end]
+            at = 0
+            for index, atoms in enumerate(counts):
+                block = self._product([
+                    _atoms(part, axis, at, at + atoms)
+                    for part, axis in zip(parts, self.ATOM_AXES)
+                ]).reshape(-1)
+                # The first block is cast straight into the bucket: a
+                # float32 copy of a megabyte tensor costs as much again.
+                if index == 0:
+                    total[:] = block
+                else:
+                    total += block.astype(np.float32)
+                at += atoms
+        return out
+
+    def aggregate_compressed(
+        self, items: list[CompressedTensor]
+    ) -> CompressedTensor:
+        """Exact compressed-domain sum: the dense parts add, factors stack.
+
+        A sum of rank-``r`` factorizations is a factorization of the summed
+        ranks, so every factored segment concatenates its summands' factor
+        blocks and the server never rebuilds a dense matrix.  Sums of sums
+        (the hierarchical reducer's rack totals) aggregate the same way.
+        """
+        if self.aggregation == "none":
+            return super().aggregate_compressed(items)
+        if not items:
+            raise ValueError("nothing to aggregate")
+        bucket = items[0].ctx.bucket
+        factored = self._layout(bucket)[1]
+        splits = []
+        for item in items:
+            if item.ctx.bucket.segments != bucket.segments:
+                raise ValueError(
+                    "cannot aggregate low-rank payloads of different bucket "
+                    "layouts"
+                )
+            splits.append(self._split(
+                item.payload, factored, getattr(item.ctx, "blocks", None)
+            ))
+        dense = [part for parts, _, _ in splits for part in parts]
+        payload = [sum_dense(dense)] if dense else []
+        for i in range(len(factored)):
+            payload += [
+                np.concatenate(
+                    [np.asarray(factors[i][j], dtype=np.float32)
+                     for _, factors, _ in splits],
+                    axis=axis,
+                )
+                for j, axis in enumerate(self.ATOM_AXES)
+            ]
+        blocks = [
+            [k for _, _, counts in splits for k in counts[i]]
+            for i in range(len(factored))
+        ]
+        return CompressedTensor(
+            payload=payload,
+            ctx=AggregatedFactorsCtx(
+                bucket, blocks, sum(summand_count(item) for item in items)
+            ),
+        )
+
+    def decompress_aggregated(
+        self, compressed: CompressedTensor
+    ) -> np.ndarray:
+        ctx = compressed.ctx
+        if not isinstance(ctx, AggregatedFactorsCtx):
+            return super().decompress_aggregated(compressed)
+        return self._decode(
+            compressed.payload, ctx.bucket, ctx.blocks
+        ).reshape(ctx.bucket.shape)
+
+
+class PowerSGDCompressor(LowRankCompressor):
     """Rank-r power-iteration factorization with warm-started Q."""
 
     name = "powersgd"
-    family = "low-rank"
     stochastic = False
     communication = "allgather"
     default_memory = "residual"
     aggregation = "exact-linear"
+    ATOM_AXES = (1, 1)  # P m×r, Q L×r
 
     def __init__(self, rank: int = 1, min_compress_size: int = 1024, seed: int = 0):
-        super().__init__(seed=seed)
+        super().__init__(min_compress_size, seed)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self.rank = int(rank)
-        self.min_compress_size = int(min_compress_size)
         self._q_memory: dict[str, np.ndarray] = {}
 
     def _clone_args(self) -> dict:
         return {"rank": self.rank, "min_compress_size": self.min_compress_size}
 
-    def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
-        """Apply Q: returns the wire payload plus decompression ctx."""
-        flat, shape = flatten_with_shape(tensor)
-        if flat.size < self.min_compress_size:
-            return CompressedTensor(
-                payload=[flat.astype(np.float32)], ctx=(shape, flat.size, False)
-            )
-        matrix = _matrix_view(flat, shape)
+    def _factors(self, matrix: np.ndarray, name: str) -> list[np.ndarray]:
+        """One power-iteration step from the tensor's warm-started Q."""
         m, length = matrix.shape
         rank = min(self.rank, m, length)
         q_prev = self._q_memory.get(name)
@@ -144,81 +312,8 @@ class PowerSGDCompressor(Compressor):
         p = _orthonormalize(p)
         q = matrix.T @ p
         self._q_memory[name] = _orthonormalize(q)
-        payload = [p.astype(np.float32), q.astype(np.float32)]
-        return CompressedTensor(payload=payload, ctx=(shape, flat.size, True))
+        return [p.astype(np.float32), q.astype(np.float32)]
 
-    def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        """Apply Q^-1: rebuild a dense tensor of the original shape."""
-        shape, size, was_compressed = compressed.ctx
-        if not was_compressed:
-            return compressed.payload[0].reshape(shape)
-        p, q = compressed.payload
-        matrix = p.astype(np.float64) @ q.astype(np.float64).T
-        return matrix.astype(np.float32).reshape(shape)
-
-    def _factor_blocks(self, compressed: CompressedTensor):
-        """(P, Q, per-summand ranks) of a plain or aggregated payload."""
-        ctx = compressed.ctx
-        p, q = compressed.payload
-        if isinstance(ctx, _AggFactorsCtx):
-            return p, q, ctx.blocks
-        return p, q, (p.shape[1],)
-
-    def aggregate_compressed(
-        self, items: list[CompressedTensor]
-    ) -> CompressedTensor:
-        """Exact factor accumulation: column-concatenate P and Q blocks.
-
-        The sum of rank-r outer products is a rank-``n·r`` factorization,
-        so the server never reconstructs the dense matrix.  Each block's
-        float32 product is summed at decode time in worker order, which
-        matches the legacy decompress-then-sum path bitwise.
-        """
-        if not items:
-            raise ValueError("nothing to aggregate")
-        ctx = items[0].ctx
-        if is_fused_concat_ctx(ctx):
-            return self._aggregate_fused_segments(items)
-        if isinstance(ctx, AggregatedDenseCtx):
-            # Re-aggregating dense rack sums (hierarchical reduction).
-            return self._aggregate_dense(items, ctx.shape)
-        if isinstance(ctx, tuple) and not ctx[2]:
-            # Small tensors travel uncompressed; their sum is dense.
-            # The size threshold is receiver-known, so every summand
-            # took the same branch.
-            return self._aggregate_dense(items, ctx[0])
-        shape = ctx.shape if isinstance(ctx, _AggFactorsCtx) else ctx[0]
-        size = ctx.size if isinstance(ctx, _AggFactorsCtx) else ctx[1]
-        ps, qs, blocks = [], [], []
-        for item in items:
-            p, q, item_blocks = self._factor_blocks(item)
-            ps.append(np.asarray(p, dtype=np.float32))
-            qs.append(np.asarray(q, dtype=np.float32))
-            blocks.extend(item_blocks)
-        total = sum(summand_count(item) for item in items)
-        return CompressedTensor(
-            payload=[np.concatenate(ps, axis=1), np.concatenate(qs, axis=1)],
-            ctx=_AggFactorsCtx(shape, size, blocks, total),
-        )
-
-    def decompress_aggregated(
-        self, compressed: CompressedTensor
-    ) -> np.ndarray:
-        ctx = compressed.ctx
-        if not isinstance(ctx, _AggFactorsCtx):
-            return super().decompress_aggregated(compressed)
-        p, q = compressed.payload
-        p64 = np.asarray(p, dtype=np.float64)
-        q64 = np.asarray(q, dtype=np.float64)
-        total: np.ndarray | None = None
-        col = 0
-        for rank in ctx.blocks:
-            # Per-block f64 matmul + f32 cast, then f32 accumulation:
-            # the exact operation sequence of decompressing each
-            # summand and summing the results.
-            block = (
-                p64[:, col:col + rank] @ q64[:, col:col + rank].T
-            ).astype(np.float32)
-            total = block if total is None else total + block
-            col += rank
-        return total.reshape(ctx.shape)
+    def _product(self, factors: list[np.ndarray]) -> np.ndarray:
+        p, q = factors
+        return p @ q.T

@@ -19,8 +19,8 @@ roundtrip           ``decompress(compress(t))`` returns the original
 determinism         replaying ``compress`` on a deep-copied snapshot
                     (same RNG state, same memory state) reproduces the
                     payload bitwise
-fused-parity        ``compress_fused`` decompresses bitwise-equal to the
-                    generic per-tensor concatenation on the same snapshot
+fused-parity        ``compress_fused`` decompresses bitwise-equal to
+                    :func:`per_segment_decode` on the same snapshot
 format-stability    ``compress_fused`` keeps its wire format (ctx type,
                     part count, part dtypes) when one segment of the
                     bucket is all zero — peers decode each other's
@@ -41,12 +41,10 @@ compressor through it.  Violations raise :class:`ContractViolation` with
 the compressor name and the check that failed.
 
 The fused-parity check compares bitwise, which is exactly what the fused
-kernels document.  Its reference is the generic concatenation of the
-compressor's own ``compress`` calls — for a built-in written as its
-kernel alone (:class:`~repro.core.api.KernelCompressor`) that is the
-kernel once per one-segment bucket, so the check then holds a bucket to
-its tensors; ``tests/core/golden/kernel_digests.json`` holds the
-one-segment kernels to the per-tensor bodies they replaced.
+kernels document.  Its reference compresses each segment alone, as its
+one-segment bucket, in segment order, so the check holds a bucket to its
+tensors; ``tests/core/golden/kernel_digests.json`` holds the one-segment
+kernels to the per-tensor bodies they replaced.
 """
 
 from __future__ import annotations
@@ -57,15 +55,31 @@ from typing import Any
 import numpy as np
 
 from repro.core.api import (
-    AggregatedFusedCtx,
     AggregatedLatticeCtx,
     CompressedTensor,
     Compressor,
+    FusedBucketCtx,
     PayloadTypeError,
     summand_count,
     validate_payload,
 )
+from repro.core.fusion import tensor_bucket
 from repro.core.wire import deserialize_payload, serialize_payload
+
+
+def per_segment_decode(
+    compressor: Compressor, buffer: np.ndarray, bucket
+) -> np.ndarray:
+    """The fused-parity reference: each segment of ``bucket`` compressed
+    alone, as its one-segment bucket, in segment order, and decoded into
+    one flat float32 array."""
+    out = np.empty(bucket.numel, dtype=np.float32)
+    for seg in bucket.segments:
+        compressed = compressor.compress_fused(
+            buffer[seg.offset:seg.end], tensor_bucket(seg.name, seg.shape)
+        )
+        out[seg.offset:seg.end] = compressor.decompress_fused(compressed)
+    return out
 
 
 class ContractViolation(AssertionError):
@@ -331,17 +345,16 @@ class ContractChecker(Compressor):
                 f"decompress_fused returned {out.dtype}{tuple(out.shape)}, "
                 f"expected float32({bucket.numel},)",
             )
-        # The generic per-tensor concatenation on an identical snapshot
-        # (same RNG state) is the parity reference every fused kernel
-        # documents itself against.
+        # The bucket's tensors compressed one by one on an identical
+        # snapshot (same RNG state) are the parity reference every fused
+        # kernel documents itself against.
         probe = copy.deepcopy(snapshot) if self.inner.fused_kernel else None
-        reference = Compressor.compress_fused(snapshot, buffer, bucket)
-        expected = snapshot.decompress_fused(reference)
+        expected = per_segment_decode(snapshot, buffer, bucket)
         if out.tobytes() != expected.tobytes():
             self._fail(
                 "fused-parity",
-                "fused kernel decompresses differently from the generic "
-                "per-tensor path with the same seed",
+                "fused kernel decompresses differently from its segments "
+                "compressed one by one with the same seed",
             )
         if self.inner.fused_kernel:
             self._check_format_stability(probe, compressed, buffer, bucket)
@@ -357,8 +370,8 @@ class ContractChecker(Compressor):
         ctx, so the format may depend on parameters and bucket layout
         (every rank shares those) but never on the values: ``probe``, a
         snapshot from before the call, compresses the same bucket with
-        its first non-empty segment zeroed.  Binds the fused kernels; the
-        generic concatenation inherits whatever the per-tensor formats do.
+        its first non-empty segment zeroed.  Binds the fused kernels; a
+        compressor without one keeps whatever its per-tensor format does.
         """
         dead = next((seg for seg in bucket.segments if seg.size), None)
         if dead is None:
@@ -388,13 +401,12 @@ class ContractChecker(Compressor):
     def _decode_summand(self, item: CompressedTensor) -> np.ndarray:
         """Flat dense decode of one aggregation input (plain or fused).
 
-        Fresh fused payloads — the generic concat and every native
-        fused-kernel ctx — carry the bucket plan and decode through
+        Fresh kernel payloads carry the bucket plan and decode through
         ``decompress_fused``; everything else (plain payloads and
         already-aggregated ones being re-aggregated) decodes through
         ``decompress_aggregated``.
         """
-        if hasattr(item.ctx, "bucket"):
+        if isinstance(item.ctx, FusedBucketCtx):
             return np.ravel(self.inner.decompress_fused(item))
         return np.ravel(self.inner.decompress_aggregated(item))
 
@@ -407,19 +419,6 @@ class ContractChecker(Compressor):
             return n * np.repeat(
                 deltas, np.asarray(ctx.seg_sizes, dtype=np.int64)
             )
-        if isinstance(ctx, AggregatedFusedCtx):
-            out = np.empty(ctx.numel, dtype=np.float64)
-            start = 0
-            for offset, size, n_parts, seg_ctx in zip(
-                ctx.offsets, ctx.sizes, ctx.splits, ctx.ctxs
-            ):
-                sub = CompressedTensor(
-                    payload=result.payload[start:start + n_parts],
-                    ctx=seg_ctx,
-                )
-                out[offset:offset + size] = self._lattice_tolerance(sub)
-                start += n_parts
-            return out
         self._fail(
             "aggregate-tolerance",
             f"codebook aggregation returned a {type(ctx).__name__} payload "

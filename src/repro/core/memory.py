@@ -17,13 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.api import (
-    CompressedTensor,
-    Compressor,
-    FusedConcatCtx,
-    Memory,
-    concat_compressed,
-)
+from repro.core.api import CompressedTensor, Compressor, Memory
 from repro.core.fusion import tensor_bucket
 
 
@@ -70,13 +64,12 @@ class _BucketMemory(Memory):
         compressor: Compressor,
         compressed: CompressedTensor,
     ) -> None:
-        """ψ(mᵏ, gᵏ, g̃ᵏ) of one tensor: its one-segment bucket's ψ, with
-        the tensor's payload as that bucket's concatenation."""
+        """ψ(mᵏ, gᵏ, g̃ᵏ) of one tensor: its one-segment bucket's ψ, whose
+        payload is the tensor's."""
         array = np.asarray(compensated)
         bucket = tensor_bucket(name, array.shape)
         update_from_payload(
-            self, np.ravel(array), bucket, compressor,
-            concat_compressed(bucket, [compressed]),
+            self, np.ravel(array), bucket, compressor, compressed
         )
 
 
@@ -106,41 +99,10 @@ def update_from_payload(
             compressed, out=scratch() if scratch is not None else None
         )
     elif kind == "indices":
-        transmitted = transmitted_positions(compressor, compressed)
+        indices_of = getattr(compressor, "transmitted_indices", None)
+        transmitted = None if indices_of is None else indices_of(compressed)
     memory.update_fused(compensated, bucket, transmitted)
     return transmitted if kind == "values" else None
-
-
-def transmitted_positions(
-    compressor: Compressor, compressed: CompressedTensor
-) -> np.ndarray | None:
-    """Flat positions a payload carries, what a ``fused_transmitted =
-    "indices"`` memory's ψ takes (``None`` when the compressor exposes no
-    ``transmitted_indices``).
-
-    A kernel payload answers for its whole bucket; where the kernel fell
-    back to the generic concatenation, each tensor's payload answers for
-    its own slice, as :meth:`Compressor.decompress_fused` decodes it.
-    """
-    indices_of = getattr(compressor, "transmitted_indices", None)
-    if indices_of is None:
-        return None
-    ctx = compressed.ctx
-    if not isinstance(ctx, FusedConcatCtx):
-        return indices_of(compressed)
-    positions = []
-    start = 0
-    for seg, n_parts, seg_ctx in zip(
-        ctx.bucket.segments, ctx.splits, ctx.ctxs
-    ):
-        sub = CompressedTensor(
-            payload=compressed.payload[start:start + n_parts], ctx=seg_ctx
-        )
-        positions.append(
-            np.asarray(indices_of(sub), dtype=np.int64) + seg.offset
-        )
-        start += n_parts
-    return np.concatenate(positions)
 
 
 class NoneMemory(_BucketMemory):

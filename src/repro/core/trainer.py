@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Iterable, Protocol
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.comm.collectives import AsyncHandle, Communicator
 from repro.comm.timeline import COMPUTE, KERNEL, NETWORK, SimTimeline
-from repro.core.api import CompressedTensor, Compressor, FusedConcatCtx
+from repro.core.api import CompressedTensor, Compressor
 from repro.core.checkpoint import (
     Checkpoint,
     outage_seconds,
@@ -318,7 +319,8 @@ class DistributedTrainer:
         into flat buckets of at most this size and runs **one collective
         per bucket**.  Either way a unit is compressed by
         :meth:`Compressor.compress_fused` — a tensor is a one-segment
-        bucket.  See ``docs/PERFORMANCE.md``.
+        bucket.  A compressor without a bucket kernel (``fused_kernel =
+        False``) always runs per tensor.  See ``docs/PERFORMANCE.md``.
     overlap:
         When True, run the DDP-style overlapped exchange: tensors are
         bucketed in first-iteration gradient-ready order, each bucket's
@@ -899,7 +901,9 @@ class DistributedTrainer:
                     for seg in bucket.segments
                 )
             if self.perf_model is not None:
-                sim_kernel = self._bucket_sim_kernel(bucket, wire)
+                sim_kernel = self.perf_model.compression_seconds(
+                    self.compressors[0].name, bucket.numel
+                )
                 self.report.sim_compression_seconds += sim_kernel
                 if timeline is None:
                     # Once per unit: ranks compress concurrently.
@@ -952,11 +956,22 @@ class DistributedTrainer:
         changes.  Tensors keep declaration order, or ``bucket_order``'s
         under overlap, which also fixes each tensor's ready fraction.
         ``fusion_mb=0`` maps to one bucket per tensor (``max_bytes=1``:
-        any tensor overflows the budget alone).
+        any tensor overflows the budget alone), and so does a compressor
+        without a bucket kernel, whatever ``fusion_mb`` says.
         """
         plan = self._fusion_plan
         if plan is not None and plan.matches(grads0):
             return plan
+        max_bytes = self._fusion_max_bytes or 1
+        compressor = self.compressors[0]
+        if max_bytes > 1 and not compressor.fused_kernel:
+            if plan is None:
+                warnings.warn(
+                    f"compressor {compressor.name!r} ships no fused kernel: "
+                    f"fusion_mb={self.fusion_mb:g} is ignored and every "
+                    f"tensor is its own unit"
+                )
+            max_bytes = 1
         order = list(grads0)
         if self.overlap:
             ready_names = self._gradient_ready_names(grads0)
@@ -970,7 +985,7 @@ class DistributedTrainer:
             }
         plan = FusionPlan(
             [(name, np.asarray(grads0[name]).shape) for name in order],
-            self._fusion_max_bytes or 1,
+            max_bytes,
         )
         self._fusion_plan = plan
         for pool in self._rank_scratch:
@@ -1053,24 +1068,6 @@ class DistributedTrainer:
                 first_span = span
             wire.append(packed)
         return wire, decoded, first_span
-
-    def _bucket_sim_kernel(
-        self, bucket: FusionBucket, compressed: list[CompressedTensor]
-    ) -> float:
-        """Simulated compress+decompress kernel time of one unit.
-
-        One kernel launch covers a kernel payload's bucket; the generic
-        concatenation of a compressor without a kernel is priced per
-        tensor.  Priced from the first payload's ctx alone: every rank runs
-        the same compressor.
-        """
-        name = self.compressors[0].name
-        if isinstance(compressed[0].ctx, FusedConcatCtx):
-            return sum(
-                self.perf_model.compression_seconds(name, seg.size)
-                for seg in bucket.segments
-            )
-        return self.perf_model.compression_seconds(name, bucket.numel)
 
     def _aggregation_active(self, decoder: Compressor) -> bool:
         """Whether the compressed-domain aggregation fast path applies.

@@ -26,13 +26,12 @@ from repro.core.api import (
     AggregationUnsupportedError,
     CompressedTensor,
     Compressor,
-    concat_compressed,
+    FusedBucketCtx,
     flatten_with_shape,
-    is_fused_concat_ctx,
     summand_count,
 )
 from repro.core.contract import ContractChecker, ContractViolation
-from repro.core.fusion import BucketSegment, FusionBucket
+from repro.core.fusion import BucketSegment, FusionBucket, tensor_bucket
 from repro.core.registry import (
     aggregation_kind,
     available_compressors,
@@ -289,28 +288,33 @@ class TestRegistryCapabilityHonesty:
     @pytest.mark.parametrize(
         "name", ("none", "eightbit", "natural", "sketchml")
     )
-    def test_kernel_payloads_aggregate_like_the_generic_concat(self, name):
-        """A fused kernel's payloads sum to, bit for bit, what the per-tensor
-        payloads of the same bucket sum to segment by segment."""
+    def test_kernel_payloads_aggregate_like_their_segments(self, name):
+        """A fused kernel's payloads sum to, bit for bit, what each
+        segment's one-tensor payloads sum to."""
         bucket, flats = self._dead_on_some_ranks()
         proto = create(name, seed=0)
         kernels = [proto.clone(seed=r) for r in range(3)]
-        generics = [proto.clone(seed=r) for r in range(3)]
+        alone = [proto.clone(seed=r) for r in range(3)]
         fused = [
             comp.compress_fused(flat.copy(), bucket)
             for comp, flat in zip(kernels, flats)
         ]
-        concat = [
-            Compressor.compress_fused(comp, flat.copy(), bucket)
-            for comp, flat in zip(generics, flats)
-        ]
-        assert not any(is_fused_concat_ctx(item.ctx) for item in fused)
+        assert all(isinstance(item.ctx, FusedBucketCtx) for item in fused)
         ours = proto.aggregate_compressed(fused)
-        theirs = proto._aggregate_fused_segments(concat)
-        assert summand_count(ours) == summand_count(theirs) == 3
+        assert summand_count(ours) == 3
+        theirs = np.empty(bucket.numel, dtype=np.float32)
+        for seg in bucket.segments:
+            one = tensor_bucket(seg.name, seg.shape)
+            summed = proto.aggregate_compressed([
+                comp.compress_fused(flat[seg.offset:seg.end].copy(), one)
+                for comp, flat in zip(alone, flats)
+            ])
+            theirs[seg.offset:seg.end] = np.ravel(
+                proto.decompress_aggregated(summed)
+            )
         assert (
             np.ravel(proto.decompress_aggregated(ours)).tobytes()
-            == np.ravel(proto.decompress_aggregated(theirs)).tobytes()
+            == theirs.tobytes()
         )
         # Rack-level sums re-aggregate (the hierarchical reducer).
         again = proto.aggregate_compressed([ours, fused[0]])
@@ -338,32 +342,47 @@ class TestRegistryCapabilityHonesty:
                 assert mine.tobytes() == other.tobytes()
 
     @pytest.mark.parametrize("name", ("powersgd", "atomo"))
-    def test_generic_concat_fusion_aggregates(self, name):
-        # The generic concatenation (per-tensor payloads glued into one
-        # frame, what a compressor without a kernel sends for a bucket)
-        # must aggregate segment-by-segment too.
+    def test_low_rank_buckets_aggregate_exactly(self, name):
+        """A bucket of dense and factored segments, a factored one all zero
+        on one rank, summed as the hierarchical reducer does: two rack
+        sums, then their sum.  ATOMO's blocks differ in size from rank to
+        rank, and two of its draws keep no atom of one segment."""
         bucket = FusionBucket(0, (
             BucketSegment("a", (32,), 0, 32),
-            BucketSegment("b", (4, 16), 32, 64),
+            BucketSegment("b", (40, 36), 32, 1440),
+            BucketSegment("c", (7,), 1472, 7),
+            BucketSegment("d", (1200,), 1479, 1200),
+            BucketSegment("e", (8, 4, 3, 3), 2679, 288),
         ))
         rng = np.random.default_rng(5)
-        proto = create(name, seed=0)
-        comps = [proto.clone(seed=r) for r in range(2)]
-        items = []
-        for comp in comps:
-            flat = rng.standard_normal(bucket.numel).astype(np.float32)
-            per_tensor = [
-                comp.compress(
-                    flat[seg.offset:seg.end].reshape(seg.shape), seg.name
-                )
-                for seg in bucket.segments
-            ]
-            items.append(concat_compressed(bucket, per_tensor))
-        agg = comps[0].aggregate_compressed(items)
-        assert summand_count(agg) == 2
-        assert np.ravel(
-            comps[0].decompress_aggregated(agg)
-        ).size == bucket.numel
+        proto = create(name, seed=0, min_compress_size=256)
+        comps = [proto.clone(seed=r) for r in range(3)]
+        flats = [
+            rng.standard_normal(bucket.numel).astype(np.float32)
+            for _ in comps
+        ]
+        flats[1][32:1472] = 0.0
+        items = [
+            comp.compress_fused(flat, bucket)
+            for comp, flat in zip(comps, flats)
+        ]
+        racks = [
+            proto.aggregate_compressed(items[:2]),
+            proto.aggregate_compressed(items[2:]),
+        ]
+        root = proto.aggregate_compressed(racks)
+        assert summand_count(root) == 3
+        if name == "atomo":
+            assert (0, 1, 0) in root.ctx.blocks
+        # Each summand's parts, the dense part first, side by side.
+        assert len(root.payload) == len(items[0].payload)
+        reference = np.sum(
+            np.stack([proto.decompress_fused(item) for item in items]),
+            axis=0,
+        )
+        decoded = proto.decompress_aggregated(root)
+        assert decoded.shape == (bucket.numel,)
+        assert (decoded + 0.0).tobytes() == (reference + 0.0).tobytes()
 
 
 class _BrokenAggregator(Compressor):

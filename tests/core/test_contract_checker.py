@@ -113,38 +113,35 @@ class AliasingFusedCompressor(IdentityCompressor):
 
 
 class BrokenFusedCompressor(IdentityCompressor):
+    """A kernel whose bucket is not its tensors: it doubles a bucket of
+    several tensors."""
+
     fused_kernel = True
 
     def compress_fused(self, buffer, bucket):
+        scale = np.float32(2.0 if len(bucket) > 1 else 1.0)
         return CompressedTensor(
-            payload=[np.asarray(buffer, dtype=np.float32) * 2.0],
-            ctx=("broken-fused", bucket.numel),
+            payload=[np.asarray(buffer, dtype=np.float32) * scale],
+            ctx=FusedBucketCtx(bucket),
         )
 
-    def decompress_fused(self, compressed, out=None):
-        if (
-            isinstance(compressed.ctx, tuple)
-            and compressed.ctx and compressed.ctx[0] == "broken-fused"
-        ):
-            return compressed.payload[0]
-        return super().decompress_fused(compressed, out=out)
+    def _decompress_bucket(self, payload, bucket):
+        return payload[0]
 
 
 class DataDependentFormatCompressor(IdentityCompressor):
-    """Falls back to the generic format when a segment is all zero — what
-    qsgd and terngrad used to do on a zero norm / zero scale."""
+    """Adds a part when a segment is all zero — the kind of format switch
+    qsgd and terngrad used to make on a zero norm / zero scale."""
 
     fused_kernel = True
 
     def compress_fused(self, buffer, bucket):
+        payload = [np.array(buffer, dtype=np.float32)]
         if any(
             not np.any(buffer[seg.offset:seg.end]) for seg in bucket.segments
         ):
-            return super().compress_fused(buffer, bucket)
-        return CompressedTensor(
-            payload=[np.array(buffer, dtype=np.float32)],
-            ctx=FusedBucketCtx(bucket),
-        )
+            payload.append(np.ones(1, dtype=np.uint8))
+        return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
 
     def _decompress_bucket(self, payload, bucket):
         return payload[0]

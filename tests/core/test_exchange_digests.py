@@ -40,8 +40,8 @@ N_WORKERS = 4
 STEPS = 4
 
 #: A stochastic compressor (qsgd), residual memory (topk, efsignsgd), the
-#: DGC memory (dgc), a compressor with no fused kernel (powersgd) and the
-#: allreduce strategy (none).
+#: DGC memory (dgc), the low-rank kernel (powersgd) and the allreduce
+#: strategy (none).
 COMPRESSORS = ("none", "topk", "qsgd", "efsignsgd", "dgc", "powersgd")
 PARAMS = {"topk": {"ratio": 0.25}, "dgc": {"ratio": 0.25}}
 

@@ -20,9 +20,11 @@ from repro.core import (
 from repro.core.api import (
     CompressedTensor,
     Compressor,
-    FusedConcatCtx,
+    FusedBucketCtx,
+    FusionUnsupportedError,
     flatten_with_shape,
 )
+from repro.core.contract import per_segment_decode
 from repro.core.fusion import tensor_bucket
 from repro.tensorlib import desparsify, sparsify_topk
 
@@ -238,24 +240,23 @@ FUSED = tuple(
     name for name in available_compressors() if create(name).fused_kernel
 )
 
-#: Why each of the others keeps the generic per-tensor concatenation.  A new
-#: compressor has to choose: ship a kernel, or say here why it cannot.
-UNFUSED = {
-    "atomo": "per-tensor LAPACK on each tensor's own matrix shape",
-    "gradiveq": "per-tensor LAPACK on each tensor's own matrix shape",
-    "gradzip": "per-tensor LAPACK on each tensor's own matrix shape",
-    "powersgd": "per-tensor LAPACK on each tensor's own matrix shape",
-}
+#: Why each of the others runs one tensor a unit.  A new compressor has to
+#: choose: ship a kernel, or say here why it cannot.
+UNFUSED = {}
 
 #: Constructor arguments that make the tiny tensors below select more than
-#: one element each.
-PARAMS = {"topk": {"ratio": 0.25}, "randomk": {"ratio": 0.3}}
+#: one element each, and that make the low-rank compressors factor them.
+LOW_RANK = ("atomo", "gradiveq", "gradzip", "powersgd")
+PARAMS = dict(
+    {"topk": {"ratio": 0.25}, "randomk": {"ratio": 0.3}},
+    **{name: {"min_compress_size": 16} for name in LOW_RANK},
+)
 
 
 def test_every_compressor_ships_a_kernel_or_says_why_not():
     assert set(FUSED).isdisjoint(UNFUSED)
     assert set(FUSED) | set(UNFUSED) == set(available_compressors())
-    assert len(FUSED) == 21
+    assert len(FUSED) == 25
 
 
 class TestFusedParity:
@@ -265,12 +266,12 @@ class TestFusedParity:
     are seeded, and the fused kernels consume the per-rank random streams
     in the same order as the per-tensor path, so they too match bitwise.
     Every kernel in the registry runs with its default memory and, where
-    that is an error-feedback memory, without one; powersgd stands for the
-    generic concatenating path, and three sparsifiers also run under the
-    DGC memory, which masks by the positions their kernels sent.
+    that is an error-feedback memory, without one; three sparsifiers also
+    run under the DGC memory, which masks by the positions their kernels
+    sent.
     """
 
-    CASES = [("powersgd", {}, None)] + [
+    CASES = [
         (name, PARAMS.get(name, {}), memory)
         for name in FUSED
         for memory in (
@@ -311,12 +312,13 @@ class TestFusedParity:
                 ), (rank, name)
 
 
-def assert_dgc_state_equal(unfused, fused):
-    """Velocity and accumulation of every tensor on every rank, bitwise."""
+def assert_dgc_state_equal(unfused, fused, fused_buffers=True):
+    """Velocity and accumulation of every tensor on every rank, bitwise;
+    ``fused_buffers``: ψ ran over buckets of several tensors."""
     for rank, (base, other) in enumerate(zip(unfused.memories,
                                              fused.memories)):
         assert isinstance(other, DgcMemory)
-        assert other._fused_buffers  # ψ ran over whole buckets
+        assert bool(other._fused_buffers) == fused_buffers
         for held in ("_velocity", "_accumulated"):
             for name in unfused.task.SHAPES:
                 assert (
@@ -328,7 +330,7 @@ def assert_dgc_state_equal(unfused, fused):
 class TopKByHand(Compressor):
     """Top-k written against the GRACE API: ``compress``/``decompress`` per
     tensor and ``transmitted_indices`` in the tensor's own coordinates, so
-    a bucket takes the generic concatenation."""
+    every unit it compresses is one tensor."""
 
     name = "topk-by-hand"
     family = "sparsification"
@@ -363,47 +365,54 @@ class TopKByHand(Compressor):
         return compressed.payload[1].astype(np.int64)
 
 
-class TestDgcMemoryWhereAKernelFallsBack:
-    """A compressor without a kernel sends a bucket as the generic
-    concatenation, whose tensors answer ``transmitted_indices`` one by one,
-    in each tensor's own coordinates; the DGC memory must still clear the
-    positions of every tensor of the bucket."""
-
-    CASES = [
-        (TopKByHand, {"ratio": 0.25}, MultiTask),
-        (TopKByHand, {"ratio": 0.25}, EmptyTensorTask),
-    ]
+class TestACompressorWithoutAKernel:
+    """A compressor written against the GRACE API runs one tensor a unit:
+    the plan ignores ``fusion_mb`` and says so once, and the run is the
+    per-tensor run, the DGC memory's masking included."""
 
     @pytest.mark.parametrize("fusion_mb", [WHOLE, SPLIT])
-    @pytest.mark.parametrize("name,params,task_cls", CASES)
-    def test_trajectory_and_state_equal_the_per_tensor_path(
-        self, name, params, task_cls, fusion_mb
-    ):
+    @pytest.mark.parametrize("task_cls", [MultiTask, EmptyTensorTask])
+    def test_fusion_mb_is_ignored_with_one_warning(self, task_cls, fusion_mb):
         baseline, unfused = run_trajectory(
-            name, fusion_mb=0.0, memory="dgc", task_cls=task_cls, **params
+            TopKByHand, fusion_mb=0.0, memory="dgc", task_cls=task_cls,
+            ratio=0.25,
         )
-        fused_params, fused = run_trajectory(
-            name, fusion_mb=fusion_mb, memory="dgc", task_cls=task_cls,
-            **params
-        )
-        assert any(  # the fallback ran
-            isinstance(
-                name(**params).compress_fused(
-                    np.ones(bucket.numel, dtype=np.float32), bucket
-                ).ctx,
-                FusedConcatCtx,
+        steps = 6
+        with pytest.warns(UserWarning, match="no fused kernel") as caught:
+            params, fused = run_trajectory(
+                TopKByHand, fusion_mb=fusion_mb, memory="dgc",
+                task_cls=task_cls, steps=steps, ratio=0.25,
             )
-            for bucket in fused._fusion_plan.buckets
-        )
+        assert len(caught) == 1
+        n_tensors = len(task_cls.SHAPES)
+        assert [len(b) for b in fused._fusion_plan.buckets] == [1] * n_tensors
+        counted = fused.metrics.counter("fusion_buckets_total").value
+        assert counted == steps * n_tensors
         for key in baseline:
-            assert np.array_equal(baseline[key], fused_params[key]), key
-        assert_dgc_state_equal(unfused, fused)
+            assert np.array_equal(baseline[key], params[key]), key
+        assert_dgc_state_equal(unfused, fused, fused_buffers=False)
+
+    def test_a_bucket_of_several_tensors_is_refused(self):
+        bucket, buffer = _edge_bucket()
+        with pytest.raises(FusionUnsupportedError):
+            TopKByHand().compress_fused(buffer, bucket)
+
+    def test_a_one_tensor_bucket_is_the_tensor(self):
+        tensor = np.arange(12, dtype=np.float32).reshape(3, 4)
+        via_bucket = TopKByHand(ratio=0.25).compress_fused(
+            tensor.reshape(-1), tensor_bucket("w", tensor.shape)
+        )
+        direct = TopKByHand(ratio=0.25).compress(tensor, "w")
+        assert via_bucket.ctx == direct.ctx
+        for mine, other in zip(via_bucket.payload, direct.payload):
+            assert mine.tobytes() == other.tobytes()
 
 
 def _edge_bucket():
     """Where a segmented kernel would first part from the per-tensor one:
-    a dead layer, a constant one, signed zeros, a subnormal-only tensor, and
-    lengths around the 8-code packing group."""
+    a dead layer, a constant one, signed zeros, a subnormal-only tensor,
+    lengths around the 8-code packing group, and a convolution kernel large
+    enough for the low-rank compressors to factor by default."""
     rng = np.random.default_rng(0xED6E)
     tiny = np.float32(np.finfo(np.float32).tiny)
     grads = {
@@ -416,6 +425,9 @@ def _edge_bucket():
     }
     for length in (1, 7, 8, 9):
         grads[f"len{length}"] = rng.standard_normal(length).astype(np.float32)
+    grads["conv"] = (0.01 * rng.standard_normal((16, 8, 3, 3))).astype(
+        np.float32
+    )
     (bucket,) = FusionPlan.from_gradients(grads, 1 << 20).buckets
     return bucket, bucket.pack(grads, np.empty(bucket.numel, dtype=np.float32))
 
@@ -433,26 +445,25 @@ def _state(compressor) -> dict:
 
 
 class TestFusedKernelsOnEdgeBuckets:
-    """Kernel vs generic concatenation on one snapshot: decoded bytes, the
-    random stream and the compressor's own state (signum's momentum)."""
+    """A bucket vs its segments compressed one by one on one snapshot:
+    decoded bytes, the random stream and the compressor's own state
+    (signum's momentum, the low-rank warm starts)."""
 
     @pytest.mark.parametrize("name", FUSED)
-    def test_decode_stream_and_state_equal_the_generic_path(self, name):
+    def test_decode_stream_and_state_equal_the_per_segment_path(self, name):
         bucket, buffer = _edge_bucket()
         kernel = create(name, seed=5, **PARAMS.get(name, {}))
-        generic = copy.deepcopy(kernel)
+        alone = copy.deepcopy(kernel)
         for call in range(2):  # the second call sees the advanced state
             values = buffer * np.float32(1 + call)
             fused = kernel.compress_fused(values.copy(), bucket)
-            reference = Compressor.compress_fused(
-                generic, values.copy(), bucket
-            )
-            assert not isinstance(fused.ctx, FusedConcatCtx)  # the kernel ran
+            reference = per_segment_decode(alone, values.copy(), bucket)
+            assert isinstance(fused.ctx, FusedBucketCtx)  # the kernel ran
             assert (
                 kernel.decompress_fused(fused).tobytes()
-                == generic.decompress_fused(reference).tobytes()
+                == reference.tobytes()
             ), (name, call)
-            assert _state(kernel) == _state(generic), (name, call)
+            assert _state(kernel) == _state(alone), (name, call)
 
     @pytest.mark.parametrize("name", FUSED)
     def test_a_dead_segment_keeps_the_wire_format(self, name):

@@ -3,21 +3,14 @@
 Non-ndarray payload parts used to be silently coerced by ``np.asarray``
 inside the wire framer (ints became int64 — 8 accounted bytes where the
 compressor meant packed bits).  They now raise the typed
-:class:`PayloadTypeError` at both choke points: ``concat_compressed``
-(the fused concatenation every generic bucket goes through) and
-``serialize_payload`` (everything that crosses the framed wire).
+:class:`PayloadTypeError` at the choke point ``serialize_payload``
+(everything that crosses the framed wire).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.api import (
-    CompressedTensor,
-    PayloadTypeError,
-    concat_compressed,
-    validate_payload,
-)
-from repro.core.fusion import FusionPlan
+from repro.core.api import PayloadTypeError, validate_payload
 from repro.core.wire import frame_payload, serialize_payload
 
 
@@ -74,31 +67,3 @@ class TestWireRejectsBadParts:
         assert len(parsed) == len(GOOD)
         for a, b in zip(GOOD, parsed):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-class TestConcatCompressedRejectsBadParts:
-    def _bucket(self):
-        plan = FusionPlan(
-            [("a", (4,)), ("b", (4,))], max_bytes=1 << 20
-        )
-        (bucket,) = plan.buckets
-        return bucket
-
-    def test_bad_part_raises_with_index(self):
-        bucket = self._bucket()
-        good = CompressedTensor(
-            payload=[np.ones(4, np.float32)], ctx=((4,),)
-        )
-        bad = CompressedTensor(payload=[[1.0, 2.0]], ctx=((4,),))
-        with pytest.raises(PayloadTypeError, match="part 0"):
-            concat_compressed(bucket, [good, bad])
-
-    def test_good_parts_concatenate(self):
-        bucket = self._bucket()
-        items = [
-            CompressedTensor(payload=[np.ones(4, np.float32)], ctx=((4,),))
-            for _ in bucket.segments
-        ]
-        fused = concat_compressed(bucket, items)
-        assert len(fused.payload) == 2
-        assert fused.nbytes == 2 * 16

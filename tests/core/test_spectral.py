@@ -18,9 +18,10 @@ import pytest
 
 from perfbench.workloads import LARGE_SHAPES
 from repro.core import create
-from repro.core.api import CompressedTensor, flatten_with_shape
+from repro.core.api import CompressedTensor, FusedBucketCtx, flatten_with_shape
 from repro.core.compressors.powersgd import _GramSVD, _matrix_view
 from repro.core.compressors.variance import selection_probabilities
+from repro.core.fusion import tensor_bucket
 from tests.core import kernel_digest_cases
 
 SEEDS = (0, 1, 2)
@@ -66,6 +67,11 @@ def _svd(tensor):
     return shape, flat.size, u, sigma, vt, ~noise
 
 
+def _ctx(shape):
+    """The ctx the kernel gives a tensor ``t`` of ``shape``."""
+    return FusedBucketCtx(tensor_bucket("t", shape))
+
+
 def svd_atomo(compressor, tensor):
     """The full-SVD ATOMO body: payload, kept atoms, resolved atoms."""
     shape, size, u, sigma, vt, resolved = _svd(tensor)
@@ -78,7 +84,7 @@ def svd_atomo(compressor, tensor):
         (sigma[keep] / probabilities[keep]).astype(np.float32),
         vt[keep, :].astype(np.float32),
     ]
-    return CompressedTensor(payload, ctx=(shape, size, True)), keep, resolved
+    return CompressedTensor(payload, ctx=_ctx(shape)), keep, resolved
 
 
 def svd_gradiveq(compressor, tensor):
@@ -89,7 +95,7 @@ def svd_gradiveq(compressor, tensor):
         (u[:, :rank] * sigma[:rank]).astype(np.float32),
         vt[:rank, :].astype(np.float32),
     ]
-    return CompressedTensor(payload, ctx=(shape, size, True))
+    return CompressedTensor(payload, ctx=_ctx(shape))
 
 
 def gram_keep(seed, tensor, budget):
