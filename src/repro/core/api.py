@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import copy
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -607,6 +607,10 @@ class KernelCompressor(Compressor):
 class Memory(abc.ABC):
     """Error-feedback memory: φ (compensate) and ψ (update) of Algorithm 1.
 
+    A memory is written as its bucket methods; the GRACE API's per-tensor
+    :meth:`compensate` and :meth:`update` run them on the tensor's
+    one-segment bucket.
+
     ``telemetry`` is ``None`` by default; a trainer with tracing enabled
     attaches its :class:`~repro.telemetry.metrics.MetricsRegistry` via
     :meth:`attach_telemetry` so memories can record residual norms.
@@ -652,31 +656,22 @@ class Memory(abc.ABC):
         if registry is not None:
             self.telemetry = registry
 
+    @abc.abstractmethod
     def compensate_fused(
         self, gradients: dict[str, np.ndarray], bucket, out: np.ndarray
     ) -> np.ndarray:
-        """Pack φ(mᵏ, gᵏ) for every bucket segment into flat ``out``.
+        """Pack φ(mᵏ, gᵏ) for every bucket segment into flat ``out``, a
+        reusable ``bucket.numel``-sized float32 scratch buffer the caller
+        fully overwrites each call."""
 
-        The generic implementation loops :meth:`compensate` per segment —
-        bitwise-identical to the per-tensor path for any memory.
-        Subclasses may override with one vectorized pass over the whole
-        bucket (elementwise φ on a flat buffer equals φ on each
-        contiguous slice).  ``out`` is a reusable ``bucket.numel``-sized
-        float32 scratch buffer the caller fully overwrites each call.
-        """
-        for seg in bucket.segments:
-            out[seg.offset:seg.end] = np.ravel(
-                self.compensate(gradients[seg.name], seg.name)
-            )
-        return out
-
+    @abc.abstractmethod
     def update_fused(
         self,
         compensated: np.ndarray,
         bucket,
         transmitted: np.ndarray | None,
     ) -> None:
-        """ψ for the fused path: fold the error back from flat buckets.
+        """ψ(mᵏ, gᵏ, g̃ᵏ): fold the error back from flat buckets.
 
         ``compensated`` and ``transmitted`` are the whole bucket's flat
         float32 compensated and decompressed buffers (``transmitted`` is
@@ -685,15 +680,16 @@ class Memory(abc.ABC):
         Implementations must not retain these arrays or views of them —
         they alias reused scratch buffers.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support fused updates"
+
+    def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
+        """φ(mᵏ, gᵏ) of one tensor: its one-segment bucket's φ."""
+        array = np.asarray(tensor)
+        bucket = tensor_bucket(name, array.shape)
+        out = np.empty(bucket.numel, dtype=np.float32)
+        return self.compensate_fused({name: array}, bucket, out).reshape(
+            array.shape
         )
 
-    @abc.abstractmethod
-    def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
-        """φ(mᵏ, gᵏ): combine the local gradient with the stored memory."""
-
-    @abc.abstractmethod
     def update(
         self,
         compensated: np.ndarray,
@@ -701,7 +697,44 @@ class Memory(abc.ABC):
         compressor: Compressor,
         compressed: CompressedTensor,
     ) -> None:
-        """ψ(mᵏ, gᵏ, g̃ᵏ): fold this iteration's compression error back in."""
+        """ψ(mᵏ, gᵏ, g̃ᵏ) of one tensor: its one-segment bucket's ψ."""
+        array = np.asarray(compensated)
+        update_from_payload(
+            self, np.ravel(array), tensor_bucket(name, array.shape),
+            compressor, compressed,
+        )
+
+
+def update_from_payload(
+    memory: Memory,
+    compensated: np.ndarray,
+    bucket,
+    compressor: Compressor,
+    compressed: CompressedTensor,
+    scratch: Callable[[], np.ndarray | None] | None = None,
+) -> np.ndarray | None:
+    """ψ of one bucket from the payload Q made of it.
+
+    ψ takes what ``memory.fused_transmitted`` names: the payload's
+    ``decompress_fused``, the positions it carries, or nothing.  Returns
+    that decode — Agg averages it instead of decoding the payload again —
+    or ``None`` where ψ took none.  ``scratch`` gives the buffer to decode
+    into (``None``: a fresh one), and is called only when there is a
+    decode, so a memory that takes none holds no buffer for it.  A
+    function of the memory rather than a method, so a memory wrapped by a
+    proxy is called through the proxy's own ``update_fused``.
+    """
+    kind = memory.fused_transmitted
+    transmitted = None
+    if kind == "values":
+        transmitted = compressor.decompress_fused(
+            compressed, out=scratch() if scratch is not None else None
+        )
+    elif kind == "indices":
+        indices_of = getattr(compressor, "transmitted_indices", None)
+        transmitted = None if indices_of is None else indices_of(compressed)
+    memory.update_fused(compensated, bucket, transmitted)
+    return transmitted if kind == "values" else None
 
 
 def flatten_with_shape(tensor: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:

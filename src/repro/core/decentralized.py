@@ -4,15 +4,21 @@ The paper's §VI leaves P2P-overlay aggregation as future work for the
 framework; this module provides it.  The loop is compressed D-PSGD:
 
 1. every node computes a local stochastic gradient on its shard;
-2. φ/Q/ψ run exactly as in Algorithm 1 (same compressors, same
-   memories) — but the compressed gradient travels only to overlay
-   *neighbours*;
+2. φ/Q/ψ run exactly as in Algorithm 1, through the same per-rank step
+   as :class:`~repro.core.trainer.DistributedTrainer` (each tensor a
+   one-segment bucket) — but the compressed gradient travels only to
+   overlay *neighbours*;
 3. each node averages its own gradient with its neighbours' decompressed
    gradients using the topology's Metropolis mixing weights and applies
    the result to its own replica;
 4. every ``consensus_period`` iterations, nodes additionally gossip
    their *parameters* (uncompressed) one mixing step, which bounds
    replica disagreement.
+
+Step 3 is why this trainer keeps a loop of its own after the exchange:
+Algorithm 1 ends in one aggregate the whole cohort applies, while here
+every node applies its own weighted mix of its neighbours' decodes.
+Each payload is decoded once, and every receiver mixes the same arrays.
 
 Unlike the synchronous all-to-all trainer, every node owns a distinct
 model replica, so the caller supplies one task per node.
@@ -26,14 +32,12 @@ import numpy as np
 
 from repro.comm.gossip import GossipCommunicator, Topology
 from repro.core.api import Compressor
-from repro.core.memory import Memory, make_memory
-from repro.core.trainer import DistributedTask, TrainingReport
-from repro.core.rng import spawn_worker_seeds
+from repro.core.fusion import tensor_bucket
+from repro.core.trainer import DistributedTask, RankPipeline, TrainingReport
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracing import NULL_TRACER
 
 
-class DecentralizedTrainer:
+class DecentralizedTrainer(RankPipeline):
     """Compressed gossip SGD over an overlay topology.
 
     Parameters
@@ -84,29 +88,9 @@ class DecentralizedTrainer:
             raise ValueError("communicator and topology disagree on size")
         self.n_workers = topology.n_nodes
         self.consensus_period = int(consensus_period)
-        node_seeds = spawn_worker_seeds(seed, self.n_workers)
-        self.compressors = [
-            compressor.clone(seed=node_seeds[node])
-            for node in range(self.n_workers)
-        ]
-        memory_kind = memory if memory is not None else compressor.default_memory
-        self.memories: list[Memory] = [
-            make_memory(memory_kind, **dict(memory_params or {}))
-            for _ in range(self.n_workers)
-        ]
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if metrics is not None:
-            self.metrics = metrics
-        elif self.tracer.enabled and isinstance(
-            self.tracer.metrics, MetricsRegistry
-        ):
-            self.metrics = self.tracer.metrics
-        else:
-            self.metrics = MetricsRegistry()
-        self.comm.record.bind(self.metrics)
-        if self.tracer.enabled:
-            for mem in self.memories:
-                mem.attach_telemetry(self.metrics)
+        self._build_ranks(
+            compressor, memory, memory_params, seed, tracer, metrics
+        )
         self.report = TrainingReport(metrics=self.metrics)
         #: :meth:`consensus_distance` after every iteration.
         self.consensus_distances: list[float] = []
@@ -137,63 +121,41 @@ class DecentralizedTrainer:
             losses.append(loss)
             grads.append(gradient)
 
-        names = list(grads[0])
-        comm_before = self.comm.record.simulated_seconds
-        bytes_before = self.comm.record.bytes_sent_per_worker
+        record = self.comm.record
+        comm_before = record.simulated_seconds
+        bytes_before = record.bytes_sent_per_worker
         # Compress per tensor, exchange with neighbours, mix locally.
-        aggregated: list[dict[str, np.ndarray]] = [
-            {} for _ in range(self.n_workers)
-        ]
-        for name in names:
-            compressed = []
+        aggregated: list[dict] = [{} for _ in range(self.n_workers)]
+        decoder = self.compressors[0]
+        for name, gradient in grads[0].items():
+            bucket = tensor_bucket(name, np.shape(gradient))
+            where = {"tensor": name}
+            wire, decoded, _ = zip(*(
+                self._compress_rank(node, grads[node], bucket, None, where)
+                for node in range(self.n_workers)
+            ))
+            self._gossip([c.payload for c in wire], **where)
+            with tracer.span("decompress", **where, ranks=len(wire)):
+                flats = [
+                    flat if flat is not None
+                    else decoder.decompress_fused(packed)
+                    for packed, flat in zip(wire, decoded)
+                ]
             for node in range(self.n_workers):
-                memory = self.memories[node]
-                with tracer.span("memory_compensate", rank=node, tensor=name):
-                    compensated = memory.compensate(grads[node][name], name)
-                with tracer.span("compress", rank=node, tensor=name) as span:
-                    packed = self.compressors[node].compress(compensated, name)
-                if tracer.enabled:
-                    span.set(
-                        nbytes_in=int(np.asarray(compensated).nbytes),
-                        nbytes_out=packed.nbytes,
+                with tracer.span("aggregate", rank=node, **where):
+                    aggregated[node].update(
+                        bucket.unpack(self._mix(node, flats))
                     )
-                memory.update(compensated, name, self.compressors[node],
-                              packed)
-                compressed.append(packed)
-            sim_before = self.comm.record.simulated_seconds
-            wire_before = self.comm.record.bytes_sent_per_worker
-            with tracer.span(
-                "collective", tensor=name, op="gossip_exchange"
-            ) as span:
-                inbox = self.comm.exchange([c.payload for c in compressed])
-            if tracer.enabled:
-                span.add_sim(self.comm.record.simulated_seconds - sim_before)
-                span.set(
-                    bytes_per_worker=self.comm.record.bytes_sent_per_worker
-                    - wire_before
-                )
-            decoder = self.compressors[0]
-            for node in range(self.n_workers):
-                with tracer.span("decompress", rank=node, tensor=name):
-                    own_weight = self.topology.mixing_weight(node, node)
-                    mixed = own_weight * decoder.decompress(compressed[node])
-                    for source, _payload in inbox[node]:
-                        weight = self.topology.mixing_weight(node, source)
-                        mixed = mixed + weight * decoder.decompress(
-                            compressed[source]
-                        )
-                with tracer.span("aggregate", rank=node, tensor=name):
-                    aggregated[node][name] = mixed
         with tracer.span("apply_update"):
             for node in range(self.n_workers):
                 self.tasks[node].apply_update(aggregated[node])
 
         self.report.iterations += 1
         self.report.sim_comm_seconds += (
-            self.comm.record.simulated_seconds - comm_before
+            record.simulated_seconds - comm_before
         )
         self.report.bytes_per_worker += (
-            self.comm.record.bytes_sent_per_worker - bytes_before
+            record.bytes_sent_per_worker - bytes_before
         )
         if (
             self.consensus_period
@@ -206,6 +168,31 @@ class DecentralizedTrainer:
         self.report.losses.append(mean_loss)
         return mean_loss
 
+    def _gossip(self, payloads: list, **where) -> None:
+        """One neighbourhood exchange (to exactly the topology's
+        neighbours, whom :meth:`_mix` reads) under a ``collective`` span
+        that carries what the round charged."""
+        record = self.comm.record
+        sim_before = record.simulated_seconds
+        wire_before = record.bytes_sent_per_worker
+        with self.tracer.span(
+            "collective", **where, op="gossip_exchange"
+        ) as span:
+            self.comm.exchange(payloads)
+        if self.tracer.enabled:
+            span.add_sim(record.simulated_seconds - sim_before)
+            span.set(
+                bytes_per_worker=record.bytes_sent_per_worker - wire_before
+            )
+
+    def _mix(self, node: int, values: list[np.ndarray]) -> np.ndarray:
+        """``node``'s Metropolis mix of its own and its neighbours' values."""
+        mixed = self.topology.mixing_weight(node, node) * values[node]
+        for source in self.topology.neighbors(node):
+            weight = self.topology.mixing_weight(node, source)
+            mixed = mixed + weight * values[source]
+        return mixed
+
     # ------------------------------------------------------------------
 
     def _states(self) -> list[dict[str, np.ndarray]]:
@@ -214,35 +201,25 @@ class DecentralizedTrainer:
     def _parameter_consensus(self) -> None:
         """One uncompressed gossip mixing step over the parameters."""
         states = self._states()
-        payloads = [
-            [value for value in state.values()] for state in states
-        ]
-        self.comm.exchange(payloads)  # charges the cost; data is `states`
-        mixed_states = []
-        for node in range(self.n_workers):
-            mixed = {
-                name: self.topology.mixing_weight(node, node) * value
-                for name, value in states[node].items()
+        # Charges the round's cost; the data mixed is `states`.
+        self._gossip([list(state.values()) for state in states])
+        mixed_states = [
+            {
+                name: self._mix(node, [state[name] for state in states])
+                for name in states[node]
             }
-            for neighbor in self.topology.neighbors(node):
-                weight = self.topology.mixing_weight(node, neighbor)
-                for name, value in states[neighbor].items():
-                    mixed[name] = mixed[name] + weight * value
-            mixed_states.append(mixed)
-        for node in range(self.n_workers):
-            self.tasks[node].model.load_state_dict(mixed_states[node])
+            for node in range(self.n_workers)
+        ]
+        for task, mixed in zip(self.tasks, mixed_states):
+            task.model.load_state_dict(mixed)
 
     def consensus_distance(self) -> float:
         """Mean parameter distance of replicas from the replica mean."""
         if not hasattr(self.tasks[0], "model"):
             return 0.0
         states = self._states()
-        names = list(states[0])
         total = 0.0
-        count = 0
-        for name in names:
+        for name in states[0]:
             stack = np.stack([state[name] for state in states])
-            mean = stack.mean(axis=0)
-            total += float(np.mean((stack - mean) ** 2))
-            count += 1
-        return float(np.sqrt(total / max(count, 1)))
+            total += float(np.mean((stack - stack.mean(axis=0)) ** 2))
+        return float(np.sqrt(total / max(len(states[0]), 1)))

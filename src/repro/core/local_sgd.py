@@ -9,6 +9,11 @@ feedback, per the method's default).  After a sync every replica equals
 ``x_sync + mean_i Q(x_i - x_sync)`` — with ``sync_period=1`` and the
 identity compressor this reduces to ordinary synchronous data-parallel
 SGD.
+
+A sync is one step of Algorithm 1 (:class:`DistributedTrainer`) whose
+"gradients" are the model deltas: the compressor is one operator applied
+to whatever vector the algorithm sends, so the sync runs the same φ, Q,
+ψ, collective and Agg as gradient training.
 """
 
 from __future__ import annotations
@@ -19,9 +24,36 @@ import numpy as np
 
 from repro.comm.collectives import Communicator
 from repro.core.api import Compressor
-from repro.core.memory import Memory, make_memory
-from repro.core.trainer import DistributedTask, TrainingReport
-from repro.core.rng import spawn_worker_seeds
+from repro.core.trainer import DistributedTask, DistributedTrainer, TrainingReport
+
+
+class _DeltaTask:
+    """The task a sync runs Algorithm 1 on.
+
+    Rank ``r``'s gradient is replica ``r``'s model delta since the last
+    sync, in the anchor's tensor order; applying the mean delta moves the
+    anchor there and loads it into every replica.
+    """
+
+    def __init__(self, tasks: list[DistributedTask]):
+        self.tasks = tasks
+        self.anchor = tasks[0].model.state_dict()
+
+    def forward_backward(self, node: int, _targets) -> tuple[float, dict]:
+        state = self.tasks[node].model.state_dict()
+        return 0.0, {
+            name: state[name] - anchor for name, anchor in self.anchor.items()
+        }
+
+    def apply_update(self, mean_delta: dict[str, np.ndarray]) -> None:
+        self.anchor = {
+            name: anchor + mean_delta[name].reshape(anchor.shape)
+            for name, anchor in self.anchor.items()
+        }
+        for task in self.tasks:
+            task.model.load_state_dict(
+                {name: value.copy() for name, value in self.anchor.items()}
+            )
 
 
 class LocalSGDTrainer:
@@ -56,28 +88,19 @@ class LocalSGDTrainer:
         self.tasks = tasks
         self.n_workers = len(tasks)
         self.sync_period = int(sync_period)
-        self.comm = (
-            communicator
-            if communicator is not None
-            else Communicator(n_workers=self.n_workers)
-        )
-        if self.comm.n_workers != self.n_workers:
-            raise ValueError("communicator size disagrees with task count")
-        node_seeds = spawn_worker_seeds(seed, self.n_workers)
-        self.compressors = [
-            compressor.clone(seed=node_seeds[node])
-            for node in range(self.n_workers)
-        ]
-        memory_kind = memory if memory is not None else compressor.default_memory
-        self.memories: list[Memory] = [
-            make_memory(memory_kind, **dict(memory_params or {}))
-            for _ in range(self.n_workers)
-        ]
-        self._sync_point = self.tasks[0].model.state_dict()
+        delta_task = _DeltaTask(tasks)
         for task in self.tasks[1:]:
             for name, value in task.model.state_dict().items():
-                if not np.array_equal(value, self._sync_point[name]):
+                if not np.array_equal(value, delta_task.anchor[name]):
                     raise ValueError("replicas must start identical")
+        # The deltas travel by the compressor's own strategy, never the
+        # compressed-domain aggregation fast path.
+        self._sync = DistributedTrainer(
+            delta_task, compressor, n_workers=self.n_workers,
+            memory=memory, memory_params=memory_params,
+            communicator=communicator, seed=seed, aggregation="off",
+        )
+        self.comm = self._sync.comm
         self.report = TrainingReport()
 
     @property
@@ -100,66 +123,9 @@ class LocalSGDTrainer:
             losses.append(loss)
         self.report.iterations += 1
         if self.report.iterations % self.sync_period == 0:
-            self._synchronize()
+            self._sync.step([(node, None) for node in range(self.n_workers)])
+            self.report.sim_comm_seconds = self._sync.report.sim_comm_seconds
+            self.report.bytes_per_worker = self._sync.report.bytes_per_worker
         mean_loss = float(np.mean(losses))
         self.report.losses.append(mean_loss)
         return mean_loss
-
-    def _synchronize(self) -> None:
-        """Compressed delta averaging back to a common point."""
-        comm_before = self.comm.record.simulated_seconds
-        bytes_before = self.comm.record.bytes_sent_per_worker
-        states = [task.model.state_dict() for task in self.tasks]
-        new_point: dict[str, np.ndarray] = {}
-        for name, anchor in self._sync_point.items():
-            compressed = []
-            for node in range(self.n_workers):
-                delta = states[node][name] - anchor
-                memory = self.memories[node]
-                compensated = memory.compensate(delta, name)
-                packed = self.compressors[node].compress(compensated, name)
-                memory.update(compensated, name, self.compressors[node],
-                              packed)
-                compressed.append(packed)
-            decoder = self.compressors[0]
-            if decoder.communication == "allreduce":
-                summed_parts = [
-                    self.comm.allreduce(
-                        [c.payload[part] for c in compressed]
-                    )
-                    for part in range(len(compressed[0].payload))
-                ]
-                from repro.core.api import CompressedTensor
-
-                summed = CompressedTensor(
-                    payload=summed_parts, ctx=compressed[0].ctx
-                )
-                mean_delta = decoder.decompress(summed) / self.n_workers
-            else:
-                self.comm.allgather([c.payload for c in compressed])
-                mean_delta = decoder.aggregate(
-                    [decoder.decompress(c) for c in compressed]
-                )
-            new_point[name] = anchor + mean_delta.reshape(anchor.shape)
-        self._sync_point = new_point
-        for task in self.tasks:
-            task.model.load_state_dict(
-                {name: value.copy() for name, value in new_point.items()}
-            )
-        self.report.sim_comm_seconds += (
-            self.comm.record.simulated_seconds - comm_before
-        )
-        self.report.bytes_per_worker += (
-            self.comm.record.bytes_sent_per_worker - bytes_before
-        )
-
-    def replica_divergence(self) -> float:
-        """Max parameter distance between any replica and the sync point."""
-        worst = 0.0
-        for task in self.tasks:
-            for name, value in task.model.state_dict().items():
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(value - self._sync_point[name]))),
-                )
-        return worst

@@ -13,12 +13,9 @@ the indices that were transmitted.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.core.api import CompressedTensor, Compressor, Memory
-from repro.core.fusion import tensor_bucket
+from repro.core.api import Memory
 
 
 def _observe_residual_norm(memory: Memory, name: str,
@@ -38,74 +35,7 @@ def _observe_residual_norm(memory: Memory, name: str,
     ).observe(float(np.linalg.norm(residual)))
 
 
-class _BucketMemory(Memory):
-    """A built-in memory written as its bucket methods alone.
-
-    Per tensor, φ and ψ are :meth:`compensate_fused` and
-    :meth:`update_fused` on the tensor's one-segment bucket, so a tensor
-    and a bucket share one body.  (The :class:`Memory` base keeps the
-    GRACE API's direction instead: a memory that writes ``compensate`` and
-    ``update`` gets the generic per-segment ``compensate_fused``.)
-    """
-
-    def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
-        """φ(mᵏ, gᵏ) of one tensor."""
-        array = np.asarray(tensor)
-        bucket = tensor_bucket(name, array.shape)
-        out = np.empty(bucket.numel, dtype=np.float32)
-        return self.compensate_fused({name: array}, bucket, out).reshape(
-            array.shape
-        )
-
-    def update(
-        self,
-        compensated: np.ndarray,
-        name: str,
-        compressor: Compressor,
-        compressed: CompressedTensor,
-    ) -> None:
-        """ψ(mᵏ, gᵏ, g̃ᵏ) of one tensor: its one-segment bucket's ψ, whose
-        payload is the tensor's."""
-        array = np.asarray(compensated)
-        bucket = tensor_bucket(name, array.shape)
-        update_from_payload(
-            self, np.ravel(array), bucket, compressor, compressed
-        )
-
-
-def update_from_payload(
-    memory: Memory,
-    compensated: np.ndarray,
-    bucket,
-    compressor: Compressor,
-    compressed: CompressedTensor,
-    scratch: Callable[[], np.ndarray | None] | None = None,
-) -> np.ndarray | None:
-    """ψ of one bucket from the payload Q made of it.
-
-    ψ takes what ``memory.fused_transmitted`` names: the payload's
-    ``decompress_fused``, the positions it carries, or nothing.  Returns
-    that decode — Agg averages it instead of decoding the payload again —
-    or ``None`` where ψ took none.  ``scratch`` gives the buffer to decode
-    into (``None``: a fresh one), and is called only when there is a
-    decode, so a memory that takes none holds no buffer for it.  A
-    function of the memory rather than a method, so a memory wrapped by a
-    proxy is called through the proxy's own ``update_fused``.
-    """
-    kind = memory.fused_transmitted
-    transmitted = None
-    if kind == "values":
-        transmitted = compressor.decompress_fused(
-            compressed, out=scratch() if scratch is not None else None
-        )
-    elif kind == "indices":
-        indices_of = getattr(compressor, "transmitted_indices", None)
-        transmitted = None if indices_of is None else indices_of(compressed)
-    memory.update_fused(compensated, bucket, transmitted)
-    return transmitted if kind == "values" else None
-
-
-class NoneMemory(_BucketMemory):
+class NoneMemory(Memory):
     """No error feedback: φ is the identity, ψ discards the error."""
 
     fused_transmitted = "none"
@@ -128,7 +58,7 @@ class NoneMemory(_BucketMemory):
         return None
 
 
-class ResidualMemory(_BucketMemory):
+class ResidualMemory(Memory):
     """Eq. 4 residual error feedback, keyed by tensor name."""
 
     def __init__(self, beta: float = 1.0, gamma: float = 1.0):
@@ -212,7 +142,7 @@ class ResidualMemory(_BucketMemory):
         return self._residuals.get(name)
 
 
-class DgcMemory(_BucketMemory):
+class DgcMemory(Memory):
     """Deep-Gradient-Compression momentum correction (§III-B, §IV-C).
 
     Per tensor: ``u = β u + g`` (momentum), ``v = v + u`` (accumulation);

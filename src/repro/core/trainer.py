@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.comm.collectives import AsyncHandle, Communicator
 from repro.comm.timeline import COMPUTE, KERNEL, NETWORK, SimTimeline
-from repro.core.api import CompressedTensor, Compressor
+from repro.core.api import CompressedTensor, Compressor, update_from_payload
 from repro.core.checkpoint import (
     Checkpoint,
     outage_seconds,
@@ -47,7 +47,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import Resilience, WorkerMode
 from repro.core.fusion import FusionBucket, FusionPlan, ScratchPool
-from repro.core.memory import Memory, make_memory, update_from_payload
+from repro.core.memory import Memory, make_memory
 from repro.core.rng import spawn_worker_seeds
 from repro.core.wire import framing_header_bytes
 from repro.faults import (
@@ -286,7 +286,122 @@ class TrainingReport:
         return max(self.epoch_quality)
 
 
-class DistributedTrainer:
+class RankPipeline:
+    """Per-rank compressors and memories, and the φ → Q → ψ step on them.
+
+    A trainer sets ``comm`` and ``n_workers``, then calls
+    :meth:`_build_ranks`.
+    """
+
+    def _build_ranks(self, compressor: Compressor, memory: str | None,
+                     memory_params: dict | None, seed: int, tracer,
+                     metrics: MetricsRegistry | None) -> None:
+        """Resolve the tracer and registry; clone the compressor and
+        build a memory by name for every rank."""
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        if metrics is not None:
+            self.metrics = metrics
+        elif self.tracer.enabled and isinstance(
+            self.tracer.metrics, MetricsRegistry
+        ):
+            self.metrics = self.tracer.metrics
+        else:
+            self.metrics = MetricsRegistry()
+        # One registry per run: pull the communicator's accounting in so
+        # bytes/seconds are counted (and reset) in exactly one place.
+        self.comm.record.bind(self.metrics)
+        # SeedSequence.spawn, not seed+rank arithmetic: spawned children
+        # are independent and collision-free across runs (see
+        # repro.core.rng), and a parallel worker process re-derives
+        # exactly its own rank's stream from (seed, n_workers).
+        worker_seeds = spawn_worker_seeds(seed, self.n_workers)
+        self.compressors = [
+            compressor.clone(seed=worker_seeds[r])
+            for r in range(self.n_workers)
+        ]
+        memory_kind = memory if memory is not None else compressor.default_memory
+        params = dict(memory_params or {})
+        self.memories: list[Memory] = [
+            make_memory(memory_kind, **params) for _ in range(self.n_workers)
+        ]
+        if self.tracer.enabled:
+            for mem in self.memories:
+                mem.attach_telemetry(self.metrics)
+
+    def _compress_rank(
+        self,
+        rank: int,
+        grads: dict[str, np.ndarray],
+        bucket: FusionBucket,
+        buffer: np.ndarray | None,
+        where: dict,
+        scratch: Callable[[], np.ndarray | None] | None = None,
+    ) -> tuple[CompressedTensor, np.ndarray | None, Any]:
+        """φ, Q and ψ of one unit on one rank (lines 5–6), φ into
+        ``buffer`` (``None``: a fresh one).  Returns the payload, ψ's
+        decode of it (see :func:`~repro.core.api.update_from_payload`)
+        and the ``compress`` span."""
+        tracer = self.tracer
+        if buffer is None:
+            buffer = np.empty(bucket.numel, dtype=np.float32)
+        memory, compressor = self.memories[rank], self.compressors[rank]
+        with tracer.span("memory_compensate", rank=rank) as phi_span:
+            memory.compensate_fused(grads, bucket, buffer)
+        with tracer.span("compress", rank=rank) as span:
+            packed = compressor.compress_fused(buffer, bucket)
+        decoded = update_from_payload(
+            memory, buffer, bucket, compressor, packed, scratch=scratch
+        )
+        if tracer.enabled:
+            phi_span.set(**where)
+            self._record_compression(span, bucket, packed, where, grads)
+        return packed, decoded, span
+
+    def _record_compression(
+        self,
+        span,
+        bucket: FusionBucket,
+        packed: CompressedTensor,
+        where: dict,
+        grads: dict[str, np.ndarray],
+    ) -> None:
+        """Per-(rank, unit) detail metrics — traced path only."""
+        nbytes_in = bucket.nbytes
+        nbytes_out = packed.nbytes
+        span.set(
+            **where,
+            nbytes_in=nbytes_in,
+            nbytes_out=nbytes_out,
+            ratio=nbytes_out / nbytes_in if nbytes_in else 0.0,
+        )
+        metrics = self.metrics
+        metrics.histogram(
+            "compress_kernel_seconds",
+            {"compressor": self.compressors[0].name},
+            unit="seconds",
+            help="measured compress wall time per (rank, tensor) call",
+        ).observe(span.dur)
+        metrics.counter(
+            "compress_raw_bytes_total", unit="bytes",
+            help="uncompressed gradient traffic",
+        ).inc(nbytes_in)
+        metrics.counter(
+            "compress_wire_bytes_total", unit="bytes",
+            help="compressed payload bytes produced",
+        ).inc(nbytes_out)
+        metrics.counter(
+            "wire_framing_overhead_bytes_total", unit="bytes",
+            help="wire-format header bytes on top of raw payloads",
+        ).inc(framing_header_bytes(packed.payload))
+        name = where.get("tensor")
+        if name is not None:
+            metrics.histogram(
+                "grad_l2", {"tensor": name}, unit="l2",
+                help="per-layer gradient L2 norm (pre-compensation)",
+            ).observe(float(np.linalg.norm(grads[name])))
+
+
+class DistributedTrainer(RankPipeline):
     """Runs Algorithm 1 over a :class:`DistributedTask`.
 
     Parameters
@@ -429,35 +544,9 @@ class DistributedTrainer:
             )
         self.perf_model = perf_model
         self.check_finite = bool(check_finite)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if metrics is not None:
-            self.metrics = metrics
-        elif self.tracer.enabled and isinstance(
-            self.tracer.metrics, MetricsRegistry
-        ):
-            self.metrics = self.tracer.metrics
-        else:
-            self.metrics = MetricsRegistry()
-        # One registry per run: pull the communicator's accounting in so
-        # bytes/seconds are counted (and reset) in exactly one place.
-        self.comm.record.bind(self.metrics)
-        # SeedSequence.spawn, not seed+rank arithmetic: spawned children
-        # are independent and collision-free across runs (see
-        # repro.core.rng), and a parallel worker process re-derives
-        # exactly its own rank's stream from (seed, n_workers).
-        worker_seeds = spawn_worker_seeds(seed, self.n_workers)
-        self.compressors = [
-            compressor.clone(seed=worker_seeds[r])
-            for r in range(self.n_workers)
-        ]
-        memory_kind = memory if memory is not None else compressor.default_memory
-        params = dict(memory_params or {})
-        self.memories: list[Memory] = [
-            make_memory(memory_kind, **params) for _ in range(self.n_workers)
-        ]
-        if self.tracer.enabled:
-            for mem in self.memories:
-                mem.attach_telemetry(self.metrics)
+        self._build_ranks(
+            compressor, memory, memory_params, seed, tracer, metrics
+        )
         self.fusion_mb = float(fusion_mb)
         self._fusion_max_bytes = int(self.fusion_mb * (1 << 20))
         self._fusion_plan: FusionPlan | None = None
@@ -1033,41 +1122,25 @@ class DistributedTrainer:
         (``None`` where the memory takes none) and the first rank's
         ``compress`` span.
         """
-        tracer = self.tracer
-        wire: list[CompressedTensor] = []
-        decoded: list[np.ndarray | None] = []
-        first_span = None
         # The sequential simulator computes every active rank; a worker
         # process exactly one, its own.
         pairs = (
             [(0, self.rank)] if self.rank is not None
             else enumerate(self._active_ranks)
         )
-        for position, rank in pairs:
-            grads = grads_per_rank[position]
-            buffer = self._scratch(
-                self._rank_scratch[rank], ("pack", bucket.index), bucket.numel
-            )
-            if buffer is None:
-                buffer = np.empty(bucket.numel, dtype=np.float32)
-            with tracer.span("memory_compensate", rank=rank) as phi_span:
-                self.memories[rank].compensate_fused(grads, bucket, buffer)
-            with tracer.span("compress", rank=rank) as span:
-                packed = self.compressors[rank].compress_fused(buffer, bucket)
-            decoded.append(update_from_payload(
-                self.memories[rank], buffer, bucket, self.compressors[rank],
-                packed, scratch=partial(
-                    self._scratch, self._rank_scratch[rank],
-                    ("transmit", bucket.index), bucket.numel,
+        pools = self._rank_scratch
+        wire, decoded, spans = map(list, zip(*(
+            self._compress_rank(
+                rank, grads_per_rank[position], bucket,
+                self._scratch(pools[rank], ("pack", bucket.index), bucket.numel),
+                where, scratch=partial(
+                    self._scratch, pools[rank], ("transmit", bucket.index),
+                    bucket.numel,
                 ),
-            ))
-            if tracer.enabled:
-                phi_span.set(**where)
-                self._record_compression(span, bucket, packed, where, grads)
-            if first_span is None:
-                first_span = span
-            wire.append(packed)
-        return wire, decoded, first_span
+            )
+            for position, rank in pairs
+        )))
+        return wire, decoded, spans[0]
 
     def _aggregation_active(self, decoder: Compressor) -> bool:
         """Whether the compressed-domain aggregation fast path applies.
@@ -1245,49 +1318,6 @@ class DistributedTrainer:
                 )
         with tracer.span("aggregate", **where):
             aggregated.update(bucket.unpack(flat / self._n_active))
-
-    def _record_compression(
-        self,
-        span,
-        bucket: FusionBucket,
-        packed: CompressedTensor,
-        where: dict,
-        grads: dict[str, np.ndarray],
-    ) -> None:
-        """Per-(rank, unit) detail metrics — traced path only."""
-        nbytes_in = bucket.nbytes
-        nbytes_out = packed.nbytes
-        span.set(
-            **where,
-            nbytes_in=nbytes_in,
-            nbytes_out=nbytes_out,
-            ratio=nbytes_out / nbytes_in if nbytes_in else 0.0,
-        )
-        metrics = self.metrics
-        metrics.histogram(
-            "compress_kernel_seconds",
-            {"compressor": self.compressors[0].name},
-            unit="seconds",
-            help="measured compress wall time per (rank, tensor) call",
-        ).observe(span.dur)
-        metrics.counter(
-            "compress_raw_bytes_total", unit="bytes",
-            help="uncompressed gradient traffic",
-        ).inc(nbytes_in)
-        metrics.counter(
-            "compress_wire_bytes_total", unit="bytes",
-            help="compressed payload bytes produced",
-        ).inc(nbytes_out)
-        metrics.counter(
-            "wire_framing_overhead_bytes_total", unit="bytes",
-            help="wire-format header bytes on top of raw payloads",
-        ).inc(framing_header_bytes(packed.payload))
-        name = where.get("tensor")
-        if name is not None:
-            metrics.histogram(
-                "grad_l2", {"tensor": name}, unit="l2",
-                help="per-layer gradient L2 norm (pre-compensation)",
-            ).observe(float(np.linalg.norm(grads[name])))
 
     # ------------------------------------------------------------------
 

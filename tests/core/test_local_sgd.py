@@ -120,7 +120,6 @@ class TestLearningAndAccounting:
         trainer = LocalSGDTrainer(tasks, create("qsgd"), sync_period=2)
         trainer.step(batches_from(x, y, 3, 0))
         trainer.step(batches_from(x, y, 3, 1))  # sync happens here
-        assert trainer.replica_divergence() == pytest.approx(0.0, abs=1e-7)
         states = [task.model.state_dict() for task in tasks]
         for name in states[0]:
             np.testing.assert_array_equal(states[0][name], states[1][name])
@@ -131,4 +130,8 @@ class TestLearningAndAccounting:
         tasks = make_tasks(3)
         trainer = LocalSGDTrainer(tasks, create("none"), sync_period=10)
         trainer.step(batches_from(x, y, 3, 0))
-        assert trainer.replica_divergence() > 0
+        states = [task.model.state_dict() for task in tasks]
+        assert any(
+            not np.array_equal(states[0][name], states[1][name])
+            for name in states[0]
+        )
