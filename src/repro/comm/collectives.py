@@ -217,11 +217,6 @@ class AsyncHandle:
         """Whether ``wait()`` has been called."""
         return self._waited
 
-    @property
-    def sim_end(self) -> float:
-        """Simulated completion time (0.0 without a timeline)."""
-        return self.event.end if self.event is not None else 0.0
-
 
 class Communicator:
     """Collectives over ``n_workers`` simulated ranks.

@@ -525,9 +525,6 @@ class SharedArena:
         """Crash-recovery generation this arena was created under."""
         return int(self._ctrl[_CTRL_INCARNATION])
 
-    def is_active(self, rank: int) -> bool:
-        return bool(self._active[rank])
-
     def active_ranks(self) -> list[int]:
         return [r for r in range(self.spec.n_ranks) if self._active[r]]
 
@@ -663,10 +660,6 @@ class SharedArena:
         # Publication barrier: posted[r] is stored last, so any reader
         # observing it sees the metadata and bytes written above.
         self._posted[self.rank] = seq + 1
-
-    def post_object(self, seq: int, obj) -> None:
-        """Post a pickled control-plane object (no cost accounting)."""
-        self.post(seq, pickle.dumps(obj), KIND_OBJECT)
 
     def _wait_meta_slot(
         self, seq: int, timeout: float = DEFAULT_TIMEOUT, progress=None

@@ -128,10 +128,6 @@ class SimTimeline:
         """Events scheduled on one resource, in schedule order."""
         return [e for e in self.events if e.resource == resource]
 
-    def busy_seconds(self, resource: str) -> float:
-        """Total occupancy of one resource."""
-        return sum(e.seconds for e in self.events_for(resource))
-
     def overlap_stats(self, resource: str = NETWORK) -> OverlapStats:
         """Split ``resource`` occupancy into hidden and exposed time.
 

@@ -146,13 +146,3 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
             current = 0
             current_length = 0
     return out
-
-
-def encoded_bits_per_symbol(symbols: np.ndarray, num_symbols: int) -> float:
-    """Average code length the stream achieves (for accounting tests)."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.size == 0:
-        return 0.0
-    counts = np.bincount(symbols, minlength=num_symbols)
-    lengths = code_lengths(counts)
-    return float((counts * lengths).sum() / symbols.size)

@@ -166,19 +166,6 @@ class CountSketch:
         self.table = np.zeros((depth, width), dtype=np.float64)
 
     @classmethod
-    def from_table(
-        cls, table: np.ndarray, universe: int, seed: int = 0
-    ) -> "CountSketch":
-        """A sketch whose state is a received ``(depth, width)`` table."""
-        table = np.asarray(table)
-        if table.ndim != 2:
-            raise ValueError("a sketch table is (depth, width)")
-        depth, width = table.shape
-        sketch = cls(width=width, depth=depth, universe=universe, seed=seed)
-        sketch.table[...] = table
-        return sketch
-
-    @classmethod
     def side_by_side(
         cls, widths, depth: int, universes, seed: int = 0, table=None
     ) -> "CountSketch":

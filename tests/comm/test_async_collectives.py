@@ -28,10 +28,6 @@ class TestAsyncHandle:
         assert handle.wait() == "payload"
         assert handle.done
 
-    def test_sim_end_without_timeline_is_zero(self):
-        assert AsyncHandle("x").sim_end == 0.0
-
-
 class TestNonblockingCollectives:
     def test_iallreduce_parts_matches_blocking_result(self):
         payloads = _payloads(4)
@@ -76,7 +72,6 @@ class TestNonblockingCollectives:
         assert handle.event.seconds == pytest.approx(
             comm.record.simulated_seconds
         )
-        assert handle.sim_end == handle.event.end
 
     def test_network_events_serialize_on_the_timeline(self):
         comm = Communicator(n_workers=4)

@@ -71,7 +71,7 @@ class TestLifecycle:
 
     def test_object_roundtrip(self, arena_pair):
         _, (r0, r1) = arena_pair
-        r0.post_object(0, {"loss": 0.25, "rank": 0})
+        r0.post(0, pickle.dumps({"loss": 0.25, "rank": 0}), KIND_OBJECT)
         assert r1.read_object(0, rank=0, timeout=1.0) == {
             "loss": 0.25, "rank": 0,
         }
@@ -141,7 +141,6 @@ class TestLiveness:
         owner, (r0, _) = arena_pair
         assert owner.incarnation == 0
         assert owner.active_ranks() == [0, 1]
-        assert r0.is_active(0) and r0.is_active(1)
 
     def test_survivor_cohort_arena(self):
         owner = SharedArena.create(
@@ -153,7 +152,6 @@ class TestLiveness:
             try:
                 assert view.incarnation == 2
                 assert view.active_ranks() == [0, 2]
-                assert not view.is_active(1)
             finally:
                 view.close()
         finally:

@@ -60,19 +60,16 @@ class TestSchedule:
     def test_empty_timeline(self):
         timeline = SimTimeline()
         assert timeline.makespan == 0.0
-        assert timeline.busy_seconds(NETWORK) == 0.0
         stats = timeline.overlap_stats()
         assert stats.comm_seconds == 0.0
         assert stats.overlap_fraction == 0.0
 
-    def test_events_for_and_busy_seconds(self):
+    def test_events_for(self):
         timeline = SimTimeline()
         timeline.schedule(NETWORK, 1.0)
         timeline.schedule(COMPUTE, 2.0)
         timeline.schedule(NETWORK, 3.0)
         assert [e.seconds for e in timeline.events_for(NETWORK)] == [1.0, 3.0]
-        assert timeline.busy_seconds(NETWORK) == 4.0
-        assert timeline.busy_seconds(COMPUTE) == 2.0
 
 
 class TestOverlapStats:
@@ -176,7 +173,7 @@ class TestProperties:
         assert stats.hidden_comm_seconds >= 0.0
         assert stats.exposed_comm_seconds >= -1e-12
         assert stats.comm_seconds == pytest.approx(
-            timeline.busy_seconds(NETWORK)
+            sum(e.seconds for e in timeline.events_for(NETWORK))
         )
         assert 0.0 <= stats.overlap_fraction <= 1.0
         # Upper bound: every event fully serialized after the last

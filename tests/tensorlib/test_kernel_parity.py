@@ -207,17 +207,6 @@ class TestCountSketchParity:
         everything = np.arange(20)
         assert_same(new.query(everything), old.query(everything))
 
-    def test_from_table_is_the_received_state(self):
-        sent = fast.CountSketch(16, 3, 50, seed=4)
-        sent.update_dense(np.linspace(-1, 1, 50))
-        wire = sent.table.astype(np.float32)
-        received = fast.CountSketch.from_table(wire, universe=50, seed=4)
-        assert (received.width, received.depth) == (16, 3)
-        assert_same(received.table, wire.astype(np.float64))
-        assert received.table is not wire
-        with pytest.raises(ValueError, match="depth, width"):
-            fast.CountSketch.from_table(np.zeros(16), universe=50)
-
     @pytest.mark.parametrize("index", [10, 11, -1])
     def test_index_outside_universe(self, index):
         for module in (slow, fast):
