@@ -151,18 +151,18 @@ class DecentralizedTrainer(RankPipeline):
                 self.tasks[node].apply_update(aggregated[node])
 
         self.report.iterations += 1
-        self.report.sim_comm_seconds += (
-            record.simulated_seconds - comm_before
-        )
-        self.report.bytes_per_worker += (
-            record.bytes_sent_per_worker - bytes_before
-        )
         if (
             self.consensus_period
             and self.report.iterations % self.consensus_period == 0
         ):
             with tracer.span("parameter_consensus"):
                 self._parameter_consensus()
+        # After the consensus round, so the report holds every round the
+        # record charged.
+        self.report.sim_comm_seconds += record.simulated_seconds - comm_before
+        self.report.bytes_per_worker += (
+            record.bytes_sent_per_worker - bytes_before
+        )
         self.consensus_distances.append(self.consensus_distance())
         mean_loss = float(np.mean(losses))
         self.report.losses.append(mean_loss)

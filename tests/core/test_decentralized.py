@@ -130,6 +130,24 @@ class TestLearning:
 
 
 class TestAccounting:
+    @pytest.mark.parametrize("consensus_period", [0, 2])
+    def test_report_holds_every_round_the_record_charged(
+        self, consensus_period
+    ):
+        trainer = DecentralizedTrainer(
+            make_tasks(4), create("topk", ratio=0.25), ring_topology(4),
+            consensus_period=consensus_period,
+        )
+        for step in range(4):
+            trainer.step(make_batches(4, step))
+        record = trainer.comm.record
+        assert trainer.report.bytes_per_worker == pytest.approx(
+            record.bytes_sent_per_worker, rel=1e-12
+        )
+        assert trainer.report.sim_comm_seconds == pytest.approx(
+            record.simulated_seconds, rel=1e-12
+        )
+
     def test_comm_costs_recorded(self):
         tasks = make_tasks(4)
         trainer = DecentralizedTrainer(

@@ -195,29 +195,44 @@ class TestCommRecordAdapter:
 
 
 class SharedQuadraticTask(QuadraticTask):
-    """Replicated quadratic task for gossip training (no model attr)."""
+    """Replicated quadratic task for gossip training; the task is its own
+    model, whose one parameter is ``x``."""
+
+    @property
+    def model(self):
+        return self
+
+    def state_dict(self):
+        return {"x": self.x.copy()}
+
+    def load_state_dict(self, state):
+        self.x = np.array(state["x"], dtype=np.float32)
 
 
-def gossip_trainers(tracer=None):
+def gossip_trainers(tracer=None, consensus_period=0):
     tasks = [SharedQuadraticTask(dim=16, lr=0.05, seed=0) for _ in range(4)]
     return DecentralizedTrainer(
         tasks, create("topk", ratio=0.5), ring_topology(4),
-        consensus_period=0, seed=0, tracer=tracer,
+        consensus_period=consensus_period, seed=0, tracer=tracer,
     )
 
 
 class TestDecentralizedTelemetry:
-    def test_traced_gossip_matches_untraced(self):
+    @pytest.mark.parametrize("consensus_period", [0, 2])
+    def test_traced_gossip_matches_untraced(self, consensus_period):
         batches = [noise_batches(4, 16, seed=s) for s in range(3)]
-        untraced = gossip_trainers()
+        untraced = gossip_trainers(consensus_period=consensus_period)
         plain = [untraced.step(b) for b in batches]
         tracer = Tracer()
-        traced_trainer = gossip_trainers(tracer=tracer)
+        traced_trainer = gossip_trainers(tracer, consensus_period)
         traced = [traced_trainer.step(b) for b in batches]
         assert plain == traced
+        assert traced_trainer.consensus_distances == \
+            untraced.consensus_distances
         names = {span.name for span in tracer.spans}
         assert {"iteration", "compute", "compress", "collective",
                 "decompress", "aggregate", "apply_update"} <= names
+        assert ("parameter_consensus" in names) == bool(consensus_period)
         collective = [s for s in tracer.spans if s.name == "collective"]
         assert all(s.attrs["op"] == "gossip_exchange" for s in collective)
         assert sum(s.sim for s in collective) == pytest.approx(
