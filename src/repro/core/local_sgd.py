@@ -93,8 +93,9 @@ class LocalSGDTrainer:
             for name, value in task.model.state_dict().items():
                 if not np.array_equal(value, delta_task.anchor[name]):
                     raise ValueError("replicas must start identical")
-        # The deltas travel by the compressor's own strategy, never the
-        # compressed-domain aggregation fast path.
+        # A sync exchanges payloads by the compressor's own strategy on
+        # any communicator, as it always has, so its charges do not
+        # depend on whether that communicator aggregates compressed.
         self._sync = DistributedTrainer(
             delta_task, compressor, n_workers=self.n_workers,
             memory=memory, memory_params=memory_params,
