@@ -128,6 +128,32 @@ class TestLearning:
 
         assert distance(complete_topology(6)) <= distance(ring_topology(6))
 
+    def test_each_node_applies_its_neighbourhood_mix(self):
+        topology = ring_topology(4)
+        trainer = DecentralizedTrainer(
+            make_tasks(4), create("none"), topology, consensus_period=0
+        )
+        before = [task.model.state_dict() for task in trainer.tasks]
+        batches = make_batches(4, 0)
+        grads = [
+            task.forward_backward(*batch)[1]
+            for task, batch in zip(make_tasks(4), batches)
+        ]
+        trainer.step(batches)
+        for node, task in enumerate(trainer.tasks):
+            after = task.model.state_dict()
+            for name in after:
+                mixed = topology.mixing_weight(node, node) * grads[node][name]
+                for source in topology.neighbors(node):
+                    mixed = mixed + (
+                        topology.mixing_weight(node, source)
+                        * grads[source][name]
+                    )
+                np.testing.assert_allclose(
+                    after[name], before[node][name] - 0.1 * mixed,
+                    rtol=1e-6, atol=1e-7,
+                )
+
 
 class TestAccounting:
     @pytest.mark.parametrize("consensus_period", [0, 2])

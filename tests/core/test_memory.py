@@ -5,11 +5,14 @@ import pytest
 
 from repro.core import (
     DgcMemory,
+    Memory,
     NoneMemory,
     ResidualMemory,
     create,
     make_memory,
 )
+from repro.core.api import update_from_payload
+from repro.core.fusion import tensor_bucket
 
 
 class TestNoneMemory:
@@ -142,3 +145,61 @@ class TestMakeMemory:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown memory"):
             make_memory("bogus")
+
+
+class TestMemoryBase:
+    def test_bucket_methods_are_abstract(self):
+        class PerTensorOnly(Memory):
+            def compensate(self, tensor, name):
+                return tensor
+
+            def update(self, compensated, name, compressor, compressed):
+                return None
+
+        with pytest.raises(TypeError, match="compensate_fused"):
+            PerTensorOnly()
+
+    @pytest.mark.parametrize("kind, scheme", [
+        ("none", "topk"), ("residual", "topk"), ("dgc", "dgc"),
+    ])
+    def test_per_tensor_methods_run_the_one_segment_bucket(
+        self, kind, scheme
+    ):
+        per_tensor, fused = make_memory(kind), make_memory(kind)
+        compressor = create(scheme, ratio=0.25, seed=0)
+        bucket = tensor_bucket("t", (2, 4))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            grad = rng.standard_normal((2, 4)).astype(np.float32)
+            compensated = per_tensor.compensate(grad, "t")
+            out = fused.compensate_fused(
+                {"t": grad}, bucket, np.empty(8, dtype=np.float32)
+            )
+            assert np.array_equal(out.reshape(2, 4), compensated)
+            compressed = compressor.compress(compensated, "t")
+            per_tensor.update(compensated, "t", compressor, compressed)
+            update_from_payload(fused, out, bucket, compressor, compressed)
+
+    def test_update_from_payload_returns_what_psi_took(self):
+        bucket = tensor_bucket("t", (8,))
+        compressor = create("dgc", ratio=0.25, seed=0)
+        grad = np.linspace(-1, 1, 8).astype(np.float32)
+        compressed = compressor.compress(grad, "t")
+        asked = []
+
+        def scratch():
+            asked.append(True)
+            return np.empty(8, dtype=np.float32)
+
+        decoded = update_from_payload(
+            ResidualMemory(), grad, bucket, compressor, compressed, scratch
+        )
+        assert np.array_equal(
+            decoded, compressor.decompress_fused(compressed)
+        )
+        assert asked == [True]
+        for memory in (NoneMemory(), DgcMemory()):
+            assert update_from_payload(
+                memory, grad, bucket, compressor, compressed, scratch
+            ) is None
+        assert asked == [True]
