@@ -619,6 +619,11 @@ class Memory(abc.ABC):
 
     telemetry = None  # class-level default: no per-instance cost when off
 
+    #: Attributes that hold views of the state rather than state: left
+    #: out of :meth:`state_dict` and emptied by :meth:`load_state_dict`,
+    #: so a checkpoint holds every residual once.
+    _views: tuple[str, ...] = ()
+
     #: What :meth:`update_fused` consumes as ``transmitted``:
     #: ``"values"`` — the decompressed bucket (one decompress pass per
     #: rank); ``"indices"`` — the flat bucket positions that were sent,
@@ -639,10 +644,13 @@ class Memory(abc.ABC):
         accumulation, hyperparameters) in instance attributes, so the
         generic snapshot is the instance ``__dict__`` minus the
         telemetry handle — registries are run infrastructure, not model
-        state, and must not be captured or restored.
+        state, and must not be captured or restored — and minus the
+        flat per-bucket buffers named by ``_views``, whose name-keyed
+        views carry the same values.
         """
+        skip = {"telemetry", *self._views}
         return copy.deepcopy(
-            {k: v for k, v in self.__dict__.items() if k != "telemetry"}
+            {k: v for k, v in self.__dict__.items() if k not in skip}
         )
 
     def load_state_dict(self, state: dict) -> None:
@@ -653,6 +661,8 @@ class Memory(abc.ABC):
         """
         registry = self.telemetry
         self.__dict__.update(copy.deepcopy(state))
+        for name in self._views:
+            setattr(self, name, {})
         if registry is not None:
             self.telemetry = registry
 

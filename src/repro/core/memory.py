@@ -61,6 +61,8 @@ class NoneMemory(Memory):
 class ResidualMemory(Memory):
     """Eq. 4 residual error feedback, keyed by tensor name."""
 
+    _views = ("_fused_residuals",)
+
     def __init__(self, beta: float = 1.0, gamma: float = 1.0):
         if beta <= 0 or gamma <= 0:
             raise ValueError("beta and gamma must be positive")
@@ -154,6 +156,7 @@ class DgcMemory(Memory):
     """
 
     fused_transmitted = "indices"
+    _views = ("_fused_buffers",)
 
     def __init__(self, momentum: float = 0.9):
         if not 0 <= momentum < 1:

@@ -14,7 +14,8 @@ import pytest
 
 from repro.bench.runner import build_trainer
 from repro.bench.suite import get_benchmark
-from repro.core.checkpoint import Checkpoint, CheckpointError
+from repro.core import DistributedTrainer, create
+from repro.core.checkpoint import Checkpoint, CheckpointError, _array_nbytes
 from repro.core.config import Resilience
 
 BENCH = "ncf-movielens"
@@ -119,3 +120,55 @@ def test_numeric_state_has_no_live_objects():
         isinstance(value, np.ndarray) for value in state["params"].values()
     )
     assert "params" not in state["optimizer"]
+
+
+class TestFusedMemoryState:
+    """A fused memory's flat bucket buffers are views of its name-keyed
+    state: a checkpoint holds every residual once, and a run restored
+    from it continues exactly as the uninterrupted run."""
+
+    CASES = [("topk", "residual"), ("dgc", "dgc"), ("efsignsgd", "residual")]
+
+    @staticmethod
+    def _run(compressor, memory, fusion_mb, steps=3):
+        from tests.core.test_fusion import MultiTask
+
+        task = MultiTask()
+        trainer = DistributedTrainer(
+            task, create(compressor, seed=0), n_workers=2, seed=0,
+            memory=memory, fusion_mb=fusion_mb,
+        )
+        for step in range(steps):
+            trainer.step([(2 * step, None), (2 * step + 1, None)])
+        return task, trainer
+
+    @staticmethod
+    def _memory_nbytes(trainer) -> int:
+        return _array_nbytes(
+            list(Checkpoint.capture(trainer).memory_states.values())
+        )
+
+    @pytest.mark.parametrize("compressor,memory", CASES)
+    def test_fused_memory_bytes_equal_unfused(self, compressor, memory):
+        unfused = self._memory_nbytes(self._run(compressor, memory, 0.0)[1])
+        fused = self._memory_nbytes(self._run(compressor, memory, 1.0)[1])
+        assert fused == unfused > 0
+
+    @pytest.mark.parametrize("compressor,memory", CASES)
+    def test_restored_fused_run_continues_bitwise(self, compressor, memory):
+        task, trainer = self._run(compressor, memory, 1.0)
+        checkpoint = Checkpoint.capture(trainer)
+        steps = [[(10 + s, None), (20 + s, None)] for s in range(3)]
+        losses = [trainer.step(batches) for batches in steps]
+        params = {name: p.copy() for name, p in task.params.items()}
+        state = [m.state_dict() for m in trainer.memories]
+
+        checkpoint.restore(trainer)
+        assert [trainer.step(batches) for batches in steps] == losses
+        for name, value in params.items():
+            assert task.params[name].tobytes() == value.tobytes(), name
+        for memory_now, before in zip(trainer.memories, state):
+            now = memory_now.state_dict()
+            for key in ("_residuals", "_velocity", "_accumulated"):
+                for name, value in before.get(key, {}).items():
+                    assert now[key][name].tobytes() == value.tobytes()
