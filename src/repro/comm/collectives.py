@@ -18,11 +18,11 @@ from repro.comm.cost import (
     allgather_time,
     broadcast_time,
     fused_allreduce_time,
-    ring_allreduce_time,
     sparse_allreduce_time,
 )
 from repro.comm.network import NetworkModel, ethernet
 from repro.comm.timeline import NETWORK, SimEvent, SimTimeline
+from repro.core.api import rank_sum
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 
 Payload = list[np.ndarray]
@@ -254,62 +254,21 @@ class Communicator:
         """Sum identical-shape tensors across ranks; every rank gets the sum.
 
         Mirrors the real Allreduce restrictions the paper lists in §IV-B:
-        inputs must share dtype and shape and aggregation is summation only.
+        inputs must share dtype and shape and aggregation is summation
+        only.  It is a one-part :meth:`allreduce_parts`, priced as one.
         """
-        self._check_rank_count(tensors)
-        first = np.asarray(tensors[0])
-        for rank, tensor in enumerate(tensors[1:], start=1):
-            tensor = np.asarray(tensor)
-            if tensor.shape != first.shape or tensor.dtype != first.dtype:
-                raise ValueError(
-                    "Allreduce requires uniform inputs: rank 0 has "
-                    f"{first.shape}/{first.dtype}, rank {rank} has "
-                    f"{tensor.shape}/{tensor.dtype}"
-                )
-        total = np.sum(np.stack([np.asarray(t) for t in tensors]), axis=0)
-        seconds = ring_allreduce_time(
-            first.nbytes, self.n_workers, self.network, self.backend
-        )
-        self.record.charge(bytes_per_worker=float(first.nbytes),
-                           seconds=seconds, op="allreduce")
-        return total
+        return self.allreduce_parts([[tensor] for tensor in tensors])[0]
 
     def allreduce_parts(self, payloads: list[Payload]) -> Payload:
         """Sum every part of a multi-part payload in one fused collective.
 
         Each rank contributes a *list* of arrays; part ``i`` is summed
-        across ranks exactly like :meth:`allreduce` would sum it, but all
-        parts travel as one message: a single op is charged, with one
-        per-op overhead and one set of latency-bound steps for the
-        combined byte volume (see
+        across ranks, but all parts travel as one message: a single op is
+        charged, with one per-op overhead and one set of latency-bound
+        steps for the combined byte volume (see
         :func:`repro.comm.cost.fused_allreduce_time`).
         """
-        self._check_rank_count(payloads)
-        first = payloads[0]
-        for rank, payload in enumerate(payloads[1:], start=1):
-            if len(payload) != len(first):
-                raise ValueError(
-                    "fused Allreduce requires uniform part counts: rank 0 "
-                    f"has {len(first)}, rank {rank} has {len(payload)}"
-                )
-        summed: Payload = []
-        part_nbytes: list[int] = []
-        for part in range(len(first)):
-            ref = np.asarray(first[part])
-            for rank, payload in enumerate(payloads[1:], start=1):
-                tensor = np.asarray(payload[part])
-                if tensor.shape != ref.shape or tensor.dtype != ref.dtype:
-                    raise ValueError(
-                        "fused Allreduce requires uniform inputs: part "
-                        f"{part} is {ref.shape}/{ref.dtype} on rank 0, "
-                        f"{tensor.shape}/{tensor.dtype} on rank {rank}"
-                    )
-            summed.append(
-                np.sum(
-                    np.stack([np.asarray(p[part]) for p in payloads]), axis=0
-                )
-            )
-            part_nbytes.append(int(ref.nbytes))
+        summed, part_nbytes = self._sum_parts(payloads, "Allreduce")
         seconds = fused_allreduce_time(
             part_nbytes, self.n_workers, self.network, self.backend
         )
@@ -318,6 +277,37 @@ class Communicator:
             op="allreduce",
         )
         return summed
+
+    def _sum_parts(
+        self, payloads: list[Payload], what: str
+    ) -> tuple[Payload, list[int]]:
+        """Every part summed over ranks in rank order
+        (:func:`~repro.core.api.rank_sum`), and each part's bytes.
+
+        ``what`` names the collective in the error raised when a rank's
+        part count, or a part's shape or dtype, differs from rank 0's.
+        """
+        self._check_rank_count(payloads)
+        first = [np.asarray(part) for part in payloads[0]]
+        for rank, payload in enumerate(payloads[1:], start=1):
+            if len(payload) != len(first):
+                raise ValueError(
+                    f"{what} requires uniform part counts: rank 0 has "
+                    f"{len(first)}, rank {rank} has {len(payload)}"
+                )
+            for part, (ref, tensor) in enumerate(zip(first, payload)):
+                tensor = np.asarray(tensor)
+                if tensor.shape != ref.shape or tensor.dtype != ref.dtype:
+                    raise ValueError(
+                        f"{what} requires uniform inputs: part {part} is "
+                        f"{ref.shape}/{ref.dtype} on rank 0, "
+                        f"{tensor.shape}/{tensor.dtype} on rank {rank}"
+                    )
+        summed = [
+            rank_sum([payload[i] for payload in payloads])
+            for i in range(len(first))
+        ]
+        return summed, [int(ref.nbytes) for ref in first]
 
     def allgather(self, payloads: list[Payload]) -> list[Payload]:
         """Gather every rank's payload list to all ranks.
@@ -450,8 +440,7 @@ class Communicator:
         )
         self.record.charge(bytes_per_worker=mean_contribution,
                            seconds=seconds, op="sparse_allreduce")
-        total = np.sum(np.stack([np.asarray(t) for t in tensors]), axis=0)
-        return total
+        return rank_sum(tensors)
 
     def broadcast(self, payload: Payload, root: int = 0) -> list[Payload]:
         """Send ``payload`` from ``root`` to all ranks."""

@@ -100,59 +100,10 @@ class HierarchicalCommunicator(Communicator):
             self.network, self.backend,
         )
 
-    def allreduce(self, tensors: list[np.ndarray]) -> np.ndarray:
-        """Dense sum, priced as rack-gather → root → rack-scatter."""
-        self._check_rank_count(tensors)
-        first = np.asarray(tensors[0])
-        for rank, tensor in enumerate(tensors[1:], start=1):
-            tensor = np.asarray(tensor)
-            if tensor.shape != first.shape or tensor.dtype != first.dtype:
-                raise ValueError(
-                    "hierarchical sum requires uniform inputs: rank 0 has "
-                    f"{first.shape}/{first.dtype}, rank {rank} has "
-                    f"{tensor.shape}/{tensor.dtype}"
-                )
-        total = np.sum(np.stack([np.asarray(t) for t in tensors]), axis=0)
-        nbytes = float(first.nbytes)
-        seconds = self._hier_seconds(
-            [nbytes] * self.n_workers, [nbytes] * self.n_racks, nbytes
-        )
-        self.record.charge(bytes_per_worker=nbytes, seconds=seconds,
-                           op="hier_allreduce")
-        self._count_root_bytes(
-            ingress=nbytes * self.n_racks, egress=nbytes * self.n_racks,
-        )
-        return total
-
     def allreduce_parts(self, payloads: list[Payload]) -> Payload:
         """Fused dense sum with hierarchical pricing (one op per bucket)."""
-        self._check_rank_count(payloads)
-        first = payloads[0]
-        for rank, payload in enumerate(payloads[1:], start=1):
-            if len(payload) != len(first):
-                raise ValueError(
-                    "fused hierarchical sum requires uniform part counts: "
-                    f"rank 0 has {len(first)}, rank {rank} has {len(payload)}"
-                )
-        summed: Payload = []
-        total_nbytes = 0
-        for part in range(len(first)):
-            ref = np.asarray(first[part])
-            for rank, payload in enumerate(payloads[1:], start=1):
-                tensor = np.asarray(payload[part])
-                if tensor.shape != ref.shape or tensor.dtype != ref.dtype:
-                    raise ValueError(
-                        "fused hierarchical sum requires uniform inputs: "
-                        f"part {part} is {ref.shape}/{ref.dtype} on rank 0, "
-                        f"{tensor.shape}/{tensor.dtype} on rank {rank}"
-                    )
-            summed.append(
-                np.sum(
-                    np.stack([np.asarray(p[part]) for p in payloads]), axis=0
-                )
-            )
-            total_nbytes += int(ref.nbytes)
-        nbytes = float(total_nbytes)
+        summed, part_nbytes = self._sum_parts(payloads, "hierarchical sum")
+        nbytes = float(sum(part_nbytes))
         seconds = self._hier_seconds(
             [nbytes] * self.n_workers, [nbytes] * self.n_racks, nbytes
         )

@@ -121,6 +121,7 @@ from repro.core.checkpoint import (
     outage_seconds,
     worker_checkpoint_path,
 )
+from repro.core.api import rank_sum
 from repro.core.config import Resilience, WorkerMode, sanitizes
 from repro.core.wire import frame_payload, unframe_payload
 from repro.faults.plan import FaultPlan, WorkerCrashError
@@ -404,11 +405,9 @@ class ParallelWorkerCommunicator(Communicator):
     def _reduce_parts(all_parts: list[Payload]) -> Payload:
         """Per-part sum over ranks, bitwise matching the sequential path.
 
-        The sequential communicator computes
-        ``np.sum(np.stack([rank 0 .. rank N-1]), axis=0)`` per part;
-        reproducing that exact expression (same operand order, same
-        pairwise summation over a stacked axis) is what makes parallel
-        and sequential final model states bitwise comparable.
+        Both sum each part with :func:`~repro.core.api.rank_sum` over
+        ranks 0 .. N-1 in order, which is what makes parallel and
+        sequential final model states bitwise comparable.
         """
         n_parts = len(all_parts[0])
         for rank, parts in enumerate(all_parts[1:], start=1):
@@ -418,10 +417,7 @@ class ParallelWorkerCommunicator(Communicator):
                     f"{n_parts}, rank {rank} has {len(parts)}"
                 )
         return [
-            np.sum(
-                np.stack([np.asarray(parts[i]) for parts in all_parts]),
-                axis=0,
-            )
+            rank_sum([parts[i] for parts in all_parts])
             for i in range(n_parts)
         ]
 

@@ -74,33 +74,6 @@ class ParameterServerCommunicator(Communicator):
             help="bytes leaving the aggregation root",
         ).inc(float(egress))
 
-    def allreduce(self, tensors: list[np.ndarray]) -> np.ndarray:
-        """Sum uniform tensors across ranks via the server."""
-        self._check_rank_count(tensors)
-        first = np.asarray(tensors[0])
-        for rank, tensor in enumerate(tensors[1:], start=1):
-            tensor = np.asarray(tensor)
-            if tensor.shape != first.shape or tensor.dtype != first.dtype:
-                raise ValueError(
-                    "parameter-server sum requires uniform inputs: rank 0 "
-                    f"has {first.shape}/{first.dtype}, rank {rank} has "
-                    f"{tensor.shape}/{tensor.dtype}"
-                )
-        total = np.sum(np.stack([np.asarray(t) for t in tensors]), axis=0)
-        seconds = ps_round_trip_time(
-            [float(first.nbytes)] * self.n_workers,
-            [float(first.nbytes)] * self.n_workers,
-            self.network,
-            self.backend,
-        )
-        self.record.charge(bytes_per_worker=float(first.nbytes),
-                           seconds=seconds, op="ps_allreduce")
-        self._count_root_bytes(
-            ingress=float(first.nbytes) * self.n_workers,
-            egress=float(first.nbytes) * self.n_workers,
-        )
-        return total
-
     def allreduce_parts(self, payloads: list[Payload]) -> Payload:
         """Sum multi-part payloads via the server in one round trip.
 
@@ -108,45 +81,18 @@ class ParameterServerCommunicator(Communicator):
         rank's payload travels in one push message, so the per-worker
         message latency and per-op overhead are paid once per bucket.
         """
-        self._check_rank_count(payloads)
-        first = payloads[0]
-        for rank, payload in enumerate(payloads[1:], start=1):
-            if len(payload) != len(first):
-                raise ValueError(
-                    "fused parameter-server sum requires uniform part "
-                    f"counts: rank 0 has {len(first)}, rank {rank} has "
-                    f"{len(payload)}"
-                )
-        summed: Payload = []
-        total_nbytes = 0
-        for part in range(len(first)):
-            ref = np.asarray(first[part])
-            for rank, payload in enumerate(payloads[1:], start=1):
-                tensor = np.asarray(payload[part])
-                if tensor.shape != ref.shape or tensor.dtype != ref.dtype:
-                    raise ValueError(
-                        "fused parameter-server sum requires uniform "
-                        f"inputs: part {part} is {ref.shape}/{ref.dtype} on "
-                        f"rank 0, {tensor.shape}/{tensor.dtype} on rank "
-                        f"{rank}"
-                    )
-            summed.append(
-                np.sum(
-                    np.stack([np.asarray(p[part]) for p in payloads]), axis=0
-                )
-            )
-            total_nbytes += int(ref.nbytes)
-        seconds = ps_round_trip_time(
-            [float(total_nbytes)] * self.n_workers,
-            [float(total_nbytes)] * self.n_workers,
-            self.network,
-            self.backend,
+        summed, part_nbytes = self._sum_parts(
+            payloads, "parameter-server sum"
         )
-        self.record.charge(bytes_per_worker=float(total_nbytes),
-                           seconds=seconds, op="ps_allreduce")
+        nbytes = float(sum(part_nbytes))
+        seconds = ps_round_trip_time(
+            [nbytes] * self.n_workers, [nbytes] * self.n_workers,
+            self.network, self.backend,
+        )
+        self.record.charge(bytes_per_worker=nbytes, seconds=seconds,
+                           op="ps_allreduce")
         self._count_root_bytes(
-            ingress=float(total_nbytes) * self.n_workers,
-            egress=float(total_nbytes) * self.n_workers,
+            ingress=nbytes * self.n_workers, egress=nbytes * self.n_workers,
         )
         return summed
 

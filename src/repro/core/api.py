@@ -204,19 +204,43 @@ class AggregatedLatticeCtx:
         self.n_summands = int(n_summands)
 
 
-def sum_dense(arrays: list[np.ndarray]) -> np.ndarray:
-    """Float32 sum in list order, bitwise matching ``np.sum(np.stack(...))``.
+def rank_sum(arrays: list[np.ndarray]) -> np.ndarray:
+    """The ranks' sum NumPy takes over the stacked arrays, ``np.sum(stacked,
+    axis=0)``, bitwise — without stacking them.
 
-    Seeding the accumulator with a copy of the first operand (instead of
-    zeros) keeps even signed-zero results identical to the stacked sum
-    the sequential collectives compute.
+    Same dtype (an int8 or bool sum is int64), same operand order, same
+    signed zeros: NumPy's reduction starts from +0, so where every rank
+    holds -0.0 the sum is +0.0, even of one rank — the first operand is
+    added to 0 rather than copied.  A tensor of at most one element is
+    reduced along a contiguous axis, which NumPy sums pairwise from eight
+    ranks on: it is summed as NumPy sums it.
     """
     if not arrays:
         raise ValueError("nothing to sum")
-    out = np.array(arrays[0], dtype=np.float32, copy=True)
-    for array in arrays[1:]:
-        out += np.asarray(array, dtype=np.float32).reshape(out.shape)
+    first, *rest = arrays = [np.asarray(array) for array in arrays]
+    if first.size <= 1:
+        return np.add.reduce(np.asarray(arrays), axis=0)
+    # The dtype NumPy's reduction gives the ranks' common type.
+    dtype = np.add.reduce(np.empty(0, np.result_type(*arrays))).dtype
+    out = np.add(first, 0, dtype=dtype)
+    for array in rest:
+        np.add(out, array, out=out)
     return out
+
+
+def rank_mean(arrays: list[np.ndarray]) -> np.ndarray:
+    """The ranks' mean, ``np.mean(stacked, axis=0)``, bitwise:
+    :func:`rank_sum` divided by the rank count.
+
+    NumPy divides a float sum by the count in float64 and rounds back; a
+    float32 quotient of exact operands is the same correctly rounded
+    value, so the division stays in the sum's precision, in place.
+    Integer and bool sums become float64 means.
+    """
+    total = rank_sum(arrays)
+    if isinstance(total, np.ndarray) and total.dtype.kind == "f":
+        return np.true_divide(total, len(arrays), out=total)
+    return np.true_divide(total, len(arrays))
 
 
 class Compressor(abc.ABC):
@@ -333,7 +357,7 @@ class Compressor(abc.ABC):
         """Combine per-worker decompressed tensors (default: mean)."""
         if not tensors:
             raise ValueError("nothing to aggregate")
-        return np.mean(np.stack(tensors), axis=0)
+        return rank_mean(tensors)
 
     # -- compressed-domain aggregation ---------------------------------------
 
@@ -391,8 +415,9 @@ class Compressor(abc.ABC):
         self, items: list[CompressedTensor], shape
     ) -> CompressedTensor:
         """Exact dense aggregation: elementwise float32 part sum."""
-        total = sum_dense([
-            np.ravel(np.asarray(item.payload[0])) for item in items
+        total = rank_sum([
+            np.ravel(np.asarray(item.payload[0], dtype=np.float32))
+            for item in items
         ])
         n = sum(summand_count(item) for item in items)
         return CompressedTensor(

@@ -25,7 +25,7 @@ from repro.core.api import (
     CompressedTensor,
     FusedBucketCtx,
     KernelCompressor,
-    sum_dense,
+    rank_sum,
     summand_count,
 )
 from repro.core.rng import name_seed
@@ -245,7 +245,7 @@ class LowRankCompressor(KernelCompressor):
                 item.payload, factored, getattr(item.ctx, "blocks", None)
             ))
         dense = [part for parts, _, _ in splits for part in parts]
-        payload = [sum_dense(dense)] if dense else []
+        payload = [rank_sum(dense)] if dense else []
         for i in range(len(factored)):
             payload += [
                 np.concatenate(

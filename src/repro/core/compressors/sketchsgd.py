@@ -16,7 +16,7 @@ from repro.core.api import (
     CompressedTensor,
     FusedBucketCtx,
     KernelCompressor,
-    sum_dense,
+    rank_sum,
     summand_count,
 )
 from repro.tensorlib import CountSketch, desparsify, segment_topk
@@ -147,7 +147,7 @@ class SketchedSGDCompressor(KernelCompressor):
                for item in items[1:]):
             raise ValueError("mismatched sketch layouts in aggregation")
         return CompressedTensor(
-            payload=[sum_dense([item.payload[0] for item in items])],
+            payload=[rank_sum([item.payload[0] for item in items])],
             ctx=_AggFusedSketchCtx(
                 bucket, sum(summand_count(item) for item in items)
             ),

@@ -13,7 +13,8 @@ ctx-honesty         ctx carries no ndarrays — tensor-derived arrays must
                     travel in the payload (GR003's runtime twin)
 nbytes              the cached ``CompressedTensor.nbytes`` equals the sum
                     of the payload parts' sizes
-input-mutation      ``compress`` leaves the caller's gradient untouched
+input-mutation      ``compress`` and ``compress_fused`` leave their input
+                    untouched (an identity φ hands Q the gradient itself)
 roundtrip           ``decompress(compress(t))`` returns the original
                     shape as float32
 determinism         replaying ``compress`` on a deep-copied snapshot
@@ -329,6 +330,7 @@ class ContractChecker(Compressor):
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
         expensive = self._due()
         snapshot = copy.deepcopy(self.inner) if expensive else None
+        before = np.array(buffer) if expensive else None
 
         compressed = self.inner.compress_fused(buffer, bucket)
 
@@ -337,6 +339,13 @@ class ContractChecker(Compressor):
         self._check_wire(compressed)
         if not expensive:
             return compressed
+        if before.tobytes() != np.asarray(buffer).tobytes():
+            self._fail(
+                "input-mutation",
+                f"compress_fused wrote into its input, bucket {bucket.index} "
+                f"({len(bucket)} tensors) — the input may be the gradient "
+                f"itself",
+            )
 
         out = self.inner.decompress_fused(compressed)
         if tuple(out.shape) != (bucket.numel,) or out.dtype != np.float32:

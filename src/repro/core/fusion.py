@@ -89,6 +89,7 @@ class FusionBucket:
         # A layout is shared (``tensor_bucket`` hands one to every caller).
         for layout in (self.sizes, self.offsets, self.ends):
             layout.setflags(write=False)
+        self._ratio_counts: dict[float, np.ndarray] = {}
 
     @property
     def nbytes(self) -> int:
@@ -141,17 +142,22 @@ class FusionBucket:
     def ratio_counts(self, ratio: float) -> np.ndarray:
         """``max(1, ceil(ratio · size))`` of every segment, capped at its
         size: how many elements a sparsifier keeps of each tensor (none of
-        an empty one)."""
-        return np.minimum(
-            self.sizes,
-            np.maximum(1, np.ceil(ratio * self.sizes).astype(np.int64)),
-        )
+        an empty one).  Computed once per ratio, and read-only."""
+        counts = self._ratio_counts.get(ratio)
+        if counts is None:
+            counts = np.minimum(
+                self.sizes,
+                np.maximum(1, np.ceil(ratio * self.sizes).astype(np.int64)),
+            )
+            counts.setflags(write=False)
+            self._ratio_counts[ratio] = counts
+        return counts
 
     def pack(self, arrays: dict[str, np.ndarray], out: np.ndarray) -> np.ndarray:
         """Copy the named tensors into ``out`` (flat float32) in layout order."""
-        for seg in self.segments:
-            out[seg.offset:seg.end] = np.ravel(arrays[seg.name])
-        return out
+        return np.concatenate(
+            [arrays[name] for name in self.names], axis=None, out=out
+        )
 
     def unpack(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Split a flat bucket array back into per-tensor shaped views."""

@@ -35,6 +35,14 @@ def _observe_residual_norm(memory: Memory, name: str,
     ).observe(float(np.linalg.norm(residual)))
 
 
+def _release(flats: dict, names) -> None:
+    """Drop the cached bucket flats holding any of ``names``: their
+    tensors are about to be bound to other storage."""
+    names = set(names)
+    for bucket in [b for b in flats if not names.isdisjoint(b.names)]:
+        del flats[bucket]
+
+
 class NoneMemory(Memory):
     """No error feedback: φ is the identity, ψ discards the error."""
 
@@ -43,10 +51,18 @@ class NoneMemory(Memory):
     def compensate_fused(
         self, gradients: dict[str, np.ndarray], bucket, out: np.ndarray
     ) -> np.ndarray:
-        """Identity φ: pack the raw gradients straight into the bucket."""
-        for seg in bucket.segments:
-            out[seg.offset:seg.end] = np.ravel(gradients[seg.name])
-        return out
+        """Identity φ: a one-tensor bucket's contiguous float32 gradient
+        is handed on as its flat view, uncopied; anything else is packed
+        into ``out``."""
+        if len(bucket) == 1:
+            gradient = gradients[bucket.names[0]]
+            if (
+                isinstance(gradient, np.ndarray)
+                and gradient.dtype == np.float32
+                and gradient.flags.c_contiguous
+            ):
+                return gradient.reshape(-1)
+        return bucket.pack(gradients, out)
 
     def update_fused(
         self,
@@ -69,47 +85,47 @@ class ResidualMemory(Memory):
         self.beta = float(beta)
         self.gamma = float(gamma)
         self._residuals: dict[str, np.ndarray] = {}
-        # Flat residuals of buckets of several tensors, keyed by segment
-        # layout; the name-keyed dict holds views into these, so both stay
-        # in sync.  A one-tensor bucket keeps only its name-keyed entry,
-        # as a tensor does.
-        self._fused_residuals: dict[tuple, np.ndarray] = {}
+        # Flat residuals of buckets of several tensors, keyed by bucket;
+        # the name-keyed entries are views into them, made once when the
+        # flat is, and ψ writes in place, so a flat stays current until a
+        # bucket sharing one of its tensors binds that tensor anew.  A
+        # one-tensor bucket keeps only its name-keyed entry, as a tensor
+        # does.
+        self._fused_residuals: dict = {}
+
+    def _phi(self, gradient, residual, out: np.ndarray) -> None:
+        """``out = γ·gradient + β·residual`` (``residual`` ``None``: 0),
+        flat float32; with β = 1 the product is the residual itself."""
+        gradient = np.asarray(gradient, dtype=np.float32).reshape(-1)
+        if residual is None:
+            np.multiply(gradient, self.gamma, out=out)
+        elif self.gamma == 1 and self.beta == 1:
+            np.add(gradient, residual.reshape(-1), out=out)
+        else:
+            np.multiply(gradient, self.gamma, out=out)
+            residual = residual.reshape(-1)
+            out += residual if self.beta == 1 else self.beta * residual
 
     def compensate_fused(
         self, gradients: dict[str, np.ndarray], bucket, out: np.ndarray
     ) -> np.ndarray:
-        """Eq. 4 φ over a whole bucket in two vectorized passes.
+        """Eq. 4 φ over a whole bucket, with no temporary for β = 1.
 
-        When a flat residual for this exact segment layout exists (i.e.
-        :meth:`update_fused` ran last iteration and no update over another
-        layout replaced any segment's residual since), φ is ``γ·g + β·m``
-        on the flat buffers — bitwise-identical to the per-segment
-        computation, since elementwise ops on contiguous slices commute
-        with packing and IEEE addition is commutative.  Otherwise (first
-        iteration, plan change, mixed usage) it runs segment by segment
-        on the name-keyed residuals.
+        Where the bucket's flat residual is current, φ runs once over the
+        flat buffers — bitwise the per-segment computation, since
+        elementwise ops on contiguous slices commute with packing.
+        Otherwise (first iteration, plan change, restored checkpoint) it
+        runs segment by segment on the name-keyed residuals.
         """
-        flat = (
-            self._fused_residuals.get(bucket.segments) if len(bucket) > 1
-            else None
-        )
-        if flat is None or not all(
-            self._residuals.get(seg.name) is not None
-            and self._residuals[seg.name].base is flat
-            for seg in bucket.segments
-        ):
-            for seg in bucket.segments:
-                residual = self._residuals.get(seg.name)
-                gradient = np.asarray(gradients[seg.name], dtype=np.float32)
-                view = out[seg.offset:seg.end]
-                np.multiply(gradient.reshape(-1), self.gamma, out=view)
-                if residual is not None:
-                    view += self.beta * residual.reshape(-1)
+        flat = self._fused_residuals.get(bucket) if len(bucket) > 1 else None
+        if flat is not None:
+            self._phi(bucket.pack(gradients, out), flat, out)
             return out
         for seg in bucket.segments:
-            out[seg.offset:seg.end] = np.ravel(gradients[seg.name])
-        np.multiply(out, self.gamma, out=out)
-        out += self.beta * flat
+            self._phi(
+                gradients[seg.name], self._residuals.get(seg.name),
+                out[seg.offset:seg.end],
+            )
         return out
 
     def update_fused(
@@ -118,23 +134,32 @@ class ResidualMemory(Memory):
         bucket,
         transmitted: np.ndarray | None,
     ) -> None:
-        """Eq. 4 ψ for a whole bucket: one subtraction, per-name views.
-
-        The subtraction allocates a fresh flat residual (no view into the
-        caller's reused scratch buffers is retained); the name-keyed
-        residuals become views into it, so :meth:`compensate` and
-        :meth:`residual` observe exactly the per-tensor state.
-        """
-        residual = np.asarray(compensated, dtype=np.float32) - np.asarray(
-            transmitted, dtype=np.float32
-        )
-        if len(bucket) > 1:
-            self._fused_residuals[bucket.segments] = residual
+        """Eq. 4 ψ for a whole bucket: one subtraction into the memory's
+        own residual — the tensor's array, or the bucket's flat, whose
+        per-name views are made when it is — never into the caller's
+        buffers, which are reused scratch."""
         residuals = self._residuals
-        for seg in bucket.segments:
-            residuals[seg.name] = residual[seg.offset:seg.end].reshape(
-                seg.shape
-            )
+        if len(bucket) == 1:
+            (seg,) = bucket.segments
+            target = residuals.get(seg.name)
+            if target is None or target.size != seg.size:
+                _release(self._fused_residuals, bucket.names)
+                target = residuals[seg.name] = np.empty(
+                    seg.shape, dtype=np.float32
+                )
+            target = target.reshape(-1)
+        else:
+            target = self._fused_residuals.get(bucket)
+            if target is None:
+                _release(self._fused_residuals, bucket.names)
+                target = np.empty(bucket.numel, dtype=np.float32)
+                self._fused_residuals[bucket] = target
+                residuals.update(bucket.unpack(target))
+        np.subtract(
+            np.asarray(compensated, dtype=np.float32),
+            np.asarray(transmitted, dtype=np.float32),
+            out=target,
+        )
         if self.telemetry is not None:
             for seg in bucket.segments:
                 _observe_residual_norm(self, seg.name, residuals[seg.name])
@@ -165,17 +190,16 @@ class DgcMemory(Memory):
         self._velocity: dict[str, np.ndarray] = {}
         self._accumulated: dict[str, np.ndarray] = {}
         # Flat (velocity, accumulation) pairs of buckets of several tensors,
-        # keyed by segment layout; the name-keyed dicts hold views into
-        # these, so both stay in sync.
-        self._fused_buffers: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        # keyed by bucket; the name-keyed dicts hold views into these,
+        # updated in place, as in ResidualMemory.
+        self._fused_buffers: dict = {}
 
     def _bucket_buffers(self, bucket) -> tuple[np.ndarray, np.ndarray]:
         """The bucket's flat ``(velocity, accumulation)``, views in place.
 
-        A one-tensor bucket's are the tensor's own (flat) entries.  Where a
-        tensor's entry is no longer a view of a larger bucket's (an update
-        over another layout, a restored checkpoint) or never existed, both
-        are first gathered from the per-tensor state.
+        A one-tensor bucket's are the tensor's own (flat) entries.  A
+        bucket of several tensors met for the first time (a new plan, a
+        restored checkpoint) first gathers them from the per-tensor state.
         """
         if len(bucket) == 1:
             (seg,) = bucket.segments
@@ -183,13 +207,10 @@ class DgcMemory(Memory):
                 self._velocity[seg.name] = np.zeros(seg.size, np.float32)
                 self._accumulated[seg.name] = np.zeros(seg.size, np.float32)
             return self._velocity[seg.name], self._accumulated[seg.name]
-        pair = self._fused_buffers.get(bucket.segments)
-        if pair is not None and all(
-            getattr(held.get(seg.name), "base", None) is flat
-            for held, flat in zip((self._velocity, self._accumulated), pair)
-            for seg in bucket.segments
-        ):
+        pair = self._fused_buffers.get(bucket)
+        if pair is not None:
             return pair
+        _release(self._fused_buffers, bucket.names)
         pair = (
             np.zeros(bucket.numel, dtype=np.float32),
             np.zeros(bucket.numel, dtype=np.float32),
@@ -200,7 +221,7 @@ class DgcMemory(Memory):
                 if seg.name in held:
                     view[:] = held[seg.name]
                 held[seg.name] = view
-        self._fused_buffers[bucket.segments] = pair
+        self._fused_buffers[bucket] = pair
         return pair
 
     def compensate_fused(
@@ -212,11 +233,10 @@ class DgcMemory(Memory):
         slice; ``out`` receives a copy of the accumulation.
         """
         velocity, accumulated = self._bucket_buffers(bucket)
-        bucket.pack(gradients, out)
         velocity *= self.momentum
-        velocity += out
+        velocity += bucket.pack(gradients, out)
         accumulated += velocity
-        out[:] = accumulated
+        np.copyto(out, accumulated)
         return out
 
     def update_fused(

@@ -346,7 +346,7 @@ class RankPipeline:
             buffer = np.empty(bucket.numel, dtype=np.float32)
         memory, compressor = self.memories[rank], self.compressors[rank]
         with tracer.span("memory_compensate", rank=rank) as phi_span:
-            memory.compensate_fused(grads, bucket, buffer)
+            buffer = memory.compensate_fused(grads, bucket, buffer)
         with tracer.span("compress", rank=rank) as span:
             packed = compressor.compress_fused(buffer, bucket)
         decoded = update_from_payload(
@@ -1291,10 +1291,8 @@ class DistributedTrainer(RankPipeline):
             with tracer.span("aggregate", **where):
                 if type(decoder).aggregate is Compressor.aggregate:
                     # Default Agg is an elementwise mean: one bucket-level
-                    # pass, then per-tensor views.
-                    aggregated.update(
-                        bucket.unpack(np.mean(np.stack(flats), axis=0))
-                    )
+                    # pass over the ranks, unstacked, then per-tensor views.
+                    aggregated.update(bucket.unpack(decoder.aggregate(flats)))
                     return
                 per_tensor = zip(*(
                     bucket.unpack(flat).values() for flat in flats

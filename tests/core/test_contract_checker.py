@@ -73,6 +73,21 @@ class MutatingCompressor(IdentityCompressor):
         return compressed
 
 
+class MutatingFusedCompressor(IdentityCompressor):
+    """A kernel that uses its input as workspace: correct payload, but the
+    caller's buffer (with an identity φ, the gradient) comes back changed."""
+
+    fused_kernel = True
+
+    def compress_fused(self, buffer, bucket):
+        payload = [np.array(buffer, dtype=np.float32)]
+        np.abs(buffer, out=buffer)
+        return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
+
+    def _decompress_bucket(self, payload, bucket):
+        return payload[0]
+
+
 class WrongShapeCompressor(IdentityCompressor):
     def decompress(self, compressed):
         return super().decompress(compressed).ravel()
@@ -169,6 +184,31 @@ class TestViolationDetection:
 
     def test_input_mutation(self):
         assert _violation(MutatingCompressor()).check == "input-mutation"
+
+    def test_fused_input_mutation(self):
+        from repro.core.fusion import FusionPlan
+
+        grads = {"a": _tensor() - 1.0, "b": -np.ones(5, dtype=np.float32)}
+        (bucket,) = FusionPlan.from_gradients(grads, 1 << 20).buckets
+        buffer = bucket.pack(grads, np.empty(bucket.numel, dtype=np.float32))
+        checker = ContractChecker(MutatingFusedCompressor())
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.compress_fused(buffer, bucket)
+        assert excinfo.value.check == "input-mutation"
+
+    def test_fused_input_mutation_of_a_passed_through_gradient(self):
+        from repro.core.fusion import tensor_bucket
+        from repro.core.memory import NoneMemory
+
+        gradient = -np.ones((2, 3), dtype=np.float32)
+        bucket = tensor_bucket("w", gradient.shape)
+        scratch = np.empty(bucket.numel, dtype=np.float32)
+        buffer = NoneMemory().compensate_fused({"w": gradient}, bucket, scratch)
+        assert np.shares_memory(buffer, gradient)  # φ handed on the gradient
+        checker = ContractChecker(MutatingFusedCompressor())
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.compress_fused(buffer, bucket)
+        assert excinfo.value.check == "input-mutation"
 
     def test_roundtrip_shape(self):
         assert _violation(WrongShapeCompressor()).check == "roundtrip"

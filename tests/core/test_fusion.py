@@ -675,9 +675,14 @@ class TestFusedMemoryFastPath:
             np.ones(8, dtype=np.float32), bucket,
             np.zeros(8, dtype=np.float32),
         )
-        # A per-tensor update replaces one segment's residual with an
-        # array that is no longer a view of the flat bucket residual.
-        memory._residuals["a"] = np.full(4, 7.0, dtype=np.float32)
+        # A bucket of another layout binds "a" to its own flat residual,
+        # so the first bucket's flat is no longer current.
+        (other,) = FusionPlan([("a", (4,)), ("c", (4,))], 1 << 20).buckets
+        memory.update_fused(
+            np.full(8, 7.0, dtype=np.float32), other,
+            np.zeros(8, dtype=np.float32),
+        )
+        assert bucket not in memory._fused_residuals
         grads = {
             "a": np.ones(4, dtype=np.float32),
             "b": np.ones(4, dtype=np.float32),
@@ -686,6 +691,26 @@ class TestFusedMemoryFastPath:
                                       np.empty(8, dtype=np.float32))
         assert np.array_equal(out[:4], np.full(4, 8.0, dtype=np.float32))
         assert np.array_equal(out[4:], np.full(4, 2.0, dtype=np.float32))
+
+    def test_per_tensor_update_writes_into_the_bucket_residual(self):
+        (bucket,) = FusionPlan([("a", (4,)), ("b", (4,))], 1 << 20).buckets
+        memory = ResidualMemory()
+        memory.update_fused(
+            np.ones(8, dtype=np.float32), bucket,
+            np.zeros(8, dtype=np.float32),
+        )
+        flat = memory._fused_residuals[bucket]
+        compressor = create("none")
+        compensated = np.full(4, 7.0, dtype=np.float32)
+        memory.update(compensated, "a", compressor,
+                      compressor.compress(np.zeros(4, np.float32), "a"))
+        assert memory._fused_residuals[bucket] is flat
+        assert memory.residual("a").base is flat
+        out = memory.compensate_fused(
+            {"a": np.ones(4, np.float32), "b": np.ones(4, np.float32)},
+            bucket, np.empty(8, dtype=np.float32),
+        )
+        assert np.array_equal(out, np.array([8] * 4 + [2] * 4, np.float32))
 
 
 class TestFusedDgcMemory:
@@ -730,7 +755,7 @@ class TestFusedDgcMemory:
         fused, classic = DgcMemory(0.9), DgcMemory(0.9)
         for sent in ([0, 7, 15], [], [5, 6, 7, 8]):
             self.step(fused, classic, self.grads(), np.array(sent, np.int64))
-        velocity, _ = fused._fused_buffers[self.bucket.segments]
+        velocity, _ = fused._fused_buffers[self.bucket]
         assert fused._velocity["b"].base is velocity  # views, not copies
 
     def test_restored_checkpoint_is_regathered(self):
@@ -749,7 +774,7 @@ class TestFusedDgcMemory:
         fused, classic = DgcMemory(0.9), DgcMemory(0.9)
         self.step(fused, classic, self.grads(), np.array([3]))
         extra = self.grads()["a"]
-        fused.compensate(extra, "a")  # replaces a's entries with new arrays
+        fused.compensate(extra, "a")  # updates a's views of the flat pair
         classic.compensate(extra, "a")
         self.step(fused, classic, self.grads(), np.array([4, 12]))
 
