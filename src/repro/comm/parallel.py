@@ -115,13 +115,13 @@ from repro.comm.shm import (
     SharedArena,
 )
 from repro.comm.timeline import NETWORK, SimTimeline
+from repro.core.api import rank_sum
 from repro.core.checkpoint import (
     Checkpoint,
     latest_common_iteration,
     outage_seconds,
     worker_checkpoint_path,
 )
-from repro.core.api import rank_sum
 from repro.core.config import Resilience, WorkerMode, sanitizes
 from repro.core.wire import frame_payload, unframe_payload
 from repro.faults.plan import FaultPlan, WorkerCrashError
