@@ -213,11 +213,14 @@ def rank_sum(arrays: list[np.ndarray]) -> np.ndarray:
     holds -0.0 the sum is +0.0, even of one rank — the first operand is
     added to 0 rather than copied.  A tensor of at most one element is
     reduced along a contiguous axis, which NumPy sums pairwise from eight
-    ranks on: it is summed as NumPy sums it.
+    ranks on: it is summed as NumPy sums it.  Like ``np.stack``, ranks
+    whose shapes differ raise ``ValueError`` rather than broadcast.
     """
     if not arrays:
         raise ValueError("nothing to sum")
     first, *rest = arrays = [np.asarray(array) for array in arrays]
+    if any(array.shape != first.shape for array in rest):
+        raise ValueError("ranks' arrays differ in shape")
     if first.size <= 1:
         return np.add.reduce(np.asarray(arrays), axis=0)
     # The dtype NumPy's reduction gives the ranks' common type.
@@ -695,9 +698,14 @@ class Memory(abc.ABC):
     def compensate_fused(
         self, gradients: dict[str, np.ndarray], bucket, out: np.ndarray
     ) -> np.ndarray:
-        """Pack φ(mᵏ, gᵏ) for every bucket segment into flat ``out``, a
-        reusable ``bucket.numel``-sized float32 scratch buffer the caller
-        fully overwrites each call."""
+        """φ(mᵏ, gᵏ) of every bucket segment as one flat float32 array,
+        which the caller compresses.
+
+        ``out`` is a reusable ``bucket.numel``-sized scratch buffer the
+        memory may pack into.  The return value may instead be a view of
+        the gradient itself (an identity φ of one contiguous float32
+        tensor): callers must not write into it.
+        """
 
     @abc.abstractmethod
     def update_fused(
@@ -717,7 +725,8 @@ class Memory(abc.ABC):
         """
 
     def compensate(self, tensor: np.ndarray, name: str) -> np.ndarray:
-        """φ(mᵏ, gᵏ) of one tensor: its one-segment bucket's φ."""
+        """φ(mᵏ, gᵏ) of one tensor: its one-segment bucket's φ.  It may
+        alias ``tensor``; callers must not write into it."""
         array = np.asarray(tensor)
         bucket = tensor_bucket(name, array.shape)
         out = np.empty(bucket.numel, dtype=np.float32)

@@ -187,15 +187,9 @@ def segment_topk(magnitudes: np.ndarray, ends, ks) -> np.ndarray:
     narrow sketches, so no sort key stands in for it.  Ascending; a run
     with ``k = 0`` gives nothing.
     """
-    ends, ks = np.asarray(ends).tolist(), np.asarray(ks).tolist()
-    if len(ends) == 1:
-        run, (k,) = magnitudes[:ends[0]], ks
-        if not k:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(run.argpartition(run.size - k)[-k:])
     picked = [
         magnitudes[start:end].argpartition(end - start - k)[-k:] + start
-        for (start, end), k in zip(_runs(ends), ks)
+        for (start, end), k in zip(_runs(ends), np.asarray(ks).tolist())
         if k
     ]
     if not picked:

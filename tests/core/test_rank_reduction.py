@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.comm.parallel import ParallelWorkerCommunicator
 from repro.core.api import rank_mean, rank_sum
 
 DTYPES = [np.float32, np.float64, np.int8, np.uint8, np.int32, np.bool_]
@@ -113,3 +114,24 @@ def test_sum_leaves_its_operands_alone():
 def test_nothing_to_sum():
     with pytest.raises(ValueError):
         rank_sum([])
+
+
+@pytest.mark.parametrize(
+    "shapes", [[(4,), (1,)], [(4,), ()], [(1,), ()], [(2, 3), (3, 2)]]
+)
+def test_ranks_of_different_shapes_raise_like_stack(shapes):
+    ranks = [np.ones(shape, dtype=np.float32) for shape in shapes]
+    with pytest.raises(ValueError):
+        np.stack(ranks)
+    with pytest.raises(ValueError):
+        rank_sum(ranks)
+    with pytest.raises(ValueError):
+        rank_sum(ranks[::-1])
+
+
+def test_worker_reduce_rejects_a_part_of_another_shape():
+    good = [np.ones(4, dtype=np.float32)]
+    with pytest.raises(ValueError):
+        ParallelWorkerCommunicator._reduce_parts(
+            [good, [np.ones(1, dtype=np.float32)]]
+        )
