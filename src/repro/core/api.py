@@ -213,8 +213,8 @@ def rank_sum(arrays: list[np.ndarray]) -> np.ndarray:
     holds -0.0 the sum is +0.0, even of one rank — the first operand is
     added to 0 rather than copied.  A tensor of at most one element is
     reduced along a contiguous axis, which NumPy sums pairwise from eight
-    ranks on: it is summed as NumPy sums it.  Like ``np.stack``, ranks
-    whose shapes differ raise ``ValueError`` rather than broadcast.
+    ranks on: it is summed as NumPy sums it.  Ranks whose shapes differ
+    raise ``ValueError``, as stacking them would, rather than broadcast.
     """
     if not arrays:
         raise ValueError("nothing to sum")
