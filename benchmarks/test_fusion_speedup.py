@@ -3,13 +3,13 @@
 The perf claim the fusion subsystem exists for: packing the fig6 CNN's
 ~29 gradient tensors into one bucket cuts the collective-op count by the
 tensor count (≥5×) and the measured compress+communicate wall-clock by
-≥1.3×.  The regenerated comparison is saved as ``BENCH_fusion.json`` so
-the perf trajectory has data points over time.
+≥1.3×.  The regenerated run is saved as ``BENCH_fusion.json`` (the
+`repro bench` RunResult schema) so the perf trajectory has data points
+over time.
 """
 
-import json
-
-from repro.bench.fusion_bench import run_fusion_bench, write_json
+from repro.bench.fusion_bench import run_fusion_bench
+from repro.bench.result import read_result, write_result
 from benchmarks.conftest import full_grid
 
 
@@ -18,7 +18,8 @@ def _best_of(runs, **kwargs):
     best = None
     for _ in range(runs):
         result = run_fusion_bench(**kwargs)
-        if best is None or result.wall_speedup > best.wall_speedup:
+        if best is None or (result.value("wall_speedup")
+                            > best.value("wall_speedup")):
             best = result
     return best
 
@@ -33,18 +34,18 @@ def test_fusion_speedup(record, results_dir, benchmark):
         iterations=iterations,
         fusion_mb=64.0,
     )
-    record("fusion_speedup", result.format())
-    write_json(str(results_dir / "BENCH_fusion.json"), result)
+    record("fusion_speedup", result.text)
+    write_result(results_dir / "BENCH_fusion.json", result)
 
-    data = json.loads((results_dir / "BENCH_fusion.json").read_text())
-    assert data["fused"]["collective_ops"] == iterations
+    data = read_result(results_dir / "BENCH_fusion.json")
+    assert data.value("collective_ops_fused") == iterations
 
     # One bucket per iteration versus one collective per tensor.
-    assert result.ops_reduction >= 5.0
+    assert result.value("ops_reduction") >= 5.0
     # The α-term amortization must show up in simulated exchange time too.
-    assert result.sim_speedup >= 5.0
+    assert result.value("sim_speedup") >= 5.0
     # Measured wall-clock for compress+communicate (the acceptance bar).
-    assert result.wall_speedup >= 1.3
+    assert result.value("wall_speedup") >= 1.3
 
     def kernel():
         return run_fusion_bench(
@@ -53,4 +54,5 @@ def test_fusion_speedup(record, results_dir, benchmark):
         )
 
     out = benchmark(kernel)
-    assert out.fused.collective_ops < out.unfused.collective_ops
+    assert (out.value("collective_ops_fused")
+            < out.value("collective_ops_unfused"))

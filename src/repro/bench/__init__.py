@@ -1,8 +1,8 @@
 """Benchmark harness: performance models, the benchmark suite of Table II,
 one experiment module per table/figure of the paper (see DESIGN.md's
-experiment index), the unified perf suites (:mod:`repro.bench.suites`)
-and the cross-PR perf history + regression gate
-(:mod:`repro.bench.history`).
+experiment index), the `repro bench` harnesses (each returns one
+:class:`~repro.bench.result.RunResult`) and the cross-PR perf history +
+regression gate (:mod:`repro.bench.history`).
 """
 
 from repro.bench.metadata import run_metadata

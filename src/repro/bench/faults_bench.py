@@ -9,8 +9,8 @@ failure mode worth measuring.
 Every faulted cell reports its final loss next to the baseline's plus
 the resilience accounting the run produced: retransmits, checksum
 verdicts, recovery seconds and fault-overhead seconds from the cost
-model.  The result serializes to ``BENCH_faults.json``; ``--check``
-asserts the acceptance criteria:
+model.  The run is one :class:`~repro.bench.result.RunResult` (suite
+``faults``); ``--check`` asserts the acceptance criteria:
 
 * every crash scenario converges within :data:`LOSS_TOLERANCE` of the
   fault-free final loss (EF checkpoint/restore works);
@@ -22,20 +22,23 @@ asserts the acceptance criteria:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bench.result import Metric, RunResult
 from repro.core.config import Resilience
 from repro.core.registry import create
 from repro.core.trainer import DistributedTrainer
 
-#: Maximum relative final-loss gap ``check()`` tolerates on crash cells.
+#: Maximum relative final-loss gap tolerated on crash cells.
 LOSS_TOLERANCE = 0.01
 
 #: The benchmark's compressor: error feedback makes crashes interesting.
 COMPRESSOR = "efsignsgd"
+
+#: The harness trains its own strongly-convex task, not a Table II row.
+SYNTHETIC_BENCHMARK = "quadratic-ef"
 
 #: Fault scenarios benchmarked against the fault-free baseline.
 #: Every spec window sits inside the run's iteration range.
@@ -93,7 +96,6 @@ class FaultsBenchCell:
     """One scenario's outcome next to the fault-free baseline."""
 
     scenario: str
-    faults: str
     final_loss: float
     baseline_loss: float
     faults_injected: int
@@ -112,105 +114,113 @@ class FaultsBenchCell:
         scale = max(abs(self.baseline_loss), 1e-12)
         return abs(self.final_loss - self.baseline_loss) / scale
 
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["loss_gap"] = self.loss_gap
-        return payload
 
-
-@dataclass
-class FaultsBenchResult:
-    """The scenario grid plus its acceptance checks."""
-
-    compressor: str
-    n_workers: int
-    iterations: int
-    seed: int
-    baseline_loss: float
-    baseline_sim_comm_seconds: float
-    cells: list[FaultsBenchCell] = field(default_factory=list)
-
-    def check(self) -> list[str]:
-        """Acceptance failures (empty when the run passes)."""
-        failures = []
-        if not self.cells:
-            failures.append("no scenarios were benchmarked")
-        for cell in self.cells:
-            if cell.scenario.startswith("crash") and not (
-                cell.loss_gap <= LOSS_TOLERANCE
-            ):
-                failures.append(
-                    f"{cell.scenario}: final loss {cell.final_loss:.6f} is "
-                    f"{100 * cell.loss_gap:.2f}% from the baseline "
-                    f"{cell.baseline_loss:.6f} (tolerance "
-                    f"{100 * LOSS_TOLERANCE:.0f}%)"
-                )
-            if cell.checksum_misses:
-                failures.append(
-                    f"{cell.scenario}: {cell.checksum_misses} corrupted "
-                    f"frames slipped past the CRC32 trailer"
-                )
-            if cell.faults_injected == 0:
-                failures.append(
-                    f"{cell.scenario}: the plan injected no faults "
-                    f"(window/probability bug?)"
-                )
-        restart = {c.scenario: c for c in self.cells}.get("crash-restart")
-        if restart is not None and not restart.recovery_seconds > 0:
+def _failures(cells: list[FaultsBenchCell],
+              baseline_sim_comm_seconds: float) -> list[str]:
+    """Acceptance failures (empty when the run passes)."""
+    failures = []
+    for cell in cells:
+        if cell.scenario.startswith("crash") and not (
+            cell.loss_gap <= LOSS_TOLERANCE
+        ):
             failures.append(
-                "crash-restart: the outage was not priced — "
-                "sim recovery seconds is "
-                f"{restart.recovery_seconds:.6f} (expected > 0)"
+                f"{cell.scenario}: final loss {cell.final_loss:.6f} is "
+                f"{100 * cell.loss_gap:.2f}% from the baseline "
+                f"{cell.baseline_loss:.6f} (tolerance "
+                f"{100 * LOSS_TOLERANCE:.0f}%)"
             )
-        corrupt = {c.scenario: c for c in self.cells}.get("corrupt")
-        if corrupt is not None:
-            if corrupt.checksum_failures == 0:
-                failures.append(
-                    "corrupt: no corrupted frame was caught by the checksum"
-                )
-            if not corrupt.sim_comm_seconds > self.baseline_sim_comm_seconds:
-                failures.append(
-                    "corrupt: retransmits did not surface in the cost model "
-                    f"({corrupt.sim_comm_seconds:.6f}s vs baseline "
-                    f"{self.baseline_sim_comm_seconds:.6f}s)"
-                )
-        drop = {c.scenario: c for c in self.cells}.get("drop")
-        if drop is not None and drop.retries == 0:
-            failures.append("drop: no retransmission was performed")
-        return failures
+        if cell.checksum_misses:
+            failures.append(
+                f"{cell.scenario}: {cell.checksum_misses} corrupted "
+                f"frames slipped past the CRC32 trailer"
+            )
+        if cell.faults_injected == 0:
+            failures.append(
+                f"{cell.scenario}: the plan injected no faults "
+                f"(window/probability bug?)"
+            )
+    by_name = {cell.scenario: cell for cell in cells}
+    restart = by_name.get("crash-restart")
+    if restart is not None and not restart.recovery_seconds > 0:
+        failures.append(
+            "crash-restart: the outage was not priced — "
+            "sim recovery seconds is "
+            f"{restart.recovery_seconds:.6f} (expected > 0)"
+        )
+    corrupt = by_name.get("corrupt")
+    if corrupt is not None:
+        if corrupt.checksum_failures == 0:
+            failures.append(
+                "corrupt: no corrupted frame was caught by the checksum"
+            )
+        if not corrupt.sim_comm_seconds > baseline_sim_comm_seconds:
+            failures.append(
+                "corrupt: retransmits did not surface in the cost model "
+                f"({corrupt.sim_comm_seconds:.6f}s vs baseline "
+                f"{baseline_sim_comm_seconds:.6f}s)"
+            )
+    drop = by_name.get("drop")
+    if drop is not None and drop.retries == 0:
+        failures.append("drop: no retransmission was performed")
+    return failures
 
-    def to_dict(self) -> dict:
-        return {
-            "compressor": self.compressor,
-            "n_workers": self.n_workers,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "baseline_loss": self.baseline_loss,
-            "baseline_sim_comm_seconds": self.baseline_sim_comm_seconds,
-            "loss_tolerance": LOSS_TOLERANCE,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
 
-    def format(self) -> str:
-        """Human-readable scenario table."""
-        lines = [
-            f"faults benchmark  : {self.compressor}, {self.n_workers} "
-            f"workers, {self.iterations} iterations, seed {self.seed}",
-            f"baseline loss     : {self.baseline_loss:.6f}",
-            f"{'scenario':<22}{'loss':>12}{'gap':>9}{'faults':>8}"
-            f"{'retries':>9}{'recovery s':>12}",
+def _metrics(cells: list[FaultsBenchCell], baseline_loss: float,
+             baseline_sim_comm_seconds: float) -> list[Metric]:
+    # Loss gaps hover near zero for healthy recovery, so their gate
+    # is a small absolute floor on top of the relative band;
+    # checksum misses must stay at their baseline of exactly zero.
+    metrics = [
+        Metric("baseline_loss", baseline_loss, "loss", "info"),
+        Metric("baseline_sim_comm_seconds", baseline_sim_comm_seconds,
+               "seconds", "info"),
+    ]
+    for cell in cells:
+        name = cell.scenario
+        metrics += [
+            Metric(f"{name}/loss_gap", cell.loss_gap, "fraction", "lower",
+                   tolerance=0.1, floor=0.005),
+            Metric(f"{name}/checksum_misses", cell.checksum_misses,
+                   "frames", "lower", tolerance=0.0),
+            Metric(f"{name}/recovery_seconds", cell.recovery_seconds,
+                   "seconds", "lower", tolerance=0.05, floor=1e-9),
+            Metric(f"{name}/sim_comm_seconds", cell.sim_comm_seconds,
+                   "seconds", "lower", tolerance=0.05),
+            Metric(f"{name}/faults_injected", cell.faults_injected,
+                   "faults", "info"),
+            Metric(f"{name}/retries", cell.retries, "retries", "info"),
+            Metric(f"{name}/final_loss", cell.final_loss, "loss", "info"),
+            Metric(f"{name}/retransmit_bytes", cell.retransmit_bytes,
+                   "bytes", "info"),
+            Metric(f"{name}/checksum_failures", cell.checksum_failures,
+                   "frames", "info"),
+            Metric(f"{name}/degraded_iterations", cell.degraded_iterations,
+                   "iterations", "info"),
+            Metric(f"{name}/fault_overhead_seconds",
+                   cell.fault_overhead_seconds, "seconds", "info"),
         ]
-        for cell in self.cells:
-            lines.append(
-                f"{cell.scenario:<22}{cell.final_loss:>12.6f}"
-                f"{100 * cell.loss_gap:>8.2f}%{cell.faults_injected:>8}"
-                f"{cell.retries:>9}{cell.recovery_seconds:>12.6f}"
-            )
-        return "\n".join(lines)
+    return metrics
+
+
+def _format(header: str, baseline_loss: float,
+            cells: list[FaultsBenchCell]) -> str:
+    """Human-readable scenario table."""
+    lines = [
+        header,
+        f"baseline loss     : {baseline_loss:.6f}",
+        f"{'scenario':<22}{'loss':>12}{'gap':>9}{'faults':>8}"
+        f"{'retries':>9}{'recovery s':>12}",
+    ]
+    for cell in cells:
+        lines.append(
+            f"{cell.scenario:<22}{cell.final_loss:>12.6f}"
+            f"{100 * cell.loss_gap:>8.2f}%{cell.faults_injected:>8}"
+            f"{cell.retries:>9}{cell.recovery_seconds:>12.6f}"
+        )
+    return "\n".join(lines)
 
 
 def _run_cell(
-    scenario: str | None,
     options: dict,
     n_workers: int,
     iterations: int,
@@ -243,12 +253,11 @@ def _counter_total(trainer: DistributedTrainer, name: str) -> float:
 
 
 def run_faults_bench(
-    n_workers: int = 4,
-    iterations: int = 40,
+    n_workers: int = 8,
+    iterations: int = 30,
     dim: int = 64,
     seed: int = 0,
-    scenarios: dict[str, dict] | None = None,
-) -> FaultsBenchResult:
+) -> RunResult:
     """Run every fault scenario against one fault-free baseline."""
     if n_workers < 2:
         raise ValueError("the crash scenarios need at least 2 workers")
@@ -256,25 +265,17 @@ def run_faults_bench(
         raise ValueError(
             "iterations must be > 20 so every scenario window is exercised"
         )
-    grid = scenarios if scenarios is not None else SCENARIOS
     baseline_loss, baseline = _run_cell(
-        None, {}, n_workers, iterations, dim, seed
+        {}, n_workers, iterations, dim, seed
     )
-    result = FaultsBenchResult(
-        compressor=COMPRESSOR,
-        n_workers=n_workers,
-        iterations=iterations,
-        seed=seed,
-        baseline_loss=baseline_loss,
-        baseline_sim_comm_seconds=baseline.report.sim_comm_seconds,
-    )
-    for name, options in grid.items():
+    baseline_sim_comm_seconds = baseline.report.sim_comm_seconds
+    cells = []
+    for name, options in SCENARIOS.items():
         loss, trainer = _run_cell(
-            name, options, n_workers, iterations, dim, seed
+            options, n_workers, iterations, dim, seed
         )
-        result.cells.append(FaultsBenchCell(
+        cells.append(FaultsBenchCell(
             scenario=name,
-            faults=options["faults"],
             final_loss=loss,
             baseline_loss=baseline_loss,
             faults_injected=int(
@@ -299,15 +300,15 @@ def run_faults_bench(
             ),
             sim_comm_seconds=trainer.report.sim_comm_seconds,
         ))
-    return result
-
-
-def write_json(path: str, result: FaultsBenchResult) -> None:
-    """Serialize one benchmark run to ``BENCH_faults.json``."""
-    from repro.bench.metadata import run_metadata
-
-    payload = result.to_dict()
-    payload["meta"] = run_metadata(seed=result.seed)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    header = (
+        f"faults benchmark  : {COMPRESSOR}, {n_workers} "
+        f"workers, {iterations} iterations, seed {seed}"
+    )
+    return RunResult.new(
+        "faults", SYNTHETIC_BENCHMARK,
+        params={"n_workers": n_workers, "iterations": iterations,
+                "dim": dim, "seed": seed},
+        metrics=_metrics(cells, baseline_loss, baseline_sim_comm_seconds),
+        text=_format(header, baseline_loss, cells),
+        failures=_failures(cells, baseline_sim_comm_seconds),
+    )

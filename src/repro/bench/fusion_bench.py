@@ -13,15 +13,16 @@ the three numbers the perf trajectory tracks:
 * **simulated seconds** for the exchange (communication + compression
   kernels under the α-β cost model and the calibrated kernel clock).
 
-The result serializes to ``BENCH_fusion.json`` so CI and the benchmark
-suite can track the speedups over time.
+The run is one :class:`~repro.bench.result.RunResult` (suite
+``fusion``); ``--check`` fails it unless the fused run issues fewer
+collectives and reproduces the per-tensor losses bit for bit.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
+from repro.bench.result import Metric, RunResult
 from repro.bench.suite import BenchmarkSpec, get_benchmark
 from repro.core.registry import create
 from repro.core.trainer import DistributedTrainer
@@ -31,7 +32,6 @@ from repro.core.trainer import DistributedTrainer
 class FusionBenchCell:
     """One training run's exchange costs."""
 
-    fusion_mb: float
     collective_ops: int
     wall_seconds: float
     sim_comm_seconds: float
@@ -47,82 +47,9 @@ class FusionBenchCell:
         return self.sim_comm_seconds + self.sim_compression_seconds
 
 
-@dataclass
-class FusionBenchResult:
-    """Fused vs unfused comparison on one (benchmark, compressor) cell."""
-
-    benchmark: str
-    compressor: str
-    n_workers: int
-    iterations: int
-    n_tensors: int
-    unfused: FusionBenchCell
-    fused: FusionBenchCell
-
-    @property
-    def ops_reduction(self) -> float:
-        """How many times fewer collectives the fused run issued."""
-        if self.fused.collective_ops == 0:
-            return float("inf")
-        return self.unfused.collective_ops / self.fused.collective_ops
-
-    @property
-    def wall_speedup(self) -> float:
-        """Measured compress+communicate wall-clock speedup."""
-        if self.fused.wall_seconds == 0:
-            return float("inf")
-        return self.unfused.wall_seconds / self.fused.wall_seconds
-
-    @property
-    def sim_speedup(self) -> float:
-        """Simulated exchange-time speedup under the cost model."""
-        if self.fused.sim_exchange_seconds == 0:
-            return float("inf")
-        return (
-            self.unfused.sim_exchange_seconds / self.fused.sim_exchange_seconds
-        )
-
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        for key in ("unfused", "fused"):
-            payload[key]["sim_exchange_seconds"] = getattr(
-                self, key
-            ).sim_exchange_seconds
-        payload["ops_reduction"] = self.ops_reduction
-        payload["wall_speedup"] = self.wall_speedup
-        payload["sim_speedup"] = self.sim_speedup
-        return payload
-
-    def format(self) -> str:
-        """Human-readable comparison table."""
-        lines = [
-            f"fusion benchmark : {self.benchmark} / {self.compressor} "
-            f"({self.n_workers} workers, {self.iterations} iterations, "
-            f"{self.n_tensors} tensors)",
-            f"{'':18}{'unfused':>14}{'fused':>14}{'ratio':>10}",
-        ]
-        rows = [
-            ("collective ops", self.unfused.collective_ops,
-             self.fused.collective_ops, self.ops_reduction),
-            ("wall seconds", self.unfused.wall_seconds,
-             self.fused.wall_seconds, self.wall_speedup),
-            ("sim exchange s", self.unfused.sim_exchange_seconds,
-             self.fused.sim_exchange_seconds, self.sim_speedup),
-        ]
-        for label, a, b, ratio in rows:
-            if isinstance(a, int):
-                lines.append(
-                    f"{label:<18}{a:>14d}{b:>14d}{ratio:>9.1f}x"
-                )
-            else:
-                lines.append(
-                    f"{label:<18}{a:>14.4f}{b:>14.4f}{ratio:>9.2f}x"
-                )
-        lines.append(
-            f"{'fusion buckets':<18}{self.unfused.fusion_buckets:>14d}"
-            f"{self.fused.fusion_buckets:>14d}"
-        )
-        return "\n".join(lines)
+def _ratio(unfused: float, fused: float) -> float:
+    """How many times the fused run beats the unfused one."""
+    return float("inf") if fused == 0 else unfused / fused
 
 
 def _run_cell(
@@ -163,7 +90,6 @@ def _run_cell(
         trainer.metrics.counter("fusion_buckets_total").value
     )
     return FusionBenchCell(
-        fusion_mb=float(fusion_mb),
         collective_ops=trainer.comm.record.num_ops,
         wall_seconds=report.measured_compression_seconds,
         sim_comm_seconds=report.sim_comm_seconds,
@@ -174,6 +100,97 @@ def _run_cell(
     )
 
 
+def _metrics(unfused: FusionBenchCell, fused: FusionBenchCell,
+             n_tensors: int) -> list[Metric]:
+    # Collective counts and simulated seconds are deterministic at a
+    # fixed seed, so their bands are tight; measured wall time gets a
+    # wide band (CI machines are noisy).
+    return [
+        Metric("collective_ops_unfused", unfused.collective_ops, "ops",
+               "info"),
+        Metric("collective_ops_fused", fused.collective_ops, "ops",
+               "lower", tolerance=0.0),
+        Metric("ops_reduction",
+               _ratio(unfused.collective_ops, fused.collective_ops),
+               "ratio", "higher", tolerance=0.02),
+        Metric("fusion_buckets", fused.fusion_buckets, "buckets", "info"),
+        Metric("fusion_buckets_unfused", unfused.fusion_buckets, "buckets",
+               "info"),
+        Metric("n_tensors", n_tensors, "tensors", "info"),
+        Metric("sim_exchange_seconds_unfused", unfused.sim_exchange_seconds,
+               "seconds", "info"),
+        Metric("sim_exchange_seconds_fused", fused.sim_exchange_seconds,
+               "seconds", "lower", tolerance=0.05),
+        Metric("sim_speedup",
+               _ratio(unfused.sim_exchange_seconds,
+                      fused.sim_exchange_seconds),
+               "ratio", "higher", tolerance=0.05),
+        Metric("sim_comm_seconds_unfused", unfused.sim_comm_seconds,
+               "seconds", "info"),
+        Metric("sim_comm_seconds_fused", fused.sim_comm_seconds, "seconds",
+               "info"),
+        Metric("sim_compression_seconds_unfused",
+               unfused.sim_compression_seconds, "seconds", "info"),
+        Metric("sim_compression_seconds_fused",
+               fused.sim_compression_seconds, "seconds", "info"),
+        Metric("bytes_per_worker_unfused", unfused.bytes_per_worker,
+               "bytes", "info"),
+        Metric("bytes_per_worker_fused", fused.bytes_per_worker, "bytes",
+               "lower", tolerance=0.02),
+        Metric("wall_seconds_unfused", unfused.wall_seconds, "seconds",
+               "info"),
+        Metric("wall_seconds_fused", fused.wall_seconds, "seconds",
+               "lower", tolerance=0.6),
+        Metric("wall_speedup",
+               _ratio(unfused.wall_seconds, fused.wall_seconds),
+               "ratio", "higher", tolerance=0.6),
+    ]
+
+
+def _failures(unfused: FusionBenchCell, fused: FusionBenchCell) -> list[str]:
+    failures = []
+    if fused.collective_ops >= unfused.collective_ops:
+        failures.append(
+            f"fused run issued {fused.collective_ops} "
+            f"collectives, unfused {unfused.collective_ops}"
+        )
+    if fused.losses != unfused.losses:
+        step = next(
+            i for i, pair in enumerate(zip(fused.losses, unfused.losses))
+            if pair[0] != pair[1]
+        )
+        failures.append(
+            f"fused and unfused training diverge at step {step}: "
+            f"loss {fused.losses[step]!r} vs "
+            f"{unfused.losses[step]!r} (must be bitwise equal)"
+        )
+    return failures
+
+
+def _format(header: str, unfused: FusionBenchCell,
+            fused: FusionBenchCell) -> str:
+    """Human-readable comparison table."""
+    lines = [header, f"{'':18}{'unfused':>14}{'fused':>14}{'ratio':>10}"]
+    rows = [
+        ("collective ops", unfused.collective_ops, fused.collective_ops),
+        ("wall seconds", unfused.wall_seconds, fused.wall_seconds),
+        ("sim exchange s", unfused.sim_exchange_seconds,
+         fused.sim_exchange_seconds),
+    ]
+    for label, a, b in rows:
+        if isinstance(a, int):
+            lines.append(f"{label:<18}{a:>14d}{b:>14d}{_ratio(a, b):>9.1f}x")
+        else:
+            lines.append(
+                f"{label:<18}{a:>14.4f}{b:>14.4f}{_ratio(a, b):>9.2f}x"
+            )
+    lines.append(
+        f"{'fusion buckets':<18}{unfused.fusion_buckets:>14d}"
+        f"{fused.fusion_buckets:>14d}"
+    )
+    return "\n".join(lines)
+
+
 def run_fusion_bench(
     benchmark: str = "resnet20-cifar10",
     compressor: str = "topk",
@@ -182,7 +199,7 @@ def run_fusion_bench(
     fusion_mb: float = 64.0,
     seed: int = 0,
     compressor_params: dict | None = None,
-) -> FusionBenchResult:
+) -> RunResult:
     """Compare ``fusion_mb=0`` against ``fusion_mb`` on one benchmark."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -204,23 +221,22 @@ def run_fusion_bench(
         spec, compressor, n_workers, iterations, seed, fusion_mb,
         compressor_params,
     )
-    return FusionBenchResult(
-        benchmark=benchmark,
-        compressor=compressor,
-        n_workers=n_workers,
-        iterations=iterations,
-        n_tensors=n_tensors,
-        unfused=unfused,
-        fused=fused,
+    header = (
+        f"fusion benchmark : {benchmark} / {compressor} "
+        f"({n_workers} workers, {iterations} iterations, "
+        f"{n_tensors} tensors)"
     )
-
-
-def write_json(path: str, result: FusionBenchResult) -> None:
-    """Serialize one benchmark result to ``BENCH_fusion.json``."""
-    from repro.bench.metadata import run_metadata
-
-    payload = result.to_dict()
-    payload["meta"] = run_metadata()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return RunResult.new(
+        "fusion", benchmark,
+        params={
+            "compressor": compressor,
+            "n_workers": n_workers,
+            "iterations": iterations,
+            "fusion_mb": fusion_mb,
+            "seed": seed,
+            "compressor_params": compressor_params,
+        },
+        metrics=_metrics(unfused, fused, n_tensors),
+        text=_format(header, unfused, fused),
+        failures=_failures(unfused, fused),
+    )

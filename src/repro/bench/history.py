@@ -1,6 +1,6 @@
 """Cross-PR perf history and the regression gate.
 
-Every recorded suite run appends one JSON line to an append-only
+Every recorded `repro bench` run appends one JSON line to an append-only
 history file (``benchmarks/results/PERF_HISTORY.jsonl`` by default),
 keyed by commit and carrying the full metric set with units, directions
 and tolerance bands.  On top of the log:
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
 
-from repro.bench.suites.base import Metric, RunResult
+from repro.bench.result import Metric, RunResult
 
 #: Bumped when the history line shape changes.
 HISTORY_SCHEMA_VERSION = 1

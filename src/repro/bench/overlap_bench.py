@@ -14,17 +14,18 @@ models:
 Both schedules price communication with the α-β collective model and
 kernels with the calibrated V100 clock, so the ratio isolates exactly
 what overlap buys: the share of communication hidden under the backward
-pass.  The result serializes to ``BENCH_overlap.json``; ``--check``
-asserts that overlap hides communication on every cell and reaches the
-target speedup on at least one bandwidth-bound cell.
+pass.  The run is one :class:`~repro.bench.result.RunResult` (suite
+``overlap``); ``--check`` asserts that overlap hides communication on
+every cell and reaches the target speedup on at least one
+bandwidth-bound cell.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from repro.bench.perf import KernelCostModel
+from repro.bench.result import Metric, RunResult
 from repro.bench.suite import BenchmarkSpec, get_benchmark
 from repro.bench.throughput import _cached_footprint
 from repro.comm.backends import Backend, OPENMPI_TCP
@@ -34,7 +35,7 @@ from repro.comm.timeline import COMPUTE, KERNEL, NETWORK, SimTimeline
 from repro.core.fusion import FusionPlan
 from repro.core.registry import compressor_info
 
-#: Minimum speedup ``check()`` demands on the best bandwidth-bound cell.
+#: Minimum speedup the best bandwidth-bound cell must reach.
 TARGET_SPEEDUP = 1.3
 
 #: Named testbed links (Fig. 9's bandwidth/transport grid).
@@ -88,83 +89,89 @@ class OverlapBenchCell:
             return 0.0
         return self.hidden_comm_seconds / total
 
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["speedup"] = self.speedup
-        payload["overlap_fraction"] = self.overlap_fraction
-        return payload
+
+def _best_speedup(cells: list[OverlapBenchCell]) -> float:
+    """The largest sequential/overlapped ratio across the grid."""
+    return max((cell.speedup for cell in cells), default=0.0)
 
 
-@dataclass
-class OverlapBenchResult:
-    """The full benchmark grid plus its acceptance checks."""
+def overlap_failures(cells: list[OverlapBenchCell]) -> list[str]:
+    """Acceptance failures of one grid (empty when the run passes).
 
-    benchmark: str
-    n_workers: int
-    fusion_mb: float
-    backend: str
-    cells: list[OverlapBenchCell] = field(default_factory=list)
-
-    @property
-    def best_speedup(self) -> float:
-        """The largest sequential/overlapped ratio across the grid."""
-        if not self.cells:
-            return 0.0
-        return max(cell.speedup for cell in self.cells)
-
-    def check(self) -> list[str]:
-        """Acceptance failures (empty when the run passes).
-
-        Every overlapped cell must hide *some* communication, and the
-        grid must contain at least one cell where overlap pays the
-        :data:`TARGET_SPEEDUP` — the bandwidth-bound regime the
-        schedule exists for.
-        """
-        failures = []
-        if not self.cells:
-            failures.append("no cells were benchmarked")
-        for cell in self.cells:
-            if not cell.overlap_fraction > 0:
-                failures.append(
-                    f"{cell.compressor}/{cell.network}: overlap_fraction is "
-                    f"{cell.overlap_fraction:.3f} (expected > 0)"
-                )
-        if self.cells and not self.best_speedup >= TARGET_SPEEDUP:
+    Every overlapped cell must hide *some* communication, and the
+    grid must contain at least one cell where overlap pays the
+    :data:`TARGET_SPEEDUP` — the bandwidth-bound regime the
+    schedule exists for.
+    """
+    failures = []
+    if not cells:
+        failures.append("no cells were benchmarked")
+    for cell in cells:
+        if not cell.overlap_fraction > 0:
             failures.append(
-                f"best speedup {self.best_speedup:.2f}x is below the "
-                f"{TARGET_SPEEDUP}x target"
+                f"{cell.compressor}/{cell.network}: overlap_fraction is "
+                f"{cell.overlap_fraction:.3f} (expected > 0)"
             )
-        return failures
+    best = _best_speedup(cells)
+    if cells and not best >= TARGET_SPEEDUP:
+        failures.append(
+            f"best speedup {best:.2f}x is below the "
+            f"{TARGET_SPEEDUP}x target"
+        )
+    return failures
 
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "n_workers": self.n_workers,
-            "fusion_mb": self.fusion_mb,
-            "backend": self.backend,
-            "best_speedup": self.best_speedup,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
 
-    def format(self) -> str:
-        """Human-readable grid."""
-        lines = [
-            f"overlap benchmark : {self.benchmark} "
-            f"({self.n_workers} workers, fusion {self.fusion_mb} MB, "
-            f"{self.backend})",
-            f"{'compressor':<12}{'network':<14}{'seq s':>10}{'ovl s':>10}"
-            f"{'speedup':>9}{'hidden':>9}",
+def _metrics(cells: list[OverlapBenchCell]) -> list[Metric]:
+    # The whole grid is analytical (cost models only), so every
+    # metric is deterministic and the bands can be tight.
+    metrics = [
+        Metric("best_speedup", _best_speedup(cells), "ratio", "higher",
+               tolerance=0.02),
+    ]
+    for cell in cells:
+        prefix = f"{cell.compressor}/{cell.network}"
+        metrics += [
+            Metric(f"{prefix}/sequential_seconds", cell.sequential_seconds,
+                   "seconds", "info"),
+            Metric(f"{prefix}/overlapped_seconds", cell.overlapped_seconds,
+                   "seconds", "lower", tolerance=0.02),
+            Metric(f"{prefix}/speedup", cell.speedup, "ratio", "higher",
+                   tolerance=0.02),
+            Metric(f"{prefix}/overlap_fraction", cell.overlap_fraction,
+                   "fraction", "higher", tolerance=0.02, floor=0.01),
+            Metric(f"{prefix}/n_buckets", cell.n_buckets, "buckets",
+                   "info"),
+            Metric(f"{prefix}/compute_seconds", cell.compute_seconds,
+                   "seconds", "info"),
+            Metric(f"{prefix}/kernel_seconds", cell.kernel_seconds,
+                   "seconds", "info"),
+            Metric(f"{prefix}/comm_seconds", cell.comm_seconds, "seconds",
+                   "info"),
+            Metric(f"{prefix}/hidden_comm_seconds", cell.hidden_comm_seconds,
+                   "seconds", "info"),
+            Metric(f"{prefix}/exposed_comm_seconds",
+                   cell.exposed_comm_seconds, "seconds", "info"),
         ]
-        for cell in self.cells:
-            lines.append(
-                f"{cell.compressor:<12}{cell.network:<14}"
-                f"{cell.sequential_seconds:>10.4f}"
-                f"{cell.overlapped_seconds:>10.4f}"
-                f"{cell.speedup:>8.2f}x"
-                f"{100 * cell.overlap_fraction:>8.1f}%"
-            )
-        lines.append(f"best speedup      : {self.best_speedup:.2f}x")
-        return "\n".join(lines)
+    return metrics
+
+
+def _format(header: str, cells: list[OverlapBenchCell]) -> str:
+    """Human-readable grid."""
+    lines = [
+        header,
+        f"{'compressor':<12}{'network':<14}{'seq s':>10}{'ovl s':>10}"
+        f"{'speedup':>9}{'hidden':>9}",
+    ]
+    for cell in cells:
+        lines.append(
+            f"{cell.compressor:<12}{cell.network:<14}"
+            f"{cell.sequential_seconds:>10.4f}"
+            f"{cell.overlapped_seconds:>10.4f}"
+            f"{cell.speedup:>8.2f}x"
+            f"{100 * cell.overlap_fraction:>8.1f}%"
+        )
+    lines.append(f"best speedup      : {_best_speedup(cells):.2f}x")
+    return "\n".join(lines)
 
 
 def simulate_overlap_cell(
@@ -264,34 +271,35 @@ def run_overlap_bench(
     n_workers: int = 8,
     fusion_mb: float = 0.125,
     backend: Backend = OPENMPI_TCP,
-) -> OverlapBenchResult:
+) -> RunResult:
     """Run the (compressor × network) overlap grid on one benchmark."""
     if not compressors:
         raise ValueError("at least one compressor required")
     if not networks:
         raise ValueError("at least one network profile required")
     spec = get_benchmark(benchmark)
-    result = OverlapBenchResult(
-        benchmark=benchmark,
-        n_workers=n_workers,
-        fusion_mb=float(fusion_mb),
-        backend=backend.name,
+    cells = [
+        simulate_overlap_cell(
+            spec, compressor_name, network_label,
+            n_workers=n_workers, fusion_mb=fusion_mb, backend=backend,
+        )
+        for compressor_name in compressors
+        for network_label in networks
+    ]
+    header = (
+        f"overlap benchmark : {benchmark} "
+        f"({n_workers} workers, fusion {float(fusion_mb)} MB, "
+        f"{backend.name})"
     )
-    for compressor_name in compressors:
-        for network_label in networks:
-            result.cells.append(simulate_overlap_cell(
-                spec, compressor_name, network_label,
-                n_workers=n_workers, fusion_mb=fusion_mb, backend=backend,
-            ))
-    return result
-
-
-def write_json(path: str, result: OverlapBenchResult) -> None:
-    """Serialize one benchmark grid to ``BENCH_overlap.json``."""
-    from repro.bench.metadata import run_metadata
-
-    payload = result.to_dict()
-    payload["meta"] = run_metadata()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return RunResult.new(
+        "overlap", benchmark,
+        params={
+            "compressors": compressors,
+            "networks": networks,
+            "n_workers": n_workers,
+            "fusion_mb": fusion_mb,
+        },
+        metrics=_metrics(cells),
+        text=_format(header, cells),
+        failures=overlap_failures(cells),
+    )

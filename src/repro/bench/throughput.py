@@ -15,6 +15,12 @@ probed on gradient-like tensors and its wire footprint extrapolated to
 the paper-scale tensor sizes.  Low-rank methods get a ``sqrt(n)`` term
 (PowerSGD sends (m+L)·r elements for an m×L tensor); everything else is
 affine in the element count.
+
+`repro bench throughput` records the model's numbers per compressor
+(:func:`run_throughput_bench`), so a PR that changes the model or a
+compressor's wire footprint moves a gated metric; with ``--parallel``
+it measures fused against per-tensor wall clock on real processes
+instead (:func:`run_parallel_bench`).
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from repro.bench.perf import KernelCostModel, PerfModel
-from repro.bench.suite import BenchmarkSpec
+from repro.bench.result import Metric, RunResult
+from repro.bench.suite import BenchmarkSpec, get_benchmark
 from repro.comm.backends import Backend, OPENMPI_TCP
 from repro.comm.cost import allgather_time, ring_allreduce_time
 from repro.comm.network import NetworkModel, ethernet
@@ -35,6 +42,11 @@ from repro.core.registry import compressor_info, create
 
 #: Horovod's default fusion buffer (64 MB) — the baseline Allreduce unit.
 FUSION_BUFFER_BYTES = 64 * 1024 * 1024
+
+#: `repro bench throughput`'s default column: one representative per
+#: major family.
+DEFAULT_COMPRESSORS = ("none", "topk", "randomk", "qsgd", "efsignsgd",
+                       "powersgd")
 
 
 def _square_probe(n_elements: int, scale: float, rng: np.random.Generator):
@@ -216,3 +228,230 @@ def relative_volume(
     compressed = sum(footprint.bytes_for(s) for s in sizes)
     raw = sum(baseline.bytes_for(s) for s in sizes)
     return compressed / raw
+
+
+def _hierarchical_section(
+    n_workers: int, n_racks: int, name: str, network: NetworkModel,
+    seed: int,
+) -> tuple[list[Metric], list[str], list[str]]:
+    """Flat-PS relay vs two-tier compressed-domain aggregation.
+
+    One simulated exchange of correlated sparse gradients — the
+    regime in-network aggregation targets — priced both ways.  The
+    simulation is closed-form (seeded gradients, analytic costs),
+    so both gated metrics are deterministic: ``root_bytes_ratio``
+    is the root's egress under hierarchical aggregation over the
+    flat relay's, and ``sim_wall_speedup`` must stay above 1 or
+    the two-tier topology stopped paying for itself.  Returns the
+    section's metrics, text lines and failures.
+    """
+    from repro.comm import (
+        HierarchicalCommunicator,
+        ParameterServerCommunicator,
+    )
+
+    rng = np.random.default_rng(seed)
+    # Correlated per-worker gradients: a shared signal plus small
+    # noise, so sparsifier supports overlap the way real replicas'
+    # heavy hitters do.
+    base = rng.standard_normal(1 << 14).astype(np.float32)
+    compressors = [create(name, seed=r) for r in range(n_workers)]
+    compressed = [
+        compressors[rank].compress(
+            base + 0.05 * rng.standard_normal(base.size).astype(
+                np.float32
+            ),
+            "hier_bench",
+        )
+        for rank in range(n_workers)
+    ]
+
+    def root_egress(comm) -> float:
+        return comm.record.registry.value(
+            "comm_root_bytes_total", {"direction": "egress"}
+        )
+
+    flat = ParameterServerCommunicator(n_workers=n_workers, network=network)
+    flat.allgather([list(c.payload) for c in compressed])
+    flat_seconds = flat.record.simulated_seconds
+    flat_bytes = root_egress(flat)
+    hier = HierarchicalCommunicator(
+        n_workers=n_workers, n_racks=n_racks, network=network
+    )
+    hier.allreduce_compressed(list(compressed), compressors[0])
+    hier_seconds = hier.record.simulated_seconds
+    hier_bytes = root_egress(hier)
+    bytes_ratio = hier_bytes / flat_bytes
+    speedup = flat_seconds / hier_seconds
+    lines = [
+        f"hier topology     : {n_workers} workers / {n_racks} racks "
+        f"({name})",
+        f"flat PS relay     : {flat_seconds * 1e3:>8.3f} ms, "
+        f"{flat_bytes:,.0f} B root egress",
+        f"hier aggregated   : {hier_seconds * 1e3:>8.3f} ms, "
+        f"{hier_bytes:,.0f} B root egress",
+        f"root bytes ratio  : {bytes_ratio:>8.3f}",
+        f"sim wall speedup  : {speedup:>8.2f}x",
+    ]
+    metrics = [
+        Metric("hier/root_bytes_ratio", bytes_ratio, "ratio", "lower",
+               tolerance=0.02),
+        Metric("hier/sim_wall_speedup", speedup, "ratio", "higher",
+               tolerance=0.02),
+        Metric("hier/flat_ps_seconds", flat_seconds, "seconds", "info"),
+        Metric("hier/seconds", hier_seconds, "seconds", "info"),
+        Metric("hier/flat_root_egress_bytes", flat_bytes, "bytes", "info"),
+        Metric("hier/root_egress_bytes", hier_bytes, "bytes", "info"),
+    ]
+    failures = []
+    if speedup <= 1.0:
+        failures.append(
+            f"hierarchical aggregation must beat the flat PS relay "
+            f"({speedup:.2f}x; flat {flat_seconds * 1e3:.3f} ms vs "
+            f"hier {hier_seconds * 1e3:.3f} ms)"
+        )
+    return metrics, lines, failures
+
+
+def run_throughput_bench(
+    benchmark: str = "resnet20-cifar10",
+    compressors: tuple[str, ...] = DEFAULT_COMPRESSORS,
+    n_workers: int = 8,
+    gbps: float = 10.0,
+    seed: int = 0,
+    hier_workers: int = 16,
+    hier_racks: int = 4,
+    hier_compressor: str = "topk",
+) -> RunResult:
+    """Modelled per-iteration costs per compressor, plus the
+    hierarchical section (:func:`_hierarchical_section`)."""
+    spec = get_benchmark(benchmark)
+    network = ethernet(float(gbps))
+    metrics: list[Metric] = []
+    lines = [
+        f"throughput model  : {benchmark} ({n_workers} workers, "
+        f"{gbps} Gbps)",
+        f"{'compressor':<12}{'iter s':>10}{'comm s':>10}"
+        f"{'kernel s':>10}{'rel tput':>10}",
+    ]
+    failures: list[str] = []
+    for name in compressors:
+        cost = simulate_iteration(
+            spec, name, n_workers=n_workers, network=network
+        )
+        relative = relative_throughput(
+            spec, name, n_workers=n_workers, network=network
+        )
+        lines.append(
+            f"{name:<12}{cost.total_seconds:>10.4f}"
+            f"{cost.comm_seconds:>10.4f}{cost.kernel_seconds:>10.4f}"
+            f"{relative:>9.2f}x"
+        )
+        # The model is closed-form, so bands are tight.
+        metrics += [
+            Metric(f"{name}/iteration_seconds", cost.total_seconds,
+                   "seconds", "lower", tolerance=0.02),
+            Metric(f"{name}/comm_seconds", cost.comm_seconds, "seconds",
+                   "lower", tolerance=0.02),
+            Metric(f"{name}/bytes_per_worker", cost.bytes_per_worker,
+                   "bytes", "lower", tolerance=0.02),
+            Metric(f"{name}/relative_throughput", relative, "ratio",
+                   "higher", tolerance=0.02),
+            Metric(f"{name}/compute_seconds", cost.compute_seconds,
+                   "seconds", "info"),
+            Metric(f"{name}/kernel_seconds", cost.kernel_seconds,
+                   "seconds", "info"),
+        ]
+        if cost.total_seconds <= 0:
+            failures.append(
+                f"{name}: modelled iteration time is "
+                f"{cost.total_seconds} (must be positive)"
+            )
+    hier_metrics, hier_lines, hier_failures = _hierarchical_section(
+        hier_workers, hier_racks, hier_compressor, network, seed
+    )
+    return RunResult.new(
+        "throughput", benchmark,
+        params={
+            "compressors": compressors,
+            "n_workers": n_workers,
+            "gbps": gbps,
+            "seed": seed,
+            "hier_workers": hier_workers,
+            "hier_racks": hier_racks,
+            "hier_compressor": hier_compressor,
+        },
+        metrics=metrics + hier_metrics,
+        text="\n".join(lines + hier_lines),
+        failures=failures + hier_failures,
+    )
+
+
+def run_parallel_bench(
+    benchmark: str = "resnet20-cifar10",
+    nproc: int = 4,
+    fusion_mb: float = 64.0,
+    seed: int = 0,
+    epochs: int = 4,
+    compressor: str = "none",
+) -> RunResult:
+    """Measured wall clock of fused buckets against the per-tensor
+    exchange on ``nproc`` real processes (suite ``throughput``).
+
+    Both legs pay identical process spawn + import costs and run the
+    same kernels (a per-tensor unit is a one-segment bucket), so the
+    gated ``parallel/fusion_wall_speedup`` isolates what fusion buys
+    on actual hardware (fewer arena collectives, zero-copy dense
+    reduction).  It is gated against its history band only: measured
+    at 0.96–1.49× over repeats of one afternoon, a ``> 1×`` check sits
+    inside the run-to-run noise of a 24-step leg.  The two legs'
+    final models must be bitwise equal.
+    """
+    from repro.comm.parallel import ParallelRunConfig, run_parallel
+
+    get_benchmark(benchmark)  # an unknown key fails here, not in a worker
+    base = dict(
+        benchmark=benchmark, compressor=compressor, nproc=nproc,
+        seed=seed, epochs=epochs,
+    )
+    unfused = run_parallel(ParallelRunConfig(**base, fusion_mb=0.0))
+    fused = run_parallel(ParallelRunConfig(
+        **base, fusion_mb=float(fusion_mb),
+    ))
+    speedup = unfused.wall_seconds / fused.wall_seconds
+    digest = next(iter(fused.digests.values()))
+    failures = []
+    if fused.digests != unfused.digests:
+        failures.append(
+            "fused and per-tensor runs end with different models: "
+            f"digest {digest[:12]} vs "
+            f"{next(iter(unfused.digests.values()))[:12]} "
+            "(must be bitwise equal)"
+        )
+    lines = [
+        f"parallel measured : {benchmark} ({nproc} processes, "
+        f"{compressor}, {epochs} epochs)",
+        f"unfused wall      : {unfused.wall_seconds:>8.2f} s",
+        f"fused wall        : {fused.wall_seconds:>8.2f} s "
+        f"({fusion_mb} MB buckets)",
+        f"fusion speedup    : {speedup:>8.2f}x",
+        f"model digest      : {digest[:12]}",
+    ]
+    # Wall clock on shared CI hardware is noisy: the speedup is held
+    # to its history band, loosely, and to nothing else.
+    metrics = [
+        Metric("parallel/fusion_wall_speedup", speedup, "ratio", "higher",
+               tolerance=0.3, floor=0.1),
+        Metric("parallel/wall_seconds_unfused", unfused.wall_seconds,
+               "seconds", "info"),
+        Metric("parallel/wall_seconds_fused", fused.wall_seconds,
+               "seconds", "info"),
+    ]
+    return RunResult.new(
+        "throughput", benchmark,
+        params={"nproc": nproc, "fusion_mb": fusion_mb, "seed": seed,
+                "epochs": epochs, "compressor": compressor},
+        metrics=metrics,
+        text="\n".join(lines),
+        failures=failures,
+    )

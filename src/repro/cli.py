@@ -397,94 +397,99 @@ def cmd_chaos(args) -> int:
     return 0 if result.passed else 1
 
 
-def _suite_params(args) -> dict:
-    """Map bench CLI flags onto one suite's parameter overrides.
+#: Which harness argument each ``repro bench`` flag sets, per suite.
+_BENCH_FLAGS = {
+    "fusion": {"benchmark": "benchmark", "compressor": "compressor",
+               "workers": "n_workers", "iterations": "iterations",
+               "fusion_mb": "fusion_mb", "seed": "seed",
+               "param": "compressor_params"},
+    "overlap": {"benchmark": "benchmark", "compressors": "compressors",
+                "networks": "networks", "workers": "n_workers",
+                "fusion_mb": "fusion_mb"},
+    "faults": {"workers": "n_workers", "iterations": "iterations",
+               "seed": "seed"},
+    "throughput": {"benchmark": "benchmark", "compressors": "compressors",
+                   "workers": "n_workers", "gbps": "gbps", "seed": "seed",
+                   "hier_workers": "hier_workers",
+                   "hier_racks": "hier_racks",
+                   "hier_compressor": "hier_compressor"},
+    "parallel": {"benchmark": "benchmark", "nproc": "nproc",
+                 "fusion_mb": "fusion_mb", "seed": "seed"},
+}
 
-    ``None`` values are dropped by ``resolve_params`` so each suite's
-    own defaults apply (64 MB fusion buffers for fusion, 0.125 MB for
-    overlap, and so on).
+
+def _bench_harness(args):
+    """The harness ``args`` picks and the arguments the user gave it.
+
+    A flag left unset is not passed, so the harness's own signature is
+    the one set of defaults.
     """
-    if args.what == "fusion":
-        return {
-            "compressor": args.compressor,
-            "n_workers": args.workers,
-            "iterations": args.iterations,
-            "fusion_mb": args.fusion_mb,
-            "seed": args.seed,
-            "compressor_params": _parse_params(args.param) or None,
-        }
-    if args.what == "overlap":
-        return {
-            "compressors": (tuple(args.compressors.split(","))
-                            if args.compressors else None),
-            "networks": tuple(args.networks.split(",")),
-            "n_workers": args.workers,
-            "fusion_mb": args.fusion_mb,
-        }
-    if args.what == "faults":
-        return {
-            "n_workers": args.workers,
-            "iterations": max(args.iterations, 21),
-            "seed": args.seed,
-        }
-    # throughput
-    return {
-        "compressors": (tuple(args.compressors.split(","))
-                        if args.compressors else None),
-        "n_workers": args.workers,
-        "gbps": args.gbps,
-        "seed": args.seed,
-        "parallel": True if args.parallel else None,
-        "nproc": args.nproc,
-        "parallel_fusion_mb": args.fusion_mb,
-        "hier_workers": args.hier_workers,
-        "hier_racks": args.hier_racks,
-        "hier_compressor": args.hier_compressor,
+    from repro.bench.faults_bench import run_faults_bench
+    from repro.bench.fusion_bench import run_fusion_bench
+    from repro.bench.overlap_bench import run_overlap_bench
+    from repro.bench.throughput import run_parallel_bench, run_throughput_bench
+
+    harnesses = {
+        "fusion": run_fusion_bench,
+        "overlap": run_overlap_bench,
+        "faults": run_faults_bench,
+        "throughput": run_throughput_bench,
     }
+    suite = args.what
+    harness = harnesses[suite]
+    if suite == "throughput" and args.parallel:
+        suite, harness = "parallel", run_parallel_bench
+    given = dict(vars(args))
+    for flag in ("compressors", "networks"):
+        if given[flag]:
+            given[flag] = tuple(given[flag].split(","))
+    given["param"] = _parse_params(args.param) or None
+    kwargs = {
+        name: given[flag] for flag, name in _BENCH_FLAGS[suite].items()
+        if given[flag] is not None
+    }
+    return harness, kwargs
 
 
 def cmd_bench(args) -> int:
-    """Run one perf suite (or compare two recorded runs).
+    """Run one perf harness (or compare two recorded runs).
 
-    Every suite goes through the unified :class:`BenchmarkSuite` layer:
-    one RunResult schema, one artifact location
-    (``benchmarks/results/BENCH_<suite>.json``), one history file and
-    one regression gate (``--check``).
+    Every harness returns one :class:`~repro.bench.result.RunResult`:
+    one artifact (``benchmarks/results/BENCH_<suite>.json``), one
+    history file and one regression gate (``--check``).
     """
     if args.what == "compare":
         return _bench_compare(args)
     from repro.bench import history as perf_history
-    from repro.bench.suites import get_suite, write_result
+    from repro.bench.result import write_result
 
-    suite = get_suite(args.what)
-    # The faults suite trains its own synthetic task, so the Table II
-    # benchmark flag does not apply to it.
-    benchmark = None if args.what == "faults" else args.benchmark
-    result = suite.run(
-        benchmark=benchmark,
-        params=_suite_params(args),
-        warm_runs=args.warm_runs,
-    )
+    harness, kwargs = _bench_harness(args)
+    try:
+        result = harness(**kwargs)
+    except (KeyError, ValueError) as error:
+        # How the harnesses reject their input: an unknown benchmark,
+        # compressor or network profile, or an out-of-range count.
+        raise SystemExit(
+            f"bench {args.what}: " + " ".join(map(str, error.args))
+        )
     print(result.text)
     out = args.out
     if out is None:
-        out = f"benchmarks/results/BENCH_{suite.name}.json"
+        out = f"benchmarks/results/BENCH_{result.suite}.json"
     if out != "-":
         write_result(out, result)
         print(f"result json      : {out}")
     failures: list = []
     regressions: list = []
     if args.check:
-        failures = result.check()
+        failures = result.failures
         for failure in failures:
-            print(f"{suite.name.upper()} CHECK FAILED: {failure}")
+            print(f"{result.suite.upper()} CHECK FAILED: {failure}")
         try:
             history = perf_history.read_history(args.history)
         except ValueError as error:
             raise SystemExit(f"cannot read perf history: {error}")
-        regressions = perf_history.check_against_history(
-            result, history, window=args.baseline_window
-        )
+        regressions = perf_history.check_against_history(result, history)
         for regression in regressions:
             print(f"PERF REGRESSION: {regression}")
         if not regressions:
@@ -508,7 +513,7 @@ def _bench_compare(args) -> int:
     import os
 
     from repro.bench import history as perf_history
-    from repro.bench.suites import read_result
+    from repro.bench.result import read_result
 
     if len(args.refs) != 2:
         raise SystemExit(
@@ -884,40 +889,44 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("refs", nargs="*",
                        help="for compare: two RunResult JSON paths or "
                             "history commit prefixes")
-    bench.add_argument("--benchmark", default="resnet20-cifar10",
-                       help="training benchmark key (fig6 CNN by default)")
-    bench.add_argument("--compressor", default="topk",
-                       help="compressor for the fusion benchmark")
-    bench.add_argument("--compressors", default=None,
+    # Every run flag defaults to None: a flag left unset is not passed,
+    # so the harness's signature supplies the default.
+    bench.add_argument("--benchmark",
+                       help="training benchmark key (default: "
+                            "resnet20-cifar10, the fig6 CNN)")
+    bench.add_argument("--compressor",
+                       help="compressor for the fusion benchmark "
+                            "(default: topk)")
+    bench.add_argument("--compressors",
                        help="comma-separated compressors for the overlap/"
                             "throughput grids")
-    bench.add_argument("--networks", default="1gbps-tcp,10gbps-tcp",
+    bench.add_argument("--networks",
                        help="comma-separated network profiles for the "
                             "overlap benchmark grid (e.g. 1gbps-tcp, "
-                            "25gbps-rdma)")
-    bench.add_argument("--workers", type=int, default=8)
-    bench.add_argument("--iterations", type=int, default=30)
-    bench.add_argument("--fusion-mb", type=float, default=None, metavar="MB",
+                            "25gbps-rdma; default: 1gbps-tcp,10gbps-tcp)")
+    bench.add_argument("--workers", type=int, metavar="N",
+                       help="simulated ranks (default: 8)")
+    bench.add_argument("--iterations", type=int, metavar="N",
+                       help="training iterations for fusion and faults "
+                            "(default: 30; faults needs at least 21)")
+    bench.add_argument("--fusion-mb", type=float, metavar="MB",
                        help="fusion buffer budget in MiB (default: 64 for "
                             "the fusion benchmark, 0.125 for overlap)")
-    bench.add_argument("--gbps", type=float, default=10.0,
-                       help="link bandwidth for the throughput suite")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--hier-workers", type=int, default=None, metavar="N",
+    bench.add_argument("--gbps", type=float,
+                       help="link bandwidth for the throughput suite "
+                            "(default: 10)")
+    bench.add_argument("--seed", type=int)
+    bench.add_argument("--hier-workers", type=int, metavar="N",
                        help="worker count for the throughput suite's "
                             "hierarchical section (default: 16)")
-    bench.add_argument("--hier-racks", type=int, default=None, metavar="K",
+    bench.add_argument("--hier-racks", type=int, metavar="K",
                        help="rack count for the throughput suite's "
                             "hierarchical section (default: 4)")
-    bench.add_argument("--hier-compressor", default=None, metavar="NAME",
+    bench.add_argument("--hier-compressor", metavar="NAME",
                        help="compressor for the hierarchical section "
                             "(default: topk)")
     bench.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE")
-    bench.add_argument("--warm-runs", type=int, default=0, metavar="N",
-                       help="re-run the suite N more times after the cold "
-                            "run and record every metric's repeat values "
-                            "(quantifies wall-clock noise)")
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="result JSON path (default: benchmarks/"
                             "results/BENCH_<suite>.json; '-' skips the "
@@ -931,10 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append this run to the perf history (skipped "
                             "when --check fails, so a regression cannot "
                             "poison its own baseline)")
-    bench.add_argument("--baseline-window", type=int, default=5,
-                       metavar="N",
-                       help="how many recent history entries the rolling "
-                            "baseline medians over (default 5)")
     bench.add_argument("--check", action="store_true",
                        help="exit nonzero unless the suite's acceptance "
                             "criteria hold AND no gated metric regresses "
@@ -944,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="throughput suite: measure real multiprocess "
                             "wall clock (fused vs per-tensor) instead of "
                             "the closed-form model")
-    bench.add_argument("--nproc", type=int, default=4, metavar="N",
+    bench.add_argument("--nproc", type=int, metavar="N",
                        help="worker processes for --parallel (default 4)")
 
     report = sub.add_parser(

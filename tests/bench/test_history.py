@@ -16,7 +16,7 @@ from repro.bench.history import (
     read_history,
     rolling_baseline,
 )
-from repro.bench.suites.base import Metric, RunResult
+from repro.bench.result import Metric, RunResult
 from repro.cli import main
 
 
@@ -32,7 +32,7 @@ def make_result(iteration_seconds=1.0, accuracy=0.9, sha="abc123def"):
     return RunResult(
         suite="throughput", benchmark="resnet20-cifar10",
         params={"seed": 0}, metrics=metrics,
-        meta={"git_sha": sha, "git_dirty": False}, raw={}, text="",
+        meta={"git_sha": sha, "git_dirty": False}, text="",
     )
 
 

@@ -8,12 +8,12 @@ from repro.bench.overlap_bench import (
     NETWORK_PROFILES,
     TARGET_SPEEDUP,
     OverlapBenchCell,
-    OverlapBenchResult,
+    overlap_failures,
     parse_network_profile,
     run_overlap_bench,
     simulate_overlap_cell,
-    write_json,
 )
+from repro.bench.result import write_result
 from repro.bench.suite import get_benchmark
 from repro.comm.network import Transport
 
@@ -86,62 +86,71 @@ class TestSimulateCell:
             )
 
 
+def _fractions(result):
+    return {
+        name: metric.value for name, metric in result.metrics.items()
+        if name.endswith("/overlap_fraction")
+    }
+
+
 class TestAcceptance:
     def test_default_grid_passes_check(self, default_result):
-        assert default_result.check() == []
+        assert default_result.failures == []
 
     def test_best_speedup_meets_target(self, default_result):
-        assert default_result.best_speedup >= TARGET_SPEEDUP
+        assert default_result.value("best_speedup") >= TARGET_SPEEDUP
 
     def test_bandwidth_bound_cell_carries_the_target(self, default_result):
-        slow_link = [
-            cell for cell in default_result.cells
-            if cell.network == "1gbps-tcp" and cell.compressor == "none"
-        ]
-        assert slow_link and slow_link[0].speedup >= TARGET_SPEEDUP
+        assert (default_result.value("none/1gbps-tcp/speedup")
+                >= TARGET_SPEEDUP)
 
     def test_every_cell_hides_some_comm(self, default_result):
-        for cell in default_result.cells:
-            assert cell.overlap_fraction > 0.0, (
-                f"{cell.compressor}/{cell.network}"
-            )
+        fractions = _fractions(default_result)
+        assert len(fractions) == 4
+        for name, fraction in fractions.items():
+            assert fraction > 0.0, name
 
     def test_check_reports_failures_on_bad_grid(self):
-        bad = OverlapBenchResult(
-            benchmark="x", n_workers=8, fusion_mb=0.125, backend="b",
-            cells=[OverlapBenchCell(
-                compressor="none", network="1gbps-tcp", n_buckets=1,
-                compute_seconds=1.0, kernel_seconds=0.0, comm_seconds=1.0,
-                sequential_seconds=2.0, overlapped_seconds=2.0,
-                hidden_comm_seconds=0.0, exposed_comm_seconds=1.0,
-            )],
-        )
-        failures = bad.check()
+        bad = [OverlapBenchCell(
+            compressor="none", network="1gbps-tcp", n_buckets=1,
+            compute_seconds=1.0, kernel_seconds=0.0, comm_seconds=1.0,
+            sequential_seconds=2.0, overlapped_seconds=2.0,
+            hidden_comm_seconds=0.0, exposed_comm_seconds=1.0,
+        )]
+        failures = overlap_failures(bad)
         assert any("overlap_fraction" in f for f in failures)
         assert any("below" in f for f in failures)
-        assert OverlapBenchResult(
-            benchmark="x", n_workers=8, fusion_mb=0.125, backend="b"
-        ).check() == ["no cells were benchmarked"]
+        assert overlap_failures([]) == ["no cells were benchmarked"]
 
 
 class TestSerialization:
-    def test_cell_to_dict_carries_derived_metrics(self, default_result):
-        payload = default_result.cells[0].to_dict()
-        assert payload["speedup"] == default_result.cells[0].speedup
-        assert (payload["overlap_fraction"]
-                == default_result.cells[0].overlap_fraction)
+    def test_metrics_carry_each_cells_derived_values(self, default_result):
+        cell = simulate_overlap_cell(
+            get_benchmark("resnet20-cifar10"), "topk", "10gbps-tcp"
+        )
+        assert default_result.value("topk/10gbps-tcp/speedup") == \
+            cell.speedup
+        assert default_result.value("topk/10gbps-tcp/overlap_fraction") \
+            == cell.overlap_fraction
+        assert default_result.value("topk/10gbps-tcp/n_buckets") == \
+            cell.n_buckets
 
-    def test_write_json_round_trips(self, default_result, tmp_path):
+    def test_write_result_round_trips(self, default_result, tmp_path):
         path = tmp_path / "BENCH_overlap.json"
-        write_json(str(path), default_result)
+        write_result(path, default_result)
         payload = json.loads(path.read_text())
         assert payload["benchmark"] == default_result.benchmark
-        assert payload["best_speedup"] == default_result.best_speedup
-        assert len(payload["cells"]) == len(default_result.cells)
+        assert (payload["metrics"]["best_speedup"]["value"]
+                == default_result.value("best_speedup"))
+        assert len([
+            name for name in payload["metrics"]
+            if name.endswith("/overlap_fraction")
+        ]) == len(_fractions(default_result))
 
     def test_format_lists_every_cell(self, default_result):
-        text = default_result.format()
-        for cell in default_result.cells:
-            assert cell.compressor in text
-            assert cell.network in text
+        text = default_result.text
+        for name in _fractions(default_result):
+            compressor, network, _ = name.split("/")
+            assert compressor in text
+            assert network in text
         assert "best speedup" in text

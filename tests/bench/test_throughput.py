@@ -1,5 +1,7 @@
 """Paper-scale throughput simulation: footprints and headline shapes."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench.suite import get_benchmark
@@ -9,6 +11,8 @@ from repro.bench.throughput import (
     measure_wire_footprint,
     relative_throughput,
     relative_volume,
+    run_parallel_bench,
+    run_throughput_bench,
     simulate_iteration,
 )
 from repro.comm.network import ethernet
@@ -150,3 +154,61 @@ class TestRelativeVolume:
         assert relative_volume(spec, "eightbit") == pytest.approx(
             0.25, rel=0.1
         )
+
+
+class TestThroughputBench:
+    def test_deterministic_metrics(self):
+        kwargs = dict(benchmark="ncf-movielens", compressors=("none", "topk"),
+                      n_workers=4, gbps=10.0, seed=0)
+        a = run_throughput_bench(**kwargs)
+        b = run_throughput_bench(**kwargs)
+        # closed-form model: identical runs produce identical values
+        for name in a.metrics:
+            assert a.value(name) == b.value(name)
+        assert a.value("topk/bytes_per_worker") < \
+            a.value("none/bytes_per_worker")
+        assert not a.failures
+
+
+class TestParallelBench:
+    """The measured leg, on a stubbed ``run_parallel``."""
+
+    @staticmethod
+    def _stub(monkeypatch, digests):
+        legs = iter(digests)
+
+        def fake_run_parallel(config):
+            digest = next(legs)
+            return SimpleNamespace(
+                wall_seconds=2.0 if config.fusion_mb == 0 else 1.0,
+                digests={0: digest, 1: digest},
+            )
+
+        monkeypatch.setattr("repro.comm.parallel.run_parallel",
+                            fake_run_parallel)
+
+    def test_equal_digests_pass(self, monkeypatch):
+        self._stub(monkeypatch, ["750dd1dd" * 8] * 2)
+        result = run_parallel_bench(nproc=2)
+        assert result.suite == "throughput"
+        assert result.failures == []
+        assert result.value("parallel/fusion_wall_speedup") == 2.0
+        assert "750dd1dd" in result.text
+
+    def test_digest_mismatch_is_a_failure(self, monkeypatch):
+        self._stub(monkeypatch, ["aaaa" * 16, "bbbb" * 16])
+        result = run_parallel_bench(nproc=2)
+        assert len(result.failures) == 1
+        assert "different models" in result.failures[0]
+        assert "bitwise" in result.failures[0]
+
+    def test_mismatch_fails_the_cli_check(self, monkeypatch, tmp_path,
+                                          capsys):
+        from repro.cli import main
+
+        self._stub(monkeypatch, ["aaaa" * 16, "bbbb" * 16])
+        code = main(["bench", "throughput", "--parallel", "--nproc", "2",
+                     "--out", "-", "--history",
+                     str(tmp_path / "h.jsonl"), "--check"])
+        assert code == 1
+        assert "THROUGHPUT CHECK FAILED" in capsys.readouterr().out

@@ -1,11 +1,13 @@
 """The run-option records (`repro.core.config`) and the option ratchet."""
 
+import argparse
 import dataclasses
 import inspect
 
 import pytest
 
 from repro.bench.runner import build_trainer, train_quality
+from repro.cli import build_parser
 from repro.comm.parallel import ParallelRunConfig
 from repro.core import DistributedTrainer, create
 from repro.core.config import Resilience, WorkerMode, sanitizes
@@ -95,6 +97,38 @@ class TestOptionRatchet:
     ])
     def test_parameter_counts(self, function, limit):
         assert len(inspect.signature(function).parameters) <= limit
+
+    #: Flags per subcommand (positionals and --help not counted).
+    CLI_LIMITS = {
+        "list": 0, "compress": 5, "train": 24, "bench": 19, "report": 3,
+        "profile": 14, "chaos": 12, "lint": 8, "protocol-check": 2,
+        "experiment": 3,
+    }
+
+    @staticmethod
+    def _cli_flag_counts() -> dict[str, int]:
+        (subcommands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return {
+            name: sum(
+                1 for action in parser._actions
+                if action.option_strings
+                and not isinstance(action, argparse._HelpAction)
+            )
+            for name, parser in subcommands.choices.items()
+        }
+
+    def test_cli_flag_counts(self):
+        counts = self._cli_flag_counts()
+        assert set(counts) == set(self.CLI_LIMITS)
+        grown = {
+            name: count for name, count in counts.items()
+            if count > self.CLI_LIMITS[name]
+        }
+        assert grown == {}
+        assert sum(counts.values()) <= 90
 
     def test_parallel_run_config_fields(self):
         fields = {f.name for f in dataclasses.fields(ParallelRunConfig)}

@@ -86,23 +86,32 @@ class TestSeedBenchParity:
         from repro.bench.fusion_bench import run_fusion_bench
 
         result = run_fusion_bench(iterations=3)
-        assert result.fused.collective_ops == 3
-        assert result.unfused.collective_ops == 87
-        assert result.fused.sim_comm_seconds == 0.0013396941176470588
-        assert result.unfused.sim_comm_seconds == 0.037459694117647026
-        assert result.fused.bytes_per_worker == 5280.0
-        assert result.unfused.bytes_per_worker == 5280.0
+        assert result.value("collective_ops_fused") == 3
+        assert result.value("collective_ops_unfused") == 87
+        assert result.value("sim_comm_seconds_fused") == \
+            0.0013396941176470588
+        assert result.value("sim_comm_seconds_unfused") == \
+            0.037459694117647026
+        assert result.value("bytes_per_worker_fused") == 5280.0
+        assert result.value("bytes_per_worker_unfused") == 5280.0
 
     def test_overlap_bench_invariants_hold(self):
         from repro.bench.overlap_bench import run_overlap_bench
 
         result = run_overlap_bench(networks=("1gbps-tcp",))
-        for cell in result.cells:
-            assert cell.sequential_seconds == pytest.approx(
-                cell.compute_seconds + cell.kernel_seconds
-                + cell.comm_seconds
+        for compressor in ("none", "topk"):
+            prefix = f"{compressor}/1gbps-tcp"
+
+            def value(name):
+                return result.value(f"{prefix}/{name}")
+
+            assert value("sequential_seconds") == pytest.approx(
+                value("compute_seconds") + value("kernel_seconds")
+                + value("comm_seconds")
             )
-            assert (cell.hidden_comm_seconds + cell.exposed_comm_seconds
-                    == pytest.approx(cell.comm_seconds))
-            assert cell.overlapped_seconds <= cell.sequential_seconds + 1e-12
-            assert cell.speedup >= 1.0
+            assert (value("hidden_comm_seconds")
+                    + value("exposed_comm_seconds")
+                    == pytest.approx(value("comm_seconds")))
+            assert (value("overlapped_seconds")
+                    <= value("sequential_seconds") + 1e-12)
+            assert value("speedup") >= 1.0

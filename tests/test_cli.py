@@ -154,6 +154,29 @@ class TestParallelBackendFlags:
             parser.parse_args(base + ["--sanitize-every", "5"])
 
     def test_bench_parallel_flag_parses(self):
-        with pytest.raises(ValueError, match="has no benchmark"):
+        with pytest.raises(SystemExit, match="unknown benchmark 'alexnet'"):
             main(["bench", "throughput", "--benchmark", "alexnet",
                   "--parallel", "--nproc", "2"])
+
+
+class TestBenchInputErrors:
+    """Bad `repro bench` input ends in one line, like `repro train`'s."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fusion", "--benchmark", "alexnet"],
+         "bench fusion: unknown benchmark 'alexnet'"),
+        (["fusion", "--compressor", "nope", "--workers", "2",
+          "--iterations", "1"],
+         "bench fusion: unknown compressor 'nope'"),
+        (["overlap", "--networks", "3gbps-foo"],
+         "bench overlap: unknown network profile '3gbps-foo'"),
+        (["faults", "--iterations", "5"],
+         "bench faults: iterations must be > 20"),
+    ])
+    def test_one_line_exit(self, argv, message, tmp_path):
+        out = str(tmp_path / "never.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *argv, "--out", out])
+        assert str(exit_info.value.code).startswith(message)
+        assert "\n" not in str(exit_info.value.code)
+        assert not (tmp_path / "never.json").exists()
