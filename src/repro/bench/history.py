@@ -5,8 +5,9 @@ history file (``benchmarks/results/PERF_HISTORY.jsonl`` by default),
 keyed by commit and carrying the full metric set with units, directions
 and tolerance bands.  On top of the log:
 
-* :func:`rolling_baseline` — the median of the last *window* recorded
-  values of one metric, robust to a single noisy entry;
+* :func:`rolling_baseline` — the median of the last
+  :data:`DEFAULT_WINDOW` recorded values of one metric, robust to a
+  single noisy entry;
 * :func:`check_against_history` — the regression gate ``repro bench
   --check`` runs: each gated metric (direction ``lower``/``higher``)
   must stay inside ``baseline ± (tolerance·|baseline| + floor)``;
@@ -109,15 +110,13 @@ def metric_series(history: list[dict], suite: str, benchmark: str,
 
 
 def rolling_baseline(history: list[dict], suite: str, benchmark: str,
-                     metric: str,
-                     window: int = DEFAULT_WINDOW) -> float | None:
-    """Median of the last ``window`` recorded values (None = no data)."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+                     metric: str) -> float | None:
+    """Median of the last :data:`DEFAULT_WINDOW` recorded values
+    (None = no data)."""
     series = metric_series(history, suite, benchmark, metric)
     if not series:
         return None
-    return float(median(series[-window:]))
+    return float(median(series[-DEFAULT_WINDOW:]))
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,8 @@ def metric_band(metric: Metric, baseline: float) -> float:
     return metric.tolerance * abs(baseline) + metric.floor
 
 
-def check_against_history(result: RunResult, history: list[dict],
-                          window: int = DEFAULT_WINDOW) -> list[Regression]:
+def check_against_history(result: RunResult,
+                          history: list[dict]) -> list[Regression]:
     """Regressions of ``result`` vs the rolling baseline (empty = pass).
 
     Metrics with direction ``info`` and metrics that have no recorded
@@ -158,7 +157,7 @@ def check_against_history(result: RunResult, history: list[dict],
         if metric.direction == "info":
             continue
         baseline = rolling_baseline(
-            history, result.suite, result.benchmark, name, window=window
+            history, result.suite, result.benchmark, name
         )
         if baseline is None:
             continue

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench.history import (
+    DEFAULT_WINDOW,
     append_history,
     check_against_history,
     compare_entries,
@@ -89,11 +90,12 @@ class TestRollingBaseline:
         series = metric_series(history, "throughput", "resnet20-cifar10",
                                "iteration_seconds")
         assert series == [1.0, 1.1, 5.0, 1.2, 1.0, 1.1]
-        # window 5 drops the oldest entry and medians over the rest —
-        # the 5.0 outlier does not move the median
+        # the window of 5 drops the oldest entry and medians over the
+        # rest — the 5.0 outlier does not move the median
+        assert DEFAULT_WINDOW == 5
         baseline = rolling_baseline(history, "throughput",
                                     "resnet20-cifar10",
-                                    "iteration_seconds", window=5)
+                                    "iteration_seconds")
         assert baseline == 1.1
 
     def test_no_data_is_none(self):
@@ -109,10 +111,6 @@ class TestRollingBaseline:
                                     "resnet20-cifar10",
                                     "iteration_seconds")
         assert baseline == 1.0
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            rolling_baseline([], "a", "b", "c", window=0)
 
 
 class TestRegressionGate:
