@@ -23,8 +23,9 @@ keep the old file and prove nothing else moved::
 fails unless the golden file differs from ``old.json`` in nothing but the
 ``payload`` field of the declared entries: ``<name>`` declares the
 ``<name>/bucket*/seed*/fused*`` entries of a compressor (or variant),
-``<name>/<bucket>`` those of one bucket, and ``<name>/compress`` its
-per-tensor ``compress`` entries.  Every decoded array and every random
+``<name>/<bucket>`` those of one bucket, ``<name>/compress`` its
+per-tensor ``compress`` entries and ``<name>/aggregate`` its aggregates,
+the per-tensor ``aggregate`` and the bucket's ``fused-aggregate`` ones.  Every decoded array and every random
 stream is byte-identical, and so is every payload that was not declared.
 """
 
@@ -451,10 +452,13 @@ def _may_move(key: str, payloads) -> bool:
     """Whether ``key`` is an entry whose payload the caller let move: a
     fused-bucket entry by compressor (``eightbit``) or by compressor and
     bucket (``qsgd/bucket-zero``), a per-tensor one by compressor
-    (``sketchml/compress``)."""
+    (``sketchml/compress``), an aggregate by compressor
+    (``qsgd/aggregate``)."""
     name, case, _, mode = key.split("/")
     if mode == "compress":
         return f"{name}/compress" in payloads
+    if f"{name}/aggregate" in payloads and mode.endswith("aggregate"):
+        return True
     return (
         case.startswith("bucket")
         and mode.startswith("fused")

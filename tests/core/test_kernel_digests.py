@@ -66,10 +66,16 @@ def test_diff_mode_lets_only_declared_payloads_move():
             "qsgd/bucket/seed0/fused1": dict(entry),
             "qsgd/bucket-zero/seed0/fused1": dict(entry),
             "none/bucket/seed0/fused-aggregate": dict(entry),
+            "qsgd/dense/seed0/aggregate": dict(entry),
+            "qsgd/bucket/seed0/fused-aggregate": dict(entry),
+            "topk/dense/seed0/aggregate": dict(entry),
         },
         "tensorlib": {"pack_bits/1/9": "x"},
     }
-    allowed = {"eightbit", "none", "qsgd/bucket-zero", "sketchml/compress"}
+    allowed = {
+        "eightbit", "none", "qsgd/bucket-zero", "sketchml/compress",
+        "qsgd/aggregate",
+    }
     moved = dict(entry, payload=["b"])
 
     def changed(**entries):
@@ -83,6 +89,8 @@ def test_diff_mode_lets_only_declared_payloads_move():
         "qsgd/bucket-zero/seed0/fused1": moved,
         "none/bucket/seed0/fused-aggregate": moved,
         "sketchml/dense/seed0/compress": moved,
+        "qsgd/dense/seed0/aggregate": moved,
+        "qsgd/bucket/seed0/fused-aggregate": moved,
     }) == []
     # An undeclared per-tensor payload, a kernel that was not named, a
     # decoded array.
@@ -98,6 +106,14 @@ def test_diff_mode_lets_only_declared_payloads_move():
     assert changed(**{
         "sketchml/dense/seed0/compress": dict(moved, rng="other")
     }) == ["compressors/sketchml/dense/seed0/compress/rng"]
+    # A declared aggregate moves its payload only, and only its own
+    # compressor's.
+    assert changed(**{"topk/dense/seed0/aggregate": moved}) == [
+        "compressors/topk/dense/seed0/aggregate"
+    ]
+    assert changed(**{
+        "qsgd/dense/seed0/aggregate": dict(moved, decoded="other")
+    }) == ["compressors/qsgd/dense/seed0/aggregate/decoded"]
     new = json.loads(json.dumps(old))
     new["tensorlib"]["pack_bits/1/9"] = "y"
     del new["compressors"]["qsgd/bucket/seed0/fused1"]
