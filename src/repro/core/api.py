@@ -26,6 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.fusion import tensor_bucket
+from repro.tensorlib.packing import pack_bits, unpack_bits
 
 Payload = list[np.ndarray]
 Context = Any
@@ -186,13 +187,15 @@ class AggregatedCoordsCtx:
 
 
 class AggregatedLatticeCtx:
-    """Ctx of a shared-codebook sum: ``[deltas f32, summed codes i64]``.
+    """Ctx of a shared-codebook sum: ``[deltas f32, width u8, codes]``.
 
     ``deltas`` holds the lattice step per segment (one segment for a
     plain tensor, per-bucket-segment for fused payloads); element ``i``
-    of the summed codes decodes to ``delta_of(i) * codes[i]``.  The
-    per-element aggregation error is bounded by ``n_summands·δ`` —
-    receivers can derive the tolerance from the payload alone.
+    of the summed codes decodes to ``delta_of(i) * codes[i]``.  The codes
+    travel at their own width (:func:`pack_lattice_codes`), which the
+    one-element ``width`` part names.  The per-element aggregation error
+    is bounded by ``n_summands·δ`` — receivers can derive the tolerance
+    from the payload alone.
     """
 
     __slots__ = ("shape", "size", "seg_sizes", "n_summands")
@@ -202,6 +205,48 @@ class AggregatedLatticeCtx:
         self.size = int(size)
         self.seg_sizes = tuple(int(s) for s in seg_sizes)
         self.n_summands = int(n_summands)
+
+
+#: The widest summed lattice code :func:`pack_lattice_codes` bit-packs;
+#: wider sums travel as int32 lanes.
+PACKED_CODE_BITS = 16
+
+
+def lattice_code_bits(peak: int) -> int:
+    """⌈log₂(2·peak + 1)⌉, at least 1: the bits a signed lattice code of
+    magnitude at most ``peak`` needs once offset to non-negative."""
+    return max(1, (2 * int(peak)).bit_length())
+
+
+def pack_lattice_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed lattice codes as ``(width u8[1], packed)`` for the wire.
+
+    At w = ⌈log₂(2·max|code| + 1)⌉ bits the codes, offset by
+    ``2^(w-1) - 1`` to non-negative, bit-pack with
+    :func:`~repro.tensorlib.packing.pack_bits`; above
+    :data:`PACKED_CODE_BITS` they travel as int32 lanes.  A sum of N
+    codes of magnitude at most L therefore costs at most
+    ⌈log₂(N·(2L + 1))⌉ bits an element.
+    """
+    peak = int(np.max(np.abs(codes))) if codes.size else 0
+    bits = lattice_code_bits(peak)
+    if bits > 32:
+        raise OverflowError(f"summed lattice codes need {bits} bits")
+    if bits > PACKED_CODE_BITS:
+        packed = codes.astype(np.int32)
+    else:
+        packed = pack_bits(codes + ((1 << (bits - 1)) - 1), bits)
+    return np.array([bits], dtype=np.uint8), packed
+
+
+def unpack_lattice_codes(
+    width: np.ndarray, packed: np.ndarray, count: int
+) -> np.ndarray:
+    """The int64 codes :func:`pack_lattice_codes` packed."""
+    bits = int(width[0])
+    if bits > PACKED_CODE_BITS:
+        return np.asarray(packed, dtype=np.int64)
+    return unpack_bits(packed, bits, count) - ((1 << (bits - 1)) - 1)
 
 
 def rank_sum(arrays: list[np.ndarray]) -> np.ndarray:
@@ -403,14 +448,13 @@ class Compressor(abc.ABC):
                       np.asarray(values, dtype=np.float32))
             return dense.reshape(ctx.shape)
         if isinstance(ctx, AggregatedLatticeCtx):
-            deltas, codes = compressed.payload
+            deltas, width, packed = compressed.payload
+            codes = unpack_lattice_codes(width, packed, ctx.size)
             step = np.repeat(
                 np.asarray(deltas, dtype=np.float64),
                 np.asarray(ctx.seg_sizes, dtype=np.int64),
             )
-            values = (step * np.asarray(codes, dtype=np.float64)).astype(
-                np.float32
-            )
+            values = (step * codes.astype(np.float64)).astype(np.float32)
             return values.reshape(ctx.shape)
         return self.decompress(compressed)
 
@@ -506,13 +550,13 @@ class Compressor(abc.ABC):
         """
         ctx = compressed.ctx
         if isinstance(ctx, AggregatedLatticeCtx):
-            deltas, codes = compressed.payload
+            deltas, width, packed = compressed.payload
             return (
                 ctx.shape,
                 ctx.size,
                 np.asarray(deltas, dtype=np.float32),
                 np.asarray(ctx.seg_sizes, dtype=np.int64),
-                np.asarray(codes, dtype=np.int64),
+                unpack_lattice_codes(width, packed, ctx.size),
             )
         if isinstance(ctx, FusedBucketCtx):
             bucket = ctx.bucket
@@ -545,9 +589,11 @@ class Compressor(abc.ABC):
 
         The shared codebook is the elementwise-max lattice step δ* over
         all summands; each worker's codes are re-quantized onto it
-        (error ≤ δ*/2 per element per summand) and summed as int64 —
+        (error ≤ δ*/2 per element per summand) and summed as integers —
         the operation an aggregation switch performs without ever
-        touching floats.
+        touching floats.  Re-quantizing onto a coarser step never grows a
+        code, so N summands of magnitude at most L ship at most
+        ⌈log₂(N·(2L + 1))⌉ bits an element (:func:`pack_lattice_codes`).
         """
         forms = [self._lattice_form(item) for item in items]
         shape, size, _, seg_sizes, _ = forms[0]
@@ -574,7 +620,7 @@ class Compressor(abc.ABC):
             ).astype(np.int64)
         total = sum(summand_count(item) for item in items)
         return CompressedTensor(
-            payload=[delta_star, summed],
+            payload=[delta_star, *pack_lattice_codes(summed)],
             ctx=AggregatedLatticeCtx(shape, size, seg_sizes, total),
         )
 

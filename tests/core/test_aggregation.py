@@ -13,8 +13,12 @@ Three layers of guarantees:
   produce the same final model state, bitwise, as the legacy relay.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.comm import (
     Communicator,
@@ -23,11 +27,14 @@ from repro.comm import (
 )
 from repro.core.api import (
     AGGREGATION_KINDS,
+    PACKED_CODE_BITS,
+    AggregatedLatticeCtx,
     AggregationUnsupportedError,
     CompressedTensor,
     Compressor,
     FusedBucketCtx,
     flatten_with_shape,
+    pack_lattice_codes,
     summand_count,
 )
 from repro.core.contract import ContractChecker, ContractViolation
@@ -159,21 +166,79 @@ class TestCodebookLaws:
         bound = summand_count(agg) * np.repeat(deltas, seg_sizes)
         assert np.all(np.abs(decoded - reference) <= bound + 1e-9), name
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
     @pytest.mark.parametrize("name", CODEBOOK)
-    def test_aggregate_size_stays_near_one_payload(self, name):
-        # The THC story: summed codes occupy one payload's worth of
-        # lattice points no matter how many workers contributed.
-        grads = correlated_gradients(16, 2048)
+    def test_aggregate_size_stays_near_one_payload(self, name, n):
+        # The THC story: N summed codes of magnitude at most L need
+        # ⌈log₂(N·(2L+1))⌉ bits an element, a few more than one
+        # worker's code, plus the header (a δ per segment, the width).
+        size = 2048
+        grads = correlated_gradients(n, size)
         comps, items = compress_cohort(name, grads)
         agg = comps[0].aggregate_compressed(items)
-        total_upload = sum(
-            sum(np.asarray(p).nbytes for p in item.payload)
+        peak = max(
+            int(np.max(np.abs(comps[0]._lattice_form(item)[4])))
             for item in items
         )
+        bits = math.ceil(math.log2(n * (2 * peak + 1)))
+        assert bits <= 16
+        deltas, width, codes = agg.payload
+        assert int(width[0]) <= bits
+        assert codes.nbytes <= math.ceil(size * bits / 8)
         agg_nbytes = sum(np.asarray(p).nbytes for p in agg.payload)
-        # int64 code lanes cost up to 8 bytes/element; even so the
-        # aggregate must undercut relaying all 16 uploads.
-        assert agg_nbytes < total_upload
+        assert agg_nbytes <= deltas.nbytes + width.nbytes + codes.nbytes
+        relay = sum(item.nbytes for item in items)
+        assert agg_nbytes < relay
+
+
+@st.composite
+def lattice_sums(draw, bits):
+    """Summed codes over 1-3 segments whose largest magnitude needs
+    exactly ``bits`` bits (when there are any)."""
+    peak = draw(st.integers(
+        min_value=(1 << (bits - 2)) if bits > 1 else 0,
+        max_value=(1 << (bits - 1)) - 1,
+    ))
+    seg_sizes = draw(st.lists(
+        st.integers(min_value=0, max_value=40), min_size=1, max_size=3,
+    ))
+    size = sum(seg_sizes)
+    codes = draw(hnp.arrays(
+        np.int64, size, elements=st.integers(-peak, peak),
+    ))
+    if size:
+        codes[draw(st.integers(0, size - 1))] = draw(
+            st.sampled_from([-peak, peak])
+        )
+    deltas = draw(hnp.arrays(
+        np.float32, len(seg_sizes),
+        elements=st.floats(0.0, 1e3, width=32),
+    ))
+    return codes, deltas, seg_sizes
+
+
+class TestPackedLatticeCodes:
+    # Every bit-packed width, and three widths of the int32 lanes.
+    @pytest.mark.parametrize("width_bits", [*range(1, 17), 17, 24, 31])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_packed_sum_decodes_like_int64_codes(self, width_bits, data):
+        codes, deltas, seg_sizes = data.draw(lattice_sums(width_bits))
+        bits = width_bits if codes.size else 1
+        ctx = AggregatedLatticeCtx((codes.size,), codes.size, seg_sizes, 2)
+        width, packed = pack_lattice_codes(codes)
+        assert int(width[0]) == bits
+        assert packed.nbytes == (
+            4 * codes.size if bits > PACKED_CODE_BITS
+            else math.ceil(codes.size * bits / 8)
+        )
+        decoded = create("qsgd").decompress_aggregated(CompressedTensor(
+            payload=[deltas, width, packed], ctx=ctx,
+        ))
+        # The decode of the int64 codes the aggregate used to ship.
+        step = np.repeat(deltas.astype(np.float64), seg_sizes)
+        expected = (step * codes.astype(np.float64)).astype(np.float32)
+        assert decoded.tobytes() == expected.tobytes()
 
 
 class TestSketchLaws:
