@@ -249,6 +249,29 @@ def unpack_lattice_codes(
     return unpack_bits(packed, bits, count) - ((1 << (bits - 1)) - 1)
 
 
+def coordinate_aggregate(
+    shape, dense: np.ndarray, union: np.ndarray, n_summands: int
+) -> CompressedTensor:
+    """A scatter-added sum on the union support, in its smaller form.
+
+    ``dense`` is the flat float32 sum, ``union`` the sorted positions any
+    summand sent.  Kept coordinates cost their value and their index, 8
+    bytes each with int32 indices; once the union covers more than half
+    the segment the dense float32 sum (:class:`AggregatedDenseCtx`) is
+    smaller and ships instead.  Both decode to ``dense`` bitwise: a sum
+    that starts from +0.0 never holds -0.0, so adding the kept values to
+    zeros leaves them as they are.
+    """
+    if union.nbytes + 4 * union.size > dense.nbytes:
+        return CompressedTensor(
+            payload=[dense], ctx=AggregatedDenseCtx(shape, n_summands)
+        )
+    return CompressedTensor(
+        payload=[dense[union], union],
+        ctx=AggregatedCoordsCtx(shape, dense.size, n_summands),
+    )
+
+
 def rank_sum(arrays: list[np.ndarray]) -> np.ndarray:
     """The ranks' sum NumPy takes over the stacked arrays, ``np.sum(stacked,
     axis=0)``, bitwise — without stacking them.
@@ -478,9 +501,18 @@ class Compressor(abc.ABC):
 
         Sparsifiers override this to expose their native payload (and
         their fused-kernel payloads) as flat coordinates; the base class
-        only understands already-aggregated coordinate payloads.
+        only understands already-aggregated payloads, coordinates or the
+        dense sum :func:`coordinate_aggregate` ships for a wide union.
         """
         ctx = compressed.ctx
+        if isinstance(ctx, AggregatedDenseCtx):
+            values = np.ravel(
+                np.asarray(compressed.payload[0], dtype=np.float32)
+            )
+            return (
+                ctx.shape, values.size, values,
+                np.arange(values.size, dtype=np.int64),
+            )
         if isinstance(ctx, AggregatedCoordsCtx):
             values, indices = compressed.payload
             return (
@@ -502,10 +534,11 @@ class Compressor(abc.ABC):
         Coordinate lists are scatter-added in worker order — bitwise
         identical to the sequential dense sum a decompress-then-add
         reducer computes — and only the union of the supports is kept.
-        Sparsifiers' heavy hitters coincide heavily across workers
-        (correlated gradients select the same coordinates), so the
-        aggregate stays near one worker's payload size instead of
-        growing as the concatenation of all N.
+        Where the workers' heavy hitters coincide the union stays near
+        one worker's support; where they do not it grows towards the
+        concatenation of all N, and past half the segment the dense sum
+        ships instead (:func:`coordinate_aggregate`), so the aggregate
+        never costs more than 4 bytes an element.
         """
         forms = [self._coords_form(item) for item in items]
         shape, size = forms[0][0], forms[0][1]
@@ -527,10 +560,7 @@ class Compressor(abc.ABC):
         if size <= np.iinfo(np.int32).max:
             union = union.astype(np.int32)
         total = sum(summand_count(item) for item in items)
-        return CompressedTensor(
-            payload=[dense[union], union],
-            ctx=AggregatedCoordsCtx(shape, size, total),
-        )
+        return coordinate_aggregate(shape, dense, union, total)
 
     # -- shared-codebook (uniform lattice) machinery -------------------------
 

@@ -15,10 +15,10 @@ import math
 import numpy as np
 
 from repro.core.api import (
-    AggregatedCoordsCtx,
     CompressedTensor,
     FusedBucketCtx,
     KernelCompressor,
+    coordinate_aggregate,
 )
 from repro.tensorlib import (
     QuantileSketch,
@@ -210,10 +210,7 @@ class SketchMLCompressor(KernelCompressor):
             dense[positions] += values
             touched[positions] = True
         union = np.flatnonzero(touched).astype(np.int32)
-        return CompressedTensor(
-            payload=[dense[union], union],
-            ctx=AggregatedCoordsCtx(bucket.shape, bucket.numel, len(items)),
-        )
+        return coordinate_aggregate(bucket.shape, dense, union, len(items))
 
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:
         """Flat bucket positions sent on the wire (all of them when every

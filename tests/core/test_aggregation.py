@@ -28,6 +28,8 @@ from repro.comm import (
 from repro.core.api import (
     AGGREGATION_KINDS,
     PACKED_CODE_BITS,
+    AggregatedCoordsCtx,
+    AggregatedDenseCtx,
     AggregatedLatticeCtx,
     AggregationUnsupportedError,
     CompressedTensor,
@@ -142,6 +144,61 @@ class TestExactLinearLaws:
         agg_nbytes = sum(np.asarray(p).nbytes for p in agg.payload)
         assert agg_nbytes <= single
         assert agg_nbytes < (16 * single) / 8
+
+    @staticmethod
+    def _coords(values, indices, size=10):
+        return CompressedTensor(
+            payload=[np.array(values, dtype=np.float32),
+                     np.array(indices, dtype=np.int32)],
+            ctx=AggregatedCoordsCtx((size,), size, 1),
+        )
+
+    def test_wide_union_ships_dense_and_decodes_like_coordinates(self):
+        # -0.0 where one worker alone sends a coordinate, where both do,
+        # and where two values cancel.
+        items = [
+            self._coords([-0.0, -0.0, 1.5, 2.0, 3.0], [0, 1, 2, 3, 4]),
+            self._coords([-0.0, -1.5, 0.25, 7.0], [1, 2, 5, 6]),
+        ]
+        comp = create("topk", seed=0)
+        agg = comp.aggregate_compressed(items)
+        assert isinstance(agg.ctx, AggregatedDenseCtx)  # 7 of 10 kept
+        assert agg.nbytes == 4 * 10 < 8 * 7
+        (dense,) = agg.payload
+        union = np.arange(7, dtype=np.int32)
+        as_coords = CompressedTensor(
+            payload=[dense[union], union],
+            ctx=AggregatedCoordsCtx((10,), 10, 2),
+        )
+        decoded = comp.decompress_aggregated(agg)
+        assert decoded.tobytes() == (
+            comp.decompress_aggregated(as_coords).tobytes()
+        )
+        assert not np.any(np.signbit(decoded))
+        # A narrow union keeps the coordinate form.
+        narrow = comp.aggregate_compressed(items[:1])
+        assert isinstance(narrow.ctx, AggregatedCoordsCtx)
+
+    def test_full_support_sketchml_ships_the_dense_sum(self):
+        bucket = FusionBucket(0, (
+            BucketSegment("a", (6, 8), 0, 48),
+            BucketSegment("b", (80,), 48, 80),
+        ))
+        proto = create("sketchml", seed=0)
+        comps = [proto.clone(seed=r) for r in range(4)]
+        items = [
+            comp.compress_fused(flat, bucket) for comp, flat in zip(
+                comps, correlated_gradients(4, bucket.numel, seed=5)
+            )
+        ]
+        agg = proto.aggregate_compressed(items)
+        assert isinstance(agg.ctx, AggregatedDenseCtx)
+        assert agg.nbytes == 4 * bucket.numel
+        reference = np.sum(
+            np.stack([proto.decompress_fused(item) for item in items]), axis=0
+        )
+        decoded = np.ravel(proto.decompress_aggregated(agg))
+        assert (decoded + 0.0).tobytes() == (reference + 0.0).tobytes()
 
 
 class TestCodebookLaws:
