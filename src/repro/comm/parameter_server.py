@@ -36,7 +36,11 @@ class ParameterServerCommunicator(Communicator):
     * ``allreduce_compressed``: for compressors with a compressed-domain
       aggregation capability, the server sums payloads *without
       decompressing* and fans out the one aggregated payload — egress
-      drops from ``n · relay`` to ``n · aggregated`` bytes.
+      is ``n · aggregated`` bytes instead of the relay's
+      ``n · sum(uploads)``.  An aggregate can be the larger of the two
+      (a wide union, few workers); for exact-linear schemes, whose two
+      forms decode alike, the server then relays instead, so their
+      egress never exceeds the relay's.
 
     Server-side link pressure is observable via the
     ``comm_root_bytes_total{direction=ingress|egress}`` counters every
@@ -61,7 +65,7 @@ class ParameterServerCommunicator(Communicator):
         """Account bytes crossing the server's own links.
 
         These counters are what make the aggregated fan-out's saving
-        measurable: legacy relay egress is ``n · sum(uploads)`` while
+        measurable: relay egress is ``n · sum(uploads)`` while
         aggregated egress is ``n · aggregated``.
         """
         registry = self.record.registry
@@ -114,22 +118,28 @@ class ParameterServerCommunicator(Communicator):
 
     def allreduce_compressed(
         self, compressed: list[CompressedTensor], compressor
-    ) -> CompressedTensor:
-        """Sum payloads in the compressed domain; fan out ONE aggregate.
+    ) -> CompressedTensor | list[Payload]:
+        """Sum payloads in the compressed domain; fan out ONE aggregate —
+        unless relaying the uploads ships fewer bytes.
 
         The uploads are unchanged relative to :meth:`allgather`, but the
         server runs ``compressor.aggregate_compressed`` and every worker
         pulls the single summed payload, so the egress bandwidth term is
-        ``n · aggregated`` instead of ``n · sum(uploads)``.  Raises the
-        compressor's typed
-        :class:`~repro.core.api.AggregationUnsupportedError` when the
-        scheme declares no aggregation capability — callers probe the
-        :attr:`~repro.core.api.Compressor.aggregation` flag first.
+        ``n · aggregated`` instead of ``n · sum(uploads)``.  For an
+        ``exact-linear`` scheme the aggregate and the relayed payloads
+        decode alike, so when the aggregate is the larger the server
+        runs :meth:`allgather` instead and returns its list of payloads,
+        which the caller finishes as a gather.  Raises the compressor's
+        typed :class:`~repro.core.api.AggregationUnsupportedError` when
+        the scheme declares no aggregation capability — callers probe
+        the :attr:`~repro.core.api.Compressor.aggregation` flag first.
         """
         self._check_rank_count(compressed)
         sizes = [float(payload_nbytes(c.payload)) for c in compressed]
         aggregated = compressor.aggregate_compressed(list(compressed))
         agg_nbytes = float(payload_nbytes(aggregated.payload))
+        if compressor.aggregation == "exact-linear" and agg_nbytes > sum(sizes):
+            return self.allgather([c.payload for c in compressed])
         seconds = ps_aggregated_round_trip_time(
             sizes, agg_nbytes, self.network, self.backend
         )

@@ -1180,7 +1180,9 @@ class DistributedTrainer(RankPipeline):
 
         Returns the kind of finish the result needs (``"allreduce"``,
         ``"allgather"`` or ``"aggregated"``), the handle and the
-        ``collective`` span, which :meth:`_wait` completes.
+        ``collective`` span, which :meth:`_wait` completes.  A server
+        that relays the payloads rather than aggregate them, the fewer
+        bytes, makes the finish a gather.
         """
         decoder = self.compressors[0]
         strategy = decoder.communication
@@ -1199,9 +1201,15 @@ class DistributedTrainer(RankPipeline):
             sim_before = record.simulated_seconds
             sent_before = record.bytes_sent_per_worker
             if kind == "aggregated":
-                handle = AsyncHandle(
-                    self.comm.allreduce_compressed(list(compressed), decoder)
+                result = self.comm.allreduce_compressed(
+                    list(compressed), decoder
                 )
+                if not isinstance(result, CompressedTensor):
+                    # The server relayed the payloads, the fewer bytes:
+                    # they finish as a gather.
+                    kind = "allgather"
+                    span.set(aggregation="relay")
+                handle = AsyncHandle(result)
             else:
                 # All payload parts travel as one message: a single
                 # per-message latency per unit, not one per part.
