@@ -34,6 +34,11 @@ aggregate-*         ``aggregate_compressed`` honours its declared
                     within it; sketch schemes must satisfy the doubling
                     law ``aggregate([c, c]) == compress(2t)`` bitwise in
                     sketch space — approximation may never pass silently
+aggregate-size      an aggregate stays within its kind's byte bound: a
+                    lattice sum of N payloads whose codes reach |L|
+                    ⌈log₂(N·(2L+1))⌉ bits an element (32 past 16) plus
+                    its δs and width byte; a coordinate sum
+                    min(8·union, 4·size) bytes; a sketch sum one table
 ==================  =====================================================
 
 Enable it end-to-end with ``repro train --sanitize``; the registry-wide
@@ -56,7 +61,11 @@ from typing import Any
 import numpy as np
 
 from repro.core.api import (
+    PACKED_CODE_BITS,
+    AggregatedCoordsCtx,
+    AggregatedDenseCtx,
     AggregatedLatticeCtx,
+    AggregationUnsupportedError,
     CompressedTensor,
     Compressor,
     FusedBucketCtx,
@@ -435,6 +444,35 @@ class ContractChecker(Compressor):
             "ctx instead of silently passing as exact",
         )
 
+    def _aggregate_bound(
+        self, items: list[CompressedTensor], result: CompressedTensor
+    ) -> int | None:
+        """The most bytes ``result`` may take, by its kind; ``None`` for
+        kinds with no bound (low-rank factors)."""
+        ctx = result.ctx
+        if self.inner.aggregation == "sketch":
+            return max(np.asarray(item.payload[0]).nbytes for item in items)
+        if isinstance(ctx, AggregatedLatticeCtx):
+            peak = max(
+                int(np.max(np.abs(form[4]), initial=0))
+                for form in map(self.inner._lattice_form, items)
+            )
+            bits = max(1, (len(items) * (2 * peak + 1) - 1).bit_length())
+            if bits > PACKED_CODE_BITS:
+                bits = 32
+            header = 4 * len(ctx.seg_sizes) + 1
+            return header + -(-ctx.size * bits // 8)
+        if isinstance(ctx, (AggregatedCoordsCtx, AggregatedDenseCtx)):
+            size = int(np.prod(ctx.shape, dtype=np.int64))
+            try:
+                forms = [self.inner._coords_form(item) for item in items]
+            except AggregationUnsupportedError:  # dense summands
+                return 4 * size
+            union = np.unique(np.concatenate([form[3] for form in forms]))
+            index_bytes = 4 if size <= np.iinfo(np.int32).max else 8
+            return min((4 + index_bytes) * union.size, 4 * size)
+        return None
+
     def aggregate_compressed(
         self, items: list[CompressedTensor]
     ) -> CompressedTensor:
@@ -452,6 +490,13 @@ class ContractChecker(Compressor):
                 "aggregate-summands",
                 f"aggregate of {actual} worker gradients claims "
                 f"n_summands={claimed}",
+            )
+        bound = self._aggregate_bound(items, result) if expensive else None
+        if bound is not None and result.nbytes > bound:
+            self._fail(
+                "aggregate-size",
+                f"{kind} aggregate of {len(items)} payloads takes "
+                f"{result.nbytes} bytes, over its bound of {bound}",
             )
         if not expensive or kind == "sketch":
             # Sketch-space exactness is checked by the doubling law in

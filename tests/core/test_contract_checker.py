@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 from repro.core.api import (
+    AggregatedCoordsCtx,
+    AggregatedDenseCtx,
     CompressedTensor,
     Compressor,
     FusedBucketCtx,
     flatten_with_shape,
+    summand_count,
+    unpack_lattice_codes,
 )
 from repro.core.contract import ContractChecker, ContractViolation
 from repro.core.registry import create
@@ -162,6 +166,45 @@ class DataDependentFormatCompressor(IdentityCompressor):
         return payload[0]
 
 
+class WideLatticeQSGD(type(create("qsgd"))):
+    """Ships its summed codes in int64 lanes, eight bytes an element."""
+
+    def aggregate_compressed(self, items):
+        agg = super().aggregate_compressed(items)
+        deltas, width, packed = agg.payload
+        codes = unpack_lattice_codes(width, packed, agg.ctx.size)
+        return CompressedTensor(
+            payload=[deltas, np.array([64], dtype=np.uint8), codes],
+            ctx=agg.ctx,
+        )
+
+
+class CoordinatesOnlyTopK(type(create("topk"))):
+    """Ships a wide union as coordinates instead of the dense sum."""
+
+    def aggregate_compressed(self, items):
+        agg = super().aggregate_compressed(items)
+        if not isinstance(agg.ctx, AggregatedDenseCtx):
+            return agg
+        (dense,) = agg.payload
+        return CompressedTensor(
+            payload=[dense, np.arange(dense.size, dtype=np.int32)],
+            ctx=AggregatedCoordsCtx(
+                agg.ctx.shape, dense.size, agg.ctx.n_summands
+            ),
+        )
+
+
+class TwoTableSketchSGD(type(create("sketchsgd"))):
+    """Ships every summed table twice."""
+
+    def aggregate_compressed(self, items):
+        agg = super().aggregate_compressed(items)
+        return CompressedTensor(
+            payload=[agg.payload[0], agg.payload[0].copy()], ctx=agg.ctx
+        )
+
+
 def _violation(compressor, **kwargs) -> ContractViolation:
     checker = ContractChecker(compressor, **kwargs)
     with pytest.raises(ContractViolation) as excinfo:
@@ -277,6 +320,38 @@ class TestViolationDetection:
         error = _violation(ListPayloadCompressor())
         assert "fake-identity" in str(error)
         assert "payload-type" in str(error)
+
+
+class TestAggregateSize:
+    @pytest.mark.parametrize("broken, params", [
+        (WideLatticeQSGD, {}),
+        (CoordinatesOnlyTopK, {"ratio": 0.9}),
+        (TwoTableSketchSGD, {}),
+    ])
+    def test_aggregate_over_its_bound_is_caught(self, broken, params):
+        inner = broken(**params)
+        checker = ContractChecker(inner)
+        rng = np.random.default_rng(4)
+        items = [
+            inner.compress(rng.standard_normal(256).astype(np.float32), "t")
+            for _ in range(3)
+        ]
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.aggregate_compressed(items)
+        assert excinfo.value.check == "aggregate-size"
+        assert f"[{broken.name}]" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name, params", [
+        ("qsgd", {}), ("topk", {"ratio": 0.9}), ("sketchsgd", {}),
+    ])
+    def test_the_real_aggregates_stay_within_it(self, name, params):
+        checker = ContractChecker(create(name, **params))
+        rng = np.random.default_rng(4)
+        items = [
+            checker.compress(rng.standard_normal(256).astype(np.float32), "t")
+            for _ in range(3)
+        ]
+        assert summand_count(checker.aggregate_compressed(items)) == 3
 
 
 class TestCheckEvery:
