@@ -43,10 +43,6 @@ class FunctionInfo:
     class_name: str | None = None  # enclosing class, if a method
     calls: list[ast.Call] = field(default_factory=list)
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
 
 def _collect_calls(node: ast.AST) -> list[ast.Call]:
     return [n for n in ast.walk(node) if isinstance(n, ast.Call)]

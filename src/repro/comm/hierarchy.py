@@ -63,17 +63,6 @@ class HierarchicalCommunicator(Communicator):
             self.racks.append(list(range(start, start + size)))
             start += size
 
-    def rack_of(self, rank: int) -> int:
-        """Rack index of ``rank``."""
-        if not 0 <= rank < self.n_workers:
-            raise ValueError(
-                f"rank {rank} out of range for {self.n_workers} workers"
-            )
-        for rack, members in enumerate(self.racks):
-            if rank <= members[-1]:
-                return rack
-        raise AssertionError("unreachable: racks cover all ranks")
-
     def _count_root_bytes(self, ingress: float, egress: float) -> None:
         """Account bytes crossing the root's links (cf. the PS counters)."""
         registry = self.record.registry

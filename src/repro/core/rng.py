@@ -40,22 +40,6 @@ def spawn_worker_seeds(
     return np.random.SeedSequence(seed).spawn(n_workers)
 
 
-def worker_seed(seed: int, rank: int, n_workers: int) -> np.random.SeedSequence:
-    """The single child sequence rank ``rank`` of ``n_workers`` derives.
-
-    Worker processes use this to rebuild their own stream without
-    materializing the siblings; it is exactly
-    ``spawn_worker_seeds(seed, n_workers)[rank]`` (SeedSequence spawning
-    is stateless in the spawn key, so spawning all children and indexing
-    is equivalent to spawning the prefix).
-    """
-    if not 0 <= rank < n_workers:
-        raise ValueError(
-            f"rank {rank} out of range for {n_workers} workers"
-        )
-    return spawn_worker_seeds(seed, n_workers)[rank]
-
-
 def name_seed(name: str) -> np.random.SeedSequence:
     """A process-independent seed sequence derived from a string.
 

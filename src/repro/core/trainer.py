@@ -271,14 +271,6 @@ class TrainingReport:
         return self.bytes_per_worker / self.iterations
 
     @property
-    def throughput_samples_per_second(self) -> float:
-        """Training throughput under the simulated clock."""
-        total = self.sim_total_seconds
-        if total <= 0:
-            return float("inf")
-        return self.samples_processed / total
-
-    @property
     def best_quality(self) -> float:
         """Best model quality witnessed during training (paper §V-A)."""
         if not self.epoch_quality:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.rng import name_seed, spawn_worker_seeds, worker_seed
+from repro.core.rng import name_seed, spawn_worker_seeds
 
 
 class TestSpawnWorkerSeeds:
@@ -42,22 +42,6 @@ class TestSpawnWorkerSeeds:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             spawn_worker_seeds(0, 0)
-
-
-class TestWorkerSeed:
-    def test_matches_spawn_indexing(self):
-        for rank in range(3):
-            direct = np.random.default_rng(worker_seed(5, rank, 3))
-            spawned = np.random.default_rng(spawn_worker_seeds(5, 3)[rank])
-            np.testing.assert_array_equal(
-                direct.standard_normal(6), spawned.standard_normal(6)
-            )
-
-    def test_rejects_out_of_range_rank(self):
-        with pytest.raises(ValueError):
-            worker_seed(0, 4, 4)
-        with pytest.raises(ValueError):
-            worker_seed(0, -1, 4)
 
 
 class TestNameSeed:

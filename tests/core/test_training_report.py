@@ -14,16 +14,6 @@ class TestTrainingReport:
         )
         assert report.sim_total_seconds == pytest.approx(3.5)
 
-    def test_throughput_from_samples_and_time(self):
-        report = TrainingReport(
-            samples_processed=700, sim_compute_seconds=7.0
-        )
-        assert report.throughput_samples_per_second == pytest.approx(100.0)
-
-    def test_throughput_infinite_without_clock(self):
-        report = TrainingReport(samples_processed=10)
-        assert report.throughput_samples_per_second == float("inf")
-
     def test_bytes_per_iteration_zero_before_any_step(self):
         assert TrainingReport().bytes_per_worker_per_iteration == 0.0
 
