@@ -826,9 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default="auto",
                        help="compressed-domain aggregation policy on "
                             "ps/hier topologies: auto uses it for "
-                            "exact-linear schemes, all extends it to "
-                            "codebook/sketch schemes, off disables it "
-                            "(default: auto)")
+                            "exact-linear schemes, whose parameter-server "
+                            "aggregate ships only when smaller than the "
+                            "relay, so auto never prices above off; all "
+                            "extends it to codebook/sketch schemes, off "
+                            "disables it (default: auto)")
     train.add_argument("--fusion-mb", type=float, default=0.0,
                        metavar="MB",
                        help="tensor-fusion buffer budget in MiB; 0 keeps "

@@ -159,9 +159,11 @@ def ps_aggregated_round_trip_time(
     """PS round trip when the server sums payloads in the compressed domain.
 
     Uploads are unchanged; the fan-out ships the single aggregated
-    payload to every worker, so the egress bandwidth term drops from
-    ``sum(uploads)·n / rate`` (relay) to ``aggregated·n / rate`` with
-    ``aggregated`` on the order of *one* compressed payload.
+    payload to every worker, so the egress bandwidth term is
+    ``aggregated·n / rate`` instead of the relay's ``sum(uploads)·n /
+    rate``.  An aggregate can be as wide as a dense float32 sum, wider
+    than a few compact uploads; the parameter server prices both and,
+    for exact-linear schemes, relays when that is cheaper.
     """
     if aggregated_nbytes < 0:
         raise ValueError("aggregated_nbytes must be non-negative")
