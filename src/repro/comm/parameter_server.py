@@ -138,7 +138,8 @@ class ParameterServerCommunicator(Communicator):
         sizes = [float(payload_nbytes(c.payload)) for c in compressed]
         aggregated = compressor.aggregate_compressed(list(compressed))
         agg_nbytes = float(payload_nbytes(aggregated.payload))
-        if compressor.aggregation == "exact-linear" and agg_nbytes > sum(sizes):
+        relay = float(sum(sizes))
+        if compressor.aggregation == "exact-linear" and agg_nbytes > relay:
             return self.allgather([c.payload for c in compressed])
         seconds = ps_aggregated_round_trip_time(
             sizes, agg_nbytes, self.network, self.backend

@@ -212,12 +212,6 @@ class AggregatedLatticeCtx:
 PACKED_CODE_BITS = 16
 
 
-def lattice_code_bits(peak: int) -> int:
-    """⌈log₂(2·peak + 1)⌉, at least 1: the bits a signed lattice code of
-    magnitude at most ``peak`` needs once offset to non-negative."""
-    return max(1, (2 * int(peak)).bit_length())
-
-
 def pack_lattice_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Summed lattice codes as ``(width u8[1], packed)`` for the wire.
 
@@ -229,7 +223,7 @@ def pack_lattice_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ⌈log₂(N·(2L + 1))⌉ bits an element.
     """
     peak = int(np.max(np.abs(codes))) if codes.size else 0
-    bits = lattice_code_bits(peak)
+    bits = max(1, (2 * peak).bit_length())  # ⌈log₂(2·peak + 1)⌉
     if bits > 32:
         raise OverflowError(f"summed lattice codes need {bits} bits")
     if bits > PACKED_CODE_BITS:

@@ -25,8 +25,9 @@ fails unless the golden file differs from ``old.json`` in nothing but the
 ``<name>/bucket*/seed*/fused*`` entries of a compressor (or variant),
 ``<name>/<bucket>`` those of one bucket, ``<name>/compress`` its
 per-tensor ``compress`` entries and ``<name>/aggregate`` its aggregates,
-the per-tensor ``aggregate`` and the bucket's ``fused-aggregate`` ones.  Every decoded array and every random
-stream is byte-identical, and so is every payload that was not declared.
+the per-tensor ``aggregate`` and the bucket's ``fused-aggregate`` ones.
+Every decoded array and every random stream is byte-identical, and so is
+every payload that was not declared.
 """
 
 from __future__ import annotations
