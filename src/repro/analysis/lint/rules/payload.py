@@ -1,4 +1,4 @@
-"""GR004 — payload parts that are not ndarrays.
+"""GR004 — payload parts that are not ndarrays of a wire dtype.
 
 ``CompressedTensor.nbytes`` sums ``part.nbytes`` over the payload: a
 Python list coerces through ``np.asarray`` to whatever dtype NumPy
@@ -9,14 +9,21 @@ one number every compression-ratio and throughput claim rests on.  The
 runtime side of this rule is :class:`repro.core.contract.ContractChecker`
 and the typed :class:`repro.core.api.PayloadTypeError` raised by the
 wire framer; the static side flags payload list elements that are
-obviously not ndarrays.
+obviously not ndarrays, and parts cast with ``.astype(<literal dtype>)``
+to a dtype outside :data:`repro.core.api.WIRE_DTYPES` (a uint32 or bool
+part passes every sequential run and then fails to frame when the
+payload crosses processes).
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
+
+import numpy as np
 
 from repro.analysis.lint.engine import ModuleSource, Rule
+from repro.core.api import WIRE_DTYPES
 
 #: Calls that produce Python containers, not ndarrays.
 _CONTAINER_CALLS = frozenset({"list", "tuple", "dict", "set"})
@@ -94,6 +101,16 @@ class PayloadTypeRule(Rule):
                 and element.func.attr == "tolist"
             ):
                 return "a .tolist() result (a Python list)"
+            if (
+                isinstance(element.func, ast.Attribute)
+                and element.func.attr == "astype"
+                and element.args
+            ):
+                dtype = self._literal_dtype(module, element.args[0])
+                if dtype is not None and dtype not in WIRE_DTYPES:
+                    return (
+                        f"cast to {dtype}, a dtype the wire cannot frame"
+                    )
             for keyword in element.keywords:
                 if (
                     keyword.arg == "dtype"
@@ -108,3 +125,20 @@ class PayloadTypeRule(Rule):
                 ):
                     return "an object-dtype array (nbytes counts pointers)"
         return None
+
+    @staticmethod
+    def _literal_dtype(module: ModuleSource, node: ast.AST) -> np.dtype | None:
+        """The dtype a literal names (``np.uint32``, ``"bool"``, ``int``);
+        ``None`` for anything computed."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            literal = node.value
+        else:
+            head, _, name = (module.resolve(node) or "").rpartition(".")
+            namespace = {"numpy": np, "": builtins}.get(head)
+            literal = getattr(namespace, name, None) if namespace else None
+            if literal is None:
+                return None
+        try:
+            return np.dtype(literal)
+        except TypeError:
+            return None

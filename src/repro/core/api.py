@@ -26,29 +26,44 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.fusion import tensor_bucket
+from repro.tensorlib.indices import index_dtype
 from repro.tensorlib.packing import pack_bits, unpack_bits
 
 Payload = list[np.ndarray]
 Context = Any
 
+#: The dtypes a payload part may have, in the order of their codes on the
+#: wire (:mod:`repro.core.wire`): a code is a place in this tuple, so new
+#: dtypes are appended and none moves.  :func:`validate_payload` reads it
+#: too, so a part the wire cannot frame fails in every run, not only in
+#: one that crosses processes.
+WIRE_DTYPES = tuple(np.dtype(name) for name in (
+    "uint8", "int8", "int16", "int32", "int64",
+    "float16", "float32", "float64", "uint16",
+))
+
 
 class PayloadTypeError(TypeError):
-    """A payload part is not a plain NumPy ndarray.
+    """A payload part is not a plain NumPy ndarray of a wire dtype.
 
     Payload parts cross the (simulated) network: anything that is not an
     ndarray either cannot be framed at all or would be silently coerced
-    with a data-dependent size, breaking the §IV-B accounting.  Raised by
+    with a data-dependent size, breaking the §IV-B accounting, and an
+    ndarray outside :data:`WIRE_DTYPES` has no wire code.  Raised by
     :func:`validate_payload` (and therefore by the wire framing layer)
     with the offending part's index and type.
     """
 
 
 def validate_payload(payload: Payload, *, owner: str = "payload") -> Payload:
-    """Check every payload part is a real, non-object ndarray.
+    """Check every payload part is an ndarray the wire can frame.
 
     Returns ``payload`` unchanged so callers can validate inline.  Scalars,
     lists, ``.tolist()`` output and ``dtype=object`` arrays are rejected
-    rather than coerced — coercion would hide a dishonest wire format.
+    rather than coerced — coercion would hide a dishonest wire format —
+    and so is any dtype outside :data:`WIRE_DTYPES` (uint32, bool,
+    complex, a byte-swapped float), which only a real transport would
+    otherwise find.
     """
     for index, part in enumerate(payload):
         if not isinstance(part, np.ndarray):
@@ -61,6 +76,12 @@ def validate_payload(payload: Payload, *, owner: str = "payload") -> Payload:
             raise PayloadTypeError(
                 f"{owner} part {index} has dtype=object, which has no "
                 f"defined wire size; use a concrete numeric dtype"
+            )
+        if part.dtype not in WIRE_DTYPES:
+            raise PayloadTypeError(
+                f"{owner} part {index} has dtype {part.dtype}, which the "
+                f"wire cannot frame; use one of "
+                f"{', '.join(map(str, WIRE_DTYPES))}"
             )
     return payload
 
@@ -171,7 +192,11 @@ class AggregatedDenseCtx:
 
 
 class AggregatedCoordsCtx:
-    """Ctx of an aggregated coordinate list: ``[values f32, indices i64]``.
+    """Ctx of an aggregated coordinate list: ``[values f32, indices]``.
+
+    The indices travel at ``index_dtype(size)``
+    (:func:`~repro.tensorlib.indices.index_dtype`), the width the
+    receiver derives from the segment it already knows.
 
     Duplicated indices are intentional — the decode is a scatter-*add*
     (:func:`numpy.add.at`), which is what makes concatenation an exact
@@ -249,10 +274,10 @@ def coordinate_aggregate(
     """A scatter-added sum on the union support, in its smaller form.
 
     ``dense`` is the flat float32 sum, ``union`` the sorted positions any
-    summand sent.  Kept coordinates cost their value and their index, 8
-    bytes each with int32 indices; once the union covers more than half
-    the segment the dense float32 sum (:class:`AggregatedDenseCtx`) is
-    smaller and ships instead.  Both decode to ``dense`` bitwise: a sum
+    summand sent, at ``index_dtype(dense.size)``.  Kept coordinates cost
+    their value and their index, 4 + w bytes each at a w-byte index
+    width; once (4 + w)·union passes 4·size the dense float32 sum
+    (:class:`AggregatedDenseCtx`) is smaller and ships instead.  Both decode to ``dense`` bitwise: a sum
     that starts from +0.0 never holds -0.0, so adding the kept values to
     zeros leaves them as they are.
     """
@@ -416,6 +441,17 @@ class Compressor(abc.ABC):
             f"FusedBucketCtx payload"
         )
 
+    def index_extents(self, bucket) -> dict[int, int]:
+        """The index parts of a :meth:`compress_fused` payload on ``bucket``.
+
+        Maps a part's place in the payload to its extent, the number of
+        positions it counts in.  The part travels at
+        :func:`~repro.tensorlib.indices.index_dtype` of that extent, which
+        ``--sanitize contract`` checks (``index-width``).  A compressor
+        that sends no positions declares none.
+        """
+        return {}
+
     # -- defaults the framework provides -------------------------------------
 
     def aggregate(self, tensors: list[np.ndarray]) -> np.ndarray:
@@ -530,9 +566,11 @@ class Compressor(abc.ABC):
         reducer computes — and only the union of the supports is kept.
         Where the workers' heavy hitters coincide the union stays near
         one worker's support; where they do not it grows towards the
-        concatenation of all N, and past half the segment the dense sum
-        ships instead (:func:`coordinate_aggregate`), so the aggregate
-        never costs more than 4 bytes an element.
+        concatenation of all N, and once its coordinates outweigh the
+        segment the dense sum ships instead (:func:`coordinate_aggregate`),
+        so the aggregate never costs more than 4 bytes an element.  The
+        union's indices take the width :func:`index_dtype` gives the
+        segment.
         """
         forms = [self._coords_form(item) for item in items]
         shape, size = forms[0][0], forms[0][1]
@@ -550,9 +588,7 @@ class Compressor(abc.ABC):
         ).astype(np.int64, copy=False)
         dense = np.zeros(size, dtype=np.float32)
         np.add.at(dense, indices, values)
-        union = np.unique(indices)
-        if size <= np.iinfo(np.int32).max:
-            union = union.astype(np.int32)
+        union = np.unique(indices).astype(index_dtype(size))
         total = sum(summand_count(item) for item in items)
         return coordinate_aggregate(shape, dense, union, total)
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import segment_means, segment_topk
+from repro.tensorlib.indices import index_dtype
 
 
 class AdaptiveThresholdCompressor(KernelCompressor):
@@ -42,8 +43,10 @@ class AdaptiveThresholdCompressor(KernelCompressor):
         least one of a non-empty side) is partitioned out of that run of
         the magnitudes (:func:`~repro.tensorlib.segment_topk`) and its mean
         taken over the run of what was selected.  Wire: one ``[mean⁺,
-        mean⁻]`` pair per tensor, then each side's bucket positions.
+        mean⁻]`` pair per tensor, then each side's bucket positions, at
+        the width the bucket's ``numel`` needs (:meth:`index_extents`).
         """
+        width = index_dtype(bucket.numel)
         means, selected = [], []
         for side in (buffer > 0, buffer < 0):
             at = np.flatnonzero(side)
@@ -53,11 +56,15 @@ class AdaptiveThresholdCompressor(KernelCompressor):
             np.maximum(ks, 1, out=ks, where=counts > 0)
             chosen = at[segment_topk(np.abs(buffer[at]), ends, ks)]
             means.append(segment_means(buffer[chosen], np.cumsum(ks)))
-            selected.append(chosen.astype(np.int32))
+            selected.append(chosen.astype(width))
         return CompressedTensor(
             payload=[np.stack(means, axis=1).ravel(), *selected],
             ctx=FusedBucketCtx(bucket),
         )
+
+    def index_extents(self, bucket) -> dict[int, int]:
+        """Both sides' positions count from the start of the bucket."""
+        return {1: bucket.numel, 2: bucket.numel}
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         means, *selected = payload

@@ -19,6 +19,7 @@ from repro.tensorlib import (
     segment_quantiles,
     segment_sort,
 )
+from repro.tensorlib.indices import index_dtype
 
 
 class DgcCompressor(KernelCompressor):
@@ -132,7 +133,8 @@ class DgcCompressor(KernelCompressor):
         """One selection over the bucket, each tensor against its threshold.
 
         Indices count from the start of the bucket, which is also what
-        :class:`~repro.core.memory.DgcMemory` masks its flat buffers by.
+        :class:`~repro.core.memory.DgcMemory` masks its flat buffers by,
+        at the width its ``numel`` needs (:meth:`index_extents`).
         """
         ks = bucket.ratio_counts(self.ratio)
         magnitudes = np.abs(buffer)
@@ -150,9 +152,13 @@ class DgcCompressor(KernelCompressor):
             indices = np.sort(np.concatenate([indices, largest]))
         payload = [
             buffer[indices].astype(np.float32, copy=False),
-            indices.astype(np.int32),
+            indices.astype(index_dtype(bucket.numel)),
         ]
         return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
+
+    def index_extents(self, bucket) -> dict[int, int]:
+        """Positions count from the start of the bucket."""
+        return {1: bucket.numel}
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         values, indices = payload

@@ -27,6 +27,7 @@ from repro.tensorlib import (
     unpack_bits,
     unpack_signs,
 )
+from repro.tensorlib.indices import index_dtype
 
 
 class QsparseLocalSGDCompressor(KernelCompressor):
@@ -78,7 +79,8 @@ class QsparseLocalSGDCompressor(KernelCompressor):
         in the stream, so there the rounding stays with the selection and
         only the packing is shared.  An empty tensor selects nothing and
         sends a zero norm.  Wire: the norms, the packed signs and level
-        codes of the selected values, and their int32 bucket positions.
+        codes of the selected values, and their bucket positions at the
+        width the bucket's ``numel`` needs (:meth:`index_extents`).
         """
         ks = bucket.ratio_counts(self.ratio)
         if self.selection == "topk":
@@ -108,9 +110,13 @@ class QsparseLocalSGDCompressor(KernelCompressor):
             norms,
             pack_signs(values),
             pack_bits(codes, bits=self.code_bits),
-            indices.astype(np.int32),
+            indices.astype(index_dtype(bucket.numel)),
         ]
         return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
+
+    def index_extents(self, bucket) -> dict[int, int]:
+        """Positions count from the start of the bucket."""
+        return {3: bucket.numel}
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         norms, packed_signs, packed_codes, indices = payload

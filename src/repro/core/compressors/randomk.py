@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import desparsify
+from repro.tensorlib.indices import index_dtype
 
 
 class RandomKCompressor(KernelCompressor):
@@ -42,7 +43,8 @@ class RandomKCompressor(KernelCompressor):
         runs seeded-equal (an empty tensor draws nothing).  The heavy work
         (gathering the selected values and applying the ``d/k`` unbiasing
         scale) runs as one whole-bucket pass.  Wire: the values, then each
-        one's int32 position in its own tensor.
+        one's position in its own tensor, at the width of the largest
+        tensor (:meth:`index_extents`).
         """
         ks = bucket.ratio_counts(self.ratio)
         local = np.concatenate([
@@ -54,9 +56,13 @@ class RandomKCompressor(KernelCompressor):
             scales = (bucket.sizes / np.maximum(ks, 1)).astype(np.float32)
             values = values * np.repeat(scales, ks)
         return CompressedTensor(
-            payload=[values, local.astype(np.int32)],
+            payload=[values, local.astype(index_dtype(bucket.largest))],
             ctx=FusedBucketCtx(bucket),
         )
+
+    def index_extents(self, bucket) -> dict[int, int]:
+        """Positions count in their own tensor."""
+        return {1: bucket.largest}
 
     def _positions(self, payload, bucket) -> np.ndarray:
         """Bucket positions of a payload's values, in order."""

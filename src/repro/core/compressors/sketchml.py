@@ -5,7 +5,8 @@ non-uniform quantile sketch; each value is encoded as the index of its
 quantile bucket (quantization), and only non-zero elements are kept
 (sparsification).  The wire format is each tensor's bucket-representative
 table, the bit-packed bucket codes, each tensor's non-zero count and the
-positions of the non-zeros.
+positions of the non-zeros, the counts and positions at the width their
+layout needs (:func:`~repro.tensorlib.indices.index_dtype`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.tensorlib import (
     segment_sort,
     unpack_bits,
 )
+from repro.tensorlib.indices import index_dtype
 
 
 class SketchMLCompressor(KernelCompressor):
@@ -68,7 +70,10 @@ class SketchMLCompressor(KernelCompressor):
         count of every tensor, and the bucket positions of the non-zeros of
         those tensors that have zeros (a dense tensor's are implicit, as
         SketchML's hashed indices would be) — four parts whatever the data,
-        so a peer decodes them under its own ctx.
+        so a peer decodes them under its own ctx.  A count is at most its
+        tensor's size and a position counts from the start of the bucket;
+        each travels at the width that bound needs
+        (:meth:`index_extents`).
         """
         nnz = segment_counts(buffer, bucket.ends)
         has_zeros = nnz < bucket.sizes
@@ -93,10 +98,15 @@ class SketchMLCompressor(KernelCompressor):
         payload = [
             quantiles[:, at_boundaries.size:].astype(np.float32).ravel(),
             pack_bits(codes, bits=self.code_bits),
-            nnz.astype(np.int32),
-            positions.astype(np.int32),
+            nnz.astype(index_dtype(bucket.largest + 1)),
+            positions.astype(index_dtype(bucket.numel)),
         ]
         return CompressedTensor(payload=payload, ctx=FusedBucketCtx(bucket))
+
+    def index_extents(self, bucket) -> dict[int, int]:
+        """Counts run from 0 to the largest tensor's size; positions count
+        from the start of the bucket."""
+        return {2: bucket.largest + 1, 3: bucket.numel}
 
     def _samples(self, values, value_ends, nnz):
         """What each run's sketch is built from, and where the runs end."""
@@ -209,7 +219,7 @@ class SketchMLCompressor(KernelCompressor):
                 positions = slice(None)
             dense[positions] += values
             touched[positions] = True
-        union = np.flatnonzero(touched).astype(np.int32)
+        union = np.flatnonzero(touched).astype(index_dtype(bucket.numel))
         return coordinate_aggregate(bucket.shape, dense, union, len(items))
 
     def transmitted_indices(self, compressed: CompressedTensor) -> np.ndarray:

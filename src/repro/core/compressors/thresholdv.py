@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import desparsify, sparsify_threshold
+from repro.tensorlib.indices import index_dtype
 
 
 class ThresholdCompressor(KernelCompressor):
@@ -32,12 +33,20 @@ class ThresholdCompressor(KernelCompressor):
         return {"threshold": self.threshold}
 
     def compress_fused(self, buffer: np.ndarray, bucket) -> CompressedTensor:
-        """One selection over the bucket; indices count from its start."""
+        """One selection over the bucket; indices count from its start, at
+        the width its ``numel`` needs (:meth:`index_extents`)."""
         values, indices = sparsify_threshold(buffer, self.threshold)
         return CompressedTensor(
-            payload=[values.astype(np.float32), indices.astype(np.int32)],
+            payload=[
+                values.astype(np.float32),
+                indices.astype(index_dtype(bucket.numel)),
+            ],
             ctx=FusedBucketCtx(bucket),
         )
+
+    def index_extents(self, bucket) -> dict[int, int]:
+        """Positions count from the start of the bucket."""
+        return {1: bucket.numel}
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         values, indices = payload

@@ -1,8 +1,10 @@
 """Top-k sparsification (Aji & Heafield, EMNLP 2017; Fig. 4 of the paper).
 
 Transmits the ``k = ratio·d`` largest-magnitude elements with their
-indices.  The default wire format matches the paper's accounting
-(float32 value + int32 index per selected element); the optional
+indices.  The default wire format is the paper's float32 value plus one
+position per selected element, at the width the bucket's largest tensor
+needs (:func:`~repro.tensorlib.indices.index_dtype`: one byte up to 256
+elements, two up to 65,536, four beyond); the optional
 ``index_encoding`` knob switches the index vector to a bitmap or
 delta-varint representation (the DeepReduce direction of related-work
 §VI) — see ``benchmarks/test_ablation_index_encoding.py``.
@@ -14,7 +16,12 @@ import numpy as np
 
 from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import desparsify, segment_topk
-from repro.tensorlib.indices import MODES, decode_indices, encode_indices
+from repro.tensorlib.indices import (
+    MODES,
+    decode_indices,
+    encode_indices,
+    index_dtype,
+)
 
 
 # One-byte wire tag of an encoded index buffer: its mode's place in
@@ -69,14 +76,15 @@ class TopKCompressor(KernelCompressor):
         of its run of the magnitudes (:func:`~repro.tensorlib.segment_topk`,
         the call ``sparsify_topk`` makes), so even exact magnitude ties at
         the k-th value pick the same elements.  Wire: the values, then each
-        one's position in its own tensor, grouped by tensor — as int32, or
-        per tensor a one-byte mode tag and its encoded positions.
+        one's position in its own tensor, grouped by tensor — at the width
+        of the largest tensor (:meth:`index_extents`), or per tensor a
+        one-byte mode tag and its encoded positions.
         """
         ks = bucket.ratio_counts(self.ratio)
         selected = segment_topk(np.abs(buffer), bucket.ends, ks)
         local = selected - np.repeat(bucket.offsets, ks)
         if self.index_encoding == "int32":
-            indices = local.astype(np.int32)
+            indices = local.astype(index_dtype(bucket.largest))
         else:
             pieces = []
             for size, run in zip(
@@ -90,6 +98,11 @@ class TopKCompressor(KernelCompressor):
         return CompressedTensor(
             payload=[buffer[selected], indices], ctx=FusedBucketCtx(bucket)
         )
+
+    def index_extents(self, bucket) -> dict[int, int]:
+        """Plain positions count in their own tensor; encoded ones travel
+        as bytes."""
+        return {1: bucket.largest} if self.index_encoding == "int32" else {}
 
     def _positions(self, payload, bucket) -> np.ndarray:
         """Bucket positions of a payload's values, in order."""
@@ -133,10 +146,11 @@ class TopKCompressor(KernelCompressor):
     ) -> CompressedTensor:
         """Exact compressed-domain sum: coordinate-list concatenation.
 
-        The aggregated form always carries plain int64 indices — bitmap
-        and delta-varint encodings are decoded server-side, since
-        duplicate coordinates across workers cannot be represented by a
-        bitmap and the aggregate is what fans out.
+        The aggregated form always carries plain bucket positions, at the
+        width the bucket's ``numel`` needs — bitmap and delta-varint
+        encodings are decoded server-side, since duplicate coordinates
+        across workers cannot be represented by a bitmap and the
+        aggregate is what fans out.
         """
         if not items:
             raise ValueError("nothing to aggregate")

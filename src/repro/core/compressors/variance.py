@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.api import CompressedTensor, FusedBucketCtx, KernelCompressor
 from repro.tensorlib import desparsify, segment_counts, segment_sums
+from repro.tensorlib.indices import index_dtype
 
 
 def selection_probabilities(
@@ -111,7 +112,8 @@ class VarianceSparsifier(KernelCompressor):
 
         A tensor draws one uniform per coordinate whatever the data, so a
         single ``numel``-sized draw is the tensors' draws end to end.
-        Indices count from the start of the bucket.
+        Indices count from the start of the bucket, at the width its
+        ``numel`` needs (:meth:`index_extents`).
         """
         probabilities = bucket_selection_probabilities(
             np.abs(buffer), bucket, bucket.ratio_counts(self.ratio)
@@ -120,9 +122,16 @@ class VarianceSparsifier(KernelCompressor):
         indices = np.flatnonzero(keep)
         values = buffer[indices] / probabilities[indices].astype(np.float32)
         return CompressedTensor(
-            payload=[values.astype(np.float32), indices.astype(np.int32)],
+            payload=[
+                values.astype(np.float32),
+                indices.astype(index_dtype(bucket.numel)),
+            ],
             ctx=FusedBucketCtx(bucket),
         )
+
+    def index_extents(self, bucket) -> dict[int, int]:
+        """Positions count from the start of the bucket."""
+        return {1: bucket.numel}
 
     def _decompress_bucket(self, payload, bucket) -> np.ndarray:
         values, indices = payload

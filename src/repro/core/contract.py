@@ -5,8 +5,8 @@ re-validates the §IV-B contract on every call — the dynamic complement
 to the static ``repro lint`` rules (``repro.analysis.lint``):
 
 ==================  =====================================================
-payload-type        every payload part is a plain, non-object ndarray
-                    (GR004's runtime twin)
+payload-type        every payload part is a plain ndarray of a dtype the
+                    wire can frame (GR004's runtime twin)
 wire-roundtrip      the payload survives :func:`serialize_payload` /
                     :func:`deserialize_payload` bitwise
 ctx-honesty         ctx carries no ndarrays — tensor-derived arrays must
@@ -34,11 +34,17 @@ aggregate-*         ``aggregate_compressed`` honours its declared
                     within it; sketch schemes must satisfy the doubling
                     law ``aggregate([c, c]) == compress(2t)`` bitwise in
                     sketch space — approximation may never pass silently
+index-width         every index part — those a kernel declares in
+                    ``index_extents``, and an aggregated coordinate
+                    list's — travels at ``index_dtype`` of the extent it
+                    counts in, the width the receiver derives from the
+                    layout
 aggregate-size      an aggregate stays within its kind's byte bound: a
                     lattice sum of N payloads whose codes reach |L|
                     ⌈log₂(N·(2L+1))⌉ bits an element (32 past 16) plus
                     its δs and width byte; a coordinate sum
-                    min(8·union, 4·size) bytes; a sketch sum one table
+                    min((4+w)·union, 4·size) bytes at a w-byte index
+                    width; a sketch sum one table
 ==================  =====================================================
 
 Enable it end-to-end with ``repro train --sanitize``; the registry-wide
@@ -75,6 +81,7 @@ from repro.core.api import (
 )
 from repro.core.fusion import tensor_bucket
 from repro.core.wire import deserialize_payload, serialize_payload
+from repro.tensorlib.indices import index_dtype
 
 
 def per_segment_decode(
@@ -197,13 +204,17 @@ class ContractChecker(Compressor):
     ) -> np.ndarray:
         return self.inner.decompress_aggregated(compressed)
 
+    def index_extents(self, bucket) -> dict[int, int]:
+        return self.inner.index_extents(bucket)
+
     # -- checks --------------------------------------------------------------
 
     def _fail(self, check: str, message: str) -> None:
         raise ContractViolation(self.inner.name, check, message)
 
     def _check_structure(self, compressed: CompressedTensor) -> None:
-        """The cheap, always-on checks: payload types, ctx, nbytes."""
+        """The cheap, always-on checks: payload types, ctx, nbytes and
+        index widths."""
         try:
             validate_payload(compressed.payload)
         except PayloadTypeError as exc:
@@ -224,6 +235,32 @@ class ContractChecker(Compressor):
                 f"CompressedTensor.nbytes says {declared} but the payload "
                 f"parts sum to {actual}",
             )
+        self._check_index_width(compressed)
+
+    def _check_index_width(self, compressed: CompressedTensor) -> None:
+        """Every index part travels at the width its extent needs.
+
+        A kernel payload's index parts are the ones the compressor
+        declares for its bucket (:meth:`Compressor.index_extents`); an
+        aggregated coordinate list's are its positions in the segment.
+        """
+        ctx = compressed.ctx
+        if isinstance(ctx, FusedBucketCtx):
+            extents = self.inner.index_extents(ctx.bucket)
+        elif isinstance(ctx, AggregatedCoordsCtx):
+            extents = {1: ctx.size}
+        else:
+            return
+        for part, extent in extents.items():
+            wanted = index_dtype(extent)
+            found = compressed.payload[part].dtype
+            if found != wanted:
+                self._fail(
+                    "index-width",
+                    f"index part {part} is {found}, but a part counting in "
+                    f"{extent} positions travels as {wanted} — the width "
+                    f"both sides derive from the layout",
+                )
 
     def _check_wire(self, compressed: CompressedTensor) -> None:
         """The payload must survive wire framing bitwise."""
@@ -469,8 +506,8 @@ class ContractChecker(Compressor):
             except AggregationUnsupportedError:  # dense summands
                 return 4 * size
             union = np.unique(np.concatenate([form[3] for form in forms]))
-            index_bytes = 4 if size <= np.iinfo(np.int32).max else 8
-            return min((4 + index_bytes) * union.size, 4 * size)
+            width = index_dtype(size).itemsize
+            return min((4 + width) * union.size, 4 * size)
         return None
 
     def aggregate_compressed(

@@ -60,12 +60,13 @@ class BucketSegment:
 class FusionBucket:
     """A size-bounded group of tensors moved as one flat buffer.
 
-    Besides the segment layout (``sizes``, ``offsets``, ``ends``), the
-    bucket offers the segment operations nearly every kernel is built
-    from: :meth:`segment_max`, :meth:`expand` and :meth:`expand_at`.  It
-    keeps no per-element array: a run that does not fuse holds one bucket
-    per tensor for its whole life.  (Sums, means, norms and deviations
-    per segment depend on summation order: :mod:`repro.tensorlib.segments`,
+    Besides the segment layout (``sizes``, ``offsets``, ``ends``, and
+    ``largest``, the size of the largest segment), the bucket offers the
+    segment operations nearly every kernel is built from:
+    :meth:`segment_max`, :meth:`expand` and :meth:`expand_at`.  It keeps
+    no per-element array: a run that does not fuse holds one bucket per
+    tensor for its whole life.  (Sums, means, norms and deviations per
+    segment depend on summation order: :mod:`repro.tensorlib.segments`,
     over ``ends``.)
     """
 
@@ -81,6 +82,7 @@ class FusionBucket:
             [seg.offset for seg in segments], dtype=np.int64
         )
         self.ends = self.offsets + self.sizes
+        self.largest = int(self.sizes.max())
         # reduceat reads one element even for an empty range: reduce over
         # the non-empty segments only (None when there is nothing to skip).
         self._nonempty = (

@@ -11,10 +11,18 @@ Format (little-endian)::
     u8   part count          (0..254; 255 escapes to a u32 count)
     u32  part count          (only when the escape byte 255 is present)
     per part:
-      u8   dtype code          (see _DTYPES)
+      u8   dtype code          (a place in repro.core.api.WIRE_DTYPES:
+                                uint8 int8 int16 int32 int64 float16
+                                float32 float64 uint16 = 0..8)
       u8   rank
       u32  dim[rank]
       raw  data (C order)
+
+Codes are only ever appended: uint16, code 8, came last, for the index
+parts that a bucket of up to 65,536 elements sends two bytes a position
+(:func:`repro.tensorlib.indices.index_dtype`).  The width of an index
+part is not on the wire beyond its dtype code: both sides derive it
+from the bucket layout they share.
 
 The escape exists for fusion: a bucket kernel's payload can carry parts
 per segment (a low-rank kernel's factors), so one frame may carry far
@@ -38,7 +46,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.api import Payload, validate_payload
+from repro.core.api import WIRE_DTYPES, Payload, validate_payload
 
 
 class WireFormatError(ValueError):
@@ -48,17 +56,7 @@ class WireFormatError(ValueError):
 class WireChecksumError(WireFormatError):
     """A checksummed wire frame failed CRC32 validation."""
 
-_DTYPES: list[np.dtype] = [
-    np.dtype(np.uint8),
-    np.dtype(np.int8),
-    np.dtype(np.int16),
-    np.dtype(np.int32),
-    np.dtype(np.int64),
-    np.dtype(np.float16),
-    np.dtype(np.float32),
-    np.dtype(np.float64),
-]
-_DTYPE_CODE = {dtype: code for code, dtype in enumerate(_DTYPES)}
+_DTYPE_CODE = {dtype: code for code, dtype in enumerate(WIRE_DTYPES)}
 
 _PART_COUNT_ESCAPE = 255  # u8 sentinel: real count follows as u32
 _MAX_PARTS = 2**32 - 1
@@ -79,9 +77,10 @@ def part_count_header_bytes(n_parts: int) -> int:
 def serialize_payload(payload: Payload) -> bytes:
     """Frame a payload (list of arrays) into one byte buffer.
 
-    Parts must be plain ndarrays with a concrete numeric dtype —
-    anything else raises :class:`~repro.core.api.PayloadTypeError`
-    rather than being silently coerced with a data-dependent size.
+    Parts must be plain ndarrays of a dtype in
+    :data:`~repro.core.api.WIRE_DTYPES` — anything else raises
+    :class:`~repro.core.api.PayloadTypeError` rather than being silently
+    coerced with a data-dependent size.
     """
     if len(payload) > _MAX_PARTS:
         raise ValueError(f"payload has too many parts ({len(payload)})")
@@ -91,8 +90,6 @@ def serialize_payload(payload: Payload) -> bytes:
         original = np.asarray(part)
         # ascontiguousarray promotes 0-d to 1-d; restore the true shape.
         array = np.ascontiguousarray(original).reshape(original.shape)
-        if array.dtype not in _DTYPE_CODE:
-            raise ValueError(f"unsupported wire dtype {array.dtype}")
         if array.ndim > _MAX_RANK:
             raise ValueError(f"rank {array.ndim} exceeds wire limit")
         chunks.append(
@@ -141,13 +138,13 @@ def deserialize_payload(buffer: bytes) -> Payload:
             raise WireFormatError("truncated wire buffer (header)")
         dtype_code, rank = struct.unpack_from("<BB", buffer, offset)
         offset += 2
-        if dtype_code >= len(_DTYPES):
+        if dtype_code >= len(WIRE_DTYPES):
             raise WireFormatError(f"unknown wire dtype code {dtype_code}")
         if offset + 4 * rank > len(buffer):
             raise WireFormatError("truncated wire buffer (dims)")
         dims = struct.unpack_from(f"<{rank}I", buffer, offset)
         offset += 4 * rank
-        dtype = _DTYPES[dtype_code]
+        dtype = WIRE_DTYPES[dtype_code]
         count = 1
         for dim in dims:
             count *= int(dim)

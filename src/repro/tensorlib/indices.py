@@ -1,10 +1,16 @@
-"""Sparse-index encodings.
+"""Sparse-index widths and encodings.
 
-For sparsifiers, the index vector is half the wire footprint (a 4-byte
-int32 per selected element).  The paper's own group later attacked this
-in DeepReduce ("independent and combined compression of values and
-indices of sparse tensors", related work §VI); this module provides the
-two classic index representations and an automatic chooser:
+For sparsifiers, the index vector is most of the wire footprint besides
+the values.  Sender and receiver share the bucket layout, so both know
+how many positions an index part counts in — its *extent* — and
+:func:`index_dtype` fixes the part's width from that alone: uint8 up to
+256 positions, uint16 up to 65,536, int32 beyond (int64 past 2³¹).  No
+tag travels, and a decoder widens the part to int64 whatever its width.
+
+The paper's own group later attacked the index cost further in
+DeepReduce ("independent and combined compression of values and indices
+of sparse tensors", related work §VI); this module also provides the two
+classic index representations and an automatic chooser:
 
 * ``bitmap`` — one bit per universe position; wins when density > ~1/32;
 * ``delta`` — varint-coded gaps between sorted indices; wins for sparse
@@ -21,6 +27,22 @@ from repro.tensorlib.encoding import varint_decode, varint_encode
 from repro.tensorlib.packing import pack_bits, unpack_bits
 
 MODES = ("int32", "bitmap", "delta")
+
+_UINT8, _UINT16 = np.dtype(np.uint8), np.dtype(np.uint16)
+_INT32, _INT64 = np.dtype(np.int32), np.dtype(np.int64)
+
+
+def index_dtype(extent: int) -> np.dtype:
+    """The narrowest wire dtype that holds every position of
+    ``range(extent)``: the width of an index part counting in ``extent``
+    positions, which both sides derive from the layout they share."""
+    if extent <= 1 << 8:
+        return _UINT8
+    if extent <= 1 << 16:
+        return _UINT16
+    if extent <= 1 << 31:
+        return _INT32
+    return _INT64
 
 
 def _check_indices(indices: np.ndarray, universe: int) -> np.ndarray:

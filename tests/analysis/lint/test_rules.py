@@ -246,6 +246,29 @@ class TestGR004PayloadType:
         assert len(findings) == 1
         assert "object-dtype" in findings[0].message
 
+    def test_flags_casts_to_dtypes_the_wire_cannot_frame(self):
+        findings = _lint(PayloadTypeRule(), """
+            import numpy as np
+            from repro.core.api import CompressedTensor
+            from repro.tensorlib.indices import index_dtype
+
+            def f(values, positions, mask, bucket):
+                return CompressedTensor(payload=[
+                    values.astype(np.float32),
+                    positions.astype(np.uint32),
+                    mask.astype(bool),
+                    positions.astype("complex64"),
+                    positions.astype(np.uint16),
+                    positions.astype(index_dtype(bucket.numel)),
+                ], ctx=())
+        """)
+        assert [f.message.split(";")[0] for f in findings] == [
+            "payload part is cast to uint32, a dtype the wire cannot frame",
+            "payload part is cast to bool, a dtype the wire cannot frame",
+            "payload part is cast to complex64, a dtype the wire cannot "
+            "frame",
+        ]
+
     def test_real_arrays_are_clean(self):
         findings = _lint(PayloadTypeRule(), """
             import numpy as np

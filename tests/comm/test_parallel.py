@@ -616,6 +616,7 @@ class TestRunParallel:
     @pytest.mark.parametrize("compressor, fusion_mb", [
         ("qsgd", 0.0),  # stochastic; 29 allgathers a step, split-phase
         ("none", 64.0),  # one zero-copy dense allreduce a step
+        ("dgc", 64.0),  # one bucket, its positions framed as uint16
     ])
     def test_two_rank_cells_match_sequential(self, compressor, fusion_mb):
         seq_report, seq_params = _sequential_run(

@@ -149,7 +149,7 @@ class TestExactLinearLaws:
     def _coords(values, indices, size=10):
         return CompressedTensor(
             payload=[np.array(values, dtype=np.float32),
-                     np.array(indices, dtype=np.int32)],
+                     np.array(indices, dtype=np.uint8)],
             ctx=AggregatedCoordsCtx((size,), size, 1),
         )
 
@@ -161,20 +161,28 @@ class TestExactLinearLaws:
             self._coords([-0.0, -1.5, 0.25, 7.0], [1, 2, 5, 6]),
         ]
         comp = create("topk", seed=0)
+        # 7 of 10 kept at one-byte indices: 5·7 bytes undercut 4·10.
+        kept = comp.aggregate_compressed(items)
+        assert isinstance(kept.ctx, AggregatedCoordsCtx)
+        assert kept.payload[1].dtype == np.uint8
+        assert kept.nbytes == 5 * 7 < 4 * 10
+        # 9 of 10 kept: 5·9 bytes do not, and the dense sum ships.
+        items.append(self._coords([-0.0, 0.5], [7, 8]))
         agg = comp.aggregate_compressed(items)
-        assert isinstance(agg.ctx, AggregatedDenseCtx)  # 7 of 10 kept
-        assert agg.nbytes == 4 * 10 < 8 * 7
+        assert isinstance(agg.ctx, AggregatedDenseCtx)
+        assert agg.nbytes == 4 * 10 < 5 * 9
         (dense,) = agg.payload
-        union = np.arange(7, dtype=np.int32)
+        union = np.arange(9, dtype=np.uint8)
         as_coords = CompressedTensor(
             payload=[dense[union], union],
-            ctx=AggregatedCoordsCtx((10,), 10, 2),
+            ctx=AggregatedCoordsCtx((10,), 10, 3),
         )
         decoded = comp.decompress_aggregated(agg)
         assert decoded.tobytes() == (
             comp.decompress_aggregated(as_coords).tobytes()
         )
         assert not np.any(np.signbit(decoded))
+        assert not np.any(np.signbit(comp.decompress_aggregated(kept)))
         # A narrow union keeps the coordinate form.
         narrow = comp.aggregate_compressed(items[:1])
         assert isinstance(narrow.ctx, AggregatedCoordsCtx)

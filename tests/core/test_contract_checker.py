@@ -19,7 +19,9 @@ from repro.core.api import (
     unpack_lattice_codes,
 )
 from repro.core.contract import ContractChecker, ContractViolation
+from repro.core.fusion import BucketSegment, FusionBucket
 from repro.core.registry import create
+from repro.tensorlib.indices import index_dtype
 
 
 def _tensor():
@@ -188,10 +190,34 @@ class CoordinatesOnlyTopK(type(create("topk"))):
             return agg
         (dense,) = agg.payload
         return CompressedTensor(
-            payload=[dense, np.arange(dense.size, dtype=np.int32)],
+            payload=[dense, np.arange(dense.size).astype(
+                index_dtype(dense.size)
+            )],
             ctx=AggregatedCoordsCtx(
                 agg.ctx.shape, dense.size, agg.ctx.n_summands
             ),
+        )
+
+
+class Int32PositionsDgc(type(create("dgc"))):
+    """Ships its bucket positions as int32 whatever the bucket holds."""
+
+    def compress_fused(self, buffer, bucket):
+        compressed = super().compress_fused(buffer, bucket)
+        values, indices = compressed.payload
+        return CompressedTensor(
+            payload=[values, indices.astype(np.int32)], ctx=compressed.ctx
+        )
+
+
+class Int32UnionTopK(type(create("topk"))):
+    """Ships an aggregate's union as int32 whatever the segment holds."""
+
+    def aggregate_compressed(self, items):
+        agg = super().aggregate_compressed(items)
+        values, union = agg.payload
+        return CompressedTensor(
+            payload=[values, union.astype(np.int32)], ctx=agg.ctx
         )
 
 
@@ -220,7 +246,11 @@ class TestViolationDetection:
         assert _violation(CtxSmugglingCompressor()).check == "ctx-honesty"
 
     def test_unserializable_payload(self):
-        assert _violation(UnserializableCompressor()).check == "wire-roundtrip"
+        # A dtype with no wire code fails as a payload type, in every run,
+        # not only in one whose payloads cross processes.
+        error = _violation(UnserializableCompressor())
+        assert error.check == "payload-type"
+        assert "part 0 has dtype complex64" in str(error)
 
     def test_stale_nbytes_cache(self):
         assert _violation(TamperedNbytesCompressor()).check == "nbytes"
@@ -352,6 +382,48 @@ class TestAggregateSize:
             for _ in range(3)
         ]
         assert summand_count(checker.aggregate_compressed(items)) == 3
+
+
+class TestIndexWidth:
+    def test_int32_positions_in_a_32k_bucket_are_caught(self):
+        bucket = FusionBucket(0, (
+            BucketSegment("w", (128, 250), 0, 32_000),
+            BucketSegment("b", (768,), 32_000, 768),
+        ))
+        assert bucket.numel == 32_768
+        buffer = np.random.default_rng(2).standard_normal(
+            bucket.numel
+        ).astype(np.float32)
+        checker = ContractChecker(Int32PositionsDgc())
+        with pytest.raises(ContractViolation) as excinfo:
+            checker.compress_fused(buffer, bucket)
+        assert excinfo.value.check == "index-width"
+        assert "[dgc]" in str(excinfo.value)
+        assert "index part 1 is int32" in str(excinfo.value)
+        assert "uint16" in str(excinfo.value)
+
+    def test_int32_union_on_a_1k_tensor_is_caught(self):
+        inner = Int32UnionTopK()
+        rng = np.random.default_rng(3)
+        items = [
+            inner.compress(rng.standard_normal(1024).astype(np.float32), "t")
+            for _ in range(3)
+        ]
+        with pytest.raises(ContractViolation) as excinfo:
+            ContractChecker(inner).aggregate_compressed(items)
+        assert excinfo.value.check == "index-width"
+        assert "[topk]" in str(excinfo.value)
+        assert "index part 1 is int32" in str(excinfo.value)
+
+    def test_the_real_widths_pass(self):
+        checker = ContractChecker(create("topk"))
+        rng = np.random.default_rng(3)
+        items = [
+            checker.compress(rng.standard_normal(1024).astype(np.float32), "t")
+            for _ in range(3)
+        ]
+        assert items[0].payload[1].dtype == np.uint16
+        assert checker.aggregate_compressed(items).payload[1].dtype == np.uint16
 
 
 class TestCheckEvery:

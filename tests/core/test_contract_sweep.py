@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import CompressedTensor
-from repro.core.contract import ContractChecker
+from repro.core.contract import ContractChecker, ContractViolation
 from repro.core.fusion import FusionPlan, tensor_bucket
 from repro.core.registry import available_compressors, create
 from repro.core.wire import serialize_payload
@@ -77,6 +77,38 @@ def test_contract_holds_fused(label):
     restored = checker.decompress_fused(compressed)
     assert restored.shape == (bucket.numel,)
     assert restored.dtype == np.float32
+
+
+def _shipping_uint32_indices(label: str):
+    """The swept compressor, mutated to ship its index parts as uint32 —
+    the real-process backend's wire has no code for that dtype."""
+    compressor = create_swept(label, seed=3)
+    kernel = type(compressor).compress_fused
+
+    def compress_fused(self, buffer, bucket):
+        compressed = kernel(self, buffer, bucket)
+        payload = list(compressed.payload)
+        for part in self.index_extents(bucket):
+            payload[part] = payload[part].astype(np.uint32)
+        return CompressedTensor(payload=payload, ctx=compressed.ctx)
+
+    compressor.compress_fused = compress_fused.__get__(compressor)
+    return compressor
+
+
+@pytest.mark.parametrize("label", sorted(
+    label for label in SWEPT
+    if create_swept(label, seed=0).index_extents(tensor_bucket("t", (8,)))
+))
+def test_a_part_the_wire_cannot_frame_is_caught(label):
+    """A part only a real transport would fail to frame fails the
+    sequential sweep, naming the compressor, the part and the dtype."""
+    checker = ContractChecker(_shipping_uint32_indices(label))
+    with pytest.raises(ContractViolation) as excinfo:
+        checker.compress(CASES["dense"].copy(), "sweep")
+    assert excinfo.value.check == "payload-type"
+    assert f"[{SWEPT[label][0]}]" in str(excinfo.value)
+    assert "has dtype uint32" in str(excinfo.value)
 
 
 #: The contract cases plus a 4-d tensor (``none`` keeps its shape on the

@@ -1,9 +1,12 @@
 """Wire framing of compressed payloads."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core import available_compressors, create
+from repro.core.api import PayloadTypeError
 from repro.core.wire import (
     CHECKSUM_NBYTES,
     WireChecksumError,
@@ -79,7 +82,7 @@ class TestFramingOverhead:
 
 class TestValidation:
     def test_rejects_unsupported_dtype(self):
-        with pytest.raises(ValueError, match="dtype"):
+        with pytest.raises(PayloadTypeError, match="dtype complex64"):
             serialize_payload([np.zeros(2, dtype=np.complex64)])
 
     def test_rejects_truncated_buffer(self):
@@ -101,6 +104,49 @@ class TestValidation:
         buffer[1] = 99  # corrupt the dtype code
         with pytest.raises(ValueError, match="dtype code"):
             deserialize_payload(bytes(buffer))
+
+
+class TestUint16Part:
+    """Two-byte index parts (a bucket of up to 65,536 elements)."""
+
+    PAYLOAD = [
+        np.arange(3, dtype=np.float32),
+        np.array([0, 300, 65_535], dtype=np.uint16),
+    ]
+
+    def test_round_trips_plain_and_framed(self):
+        for restored in (
+            deserialize_payload(serialize_payload(self.PAYLOAD)),
+            unframe_payload(frame_payload(self.PAYLOAD)),
+        ):
+            for original, copy in zip(self.PAYLOAD, restored):
+                assert copy.dtype == original.dtype
+                assert copy.tobytes() == original.tobytes()
+
+    def test_code_comes_after_the_first_eight(self):
+        first_eight = (
+            np.uint8, np.int8, np.int16, np.int32, np.int64,
+            np.float16, np.float32, np.float64,
+        )
+        codes = [
+            serialize_payload([np.zeros(1, dtype)])[1]
+            for dtype in (*first_eight, np.uint16)
+        ]
+        assert codes == list(range(9))
+
+    def test_truncation_is_rejected_plain_and_framed(self):
+        buffer = serialize_payload(self.PAYLOAD)
+        for cut in range(1, len(buffer)):
+            with pytest.raises(WireFormatError, match="truncated"):
+                deserialize_payload(buffer[:cut])
+        frame = frame_payload(self.PAYLOAD)
+        with pytest.raises(WireFormatError):
+            unframe_payload(frame[:-1])
+        with pytest.raises(WireFormatError, match="truncated"):
+            unframe_payload(
+                buffer[:-1] + (zlib.crc32(buffer[:-1]) & 0xFFFFFFFF)
+                .to_bytes(CHECKSUM_NBYTES, "little")
+            )
 
 
 class TestPartCountEscape:

@@ -100,7 +100,10 @@ class TestCorruptedPayloads:
             np.arange(100, dtype=np.float32), "t"
         )
         compressed.payload[1] = compressed.payload[1].copy()
-        compressed.payload[1][0] = 10_000  # index beyond the tensor
+        # 100 positions travel as uint8: the widest index the part can
+        # hold still lies beyond the tensor.
+        assert compressed.payload[1].dtype == np.uint8
+        compressed.payload[1][0] = 255
         with pytest.raises(ValueError, match="out of range"):
             compressor.decompress(compressed)
 
