@@ -89,11 +89,13 @@ class TestSeedBenchParity:
         assert result.value("collective_ops_fused") == 3
         assert result.value("collective_ops_unfused") == 87
         assert result.value("sim_comm_seconds_fused") == \
-            0.0013396941176470588
+            0.001327270588235294
         assert result.value("sim_comm_seconds_unfused") == \
-            0.037459694117647026
-        assert result.value("bytes_per_worker_fused") == 5280.0
-        assert result.value("bytes_per_worker_unfused") == 5280.0
+            0.03744653647058823
+        # topk's positions travel at the width of each unit's largest
+        # tensor, which is narrower for a tensor alone than in a bucket.
+        assert result.value("bytes_per_worker_fused") == 3960.0
+        assert result.value("bytes_per_worker_unfused") == 3882.0
 
     def test_overlap_bench_invariants_hold(self):
         from repro.bench.overlap_bench import run_overlap_bench
