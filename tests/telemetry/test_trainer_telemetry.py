@@ -18,6 +18,8 @@ from tests.core.test_trainer import QuadraticTask, noise_batches
 
 # Seed-captured golden values: QuadraticTask(dim=32, lr=0.05, seed=0),
 # topk(ratio=0.25), 2 workers, FlatPerf, 5 steps of noise_batches(seed=step).
+# The bytes and simulated comm are those of topk's one-byte positions (a
+# 32-element tensor): 8 values and 8 positions, 40 bytes a step.
 GOLDEN_LOSSES = [
     21.149208068847656, 18.29949378967285, 15.998201370239258,
     12.543895721435547, 10.668901443481445,
@@ -25,10 +27,10 @@ GOLDEN_LOSSES = [
 GOLDEN = {
     "iterations": 5,
     "samples_processed": 320,
-    "sim_comm_seconds": 0.0006504302521008404,
+    "sim_comm_seconds": 0.0006502689075630252,
     "sim_compute_seconds": 0.05,
     "sim_compression_seconds": 0.005,
-    "bytes_per_worker": 320.0,
+    "bytes_per_worker": 200.0,
 }
 GOLDEN_PARAM_NORM = 1.6976065635681152
 
@@ -153,7 +155,7 @@ class TestMetricsSideChannel:
         _, trainer, _ = run_golden()
         metrics = trainer.metrics
         assert metrics.value("train_iterations_total") == 5.0
-        assert metrics.value("train_bytes_per_worker_total") == 320.0
+        assert metrics.value("train_bytes_per_worker_total") == 200.0
         assert metrics.value("train_sim_comm_seconds_total") == \
             GOLDEN["sim_comm_seconds"]
 
