@@ -277,9 +277,9 @@ def coordinate_aggregate(
     summand sent, at ``index_dtype(dense.size)``.  Kept coordinates cost
     their value and their index, 4 + w bytes each at a w-byte index
     width; once (4 + w)·union passes 4·size the dense float32 sum
-    (:class:`AggregatedDenseCtx`) is smaller and ships instead.  Both decode to ``dense`` bitwise: a sum
-    that starts from +0.0 never holds -0.0, so adding the kept values to
-    zeros leaves them as they are.
+    (:class:`AggregatedDenseCtx`) is smaller and ships instead.  Both
+    decode to ``dense`` bitwise: a sum that starts from +0.0 never holds
+    -0.0, so adding the kept values to zeros leaves them as they are.
     """
     if union.nbytes + 4 * union.size > dense.nbytes:
         return CompressedTensor(
