@@ -415,16 +415,6 @@ class TestIndexWidth:
         assert "[topk]" in str(excinfo.value)
         assert "index part 1 is int32" in str(excinfo.value)
 
-    def test_the_real_widths_pass(self):
-        checker = ContractChecker(create("topk"))
-        rng = np.random.default_rng(3)
-        items = [
-            checker.compress(rng.standard_normal(1024).astype(np.float32), "t")
-            for _ in range(3)
-        ]
-        assert items[0].payload[1].dtype == np.uint16
-        assert checker.aggregate_compressed(items).payload[1].dtype == np.uint16
-
 
 class TestCheckEvery:
     def test_expensive_checks_are_thinned(self):
