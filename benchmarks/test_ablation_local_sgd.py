@@ -51,7 +51,7 @@ def run_period(sync_period: int) -> dict:
     return {
         "sync_period": sync_period,
         "accuracy": accuracy,
-        "sync_rounds": trainer.sync_rounds,
+        "sync_rounds": trainer.report.iterations // trainer.sync_period,
         "bytes_per_worker": trainer.report.bytes_per_worker,
     }
 

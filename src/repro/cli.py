@@ -240,7 +240,7 @@ def cmd_train(args) -> int:
         print(f"hidden comm      : {report.sim_hidden_comm_seconds:.3f} s")
         print(f"overlap fraction : {100.0 * report.overlap_fraction:.1f}%")
     if tracing:
-        _export_trace(args, tracer, report)
+        _export_trace(args, tracer)
     return 0
 
 
@@ -343,7 +343,7 @@ def _write_parallel_trace(path: str, events: list[dict]) -> None:
             handle.write(json.dumps(event, sort_keys=True) + "\n")
 
 
-def _export_trace(args, tracer, report) -> None:
+def _export_trace(args, tracer) -> None:
     """Write the requested trace/metrics artifacts and wire stats."""
     from repro.telemetry import (
         render_fields, wire_stats_fields, write_chrome_trace, write_jsonl,
@@ -351,12 +351,13 @@ def _export_trace(args, tracer, report) -> None:
     )
 
     metrics = tracer.metrics
+    kernels = metrics.instruments("compress_kernel_seconds")
     print()
     print(render_fields(wire_stats_fields(
         raw_nbytes=metrics.value("compress_raw_bytes_total"),
         wire_nbytes=metrics.value("compress_wire_bytes_total"),
         framing_nbytes=metrics.value("wire_framing_overhead_bytes_total"),
-        kernel_seconds=report.measured_compression_seconds,
+        kernel_seconds=sum(histogram.sum for histogram in kernels),
     )))
     if args.trace:
         events = write_jsonl(args.trace, tracer, metrics)

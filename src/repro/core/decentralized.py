@@ -34,7 +34,6 @@ from repro.comm.gossip import GossipCommunicator, Topology
 from repro.core.api import Compressor
 from repro.core.fusion import tensor_bucket
 from repro.core.trainer import DistributedTask, RankPipeline, TrainingReport
-from repro.telemetry.metrics import MetricsRegistry
 
 
 class DecentralizedTrainer(RankPipeline):
@@ -69,7 +68,6 @@ class DecentralizedTrainer(RankPipeline):
         consensus_period: int = 10,
         seed: int = 0,
         tracer=None,
-        metrics: MetricsRegistry | None = None,
     ):
         if len(tasks) != topology.n_nodes:
             raise ValueError(
@@ -88,9 +86,7 @@ class DecentralizedTrainer(RankPipeline):
             raise ValueError("communicator and topology disagree on size")
         self.n_workers = topology.n_nodes
         self.consensus_period = int(consensus_period)
-        self._build_ranks(
-            compressor, memory, memory_params, seed, tracer, metrics
-        )
+        self._build_ranks(compressor, memory, memory_params, seed, tracer)
         self.report = TrainingReport(metrics=self.metrics)
         #: :meth:`consensus_distance` after every iteration.
         self.consensus_distances: list[float] = []

@@ -92,6 +92,10 @@ class FusionBucket:
         for layout in (self.sizes, self.offsets, self.ends):
             layout.setflags(write=False)
         self._ratio_counts: dict[float, np.ndarray] = {}
+        # What unpack slices, once: it runs for every unit of every step.
+        self._slices = tuple(
+            (seg.name, seg.offset, seg.end, seg.shape) for seg in segments
+        )
 
     @property
     def nbytes(self) -> int:
@@ -164,8 +168,8 @@ class FusionBucket:
     def unpack(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Split a flat bucket array back into per-tensor shaped views."""
         return {
-            seg.name: flat[seg.offset:seg.end].reshape(seg.shape)
-            for seg in self.segments
+            name: flat[start:end].reshape(shape)
+            for name, start, end, shape in self._slices
         }
 
     def __len__(self) -> int:
@@ -214,14 +218,14 @@ class FusionPlan:
         if not shapes:
             raise ValueError("cannot build a fusion plan over zero tensors")
         self.max_bytes = int(max_bytes)
-        self.signature = tuple(
-            (name, tuple(int(d) for d in shape)) for name, shape in shapes
-        )
+        #: The layout, in plan order: tensor names and their shapes.
+        self.names = tuple(name for name, _ in shapes)
+        self.shapes = [tuple(int(d) for d in shape) for _, shape in shapes]
         self.buckets: list[FusionBucket] = []
         current: list[BucketSegment] = []
         current_bytes = 0
         offset = 0
-        for name, shape in self.signature:
+        for name, shape in zip(self.names, self.shapes):
             size = int(np.prod(shape, dtype=np.int64)) if shape else 1
             # An empty tensor is budgeted as one element, so a one-byte
             # budget gives every tensor a bucket of its own.
@@ -248,11 +252,11 @@ class FusionPlan:
 
     def matches(self, gradients: dict[str, np.ndarray]) -> bool:
         """True when ``gradients`` has the layout this plan was built for."""
-        if len(gradients) != len(self.signature):
+        if len(gradients) != len(self.names):
             return False
         return all(
             name in gradients and np.asarray(gradients[name]).shape == shape
-            for name, shape in self.signature
+            for name, shape in zip(self.names, self.shapes)
         )
 
     @property

@@ -104,11 +104,6 @@ class LocalSGDTrainer:
         self.comm = self._sync.comm
         self.report = TrainingReport()
 
-    @property
-    def sync_rounds(self) -> int:
-        """Synchronizations so far: one every ``sync_period`` iterations."""
-        return self.report.iterations // self.sync_period
-
     # ------------------------------------------------------------------
 
     def step(self, batches: list[tuple[Any, Any]]) -> float:

@@ -28,16 +28,12 @@ the untraced hot loop allocation-free.
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from functools import partial
-from itertools import accumulate
 from typing import Any, Callable, Iterable, Protocol
 
 import numpy as np
 
-from repro.comm.collectives import AsyncHandle, Communicator
-from repro.comm.timeline import COMPUTE, KERNEL, NETWORK, SimTimeline
+from repro.comm.collectives import Communicator
 from repro.core.api import CompressedTensor, Compressor, update_from_payload
 from repro.core.checkpoint import (
     Checkpoint,
@@ -46,7 +42,8 @@ from repro.core.checkpoint import (
     worker_checkpoint_path,
 )
 from repro.core.config import Resilience, WorkerMode
-from repro.core.fusion import FusionBucket, FusionPlan, ScratchPool
+from repro.core.exchange import Exchange
+from repro.core.fusion import FusionBucket
 from repro.core.memory import Memory, make_memory
 from repro.core.rng import spawn_worker_seeds
 from repro.core.wire import framing_header_bytes
@@ -286,14 +283,12 @@ class RankPipeline:
     """
 
     def _build_ranks(self, compressor: Compressor, memory: str | None,
-                     memory_params: dict | None, seed: int, tracer,
-                     metrics: MetricsRegistry | None) -> None:
-        """Resolve the tracer and registry; clone the compressor and
-        build a memory by name for every rank."""
+                     memory_params: dict | None, seed: int, tracer) -> None:
+        """Resolve the tracer and registry (the tracer's when traced, else
+        a private one); clone the compressor and build a memory by name
+        for every rank."""
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if metrics is not None:
-            self.metrics = metrics
-        elif self.tracer.enabled and isinstance(
+        if self.tracer.enabled and isinstance(
             self.tracer.metrics, MetricsRegistry
         ):
             self.metrics = self.tracer.metrics
@@ -450,13 +445,11 @@ class DistributedTrainer(RankPipeline):
     tracer:
         A :class:`~repro.telemetry.tracing.Tracer` to record phase spans
         and detailed metrics into; the default no-op tracer keeps the
-        hot loop untouched.
-    metrics:
-        Registry the report/communicator totals are counted into.
-        Defaults to the tracer's registry (traced) or a private one.
+        hot loop untouched.  Report and communicator totals are counted
+        in the tracer's registry when traced, else in a private one.
     aggregation:
         Compressed-domain aggregation policy (``"auto"``, ``"off"`` or
-        ``"all"``; see :meth:`_aggregation_active`).
+        ``"all"``; see :mod:`repro.core.exchange`).
     resilience:
         A :class:`~repro.core.config.Resilience`: faults to inject and
         the recovery, checkpoint and straggler policies (stragglers are
@@ -489,7 +482,6 @@ class DistributedTrainer(RankPipeline):
         check_finite: bool = False,
         seed: int = 0,
         tracer=None,
-        metrics: MetricsRegistry | None = None,
         fusion_mb: float = 0.0,
         overlap: bool = False,
         bucket_order: str = "ready",
@@ -536,23 +528,20 @@ class DistributedTrainer(RankPipeline):
             )
         self.perf_model = perf_model
         self.check_finite = bool(check_finite)
-        self._build_ranks(
-            compressor, memory, memory_params, seed, tracer, metrics
-        )
+        self._build_ranks(compressor, memory, memory_params, seed, tracer)
         self.fusion_mb = float(fusion_mb)
         self._fusion_max_bytes = int(self.fusion_mb * (1 << 20))
-        self._fusion_plan: FusionPlan | None = None
-        # Scratch is per-rank-owned: rank r's compress-side buffers come
-        # from its own pool and the decode/aggregate side has a separate
-        # pool, so no buffer is ever shared across rank boundaries (the
-        # invariant the real-parallel backend's process split relies on).
-        self._rank_scratch = [
-            ScratchPool(owner=r) for r in range(self.n_workers)
-        ]
-        self._agg_scratch = ScratchPool(owner="aggregate")
+        if self._fusion_max_bytes > 1 and not compressor.fused_kernel:
+            warnings.warn(
+                f"compressor {compressor.name!r} ships no fused kernel: "
+                f"fusion_mb={self.fusion_mb:g} is ignored and every "
+                f"tensor is its own unit"
+            )
+        #: The :class:`~repro.core.exchange.Exchange` of the gradients'
+        #: layout: built at the first step, rebuilt when the layout changes.
+        self.exchange: Exchange | None = None
         self.overlap = bool(overlap)
         self.bucket_order = bucket_order
-        self._ready_fraction: dict[str, float] = {}
         self._sim_epoch = 0.0  # cumulative makespan: span sim offsets
         self.report = TrainingReport(metrics=self.metrics)
         self.resilience = resilience
@@ -584,8 +573,6 @@ class DistributedTrainer(RankPipeline):
                     )
                 self.comm = ResilientCommunicator(self.comm, seed=seed)
         self.aggregation = aggregation
-        self._n_active = len(self._active_ranks)
-        self._worker_cohort = frozenset(self._active_ranks)
         self._last_checkpoint: Checkpoint | None = None
         self._stale_grads: dict[int, tuple[int, dict]] = {}
         self._excluded_stragglers: list[int] = []
@@ -639,7 +626,7 @@ class DistributedTrainer(RankPipeline):
             for rank, (inputs, targets) in enumerate(batches):
                 if rank in crashed:
                     continue  # a down worker computes nothing
-                if self.rank is not None and rank not in self._worker_cohort:
+                if self.rank is not None and rank not in self._active_ranks:
                     # Parallel degrade: this rank died in an earlier
                     # incarnation and was never replaced.
                     continue
@@ -672,7 +659,7 @@ class DistributedTrainer(RankPipeline):
             sim_compute = 0.0
             if self.perf_model is not None:
                 computing = (
-                    self._n_active if self.rank is not None
+                    len(self._active_ranks) if self.rank is not None
                     else max(1, len(grads_by_rank))
                 )
                 sim_compute = self.perf_model.compute_seconds(
@@ -683,12 +670,17 @@ class DistributedTrainer(RankPipeline):
                     # computing rank; under the "wait" policy stragglers
                     # stay in the cohort and stretch it.
                     sim_compute *= faults.slowdown_over(self._active_ranks)
-            grads_per_rank = self._collect_exchange_grads(
-                grads_by_rank, faults
-            )
-            aggregated = self._exchange(
-                grads_per_rank, sim_compute, compute_span, iter_span
-            )
+            exchanged = self._collect_exchange_grads(grads_by_rank, faults)
+            grads0 = next(iter(exchanged.values()))
+            exchange = self.exchange
+            if exchange is None or not exchange.plan.matches(grads0):
+                exchange = self.exchange = Exchange(self, grads0)
+            exchange.start(exchanged, self._active_ranks, sim_compute,
+                           compute_span, iter_span)
+            ready = exchange.ready
+            for name in exchange.plan.names:
+                ready(name)
+            aggregated = exchange.finish()
             if loss_gather is not None:
                 losses = loss_gather.wait()
             if self.check_finite:
@@ -763,7 +755,6 @@ class DistributedTrainer(RankPipeline):
                 excluded = []  # never exclude the whole cohort
         self._excluded_stragglers = excluded
         self._active_ranks = [r for r in active if r not in excluded]
-        self._n_active = len(self._active_ranks)
         if faults.any:
             self.metrics.counter(
                 "degraded_iterations_total",
@@ -776,19 +767,19 @@ class DistributedTrainer(RankPipeline):
         self,
         grads_by_rank: dict[int, dict[str, np.ndarray]],
         faults: IterationFaults | None,
-    ) -> list[dict[str, np.ndarray]]:
-        """Gradient dicts for the exchanging cohort, ``_active_ranks``-aligned.
+    ) -> dict[int, dict[str, np.ndarray]]:
+        """The gradients this process exchanges, by rank in
+        ``_active_ranks`` order.
 
-        The fault-free path is a plain list view.  Under the backup
+        The fault-free path is ``grads_by_rank`` itself.  Under the backup
         straggler policy an excluded rank's buffered gradient from a
         previous iteration re-enters the cohort while it is no staler
         than :data:`STALENESS_BOUND`, and the rank's freshly computed
         gradient is buffered for a later iteration.
         """
         if faults is None:
-            return list(grads_by_rank.values())
-        participating = list(self._active_ranks)
-        grads = [grads_by_rank[rank] for rank in participating]
+            return grads_by_rank
+        exchanged = {rank: grads_by_rank[rank] for rank in self._active_ranks}
         if (
             self.resilience.straggler_policy == "backup"
             and self._excluded_stragglers
@@ -799,8 +790,7 @@ class DistributedTrainer(RankPipeline):
                 if buffered is not None:
                     stamp, stale = buffered
                     if iteration - stamp <= STALENESS_BOUND:
-                        participating.append(rank)
-                        grads.append(stale)
+                        exchanged[rank] = stale
                         self.metrics.counter(
                             "stale_gradients_applied_total",
                             help="backup-worker gradients applied within "
@@ -814,11 +804,10 @@ class DistributedTrainer(RankPipeline):
                         ).inc(1)
                 if rank in grads_by_rank:
                     self._stale_grads[rank] = (iteration, grads_by_rank[rank])
-            if participating != self._active_ranks:
-                self._active_ranks = participating
-                self._n_active = len(participating)
-                self.comm.begin_iteration(faults, participating)
-        return grads
+            if len(exchanged) != len(self._active_ranks):
+                self._active_ranks = list(exchanged)
+                self.comm.begin_iteration(faults, self._active_ranks)
+        return exchanged
 
     def _restart_recover(
         self, iteration: int, faults: IterationFaults
@@ -904,418 +893,6 @@ class DistributedTrainer(RankPipeline):
             "aborted_iterations_total",
             help="iterations aborted by exhausted retry budgets",
         ).inc(1)
-
-    # -- the exchange --------------------------------------------------
-
-    def _exchange(
-        self,
-        grads_per_rank: list[dict[str, np.ndarray]],
-        sim_compute: float,
-        compute_span,
-        iter_span,
-    ) -> dict[str, np.ndarray]:
-        """φ, Q, ψ, communicate, Q⁻¹ and Agg over every unit of the plan.
-
-        A unit is one bucket of :meth:`_plan`: a single tensor unless
-        the run fuses (``fusion_mb > 0``) or overlaps.  Every unit is
-        compressed and its collective issued before any is finished, so
-        real ranks meet about once per step (the sequential communicator
-        completes a collective at issue; nothing moves on the simulator).
-        Every unit goes through ``compensate_fused`` → ``compress_fused``
-        → ``update_fused``, and ψ's decode of a rank's payload is the one
-        Agg averages.
-
-        Only the simulated clock depends on ``overlap``.  Blocking, each
-        charge lands on its span as it accrues.  Overlapped, a
-        per-iteration :class:`SimTimeline` starts a unit's kernel once
-        its last gradient is ready inside the backward window and queues
-        its collective behind it; the makespan and the split of network
-        time into hidden and exposed are recorded after the drain.
-        """
-        plan = self._plan(grads_per_rank[0])
-        fused = self._fused
-        record = self.comm.record
-        comm_before = record.simulated_seconds
-        bytes_before = record.bytes_sent_per_worker
-        epoch = self._sim_epoch
-        flags = {"fused": True} if fused else {}
-        timeline = None
-        if self.overlap:
-            flags["overlap"] = True
-            timeline = SimTimeline()
-            if sim_compute > 0:
-                timeline.schedule(COMPUTE, sim_compute,
-                                  name="forward_backward")
-                compute_span.set_sim_window(epoch, epoch + sim_compute)
-            backward_fraction = getattr(
-                self.perf_model, "backward_fraction", 2.0 / 3.0
-            )
-            forward_end = sim_compute * (1.0 - backward_fraction)
-            backward_seconds = sim_compute - forward_end
-        started = time.perf_counter()
-        pending = []
-        for bucket in plan.buckets:
-            where = (
-                {"bucket": bucket.index} if fused
-                else {"tensor": bucket.segments[0].name}
-            )
-            if fused:
-                self.metrics.counter(
-                    "fusion_buckets_total",
-                    help="fusion buckets communicated",
-                ).inc(1)
-                self.metrics.histogram(
-                    "fusion_bucket_bytes", unit="bytes",
-                    help="flat float32 size of each communicated fusion "
-                         "bucket",
-                ).observe(float(bucket.nbytes))
-            wire, decoded, first_span = self._compress_unit(
-                bucket, grads_per_rank, where
-            )
-            ready_at = 0.0
-            if timeline is not None:
-                # Ready when the unit's *last* gradient materializes:
-                # backward-window fractions by cumulative parameter
-                # volume in gradient-ready order.
-                ready_at = forward_end + backward_seconds * max(
-                    self._ready_fraction.get(seg.name, 1.0)
-                    for seg in bucket.segments
-                )
-            if self.perf_model is not None:
-                sim_kernel = self.perf_model.compression_seconds(
-                    self.compressors[0].name, bucket.numel
-                )
-                self.report.sim_compression_seconds += sim_kernel
-                if timeline is None:
-                    # Once per unit: ranks compress concurrently.
-                    first_span.add_sim(sim_kernel)
-                elif sim_kernel > 0:
-                    kernel = timeline.schedule(
-                        KERNEL, sim_kernel, not_before=ready_at,
-                        name="compress", bucket=bucket.index,
-                    )
-                    ready_at = kernel.end
-                    first_span.set_sim_window(
-                        epoch + kernel.start, epoch + kernel.end
-                    )
-            pending.append((bucket, where, wire, decoded, *self._issue(
-                wire, ready_at, timeline, **where, **flags
-            )))
-        aggregated: dict[str, np.ndarray] = {}
-        for unit in pending:
-            self._finish_bucket(*unit, aggregated)
-        self.report.measured_compression_seconds += (
-            time.perf_counter() - started
-        )
-        self.report.sim_comm_seconds += (
-            record.simulated_seconds - comm_before
-        )
-        self.report.bytes_per_worker += (
-            record.bytes_sent_per_worker - bytes_before
-        )
-        if timeline is not None:
-            makespan = timeline.makespan
-            stats = timeline.overlap_stats(NETWORK)
-            self.report.sim_makespan_seconds += makespan
-            self.report.sim_exposed_comm_seconds += stats.exposed_comm_seconds
-            self.report.sim_hidden_comm_seconds += stats.hidden_comm_seconds
-            iter_span.set_sim_window(epoch, epoch + makespan)
-            self._sim_epoch += makespan
-            if self.tracer.enabled:
-                self.metrics.gauge(
-                    "train_overlap_fraction",
-                    help="fraction of simulated comm hidden behind other "
-                         "work",
-                ).set(self.report.overlap_fraction)
-        return aggregated
-
-    def _plan(self, grads0: dict[str, np.ndarray]) -> FusionPlan:
-        """The bucket plan every exchange walks, cached as ``_fusion_plan``.
-
-        Like DDP's bucket assignment, it is fixed from the first
-        iteration's gradients and rebuilt only when their layout
-        changes.  Tensors keep declaration order, or ``bucket_order``'s
-        under overlap, which also fixes each tensor's ready fraction.
-        ``fusion_mb=0`` maps to one bucket per tensor (``max_bytes=1``:
-        any tensor overflows the budget alone), and so does a compressor
-        without a bucket kernel, whatever ``fusion_mb`` says.
-        """
-        plan = self._fusion_plan
-        if plan is not None and plan.matches(grads0):
-            return plan
-        max_bytes = self._fusion_max_bytes or 1
-        compressor = self.compressors[0]
-        if max_bytes > 1 and not compressor.fused_kernel:
-            if plan is None:
-                warnings.warn(
-                    f"compressor {compressor.name!r} ships no fused kernel: "
-                    f"fusion_mb={self.fusion_mb:g} is ignored and every "
-                    f"tensor is its own unit"
-                )
-            max_bytes = 1
-        order = list(grads0)
-        if self.overlap:
-            ready_names = self._gradient_ready_names(grads0)
-            if self.bucket_order == "ready":
-                order = ready_names
-            sizes = [np.asarray(grads0[name]).size for name in ready_names]
-            total = sum(sizes)
-            self._ready_fraction = {
-                name: cumulative / total if total > 0 else 1.0
-                for name, cumulative in zip(ready_names, accumulate(sizes))
-            }
-        plan = FusionPlan(
-            [(name, np.asarray(grads0[name]).shape) for name in order],
-            max_bytes,
-        )
-        self._fusion_plan = plan
-        for pool in self._rank_scratch:
-            pool.clear()
-        self._agg_scratch.clear()
-        return plan
-
-    def _gradient_ready_names(
-        self, grads0: dict[str, np.ndarray]
-    ) -> list[str]:
-        """Gradient names in ready order, falling back to reverse decl."""
-        order_fn = getattr(self.task, "gradient_ready_order", None)
-        ready = order_fn() if callable(order_fn) else None
-        if ready:
-            names = [name for name in ready if name in grads0]
-            seen = set(names)
-            names += [name for name in grads0 if name not in seen]
-            return names
-        # Without ready events, reverse declaration order approximates
-        # the backward pass (last layer's gradients materialize first).
-        return list(reversed(list(grads0)))
-
-    @property
-    def _fused(self) -> bool:
-        """Whether the run fuses or overlaps: its units are buckets."""
-        return self._fusion_max_bytes > 0 or self.overlap
-
-    def _scratch(
-        self, pool: ScratchPool, key, numel: int
-    ) -> np.ndarray | None:
-        """A unit's buffer from ``pool`` in a fused run; ``None`` (the
-        caller allocates) in one that is not, whose pools would keep a
-        buffer per rank and tensor alive between steps."""
-        return pool.take(key, numel) if self._fused else None
-
-    def _compress_unit(
-        self,
-        bucket: FusionBucket,
-        grads_per_rank: list[dict[str, np.ndarray]],
-        where: dict,
-    ) -> tuple[list[CompressedTensor], list, Any]:
-        """φ, Q and ψ of one unit on every rank this process computes.
-
-        Returns what each rank hands the collective, ψ's decode of each
-        (``None`` where the memory takes none) and the first rank's
-        ``compress`` span.
-        """
-        # The sequential simulator computes every active rank; a worker
-        # process exactly one, its own.
-        pairs = (
-            [(0, self.rank)] if self.rank is not None
-            else enumerate(self._active_ranks)
-        )
-        pools = self._rank_scratch
-        wire, decoded, spans = map(list, zip(*(
-            self._compress_rank(
-                rank, grads_per_rank[position], bucket,
-                self._scratch(pools[rank], ("pack", bucket.index), bucket.numel),
-                where, scratch=partial(
-                    self._scratch, pools[rank], ("transmit", bucket.index),
-                    bucket.numel,
-                ),
-            )
-            for position, rank in pairs
-        )))
-        return wire, decoded, spans[0]
-
-    def _aggregation_active(self, decoder: Compressor) -> bool:
-        """Whether the compressed-domain aggregation fast path applies.
-
-        Requires a sequential, non-overlapped run (worker mode ships
-        payloads between processes, not decoded results; the overlapped
-        exchange schedules plain gathers), a communicator advertising
-        ``supports_compressed_aggregation`` (the resilient wrapper does
-        not, so fault injection auto-disables the path), a gather-style
-        strategy, and the default mean :meth:`Compressor.aggregate`
-        (the compressed-domain sum realizes exactly that mean).  Under
-        ``auto`` only ``exact-linear`` schemes qualify — the fast path
-        then cannot change training numerics; ``all`` extends it to any
-        declared kind (codebook/sketch), trading bounded decode error
-        for the single-fan-out download.
-        """
-        if self.aggregation == "off" or self.rank is not None or self.overlap:
-            return False
-        if not getattr(self.comm, "supports_compressed_aggregation", False):
-            return False
-        if decoder.communication not in ("allgather", "broadcast"):
-            return False
-        if type(decoder).aggregate is not Compressor.aggregate:
-            return False
-        if self.aggregation == "all":
-            return decoder.aggregation != "none"
-        return decoder.aggregation == "exact-linear"
-
-    def _issue(
-        self,
-        compressed: list[CompressedTensor],
-        ready_at: float = 0.0,
-        timeline: SimTimeline | None = None,
-        **where,
-    ) -> tuple[str, AsyncHandle, Any]:
-        """Issue half of one unit's collective.
-
-        Returns the kind of finish the result needs (``"allreduce"``,
-        ``"allgather"`` or ``"aggregated"``), the handle and the
-        ``collective`` span, which :meth:`_wait` completes.  A server
-        that relays the payloads rather than aggregate them, the fewer
-        bytes, makes the finish a gather.
-        """
-        decoder = self.compressors[0]
-        strategy = decoder.communication
-        if strategy == "allreduce":
-            kind, attrs = "allreduce", {"op": "allreduce"}
-        elif strategy not in ("allgather", "broadcast"):
-            raise ValueError(f"unknown communication strategy {strategy!r}")
-        elif self._aggregation_active(decoder):
-            kind = "aggregated"
-            attrs = {"op": "allgather", "aggregation": "compressed"}
-        else:
-            kind = "allgather"
-            attrs = {"op": "allgather", "aggregation": "legacy"}
-        record = self.comm.record
-        with self.tracer.span("collective", **where, **attrs) as span:
-            sim_before = record.simulated_seconds
-            sent_before = record.bytes_sent_per_worker
-            if kind == "aggregated":
-                result = self.comm.allreduce_compressed(
-                    list(compressed), decoder
-                )
-                if not isinstance(result, CompressedTensor):
-                    # The server relayed the payloads, the fewer bytes:
-                    # they finish as a gather.
-                    kind = "allgather"
-                    span.set(aggregation="relay")
-                handle = AsyncHandle(result)
-            else:
-                # All payload parts travel as one message: a single
-                # per-message latency per unit, not one per part.
-                start = (
-                    self.comm.iallreduce_parts if kind == "allreduce"
-                    else self.comm.iallgather
-                )
-                handle = start(
-                    [c.payload for c in compressed],
-                    ready_at=ready_at, timeline=timeline,
-                )
-            span.set(
-                bytes_per_worker=record.bytes_sent_per_worker - sent_before
-            )
-            if timeline is None:
-                span.add_sim(record.simulated_seconds - sim_before)
-        return kind, handle, span
-
-    def _wait(self, handle: AsyncHandle, span):
-        """The collective's result; what was charged or scheduled only
-        now (the arena's allgather learns the peers' sizes at the wait)
-        lands on the span it was issued under."""
-        record = self.comm.record
-        sim_before = record.simulated_seconds
-        sent_before = record.bytes_sent_per_worker
-        result = handle.wait()
-        if record.simulated_seconds != sim_before:
-            span.set(
-                bytes_per_worker=record.bytes_sent_per_worker - sent_before
-            )
-        if handle.event is None:
-            span.add_sim(record.simulated_seconds - sim_before)
-        else:
-            span.set_sim_window(
-                self._sim_epoch + handle.event.start,
-                self._sim_epoch + handle.event.end,
-            )
-        return result
-
-    def _finish_bucket(
-        self,
-        bucket: FusionBucket,
-        where: dict,
-        wire: list[CompressedTensor],
-        decoded: list,
-        kind: str,
-        handle: AsyncHandle,
-        span,
-        aggregated: dict[str, np.ndarray],
-    ) -> None:
-        """Finish half of a unit: decode its result and aggregate it.
-
-        Payloads decode with ``decompress_fused`` into aggregate-side
-        scratch and average as one flat bucket; a rank whose ψ already
-        decoded its own payload (``decoded``) is not decoded again.
-        """
-        result = self._wait(handle, span)
-        decoder = self.compressors[0]
-        tracer = self.tracer
-        if kind == "allgather":
-            if self.rank is not None:
-                # Worker mode: peers' payloads come from the gather and
-                # decode under this rank's ctx, which is receiver-known
-                # metadata by the §IV-B honesty contract.  This rank's
-                # slot keeps what it compressed, and ψ's decode of it.
-                slot = self._active_ranks.index(self.rank)
-                wire = [
-                    wire[0] if position == slot else CompressedTensor(
-                        payload=list(payload), ctx=wire[0].ctx
-                    )
-                    for position, payload in enumerate(result)
-                ]
-                decoded = [
-                    decoded[0] if position == slot else None
-                    for position in range(len(result))
-                ]
-            with tracer.span("decompress", **where, ranks=len(wire)):
-                flats = [
-                    flat if flat is not None else decoder.decompress_fused(
-                        payload, out=self._scratch(
-                            self._agg_scratch, ("gather", rank, bucket.index),
-                            bucket.numel,
-                        ),
-                    )
-                    for rank, (payload, flat) in enumerate(zip(wire, decoded))
-                ]
-            with tracer.span("aggregate", **where):
-                if type(decoder).aggregate is Compressor.aggregate:
-                    # Default Agg is an elementwise mean: one bucket-level
-                    # pass over the ranks, unstacked, then per-tensor views.
-                    aggregated.update(bucket.unpack(decoder.aggregate(flats)))
-                    return
-                per_tensor = zip(*(
-                    bucket.unpack(flat).values() for flat in flats
-                ))
-                for seg, tensors in zip(bucket.segments, per_tensor):
-                    aggregated[seg.name] = decoder.aggregate(list(tensors))
-            return
-        with tracer.span("decompress", **where):
-            if kind == "aggregated":
-                # The communicator already summed the cohort's payloads
-                # server side: one decode whatever the rank count, and
-                # the mean falls out of the summand-count division.
-                flat = np.ravel(decoder.decompress_aggregated(result))
-            else:
-                flat = decoder.decompress_fused(
-                    CompressedTensor(payload=result, ctx=wire[0].ctx),
-                    out=self._scratch(
-                        self._agg_scratch, ("reduce", bucket.index),
-                        bucket.numel,
-                    ),
-                )
-        with tracer.span("aggregate", **where):
-            aggregated.update(bucket.unpack(flat / self._n_active))
 
     # ------------------------------------------------------------------
 

@@ -19,7 +19,8 @@ def wire_stats_fields(raw_nbytes: float, wire_nbytes: float,
     ``raw_nbytes`` is the uncompressed tensor traffic, ``wire_nbytes``
     what the compressor actually put on the wire, ``framing_nbytes`` the
     header overhead of :mod:`repro.core.wire`'s byte format, and
-    ``kernel_seconds`` the measured compress(+decompress) wall time.
+    ``kernel_seconds`` the measured compress wall time (training sums it
+    over every (rank, unit) call).
     """
     ratio = wire_nbytes / raw_nbytes if raw_nbytes else 0.0
     return [

@@ -9,8 +9,9 @@ import pytest
 from repro.bench.runner import build_trainer, train_quality
 from repro.cli import build_parser
 from repro.comm.parallel import ParallelRunConfig
-from repro.core import DistributedTrainer, create
+from repro.core import DecentralizedTrainer, DistributedTrainer, create
 from repro.core.config import Resilience, WorkerMode, sanitizes
+from repro.core.exchange import Exchange
 from repro.faults import FaultPlan
 
 from tests.core.test_trainer import QuadraticTask
@@ -91,7 +92,9 @@ class TestOptionRatchet:
     """Options may only shrink: a new knob belongs in a config record."""
 
     @pytest.mark.parametrize("function, limit", [
-        (DistributedTrainer, 17),
+        (DistributedTrainer, 16),
+        (DecentralizedTrainer, 9),
+        (Exchange, 2),
         (build_trainer, 17),
         (train_quality, 16),
     ])

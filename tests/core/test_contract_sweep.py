@@ -188,8 +188,8 @@ PROBES = {
 @pytest.mark.parametrize("label", sorted(SWEPT))
 def test_ctx_is_receiver_known_per_tensor(label, probe):
     """In worker mode a rank decodes its peers' payloads under its *own*
-    ctx (the trainer's ``_finish_bucket``), so ctx may hold only what every
-    rank knows — shape, size, parameters — and
+    ctx (``repro.core.exchange.Exchange``'s finish), so ctx may hold only
+    what every rank knows — shape, size, parameters — and
     ``decompress(payload_B, ctx_A)`` must be ``decompress(payload_B,
     ctx_B)`` for same-shape A and B.
     (sketchml's ctx used to carry the sender's non-zero count.)"""

@@ -131,6 +131,8 @@ class TestFusionPlan:
         assert plan.matches(grads)
         assert not plan.matches({"a": np.zeros((2, 3))})
         assert not plan.matches({"a": np.zeros((3, 2)), "b": np.zeros(5)})
+        assert not plan.matches({"a": np.zeros((2, 3)), "c": np.zeros(5)})
+        assert plan.matches({"a": np.zeros((2, 3)).tolist(), "b": [0.0] * 5})
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="max_bytes"):
@@ -385,7 +387,7 @@ class TestACompressorWithoutAKernel:
             )
         assert len(caught) == 1
         n_tensors = len(task_cls.SHAPES)
-        assert [len(b) for b in fused._fusion_plan.buckets] == [1] * n_tensors
+        assert [len(b) for b in fused.exchange.plan.buckets] == [1] * n_tensors
         counted = fused.metrics.counter("fusion_buckets_total").value
         assert counted == steps * n_tensors
         for key in baseline:
@@ -577,7 +579,8 @@ class TestScratchHeldBetweenSteps:
     def test_a_run_that_does_not_fuse_holds_none(self):
         _, trainer = run_trajectory("topk", fusion_mb=0.0, steps=2,
                                     ratio=0.25)
-        assert not any(pool._buffers for pool in trainer._rank_scratch)
+        pools = trainer.exchange.rank_scratch
+        assert not any(pool._buffers for pool in pools)
 
     @pytest.mark.parametrize("name, roles", [
         ("topk", {"pack", "transmit"}),  # ψ takes the decode
@@ -589,7 +592,7 @@ class TestScratchHeldBetweenSteps:
     ):
         _, trainer = run_trajectory(name, fusion_mb=WHOLE, steps=2)
         assert {
-            role for pool in trainer._rank_scratch
+            role for pool in trainer.exchange.rank_scratch
             for role, _ in pool._buffers
         } == roles
 
@@ -614,7 +617,7 @@ class TestFusedCollectives:
     def test_bucket_metrics_are_counted(self):
         _, trainer = run_trajectory("topk", fusion_mb=SPLIT, steps=3,
                                     ratio=0.25)
-        plan = trainer._fusion_plan
+        plan = trainer.exchange.plan
         assert plan.num_buckets > 1
         counted = trainer.metrics.counter("fusion_buckets_total").value
         assert counted == 3 * plan.num_buckets
@@ -630,9 +633,9 @@ class TestFusedCollectives:
             task, create("topk", ratio=0.25), n_workers=2, fusion_mb=WHOLE
         )
         trainer.step([(0, None), (1, None)])
-        first_plan = trainer._fusion_plan
+        first_plan = trainer.exchange.plan
         trainer.step([(2, None), (3, None)])
-        assert trainer._fusion_plan is first_plan
+        assert trainer.exchange.plan is first_plan
 
 
 class TestFusedMemoryFastPath:

@@ -59,7 +59,7 @@ class TestCrashDegrade:
     def test_permanent_crash_never_rejoins(self):
         task, trainer, losses = _run(faults="crash@2:rank=1")
         assert all(math.isfinite(loss) for loss in losses)
-        assert trainer._n_active == 3
+        assert len(trainer._active_ranks) == 3
 
     def test_rejoining_rank_keeps_its_error_feedback_memory(self):
         task = QuadraticTask(dim=32, lr=0.05, seed=0)

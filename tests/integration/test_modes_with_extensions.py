@@ -68,7 +68,7 @@ class TestExtensionCompose:
         )
         for step in range(4):
             trainer.step(make_batches(2, step))
-        assert trainer.sync_rounds == 2
+        assert trainer.report.iterations // trainer.sync_period == 2
 
     def test_decentralized_trainer(self, name, params):
         trainer = DecentralizedTrainer(

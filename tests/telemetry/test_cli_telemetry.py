@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.telemetry.exporters import read_events
 from repro.telemetry.formatting import wire_stats_fields
 
 TRAIN_ARGS = ["train", "--benchmark", "ncf-movielens",
@@ -54,6 +55,20 @@ class TestTrainTraceFlags:
         out = capsys.readouterr().out
         for name, _ in wire_stats_fields(1, 1, 1, 1):
             assert name in out
+
+    def test_kernel_time_is_the_compress_kernel_sum(self, tmp_path, capsys):
+        """The printed kernel time sums the compress calls alone, not the
+        exchange around them (collectives, decode, Agg)."""
+        trace = tmp_path / "t.jsonl"
+        assert main(TRAIN_ARGS + ["--trace", str(trace)]) == 0
+        kernel = sum(
+            event["sum"] for event in read_events(trace)
+            if event["type"] == "histogram"
+            and event["name"] == "compress_kernel_seconds"
+        )
+        assert kernel > 0
+        expected = dict(wire_stats_fields(0, 0, 0, kernel))["kernel time"]
+        assert f"kernel time      : {expected}\n" in capsys.readouterr().out
 
 
 class TestReportCommand:
