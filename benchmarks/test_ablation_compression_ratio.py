@@ -25,25 +25,25 @@ def test_ablation_compression_ratio(benchmark, record):
     def sweep():
         collected = []
         for ratio in TOPK_RATIOS:
-            result = train_quality(
+            report = train_quality(
                 spec, "topk", n_workers=2, epochs=epochs,
                 compressor_params={"ratio": ratio},
             )
             collected.append({
                 "config": f"topk({ratio})",
-                "quality": result.best_quality,
+                "quality": report.best_quality,
                 "relative_volume": relative_volume(
                     spec, "topk", compressor_params={"ratio": ratio}
                 ),
             })
         for levels in QSGD_LEVELS:
-            result = train_quality(
+            report = train_quality(
                 spec, "qsgd", n_workers=2, epochs=epochs,
                 compressor_params={"levels": levels},
             )
             collected.append({
                 "config": f"qsgd({levels})",
-                "quality": result.best_quality,
+                "quality": report.best_quality,
                 "relative_volume": relative_volume(
                     spec, "qsgd", compressor_params={"levels": levels}
                 ),

@@ -30,8 +30,8 @@ def test_table2_benchmarks(benchmark, record):
             get_benchmark("ncf-movielens"), "none", n_workers=2, epochs=1
         )
 
-    result = benchmark.pedantic(kernel, rounds=2, iterations=1)
-    assert result.report.iterations > 0
+    report = benchmark.pedantic(kernel, rounds=2, iterations=1)
+    assert report.iterations > 0
     assert len(merged) == 9
     for row in trained:
         assert row["lite_baseline"] is not None

@@ -25,9 +25,9 @@ def main():
     print(header)
     print("-" * len(header))
     for name in COMPRESSORS:
-        result = train_quality(spec, name, n_workers=4, seed=0)
+        report = train_quality(spec, name, n_workers=4, seed=0)
         print(
-            f"{name:<12} {result.best_quality:>9.3f} "
+            f"{name:<12} {report.best_quality:>9.3f} "
             f"{relative_volume(spec, name):>10.4f} "
             f"{relative_throughput(spec, name):>22.2f}"
         )

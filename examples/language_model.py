@@ -22,9 +22,9 @@ def main():
     print(header)
     print("-" * len(header))
     for name in ["none", "signsgd", "qsgd", "natural", "topk", "dgc"]:
-        result = train_quality(spec, name, n_workers=4, seed=0)
+        report = train_quality(spec, name, n_workers=4, seed=0)
         print(
-            f"{name:<12} {result.display_quality(spec):>10.2f} "
+            f"{name:<12} {spec.display_quality(report.best_quality):>10.2f} "
             f"{relative_volume(spec, name):>10.4f} "
             f"{relative_throughput(spec, name):>14.2f}"
         )

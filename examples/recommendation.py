@@ -22,19 +22,19 @@ def main():
 
     print("Compressor sweep (hit-rate@10 vs relative throughput):")
     for name in ["none", "topk", "qsgd", "efsignsgd", "adaptive", "dgc"]:
-        result = train_quality(spec, name, n_workers=4, seed=0)
+        report = train_quality(spec, name, n_workers=4, seed=0)
         print(
-            f"  {name:<10} hit-rate={result.best_quality:.3f} "
+            f"  {name:<10} hit-rate={report.best_quality:.3f} "
             f"rel-throughput={relative_throughput(spec, name):.2f}"
         )
 
     print("\nTop-k with and without error feedback (the Fig. 7c split):")
     for label, memory in (("topk, EF off", "none"), ("topk, EF on ",
                                                      "residual")):
-        result = train_quality(
+        report = train_quality(
             spec, "topk", n_workers=4, seed=0, memory=memory
         )
-        print(f"  {label}: hit-rate={result.best_quality:.3f}")
+        print(f"  {label}: hit-rate={report.best_quality:.3f}")
 
 
 if __name__ == "__main__":

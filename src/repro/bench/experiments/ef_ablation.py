@@ -50,8 +50,8 @@ def run(
             {
                 "benchmark": benchmark_key,
                 "compressor": compressor,
-                "quality_ef_off": off.display_quality(spec),
-                "quality_ef_on": on.display_quality(spec),
+                "quality_ef_off": spec.display_quality(off.best_quality),
+                "quality_ef_on": spec.display_quality(on.best_quality),
                 "metric": spec.paper.metric,
             }
         )

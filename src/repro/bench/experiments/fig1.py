@@ -37,7 +37,7 @@ def run(
     network = ethernet(bandwidth_gbps)
     rows = []
     for name, params in METHODS.items():
-        result = train_quality(
+        report = train_quality(
             spec, name, n_workers=n_workers, seed=seed, epochs=epochs,
             compressor_params=params or None,
         )
@@ -45,19 +45,19 @@ def run(
             spec, name, n_workers=8, network=network,
             compressor_params=params or None,
         )
-        iters_per_epoch = result.report.iterations / epochs
+        iters_per_epoch = report.iterations / epochs
         seconds_per_epoch = cost.total_seconds * iters_per_epoch
         rows.append(
             {
                 "compressor": name,
-                "epoch_accuracy": list(result.report.epoch_quality),
+                "epoch_accuracy": list(report.epoch_quality),
                 "seconds_per_epoch": seconds_per_epoch,
                 "wall_time_axis": [
                     seconds_per_epoch * (e + 1)
-                    for e in range(len(result.report.epoch_quality))
+                    for e in range(len(report.epoch_quality))
                 ],
-                "final_accuracy": result.report.epoch_quality[-1],
-                "best_accuracy": result.best_quality,
+                "final_accuracy": report.epoch_quality[-1],
+                "best_accuracy": report.best_quality,
             }
         )
     return rows

@@ -42,7 +42,7 @@ def run_panel(
     compressors = compressors if compressors is not None else QUICK_COMPRESSORS
     rows = []
     for name in compressors:
-        result = train_quality(
+        report = train_quality(
             spec, name, n_workers=n_workers, seed=seed, epochs=epochs
         )
         rows.append(
@@ -52,7 +52,7 @@ def run_panel(
                 "relative_throughput": relative_throughput(
                     spec, name, n_workers=8, network=network
                 ),
-                "quality": result.display_quality(spec),
+                "quality": spec.display_quality(report.best_quality),
                 "metric": spec.paper.metric,
             }
         )

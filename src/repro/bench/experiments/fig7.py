@@ -38,7 +38,7 @@ def run_panel(
         include_topk_ef_split = benchmark_key == "ncf-movielens"
     rows = []
     for name in compressors:
-        result = train_quality(
+        report = train_quality(
             spec, name, n_workers=n_workers, seed=seed, epochs=epochs
         )
         rows.append(
@@ -46,14 +46,14 @@ def run_panel(
                 "benchmark": benchmark_key,
                 "compressor": name,
                 "relative_volume": relative_volume(spec, name),
-                "quality": result.display_quality(spec),
+                "quality": spec.display_quality(report.best_quality),
                 "metric": spec.paper.metric,
             }
         )
     if include_topk_ef_split:
         # The paper's TopK vs TopK-EF callout: same volume, different quality.
         for label, memory in (("topk-no-ef", "none"), ("topk-ef", "residual")):
-            result = train_quality(
+            report = train_quality(
                 spec, "topk", n_workers=n_workers, seed=seed, epochs=epochs,
                 memory=memory,
             )
@@ -62,7 +62,7 @@ def run_panel(
                     "benchmark": benchmark_key,
                     "compressor": label,
                     "relative_volume": relative_volume(spec, "topk"),
-                    "quality": result.display_quality(spec),
+                    "quality": spec.display_quality(report.best_quality),
                     "metric": spec.paper.metric,
                 }
             )

@@ -29,8 +29,8 @@ def run(
         lite_vectors = run_bundle.model.num_gradient_vectors()
         measured = None
         if train_baselines:
-            result = train_quality(spec, "none", n_workers=n_workers, seed=seed)
-            measured = result.display_quality(spec)
+            report = train_quality(spec, "none", n_workers=n_workers, seed=seed)
+            measured = spec.display_quality(report.best_quality)
         rows.append(
             {
                 "benchmark": key,

@@ -2,34 +2,17 @@
 
 ``train_quality`` runs one (benchmark, compressor) cell of the paper's
 evaluation grid at lite scale: build the benchmark, train for its lite
-epoch budget with the GRACE trainer, and report the best witnessed model
-quality (the paper's §V-A protocol) plus the full training report.
+epoch budget with the GRACE trainer, and return the training report,
+whose ``best_quality`` is the best witnessed model quality (the paper's
+§V-A protocol).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.bench.suite import BenchmarkSpec
 from repro.core.config import Resilience, WorkerMode, sanitizes
 from repro.core.registry import create
 from repro.core.trainer import DistributedTrainer, TrainingReport
-
-
-@dataclass
-class QualityResult:
-    """Outcome of one training cell."""
-
-    benchmark: str
-    compressor: str
-    best_quality: float
-    report: TrainingReport
-
-    def display_quality(self, spec: BenchmarkSpec) -> float:
-        """Invert the internal sign convention for lower-is-better metrics."""
-        if spec.paper.metric == "Test Perplexity":
-            return -self.best_quality
-        return self.best_quality
 
 
 def build_trainer(
@@ -115,59 +98,20 @@ def build_trainer(
 def train_quality(
     spec: BenchmarkSpec,
     compressor_name: str,
-    n_workers: int = 4,
-    seed: int = 0,
     epochs: int | None = None,
-    memory: str | None = None,
-    memory_params: dict | None = None,
-    compressor_params: dict | None = None,
-    tracer=None,
-    fusion_mb: float = 0.0,
-    overlap: bool = False,
-    resilience: Resilience = Resilience(),
-    sanitize: str = "off",
-    topology: str = "flat",
-    racks: int = 2,
-    aggregation: str = "auto",
-) -> QualityResult:
-    """Train one benchmark with one compressor; return best quality.
+    **options,
+) -> TrainingReport:
+    """Train one benchmark with one compressor; return its report.
 
-    ``overlap=True`` turns on the DDP-style overlapped exchange and
-    attaches the benchmark's calibrated perf model so the event timeline
-    has a compute phase to hide communication under; the parameter math
-    is unchanged either way.  ``resilience`` injects a deterministic
-    fault plan (spec grammar in ``docs/ROBUSTNESS.md``) and chooses the
-    trainer's recovery behaviour.  ``sanitize="contract"`` (or
-    ``"all"``) wraps the compressor in
-    :class:`repro.core.contract.ContractChecker` so every compress call
-    re-validates the §IV-B contract (the training math is unchanged; a
-    violation raises ``ContractViolation``).
+    ``options`` are :func:`build_trainer`'s keywords; ``epochs``
+    defaults to the benchmark's lite budget.  The report's
+    ``best_quality`` is the best witnessed model quality (the paper's
+    §V-A protocol), in the internal higher-is-better sign; print it
+    through :meth:`BenchmarkSpec.display_quality`.
     """
-    trainer, run = build_trainer(
-        spec,
-        compressor_name,
-        n_workers=n_workers,
-        seed=seed,
-        memory=memory,
-        memory_params=memory_params,
-        compressor_params=compressor_params,
-        tracer=tracer,
-        fusion_mb=fusion_mb,
-        overlap=overlap,
-        resilience=resilience,
-        sanitize=sanitize,
-        topology=topology,
-        racks=racks,
-        aggregation=aggregation,
-    )
-    report = trainer.train(
+    trainer, run = build_trainer(spec, compressor_name, **options)
+    return trainer.train(
         run.loader,
         epochs=epochs if epochs is not None else spec.lite_epochs,
         eval_fn=run.eval_fn,
-    )
-    return QualityResult(
-        benchmark=spec.key,
-        compressor=compressor_name,
-        best_quality=report.best_quality,
-        report=report,
     )

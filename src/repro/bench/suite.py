@@ -123,6 +123,16 @@ class BenchmarkSpec:
             batch_per_worker=self.paper.batch_per_worker,
         )
 
+    def display_quality(self, quality: float) -> float:
+        """A report's quality in the paper's units.
+
+        Training maximizes quality, so a lower-is-better metric
+        (perplexity) is carried negated; this flips it back.
+        """
+        if self.paper.metric == "Test Perplexity":
+            return -quality
+        return quality
+
     def optimizer_kind(self, compressor_name: str) -> str:
         """§V-A optimizer selection for this task + compressor."""
         if self.task == "image-classification":

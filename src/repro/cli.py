@@ -95,8 +95,12 @@ _BACKEND_FLAGS = {
 }
 
 
-def _backend_flags(args) -> None:
-    """Reject each flag the chosen backend would ignore; default the rest."""
+def _backend_flags(args) -> dict:
+    """Reject each flag the chosen backend would ignore; default the rest.
+
+    Returns the keywords only the chosen backend takes, for
+    :func:`_run_cell`.
+    """
     from repro.core.config import sanitizes
 
     for backend, flags in _BACKEND_FLAGS.items():
@@ -107,9 +111,20 @@ def _backend_flags(args) -> None:
                 raise SystemExit(
                     f"--{dest.replace('_', '-')} requires --backend {backend}"
                 )
-    if args.backend == "sim" and sanitizes(args.sanitize, "arena"):
-        raise SystemExit(f"--sanitize {args.sanitize} requires --backend "
-                         "parallel")
+    if args.backend == "sim":
+        if sanitizes(args.sanitize, "arena"):
+            raise SystemExit(f"--sanitize {args.sanitize} requires "
+                             "--backend parallel")
+        return {"topology": args.topology, "racks": args.racks,
+                "aggregation": args.aggregation}
+    if args.topology != "flat":
+        raise SystemExit(
+            "--backend parallel supports only the flat topology; use the "
+            "sequential simulator (--backend sim) for ps/hier"
+        )
+    return {"arena_bytes": int(args.arena_mb * 1024 * 1024),
+            "stall_timeout": args.stall_timeout,
+            "checkpoint_dir": args.checkpoint_dir}
 
 
 def _add_resilience_flags(parser, chaos: bool = False) -> None:
@@ -155,216 +170,176 @@ def _resilience(args):
         raise SystemExit(str(error))
 
 
-def cmd_train(args) -> int:
-    """Train one (benchmark, compressor) cell and print the report."""
-    from repro.bench.runner import train_quality
+def _benchmark(name: str):
+    """The benchmark spec ``name`` keys; a one-line exit if none does."""
     from repro.bench.suite import BENCHMARKS, get_benchmark
 
-    if args.benchmark not in BENCHMARKS:
+    if name not in BENCHMARKS:
         raise SystemExit(
-            f"unknown benchmark {args.benchmark!r}; "
+            f"unknown benchmark {name!r}; "
             f"choose from {', '.join(sorted(BENCHMARKS))}"
         )
-    spec = get_benchmark(args.benchmark)
-    _backend_flags(args)
-    resilience = _resilience(args)
-    if args.backend == "parallel":
-        return _train_parallel(args, spec, resilience)
-    tracing = bool(args.trace or args.chrome_trace or args.metrics_out)
-    tracer = None
-    if tracing:
-        from repro.telemetry import Tracer
+    return get_benchmark(name)
 
-        # Fail on unwritable output paths now, not after training.
-        for path in (args.trace, args.chrome_trace, args.metrics_out):
-            if path:
-                try:
-                    with open(path, "a", encoding="utf-8"):
-                        pass
-                except OSError as error:
-                    raise SystemExit(f"cannot write {path!r}: {error}")
-        tracer = Tracer()
-    result = train_quality(
-        spec,
-        args.compressor,
-        n_workers=args.workers,
-        seed=args.seed,
-        epochs=args.epochs,
-        compressor_params=_parse_params(args.param) or None,
-        tracer=tracer,
-        fusion_mb=args.fusion_mb,
-        overlap=args.overlap,
-        resilience=resilience,
-        sanitize=args.sanitize,
-        topology=args.topology,
-        racks=args.racks,
-        aggregation=args.aggregation,
+
+def _writable(*paths) -> None:
+    """Fail on unwritable output paths now, not after training."""
+    for path in paths:
+        if path:
+            try:
+                with open(path, "a", encoding="utf-8"):
+                    pass
+            except OSError as error:
+                raise SystemExit(f"cannot write {path!r}: {error}")
+
+
+def _run_cell(args, spec, tracer_type=None, **options):
+    """Train the cell ``args`` names on ``args.backend``.
+
+    ``tracer_type`` (``Tracer``, ``ProfilingTracer`` or None) is what
+    the run records with — in this process or in every rank — and
+    ``options`` are the keywords ``args`` alone does not say.  Returns
+    ``(report, spans, metrics, memory, parallel)``: ``metrics`` is the
+    run's registry (a parallel run's keeps a ``rank`` label), ``memory``
+    the profiler's high-water marks and ``parallel`` the
+    :class:`~repro.comm.parallel.ParallelResult` (None on the simulator).
+    """
+    from repro.telemetry.profile import ProfilingTracer
+
+    cell = dict(seed=args.seed, epochs=args.epochs,
+                compressor_params=_parse_params(args.param) or None,
+                fusion_mb=args.fusion_mb, overlap=args.overlap, **options)
+    if args.backend == "sim":
+        from repro.bench.runner import train_quality
+
+        tracer = tracer_type() if tracer_type else None
+        report = train_quality(spec, args.compressor, n_workers=args.workers,
+                               tracer=tracer, **cell)
+        memory = tracer.finalize() if tracer_type is ProfilingTracer else None
+        return report, tracer.spans if tracer else [], report.metrics, \
+            memory, None
+    from repro.comm.parallel import ParallelRunConfig, run_parallel
+
+    try:
+        result = run_parallel(ParallelRunConfig(
+            spec.key, args.compressor, args.nproc,
+            trace=tracer_type is not None,
+            profile=tracer_type is ProfilingTracer, **cell,
+        ))
+    except ValueError as error:
+        # Config the parallel backend rejects (sim-only fault kinds,
+        # the backup straggler policy, rejoin under degrade, ...).
+        raise SystemExit(str(error))
+    return (result.report, result.events, result.metrics,
+            result.memory_high_water, result)
+
+
+def cmd_train(args) -> int:
+    """Train one (benchmark, compressor) cell and print the report."""
+    from repro.telemetry import Tracer
+
+    spec = _benchmark(args.benchmark)
+    options = _backend_flags(args)
+    options.update(resilience=_resilience(args), sanitize=args.sanitize)
+    outputs = (args.trace, args.chrome_trace, args.metrics_out)
+    _writable(*outputs)
+    tracing = any(outputs)
+    report, spans, metrics, _, parallel = _run_cell(
+        args, spec, Tracer if tracing else None, **options
     )
-    report = result.report
+    _print_run(args, spec, report, parallel)
+    if tracing:
+        _export_trace(args, spans, metrics)
+    return 0
+
+
+def _print_run(args, spec, report, parallel) -> None:
+    """``train``'s report of one run, on either backend."""
     print(f"benchmark        : {spec.key} ({spec.model_name})")
     print(f"compressor       : {args.compressor}")
+    if parallel is not None:
+        print(f"backend          : parallel ({args.nproc} processes)")
     if args.topology != "flat":
         label = args.topology
         if args.topology == "hier":
             label = f"hier ({args.racks} racks)"
         print(f"topology         : {label}")
-        root_in = report.metrics.value(
-            "comm_root_bytes_total", {"direction": "ingress"}
-        )
-        root_out = report.metrics.value(
-            "comm_root_bytes_total", {"direction": "egress"}
+        root_in, root_out = (
+            report.metrics.value("comm_root_bytes_total", {"direction": d})
+            for d in ("ingress", "egress")
         )
         print(f"root bytes       : {root_in:,.0f} in / {root_out:,.0f} out")
     print(f"epochs           : {len(report.epoch_losses)}")
     print(f"final loss       : {report.epoch_losses[-1]:.4f}")
     print(f"best {spec.paper.metric:<12}: "
-          f"{result.display_quality(spec):.4f}")
-    print(f"bytes/worker/iter: "
-          f"{report.bytes_per_worker_per_iteration:,.0f}")
+          f"{spec.display_quality(report.best_quality):.4f}")
+    print(f"bytes/worker/iter: {report.bytes_per_worker_per_iteration:,.0f}")
     print(f"simulated comm   : {report.sim_comm_seconds:.3f} s")
-    if args.faults:
-        metrics = report.metrics
-        injected = sum(
-            i.value for i in metrics.instruments()
-            if i.name == "faults_injected_total"
-        )
-        print(f"faults injected  : {injected:,.0f}")
-        print(f"retries          : "
-              f"{metrics.value('retries_total'):,.0f}")
-        print(f"degraded iters   : "
-              f"{metrics.value('degraded_iterations_total'):,.0f}")
+    if parallel is not None:
+        print(f"wall clock       : {parallel.wall_seconds:.2f} s")
+        print("rank threads     : " + " ".join(
+            f"{var}={value}" for var, value in parallel.environment.items()
+        ))
+        digest = next(iter(parallel.digests.values()))
+        print(f"model digest     : {digest[:16]} "
+              f"(all {len(parallel.digests)} ranks agree)")
+        san = parallel.sanitizer
+        if san is not None:
+            verdict = "ok" if san.ok else f"{len(san.violations)} violation(s)"
+            print(f"arena sanitizer  : {verdict} ({san.events_total} events)")
+    recoveries = parallel.recoveries if parallel is not None else []
+    if args.faults or recoveries:
+        if parallel is None:
+            metrics = report.metrics
+            injected = sum(
+                i.value for i in metrics.instruments("faults_injected_total")
+            )
+            print(f"faults injected  : {injected:,.0f}")
+            print(f"retries          : {metrics.value('retries_total'):,.0f}")
+            print(f"degraded iters   : "
+                  f"{metrics.value('degraded_iterations_total'):,.0f}")
+        else:
+            print(f"recoveries       : {len(recoveries)}")
+            for rec in recoveries:
+                print(f"  incarnation {rec['incarnation']}: ranks "
+                      f"{rec['dead_ranks']} died, cohort {rec['cohort']} "
+                      f"resumed from iteration {rec['restored_iteration']}")
         print(f"recovery time    : {report.sim_recovery_seconds:.3f} s")
     if args.overlap:
         print(f"sim makespan     : {report.sim_makespan_seconds:.3f} s")
         print(f"exposed comm     : {report.sim_exposed_comm_seconds:.3f} s")
         print(f"hidden comm      : {report.sim_hidden_comm_seconds:.3f} s")
         print(f"overlap fraction : {100.0 * report.overlap_fraction:.1f}%")
-    if tracing:
-        _export_trace(args, tracer)
-    return 0
 
 
-def _train_parallel(args, spec, resilience) -> int:
-    """Train one cell across real worker processes and print the report."""
-    from repro.comm.parallel import ParallelRunConfig, run_parallel
+def _export_trace(args, spans, metrics) -> None:
+    """Print the wire stats and write the requested trace artifacts.
 
-    if args.topology != "flat":
-        raise SystemExit(
-            "--backend parallel supports only the flat topology; use the "
-            "sequential simulator (--backend sim) for ps/hier"
-        )
-    config = ParallelRunConfig(
-        benchmark=args.benchmark,
-        compressor=args.compressor,
-        nproc=args.nproc,
-        seed=args.seed,
-        epochs=args.epochs,
-        compressor_params=_parse_params(args.param) or None,
-        fusion_mb=args.fusion_mb,
-        overlap=args.overlap,
-        sanitize=args.sanitize,
-        trace=bool(args.trace or args.chrome_trace),
-        metrics=bool(args.metrics_out),
-        arena_bytes=int(args.arena_mb * 1024 * 1024),
-        resilience=resilience,
-        checkpoint_dir=args.checkpoint_dir,
-        stall_timeout=args.stall_timeout,
-    )
-    try:
-        result = run_parallel(config)
-    except ValueError as error:
-        # Config the parallel backend rejects (sim-only fault kinds,
-        # the backup straggler policy, rejoin under degrade, ...).
-        raise SystemExit(str(error))
-    report = result.report
-    digest = next(iter(result.digests.values()))
-    quality = result.best_quality
-    if spec.paper.metric == "Test Perplexity":
-        quality = -quality
-    print(f"benchmark        : {spec.key} ({spec.model_name})")
-    print(f"compressor       : {args.compressor}")
-    print(f"backend          : parallel ({args.nproc} processes)")
-    print(f"epochs           : {len(report.epoch_losses)}")
-    print(f"final loss       : {report.epoch_losses[-1]:.4f}")
-    print(f"best {spec.paper.metric:<12}: {quality:.4f}")
-    print(f"bytes/worker/iter: "
-          f"{report.bytes_per_worker_per_iteration:,.0f}")
-    print(f"simulated comm   : {report.sim_comm_seconds:.3f} s")
-    print(f"wall clock       : {result.wall_seconds:.2f} s")
-    print("rank threads     : " + " ".join(
-        f"{var}={value}" for var, value in result.environment.items()
-    ))
-    print(f"model digest     : {digest[:16]} "
-          f"(all {len(result.digests)} ranks agree)")
-    if result.sanitizer is not None:
-        san = result.sanitizer
-        print(f"arena sanitizer  : "
-              f"{'ok' if san.ok else f'{len(san.violations)} violation(s)'} "
-              f"({san.events_total} events)")
-    if args.faults or result.recoveries:
-        print(f"recoveries       : {len(result.recoveries)}")
-        for rec in result.recoveries:
-            print(f"  incarnation {rec['incarnation']}: ranks "
-                  f"{rec['dead_ranks']} died, cohort {rec['cohort']} "
-                  f"resumed from iteration {rec['restored_iteration']}")
-        print(f"recovery time    : {report.sim_recovery_seconds:.3f} s")
-    if args.metrics_out:
-        from repro.telemetry import write_prometheus
-
-        write_prometheus(args.metrics_out, result.metrics)
-        print(f"metrics          : {args.metrics_out}")
-    if args.overlap:
-        print(f"sim makespan     : {report.sim_makespan_seconds:.3f} s")
-        print(f"exposed comm     : {report.sim_exposed_comm_seconds:.3f} s")
-        print(f"hidden comm      : {report.sim_hidden_comm_seconds:.3f} s")
-        print(f"overlap fraction : {100.0 * report.overlap_fraction:.1f}%")
-    if args.trace:
-        _write_parallel_trace(args.trace, result.events)
-        print(f"trace            : {args.trace} "
-              f"({len(result.events)} events)")
-    if args.chrome_trace:
-        from repro.telemetry import write_chrome_trace
-
-        spans = write_chrome_trace(args.chrome_trace, result.events)
-        print(f"chrome trace     : {args.chrome_trace} ({spans} spans)")
-    return 0
-
-
-def _write_parallel_trace(path: str, events: list[dict]) -> None:
-    """Write merged per-rank span events as a standard JSONL trace."""
-    import json
-
-    from repro.telemetry.exporters import JSONL_VERSION
-
-    with open(path, "w", encoding="utf-8") as handle:
-        meta = {"type": "meta", "version": JSONL_VERSION,
-                "clock": "perf_counter"}
-        for event in [meta, *events]:
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
-
-
-def _export_trace(args, tracer) -> None:
-    """Write the requested trace/metrics artifacts and wire stats."""
+    The JSONL trace and the wire stats read the run's totals
+    (:func:`~repro.telemetry.metrics.fold_ranks`); the Prometheus
+    snapshot keeps a parallel run's per-rank series.
+    """
     from repro.telemetry import (
         render_fields, wire_stats_fields, write_chrome_trace, write_jsonl,
         write_prometheus,
     )
+    from repro.telemetry.metrics import fold_ranks
 
-    metrics = tracer.metrics
-    kernels = metrics.instruments("compress_kernel_seconds")
+    run = fold_ranks(metrics)
+    kernels = run.instruments("compress_kernel_seconds")
     print()
     print(render_fields(wire_stats_fields(
-        raw_nbytes=metrics.value("compress_raw_bytes_total"),
-        wire_nbytes=metrics.value("compress_wire_bytes_total"),
-        framing_nbytes=metrics.value("wire_framing_overhead_bytes_total"),
+        raw_nbytes=run.value("compress_raw_bytes_total"),
+        wire_nbytes=run.value("compress_wire_bytes_total"),
+        framing_nbytes=run.value("wire_framing_overhead_bytes_total"),
         kernel_seconds=sum(histogram.sum for histogram in kernels),
     )))
     if args.trace:
-        events = write_jsonl(args.trace, tracer, metrics)
+        events = write_jsonl(args.trace, spans, run)
         print(f"trace            : {args.trace} ({events} events)")
     if args.chrome_trace:
-        spans = write_chrome_trace(args.chrome_trace, tracer.spans)
-        print(f"chrome trace     : {args.chrome_trace} ({spans} spans)")
+        count = write_chrome_trace(args.chrome_trace, spans)
+        print(f"chrome trace     : {args.chrome_trace} ({count} spans)")
     if args.metrics_out:
         write_prometheus(args.metrics_out, metrics)
         print(f"metrics          : {args.metrics_out}")
@@ -575,7 +550,8 @@ def cmd_report(args) -> int:
     """Summarize a JSONL trace written by ``train --trace``."""
     from repro.telemetry import summarize_events, write_chrome_trace
 
-    summary = summarize_events(_load_trace(args.trace))
+    events = _load_trace(args.trace)
+    summary = summarize_events(events)
     if args.compare:
         other = summarize_events(_load_trace(args.compare))
         print(f"A = {args.trace}")
@@ -584,7 +560,6 @@ def cmd_report(args) -> int:
         return 0
     print(summary.format())
     if args.chrome:
-        events = _load_trace(args.trace)
         spans = write_chrome_trace(args.chrome, events, clock=args.clock)
         print()
         print(f"chrome trace     : {args.chrome} ({spans} spans)")
@@ -594,64 +569,66 @@ def cmd_report(args) -> int:
 def _report_diff(a, b) -> str:
     """Per-phase wall/sim diff of two trace summaries."""
     from repro.bench.report import format_table
+    from repro.telemetry.summary import PhaseStats
+
+    def row(label, stats_a, stats_b):
+        wall_a, wall_b = stats_a.wall_seconds, stats_b.wall_seconds
+        delta = (wall_b - wall_a) / wall_a * 100.0 if wall_a > 0 else 0.0
+        return [label, f"{wall_a:.4f}", f"{wall_b:.4f}", f"{delta:+.1f}%",
+                f"{stats_a.sim_seconds:.6f}", f"{stats_b.sim_seconds:.6f}"]
 
     # ``iteration`` spans are parents of the leaf phases; listing them
     # next to their children would double-count the step.
-    phases = [p for p in a.phases if p != "iteration"]
-    phases += [p for p in b.phases if p not in a.phases and p != "iteration"]
-    rows = []
-    for phase in phases:
-        stats_a = a.phases.get(phase)
-        stats_b = b.phases.get(phase)
-        wall_a = stats_a.wall_seconds if stats_a else 0.0
-        wall_b = stats_b.wall_seconds if stats_b else 0.0
-        sim_a = stats_a.sim_seconds if stats_a else 0.0
-        sim_b = stats_b.sim_seconds if stats_b else 0.0
-        delta = ((wall_b - wall_a) / wall_a * 100.0) if wall_a > 0 else 0.0
-        rows.append([
-            phase, f"{wall_a:.4f}", f"{wall_b:.4f}", f"{delta:+.1f}%",
-            f"{sim_a:.6f}", f"{sim_b:.6f}",
-        ])
-    rows.append([
-        "total (leaf)", f"{a.total_wall_seconds:.4f}",
-        f"{b.total_wall_seconds:.4f}",
-        (f"{(b.total_wall_seconds - a.total_wall_seconds) / a.total_wall_seconds * 100.0:+.1f}%"
-         if a.total_wall_seconds > 0 else "+0.0%"),
-        f"{a.total_sim_seconds:.6f}", f"{b.total_sim_seconds:.6f}",
-    ])
+    rows = [
+        row(phase, a.phases.get(phase, PhaseStats()),
+            b.phases.get(phase, PhaseStats()))
+        for phase in {**a.phases, **b.phases} if phase != "iteration"
+    ]
+    rows.append(row("total (leaf)", *(
+        PhaseStats(wall_seconds=s.total_wall_seconds,
+                   sim_seconds=s.total_sim_seconds) for s in (a, b)
+    )))
     return format_table(
         ["phase", "wall A", "wall B", "wall delta", "sim A", "sim B"], rows
     )
 
 
 def cmd_profile(args) -> int:
-    """Phase-level profile of one run (or of an existing trace)."""
+    """Phase-level profile of one run (or of an existing trace).
+
+    A parallel run's ranks each profile under their own
+    :class:`~repro.telemetry.profile.ProfilingTracer`; their memory keys
+    carry a ``rank<r>/`` prefix, so memory is attributed to the process
+    that used it.
+    """
+    from repro.bench.metadata import run_metadata
+    from repro.telemetry import telemetry_events, write_chrome_trace
+    from repro.telemetry.metrics import fold_ranks
     from repro.telemetry.profile import (
-        profile_events, profile_tracer, write_folded, write_profile_json,
+        ProfilingTracer, profile_events, write_folded, write_profile_json,
     )
-    from repro.telemetry import write_chrome_trace
 
     if args.trace:
         events = _load_trace(args.trace)
-        profile = profile_events(events, metrics_events=events)
-        spans_source = events
-        meta = None
+        memory = meta = None
+    elif args.benchmark:
+        spec = _benchmark(args.benchmark)
+        _writable(args.folded, args.chrome, args.out)
+        _, spans, metrics, memory, _ = _run_cell(args, spec, ProfilingTracer)
+        events = telemetry_events(spans, fold_ranks(metrics))
+        meta = run_metadata(seed=args.seed)
     else:
-        if not args.benchmark:
-            raise SystemExit(
-                "profile needs --benchmark (to run) or --trace (to load)"
-            )
-        if args.backend == "parallel":
-            profile, spans_source, meta = _profile_parallel(args)
-        else:
-            profile, spans_source, meta = _profile_run(args)
+        raise SystemExit(
+            "profile needs --benchmark (to run) or --trace (to load)"
+        )
+    profile = profile_events(events, metrics_events=events, memory=memory)
     print(profile.format())
     extras = []
     if args.folded:
-        lines = write_folded(args.folded, spans_source)
+        lines = write_folded(args.folded, events)
         extras.append(f"folded stacks    : {args.folded} ({lines} stacks)")
     if args.chrome:
-        spans = write_chrome_trace(args.chrome, spans_source)
+        spans = write_chrome_trace(args.chrome, events)
         extras.append(f"chrome trace     : {args.chrome} ({spans} spans)")
     if args.out:
         write_profile_json(args.out, profile, meta=meta)
@@ -661,70 +638,6 @@ def cmd_profile(args) -> int:
         for line in extras:
             print(line)
     return 0
-
-
-def _profile_run(args):
-    """Train one cell under the ProfilingTracer; returns its profile."""
-    from repro.bench.metadata import run_metadata
-    from repro.bench.runner import train_quality
-    from repro.bench.suite import BENCHMARKS, get_benchmark
-    from repro.telemetry.profile import ProfilingTracer, profile_tracer
-
-    if args.benchmark not in BENCHMARKS:
-        raise SystemExit(
-            f"unknown benchmark {args.benchmark!r}; "
-            f"choose from {', '.join(sorted(BENCHMARKS))}"
-        )
-    spec = get_benchmark(args.benchmark)
-    tracer = ProfilingTracer()
-    train_quality(
-        spec,
-        args.compressor,
-        n_workers=args.workers,
-        seed=args.seed,
-        epochs=args.epochs,
-        compressor_params=_parse_params(args.param) or None,
-        tracer=tracer,
-        fusion_mb=args.fusion_mb,
-        overlap=args.overlap,
-    )
-    tracer.finalize()
-    return profile_tracer(tracer), tracer.spans, run_metadata(seed=args.seed)
-
-
-def _profile_parallel(args):
-    """Profile a real-parallel run: merged shards, per-rank memory.
-
-    Each worker rank runs under its own :class:`ProfilingTracer`
-    (child-process ``tracemalloc`` + ``ru_maxrss``); the parent merges
-    the span shards and prefixes every memory key with ``rank<r>/`` so
-    the profile attributes memory to the process that used it.
-    """
-    from repro.bench.metadata import run_metadata
-    from repro.bench.suite import BENCHMARKS
-    from repro.comm.parallel import ParallelRunConfig, run_parallel
-    from repro.telemetry.profile import profile_events
-
-    if args.benchmark not in BENCHMARKS:
-        raise SystemExit(
-            f"unknown benchmark {args.benchmark!r}; "
-            f"choose from {', '.join(sorted(BENCHMARKS))}"
-        )
-    result = run_parallel(ParallelRunConfig(
-        benchmark=args.benchmark,
-        compressor=args.compressor,
-        nproc=args.nproc,
-        seed=args.seed,
-        epochs=args.epochs,
-        compressor_params=_parse_params(args.param) or None,
-        fusion_mb=args.fusion_mb,
-        overlap=args.overlap,
-        profile=True,
-    ))
-    profile = profile_events(
-        result.events, memory=dict(sorted(result.memory_high_water.items()))
-    )
-    return profile, result.events, run_metadata(seed=args.seed)
 
 
 def cmd_lint(args) -> int:

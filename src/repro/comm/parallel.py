@@ -622,7 +622,8 @@ class ParallelRunConfig:
     seconds; teardown waits ``join_grace`` before signalling a worker.
     ``sanitize="arena"`` (or ``"all"``) replays every rank's arena
     protocol events after each round; a violation fails the run with
-    ``ArenaSanitizerError``.
+    ``ArenaSanitizerError``.  ``trace`` and ``profile`` bring back every
+    rank's spans and metrics, ``metrics`` the metrics alone.
     """
 
     benchmark: str
@@ -683,7 +684,6 @@ class ParallelResult:
     """Merged outcome of one real-parallel training run."""
 
     report: object  # leader's TrainingReport (sim numbers match sequential)
-    best_quality: float
     digests: dict[int, str]  # per-rank final-model SHA-256 (all equal)
     params: dict[str, np.ndarray]  # leader's final model state
     wall_seconds: float  # parent-measured end-to-end wall clock
@@ -787,7 +787,6 @@ def _worker_main(
             "rank": rank,
             "digest": model_digest(params),
             "report": _report_fields(report),
-            "best_quality": report.best_quality,
             "environment": {
                 var: os.environ[var] for var in THREAD_VARS
                 if var in os.environ
@@ -795,7 +794,7 @@ def _worker_main(
         }
         if rank == min(worker.active_ranks):
             result["params"] = params
-        if config.metrics:
+        if config.metrics or tracer is not None:
             result["metrics"] = snapshot_registry(trainer.metrics)
         if tracer is not None:
             result["events"] = [span.to_event() for span in tracer.spans]
@@ -1271,7 +1270,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
             report.sim_recovery_seconds + recovery_seconds
         )
     merged_metrics = None
-    if config.metrics:
+    if config.metrics or config.trace or config.profile:
         merged_metrics = MetricsRegistry()
         for rank, payload in sorted(results.items()):
             load_snapshot(
@@ -1288,7 +1287,6 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
             per_rank_events[rank] = payload["events"]
     return ParallelResult(
         report=report,
-        best_quality=results[leader]["best_quality"],
         digests=digests,
         params=results[leader]["params"],
         wall_seconds=wall_seconds,

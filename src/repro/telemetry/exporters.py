@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.tracing import Tracer
+from repro.telemetry.tracing import Tracer, span_events
 
 JSONL_VERSION = 1
 
@@ -28,15 +28,20 @@ _HISTOGRAM_QUANTILES = (50.0, 90.0, 99.0)
 # -- JSONL -----------------------------------------------------------------
 
 
-def telemetry_events(tracer: Tracer | None = None,
+def telemetry_events(spans: Tracer | Iterable | None = None,
                      metrics: MetricsRegistry | None = None) -> list[dict]:
-    """All events of one run: meta, spans, then a metrics snapshot."""
+    """All events of one run: meta, spans, then a metrics snapshot.
+
+    ``spans`` is a :class:`Tracer` (whose registry ``metrics`` defaults
+    to), its spans, or span events (a parallel run's merged shards).
+    """
     events: list[dict] = [{"type": "meta", "version": JSONL_VERSION,
                            "clock": "perf_counter"}]
-    if tracer is not None:
-        events.extend(span.to_event() for span in tracer.spans)
+    if isinstance(spans, Tracer):
         if metrics is None:
-            metrics = tracer.metrics
+            metrics = spans.metrics
+        spans = spans.spans
+    events.extend(span_events(spans or ()))
     if isinstance(metrics, MetricsRegistry):
         events.extend(metric_event(m) for m in metrics)
     return events
@@ -64,10 +69,10 @@ def metric_event(instrument) -> dict:
     return base
 
 
-def write_jsonl(path: str | Path, tracer: Tracer | None = None,
+def write_jsonl(path: str | Path, spans: Tracer | Iterable | None = None,
                 metrics: MetricsRegistry | None = None) -> int:
     """Write one event per line; returns the number of events."""
-    events = telemetry_events(tracer, metrics)
+    events = telemetry_events(spans, metrics)
     with open(path, "w", encoding="utf-8") as handle:
         for event in events:
             handle.write(json.dumps(event, sort_keys=True) + "\n")
@@ -116,10 +121,7 @@ def chrome_trace(spans_or_events: Iterable, clock: str = "wall") -> dict:
     if clock not in ("wall", "sim"):
         raise ValueError(f"clock must be 'wall' or 'sim', got {clock!r}")
     trace_events = []
-    for item in spans_or_events:
-        event = item if isinstance(item, dict) else item.to_event()
-        if event.get("type") != "span":
-            continue
+    for event in span_events(spans_or_events):
         attrs = dict(event.get("attrs") or {})
         args = dict(attrs)
         if event.get("sim"):

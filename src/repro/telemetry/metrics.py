@@ -301,6 +301,39 @@ def load_snapshot(
             )
 
 
+#: Metrics a rank records for its own share of the work — φ → Q → ψ on
+#: its own gradients, its own arena waits — so the cohort's value is the
+#: sum over ranks.  Each rank records every other metric for the whole
+#: cohort (the collectives, the fusion plan, the training report).
+PER_RANK_METRICS = (
+    "compress_", "wire_", "grad_l2", "ef_residual_norm", "arena_",
+)
+
+
+def fold_ranks(registry: MetricsRegistry) -> MetricsRegistry:
+    """A ``rank``-labelled registry as the simulator counts one run.
+
+    A parallel run's merged registry keeps each rank's instruments under
+    a ``rank`` label.  Folding drops that label: a
+    :data:`PER_RANK_METRICS` instrument sums over the ranks (histogram
+    samples pool), any other is the lowest rank's.  So a trace reads the
+    same totals on both backends.  A registry without ``rank`` labels is
+    returned as it is.
+    """
+    entries = snapshot_registry(registry)
+    ranks = [int(e["labels"]["rank"]) for e in entries
+             if "rank" in e["labels"]]
+    if not ranks:
+        return registry
+    leader = str(min(ranks))
+    folded = MetricsRegistry()
+    for entry in entries:
+        rank = entry["labels"].pop("rank", leader)
+        if rank == leader or entry["name"].startswith(PER_RANK_METRICS):
+            load_snapshot(folded, [entry])
+    return folded
+
+
 class _NullInstrument:
     """Shared do-nothing counter/gauge/histogram for disabled telemetry."""
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.telemetry.summary import LEAF_PHASES
-from repro.telemetry.tracing import Tracer
+from repro.telemetry.summary import LEAF_PHASES, count_iterations
+from repro.telemetry.tracing import Tracer, span_events
 
 #: Display aliases: the span taxonomy's ``collective`` is the network
 #: phase of the compress → encode → network → decompress → apply cycle.
@@ -35,18 +35,6 @@ PHASE_ALIASES = {"collective": "network"}
 
 #: The explicit bucket for step time outside any child span.
 UNATTRIBUTED = "(unattributed)"
-
-_KERNEL_QUANTILES = (50.0, 90.0, 99.0)
-
-
-def _span_events(spans_or_events: Iterable) -> list[dict]:
-    """Normalize Tracer spans / JSONL dicts to span event dicts."""
-    events = []
-    for item in spans_or_events:
-        event = item if isinstance(item, dict) else item.to_event()
-        if isinstance(event, dict) and event.get("type") == "span":
-            events.append(event)
-    return events
 
 
 @dataclass
@@ -179,10 +167,9 @@ def profile_events(events: Iterable,
     ``metrics_events`` supplies histogram snapshot events so kernel
     percentiles survive the JSONL round trip.
     """
-    all_events = list(events)
-    spans = _span_events(all_events)
+    spans = span_events(events)
     children = _children_index(spans)
-    profile = RunProfile()
+    profile = RunProfile(iterations=count_iterations(spans))
 
     def phase_of(event: dict) -> str:
         return PHASE_ALIASES.get(event["name"], event["name"])
@@ -196,7 +183,6 @@ def profile_events(events: Iterable,
         sim = float(event.get("sim", 0.0))
         exclusive = max(0.0, dur - child_wall(event))
         if event["name"] == "iteration":
-            profile.iterations += 1
             profile.step_wall_seconds += dur
             profile.step_sim_seconds += sim
             sink = profile.phases.setdefault(
@@ -236,19 +222,12 @@ def profile_events(events: Iterable,
 
 def profile_tracer(tracer: Tracer) -> RunProfile:
     """Build a RunProfile straight from a live Tracer."""
-    profile = profile_events(tracer.spans)
-    for histogram in tracer.metrics.instruments("compress_kernel_seconds"):
-        labels = dict(histogram.labels)
-        compressor = labels.get("compressor", "unknown")
-        profile.kernel_percentiles[compressor] = {
-            "count": histogram.count,
-            **{f"p{q:g}": histogram.percentile(q)
-               for q in _KERNEL_QUANTILES},
-        }
+    from repro.telemetry.exporters import telemetry_events
+
+    events = telemetry_events(tracer)
     memory = getattr(tracer, "memory_high_water", None)
-    if memory:
-        profile.memory = dict(memory)
-    return profile
+    return profile_events(events, metrics_events=events,
+                          memory=dict(memory) if memory else None)
 
 
 # -- flamegraph-compatible folded stacks -----------------------------------
@@ -262,7 +241,7 @@ def folded_stacks(spans_or_events: Iterable) -> list[str]:
     identical stacks; zero-weight stacks are kept so short phases stay
     visible in the tree, matching Brendan Gregg's collapsed format.
     """
-    spans = _span_events(spans_or_events)
+    spans = span_events(spans_or_events)
     by_id = {event.get("id"): event for event in spans}
     children = _children_index(spans)
     weights: dict[str, int] = {}

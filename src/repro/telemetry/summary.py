@@ -28,6 +28,19 @@ LEAF_PHASES = (
 _PHASE_DISPLAY = {"collective": "collective (comm)"}
 
 
+def count_iterations(events) -> int:
+    """Training iterations in a trace, each counted once.
+
+    A parallel trace holds every rank's ``iteration`` spans, each with
+    its ``rank``; only the lowest rank's count.  The simulator's carry
+    no rank, so all of them count.
+    """
+    ranks = [(event.get("attrs") or {}).get("rank") for event in events
+             if event.get("type") == "span" and event["name"] == "iteration"]
+    lead = min((rank for rank in ranks if rank is not None), default=None)
+    return ranks.count(lead)
+
+
 @dataclass
 class PhaseStats:
     """Aggregate of all spans sharing one phase name."""
@@ -59,8 +72,6 @@ class TraceSummary:
                 stats.spans += 1
                 stats.wall_seconds += float(event.get("dur", 0.0))
                 stats.sim_seconds += float(event.get("sim", 0.0))
-                if event["name"] == "iteration":
-                    summary.iterations += 1
             elif kind in ("counter", "gauge"):
                 key = (event["name"],
                        tuple(sorted((event.get("labels") or {}).items())))
@@ -69,6 +80,7 @@ class TraceSummary:
                 key = (event["name"],
                        tuple(sorted((event.get("labels") or {}).items())))
                 summary.histograms[key] = event
+        summary.iterations = count_iterations(events)
         return summary
 
     # -- lookups ------------------------------------------------------------

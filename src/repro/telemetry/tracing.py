@@ -21,7 +21,7 @@ per-span allocation and no timing syscalls.
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Iterable
 
 
 class Span:
@@ -149,6 +149,13 @@ class Tracer:
             )
         self._stack.pop()
         self.spans.append(span)
+
+
+def span_events(spans_or_events: Iterable) -> list[dict]:
+    """The span event dicts among spans, JSONL events or both."""
+    events = (item if isinstance(item, dict) else item.to_event()
+              for item in spans_or_events)
+    return [event for event in events if event.get("type") == "span"]
 
 
 class _NullSpan:

@@ -90,9 +90,9 @@ class TestIterationAccounting:
     def test_epoch_sim_seconds_monotone_in_trainer(self):
         from repro.bench.runner import train_quality
 
-        result = train_quality(
+        report = train_quality(
             get_benchmark("ncf-movielens"), "topk", n_workers=2, epochs=3
         )
-        seconds = result.report.epoch_sim_seconds
+        seconds = report.epoch_sim_seconds
         assert len(seconds) == 3
         assert seconds[0] < seconds[1] < seconds[2]

@@ -9,19 +9,17 @@ from repro.bench.suite import get_benchmark
 class TestTrainQuality:
     def test_returns_report_and_quality(self):
         spec = get_benchmark("ncf-movielens")
-        result = train_quality(spec, "none", n_workers=2, epochs=1)
-        assert result.benchmark == spec.key
-        assert result.compressor == "none"
-        assert result.report.iterations > 0
-        assert 0 <= result.best_quality <= 1
+        report = train_quality(spec, "none", n_workers=2, epochs=1)
+        assert report.iterations > 0
+        assert 0 <= report.best_quality <= 1
 
     def test_display_quality_negates_perplexity(self):
         spec = get_benchmark("lstm-ptb")
-        result = train_quality(spec, "none", n_workers=2, epochs=1)
+        report = train_quality(spec, "none", n_workers=2, epochs=1)
         # Internally best_quality is negative perplexity; displayed
         # perplexity must be positive and lower-is-better.
-        assert result.best_quality < 0
-        assert result.display_quality(spec) == -result.best_quality
+        assert report.best_quality < 0
+        assert spec.display_quality(report.best_quality) == -report.best_quality
 
     def test_efsignsgd_memory_gamma_is_the_learning_rate(self):
         # §V-A: for EFsignSGD, gamma equals the initial learning rate.
@@ -32,7 +30,7 @@ class TestTrainQuality:
         from repro.core import DistributedTrainer, create
         from repro.core.memory import ResidualMemory
 
-        result = train_quality(spec, "efsignsgd", n_workers=2, epochs=1)
+        report = train_quality(spec, "efsignsgd", n_workers=2, epochs=1)
         # Rebuild the trainer path directly to inspect the memory wiring.
         compressor = create("efsignsgd", seed=0)
         trainer = DistributedTrainer(
@@ -44,7 +42,7 @@ class TestTrainQuality:
         for memory in trainer.memories:
             assert isinstance(memory, ResidualMemory)
             assert memory.gamma == pytest.approx(expected_lr)
-        assert result.report.iterations > 0
+        assert report.iterations > 0
 
     def test_compressor_params_forwarded(self):
         spec = get_benchmark("ncf-movielens")
@@ -57,20 +55,20 @@ class TestTrainQuality:
             compressor_params={"ratio": 0.1},
         )
         assert (
-            tight.report.bytes_per_worker_per_iteration
-            < loose.report.bytes_per_worker_per_iteration
+            tight.bytes_per_worker_per_iteration
+            < loose.bytes_per_worker_per_iteration
         )
 
     def test_memory_override_forwarded(self):
         spec = get_benchmark("ncf-movielens")
-        result = train_quality(
+        report = train_quality(
             spec, "topk", n_workers=2, epochs=1, memory="none"
         )
-        assert result.report.iterations > 0
+        assert report.iterations > 0
 
     def test_same_seed_reproducible(self):
         spec = get_benchmark("ncf-movielens")
         a = train_quality(spec, "qsgd", n_workers=2, epochs=1, seed=5)
         b = train_quality(spec, "qsgd", n_workers=2, epochs=1, seed=5)
         assert a.best_quality == b.best_quality
-        assert a.report.epoch_losses == b.report.epoch_losses
+        assert a.epoch_losses == b.epoch_losses

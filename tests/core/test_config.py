@@ -96,7 +96,7 @@ class TestOptionRatchet:
         (DecentralizedTrainer, 9),
         (Exchange, 2),
         (build_trainer, 17),
-        (train_quality, 16),
+        (train_quality, 4),
     ])
     def test_parameter_counts(self, function, limit):
         assert len(inspect.signature(function).parameters) <= limit

@@ -54,30 +54,30 @@ class TestBenchmarkCells:
     """One (benchmark, compressor) training cell per task family."""
 
     def test_recommendation_with_compression(self):
-        result = train_quality(
+        report = train_quality(
             get_benchmark("ncf-movielens"), "topk", n_workers=2, epochs=3
         )
-        assert result.best_quality > 0.3
+        assert report.best_quality > 0.3
 
     def test_language_modeling_with_compression(self):
         spec = get_benchmark("lstm-ptb")
-        result = train_quality(spec, "qsgd", n_workers=2, epochs=3)
-        perplexity = result.display_quality(spec)
+        report = train_quality(spec, "qsgd", n_workers=2, epochs=3)
+        perplexity = spec.display_quality(report.best_quality)
         assert perplexity < 33  # vocabulary size: uniform model scores 32
 
     def test_segmentation_with_compression(self):
-        result = train_quality(
+        report = train_quality(
             get_benchmark("unet-dagm"), "efsignsgd", n_workers=2, epochs=3
         )
-        assert result.best_quality > 0.2
+        assert report.best_quality > 0.2
 
     def test_report_accounts_volume_reduction(self):
         spec = get_benchmark("ncf-movielens")
         base = train_quality(spec, "none", n_workers=2, epochs=1)
         topk = train_quality(spec, "topk", n_workers=2, epochs=1)
         assert (
-            topk.report.bytes_per_worker_per_iteration
-            < 0.2 * base.report.bytes_per_worker_per_iteration
+            topk.bytes_per_worker_per_iteration
+            < 0.2 * base.bytes_per_worker_per_iteration
         )
 
 

@@ -1,6 +1,9 @@
 """CLI telemetry surfaces: train --trace, report, shared wire stats."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
 
@@ -10,6 +13,16 @@ from repro.telemetry.formatting import wire_stats_fields
 
 TRAIN_ARGS = ["train", "--benchmark", "ncf-movielens",
               "--compressor", "topk", "--workers", "2", "--epochs", "1"]
+PARALLEL_ARGS = ["train", "--benchmark", "ncf-movielens",
+                 "--compressor", "topk", "--backend", "parallel",
+                 "--nproc", "2", "--epochs", "1"]
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +197,58 @@ class TestSharedWireStatsFormat:
         out = capsys.readouterr().out
         assert "Best Hit Rate" in out
         assert "raw size" not in out  # wire stats only appear when tracing
+
+
+@pytest.fixture(scope="module")
+def both_backends(tmp_path_factory):
+    """The TRAIN_ARGS cell traced on each backend: train's and report's
+    stdout per backend."""
+    root = tmp_path_factory.mktemp("backends")
+    runs = {}
+    for backend, argv in (("sim", TRAIN_ARGS), ("parallel", PARALLEL_ARGS)):
+        trace = str(root / f"{backend}.jsonl")
+        runs[backend] = (_stdout(argv + ["--trace", trace]),
+                         _stdout(["report", trace]))
+    return runs
+
+
+class TestOneRunPathForBothBackends:
+    """The cell ends bitwise the same on both backends, so train and
+    report must print the same run."""
+
+    @staticmethod
+    def _fields(out: str) -> dict[str, str]:
+        return {name.strip(): value.strip()
+                for name, value in (line.split(":", 1)
+                                    for line in out.splitlines()
+                                    if ":" in line)}
+
+    def test_train_prints_the_same_run(self, both_backends):
+        sim = self._fields(both_backends["sim"][0])
+        parallel = self._fields(both_backends["parallel"][0])
+        assert parallel["backend"] == "parallel (2 processes)"
+        # Kernel time is measured wall time, so it differs run to run.
+        for name in ("final loss", "best Best Hit Rate",
+                     "bytes/worker/iter", "raw size", "wire size",
+                     "compression", "framing overhead"):
+            assert parallel[name] == sim[name], name
+
+    @pytest.mark.parametrize("quantity, value", [
+        ("iterations", "18"),
+        ("bytes on wire / worker", "3,402"),
+        ("collective ops", "180"),
+    ])
+    def test_report_reads_the_same_totals(self, both_backends, quantity,
+                                          value):
+        for backend, (_, report) in both_backends.items():
+            match = re.search(rf"^{re.escape(quantity)}\s+(\S+)", report,
+                              re.MULTILINE)
+            assert match and match.group(1) == value, (backend, report)
+
+    def test_parallel_profile_has_the_kernel_table(self):
+        out = _stdout(["profile", "--benchmark", "ncf-movielens",
+                       "--compressor", "topk", "--backend", "parallel",
+                       "--nproc", "2", "--epochs", "1"])
+        assert "Compressor kernel latency" in out
+        assert "rank1/tracemalloc_peak_bytes" in out
+        assert re.search(r"^iterations\s+18\s*$", out, re.MULTILINE)

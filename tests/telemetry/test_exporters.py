@@ -56,6 +56,35 @@ class TestJsonl:
         assert summary.counter("comm_bytes_per_worker_total") == 2048.0
 
 
+class TestIterationCount:
+    """`repro report` and `repro profile` count each iteration once."""
+
+    @staticmethod
+    def _iteration(**attrs):
+        return {"type": "span", "name": "iteration", "dur": 0.1,
+                "attrs": attrs}
+
+    def test_a_merged_parallel_trace_counts_one_rank(self):
+        from repro.telemetry.profile import profile_events
+
+        events = [self._iteration(iteration=i, rank=rank)
+                  for rank in (0, 1) for i in range(3)]
+        assert summarize_events(events).iterations == 3
+        assert profile_events(events).iterations == 3
+        # Span and wall sums stay summed over the ranks.
+        summary = summarize_events(events)
+        assert summary.phases["iteration"].spans == 6
+
+    def test_a_degraded_cohort_counts_its_lowest_rank(self):
+        events = [self._iteration(iteration=i, rank=1) for i in range(4)]
+        events += [self._iteration(iteration=i, rank=2) for i in range(4)]
+        assert summarize_events(events).iterations == 4
+
+    def test_simulator_spans_carry_no_rank_and_all_count(self):
+        events = [self._iteration(iteration=0), self._iteration(iteration=0)]
+        assert summarize_events(events).iterations == 2
+
+
 class TestChromeTrace:
     def test_valid_trace_event_json(self, tmp_path):
         tracer, _ = _traced_run()

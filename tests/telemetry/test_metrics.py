@@ -202,6 +202,47 @@ class TestSnapshot:
             )
 
 
+class TestFoldRanks:
+    """A parallel run's rank-labelled registry read as the run's totals."""
+
+    def _merged(self):
+        merged = MetricsRegistry()
+        for rank in (1, 0):
+            labels = {"rank": str(rank)}
+            merged.counter("comm_ops_total", labels).inc(180)
+            merged.counter("compress_raw_bytes_total", labels).inc(100)
+            merged.histogram("compress_kernel_seconds",
+                             {"compressor": "topk", **labels}).observe(rank)
+        merged.counter("recoveries_total").inc(1)
+        return merged
+
+    def test_per_rank_work_sums_and_the_rest_is_read_once(self):
+        from repro.telemetry.metrics import fold_ranks
+
+        folded = fold_ranks(self._merged())
+        assert folded.value("comm_ops_total") == 180.0
+        assert folded.value("compress_raw_bytes_total") == 200.0
+        assert folded.value("recoveries_total") == 1.0
+        (kernels,) = folded.instruments("compress_kernel_seconds")
+        assert dict(kernels.labels) == {"compressor": "topk"}
+        assert kernels.count == 2
+
+    def test_the_lowest_rank_speaks_for_the_cohort(self):
+        from repro.telemetry.metrics import fold_ranks
+
+        merged = MetricsRegistry()
+        merged.counter("train_iterations_total", {"rank": "3"}).inc(9)
+        merged.counter("train_iterations_total", {"rank": "1"}).inc(7)
+        assert fold_ranks(merged).value("train_iterations_total") == 7.0
+
+    def test_a_registry_without_ranks_is_returned_as_is(self):
+        from repro.telemetry.metrics import fold_ranks
+
+        registry = MetricsRegistry()
+        registry.counter("comm_ops_total").inc(3)
+        assert fold_ranks(registry) is registry
+
+
 class TestNullRegistry:
     def test_all_instruments_shared_and_inert(self):
         a = NULL_REGISTRY.counter("x")

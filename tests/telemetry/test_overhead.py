@@ -21,13 +21,19 @@ from tests.core.test_trainer import QuadraticTask, noise_batches
 MAX_OVERHEAD_FRACTION = 0.05
 
 
-def _median_seconds(fn, repeats=7):
-    samples = []
+def _median_seconds(*fns, repeats=7):
+    """Median seconds of each of ``fns``, timed in turn run by run.
+
+    Alternating puts a burst of load from elsewhere on the host on
+    every path alike instead of on whichever one it lands in.
+    """
+    samples = [[] for _ in fns]
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return sorted(samples)[len(samples) // 2]
+        for fn, times in zip(fns, samples):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    return [sorted(times)[len(times) // 2] for times in samples]
 
 
 def _run_steps(tracer, steps=30, dim=4096):
@@ -59,7 +65,7 @@ class TestNullPathPrimitives:
                 with span("compress", rank=0, tensor="x"):
                     pass
 
-        assert _median_seconds(loop, repeats=3) < 0.5
+        assert _median_seconds(loop, repeats=3)[0] < 0.5
 
 
 class TestTrainingOverhead:
@@ -67,8 +73,9 @@ class TestTrainingOverhead:
         # Warm both paths once (imports, caches) before timing.
         _run_steps(NULL_TRACER, steps=2)()
         _run_steps(Tracer(), steps=2)()
-        disabled = _median_seconds(_run_steps(NULL_TRACER))
-        enabled = _median_seconds(_run_steps(Tracer()))
+        disabled, enabled = _median_seconds(
+            _run_steps(NULL_TRACER), _run_steps(Tracer())
+        )
         # The live tracer times every phase and allocates every span; the
         # disabled path must not pay that: it may cost at most a few
         # percent more than the *cheaper* of the two runs, i.e. the null

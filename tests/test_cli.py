@@ -134,6 +134,19 @@ class TestParallelBackendFlags:
                   "--compressor", "topk", "--workers", "2",
                   "--epochs", "1", *flags])
 
+    @pytest.mark.parametrize("backend", [
+        ["--workers", "2"],
+        ["--backend", "parallel", "--nproc", "2"],
+    ])
+    def test_unwritable_trace_exits_before_training(self, backend, tmp_path):
+        # The parallel backend used to train the whole run first, then
+        # die with a FileNotFoundError traceback.
+        trace = tmp_path / "no" / "such" / "dir" / "t.jsonl"
+        with pytest.raises(SystemExit, match="cannot write"):
+            main(["train", "--benchmark", "ncf-movielens",
+                  "--compressor", "topk", "--epochs", "1", *backend,
+                  "--trace", str(trace)])
+
     def test_parallel_backend_rejects_workers(self):
         with pytest.raises(SystemExit, match="--workers requires --backend sim"):
             main(["train", "--benchmark", "ncf-movielens",
