@@ -220,6 +220,8 @@ def _run_cell(args, spec, tracer_type=None, **options):
             memory, None
     from repro.comm.parallel import ParallelRunConfig, run_parallel
 
+    # Traced for any output, as on the simulator: an untraced rank records
+    # no compress_/wire_ instruments for the wire stats or Prometheus.
     try:
         result = run_parallel(ParallelRunConfig(
             spec.key, args.compressor, args.nproc,

@@ -202,13 +202,13 @@ class TestSharedWireStatsFormat:
 @pytest.fixture(scope="module")
 def both_backends(tmp_path_factory):
     """The TRAIN_ARGS cell traced on each backend: train's and report's
-    stdout per backend."""
+    stdout and the trace's events per backend."""
     root = tmp_path_factory.mktemp("backends")
     runs = {}
     for backend, argv in (("sim", TRAIN_ARGS), ("parallel", PARALLEL_ARGS)):
         trace = str(root / f"{backend}.jsonl")
         runs[backend] = (_stdout(argv + ["--trace", trace]),
-                         _stdout(["report", trace]))
+                         _stdout(["report", trace]), read_events(trace))
     return runs
 
 
@@ -240,10 +240,34 @@ class TestOneRunPathForBothBackends:
     ])
     def test_report_reads_the_same_totals(self, both_backends, quantity,
                                           value):
-        for backend, (_, report) in both_backends.items():
+        for backend, (_, report, _) in both_backends.items():
             match = re.search(rf"^{re.escape(quantity)}\s+(\S+)", report,
                               re.MULTILINE)
             assert match and match.group(1) == value, (backend, report)
+
+    def test_trace_metrics_fold_to_the_simulators(self, both_backends):
+        """Every instrument the parallel trace carries — folded over its
+        ranks — reads the simulator's value (a histogram its count), so
+        a per-rank metric fold_ranks does not sum shows here."""
+        def instruments(events):
+            return {
+                (e["name"], tuple(sorted(e["labels"].items()))):
+                    (e["type"], e.get("count", e.get("value")))
+                for e in events if e["type"] in ("counter", "gauge",
+                                                 "histogram")
+            }
+
+        sim = instruments(both_backends["sim"][2])
+        parallel = {key: value for key, value
+                    in instruments(both_backends["parallel"][2]).items()
+                    # The shared-memory arena exists on one backend only.
+                    if not key[0].startswith("arena_")}
+        assert parallel.keys() == sim.keys()
+        # Measured wall time differs run to run.
+        measured = ("train_measured_compression_seconds_total", ())
+        for key, value in sim.items():
+            if key != measured:
+                assert parallel[key] == value, key
 
     def test_parallel_profile_has_the_kernel_table(self):
         out = _stdout(["profile", "--benchmark", "ncf-movielens",
