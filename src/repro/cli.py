@@ -550,12 +550,12 @@ def _load_trace(path: str) -> list[dict]:
 
 def cmd_report(args) -> int:
     """Summarize a JSONL trace written by ``train --trace``."""
-    from repro.telemetry import summarize_events, write_chrome_trace
+    from repro.telemetry import TraceSummary, write_chrome_trace
 
     events = _load_trace(args.trace)
-    summary = summarize_events(events)
+    summary = TraceSummary.from_events(events)
     if args.compare:
-        other = summarize_events(_load_trace(args.compare))
+        other = TraceSummary.from_events(_load_trace(args.compare))
         print(f"A = {args.trace}")
         print(f"B = {args.compare}")
         print(_report_diff(summary, other))
@@ -579,12 +579,10 @@ def _report_diff(a, b) -> str:
         return [label, f"{wall_a:.4f}", f"{wall_b:.4f}", f"{delta:+.1f}%",
                 f"{stats_a.sim_seconds:.6f}", f"{stats_b.sim_seconds:.6f}"]
 
-    # ``iteration`` spans are parents of the leaf phases; listing them
-    # next to their children would double-count the step.
     rows = [
         row(phase, a.phases.get(phase, PhaseStats()),
             b.phases.get(phase, PhaseStats()))
-        for phase in {**a.phases, **b.phases} if phase != "iteration"
+        for phase in {**a.phases, **b.phases}
     ]
     rows.append(row("total (leaf)", *(
         PhaseStats(wall_seconds=s.total_wall_seconds,
@@ -596,7 +594,8 @@ def _report_diff(a, b) -> str:
 
 
 def cmd_profile(args) -> int:
-    """Phase-level profile of one run (or of an existing trace).
+    """Profile one run (or an existing trace): ``report``'s summary plus
+    memory marks, folded stacks and a JSON dump.
 
     A parallel run's ranks each profile under their own
     :class:`~repro.telemetry.profile.ProfilingTracer`; their memory keys
@@ -604,10 +603,12 @@ def cmd_profile(args) -> int:
     that used it.
     """
     from repro.bench.metadata import run_metadata
-    from repro.telemetry import telemetry_events, write_chrome_trace
+    from repro.telemetry import (
+        TraceSummary, telemetry_events, write_chrome_trace,
+    )
     from repro.telemetry.metrics import fold_ranks
     from repro.telemetry.profile import (
-        ProfilingTracer, profile_events, write_folded, write_profile_json,
+        ProfilingTracer, write_folded, write_profile_json,
     )
 
     if args.trace:
@@ -623,8 +624,8 @@ def cmd_profile(args) -> int:
         raise SystemExit(
             "profile needs --benchmark (to run) or --trace (to load)"
         )
-    profile = profile_events(events, metrics_events=events, memory=memory)
-    print(profile.format())
+    summary = TraceSummary.from_events(events, memory)
+    print(summary.format())
     extras = []
     if args.folded:
         lines = write_folded(args.folded, events)
@@ -633,7 +634,7 @@ def cmd_profile(args) -> int:
         spans = write_chrome_trace(args.chrome, events)
         extras.append(f"chrome trace     : {args.chrome} ({spans} spans)")
     if args.out:
-        write_profile_json(args.out, profile, meta=meta)
+        write_profile_json(args.out, summary, meta=meta)
         extras.append(f"profile json     : {args.out}")
     if extras:
         print()

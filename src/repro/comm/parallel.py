@@ -623,7 +623,7 @@ class ParallelRunConfig:
     ``sanitize="arena"`` (or ``"all"``) replays every rank's arena
     protocol events after each round; a violation fails the run with
     ``ArenaSanitizerError``.  ``trace`` and ``profile`` bring back every
-    rank's spans and metrics, ``metrics`` the metrics alone.
+    rank's spans and metrics.
     """
 
     benchmark: str
@@ -637,7 +637,6 @@ class ParallelRunConfig:
     sanitize: str = "off"
     profile: bool = False
     trace: bool = False
-    metrics: bool = False
     arena_bytes: int = DEFAULT_DATA_BYTES
     resilience: Resilience = Resilience()
     checkpoint_dir: str | None = None
@@ -760,7 +759,7 @@ def _worker_main(
             communicator=ParallelWorkerCommunicator(arena, rank),
             worker=worker,
         )
-        if config.metrics or tracer is not None:
+        if tracer is not None:
             arena.attach_telemetry(trainer.metrics)
         if start_iteration > 0:
             # Only a respawn rewinds the report: this process starts
@@ -794,9 +793,8 @@ def _worker_main(
         }
         if rank == min(worker.active_ranks):
             result["params"] = params
-        if config.metrics or tracer is not None:
-            result["metrics"] = snapshot_registry(trainer.metrics)
         if tracer is not None:
+            result["metrics"] = snapshot_registry(trainer.metrics)
             result["events"] = [span.to_event() for span in tracer.spans]
         if config.profile:
             result["memory_high_water"] = tracer.finalize()
@@ -1020,7 +1018,8 @@ def _run_round(
                     "never reported"
                 )
     finally:
-        watchdog.stop()
+        if watchdog.ident is not None:  # a failed spawn never started it
+            watchdog.stop()
         _teardown_workers(
             list(workers.values()), arena, registry, config.join_grace
         )
@@ -1270,7 +1269,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
             report.sim_recovery_seconds + recovery_seconds
         )
     merged_metrics = None
-    if config.metrics or config.trace or config.profile:
+    if config.trace or config.profile:
         merged_metrics = MetricsRegistry()
         for rank, payload in sorted(results.items()):
             load_snapshot(

@@ -12,7 +12,8 @@ The subsystem has three parts (see ``docs/OBSERVABILITY.md``):
   layer's :class:`~repro.comm.collectives.CommRecord` read from).
 * :mod:`repro.telemetry.exporters` — JSONL event logs, Chrome
   ``trace_event`` JSON (Perfetto-loadable) and Prometheus text dumps,
-  summarized by :mod:`repro.telemetry.summary` / ``repro report``.
+  read back by :mod:`repro.telemetry.summary` (``repro report`` and
+  ``repro profile``).
 """
 
 from repro.telemetry.metrics import (
@@ -38,15 +39,8 @@ from repro.telemetry.formatting import (
     render_fields,
     wire_stats_fields,
 )
-from repro.telemetry.profile import (
-    ProfilingTracer,
-    RunProfile,
-    folded_stacks,
-    profile_events,
-    profile_tracer,
-    write_folded,
-)
-from repro.telemetry.summary import LEAF_PHASES, TraceSummary, summarize_events
+from repro.telemetry.profile import ProfilingTracer, folded_stacks, write_folded
+from repro.telemetry.summary import LEAF_PHASES, TraceSummary
 
 __all__ = [
     "Counter",
@@ -71,11 +65,7 @@ __all__ = [
     "wire_stats_fields",
     "LEAF_PHASES",
     "TraceSummary",
-    "summarize_events",
     "ProfilingTracer",
-    "RunProfile",
     "folded_stacks",
-    "profile_events",
-    "profile_tracer",
     "write_folded",
 ]

@@ -689,7 +689,7 @@ class TestRunParallel:
     def test_merged_metrics_say_who_waited_on_whom(self):
         result = run_parallel(ParallelRunConfig(
             benchmark="ncf-movielens", compressor="topk", nproc=2,
-            seed=0, epochs=1, metrics=True,
+            seed=0, epochs=1, trace=True,
         ))
         metrics = result.metrics
         waited = {

@@ -14,6 +14,7 @@ machinery lives in ``test_shm.py`` (liveness words),
 """
 
 import glob
+import multiprocessing
 
 import pytest
 
@@ -155,3 +156,27 @@ class TestFailStopTeardown:
         with pytest.raises(ParallelCrashError, match="rank 1"):
             run_parallel(_config(faults="crash@2:rank=1"))
         assert _shm_segments() - before == set()
+
+    def test_failed_spawn_raises_its_error_and_leaks_nothing(
+            self, monkeypatch):
+        """A rank that cannot be spawned fails the run with the spawn's
+        own error; the started rank is reaped and the arena unlinked."""
+        process = multiprocessing.get_context("spawn").Process
+        real_start = process.start
+        started = []
+
+        def start(worker):
+            started.append(worker.name)
+            if len(started) == 2:
+                raise OSError("cannot spawn the second rank")
+            real_start(worker)
+
+        monkeypatch.setattr(process, "start", start)
+        before = _shm_segments()
+        children = {child.pid for child in multiprocessing.active_children()}
+        with pytest.raises(OSError, match="cannot spawn the second rank"):
+            run_parallel(_config())
+        assert started == ["repro-rank0", "repro-rank1"]
+        assert _shm_segments() - before == set()
+        assert {child.pid for child in multiprocessing.active_children()
+                } <= children

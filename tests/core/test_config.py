@@ -135,7 +135,7 @@ class TestOptionRatchet:
 
     def test_parallel_run_config_fields(self):
         fields = {f.name for f in dataclasses.fields(ParallelRunConfig)}
-        assert len(fields) <= 17
+        assert len(fields) <= 16
         assert "resilience" in fields
         assert not fields & {
             "faults", "recovery", "checkpoint_every", "straggler_policy",

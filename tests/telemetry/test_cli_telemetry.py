@@ -1,4 +1,4 @@
-"""CLI telemetry surfaces: train --trace, report, shared wire stats."""
+"""CLI telemetry surfaces: train --trace, report, profile, wire stats."""
 
 import contextlib
 import io
@@ -8,6 +8,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.telemetry import TraceSummary
 from repro.telemetry.exporters import read_events
 from repro.telemetry.formatting import wire_stats_fields
 
@@ -147,9 +148,10 @@ class TestProfileCommand:
                      "--folded", str(folded), "--out", str(out)])
         assert code == 0
         text = capsys.readouterr().out
-        assert "Phase attribution" in text
+        assert "Per-phase breakdown" in text
+        assert "(unattributed)" in text
         assert "attribution error" in text
-        assert "network" in text
+        assert "collective (comm)" in text
         for line in folded.read_text().splitlines():
             stack, weight = line.rsplit(" ", 1)
             assert int(weight) >= 0
@@ -170,6 +172,17 @@ class TestProfileCommand:
         assert "Memory high-water marks" in text
         assert "tracemalloc_peak_bytes" in text
         assert json.loads(chrome.read_text())["traceEvents"]
+
+    def test_report_and_profile_print_the_same_summary(self, traced_run):
+        """One reader: the phase table, totals and kernel table of a
+        trace read the same through either command."""
+        trace = str(traced_run["jsonl"])
+        report = _stdout(["report", trace])
+        assert _stdout(["profile", "--trace", trace]) == report
+        for section in ("Per-phase breakdown", "(unattributed)", "Totals",
+                        "simulated seconds (leaf phases)",
+                        "Compressor kernel latency", "p90 ms"):
+            assert section in report, section
 
     def test_profile_needs_a_source(self):
         with pytest.raises(SystemExit, match="--benchmark"):
@@ -245,6 +258,20 @@ class TestOneRunPathForBothBackends:
                               re.MULTILINE)
             assert match and match.group(1) == value, (backend, report)
 
+    def test_simulated_time_counts_once_per_step(self, both_backends):
+        """Every rank charges the collective on its own span; a parallel
+        trace counts the lead rank's, as the simulator charges it once."""
+        sim, parallel = (TraceSummary.from_events(both_backends[b][2])
+                         for b in ("sim", "parallel"))
+        assert {name: stats.sim_seconds
+                for name, stats in parallel.phases.items()} == \
+            {name: stats.sim_seconds for name, stats in sim.phases.items()}
+        assert f"{sim.total_sim_seconds:.6f}" == "0.023405"
+        assert parallel.total_sim_seconds == sim.total_sim_seconds
+        for _, report, _ in both_backends.values():
+            assert re.search(r"^simulated seconds \(leaf phases\)\s+"
+                             r"0\.023405\s*$", report, re.MULTILINE), report
+
     def test_trace_metrics_fold_to_the_simulators(self, both_backends):
         """Every instrument the parallel trace carries — folded over its
         ranks — reads the simulator's value (a histogram its count), so
@@ -276,3 +303,16 @@ class TestOneRunPathForBothBackends:
         assert "Compressor kernel latency" in out
         assert "rank1/tracemalloc_peak_bytes" in out
         assert re.search(r"^iterations\s+18\s*$", out, re.MULTILINE)
+
+
+def test_sim_total_matches_the_run_under_a_crash(tmp_path):
+    """Rank 0 crashes at iteration 2, so the simulator charges the rest
+    of the run on rank 1's spans; every one still counts."""
+    trace = tmp_path / "crash.jsonl"
+    _stdout(TRAIN_ARGS + ["--faults", "crash@2:rank=0",
+                          "--trace", str(trace)])
+    summary = TraceSummary.from_events(read_events(trace))
+    run_total = sum(summary.counter(f"train_sim_{part}_seconds_total")
+                    for part in ("compute", "compression", "comm"))
+    assert run_total > 0
+    assert summary.total_sim_seconds == pytest.approx(run_total, rel=1e-12)

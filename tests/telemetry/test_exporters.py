@@ -2,10 +2,13 @@
 
 import json
 
+import pytest
+
 from repro.telemetry import (
-    MetricsRegistry, Tracer, chrome_trace, prometheus_text, read_events,
-    summarize_events, write_chrome_trace, write_jsonl,
+    MetricsRegistry, TraceSummary, Tracer, chrome_trace, prometheus_text,
+    read_events, write_chrome_trace, write_jsonl,
 )
+from repro.telemetry.summary import UNATTRIBUTED
 
 
 def _traced_run():
@@ -50,7 +53,7 @@ class TestJsonl:
         tracer, metrics = _traced_run()
         path = tmp_path / "trace.jsonl"
         write_jsonl(path, tracer, metrics)
-        summary = summarize_events(read_events(path))
+        summary = TraceSummary.from_events(read_events(path))
         assert summary.iterations == 2
         assert summary.phases["collective"].sim_seconds == 1.0
         assert summary.counter("comm_bytes_per_worker_total") == 2048.0
@@ -65,24 +68,22 @@ class TestIterationCount:
                 "attrs": attrs}
 
     def test_a_merged_parallel_trace_counts_one_rank(self):
-        from repro.telemetry.profile import profile_events
-
         events = [self._iteration(iteration=i, rank=rank)
                   for rank in (0, 1) for i in range(3)]
-        assert summarize_events(events).iterations == 3
-        assert profile_events(events).iterations == 3
+        summary = TraceSummary.from_events(events)
+        assert summary.iterations == 3
         # Span and wall sums stay summed over the ranks.
-        summary = summarize_events(events)
-        assert summary.phases["iteration"].spans == 6
+        assert summary.phases[UNATTRIBUTED].spans == 6
+        assert summary.step_wall_seconds == pytest.approx(0.6)
 
     def test_a_degraded_cohort_counts_its_lowest_rank(self):
         events = [self._iteration(iteration=i, rank=1) for i in range(4)]
         events += [self._iteration(iteration=i, rank=2) for i in range(4)]
-        assert summarize_events(events).iterations == 4
+        assert TraceSummary.from_events(events).iterations == 4
 
     def test_simulator_spans_carry_no_rank_and_all_count(self):
         events = [self._iteration(iteration=0), self._iteration(iteration=0)]
-        assert summarize_events(events).iterations == 2
+        assert TraceSummary.from_events(events).iterations == 2
 
 
 class TestChromeTrace:
@@ -142,7 +143,7 @@ class TestEmptyRun:
         assert prometheus_text(MetricsRegistry()).strip() == ""
 
     def test_summary_of_no_events(self):
-        summary = summarize_events([])
+        summary = TraceSummary.from_events([])
         assert summary.iterations == 0
         assert summary.format()  # renders without dividing by zero
 
