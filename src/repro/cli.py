@@ -127,32 +127,27 @@ def _backend_flags(args) -> dict:
             "checkpoint_dir": args.checkpoint_dir}
 
 
-def _add_resilience_flags(parser, chaos: bool = False) -> None:
-    """The :class:`~repro.core.config.Resilience` fields as flags.
-
-    ``chaos`` injects its own kills: it takes no ``--faults`` or
-    ``--straggler-policy`` and defaults to lossless restart recovery.
-    """
+def _add_resilience_flags(parser) -> None:
+    """The :class:`~repro.core.config.Resilience` fields as flags."""
     from repro.core.config import RECOVERY_POLICIES, STRAGGLER_POLICIES
 
-    if not chaos:
-        parser.add_argument("--faults", metavar="SPEC",
-                            help="inject a deterministic fault plan, e.g. "
-                                 "'crash@10:rank=1,rejoin=14;"
-                                 "degrade@20-25:bw=0.25' "
-                                 "(grammar in docs/ROBUSTNESS.md)")
-        parser.add_argument("--straggler-policy", default="wait",
-                            choices=STRAGGLER_POLICIES,
-                            help="wait for the slowest rank (default), drop "
-                                 "slow ranks from the cohort, or fold their "
-                                 "gradients back in while fresh (backup)")
+    parser.add_argument("--faults", metavar="SPEC",
+                        help="inject a deterministic fault plan, e.g. "
+                             "'crash@10:rank=1,rejoin=14;"
+                             "degrade@20-25:bw=0.25' "
+                             "(grammar in docs/ROBUSTNESS.md)")
+    parser.add_argument("--straggler-policy", default="wait",
+                        choices=STRAGGLER_POLICIES,
+                        help="wait for the slowest rank (default), drop "
+                             "slow ranks from the cohort, or fold their "
+                             "gradients back in while fresh (backup)")
     parser.add_argument("--recovery", choices=RECOVERY_POLICIES,
-                        default="restart" if chaos else "degrade",
+                        default="degrade",
                         help="crash handling: re-normalize over survivors "
                              "or roll back to the latest EF-aware "
                              "checkpoint (default %(default)s)")
     parser.add_argument("--checkpoint-every", type=int, metavar="N",
-                        default=1 if chaos else 0,
+                        default=0,
                         help="checkpoint every N iterations (0: never, "
                              "or every one for restart recovery under "
                              "faults; default %(default)s)")
@@ -163,23 +158,24 @@ def _resilience(args):
     from repro.core.config import Resilience
 
     try:
-        return Resilience(getattr(args, "faults", None), args.recovery,
-                          args.checkpoint_every,
-                          getattr(args, "straggler_policy", "wait"))
+        return Resilience(args.faults, args.recovery, args.checkpoint_every,
+                          args.straggler_policy)
     except ValueError as error:
         raise SystemExit(str(error))
 
 
-def _benchmark(name: str):
-    """The benchmark spec ``name`` keys; a one-line exit if none does."""
-    from repro.bench.suite import BENCHMARKS, get_benchmark
+def _cell(benchmark: str, compressor: str):
+    """The benchmark spec ``benchmark`` keys; a one-line exit naming the
+    choices if it or ``compressor`` is unknown."""
+    from repro.bench.suite import get_benchmark
+    from repro.core.registry import compressor_info
 
-    if name not in BENCHMARKS:
-        raise SystemExit(
-            f"unknown benchmark {name!r}; "
-            f"choose from {', '.join(sorted(BENCHMARKS))}"
-        )
-    return get_benchmark(name)
+    try:
+        spec = get_benchmark(benchmark)
+        compressor_info(compressor)
+    except KeyError as error:
+        raise SystemExit(error.args[0])
+    return spec
 
 
 def _writable(*paths) -> None:
@@ -240,7 +236,7 @@ def cmd_train(args) -> int:
     """Train one (benchmark, compressor) cell and print the report."""
     from repro.telemetry import Tracer
 
-    spec = _benchmark(args.benchmark)
+    spec = _cell(args.benchmark, args.compressor)
     options = _backend_flags(args)
     options.update(resilience=_resilience(args), sanitize=args.sanitize)
     outputs = (args.trace, args.chrome_trace, args.metrics_out)
@@ -348,31 +344,27 @@ def _export_trace(args, spans, metrics) -> None:
 
 
 def cmd_chaos(args) -> int:
-    """Run a seeded kill campaign and report the recovery verdicts."""
+    """Run a seeded kill campaign, print and write its record, and exit
+    1 if any recovery invariant broke."""
+    from repro.bench.result import write_result
     from repro.faults.chaos import run_chaos
 
-    result = run_chaos(
-        benchmark=args.benchmark,
-        compressor=args.compressor,
-        nproc=args.nproc,
-        trials=args.trials,
-        seed=args.seed,
-        epochs=args.epochs,
-        resilience=_resilience(args),
-        loss_tolerance=args.loss_tolerance,
-        arena_bytes=int(args.arena_mb * 1024 * 1024),
-        stall_timeout=args.stall_timeout,
-    )
-    print(result.describe())
-    if args.sanitizer_report:
-        import json
-
-        with open(args.sanitizer_report, "w", encoding="utf-8") as handle:
-            json.dump(result.sanitizer_summary(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"sanitizer report : {args.sanitizer_report}")
-    return 0 if result.passed else 1
+    _writable(args.out)
+    try:
+        result = run_chaos(args.benchmark, args.compressor, args.nproc,
+                           args.trials, args.seed, args.recovery)
+    except (KeyError, ValueError) as error:
+        # Before the clean run: an unknown name, no trial, or a config
+        # the parallel backend rejects (nproc < 1); after it: a run too
+        # short to place a kill in.
+        raise SystemExit(error.args[0])
+    print(result.text)
+    for failure in result.failures:
+        print(f"CHAOS FAILED: {failure}")
+    if args.out:
+        write_result(args.out, result)
+        print(f"result json      : {args.out}")
+    return 1 if result.failures else 0
 
 
 #: Which harness argument each ``repro bench`` flag sets, per suite.
@@ -615,7 +607,7 @@ def cmd_profile(args) -> int:
         events = _load_trace(args.trace)
         memory = meta = None
     elif args.benchmark:
-        spec = _benchmark(args.benchmark)
+        spec = _cell(args.benchmark, args.compressor)
         _writable(args.folded, args.chrome, args.out)
         _, spans, metrics, memory, _ = _run_cell(args, spec, ProfilingTracer)
         events = telemetry_events(spans, fold_ranks(metrics))
@@ -938,20 +930,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded kills to run (default 3)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="kill-schedule seed (also the training seed)")
-    chaos.add_argument("--epochs", type=int, default=1)
-    _add_resilience_flags(chaos, chaos=True)
-    chaos.add_argument("--loss-tolerance", type=float, default=0.15,
-                       metavar="GAP",
-                       help="max |final loss - clean loss| for degrade "
-                            "recovery (default 0.15)")
-    chaos.add_argument("--arena-mb", type=float, default=8.0, metavar="MB")
-    chaos.add_argument("--stall-timeout", type=float, default=30.0,
-                       metavar="SECONDS")
-    chaos.add_argument("--sanitizer-report", default=None, metavar="PATH",
-                       help="write the campaign's arena-sanitizer "
-                            "happens-before summary (clean run + every "
-                            "trial) as JSON; the sanitizer itself is "
-                            "always on under chaos")
+    from repro.core.config import RECOVERY_POLICIES
+
+    chaos.add_argument("--recovery", choices=RECOVERY_POLICIES,
+                       default="restart",
+                       help="crash handling under test (default "
+                            "%(default)s)")
+    chaos.add_argument("--out", default=None, metavar="PATH",
+                       help="write the campaign's RunResult JSON")
 
     lint = sub.add_parser(
         "lint",

@@ -144,10 +144,11 @@ _RECOVERY_NETWORK_GBPS = 10.0
 #: Fixed by the parent's supervision, not options: the watchdog's sweep
 #: interval (s), the cohort respawns before a death is fatal, the arena
 #: sanitizer's per-rank event slots, and the seconds a worker gets to
-#: exit after SIGTERM, then after SIGKILL.
+#: exit on its own at teardown, then after SIGTERM, then after SIGKILL.
 WATCHDOG_INTERVAL = 0.25
 MAX_RECOVERIES = 8
 SANITIZE_SLOTS = 8192
+JOIN_GRACE = 10.0
 TERM_GRACE = 5.0
 KILL_GRACE = 5.0
 
@@ -619,11 +620,10 @@ class ParallelRunConfig:
     and ``checkpoint_every > 0`` turns on per-rank checkpointing (to
     ``checkpoint_dir``, a temporary directory by default) *and* crash
     recovery.  The watchdog convicts a rank silent for ``stall_timeout``
-    seconds; teardown waits ``join_grace`` before signalling a worker.
-    ``sanitize="arena"`` (or ``"all"``) replays every rank's arena
-    protocol events after each round; a violation fails the run with
-    ``ArenaSanitizerError``.  ``trace`` and ``profile`` bring back every
-    rank's spans and metrics.
+    seconds.  ``sanitize="arena"`` (or ``"all"``) replays every rank's
+    arena protocol events after each round; a violation fails the run
+    with ``ArenaSanitizerError``.  ``trace`` and ``profile`` bring back
+    every rank's spans and metrics.
     """
 
     benchmark: str
@@ -641,7 +641,6 @@ class ParallelRunConfig:
     resilience: Resilience = Resilience()
     checkpoint_dir: str | None = None
     stall_timeout: float = 30.0
-    join_grace: float = 10.0
 
 
 #: Thread pools a rank would otherwise size to the whole machine.
@@ -886,12 +885,8 @@ class _Watchdog(threading.Thread):
                 return
 
 
-def _teardown_workers(
-    workers: list,
-    arena: SharedArena,
-    registry: MetricsRegistry,
-    join_grace: float,
-) -> None:
+def _teardown_workers(workers: list, arena: SharedArena,
+                      registry: MetricsRegistry) -> None:
     """Escalating join → SIGTERM → SIGKILL ladder over one cohort.
 
     Every escalation is counted into ``comm_workers_killed_total`` by
@@ -901,7 +896,7 @@ def _teardown_workers(
     if any(worker.is_alive() for worker in started):
         arena.abort()
     for worker in started:
-        worker.join(timeout=join_grace)
+        worker.join(timeout=JOIN_GRACE)
     stubborn = [worker for worker in started if worker.is_alive()]
     for worker in stubborn:
         worker.terminate()
@@ -1020,9 +1015,7 @@ def _run_round(
     finally:
         if watchdog.ident is not None:  # a failed spawn never started it
             watchdog.stop()
-        _teardown_workers(
-            list(workers.values()), arena, registry, config.join_grace
-        )
+        _teardown_workers(list(workers.values()), arena, registry)
         if not watchdog.progress:
             watchdog.progress = {
                 rank: arena.progress(rank) for rank in active
@@ -1062,6 +1055,11 @@ def _validate_config(config: ParallelRunConfig) -> FaultPlan | None:
     These are the parallel backend's own rules; what holds for every
     backend was checked when ``config.resilience`` was built.
     """
+    from repro.bench.suite import get_benchmark
+    from repro.core.registry import compressor_info
+
+    get_benchmark(config.benchmark)  # KeyError naming the known ones
+    compressor_info(config.compressor)
     if config.nproc < 1:
         raise ValueError(f"nproc must be >= 1, got {config.nproc}")
     resilience = config.resilience

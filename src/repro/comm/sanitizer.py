@@ -76,14 +76,6 @@ class ArenaViolation:
     def __str__(self) -> str:
         return f"[{self.kind}] rank {self.rank} seq {self.seq}: {self.detail}"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rank": self.rank,
-            "seq": self.seq,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class SanitizerReport:
@@ -97,17 +89,6 @@ class SanitizerReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "events_total": self.events_total,
-            "per_rank_events": {
-                str(r): n for r, n in sorted(self.per_rank_events.items())
-            },
-            "dropped": {str(r): n for r, n in sorted(self.dropped.items())},
-            "violations": [v.to_dict() for v in self.violations],
-        }
 
     def merge(self, other: "SanitizerReport") -> None:
         """Fold another round's report into this one (recovery rounds)."""

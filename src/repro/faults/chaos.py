@@ -1,168 +1,52 @@
 """Chaos harness: seeded kill-schedules against the real-parallel backend.
 
 Fault-injection tests pick the failure point; chaos testing samples it.
-:func:`run_chaos` first runs one **clean** parallel run to learn the
-iteration count and the reference outcome, then derives ``trials``
-seeded kill-schedules (a kill iteration and a victim rank per trial,
-from a counter-based RNG so schedules are reproducible and independent
-of trial order) and replays the run under each schedule with recovery
-enabled.  Every trial asserts the recovery invariants:
+:func:`run_chaos` runs one **clean** parallel run to learn the iteration
+count and the reference outcome, derives ``trials`` seeded
+kill-schedules (a kill iteration and a victim rank per trial, from a
+counter-based RNG so schedules are reproducible and independent of
+trial order) and replays the run under each with recovery enabled.
+Every trial must **complete** (no hang past the watchdog deadline, no
+crash escaping :func:`repro.comm.parallel.run_parallel`), **recover**
+and **price** it (a cohort respawn, ``sim_recovery_seconds > 0``) and
+end **right**: bitwise-equal to the clean run under ``restart``, within
+:data:`LOSS_TOLERANCE` of its final loss under ``degrade``, where the
+survivors legitimately average other gradients.  Every run, the clean
+one included, must leak no ``/dev/shm`` segment and replay its arena
+protocol events through the happens-before checker
+(:mod:`repro.comm.sanitizer`) without a violation: a kill-truncated
+event stream is exactly where publication-order bugs hide.
 
-* the run **completes** — no hang past the watchdog deadline, no
-  unhandled crash escaping :func:`repro.comm.parallel.run_parallel`;
-* the recovery actually happened and was **priced** — at least one
-  cohort respawn, ``sim_recovery_seconds > 0``;
-* nothing **leaked** — the set of ``/dev/shm`` segments after the trial
-  equals the set before it;
-* the surviving model is **right** — bitwise-equal final state under
-  ``restart`` recovery, final loss within ``loss_tolerance`` of the
-  clean run under ``degrade`` (the survivors legitimately see a
-  different gradient average);
-* the arena protocol was **clean** — every run (the clean reference
-  and every kill trial) records its shared-memory protocol events and
-  replays them through the happens-before checker
-  (:mod:`repro.comm.sanitizer`); any violation fails the trial.  The
-  sanitizer is always on under chaos: a kill-truncated event stream is
-  exactly where publication-order bugs hide.
-
-The harness is the backing for ``repro chaos`` and the CI
-``chaos-smoke`` job; see ``docs/ROBUSTNESS.md``.
+The campaign is one :class:`~repro.bench.result.RunResult` (suite
+``chaos``) whose ``failures`` name every broken invariant; ``repro
+chaos`` and the CI ``chaos-smoke`` job print and write it.  See
+``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations
 
 import glob
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
 
 import numpy as np
 
+from repro.bench.result import Metric, RunResult
 from repro.comm.parallel import ParallelRunConfig, run_parallel
-from repro.comm.sanitizer import ArenaSanitizerError
+from repro.comm.sanitizer import ArenaSanitizerError, SanitizerReport
 from repro.core.config import Resilience
 
 #: Domain separator for the kill-schedule RNG (arbitrary, fixed).
 _CHAOS_STREAM = 0xC4A05
 
-#: Where CPython's ``multiprocessing.shared_memory`` segments live.
-_SHM_GLOB = "/dev/shm/psm_*"
+#: Max ``|final_loss - clean_loss|`` of a ``degrade`` trial (restart
+#: demands bitwise equality instead).
+LOSS_TOLERANCE = 0.15
 
 
 def _shm_segments() -> frozenset:
-    return frozenset(glob.glob(_SHM_GLOB))
-
-
-@dataclass
-class ChaosTrial:
-    """Outcome of one seeded kill against one training run."""
-
-    trial: int
-    kill_iteration: int
-    victim_rank: int
-    completed: bool = False
-    recovered: bool = False
-    digest_match: bool | None = None  # restart only; None under degrade
-    final_loss: float | None = None
-    loss_gap: float | None = None
-    recovery_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    leaked_segments: list[str] = field(default_factory=list)
-    sanitizer: dict | None = None
-    sanitizer_events: int = 0
-    sanitizer_violations: int = 0
-    error: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        """All recovery invariants held for this trial."""
-        return (
-            self.completed
-            and self.recovered
-            and self.recovery_seconds > 0
-            and not self.leaked_segments
-            and self.digest_match is not False
-            and self.sanitizer_violations == 0
-            and self.error is None
-        )
-
-    def describe(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        detail = (
-            f"kill rank {self.victim_rank} @ iter {self.kill_iteration}: "
-            f"recovered={self.recovered} "
-            f"recovery_s={self.recovery_seconds:.6f} "
-            f"loss_gap={self.loss_gap if self.loss_gap is not None else '-'} "
-            f"leaks={len(self.leaked_segments)} "
-            f"sanitizer={self.sanitizer_events}ev/"
-            f"{self.sanitizer_violations}viol"
-        )
-        if self.error:
-            detail += f" error={self.error}"
-        return f"trial {self.trial}: {verdict}  {detail}"
-
-
-@dataclass
-class ChaosResult:
-    """A full chaos campaign: the clean reference plus every trial."""
-
-    benchmark: str
-    compressor: str
-    nproc: int
-    recovery: str
-    seed: int
-    baseline_iterations: int
-    baseline_loss: float
-    baseline_digest: str
-    baseline_sanitizer: dict | None = None
-    trials: list[ChaosTrial] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.trials) and all(t.passed for t in self.trials)
-
-    def sanitizer_summary(self) -> dict:
-        """JSON-ready artifact: every run's happens-before replay."""
-        total_events = sum(t.sanitizer_events for t in self.trials)
-        total_violations = sum(t.sanitizer_violations for t in self.trials)
-        if self.baseline_sanitizer is not None:
-            total_events += self.baseline_sanitizer.get("events_total", 0)
-            total_violations += len(
-                self.baseline_sanitizer.get("violations", [])
-            )
-        return {
-            "ok": total_violations == 0,
-            "events_total": total_events,
-            "violations_total": total_violations,
-            "clean": self.baseline_sanitizer,
-            "trials": [
-                {
-                    "trial": t.trial,
-                    "kill_iteration": t.kill_iteration,
-                    "victim_rank": t.victim_rank,
-                    "report": t.sanitizer,
-                }
-                for t in self.trials
-            ],
-        }
-
-    def describe(self) -> str:
-        san = self.sanitizer_summary()
-        lines = [
-            f"chaos: {self.benchmark}/{self.compressor} "
-            f"nproc={self.nproc} recovery={self.recovery} seed={self.seed} "
-            f"({self.baseline_iterations} iterations clean)",
-        ]
-        lines.extend(trial.describe() for trial in self.trials)
-        lines.append(
-            f"arena sanitizer: {san['events_total']} events, "
-            f"{san['violations_total']} violation(s) across clean + "
-            f"{len(self.trials)} trial(s)"
-        )
-        lines.append(
-            f"{sum(t.passed for t in self.trials)}/{len(self.trials)} "
-            "trials passed"
-        )
-        return "\n".join(lines)
+    """CPython's ``multiprocessing.shared_memory`` segments."""
+    return frozenset(glob.glob("/dev/shm/psm_*"))
 
 
 def kill_schedule(
@@ -192,107 +76,158 @@ def kill_schedule(
     return schedule
 
 
-def run_chaos(
-    benchmark: str = "ncf-movielens",
-    compressor: str = "topk",
-    nproc: int = 2,
-    trials: int = 3,
-    seed: int = 0,
-    epochs: int | None = 1,
-    resilience: Resilience = Resilience(recovery="restart",
-                                        checkpoint_every=1),
-    loss_tolerance: float = 0.15,
-    arena_bytes: int = 8 << 20,
-    stall_timeout: float = 30.0,
-) -> ChaosResult:
+def run_failures(leaked: Sequence[str],
+                 sanitizer: SanitizerReport) -> list[str]:
+    """The hygiene every run must keep: no leak, no protocol violation."""
+    broken = [f"sanitizer {violation}" for violation in sanitizer.violations]
+    if leaked:
+        broken.append(f"leaked {len(leaked)} shared-memory segment(s): "
+                      + " ".join(leaked))
+    return broken
+
+
+def trial_failures(recovery: str, *, sanitizer: SanitizerReport,
+                   leaked: Sequence[str] = (), error: str | None = None,
+                   recoveries: int = 0, recovery_seconds: float = 0.0,
+                   digest_match: bool = False,
+                   loss_gap: float = 0.0) -> list[str]:
+    """Every invariant one kill trial broke, a line apiece.
+
+    ``error`` is what the run raised instead of completing; the
+    recovery numbers describe a completed run.  ``restart`` recovery is
+    judged on ``digest_match`` alone and ``degrade`` on ``loss_gap``.
+    """
+    if error is not None:
+        broken = [f"did not complete: {error}"]
+    else:
+        broken = []
+        if recoveries < 1:
+            broken.append("did not recover: no cohort respawned")
+        if not recovery_seconds > 0:
+            broken.append(f"outage not priced: sim recovery seconds "
+                          f"{recovery_seconds:.6f}")
+        if recovery == "restart":
+            if not digest_match:
+                broken.append("restart recovery did not reproduce the "
+                              "clean run's model state bitwise")
+        elif loss_gap > LOSS_TOLERANCE:
+            broken.append(f"degraded final loss drifted {loss_gap:.4f} "
+                          f"from clean (> {LOSS_TOLERANCE})")
+    return broken + run_failures(leaked, sanitizer)
+
+
+def _run_metrics(run: str, leaked: Sequence[str],
+                 sanitizer: SanitizerReport) -> list[Metric]:
+    """One run's leak count and happens-before replay counts."""
+    return [
+        Metric(f"{run}/leaked_segments", len(leaked), "segments", "lower",
+               tolerance=0.0),
+        Metric(f"{run}/sanitizer_events", sanitizer.events_total, "events"),
+        *(Metric(f"{run}/sanitizer_events/rank{rank}", count, "events")
+          for rank, count in sorted(sanitizer.per_rank_events.items())),
+        Metric(f"{run}/sanitizer_dropped", sum(sanitizer.dropped.values()),
+               "events"),
+        Metric(f"{run}/sanitizer_violations", len(sanitizer.violations),
+               "violations", "lower", tolerance=0.0),
+    ]
+
+
+def run_chaos(benchmark: str = "ncf-movielens", compressor: str = "topk",
+              nproc: int = 2, trials: int = 3, seed: int = 0,
+              recovery: str = "restart") -> RunResult:
     """Run a chaos campaign; every trial SIGKILLs one seeded victim.
 
-    Each trial runs under ``resilience`` with its kill as the fault
-    plan; the clean reference run injects nothing.  ``loss_tolerance``
-    bounds ``|final_loss - clean_loss|`` for ``degrade`` recovery
-    (restart demands bitwise equality instead).  Raises nothing on
-    trial failure — failures are recorded on the returned
-    :class:`ChaosResult` so the caller (CLI, CI) decides the exit code.
+    Every run trains one epoch over an 8 MiB arena; each trial
+    checkpoints every iteration and recovers by ``recovery``.  A broken
+    invariant is a line of ``failures``, not an exception, so the
+    caller (CLI, CI) decides the exit code.
     """
-    base = dict(
-        benchmark=benchmark,
-        compressor=compressor,
-        nproc=nproc,
-        seed=seed,
-        epochs=epochs,
-        arena_bytes=arena_bytes,
-        sanitize="arena",
-    )
+    if trials < 1:
+        raise ValueError(f"chaos needs >= 1 trial, got {trials}")
+    base = dict(benchmark=benchmark, compressor=compressor, nproc=nproc,
+                seed=seed, epochs=1, arena_bytes=8 << 20, sanitize="arena")
+    before = _shm_segments()
     clean = run_parallel(ParallelRunConfig(**base))
-    baseline_iterations = int(clean.report.iterations)
-    baseline_loss = float(clean.report.losses[-1])
-    baseline_digest = next(iter(clean.digests.values()))
-    result = ChaosResult(
-        benchmark=benchmark,
-        compressor=compressor,
-        nproc=nproc,
-        recovery=resilience.recovery,
-        seed=seed,
-        baseline_iterations=baseline_iterations,
-        baseline_loss=baseline_loss,
-        baseline_digest=baseline_digest,
-        baseline_sanitizer=(
-            clean.sanitizer.to_dict() if clean.sanitizer is not None
-            else None
-        ),
-    )
-    schedule = kill_schedule(seed, trials, baseline_iterations, nproc)
+    leaked = sorted(_shm_segments() - before)
+    iterations = int(clean.report.iterations)
+    clean_loss = float(clean.report.losses[-1])
+    clean_digest = next(iter(clean.digests.values()))
+    schedule = kill_schedule(seed, trials, iterations, nproc)
+    metrics = [
+        Metric("clean/iterations", iterations, "iterations"),
+        Metric("clean/final_loss", clean_loss, "loss"),
+        *_run_metrics("clean", leaked, clean.sanitizer),
+    ]
+    failures = [f"clean run: {line}"
+                for line in run_failures(leaked, clean.sanitizer)]
+    lines = [f"chaos: {benchmark}/{compressor} nproc={nproc} recovery="
+             f"{recovery} seed={seed} ({iterations} iterations clean)"]
+    reports, passed = [clean.sanitizer], 0
     for trial, (kill, victim) in enumerate(schedule):
-        outcome = ChaosTrial(
-            trial=trial, kill_iteration=kill, victim_rank=victim
-        )
         before = _shm_segments()
         started = time.perf_counter()
+        outcome = dict(sanitizer=SanitizerReport())
         try:
-            run = run_parallel(ParallelRunConfig(
-                **base,
-                resilience=replace(
-                    resilience, faults=f"crash@{kill}:rank={victim}"
-                ),
-                stall_timeout=stall_timeout,
-                join_grace=5.0,
-            ))
-        except ArenaSanitizerError as exc:
-            outcome.error = f"{type(exc).__name__}: {exc}"
-            outcome.sanitizer = exc.report.to_dict()
-            outcome.sanitizer_events = exc.report.events_total
-            outcome.sanitizer_violations = len(exc.report.violations)
+            run = run_parallel(ParallelRunConfig(**base, resilience=Resilience(
+                f"crash@{kill}:rank={victim}", recovery, checkpoint_every=1,
+            )))
         except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-            outcome.error = f"{type(exc).__name__}: {exc}"
+            outcome["error"] = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, ArenaSanitizerError):
+                outcome["sanitizer"] = exc.report
         else:
-            outcome.completed = True
-            if run.sanitizer is not None:
-                outcome.sanitizer = run.sanitizer.to_dict()
-                outcome.sanitizer_events = run.sanitizer.events_total
-                outcome.sanitizer_violations = len(
-                    run.sanitizer.violations
-                )
-            outcome.recovered = len(run.recoveries) >= 1
-            outcome.recovery_seconds = float(
-                run.report.sim_recovery_seconds
+            outcome.update(
+                sanitizer=run.sanitizer,
+                recoveries=len(run.recoveries),
+                recovery_seconds=float(run.report.sim_recovery_seconds),
+                digest_match=next(iter(run.digests.values())) == clean_digest,
+                loss_gap=abs(float(run.report.losses[-1]) - clean_loss),
             )
-            outcome.final_loss = float(run.report.losses[-1])
-            outcome.loss_gap = abs(outcome.final_loss - baseline_loss)
-            if resilience.recovery == "restart":
-                outcome.digest_match = (
-                    next(iter(run.digests.values())) == baseline_digest
-                )
-                if not outcome.digest_match:
-                    outcome.error = (
-                        "restart recovery did not reproduce the clean "
-                        "run's model state bitwise"
-                    )
-            elif outcome.loss_gap > loss_tolerance:
-                outcome.error = (
-                    f"degraded final loss drifted {outcome.loss_gap:.4f} "
-                    f"from clean (> {loss_tolerance})"
-                )
-        outcome.wall_seconds = time.perf_counter() - started
-        outcome.leaked_segments = sorted(_shm_segments() - before)
-        result.trials.append(outcome)
-    return result
+        name, sanitizer = f"trial{trial}", outcome["sanitizer"]
+        outcome["leaked"] = leaked = sorted(_shm_segments() - before)
+        broken = trial_failures(recovery, **outcome)
+        failures += [f"trial {trial}: {line}" for line in broken]
+        passed += not broken
+        reports.append(sanitizer)
+        metrics += [
+            Metric(f"{name}/wall_seconds", time.perf_counter() - started,
+                   "seconds"),
+            *_run_metrics(name, leaked, sanitizer),
+        ]
+        if "error" not in outcome:
+            metrics += [
+                Metric(f"{name}/recovery_seconds",
+                       outcome["recovery_seconds"], "seconds", "lower",
+                       tolerance=0.05, floor=1e-9),
+                Metric(f"{name}/loss_gap", outcome["loss_gap"], "loss",
+                       "lower", tolerance=0.1, floor=0.005),
+            ]
+        lines.append(
+            f"trial {trial}: {'FAIL' if broken else 'PASS'}  "
+            f"kill rank {victim} @ iter {kill}: "
+            f"recovered={outcome.get('recoveries', 0) >= 1} "
+            f"recovery_s={outcome.get('recovery_seconds', 0.0):.6f} "
+            f"loss_gap={outcome.get('loss_gap', '-')} "
+            f"leaks={len(leaked)} sanitizer={sanitizer.events_total}ev/"
+            f"{len(sanitizer.violations)}viol"
+        )
+    events = sum(report.events_total for report in reports)
+    violations = sum(len(report.violations) for report in reports)
+    lines += [
+        f"arena sanitizer: {events} events, {violations} violation(s) "
+        f"across clean + {trials} trial(s)",
+        f"{passed}/{trials} trials passed",
+    ]
+    metrics += [
+        Metric("sanitizer_events", events, "events"),
+        Metric("sanitizer_violations", violations, "violations", "lower",
+               tolerance=0.0),
+        Metric("trials_passed", passed, "trials", "higher", tolerance=0.0),
+    ]
+    return RunResult.new(
+        "chaos", benchmark,
+        params={"benchmark": benchmark, "compressor": compressor,
+                "nproc": nproc, "trials": trials, "seed": seed,
+                "recovery": recovery, "schedule": [list(p) for p in schedule]},
+        metrics=metrics, text="\n".join(lines), failures=failures,
+    )

@@ -754,8 +754,9 @@ class TestRunParallel:
     def test_worker_failure_is_typed_not_a_hang(self):
         with pytest.raises(ParallelCrashError) as excinfo:
             run_parallel(ParallelRunConfig(
-                benchmark=FIG6A, compressor="no-such-compressor", nproc=2,
-                epochs=1,
+                benchmark=FIG6A, compressor="topk", nproc=2, epochs=1,
+                # Fails in each rank: the parent checks only the name.
+                compressor_params={"no_such_param": 1},
             ))
         assert isinstance(excinfo.value, WorkerCrashError)
         assert "2 of 2 workers failed" in str(excinfo.value)

@@ -142,9 +142,11 @@ class TestFailStopTeardown:
     def test_deterministic_worker_error_stays_fail_stop(self):
         """Queue-reported Python errors must not trigger recovery."""
         before = _shm_segments()
+        # The parent knows every compressor name; an argument topk does
+        # not take fails in each rank instead.
         with pytest.raises(ParallelCrashError, match="2 of 2"):
             run_parallel(_config(
-                compressor="no-such-compressor",
+                compressor_params={"no_such_param": 1},
                 recovery="restart",
                 checkpoint_every=1,
             ))
@@ -180,3 +182,22 @@ class TestFailStopTeardown:
         assert _shm_segments() - before == set()
         assert {child.pid for child in multiprocessing.active_children()
                 } <= children
+
+    @pytest.mark.parametrize("names, message", [
+        (dict(benchmark="nope"), "unknown benchmark 'nope'"),
+        (dict(compressor="nope"), "unknown compressor 'nope'"),
+    ])
+    def test_unknown_names_fail_before_any_spawn(
+            self, names, message, monkeypatch):
+        """The parent checks both names before it spawns a rank."""
+        process = multiprocessing.get_context("spawn").Process
+        started = []
+
+        def start(worker):
+            started.append(worker.name)
+            raise OSError("spawned a rank")
+
+        monkeypatch.setattr(process, "start", start)
+        with pytest.raises(KeyError, match=message):
+            run_parallel(_config(**names))
+        assert started == []

@@ -158,13 +158,6 @@ class TestCheckStreams:
         assert "rank 0 seq 7" in str(error)
         assert error.report is report
 
-    def test_to_dict_round_trips_the_essentials(self):
-        report = check_streams({0: [_ev(EV_POST, 7, t=10)]})
-        data = report.to_dict()
-        assert data["ok"] is False
-        assert data["events_total"] == 1
-        assert data["violations"][0]["kind"] == "publish-before-write"
-
 
 class _BrokenArena(SharedArena):
     """An arena whose ``post`` publishes the seq before writing bytes —

@@ -104,7 +104,7 @@ class TestOptionRatchet:
     #: Flags per subcommand (positionals and --help not counted).
     CLI_LIMITS = {
         "list": 0, "compress": 5, "train": 24, "bench": 19, "report": 3,
-        "profile": 14, "chaos": 12, "lint": 8, "protocol-check": 2,
+        "profile": 14, "chaos": 7, "lint": 8, "protocol-check": 2,
         "experiment": 3,
     }
 
@@ -131,11 +131,11 @@ class TestOptionRatchet:
             if count > self.CLI_LIMITS[name]
         }
         assert grown == {}
-        assert sum(counts.values()) <= 90
+        assert sum(counts.values()) <= 85
 
     def test_parallel_run_config_fields(self):
         fields = {f.name for f in dataclasses.fields(ParallelRunConfig)}
-        assert len(fields) <= 16
+        assert len(fields) <= 15
         assert "resilience" in fields
         assert not fields & {
             "faults", "recovery", "checkpoint_every", "straggler_policy",

@@ -1,13 +1,17 @@
-"""Chaos kill-schedule derivation (`repro.faults.chaos`).
+"""The chaos campaign (`repro.faults.chaos`).
 
-Only the pure scheduling logic runs here; the full campaign (real
-spawns, real SIGKILLs) is exercised by ``repro chaos`` in the CI
-``chaos-smoke`` job and by ``tests/comm/test_parallel_recovery.py``.
+The kill schedule and the trial verdict are pure logic; one real
+campaign (a clean run plus one SIGKILL trial, a few seconds) checks the
+record ``repro chaos`` prints and writes.
 """
+
+import re
 
 import pytest
 
-from repro.faults.chaos import ChaosTrial, kill_schedule
+from repro.bench.result import read_result, write_result
+from repro.comm.sanitizer import ArenaViolation, SanitizerReport
+from repro.faults.chaos import kill_schedule, run_chaos, trial_failures
 
 
 class TestKillSchedule:
@@ -38,42 +42,79 @@ class TestKillSchedule:
 
 
 class TestTrialVerdict:
-    def _good(self):
-        return ChaosTrial(
-            trial=0, kill_iteration=3, victim_rank=1,
-            completed=True, recovered=True, digest_match=True,
-            recovery_seconds=0.01,
-        )
+    GOOD = dict(sanitizer=SanitizerReport(), recoveries=1,
+                recovery_seconds=0.01, digest_match=True, loss_gap=0.0)
 
     def test_all_invariants_pass(self):
-        assert self._good().passed
+        assert trial_failures("restart", **self.GOOD) == []
 
-    def test_each_invariant_fails_the_trial(self):
-        trial = self._good()
-        trial.completed = False
-        assert not trial.passed
-
-        trial = self._good()
-        trial.recovered = False
-        assert not trial.passed
-
-        trial = self._good()
-        trial.recovery_seconds = 0.0  # outage not priced
-        assert not trial.passed
-
-        trial = self._good()
-        trial.leaked_segments = ["/dev/shm/psm_dead"]
-        assert not trial.passed
-
-        trial = self._good()
-        trial.digest_match = False
-        assert not trial.passed
-
-        trial = self._good()
-        trial.error = "boom"
-        assert not trial.passed
+    @pytest.mark.parametrize("broken, reason", [
+        (dict(error="ParallelCrashError: boom"), "did not complete"),
+        (dict(recoveries=0), "did not recover"),
+        (dict(recovery_seconds=0.0), "outage not priced"),
+        (dict(leaked=["/dev/shm/psm_dead"]), "leaked 1 shared-memory"),
+        (dict(digest_match=False), "bitwise"),
+        (dict(sanitizer=SanitizerReport(violations=[ArenaViolation(
+            "read-unpublished", 1, 4, "no publication")])),
+         r"sanitizer \[read-unpublished\] rank 1 seq 4"),
+    ], ids=["incomplete", "unrecovered", "unpriced", "leak", "digest",
+            "violation"])
+    def test_each_invariant_fails_the_trial(self, broken, reason):
+        (failure,) = trial_failures("restart", **{**self.GOOD, **broken})
+        assert re.search(reason, failure)
 
     def test_degrade_trials_have_no_digest_verdict(self):
-        trial = self._good()
-        trial.digest_match = None  # degrade: loss-gap bound instead
-        assert trial.passed
+        # degrade: the loss-gap bound instead
+        degraded = {**self.GOOD, "digest_match": False, "loss_gap": 0.1}
+        assert trial_failures("degrade", **degraded) == []
+        (failure,) = trial_failures("degrade", **{**degraded,
+                                                  "loss_gap": 0.2})
+        assert "degraded final loss drifted 0.2000" in failure
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    """One real campaign: a clean run and one SIGKILL trial."""
+    return run_chaos("ncf-movielens", "topk", nproc=2, trials=1)
+
+
+class TestCampaign:
+    def test_one_trial_passes(self, campaign):
+        assert campaign.suite == "chaos"
+        assert campaign.failures == []
+        assert campaign.value("trials_passed") == 1
+        assert "1/1 trials passed" in campaign.text
+        assert campaign.params["schedule"] == [
+            list(pair) for pair in kill_schedule(
+                0, 1, int(campaign.value("clean/iterations")), 2)
+        ]
+
+    def test_the_outage_is_priced(self, campaign):
+        assert campaign.value("trial0/recovery_seconds") > 0
+        assert campaign.value("trial0/loss_gap") == 0.0
+
+    def test_no_run_leaks_a_segment(self, campaign):
+        assert campaign.value("clean/leaked_segments") == 0
+        assert campaign.value("trial0/leaked_segments") == 0
+
+    def test_the_sanitizer_replays_every_run_clean(self, campaign):
+        for run in ("clean", "trial0"):
+            events = campaign.value(f"{run}/sanitizer_events")
+            assert events > 0
+            assert events == sum(campaign.value(
+                f"{run}/sanitizer_events/rank{rank}") for rank in (0, 1))
+            assert campaign.value(f"{run}/sanitizer_violations") == 0
+        assert campaign.value("sanitizer_events") == sum(
+            campaign.value(f"{run}/sanitizer_events")
+            for run in ("clean", "trial0"))
+        assert campaign.value("sanitizer_violations") == 0
+
+    def test_the_record_round_trips(self, campaign, tmp_path):
+        path = tmp_path / "BENCH_chaos.json"
+        write_result(path, campaign)
+        assert read_result(path).to_dict() == campaign.to_dict()
+
+
+def test_a_campaign_needs_a_trial():
+    with pytest.raises(ValueError, match=">= 1 trial"):
+        run_chaos(trials=0)

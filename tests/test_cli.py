@@ -46,6 +46,33 @@ class TestCommands:
         with pytest.raises(SystemExit, match="unknown benchmark"):
             main(["train", "--benchmark", "alexnet"])
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--workers", "2"],
+        ["train", "--backend", "parallel", "--nproc", "2"],
+        ["profile", "--workers", "2"],
+        ["profile", "--backend", "parallel", "--nproc", "2"],
+        ["chaos", "--trials", "1"],
+    ])
+    def test_unknown_compressor_is_one_line(self, argv, monkeypatch):
+        # The simulator used to print a KeyError traceback, and the
+        # parallel backend spawned its ranks before failing.
+        import multiprocessing
+
+        import repro.bench.runner
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the compressor")
+
+        monkeypatch.setattr(repro.bench.runner, "train_quality", no_training)
+        monkeypatch.setattr(multiprocessing.get_context("spawn").Process,
+                            "start", no_training)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--benchmark", "ncf-movielens",
+                  "--compressor", "nope"])
+        message = str(exit_info.value.code)
+        assert message.startswith("unknown compressor 'nope'; available:")
+        assert "topk" in message and "\n" not in message
+
     def test_experiment_table1(self, capsys):
         assert main(["experiment", "table1"]) == 0
         assert "Measured ratio" in capsys.readouterr().out
@@ -193,3 +220,30 @@ class TestBenchInputErrors:
         assert str(exit_info.value.code).startswith(message)
         assert "\n" not in str(exit_info.value.code)
         assert not (tmp_path / "never.json").exists()
+
+
+class TestChaosInputErrors:
+    """`repro chaos` rejects bad input before its clean run."""
+
+    @pytest.fixture(autouse=True)
+    def no_spawns(self, monkeypatch):
+        import multiprocessing
+
+        def start(worker):
+            raise AssertionError("spawned a rank on bad input")
+
+        monkeypatch.setattr(multiprocessing.get_context("spawn").Process,
+                            "start", start)
+
+    def test_unwritable_out(self, tmp_path):
+        out = tmp_path / "no" / "such" / "dir" / "BENCH_chaos.json"
+        with pytest.raises(SystemExit, match="cannot write"):
+            main(["chaos", "--trials", "1", "--out", str(out)])
+
+    def test_no_trials(self):
+        with pytest.raises(SystemExit, match=">= 1 trial, got 0"):
+            main(["chaos", "--trials", "0"])
+
+    def test_unknown_benchmark(self):
+        with pytest.raises(SystemExit, match="unknown benchmark 'nope'"):
+            main(["chaos", "--benchmark", "nope", "--trials", "1"])
