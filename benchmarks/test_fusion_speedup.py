@@ -13,11 +13,11 @@ from repro.bench.result import read_result, write_result
 from benchmarks.conftest import full_grid
 
 
-def _best_of(runs, **kwargs):
+def _best_of(runs, *args):
     """Wall-clock is noisy: keep the run with the best wall speedup."""
     best = None
     for _ in range(runs):
-        result = run_fusion_bench(**kwargs)
+        result = run_fusion_bench(*args)
         if best is None or (result.value("wall_speedup")
                             > best.value("wall_speedup")):
             best = result
@@ -26,14 +26,7 @@ def _best_of(runs, **kwargs):
 
 def test_fusion_speedup(record, results_dir, benchmark):
     iterations = 30 if full_grid() else 15
-    result = _best_of(
-        3,
-        benchmark="resnet20-cifar10",
-        compressor="topk",
-        n_workers=8,
-        iterations=iterations,
-        fusion_mb=64.0,
-    )
+    result = _best_of(3, "topk", 8, iterations)
     record("fusion_speedup", result.text)
     write_result(results_dir / "BENCH_fusion.json", result)
 
@@ -48,10 +41,7 @@ def test_fusion_speedup(record, results_dir, benchmark):
     assert result.value("wall_speedup") >= 1.3
 
     def kernel():
-        return run_fusion_bench(
-            benchmark="resnet20-cifar10", compressor="topk", n_workers=4,
-            iterations=2, fusion_mb=64.0,
-        )
+        return run_fusion_bench("topk", 4, 2)
 
     out = benchmark(kernel)
     assert (out.value("collective_ops_fused")

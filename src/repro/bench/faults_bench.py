@@ -40,6 +40,13 @@ COMPRESSOR = "efsignsgd"
 #: The harness trains its own strongly-convex task, not a Table II row.
 SYNTHETIC_BENCHMARK = "quadratic-ef"
 
+#: The run: the testbed's 8 workers, 30 iterations (every scenario
+#: window ends by iteration 20), a 64-element model and one seed.
+N_WORKERS = 8
+ITERATIONS = 30
+DIM = 64
+SEED = 0
+
 #: Fault scenarios benchmarked against the fault-free baseline.
 #: Every spec window sits inside the run's iteration range.
 SCENARIOS: dict[str, dict] = {
@@ -67,10 +74,10 @@ SCENARIOS: dict[str, dict] = {
 class _QuadraticTask:
     """Minimize ``||x - target||²`` — self-contained, deterministic."""
 
-    def __init__(self, dim: int = 64, lr: float = 0.05, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.x = np.zeros(dim, dtype=np.float32)
-        self.target = rng.standard_normal(dim).astype(np.float32)
+    def __init__(self, lr: float = 0.05):
+        rng = np.random.default_rng(SEED)
+        self.x = np.zeros(DIM, dtype=np.float32)
+        self.target = rng.standard_normal(DIM).astype(np.float32)
         self.lr = float(lr)
 
     def forward_backward(self, inputs, targets):
@@ -83,11 +90,11 @@ class _QuadraticTask:
         self.x -= self.lr * grads["x"]
 
 
-def _noise_batches(n_workers: int, dim: int, seed: int, scale: float = 0.05):
+def _noise_batches(seed: int, scale: float = 0.05):
     rng = np.random.default_rng(seed)
     return [
-        (scale * rng.standard_normal(dim).astype(np.float32), None)
-        for _ in range(n_workers)
+        (scale * rng.standard_normal(DIM).astype(np.float32), None)
+        for _ in range(N_WORKERS)
     ]
 
 
@@ -140,27 +147,25 @@ def _failures(cells: list[FaultsBenchCell],
                 f"(window/probability bug?)"
             )
     by_name = {cell.scenario: cell for cell in cells}
-    restart = by_name.get("crash-restart")
-    if restart is not None and not restart.recovery_seconds > 0:
+    restart = by_name["crash-restart"]
+    if not restart.recovery_seconds > 0:
         failures.append(
             "crash-restart: the outage was not priced — "
             "sim recovery seconds is "
             f"{restart.recovery_seconds:.6f} (expected > 0)"
         )
-    corrupt = by_name.get("corrupt")
-    if corrupt is not None:
-        if corrupt.checksum_failures == 0:
-            failures.append(
-                "corrupt: no corrupted frame was caught by the checksum"
-            )
-        if not corrupt.sim_comm_seconds > baseline_sim_comm_seconds:
-            failures.append(
-                "corrupt: retransmits did not surface in the cost model "
-                f"({corrupt.sim_comm_seconds:.6f}s vs baseline "
-                f"{baseline_sim_comm_seconds:.6f}s)"
-            )
-    drop = by_name.get("drop")
-    if drop is not None and drop.retries == 0:
+    corrupt = by_name["corrupt"]
+    if corrupt.checksum_failures == 0:
+        failures.append(
+            "corrupt: no corrupted frame was caught by the checksum"
+        )
+    if not corrupt.sim_comm_seconds > baseline_sim_comm_seconds:
+        failures.append(
+            "corrupt: retransmits did not surface in the cost model "
+            f"({corrupt.sim_comm_seconds:.6f}s vs baseline "
+            f"{baseline_sim_comm_seconds:.6f}s)"
+        )
+    if by_name["drop"].retries == 0:
         failures.append("drop: no retransmission was performed")
     return failures
 
@@ -220,26 +225,20 @@ def _format(header: str, baseline_loss: float,
     return "\n".join(lines)
 
 
-def _run_cell(
-    options: dict,
-    n_workers: int,
-    iterations: int,
-    dim: int,
-    seed: int,
-) -> tuple[float, DistributedTrainer]:
+def _run_cell(options: dict) -> tuple[float, DistributedTrainer]:
     """Train one configuration; returns (final loss, trainer)."""
-    task = _QuadraticTask(dim=dim, seed=seed)
+    task = _QuadraticTask()
     trainer = DistributedTrainer(
         task,
         create(COMPRESSOR),
-        n_workers=n_workers,
+        n_workers=N_WORKERS,
         memory_params={"beta": 1.0, "gamma": task.lr},
-        seed=seed,
+        seed=SEED,
         resilience=Resilience(**options),
     )
     loss = 0.0
-    for step in range(iterations):
-        loss = trainer.step(_noise_batches(n_workers, dim, seed=step))
+    for step in range(ITERATIONS):
+        loss = trainer.step(_noise_batches(seed=step))
     return loss, trainer
 
 
@@ -252,28 +251,13 @@ def _counter_total(trainer: DistributedTrainer, name: str) -> float:
     )
 
 
-def run_faults_bench(
-    n_workers: int = 8,
-    iterations: int = 30,
-    dim: int = 64,
-    seed: int = 0,
-) -> RunResult:
+def run_faults_bench() -> RunResult:
     """Run every fault scenario against one fault-free baseline."""
-    if n_workers < 2:
-        raise ValueError("the crash scenarios need at least 2 workers")
-    if iterations < 21:
-        raise ValueError(
-            "iterations must be > 20 so every scenario window is exercised"
-        )
-    baseline_loss, baseline = _run_cell(
-        {}, n_workers, iterations, dim, seed
-    )
+    baseline_loss, baseline = _run_cell({})
     baseline_sim_comm_seconds = baseline.report.sim_comm_seconds
     cells = []
     for name, options in SCENARIOS.items():
-        loss, trainer = _run_cell(
-            options, n_workers, iterations, dim, seed
-        )
+        loss, trainer = _run_cell(options)
         cells.append(FaultsBenchCell(
             scenario=name,
             final_loss=loss,
@@ -301,13 +285,13 @@ def run_faults_bench(
             sim_comm_seconds=trainer.report.sim_comm_seconds,
         ))
     header = (
-        f"faults benchmark  : {COMPRESSOR}, {n_workers} "
-        f"workers, {iterations} iterations, seed {seed}"
+        f"faults benchmark  : {COMPRESSOR}, {N_WORKERS} "
+        f"workers, {ITERATIONS} iterations, seed {SEED}"
     )
     return RunResult.new(
         "faults", SYNTHETIC_BENCHMARK,
-        params={"n_workers": n_workers, "iterations": iterations,
-                "dim": dim, "seed": seed},
+        params={"n_workers": N_WORKERS, "iterations": ITERATIONS,
+                "dim": DIM, "seed": SEED},
         metrics=_metrics(cells, baseline_loss, baseline_sim_comm_seconds),
         text=_format(header, baseline_loss, cells),
         failures=_failures(cells, baseline_sim_comm_seconds),

@@ -27,6 +27,15 @@ from repro.bench.suite import BenchmarkSpec, get_benchmark
 from repro.core.registry import create
 from repro.core.trainer import DistributedTrainer
 
+#: The fig6 CNN, the paper's first benchmark.
+BENCHMARK = "resnet20-cifar10"
+
+#: The fused run's bucket budget: Horovod's default fusion buffer.
+FUSION_MB = 64.0
+
+#: The model, data and compressor seed of both runs.
+SEED = 0
+
 
 @dataclass
 class FusionBenchCell:
@@ -57,21 +66,17 @@ def _run_cell(
     compressor_name: str,
     n_workers: int,
     iterations: int,
-    seed: int,
     fusion_mb: float,
-    compressor_params: dict | None,
 ) -> FusionBenchCell:
     """Train ``iterations`` steps at one fusion setting."""
-    run = spec.build(n_workers=n_workers, seed=seed,
+    run = spec.build(n_workers=n_workers, seed=SEED,
                      compressor_name=compressor_name)
-    compressor = create(compressor_name, seed=seed,
-                        **(compressor_params or {}))
     trainer = DistributedTrainer(
         run.task,
-        compressor,
+        create(compressor_name, seed=SEED),
         n_workers=n_workers,
         perf_model=spec.make_perf_model(),
-        seed=seed,
+        seed=SEED,
         fusion_mb=fusion_mb,
     )
     steps = 0
@@ -191,50 +196,35 @@ def _format(header: str, unfused: FusionBenchCell,
     return "\n".join(lines)
 
 
-def run_fusion_bench(
-    benchmark: str = "resnet20-cifar10",
-    compressor: str = "topk",
-    n_workers: int = 8,
-    iterations: int = 30,
-    fusion_mb: float = 64.0,
-    seed: int = 0,
-    compressor_params: dict | None = None,
-) -> RunResult:
-    """Compare ``fusion_mb=0`` against ``fusion_mb`` on one benchmark."""
+def run_fusion_bench(compressor: str, n_workers: int,
+                     iterations: int) -> RunResult:
+    """Compare the per-tensor exchange against :data:`FUSION_MB` buckets
+    on :data:`BENCHMARK`."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if fusion_mb <= 0:
-        raise ValueError(
-            f"fusion_mb must be positive for the fused run, got {fusion_mb}"
-        )
-    spec = get_benchmark(benchmark)
-    probe = spec.build(n_workers=n_workers, seed=seed,
+    spec = get_benchmark(BENCHMARK)
+    probe = spec.build(n_workers=n_workers, seed=SEED,
                        compressor_name=compressor)
     _, probe_grads = probe.task.forward_backward(
         *next(iter(probe.loader))[0]
     )
     n_tensors = len(probe_grads)
-    unfused = _run_cell(
-        spec, compressor, n_workers, iterations, seed, 0.0, compressor_params
-    )
-    fused = _run_cell(
-        spec, compressor, n_workers, iterations, seed, fusion_mb,
-        compressor_params,
-    )
+    unfused = _run_cell(spec, compressor, n_workers, iterations, 0.0)
+    fused = _run_cell(spec, compressor, n_workers, iterations, FUSION_MB)
     header = (
-        f"fusion benchmark : {benchmark} / {compressor} "
+        f"fusion benchmark : {BENCHMARK} / {compressor} "
         f"({n_workers} workers, {iterations} iterations, "
         f"{n_tensors} tensors)"
     )
     return RunResult.new(
-        "fusion", benchmark,
+        "fusion", BENCHMARK,
         params={
             "compressor": compressor,
             "n_workers": n_workers,
             "iterations": iterations,
-            "fusion_mb": fusion_mb,
-            "seed": seed,
-            "compressor_params": compressor_params,
+            "fusion_mb": FUSION_MB,
+            "seed": SEED,
+            "compressor_params": None,  # as every recorded run has it
         },
         metrics=_metrics(unfused, fused, n_tensors),
         text=_format(header, unfused, fused),

@@ -43,10 +43,25 @@ from repro.core.registry import compressor_info, create
 #: Horovod's default fusion buffer (64 MB) — the baseline Allreduce unit.
 FUSION_BUFFER_BYTES = 64 * 1024 * 1024
 
-#: `repro bench throughput`'s default column: one representative per
-#: major family.
-DEFAULT_COMPRESSORS = ("none", "topk", "randomk", "qsgd", "efsignsgd",
-                       "powersgd")
+#: `repro bench throughput`'s model run: the fig6 CNN on the testbed's
+#: 8 workers and 10 Gbps links, one representative per major family.
+BENCHMARK = "resnet20-cifar10"
+COMPRESSORS = ("none", "topk", "randomk", "qsgd", "efsignsgd", "powersgd")
+N_WORKERS = 8
+GBPS = 10.0
+SEED = 0
+
+#: The hierarchical section: 16 workers in 4 racks exchanging topk.
+HIER_WORKERS = 16
+HIER_RACKS = 4
+HIER_COMPRESSOR = "topk"
+
+#: The measured leg (`--parallel`): 4 processes, 4 epochs, dense
+#: gradients in 64 MiB buckets against the per-tensor exchange.
+NPROC = 4
+PARALLEL_EPOCHS = 4
+PARALLEL_COMPRESSOR = "none"
+PARALLEL_FUSION_MB = 64.0
 
 
 def _square_probe(n_elements: int, scale: float, rng: np.random.Generator):
@@ -313,34 +328,25 @@ def _hierarchical_section(
     return metrics, lines, failures
 
 
-def run_throughput_bench(
-    benchmark: str = "resnet20-cifar10",
-    compressors: tuple[str, ...] = DEFAULT_COMPRESSORS,
-    n_workers: int = 8,
-    gbps: float = 10.0,
-    seed: int = 0,
-    hier_workers: int = 16,
-    hier_racks: int = 4,
-    hier_compressor: str = "topk",
-) -> RunResult:
+def run_throughput_bench() -> RunResult:
     """Modelled per-iteration costs per compressor, plus the
     hierarchical section (:func:`_hierarchical_section`)."""
-    spec = get_benchmark(benchmark)
-    network = ethernet(float(gbps))
+    spec = get_benchmark(BENCHMARK)
+    network = ethernet(GBPS)
     metrics: list[Metric] = []
     lines = [
-        f"throughput model  : {benchmark} ({n_workers} workers, "
-        f"{gbps} Gbps)",
+        f"throughput model  : {BENCHMARK} ({N_WORKERS} workers, "
+        f"{GBPS} Gbps)",
         f"{'compressor':<12}{'iter s':>10}{'comm s':>10}"
         f"{'kernel s':>10}{'rel tput':>10}",
     ]
     failures: list[str] = []
-    for name in compressors:
+    for name in COMPRESSORS:
         cost = simulate_iteration(
-            spec, name, n_workers=n_workers, network=network
+            spec, name, n_workers=N_WORKERS, network=network
         )
         relative = relative_throughput(
-            spec, name, n_workers=n_workers, network=network
+            spec, name, n_workers=N_WORKERS, network=network
         )
         lines.append(
             f"{name:<12}{cost.total_seconds:>10.4f}"
@@ -368,18 +374,18 @@ def run_throughput_bench(
                 f"{cost.total_seconds} (must be positive)"
             )
     hier_metrics, hier_lines, hier_failures = _hierarchical_section(
-        hier_workers, hier_racks, hier_compressor, network, seed
+        HIER_WORKERS, HIER_RACKS, HIER_COMPRESSOR, network, SEED
     )
     return RunResult.new(
-        "throughput", benchmark,
+        "throughput", BENCHMARK,
         params={
-            "compressors": compressors,
-            "n_workers": n_workers,
-            "gbps": gbps,
-            "seed": seed,
-            "hier_workers": hier_workers,
-            "hier_racks": hier_racks,
-            "hier_compressor": hier_compressor,
+            "compressors": COMPRESSORS,
+            "n_workers": N_WORKERS,
+            "gbps": GBPS,
+            "seed": SEED,
+            "hier_workers": HIER_WORKERS,
+            "hier_racks": HIER_RACKS,
+            "hier_compressor": HIER_COMPRESSOR,
         },
         metrics=metrics + hier_metrics,
         text="\n".join(lines + hier_lines),
@@ -387,16 +393,9 @@ def run_throughput_bench(
     )
 
 
-def run_parallel_bench(
-    benchmark: str = "resnet20-cifar10",
-    nproc: int = 4,
-    fusion_mb: float = 64.0,
-    seed: int = 0,
-    epochs: int = 4,
-    compressor: str = "none",
-) -> RunResult:
+def run_parallel_bench() -> RunResult:
     """Measured wall clock of fused buckets against the per-tensor
-    exchange on ``nproc`` real processes (suite ``throughput``).
+    exchange on :data:`NPROC` real processes (suite ``throughput``).
 
     Both legs pay identical process spawn + import costs and run the
     same kernels (a per-tensor unit is a one-segment bucket), so the
@@ -409,15 +408,13 @@ def run_parallel_bench(
     """
     from repro.comm.parallel import ParallelRunConfig, run_parallel
 
-    get_benchmark(benchmark)  # an unknown key fails here, not in a worker
-    base = dict(
-        benchmark=benchmark, compressor=compressor, nproc=nproc,
-        seed=seed, epochs=epochs,
+    unfused, fused = (
+        run_parallel(ParallelRunConfig(
+            BENCHMARK, PARALLEL_COMPRESSOR, NPROC, seed=SEED,
+            epochs=PARALLEL_EPOCHS, fusion_mb=fusion_mb,
+        ))
+        for fusion_mb in (0.0, PARALLEL_FUSION_MB)
     )
-    unfused = run_parallel(ParallelRunConfig(**base, fusion_mb=0.0))
-    fused = run_parallel(ParallelRunConfig(
-        **base, fusion_mb=float(fusion_mb),
-    ))
     speedup = unfused.wall_seconds / fused.wall_seconds
     digest = next(iter(fused.digests.values()))
     failures = []
@@ -429,11 +426,11 @@ def run_parallel_bench(
             "(must be bitwise equal)"
         )
     lines = [
-        f"parallel measured : {benchmark} ({nproc} processes, "
-        f"{compressor}, {epochs} epochs)",
+        f"parallel measured : {BENCHMARK} ({NPROC} processes, "
+        f"{PARALLEL_COMPRESSOR}, {PARALLEL_EPOCHS} epochs)",
         f"unfused wall      : {unfused.wall_seconds:>8.2f} s",
         f"fused wall        : {fused.wall_seconds:>8.2f} s "
-        f"({fusion_mb} MB buckets)",
+        f"({PARALLEL_FUSION_MB} MB buckets)",
         f"fusion speedup    : {speedup:>8.2f}x",
         f"model digest      : {digest[:12]}",
     ]
@@ -448,9 +445,10 @@ def run_parallel_bench(
                "seconds", "info"),
     ]
     return RunResult.new(
-        "throughput", benchmark,
-        params={"nproc": nproc, "fusion_mb": fusion_mb, "seed": seed,
-                "epochs": epochs, "compressor": compressor},
+        "throughput", BENCHMARK,
+        params={"nproc": NPROC, "fusion_mb": PARALLEL_FUSION_MB,
+                "seed": SEED, "epochs": PARALLEL_EPOCHS,
+                "compressor": PARALLEL_COMPRESSOR},
         metrics=metrics,
         text="\n".join(lines),
         failures=failures,

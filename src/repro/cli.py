@@ -18,6 +18,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -87,30 +88,42 @@ def cmd_compress(args) -> int:
     return 0
 
 
-#: ``train`` flags only one backend reads, with that backend's defaults.
+#: ``train`` flags only one backend reads, with their defaults.
 _BACKEND_FLAGS = {
-    "sim": {"workers": 4},
-    "parallel": {"nproc": 4, "arena_mb": 32.0, "stall_timeout": 30.0,
-                 "checkpoint_dir": None},
+    "sim": {"racks": 2, "aggregation": "auto"},
+    "parallel": {"checkpoint_dir": None},
+}
+
+#: ``bench`` flags only one suite reads, with their defaults.
+_SUITE_FLAGS = {
+    "fusion": {"compressor": "topk", "workers": 8, "iterations": 30},
+    "throughput": {"parallel": False},
 }
 
 
-def _backend_flags(args) -> dict:
-    """Reject each flag the chosen backend would ignore; default the rest.
+def _only_for(args, flags: dict, chosen: str, option: str) -> None:
+    """Exit with one line on a flag ``chosen`` would ignore; default the
+    rest.
 
-    Returns the keywords only the chosen backend takes, for
-    :func:`_run_cell`.
+    ``flags`` maps each choice of ``option`` to the flags only it reads,
+    with their defaults; a flag left unset parses as None.
     """
-    from repro.core.config import sanitizes
-
-    for backend, flags in _BACKEND_FLAGS.items():
-        for dest, default in flags.items():
+    for owner, defaults in flags.items():
+        for dest, default in defaults.items():
             if getattr(args, dest) is None:
                 setattr(args, dest, default)
-            elif backend != args.backend:
+            elif owner != chosen:
                 raise SystemExit(
-                    f"--{dest.replace('_', '-')} requires --backend {backend}"
+                    f"--{dest.replace('_', '-')} requires {option} {owner}"
                 )
+
+
+def _backend_flags(args) -> dict:
+    """The keywords only the chosen backend takes, for :func:`_run_cell`;
+    a flag it would ignore exits with one line."""
+    from repro.core.config import sanitizes
+
+    _only_for(args, _BACKEND_FLAGS, args.backend, "--backend")
     if args.backend == "sim":
         if sanitizes(args.sanitize, "arena"):
             raise SystemExit(f"--sanitize {args.sanitize} requires "
@@ -122,9 +135,7 @@ def _backend_flags(args) -> dict:
             "--backend parallel supports only the flat topology; use the "
             "sequential simulator (--backend sim) for ps/hier"
         )
-    return {"arena_bytes": int(args.arena_mb * 1024 * 1024),
-            "stall_timeout": args.stall_timeout,
-            "checkpoint_dir": args.checkpoint_dir}
+    return {"checkpoint_dir": args.checkpoint_dir}
 
 
 def _add_resilience_flags(parser) -> None:
@@ -179,14 +190,21 @@ def _cell(benchmark: str, compressor: str):
 
 
 def _writable(*paths) -> None:
-    """Fail on unwritable output paths now, not after training."""
+    """Fail on unwritable output paths now, not after training.
+
+    A file the check itself creates is removed again, so a command
+    refused after the check leaves nothing behind.
+    """
     for path in paths:
         if path:
+            existed = os.path.exists(path)
             try:
                 with open(path, "a", encoding="utf-8"):
                     pass
             except OSError as error:
                 raise SystemExit(f"cannot write {path!r}: {error}")
+            if not existed:
+                os.remove(path)
 
 
 def _run_cell(args, spec, tracer_type=None, **options):
@@ -220,7 +238,7 @@ def _run_cell(args, spec, tracer_type=None, **options):
     # no compress_/wire_ instruments for the wire stats or Prometheus.
     try:
         result = run_parallel(ParallelRunConfig(
-            spec.key, args.compressor, args.nproc,
+            spec.key, args.compressor, args.workers,
             trace=tracer_type is not None,
             profile=tracer_type is ProfilingTracer, **cell,
         ))
@@ -256,7 +274,7 @@ def _print_run(args, spec, report, parallel) -> None:
     print(f"benchmark        : {spec.key} ({spec.model_name})")
     print(f"compressor       : {args.compressor}")
     if parallel is not None:
-        print(f"backend          : parallel ({args.nproc} processes)")
+        print(f"backend          : parallel ({args.workers} processes)")
     if args.topology != "flat":
         label = args.topology
         if args.topology == "hier":
@@ -351,11 +369,11 @@ def cmd_chaos(args) -> int:
 
     _writable(args.out)
     try:
-        result = run_chaos(args.benchmark, args.compressor, args.nproc,
+        result = run_chaos(args.benchmark, args.compressor, args.workers,
                            args.trials, args.seed, args.recovery)
     except (KeyError, ValueError) as error:
         # Before the clean run: an unknown name, no trial, or a config
-        # the parallel backend rejects (nproc < 1); after it: a run too
+        # the parallel backend rejects (workers < 1); after it: a run too
         # short to place a kill in.
         raise SystemExit(error.args[0])
     print(result.text)
@@ -367,60 +385,6 @@ def cmd_chaos(args) -> int:
     return 1 if result.failures else 0
 
 
-#: Which harness argument each ``repro bench`` flag sets, per suite.
-_BENCH_FLAGS = {
-    "fusion": {"benchmark": "benchmark", "compressor": "compressor",
-               "workers": "n_workers", "iterations": "iterations",
-               "fusion_mb": "fusion_mb", "seed": "seed",
-               "param": "compressor_params"},
-    "overlap": {"benchmark": "benchmark", "compressors": "compressors",
-                "networks": "networks", "workers": "n_workers",
-                "fusion_mb": "fusion_mb"},
-    "faults": {"workers": "n_workers", "iterations": "iterations",
-               "seed": "seed"},
-    "throughput": {"benchmark": "benchmark", "compressors": "compressors",
-                   "workers": "n_workers", "gbps": "gbps", "seed": "seed",
-                   "hier_workers": "hier_workers",
-                   "hier_racks": "hier_racks",
-                   "hier_compressor": "hier_compressor"},
-    "parallel": {"benchmark": "benchmark", "nproc": "nproc",
-                 "fusion_mb": "fusion_mb", "seed": "seed"},
-}
-
-
-def _bench_harness(args):
-    """The harness ``args`` picks and the arguments the user gave it.
-
-    A flag left unset is not passed, so the harness's own signature is
-    the one set of defaults.
-    """
-    from repro.bench.faults_bench import run_faults_bench
-    from repro.bench.fusion_bench import run_fusion_bench
-    from repro.bench.overlap_bench import run_overlap_bench
-    from repro.bench.throughput import run_parallel_bench, run_throughput_bench
-
-    harnesses = {
-        "fusion": run_fusion_bench,
-        "overlap": run_overlap_bench,
-        "faults": run_faults_bench,
-        "throughput": run_throughput_bench,
-    }
-    suite = args.what
-    harness = harnesses[suite]
-    if suite == "throughput" and args.parallel:
-        suite, harness = "parallel", run_parallel_bench
-    given = dict(vars(args))
-    for flag in ("compressors", "networks"):
-        if given[flag]:
-            given[flag] = tuple(given[flag].split(","))
-    given["param"] = _parse_params(args.param) or None
-    kwargs = {
-        name: given[flag] for flag, name in _BENCH_FLAGS[suite].items()
-        if given[flag] is not None
-    }
-    return harness, kwargs
-
-
 def cmd_bench(args) -> int:
     """Run one perf harness (or compare two recorded runs).
 
@@ -428,24 +392,37 @@ def cmd_bench(args) -> int:
     one artifact (``benchmarks/results/BENCH_<suite>.json``), one
     history file and one regression gate (``--check``).
     """
+    _only_for(args, _SUITE_FLAGS, args.what, "bench")
     if args.what == "compare":
         return _bench_compare(args)
+    if args.refs:
+        raise SystemExit(f"bench {args.what} takes no refs (only compare "
+                         "does)")
     from repro.bench import history as perf_history
+    from repro.bench.faults_bench import run_faults_bench
+    from repro.bench.fusion_bench import run_fusion_bench
+    from repro.bench.overlap_bench import run_overlap_bench
     from repro.bench.result import write_result
+    from repro.bench.throughput import run_parallel_bench, run_throughput_bench
 
-    harness, kwargs = _bench_harness(args)
+    harness = {
+        "fusion": lambda: run_fusion_bench(args.compressor, args.workers,
+                                           args.iterations),
+        "overlap": run_overlap_bench,
+        "faults": run_faults_bench,
+        "throughput": (run_parallel_bench if args.parallel
+                       else run_throughput_bench),
+    }[args.what]
     try:
-        result = harness(**kwargs)
+        result = harness()
     except (KeyError, ValueError) as error:
-        # How the harnesses reject their input: an unknown benchmark,
-        # compressor or network profile, or an out-of-range count.
+        # How the fusion harness rejects its input: an unknown
+        # compressor or an out-of-range count.
         raise SystemExit(
             f"bench {args.what}: " + " ".join(map(str, error.args))
         )
     print(result.text)
-    out = args.out
-    if out is None:
-        out = f"benchmarks/results/BENCH_{result.suite}.json"
+    out = args.out or f"benchmarks/results/BENCH_{result.suite}.json"
     if out != "-":
         write_result(out, result)
         print(f"result json      : {out}")
@@ -480,8 +457,6 @@ def cmd_bench(args) -> int:
 
 def _bench_compare(args) -> int:
     """Diff two recorded runs (JSON paths or history commit refs)."""
-    import os
-
     from repro.bench import history as perf_history
     from repro.bench.result import read_result
 
@@ -718,8 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one benchmark cell")
     train.add_argument("--benchmark", required=True)
     train.add_argument("--compressor", default="none")
-    train.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="simulated ranks for --backend sim (default 4)")
+    train.add_argument("--workers", type=int, default=4, metavar="N",
+                       help="ranks: simulated (--backend sim) or worker "
+                            "processes (--backend parallel); default 4")
     train.add_argument("--epochs", type=int, default=None)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--param", action="append", default=[],
@@ -729,10 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduction substrate: flat collectives, a "
                             "central parameter server, or a two-tier "
                             "rack-then-root tree (default: flat)")
-    train.add_argument("--racks", type=int, default=2, metavar="K",
+    train.add_argument("--racks", type=int, default=None, metavar="K",
                        help="rack count for --topology hier (default: 2)")
     train.add_argument("--aggregation", choices=["auto", "off", "all"],
-                       default="auto",
+                       default=None,
                        help="compressed-domain aggregation policy on "
                             "ps/hier topologies: auto uses it for "
                             "exact-linear schemes, whose parameter-server "
@@ -771,21 +747,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default) or real OS processes exchanging "
                             "gradients through shared memory (bitwise the "
                             "same model; see docs/PERFORMANCE.md)")
-    train.add_argument("--nproc", type=int, default=None, metavar="N",
-                       help="worker processes for --backend parallel "
-                            "(replaces --workers there; default 4)")
-    train.add_argument("--arena-mb", type=float, default=None, metavar="MB",
-                       help="per-rank shared-memory data segment size for "
-                            "--backend parallel (default 32)")
     train.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="directory for per-rank worker checkpoints "
                             "under --backend parallel (default: a "
                             "temporary directory, removed after the run)")
-    train.add_argument("--stall-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="parallel watchdog: convict a rank whose "
-                            "heartbeat has been silent this long "
-                            "(default 30)")
 
     bench = sub.add_parser(
         "bench",
@@ -800,44 +765,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("refs", nargs="*",
                        help="for compare: two RunResult JSON paths or "
                             "history commit prefixes")
-    # Every run flag defaults to None: a flag left unset is not passed,
-    # so the harness's signature supplies the default.
-    bench.add_argument("--benchmark",
-                       help="training benchmark key (default: "
-                            "resnet20-cifar10, the fig6 CNN)")
+    # Every run flag defaults to None: only its suite may set it.
     bench.add_argument("--compressor",
                        help="compressor for the fusion benchmark "
                             "(default: topk)")
-    bench.add_argument("--compressors",
-                       help="comma-separated compressors for the overlap/"
-                            "throughput grids")
-    bench.add_argument("--networks",
-                       help="comma-separated network profiles for the "
-                            "overlap benchmark grid (e.g. 1gbps-tcp, "
-                            "25gbps-rdma; default: 1gbps-tcp,10gbps-tcp)")
     bench.add_argument("--workers", type=int, metavar="N",
-                       help="simulated ranks (default: 8)")
+                       help="simulated ranks for the fusion benchmark "
+                            "(default: 8)")
     bench.add_argument("--iterations", type=int, metavar="N",
-                       help="training iterations for fusion and faults "
-                            "(default: 30; faults needs at least 21)")
-    bench.add_argument("--fusion-mb", type=float, metavar="MB",
-                       help="fusion buffer budget in MiB (default: 64 for "
-                            "the fusion benchmark, 0.125 for overlap)")
-    bench.add_argument("--gbps", type=float,
-                       help="link bandwidth for the throughput suite "
-                            "(default: 10)")
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--hier-workers", type=int, metavar="N",
-                       help="worker count for the throughput suite's "
-                            "hierarchical section (default: 16)")
-    bench.add_argument("--hier-racks", type=int, metavar="K",
-                       help="rack count for the throughput suite's "
-                            "hierarchical section (default: 4)")
-    bench.add_argument("--hier-compressor", metavar="NAME",
-                       help="compressor for the hierarchical section "
-                            "(default: topk)")
-    bench.add_argument("--param", action="append", default=[],
-                       metavar="KEY=VALUE")
+                       help="training iterations for the fusion "
+                            "benchmark (default: 30)")
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="result JSON path (default: benchmarks/"
                             "results/BENCH_<suite>.json; '-' skips the "
@@ -856,12 +793,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "criteria hold AND no gated metric regresses "
                             "past its tolerance band vs the rolling "
                             "history baseline")
-    bench.add_argument("--parallel", action="store_true",
+    bench.add_argument("--parallel", action="store_true", default=None,
                        help="throughput suite: measure real multiprocess "
                             "wall clock (fused vs per-tensor) instead of "
                             "the closed-form model")
-    bench.add_argument("--nproc", type=int, metavar="N",
-                       help="worker processes for --parallel (default 4)")
 
     report = sub.add_parser(
         "report", help="summarize a JSONL trace from train --trace"
@@ -889,7 +824,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--benchmark", default=None,
                          help="benchmark key to train under the profiler")
     profile.add_argument("--compressor", default="topk")
-    profile.add_argument("--workers", type=int, default=4)
+    profile.add_argument("--workers", type=int, default=4, metavar="N",
+                         help="ranks: simulated (--backend sim) or worker "
+                              "processes (--backend parallel); default 4")
     profile.add_argument("--epochs", type=int, default=1)
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--fusion-mb", type=float, default=0.0,
@@ -903,8 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="profile the sequential simulator (default) "
                               "or the real-parallel backend (merged "
                               "per-rank shards, rank-attributed memory)")
-    profile.add_argument("--nproc", type=int, default=4, metavar="N",
-                         help="worker processes for --backend parallel")
     profile.add_argument("--folded", default=None, metavar="PATH",
                          help="write flamegraph-compatible folded stacks "
                               "(feed to flamegraph.pl or speedscope)")
@@ -924,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="training benchmark key (default: the "
                             "cheapest spawn-friendly cell)")
     chaos.add_argument("--compressor", default="topk")
-    chaos.add_argument("--nproc", type=int, default=2, metavar="N",
+    chaos.add_argument("--workers", type=int, default=2, metavar="N",
                        help="worker processes per trial (default 2)")
     chaos.add_argument("--trials", type=int, default=3, metavar="N",
                        help="seeded kills to run (default 3)")

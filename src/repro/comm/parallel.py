@@ -683,7 +683,6 @@ class ParallelResult:
 
     report: object  # leader's TrainingReport (sim numbers match sequential)
     digests: dict[int, str]  # per-rank final-model SHA-256 (all equal)
-    params: dict[str, np.ndarray]  # leader's final model state
     wall_seconds: float  # parent-measured end-to-end wall clock
     events: list[dict] = field(default_factory=list)  # merged trace shards
     memory_high_water: dict[str, int] = field(default_factory=dict)
@@ -790,8 +789,6 @@ def _worker_main(
                 if var in os.environ
             },
         }
-        if rank == min(worker.active_ranks):
-            result["params"] = params
         if tracer is not None:
             result["metrics"] = snapshot_registry(trainer.metrics)
             result["events"] = [span.to_event() for span in tracer.spans]
@@ -1285,7 +1282,6 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
     return ParallelResult(
         report=report,
         digests=digests,
-        params=results[leader]["params"],
         wall_seconds=wall_seconds,
         events=_merge_events(per_rank_events),
         memory_high_water=memory_high_water,

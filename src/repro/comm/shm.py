@@ -691,7 +691,7 @@ class SharedArena:
         if nbytes > capacity:
             raise ArenaOverflowError(
                 f"payload of {nbytes} bytes exceeds the {capacity}-byte "
-                f"data segment; raise --arena-mb"
+                f"data segment; raise ParallelRunConfig.arena_bytes"
             )
         if nbytes == 0:
             self._outstanding.append((seq, 0, 0))

@@ -30,10 +30,9 @@ CONTRACT_PATH = os.path.join(
 #: The ``repro bench`` arguments of each frozen invocation.
 INVOCATIONS = {
     "fusion": ["fusion", "--compressor", "topk", "--workers", "4",
-               "--iterations", "5", "--fusion-mb", "64"],
+               "--iterations", "5"],
     "overlap": ["overlap"],
-    "throughput": ["throughput", "--hier-workers", "16", "--hier-racks",
-                   "4", "--hier-compressor", "topk"],
+    "throughput": ["throughput"],
     "faults": ["faults"],
 }
 

@@ -210,8 +210,7 @@ class TestCompare:
 class TestBenchCheckCli:
     """The gate end-to-end through `repro bench --check`."""
 
-    BENCH = ["bench", "throughput", "--benchmark", "ncf-movielens",
-             "--compressors", "none,topk", "--workers", "4"]
+    BENCH = ["bench", "throughput"]
 
     def test_record_then_check_passes(self, tmp_path, capsys):
         history = str(tmp_path / "PERF_HISTORY.jsonl")

@@ -28,10 +28,7 @@ class TestMetric:
 class TestRunResultSchema:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_overlap_bench(
-            benchmark="ncf-movielens", compressors=("topk",),
-            networks=("10gbps-tcp",), n_workers=4,
-        )
+        return run_overlap_bench()
 
     def test_metadata_stamp(self, result):
         assert result.meta["metadata_version"] == 1

@@ -158,10 +158,8 @@ class TestRelativeVolume:
 
 class TestThroughputBench:
     def test_deterministic_metrics(self):
-        kwargs = dict(benchmark="ncf-movielens", compressors=("none", "topk"),
-                      n_workers=4, gbps=10.0, seed=0)
-        a = run_throughput_bench(**kwargs)
-        b = run_throughput_bench(**kwargs)
+        a = run_throughput_bench()
+        b = run_throughput_bench()
         # closed-form model: identical runs produce identical values
         for name in a.metrics:
             assert a.value(name) == b.value(name)
@@ -189,7 +187,7 @@ class TestParallelBench:
 
     def test_equal_digests_pass(self, monkeypatch):
         self._stub(monkeypatch, ["750dd1dd" * 8] * 2)
-        result = run_parallel_bench(nproc=2)
+        result = run_parallel_bench()
         assert result.suite == "throughput"
         assert result.failures == []
         assert result.value("parallel/fusion_wall_speedup") == 2.0
@@ -197,7 +195,7 @@ class TestParallelBench:
 
     def test_digest_mismatch_is_a_failure(self, monkeypatch):
         self._stub(monkeypatch, ["aaaa" * 16, "bbbb" * 16])
-        result = run_parallel_bench(nproc=2)
+        result = run_parallel_bench()
         assert len(result.failures) == 1
         assert "different models" in result.failures[0]
         assert "bitwise" in result.failures[0]
@@ -207,7 +205,7 @@ class TestParallelBench:
         from repro.cli import main
 
         self._stub(monkeypatch, ["aaaa" * 16, "bbbb" * 16])
-        code = main(["bench", "throughput", "--parallel", "--nproc", "2",
+        code = main(["bench", "throughput", "--parallel",
                      "--out", "-", "--history",
                      str(tmp_path / "h.jsonl"), "--check"])
         assert code == 1

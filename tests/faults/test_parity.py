@@ -85,7 +85,7 @@ class TestSeedBenchParity:
     def test_fusion_bench_numbers_unchanged(self):
         from repro.bench.fusion_bench import run_fusion_bench
 
-        result = run_fusion_bench(iterations=3)
+        result = run_fusion_bench("topk", 8, 3)
         assert result.value("collective_ops_fused") == 3
         assert result.value("collective_ops_unfused") == 87
         assert result.value("sim_comm_seconds_fused") == \
@@ -100,7 +100,7 @@ class TestSeedBenchParity:
     def test_overlap_bench_invariants_hold(self):
         from repro.bench.overlap_bench import run_overlap_bench
 
-        result = run_overlap_bench(networks=("1gbps-tcp",))
+        result = run_overlap_bench()
         for compressor in ("none", "topk"):
             prefix = f"{compressor}/1gbps-tcp"
 

@@ -16,7 +16,7 @@ TRAIN_ARGS = ["train", "--benchmark", "ncf-movielens",
               "--compressor", "topk", "--workers", "2", "--epochs", "1"]
 PARALLEL_ARGS = ["train", "--benchmark", "ncf-movielens",
                  "--compressor", "topk", "--backend", "parallel",
-                 "--nproc", "2", "--epochs", "1"]
+                 "--workers", "2", "--epochs", "1"]
 
 
 def _stdout(argv) -> str:
@@ -299,7 +299,7 @@ class TestOneRunPathForBothBackends:
     def test_parallel_profile_has_the_kernel_table(self):
         out = _stdout(["profile", "--benchmark", "ncf-movielens",
                        "--compressor", "topk", "--backend", "parallel",
-                       "--nproc", "2", "--epochs", "1"])
+                       "--workers", "2", "--epochs", "1"])
         assert "Compressor kernel latency" in out
         assert "rank1/tracemalloc_peak_bytes" in out
         assert re.search(r"^iterations\s+18\s*$", out, re.MULTILINE)

@@ -48,9 +48,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [
         ["train", "--workers", "2"],
-        ["train", "--backend", "parallel", "--nproc", "2"],
+        ["train", "--backend", "parallel", "--workers", "2"],
         ["profile", "--workers", "2"],
-        ["profile", "--backend", "parallel", "--nproc", "2"],
+        ["profile", "--backend", "parallel", "--workers", "2"],
         ["chaos", "--trials", "1"],
     ])
     def test_unknown_compressor_is_one_line(self, argv, monkeypatch):
@@ -128,42 +128,30 @@ class TestParallelBackendFlags:
         with pytest.raises(SystemExit, match="targets rank 9"):
             main(["train", "--benchmark", "ncf-movielens",
                   "--compressor", "topk", "--backend", "parallel",
-                  "--nproc", "2", "--faults", "crash@3:rank=9",
+                  "--workers", "2", "--faults", "crash@3:rank=9",
                   "--recovery", "restart"])
 
-    def test_sim_backend_rejects_checkpoint_dir(self, tmp_path):
-        with pytest.raises(SystemExit, match="--backend parallel"):
-            main(["train", "--benchmark", "ncf-movielens",
-                  "--compressor", "topk",
-                  "--checkpoint-dir", str(tmp_path)])
-
     def test_parallel_flags_parse(self, capsys):
-        # --nproc/--arena-mb/--backend must parse; an unknown benchmark
-        # exits before any worker processes spawn.
+        # --workers/--backend must parse; an unknown benchmark exits
+        # before any worker processes spawn.
         with pytest.raises(SystemExit, match="unknown benchmark"):
             main(["train", "--benchmark", "alexnet",
                   "--compressor", "topk", "--backend", "parallel",
-                  "--nproc", "2", "--arena-mb", "8"])
+                  "--workers", "2"])
 
-    @pytest.mark.parametrize("flags", [
-        ["--nproc", "2"],
-        ["--arena-mb", "8"],
-        ["--stall-timeout", "5"],
-        ["--sanitize", "arena"],
-        ["--sanitize", "all"],
-    ])
-    def test_sim_backend_rejects_parallel_only_flags(self, flags):
-        # These used to be accepted and ignored: the run trained without
-        # them and exited 0.
+    @pytest.mark.parametrize("level", ["arena", "all"])
+    def test_sim_backend_rejects_arena_sanitizer(self, level):
+        # It used to be accepted and ignored: the run trained without it
+        # and exited 0.
         with pytest.raises(SystemExit,
-                           match=f"{flags[0]}.*requires --backend parallel"):
+                           match="--sanitize.*requires --backend parallel"):
             main(["train", "--benchmark", "ncf-movielens",
                   "--compressor", "topk", "--workers", "2",
-                  "--epochs", "1", *flags])
+                  "--epochs", "1", "--sanitize", level])
 
     @pytest.mark.parametrize("backend", [
         ["--workers", "2"],
-        ["--backend", "parallel", "--nproc", "2"],
+        ["--backend", "parallel", "--workers", "2"],
     ])
     def test_unwritable_trace_exits_before_training(self, backend, tmp_path):
         # The parallel backend used to train the whole run first, then
@@ -174,11 +162,14 @@ class TestParallelBackendFlags:
                   "--compressor", "topk", "--epochs", "1", *backend,
                   "--trace", str(trace)])
 
-    def test_parallel_backend_rejects_workers(self):
-        with pytest.raises(SystemExit, match="--workers requires --backend sim"):
+    def test_refused_run_leaves_no_trace(self, tmp_path):
+        # The early writability check used to create the file it checked.
+        trace = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit, match="drop"):
             main(["train", "--benchmark", "ncf-movielens",
-                  "--compressor", "topk", "--backend", "parallel",
-                  "--workers", "2"])
+                  "--backend", "parallel", "--workers", "2",
+                  "--faults", "drop@1:p=0.5", "--trace", str(trace)])
+        assert not trace.exists()
 
     def test_sanitize_takes_a_level(self):
         from repro.cli import build_parser
@@ -193,25 +184,73 @@ class TestParallelBackendFlags:
         with pytest.raises(SystemExit):
             parser.parse_args(base + ["--sanitize-every", "5"])
 
-    def test_bench_parallel_flag_parses(self):
-        with pytest.raises(SystemExit, match="unknown benchmark 'alexnet'"):
-            main(["bench", "throughput", "--benchmark", "alexnet",
-                  "--parallel", "--nproc", "2"])
+    def test_profile_runs_the_given_rank_count(self, monkeypatch):
+        # --workers counts the ranks on both backends; the parallel
+        # profiler used to ignore it and run four.
+        import repro.comm.parallel
+
+        configs = []
+
+        def capture(config):
+            configs.append(config)
+            raise SystemExit("captured")
+
+        monkeypatch.setattr(repro.comm.parallel, "run_parallel", capture)
+        with pytest.raises(SystemExit, match="captured"):
+            main(["profile", "--benchmark", "ncf-movielens",
+                  "--backend", "parallel", "--workers", "2"])
+        (config,) = configs
+        assert config.nproc == 2 and config.profile
+
+
+class TestUnreadFlags:
+    """A flag the chosen backend or suite does not read exits with one
+    line naming it; each used to be accepted and ignored."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--backend", "parallel", "--racks", "7"], "--racks"),
+        (["train", "--backend", "parallel", "--aggregation", "all"],
+         "--aggregation"),
+        (["train", "--checkpoint-dir", "ckpt"], "--checkpoint-dir"),
+        (["bench", "overlap", "--compressor", "nope"], "--compressor"),
+        (["bench", "overlap", "--iterations", "3"], "--iterations"),
+        (["bench", "faults", "--workers", "4"], "--workers"),
+        (["bench", "faults", "--iterations", "5"], "--iterations"),
+        (["bench", "fusion", "--parallel"], "--parallel"),
+        (["bench", "compare", "a.json", "b.json", "--workers", "2"],
+         "--workers"),
+    ])
+    def test_one_line_exit(self, argv, flag, tmp_path, monkeypatch):
+        import repro.bench.runner
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with an unread flag")
+
+        monkeypatch.setattr(repro.bench.runner, "train_quality", no_training)
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "train":
+            argv = [*argv, "--benchmark", "ncf-movielens"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        message = str(exit_info.value.code)
+        assert message.startswith(f"{flag} requires ")
+        assert "\n" not in message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_suite_takes_no_refs(self):
+        with pytest.raises(SystemExit, match="takes no refs"):
+            main(["bench", "faults", "stray.json"])
 
 
 class TestBenchInputErrors:
     """Bad `repro bench` input ends in one line, like `repro train`'s."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["fusion", "--benchmark", "alexnet"],
-         "bench fusion: unknown benchmark 'alexnet'"),
         (["fusion", "--compressor", "nope", "--workers", "2",
           "--iterations", "1"],
          "bench fusion: unknown compressor 'nope'"),
-        (["overlap", "--networks", "3gbps-foo"],
-         "bench overlap: unknown network profile '3gbps-foo'"),
-        (["faults", "--iterations", "5"],
-         "bench faults: iterations must be > 20"),
+        (["fusion", "--iterations", "0"],
+         "bench fusion: iterations must be >= 1"),
     ])
     def test_one_line_exit(self, argv, message, tmp_path):
         out = str(tmp_path / "never.json")
@@ -247,3 +286,10 @@ class TestChaosInputErrors:
     def test_unknown_benchmark(self):
         with pytest.raises(SystemExit, match="unknown benchmark 'nope'"):
             main(["chaos", "--benchmark", "nope", "--trials", "1"])
+
+    def test_refused_run_leaves_no_record(self, tmp_path):
+        # The early writability check used to create the file it checked.
+        out = tmp_path / "BENCH_chaos.json"
+        with pytest.raises(SystemExit, match=">= 1 trial, got 0"):
+            main(["chaos", "--trials", "0", "--out", str(out)])
+        assert not out.exists()
