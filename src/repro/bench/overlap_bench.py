@@ -100,7 +100,7 @@ class OverlapBenchCell:
 
 def _best_speedup(cells: list[OverlapBenchCell]) -> float:
     """The largest sequential/overlapped ratio across the grid."""
-    return max(cell.speedup for cell in cells)
+    return max((cell.speedup for cell in cells), default=0.0)
 
 
 def overlap_failures(cells: list[OverlapBenchCell]) -> list[str]:
@@ -112,6 +112,8 @@ def overlap_failures(cells: list[OverlapBenchCell]) -> list[str]:
     schedule exists for.
     """
     failures = []
+    if not cells:
+        failures.append("no cells were benchmarked")
     for cell in cells:
         if not cell.overlap_fraction > 0:
             failures.append(
@@ -119,7 +121,7 @@ def overlap_failures(cells: list[OverlapBenchCell]) -> list[str]:
                 f"{cell.overlap_fraction:.3f} (expected > 0)"
             )
     best = _best_speedup(cells)
-    if not best >= TARGET_SPEEDUP:
+    if cells and not best >= TARGET_SPEEDUP:
         failures.append(
             f"best speedup {best:.2f}x is below the "
             f"{TARGET_SPEEDUP}x target"

@@ -88,16 +88,24 @@ def cmd_compress(args) -> int:
     return 0
 
 
-#: ``train`` flags only one backend reads, with their defaults.
-_BACKEND_FLAGS = {
-    "sim": {"racks": 2, "aggregation": "auto"},
-    "parallel": {"checkpoint_dir": None},
+#: ``train`` flags only some backends or topologies read: each maps to
+#: the choices that read it and its default.
+_BACKEND_FLAGS = {"checkpoint_dir": (("parallel",), None)}
+_TOPOLOGY_FLAGS = {
+    "racks": (("hier",), 2),
+    "aggregation": (("ps", "hier"), "auto"),
 }
 
-#: ``bench`` flags only one suite reads, with their defaults.
+#: ``bench`` flags only some suites read, in the same form.
+_RUN_SUITES = ("fusion", "overlap", "faults", "throughput")
 _SUITE_FLAGS = {
-    "fusion": {"compressor": "topk", "workers": 8, "iterations": 30},
-    "throughput": {"parallel": False},
+    "compressor": (("fusion",), "topk"),
+    "workers": (("fusion",), 8),
+    "iterations": (("fusion",), 30),
+    "parallel": (("throughput",), False),
+    "out": (_RUN_SUITES, None),
+    "record": (_RUN_SUITES, False),
+    "check": (_RUN_SUITES, False),
 }
 
 
@@ -105,17 +113,15 @@ def _only_for(args, flags: dict, chosen: str, option: str) -> None:
     """Exit with one line on a flag ``chosen`` would ignore; default the
     rest.
 
-    ``flags`` maps each choice of ``option`` to the flags only it reads,
-    with their defaults; a flag left unset parses as None.
+    ``flags`` maps each flag to the choices of ``option`` that read it
+    and its default; a flag left unset parses as None.
     """
-    for owner, defaults in flags.items():
-        for dest, default in defaults.items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-            elif owner != chosen:
-                raise SystemExit(
-                    f"--{dest.replace('_', '-')} requires {option} {owner}"
-                )
+    for dest, (owners, default) in flags.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif chosen not in owners:
+            raise SystemExit(f"--{dest.replace('_', '-')} requires "
+                             f"{option} {' or '.join(owners)}")
 
 
 def _backend_flags(args) -> dict:
@@ -123,6 +129,7 @@ def _backend_flags(args) -> dict:
     a flag it would ignore exits with one line."""
     from repro.core.config import sanitizes
 
+    _only_for(args, _TOPOLOGY_FLAGS, args.topology, "--topology")
     _only_for(args, _BACKEND_FLAGS, args.backend, "--backend")
     if args.backend == "sim":
         if sanitizes(args.sanitize, "arena"):
@@ -765,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("refs", nargs="*",
                        help="for compare: two RunResult JSON paths or "
                             "history commit prefixes")
-    # Every run flag defaults to None: only its suite may set it.
+    # Every flag but --history defaults to None: only a suite that reads
+    # it may set it.
     bench.add_argument("--compressor",
                        help="compressor for the fusion benchmark "
                             "(default: topk)")
@@ -775,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--iterations", type=int, metavar="N",
                        help="training iterations for the fusion "
                             "benchmark (default: 30)")
-    bench.add_argument("--out", default=None, metavar="PATH",
+    bench.add_argument("--out", metavar="PATH",
                        help="result JSON path (default: benchmarks/"
                             "results/BENCH_<suite>.json; '-' skips the "
                             "write)")
@@ -784,11 +792,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH",
                        help="append-only perf-history JSONL the "
                             "regression gate and compare read")
-    bench.add_argument("--record", action="store_true",
+    bench.add_argument("--record", action="store_true", default=None,
                        help="append this run to the perf history (skipped "
                             "when --check fails, so a regression cannot "
                             "poison its own baseline)")
-    bench.add_argument("--check", action="store_true",
+    bench.add_argument("--check", action="store_true", default=None,
                        help="exit nonzero unless the suite's acceptance "
                             "criteria hold AND no gated metric regresses "
                             "past its tolerance band vs the rolling "

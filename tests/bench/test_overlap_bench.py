@@ -120,6 +120,7 @@ class TestAcceptance:
         failures = overlap_failures(bad)
         assert any("overlap_fraction" in f for f in failures)
         assert any("below" in f for f in failures)
+        assert overlap_failures([]) == ["no cells were benchmarked"]
 
 
 class TestSerialization:

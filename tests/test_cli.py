@@ -204,13 +204,16 @@ class TestParallelBackendFlags:
 
 
 class TestUnreadFlags:
-    """A flag the chosen backend or suite does not read exits with one
-    line naming it; each used to be accepted and ignored."""
+    """A flag the chosen backend, topology or suite does not read exits
+    with one line naming it; each used to be accepted and ignored."""
 
     @pytest.mark.parametrize("argv, flag", [
         (["train", "--backend", "parallel", "--racks", "7"], "--racks"),
         (["train", "--backend", "parallel", "--aggregation", "all"],
          "--aggregation"),
+        (["train", "--racks", "7"], "--racks"),
+        (["train", "--topology", "ps", "--racks", "3"], "--racks"),
+        (["train", "--aggregation", "all"], "--aggregation"),
         (["train", "--checkpoint-dir", "ckpt"], "--checkpoint-dir"),
         (["bench", "overlap", "--compressor", "nope"], "--compressor"),
         (["bench", "overlap", "--iterations", "3"], "--iterations"),
@@ -219,6 +222,10 @@ class TestUnreadFlags:
         (["bench", "fusion", "--parallel"], "--parallel"),
         (["bench", "compare", "a.json", "b.json", "--workers", "2"],
          "--workers"),
+        (["bench", "compare", "a.json", "b.json", "--out", "c.json"],
+         "--out"),
+        (["bench", "compare", "a.json", "b.json", "--check"], "--check"),
+        (["bench", "compare", "a.json", "b.json", "--record"], "--record"),
     ])
     def test_one_line_exit(self, argv, flag, tmp_path, monkeypatch):
         import repro.bench.runner
