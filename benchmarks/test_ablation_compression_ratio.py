@@ -8,9 +8,10 @@ on the NCF benchmark and records the quality/volume frontier.
 """
 
 from repro.bench.report import format_table
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
 from repro.bench.throughput import relative_volume
+from repro.core.config import Cell
 from benchmarks.conftest import full_grid
 
 TOPK_RATIOS = (0.001, 0.01, 0.1)
@@ -25,10 +26,9 @@ def test_ablation_compression_ratio(benchmark, record):
     def sweep():
         collected = []
         for ratio in TOPK_RATIOS:
-            report = train_quality(
-                spec, "topk", n_workers=2, epochs=epochs,
-                compressor_params={"ratio": ratio},
-            )
+            report = run_cell(Cell(
+                spec.key, "topk", {"ratio": ratio}, workers=2, epochs=epochs,
+            )).report
             collected.append({
                 "config": f"topk({ratio})",
                 "quality": report.best_quality,
@@ -37,10 +37,10 @@ def test_ablation_compression_ratio(benchmark, record):
                 ),
             })
         for levels in QSGD_LEVELS:
-            report = train_quality(
-                spec, "qsgd", n_workers=2, epochs=epochs,
-                compressor_params={"levels": levels},
-            )
+            report = run_cell(Cell(
+                spec.key, "qsgd", {"levels": levels}, workers=2,
+                epochs=epochs,
+            )).report
             collected.append({
                 "config": f"qsgd({levels})",
                 "quality": report.best_quality,

@@ -7,8 +7,8 @@ kernel is one baseline training epoch of the cheapest benchmark.
 """
 
 from repro.bench.experiments import table2
-from repro.bench.runner import train_quality
-from repro.bench.suite import get_benchmark
+from repro.bench.runner import run_cell
+from repro.core.config import Cell
 from benchmarks.conftest import full_grid
 
 
@@ -26,9 +26,7 @@ def test_table2_benchmarks(benchmark, record):
     record("table2_benchmarks", table2.format(list(merged.values())))
 
     def kernel():
-        return train_quality(
-            get_benchmark("ncf-movielens"), "none", n_workers=2, epochs=1
-        )
+        return run_cell(Cell("ncf-movielens", workers=2, epochs=1)).report
 
     report = benchmark.pedantic(kernel, rounds=2, iterations=1)
     assert report.iterations > 0

@@ -8,9 +8,10 @@ three axes the paper's evaluation revolves around.
 Run:  python examples/image_classification.py
 """
 
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
 from repro.bench.throughput import relative_throughput, relative_volume
+from repro.core.config import Cell
 
 COMPRESSORS = ["none", "topk", "randomk", "qsgd", "efsignsgd", "powersgd"]
 
@@ -25,7 +26,7 @@ def main():
     print(header)
     print("-" * len(header))
     for name in COMPRESSORS:
-        report = train_quality(spec, name, n_workers=4, seed=0)
+        report = run_cell(Cell(spec.key, name, workers=4)).report
         print(
             f"{name:<12} {report.best_quality:>9.3f} "
             f"{relative_volume(spec, name):>10.4f} "

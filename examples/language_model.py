@@ -8,9 +8,10 @@ speedups, and quality tracks transmitted volume.
 Run:  python examples/language_model.py
 """
 
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
 from repro.bench.throughput import relative_throughput, relative_volume
+from repro.core.config import Cell
 
 
 def main():
@@ -22,7 +23,7 @@ def main():
     print(header)
     print("-" * len(header))
     for name in ["none", "signsgd", "qsgd", "natural", "topk", "dgc"]:
-        report = train_quality(spec, name, n_workers=4, seed=0)
+        report = run_cell(Cell(spec.key, name, workers=4)).report
         print(
             f"{name:<12} {spec.display_quality(report.best_quality):>10.2f} "
             f"{relative_volume(spec, name):>10.4f} "

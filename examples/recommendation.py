@@ -11,9 +11,10 @@ Two findings are reproduced at lite scale:
 Run:  python examples/recommendation.py
 """
 
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
 from repro.bench.throughput import relative_throughput
+from repro.core.config import Cell
 
 
 def main():
@@ -22,7 +23,7 @@ def main():
 
     print("Compressor sweep (hit-rate@10 vs relative throughput):")
     for name in ["none", "topk", "qsgd", "efsignsgd", "adaptive", "dgc"]:
-        report = train_quality(spec, name, n_workers=4, seed=0)
+        report = run_cell(Cell(spec.key, name, workers=4)).report
         print(
             f"  {name:<10} hit-rate={report.best_quality:.3f} "
             f"rel-throughput={relative_throughput(spec, name):.2f}"
@@ -31,9 +32,7 @@ def main():
     print("\nTop-k with and without error feedback (the Fig. 7c split):")
     for label, memory in (("topk, EF off", "none"), ("topk, EF on ",
                                                      "residual")):
-        report = train_quality(
-            spec, "topk", n_workers=4, seed=0, memory=memory
-        )
+        report = run_cell(Cell(spec.key, "topk", memory=memory)).report
         print(f"  {label}: hit-rate={report.best_quality:.3f}")
 
 

@@ -11,8 +11,9 @@ reports the quality deltas.
 from __future__ import annotations
 
 from repro.bench.report import format_table
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
+from repro.core.config import Cell
 
 #: Cells the paper's §V-B discussion covers: (benchmark, compressor).
 DEFAULT_CELLS: list[tuple[str, str]] = [
@@ -38,13 +39,12 @@ def run(
     rows = []
     for benchmark_key, compressor in cells:
         spec = get_benchmark(benchmark_key)
-        off = train_quality(
-            spec, compressor, n_workers=n_workers, seed=seed, epochs=epochs,
-            memory="none",
-        )
-        on = train_quality(
-            spec, compressor, n_workers=n_workers, seed=seed, epochs=epochs,
-            memory="residual",
+        off, on = (
+            run_cell(Cell(
+                benchmark_key, compressor, memory=memory, workers=n_workers,
+                seed=seed, epochs=epochs,
+            )).report
+            for memory in ("none", "residual")
         )
         rows.append(
             {

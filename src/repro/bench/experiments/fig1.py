@@ -13,10 +13,11 @@ kernel overhead), which is what flips the ordering in panel (b).
 from __future__ import annotations
 
 from repro.bench.report import format_table
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
 from repro.bench.throughput import simulate_iteration
 from repro.comm.network import ethernet
+from repro.core.config import Cell
 
 #: The three methods of Fig. 1, with their paper configurations.
 METHODS: dict[str, dict] = {
@@ -37,10 +38,10 @@ def run(
     network = ethernet(bandwidth_gbps)
     rows = []
     for name, params in METHODS.items():
-        report = train_quality(
-            spec, name, n_workers=n_workers, seed=seed, epochs=epochs,
-            compressor_params=params or None,
-        )
+        report = run_cell(Cell(
+            spec.key, name, params, workers=n_workers, seed=seed,
+            epochs=epochs,
+        )).report
         cost = simulate_iteration(
             spec, name, n_workers=8, network=network,
             compressor_params=params or None,

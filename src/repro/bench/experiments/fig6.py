@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from repro.bench.experiments._common import QUICK_COMPRESSORS
 from repro.bench.report import format_table
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
 from repro.bench.throughput import relative_throughput
 from repro.comm.network import NetworkModel, ethernet
+from repro.core.config import Cell
 
 #: The six panels of Fig. 6.
 PANELS: dict[str, str] = {
@@ -42,9 +43,9 @@ def run_panel(
     compressors = compressors if compressors is not None else QUICK_COMPRESSORS
     rows = []
     for name in compressors:
-        report = train_quality(
-            spec, name, n_workers=n_workers, seed=seed, epochs=epochs
-        )
+        report = run_cell(Cell(
+            spec.key, name, workers=n_workers, seed=seed, epochs=epochs
+        )).report
         rows.append(
             {
                 "benchmark": benchmark_key,

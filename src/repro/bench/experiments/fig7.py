@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from repro.bench.experiments._common import QUICK_COMPRESSORS
 from repro.bench.report import format_table
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
 from repro.bench.throughput import relative_volume
+from repro.core.config import Cell
 
 #: The three panels of Fig. 7.
 PANELS: dict[str, str] = {
@@ -38,9 +39,9 @@ def run_panel(
         include_topk_ef_split = benchmark_key == "ncf-movielens"
     rows = []
     for name in compressors:
-        report = train_quality(
-            spec, name, n_workers=n_workers, seed=seed, epochs=epochs
-        )
+        report = run_cell(Cell(
+            spec.key, name, workers=n_workers, seed=seed, epochs=epochs
+        )).report
         rows.append(
             {
                 "benchmark": benchmark_key,
@@ -53,10 +54,10 @@ def run_panel(
     if include_topk_ef_split:
         # The paper's TopK vs TopK-EF callout: same volume, different quality.
         for label, memory in (("topk-no-ef", "none"), ("topk-ef", "residual")):
-            report = train_quality(
-                spec, "topk", n_workers=n_workers, seed=seed, epochs=epochs,
-                memory=memory,
-            )
+            report = run_cell(Cell(
+                spec.key, "topk", memory=memory, workers=n_workers,
+                seed=seed, epochs=epochs,
+            )).report
             rows.append(
                 {
                     "benchmark": benchmark_key,

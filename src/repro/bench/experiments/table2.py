@@ -9,8 +9,9 @@ vector count and the measured baseline quality from a lite training run.
 from __future__ import annotations
 
 from repro.bench.report import format_table
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import BENCHMARKS, BenchmarkSpec
+from repro.core.config import Cell
 
 
 def run(
@@ -29,7 +30,7 @@ def run(
         lite_vectors = run_bundle.model.num_gradient_vectors()
         measured = None
         if train_baselines:
-            report = train_quality(spec, "none", n_workers=n_workers, seed=seed)
+            report = run_cell(Cell(key, workers=n_workers, seed=seed)).report
             measured = spec.display_quality(report.best_quality)
         rows.append(
             {

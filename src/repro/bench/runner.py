@@ -1,38 +1,33 @@
-"""Training runner shared by the quality experiments.
+"""Training runner shared by the CLI, the experiments and the harnesses.
 
-``train_quality`` runs one (benchmark, compressor) cell of the paper's
-evaluation grid at lite scale: build the benchmark, train for its lite
-epoch budget with the GRACE trainer, and return the training report,
+:func:`run_cell` trains one :class:`~repro.core.config.Cell` of the
+paper's evaluation grid on its backend and returns the run's report,
 whose ``best_quality`` is the best witnessed model quality (the paper's
-§V-A protocol).
+§V-A protocol).  :func:`build_trainer` is the one way a cell becomes a
+trainer, in this process or in each spawned rank.
 """
 
 from __future__ import annotations
 
-from repro.bench.suite import BenchmarkSpec
-from repro.core.config import Resilience, WorkerMode, sanitizes
+import time
+
+from repro.bench.suite import BenchmarkSpec, get_benchmark
+from repro.core.config import Cell, WorkerMode, sanitizes
 from repro.core.registry import create
-from repro.core.trainer import DistributedTrainer, TrainingReport
+from repro.core.trainer import DistributedTrainer
 
 
 def build_trainer(
-    spec: BenchmarkSpec,
-    compressor_name: str,
-    n_workers: int = 4,
-    seed: int = 0,
-    memory: str | None = None,
-    memory_params: dict | None = None,
-    compressor_params: dict | None = None,
+    cell: Cell | BenchmarkSpec,
+    compressor: str | None = None,
+    *,
     tracer=None,
-    fusion_mb: float = 0.0,
-    overlap: bool = False,
-    resilience: Resilience = Resilience(),
-    sanitize: str = "off",
     communicator=None,
     worker: WorkerMode | None = None,
-    topology: str = "flat",
-    racks: int = 2,
-    aggregation: str = "auto",
+    n_workers: int = 4,
+    seed: int = 0,
+    overlap: bool = False,
+    fusion_mb: float = 0.0,
 ):
     """Build one cell's ``(trainer, run)`` pair.
 
@@ -44,74 +39,101 @@ def build_trainer(
     bit-identically to the sequential simulator's — which is what makes
     the sequential-vs-parallel agreement check meaningful.
 
-    ``topology`` selects the simulated reduction substrate: ``flat``
-    (the default ring/allgather communicator), ``ps`` (a central
-    parameter server) or ``hier`` (a two-tier rack-then-root tree with
-    ``racks`` groups).  ``ps`` and ``hier`` both advertise
-    compressed-domain aggregation; ``aggregation`` forwards the
-    trainer's auto/off/all policy for using it.
+    ``tracer`` records the run's spans and metrics.  A
+    :class:`~repro.bench.suite.BenchmarkSpec` in place of the cell,
+    with ``compressor`` and the keywords after ``worker``, is the short
+    form of a simulator cell.
     """
-    if topology not in ("flat", "ps", "hier"):
-        raise ValueError(
-            f"topology must be 'flat', 'ps' or 'hier', got {topology!r}"
-        )
-    if communicator is None and topology == "ps":
+    if isinstance(cell, BenchmarkSpec):
+        cell = Cell(cell.key, compressor, workers=n_workers, seed=seed,
+                    overlap=overlap, fusion_mb=fusion_mb)
+    spec = get_benchmark(cell.benchmark)
+    if communicator is None and cell.topology == "ps":
         from repro.comm import ParameterServerCommunicator
 
-        communicator = ParameterServerCommunicator(n_workers=n_workers)
-    elif communicator is None and topology == "hier":
+        communicator = ParameterServerCommunicator(n_workers=cell.workers)
+    elif communicator is None and cell.topology == "hier":
         from repro.comm import HierarchicalCommunicator
 
         communicator = HierarchicalCommunicator(
-            n_workers=n_workers, n_racks=racks
+            n_workers=cell.workers, n_racks=cell.racks
         )
-    run = spec.build(n_workers=n_workers, seed=seed,
-                     compressor_name=compressor_name)
-    compressor = create(compressor_name, seed=seed, **(compressor_params or {}))
-    if sanitizes(sanitize, "contract"):
+    run = spec.build(n_workers=cell.workers, seed=cell.seed,
+                     compressor_name=cell.compressor)
+    kernel = create(cell.compressor, seed=cell.seed,
+                    **cell.compressor_params)
+    if sanitizes(cell.sanitize, "contract"):
         from repro.core.contract import ContractChecker
 
-        compressor = ContractChecker(compressor)
-    params = dict(memory_params or {})
-    if compressor_name == "efsignsgd" and memory is None and not params:
+        kernel = ContractChecker(kernel)
+    memory_params = {}
+    if cell.compressor == "efsignsgd" and cell.memory is None:
         # §V-A: EFsignSGD runs with beta=1 and gamma = the initial LR.
-        params = {"beta": 1.0, "gamma": run.task.optimizer.lr}
+        memory_params = {"beta": 1.0, "gamma": run.task.optimizer.lr}
     trainer = DistributedTrainer(
         run.task,
-        compressor,
-        n_workers=n_workers,
-        memory=memory,
-        memory_params=params,
-        seed=seed,
+        kernel,
+        n_workers=cell.workers,
+        memory=cell.memory,
+        memory_params=memory_params,
+        seed=cell.seed,
         tracer=tracer,
-        fusion_mb=fusion_mb,
-        perf_model=spec.make_perf_model() if overlap else None,
-        overlap=overlap,
+        fusion_mb=cell.fusion_mb,
+        perf_model=spec.make_perf_model() if cell.overlap else None,
+        overlap=cell.overlap,
         communicator=communicator,
-        aggregation=aggregation,
-        resilience=resilience,
+        aggregation=cell.aggregation or "auto",
+        resilience=cell.resilience,
         worker=worker,
     )
     return trainer, run
 
 
-def train_quality(
-    spec: BenchmarkSpec,
-    compressor_name: str,
-    epochs: int | None = None,
-    **options,
-) -> TrainingReport:
-    """Train one benchmark with one compressor; return its report.
+def cell_tracer(trace: bool, profile: bool):
+    """The tracer a traced (``trace``) or profiled run records with."""
+    if profile:
+        from repro.telemetry.profile import ProfilingTracer
 
-    ``options`` are :func:`build_trainer`'s keywords; ``epochs``
-    defaults to the benchmark's lite budget.  The report's
-    ``best_quality`` is the best witnessed model quality (the paper's
-    §V-A protocol), in the internal higher-is-better sign; print it
-    through :meth:`BenchmarkSpec.display_quality`.
+        return ProfilingTracer()
+    if trace:
+        from repro.telemetry.tracing import Tracer
+
+        return Tracer()
+    return None
+
+
+def run_cell(cell: Cell, trace: bool = False, profile: bool = False,
+             checkpoint_dir: str | None = None):
+    """Train ``cell`` on its backend; returns a
+    :class:`~repro.comm.parallel.ParallelResult`.
+
+    ``trace`` records every rank's spans and metrics, and ``profile``
+    also its memory high-water marks.  ``checkpoint_dir`` is where a
+    parallel run's ranks checkpoint (a temporary directory by default;
+    the simulator checkpoints in memory).  A simulator run fills the
+    result's report, wall clock, events, memory and metrics.  The
+    report's ``best_quality`` is the best witnessed model quality (the
+    paper's §V-A protocol), in the internal higher-is-better sign;
+    print it through :meth:`BenchmarkSpec.display_quality`.
     """
-    trainer, run = build_trainer(spec, compressor_name, **options)
-    return trainer.train(
-        run.loader,
-        epochs=epochs if epochs is not None else spec.lite_epochs,
-        eval_fn=run.eval_fn,
+    from repro.comm.parallel import (
+        ParallelResult, ParallelRunConfig, run_parallel,
+    )
+
+    if cell.backend == "parallel":
+        return run_parallel(ParallelRunConfig(
+            cell, profile=profile, trace=trace, checkpoint_dir=checkpoint_dir,
+        ))
+    start = time.perf_counter()
+    tracer = cell_tracer(trace, profile)
+    trainer, run = build_trainer(cell, tracer=tracer)
+    report = trainer.train(run.loader, epochs=cell.epochs,
+                           eval_fn=run.eval_fn)
+    return ParallelResult(
+        report=report,
+        digests={},
+        wall_seconds=time.perf_counter() - start,
+        events=tracer.spans if tracer else [],
+        memory_high_water=tracer.finalize() if profile else {},
+        metrics=report.metrics,
     )

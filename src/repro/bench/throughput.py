@@ -38,6 +38,7 @@ from repro.comm.backends import Backend, OPENMPI_TCP
 from repro.comm.cost import allgather_time, ring_allreduce_time
 from repro.comm.network import NetworkModel, ethernet
 from repro.core.api import Compressor
+from repro.core.config import Cell
 from repro.core.registry import compressor_info, create
 
 #: Horovod's default fusion buffer (64 MB) — the baseline Allreduce unit.
@@ -409,10 +410,10 @@ def run_parallel_bench() -> RunResult:
     from repro.comm.parallel import ParallelRunConfig, run_parallel
 
     unfused, fused = (
-        run_parallel(ParallelRunConfig(
-            BENCHMARK, PARALLEL_COMPRESSOR, NPROC, seed=SEED,
-            epochs=PARALLEL_EPOCHS, fusion_mb=fusion_mb,
-        ))
+        run_parallel(ParallelRunConfig(Cell(
+            BENCHMARK, PARALLEL_COMPRESSOR, workers=NPROC, seed=SEED,
+            epochs=PARALLEL_EPOCHS, fusion_mb=fusion_mb, backend="parallel",
+        )))
         for fusion_mb in (0.0, PARALLEL_FUSION_MB)
     )
     speedup = unfused.wall_seconds / fused.wall_seconds

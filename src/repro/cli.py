@@ -18,11 +18,17 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
 
 import numpy as np
+
+from repro.core.config import (
+    AGGREGATION_POLICIES, BACKENDS, RECOVERY_POLICIES, SANITIZE_LEVELS,
+    STRAGGLER_POLICIES, TOPOLOGIES, Cell, Resilience,
+)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -88,15 +94,8 @@ def cmd_compress(args) -> int:
     return 0
 
 
-#: ``train`` flags only some backends or topologies read: each maps to
-#: the choices that read it and its default.
-_BACKEND_FLAGS = {"checkpoint_dir": (("parallel",), None)}
-_TOPOLOGY_FLAGS = {
-    "racks": (("hier",), 2),
-    "aggregation": (("ps", "hier"), "auto"),
-}
-
-#: ``bench`` flags only some suites read, in the same form.
+#: ``bench`` flags only some suites read: each maps to the suites that
+#: read it and its default.
 _RUN_SUITES = ("fusion", "overlap", "faults", "throughput")
 _SUITE_FLAGS = {
     "compressor": (("fusion",), "topk"),
@@ -124,31 +123,72 @@ def _only_for(args, flags: dict, chosen: str, option: str) -> None:
                              f"{option} {' or '.join(owners)}")
 
 
-def _backend_flags(args) -> dict:
-    """The keywords only the chosen backend takes, for :func:`_run_cell`;
-    a flag it would ignore exits with one line."""
-    from repro.core.config import sanitizes
+#: The :class:`~repro.core.config.Cell` fields ``train`` and
+#: ``profile`` both take: field, flag and argparse options.
+_CELL_FLAGS = (
+    ("benchmark", "--benchmark", {"help": "benchmark key"}),
+    ("compressor", "--compressor", {}),
+    ("workers", "--workers", {
+        "type": int, "metavar": "N",
+        "help": "ranks: simulated (--backend sim) or worker processes "
+                "(--backend parallel); default %(default)s"}),
+    ("epochs", "--epochs", {
+        "type": int, "help": "training epochs (default %(default)s; "
+                             "None trains the benchmark's lite budget)"}),
+    ("seed", "--seed", {"type": int}),
+    ("compressor_params", "--param", {
+        "action": "append", "default": [], "metavar": "KEY=VALUE"}),
+    ("fusion_mb", "--fusion-mb", {
+        "type": float, "metavar": "MB",
+        "help": "tensor-fusion buffer budget in MiB; 0 keeps the "
+                "per-tensor exchange (default)"}),
+    ("overlap", "--overlap", {
+        "action": "store_true",
+        "help": "overlap compressed communication with the backward pass "
+                "(DDP-style bucketed schedule; same parameter math, adds "
+                "sim makespan and overlap-fraction accounting)"}),
+    ("backend", "--backend", {
+        "choices": BACKENDS,
+        "help": "execution backend: the sequential simulator (default) or "
+                "real OS processes exchanging gradients through shared "
+                "memory (bitwise the same model; see "
+                "docs/PERFORMANCE.md)"}),
+)
 
-    _only_for(args, _TOPOLOGY_FLAGS, args.topology, "--topology")
-    _only_for(args, _BACKEND_FLAGS, args.backend, "--backend")
-    if args.backend == "sim":
-        if sanitizes(args.sanitize, "arena"):
-            raise SystemExit(f"--sanitize {args.sanitize} requires "
-                             "--backend parallel")
-        return {"topology": args.topology, "racks": args.racks,
-                "aggregation": args.aggregation}
-    if args.topology != "flat":
-        raise SystemExit(
-            "--backend parallel supports only the flat topology; use the "
-            "sequential simulator (--backend sim) for ps/hier"
-        )
-    return {"checkpoint_dir": args.checkpoint_dir}
+
+def _add_cell_flags(parser, **defaults) -> None:
+    """Declare :data:`_CELL_FLAGS` on ``parser``.
+
+    A flag defaults to its field's default, or to ``defaults[field]``;
+    a field with neither is a required flag.
+    """
+    fields = {field.name: field for field in dataclasses.fields(Cell)}
+    for name, flag, options in _CELL_FLAGS:
+        default = defaults.get(name, fields[name].default)
+        if default is not dataclasses.MISSING:
+            options = {**options, "default": default}
+        parser.add_argument(flag, dest=name,
+                            required="default" not in options, **options)
+
+
+def _one_line(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError exits with its line."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+
+def _args_cell(args, **fields) -> Cell:
+    """The cell the :data:`_CELL_FLAGS` in ``args`` and ``fields`` name;
+    one line naming what is wrong if it is not a cell."""
+    values = {name: getattr(args, name) for name, _, _ in _CELL_FLAGS}
+    values["compressor_params"] = _parse_params(values["compressor_params"])
+    return _one_line(Cell, **values, **fields)
 
 
 def _add_resilience_flags(parser) -> None:
     """The :class:`~repro.core.config.Resilience` fields as flags."""
-    from repro.core.config import RECOVERY_POLICIES, STRAGGLER_POLICIES
-
     parser.add_argument("--faults", metavar="SPEC",
                         help="inject a deterministic fault plan, e.g. "
                              "'crash@10:rank=1,rejoin=14;"
@@ -171,31 +211,6 @@ def _add_resilience_flags(parser) -> None:
                              "faults; default %(default)s)")
 
 
-def _resilience(args):
-    """The run's one :class:`~repro.core.config.Resilience`."""
-    from repro.core.config import Resilience
-
-    try:
-        return Resilience(args.faults, args.recovery, args.checkpoint_every,
-                          args.straggler_policy)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _cell(benchmark: str, compressor: str):
-    """The benchmark spec ``benchmark`` keys; a one-line exit naming the
-    choices if it or ``compressor`` is unknown."""
-    from repro.bench.suite import get_benchmark
-    from repro.core.registry import compressor_info
-
-    try:
-        spec = get_benchmark(benchmark)
-        compressor_info(compressor)
-    except KeyError as error:
-        raise SystemExit(error.args[0])
-    return spec
-
-
 def _writable(*paths) -> None:
     """Fail on unwritable output paths now, not after training.
 
@@ -214,78 +229,45 @@ def _writable(*paths) -> None:
                 os.remove(path)
 
 
-def _run_cell(args, spec, tracer_type=None, **options):
-    """Train the cell ``args`` names on ``args.backend``.
-
-    ``tracer_type`` (``Tracer``, ``ProfilingTracer`` or None) is what
-    the run records with — in this process or in every rank — and
-    ``options`` are the keywords ``args`` alone does not say.  Returns
-    ``(report, spans, metrics, memory, parallel)``: ``metrics`` is the
-    run's registry (a parallel run's keeps a ``rank`` label), ``memory``
-    the profiler's high-water marks and ``parallel`` the
-    :class:`~repro.comm.parallel.ParallelResult` (None on the simulator).
-    """
-    from repro.telemetry.profile import ProfilingTracer
-
-    cell = dict(seed=args.seed, epochs=args.epochs,
-                compressor_params=_parse_params(args.param) or None,
-                fusion_mb=args.fusion_mb, overlap=args.overlap, **options)
-    if args.backend == "sim":
-        from repro.bench.runner import train_quality
-
-        tracer = tracer_type() if tracer_type else None
-        report = train_quality(spec, args.compressor, n_workers=args.workers,
-                               tracer=tracer, **cell)
-        memory = tracer.finalize() if tracer_type is ProfilingTracer else None
-        return report, tracer.spans if tracer else [], report.metrics, \
-            memory, None
-    from repro.comm.parallel import ParallelRunConfig, run_parallel
-
-    # Traced for any output, as on the simulator: an untraced rank records
-    # no compress_/wire_ instruments for the wire stats or Prometheus.
-    try:
-        result = run_parallel(ParallelRunConfig(
-            spec.key, args.compressor, args.workers,
-            trace=tracer_type is not None,
-            profile=tracer_type is ProfilingTracer, **cell,
-        ))
-    except ValueError as error:
-        # Config the parallel backend rejects (sim-only fault kinds,
-        # the backup straggler policy, rejoin under degrade, ...).
-        raise SystemExit(str(error))
-    return (result.report, result.events, result.metrics,
-            result.memory_high_water, result)
-
-
 def cmd_train(args) -> int:
     """Train one (benchmark, compressor) cell and print the report."""
-    from repro.telemetry import Tracer
+    from repro.bench.runner import run_cell
 
-    spec = _cell(args.benchmark, args.compressor)
-    options = _backend_flags(args)
-    options.update(resilience=_resilience(args), sanitize=args.sanitize)
+    cell = _args_cell(
+        args, topology=args.topology, racks=args.racks,
+        aggregation=args.aggregation, sanitize=args.sanitize,
+        resilience=_one_line(Resilience, args.faults, args.recovery,
+                             args.checkpoint_every, args.straggler_policy),
+    )
+    if args.checkpoint_dir is not None and cell.backend != "parallel":
+        raise SystemExit("--checkpoint-dir requires --backend parallel")
     outputs = (args.trace, args.chrome_trace, args.metrics_out)
     _writable(*outputs)
-    tracing = any(outputs)
-    report, spans, metrics, _, parallel = _run_cell(
-        args, spec, Tracer if tracing else None, **options
-    )
-    _print_run(args, spec, report, parallel)
-    if tracing:
-        _export_trace(args, spans, metrics)
+    # Traced for any output, on both backends: an untraced run records
+    # no compress_/wire_ instruments for the wire stats or Prometheus.
+    result = run_cell(cell, trace=any(outputs),
+                      checkpoint_dir=args.checkpoint_dir)
+    _print_run(cell, result)
+    if any(outputs):
+        _export_trace(args, result.events, result.metrics)
     return 0
 
 
-def _print_run(args, spec, report, parallel) -> None:
+def _print_run(cell: Cell, result) -> None:
     """``train``'s report of one run, on either backend."""
+    from repro.bench.suite import get_benchmark
+
+    spec = get_benchmark(cell.benchmark)
+    report = result.report
+    parallel = cell.backend == "parallel"
     print(f"benchmark        : {spec.key} ({spec.model_name})")
-    print(f"compressor       : {args.compressor}")
-    if parallel is not None:
-        print(f"backend          : parallel ({args.workers} processes)")
-    if args.topology != "flat":
-        label = args.topology
-        if args.topology == "hier":
-            label = f"hier ({args.racks} racks)"
+    print(f"compressor       : {cell.compressor}")
+    if parallel:
+        print(f"backend          : parallel ({cell.workers} processes)")
+    if cell.topology != "flat":
+        label = cell.topology
+        if cell.topology == "hier":
+            label = f"hier ({cell.racks} racks)"
         print(f"topology         : {label}")
         root_in, root_out = (
             report.metrics.value("comm_root_bytes_total", {"direction": d})
@@ -298,21 +280,20 @@ def _print_run(args, spec, report, parallel) -> None:
           f"{spec.display_quality(report.best_quality):.4f}")
     print(f"bytes/worker/iter: {report.bytes_per_worker_per_iteration:,.0f}")
     print(f"simulated comm   : {report.sim_comm_seconds:.3f} s")
-    if parallel is not None:
-        print(f"wall clock       : {parallel.wall_seconds:.2f} s")
+    if parallel:
+        print(f"wall clock       : {result.wall_seconds:.2f} s")
         print("rank threads     : " + " ".join(
-            f"{var}={value}" for var, value in parallel.environment.items()
+            f"{var}={value}" for var, value in result.environment.items()
         ))
-        digest = next(iter(parallel.digests.values()))
+        digest = next(iter(result.digests.values()))
         print(f"model digest     : {digest[:16]} "
-              f"(all {len(parallel.digests)} ranks agree)")
-        san = parallel.sanitizer
+              f"(all {len(result.digests)} ranks agree)")
+        san = result.sanitizer
         if san is not None:
             verdict = "ok" if san.ok else f"{len(san.violations)} violation(s)"
             print(f"arena sanitizer  : {verdict} ({san.events_total} events)")
-    recoveries = parallel.recoveries if parallel is not None else []
-    if args.faults or recoveries:
-        if parallel is None:
+    if cell.resilience.faults or result.recoveries:
+        if not parallel:
             metrics = report.metrics
             injected = sum(
                 i.value for i in metrics.instruments("faults_injected_total")
@@ -322,13 +303,13 @@ def _print_run(args, spec, report, parallel) -> None:
             print(f"degraded iters   : "
                   f"{metrics.value('degraded_iterations_total'):,.0f}")
         else:
-            print(f"recoveries       : {len(recoveries)}")
-            for rec in recoveries:
+            print(f"recoveries       : {len(result.recoveries)}")
+            for rec in result.recoveries:
                 print(f"  incarnation {rec['incarnation']}: ranks "
                       f"{rec['dead_ranks']} died, cohort {rec['cohort']} "
                       f"resumed from iteration {rec['restored_iteration']}")
         print(f"recovery time    : {report.sim_recovery_seconds:.3f} s")
-    if args.overlap:
+    if cell.overlap:
         print(f"sim makespan     : {report.sim_makespan_seconds:.3f} s")
         print(f"exposed comm     : {report.sim_exposed_comm_seconds:.3f} s")
         print(f"hidden comm      : {report.sim_hidden_comm_seconds:.3f} s")
@@ -374,15 +355,12 @@ def cmd_chaos(args) -> int:
     from repro.bench.result import write_result
     from repro.faults.chaos import run_chaos
 
+    cell = _one_line(Cell, args.benchmark, args.compressor,
+                     workers=args.workers, seed=args.seed)
     _writable(args.out)
-    try:
-        result = run_chaos(args.benchmark, args.compressor, args.workers,
-                           args.trials, args.seed, args.recovery)
-    except (KeyError, ValueError) as error:
-        # Before the clean run: an unknown name, no trial, or a config
-        # the parallel backend rejects (workers < 1); after it: a run too
-        # short to place a kill in.
-        raise SystemExit(error.args[0])
+    # Before the clean run: no trial, or a cell the parallel backend
+    # cannot run; after it: a run too short to place a kill in.
+    result = _one_line(run_chaos, cell, args.trials, args.recovery)
     print(result.text)
     for failure in result.failures:
         print(f"CHAOS FAILED: {failure}")
@@ -581,19 +559,20 @@ def cmd_profile(args) -> int:
         TraceSummary, telemetry_events, write_chrome_trace,
     )
     from repro.telemetry.metrics import fold_ranks
-    from repro.telemetry.profile import (
-        ProfilingTracer, write_folded, write_profile_json,
-    )
+    from repro.telemetry.profile import write_folded, write_profile_json
 
     if args.trace:
         events = _load_trace(args.trace)
         memory = meta = None
     elif args.benchmark:
-        spec = _cell(args.benchmark, args.compressor)
+        from repro.bench.runner import run_cell
+
+        cell = _args_cell(args)
         _writable(args.folded, args.chrome, args.out)
-        _, spans, metrics, memory, _ = _run_cell(args, spec, ProfilingTracer)
-        events = telemetry_events(spans, fold_ranks(metrics))
-        meta = run_metadata(seed=args.seed)
+        result = run_cell(cell, profile=True)
+        events = telemetry_events(result.events, fold_ranks(result.metrics))
+        memory = result.memory_high_water
+        meta = {**run_metadata(seed=cell.seed), "cell": cell.to_dict()}
     else:
         raise SystemExit(
             "profile needs --benchmark (to run) or --trace (to load)"
@@ -677,8 +656,6 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser."""
-    from repro.core.config import SANITIZE_LEVELS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GRACE (ICDCS 2021) reproduction — compressed "
@@ -698,23 +675,14 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="KEY=VALUE")
 
     train = sub.add_parser("train", help="train one benchmark cell")
-    train.add_argument("--benchmark", required=True)
-    train.add_argument("--compressor", default="none")
-    train.add_argument("--workers", type=int, default=4, metavar="N",
-                       help="ranks: simulated (--backend sim) or worker "
-                            "processes (--backend parallel); default 4")
-    train.add_argument("--epochs", type=int, default=None)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--param", action="append", default=[],
-                       metavar="KEY=VALUE")
-    train.add_argument("--topology", choices=["flat", "ps", "hier"],
-                       default="flat",
+    _add_cell_flags(train)
+    train.add_argument("--topology", choices=TOPOLOGIES, default="flat",
                        help="reduction substrate: flat collectives, a "
                             "central parameter server, or a two-tier "
                             "rack-then-root tree (default: flat)")
     train.add_argument("--racks", type=int, default=None, metavar="K",
                        help="rack count for --topology hier (default: 2)")
-    train.add_argument("--aggregation", choices=["auto", "off", "all"],
+    train.add_argument("--aggregation", choices=AGGREGATION_POLICIES,
                        default=None,
                        help="compressed-domain aggregation policy on "
                             "ps/hier topologies: auto uses it for "
@@ -723,15 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "relay, so auto never prices above off; all "
                             "extends it to codebook/sketch schemes, off "
                             "disables it (default: auto)")
-    train.add_argument("--fusion-mb", type=float, default=0.0,
-                       metavar="MB",
-                       help="tensor-fusion buffer budget in MiB; 0 keeps "
-                            "the per-tensor exchange (default)")
-    train.add_argument("--overlap", action="store_true",
-                       help="overlap compressed communication with the "
-                            "backward pass (DDP-style bucketed schedule; "
-                            "same parameter math, adds sim makespan and "
-                            "overlap-fraction accounting)")
     _add_resilience_flags(train)
     train.add_argument("--sanitize", nargs="?", const="contract",
                        default="off", choices=SANITIZE_LEVELS,
@@ -748,12 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(load in Perfetto / chrome://tracing)")
     train.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write a Prometheus text snapshot here")
-    train.add_argument("--backend", choices=["sim", "parallel"],
-                       default="sim",
-                       help="execution backend: the sequential simulator "
-                            "(default) or real OS processes exchanging "
-                            "gradients through shared memory (bitwise the "
-                            "same model; see docs/PERFORMANCE.md)")
     train.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="directory for per-rank worker checkpoints "
                             "under --backend parallel (default: a "
@@ -829,25 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--trace", default=None, metavar="PATH",
                          help="profile an existing JSONL trace instead of "
                               "running a benchmark")
-    profile.add_argument("--benchmark", default=None,
-                         help="benchmark key to train under the profiler")
-    profile.add_argument("--compressor", default="topk")
-    profile.add_argument("--workers", type=int, default=4, metavar="N",
-                         help="ranks: simulated (--backend sim) or worker "
-                              "processes (--backend parallel); default 4")
-    profile.add_argument("--epochs", type=int, default=1)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--fusion-mb", type=float, default=0.0,
-                         metavar="MB")
-    profile.add_argument("--overlap", action="store_true",
-                         help="profile the overlapped exchange schedule")
-    profile.add_argument("--param", action="append", default=[],
-                         metavar="KEY=VALUE")
-    profile.add_argument("--backend", choices=["sim", "parallel"],
-                         default="sim",
-                         help="profile the sequential simulator (default) "
-                              "or the real-parallel backend (merged "
-                              "per-rank shards, rank-attributed memory)")
+    _add_cell_flags(profile, benchmark=None, compressor="topk", epochs=1)
     profile.add_argument("--folded", default=None, metavar="PATH",
                          help="write flamegraph-compatible folded stacks "
                               "(feed to flamegraph.pl or speedscope)")
@@ -873,8 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded kills to run (default 3)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="kill-schedule seed (also the training seed)")
-    from repro.core.config import RECOVERY_POLICIES
-
     chaos.add_argument("--recovery", choices=RECOVERY_POLICIES,
                        default="restart",
                        help="crash handling under test (default "

@@ -122,10 +122,9 @@ from repro.core.checkpoint import (
     outage_seconds,
     worker_checkpoint_path,
 )
-from repro.core.config import Resilience, WorkerMode, sanitizes
+from repro.core.config import Cell, WorkerMode, sanitizes
 from repro.core.wire import frame_payload, unframe_payload
 from repro.faults.plan import FaultPlan, WorkerCrashError
-from repro.faults.real import validate_worker_plan
 from repro.telemetry.metrics import (
     MetricsRegistry,
     load_snapshot,
@@ -606,41 +605,52 @@ class ParallelDivergenceError(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(init=False)
 class ParallelRunConfig:
-    """Everything a worker needs to rebuild its rank deterministically.
+    """A parallel :class:`~repro.core.config.Cell` and the settings of
+    the processes that run it.
 
     The config is pickled to each spawned process; workers reconstruct
-    the benchmark, model and trainer from it (via
+    the benchmark, model and trainer from the cell (via
     :func:`repro.bench.runner.build_trainer`) instead of receiving live
     objects, which is what keeps parent and workers bit-identical.
 
-    ``resilience`` reaches every worker's trainer unchanged: its faults
-    are restricted to the real kinds (``crash``/``straggler``/``stall``)
-    and ``checkpoint_every > 0`` turns on per-rank checkpointing (to
+    The cell's ``resilience`` reaches every worker's trainer unchanged:
+    ``checkpoint_every > 0`` turns on per-rank checkpointing (to
     ``checkpoint_dir``, a temporary directory by default) *and* crash
     recovery.  The watchdog convicts a rank silent for ``stall_timeout``
-    seconds.  ``sanitize="arena"`` (or ``"all"``) replays every rank's
-    arena protocol events after each round; a violation fails the run
-    with ``ArenaSanitizerError``.  ``trace`` and ``profile`` bring back
-    every rank's spans and metrics.
+    seconds.  Every rank's arena gets ``arena_bytes`` of data.
+    ``trace`` and ``profile`` bring back every rank's spans and metrics.
+    ``benchmark``, ``compressor``, ``nproc``, ``seed``, ``epochs`` and
+    ``fusion_mb`` in place of ``cell`` are its short form.
     """
 
-    benchmark: str
-    compressor: str
-    nproc: int
-    seed: int = 0
-    epochs: int | None = None
-    compressor_params: dict | None = None
-    fusion_mb: float = 0.0
-    overlap: bool = False
-    sanitize: str = "off"
-    profile: bool = False
-    trace: bool = False
-    arena_bytes: int = DEFAULT_DATA_BYTES
-    resilience: Resilience = Resilience()
-    checkpoint_dir: str | None = None
-    stall_timeout: float = 30.0
+    cell: Cell
+    profile: bool
+    trace: bool
+    arena_bytes: int
+    checkpoint_dir: str | None
+    stall_timeout: float
+
+    def __init__(self, cell: Cell | None = None, profile: bool = False,
+                 trace: bool = False, arena_bytes: int = DEFAULT_DATA_BYTES,
+                 checkpoint_dir: str | None = None,
+                 stall_timeout: float = 30.0, *, benchmark: str = "",
+                 compressor: str = "none", nproc: int = 4, seed: int = 0,
+                 epochs: int | None = None, fusion_mb: float = 0.0):
+        if cell is None:
+            cell = Cell(benchmark, compressor, workers=nproc, seed=seed,
+                        epochs=epochs, fusion_mb=fusion_mb,
+                        backend="parallel")
+        if cell.backend != "parallel":
+            raise ValueError(f"run_parallel runs a cell of --backend "
+                             f"parallel, got {cell.backend!r}")
+        self.cell = cell
+        self.profile = profile
+        self.trace = trace
+        self.arena_bytes = arena_bytes
+        self.checkpoint_dir = checkpoint_dir
+        self.stall_timeout = stall_timeout
 
 
 #: Thread pools a rank would otherwise size to the whole machine.
@@ -679,7 +689,11 @@ def _exported(values: dict[str, str]):
 
 @dataclass
 class ParallelResult:
-    """Merged outcome of one real-parallel training run."""
+    """Merged outcome of one real-parallel training run.
+
+    :func:`repro.bench.runner.run_cell` returns one for a simulator run
+    too, with its report, wall clock, events, memory and metrics.
+    """
 
     report: object  # leader's TrainingReport (sim numbers match sequential)
     digests: dict[int, str]  # per-rank final-model SHA-256 (all equal)
@@ -730,30 +744,11 @@ def _worker_main(
     arena = None
     try:
         arena = SharedArena.attach(arena_spec, rank)
-        tracer = None
-        if config.profile:
-            from repro.telemetry.profile import ProfilingTracer
+        from repro.bench.runner import build_trainer, cell_tracer
 
-            tracer = ProfilingTracer()
-        elif config.trace:
-            from repro.telemetry.tracing import Tracer
-
-            tracer = Tracer()
-        from repro.bench.runner import build_trainer
-        from repro.bench.suite import get_benchmark
-
-        spec = get_benchmark(config.benchmark)
+        tracer = cell_tracer(config.trace, config.profile)
         trainer, run = build_trainer(
-            spec,
-            config.compressor,
-            n_workers=config.nproc,
-            seed=config.seed,
-            compressor_params=config.compressor_params,
-            tracer=tracer,
-            fusion_mb=config.fusion_mb,
-            overlap=config.overlap,
-            resilience=config.resilience,
-            sanitize=config.sanitize,
+            config.cell, tracer=tracer,
             communicator=ParallelWorkerCommunicator(arena, rank),
             worker=worker,
         )
@@ -767,11 +762,7 @@ def _worker_main(
             )).restore(trainer, report=True)
         report = trainer.train(
             run.loader,
-            epochs=(
-                config.epochs
-                if config.epochs is not None
-                else spec.lite_epochs
-            ),
+            epochs=config.cell.epochs,
             eval_fn=run.eval_fn,
             start_iteration=start_iteration,
         )
@@ -936,12 +927,12 @@ def _run_round(
 ) -> _RoundOutcome:
     """Run one incarnation of the cohort to completion or first failure."""
     arena = SharedArena.create(
-        config.nproc,
+        config.cell.workers,
         data_bytes=config.arena_bytes,
         active_ranks=active,
         incarnation=incarnation,
         event_slots=(
-            SANITIZE_SLOTS if sanitizes(config.sanitize, "arena") else 0
+            SANITIZE_SLOTS if sanitizes(config.cell.sanitize, "arena") else 0
         ),
     )
     out_queue = ctx.Queue()
@@ -970,7 +961,7 @@ def _run_round(
         return [r for r in active if r not in results and r not in errors]
 
     try:
-        with _exported(rank_thread_env(config.nproc)):
+        with _exported(rank_thread_env(config.cell.workers)):
             for worker in workers.values():
                 worker.start()
         watchdog.start()
@@ -1046,57 +1037,6 @@ def _run_round(
     )
 
 
-def _validate_config(config: ParallelRunConfig) -> FaultPlan | None:
-    """Fail fast in the parent, before any process is spawned.
-
-    These are the parallel backend's own rules; what holds for every
-    backend was checked when ``config.resilience`` was built.
-    """
-    from repro.bench.suite import get_benchmark
-    from repro.core.registry import compressor_info
-
-    get_benchmark(config.benchmark)  # KeyError naming the known ones
-    compressor_info(config.compressor)
-    if config.nproc < 1:
-        raise ValueError(f"nproc must be >= 1, got {config.nproc}")
-    resilience = config.resilience
-    if resilience.straggler_policy == "backup":
-        raise ValueError(
-            "the parallel backend supports straggler policies 'wait' and "
-            "'drop', got 'backup' (it buffers peer gradients in-process "
-            "and is sequential-only)"
-        )
-    if (
-        resilience.straggler_policy == "drop"
-        and resilience.recovery == "restart"
-    ):
-        raise ValueError(
-            "straggler eviction ('drop') permanently removes the rank and "
-            "requires --recovery degrade; 'restart' would respawn the "
-            "straggler into the same clause forever"
-        )
-    plan = resilience.plan(config.seed)
-    if plan is None:
-        return None
-    validate_worker_plan(plan)
-    for event in plan.events:
-        if event.rank is not None and event.rank >= config.nproc:
-            raise ValueError(
-                f"fault {event.kind}@{event.start} targets rank "
-                f"{event.rank}, but the run has {config.nproc} workers"
-            )
-        if (
-            event.kind == "crash"
-            and event.rejoin is not None
-            and resilience.recovery == "degrade"
-        ):
-            raise ValueError(
-                "crash rejoin= requires --recovery restart under the "
-                "parallel backend: a degraded cohort never re-admits ranks"
-            )
-    return plan
-
-
 def _consume_clauses(
     plan: FaultPlan,
     consumed: set[int],
@@ -1122,7 +1062,7 @@ def _consume_clauses(
 
 
 def run_parallel(config: ParallelRunConfig) -> ParallelResult:
-    """Train ``config.benchmark`` across ``config.nproc`` real processes.
+    """Train ``config.cell`` across its ``workers`` real processes.
 
     Spawns one worker per rank and watches their liveness.  A dead or
     wedged rank either fails the run with a typed
@@ -1134,8 +1074,9 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
     finishing ranks hold byte-identical model states and unlinks every
     shared segment, no matter how the run ends.
     """
-    plan = _validate_config(config)
-    recovery_enabled = config.resilience.checkpoint_every > 0
+    cell = config.cell
+    plan = cell.resilience.plan(cell.seed)
+    recovery_enabled = cell.resilience.checkpoint_every > 0
     checkpoint_dir = config.checkpoint_dir
     own_checkpoint_dir = False
     if recovery_enabled and checkpoint_dir is None:
@@ -1145,7 +1086,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
 
     ctx = mp.get_context("spawn")
     registry = MetricsRegistry()
-    active = list(range(config.nproc))
+    active = list(range(cell.workers))
     start_iteration = 0
     consumed: set[int] = set()
     recoveries: list[dict] = []
@@ -1185,11 +1126,11 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
                     for rank, message in sorted(outcome.errors.items())
                 )
                 raise ParallelCrashError(
-                    f"{len(outcome.errors)} of {config.nproc} workers "
+                    f"{len(outcome.errors)} of {cell.workers} workers "
                     f"failed:\n{detail}"
                 )
             next_active = (
-                survivors if config.resilience.recovery == "degrade"
+                survivors if cell.resilience.recovery == "degrade"
                 else list(active)
             )
             if plan is not None:

@@ -266,15 +266,14 @@ class DgcMemory(Memory):
                 )
 
 
+#: The memory kinds, by name.
+MEMORIES = {"none": NoneMemory, "residual": ResidualMemory, "dgc": DgcMemory}
+
+
 def make_memory(kind: str, **params) -> Memory:
     """Build a memory by name: ``"none"``, ``"residual"`` or ``"dgc"``."""
-    factories = {
-        "none": NoneMemory,
-        "residual": ResidualMemory,
-        "dgc": DgcMemory,
-    }
-    if kind not in factories:
+    if kind not in MEMORIES:
         raise ValueError(
-            f"unknown memory {kind!r}; expected one of {sorted(factories)}"
+            f"unknown memory {kind!r}; expected one of {sorted(MEMORIES)}"
         )
-    return factories[kind](**params)
+    return MEMORIES[kind](**params)

@@ -565,12 +565,6 @@ class DistributedTrainer(RankPipeline):
             else:
                 from repro.comm.resilience import ResilientCommunicator
 
-                if any(e.kind == "stall" for e in faults.events):
-                    raise ValueError(
-                        "'stall' is a real-parallel-only fault kind (a "
-                        "wedged OS process); the sequential simulator "
-                        "models slow ranks with 'straggler' instead"
-                    )
                 self.comm = ResilientCommunicator(self.comm, seed=seed)
         self.aggregation = aggregation
         self._last_checkpoint: Checkpoint | None = None

@@ -28,16 +28,20 @@ from __future__ import annotations
 import glob
 import time
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 
 from repro.bench.result import Metric, RunResult
 from repro.comm.parallel import ParallelRunConfig, run_parallel
 from repro.comm.sanitizer import ArenaSanitizerError, SanitizerReport
-from repro.core.config import Resilience
+from repro.core.config import Cell, Resilience
 
 #: Domain separator for the kill-schedule RNG (arbitrary, fixed).
 _CHAOS_STREAM = 0xC4A05
+
+#: Every run's arena data segment.
+_ARENA_BYTES = 8 << 20
 
 #: Max ``|final_loss - clean_loss|`` of a ``degrade`` trial (restart
 #: demands bitwise equality instead).
@@ -132,27 +136,28 @@ def _run_metrics(run: str, leaked: Sequence[str],
     ]
 
 
-def run_chaos(benchmark: str = "ncf-movielens", compressor: str = "topk",
-              nproc: int = 2, trials: int = 3, seed: int = 0,
+def run_chaos(cell: Cell, trials: int = 3,
               recovery: str = "restart") -> RunResult:
-    """Run a chaos campaign; every trial SIGKILLs one seeded victim.
+    """Run a chaos campaign on ``cell``; every trial SIGKILLs one seeded
+    victim.
 
-    Every run trains one epoch over an 8 MiB arena; each trial
+    Every run trains the cell for one epoch on the parallel backend,
+    over an 8 MiB arena and under the arena sanitizer; each trial
     checkpoints every iteration and recovers by ``recovery``.  A broken
     invariant is a line of ``failures``, not an exception, so the
     caller (CLI, CI) decides the exit code.
     """
     if trials < 1:
         raise ValueError(f"chaos needs >= 1 trial, got {trials}")
-    base = dict(benchmark=benchmark, compressor=compressor, nproc=nproc,
-                seed=seed, epochs=1, arena_bytes=8 << 20, sanitize="arena")
+    cell = replace(cell, epochs=1, sanitize="arena", backend="parallel")
+    nproc = cell.workers
     before = _shm_segments()
-    clean = run_parallel(ParallelRunConfig(**base))
+    clean = run_parallel(ParallelRunConfig(cell, arena_bytes=_ARENA_BYTES))
     leaked = sorted(_shm_segments() - before)
     iterations = int(clean.report.iterations)
     clean_loss = float(clean.report.losses[-1])
     clean_digest = next(iter(clean.digests.values()))
-    schedule = kill_schedule(seed, trials, iterations, nproc)
+    schedule = kill_schedule(cell.seed, trials, iterations, nproc)
     metrics = [
         Metric("clean/iterations", iterations, "iterations"),
         Metric("clean/final_loss", clean_loss, "loss"),
@@ -160,17 +165,19 @@ def run_chaos(benchmark: str = "ncf-movielens", compressor: str = "topk",
     ]
     failures = [f"clean run: {line}"
                 for line in run_failures(leaked, clean.sanitizer)]
-    lines = [f"chaos: {benchmark}/{compressor} nproc={nproc} recovery="
-             f"{recovery} seed={seed} ({iterations} iterations clean)"]
+    lines = [f"chaos: {cell.benchmark}/{cell.compressor} nproc={nproc} "
+             f"recovery={recovery} seed={cell.seed} ({iterations} "
+             "iterations clean)"]
     reports, passed = [clean.sanitizer], 0
     for trial, (kill, victim) in enumerate(schedule):
         before = _shm_segments()
         started = time.perf_counter()
         outcome = dict(sanitizer=SanitizerReport())
         try:
-            run = run_parallel(ParallelRunConfig(**base, resilience=Resilience(
-                f"crash@{kill}:rank={victim}", recovery, checkpoint_every=1,
-            )))
+            run = run_parallel(ParallelRunConfig(replace(
+                cell, resilience=Resilience(f"crash@{kill}:rank={victim}",
+                                            recovery, checkpoint_every=1),
+            ), arena_bytes=_ARENA_BYTES))
         except Exception as exc:  # noqa: BLE001 - verdict, not control flow
             outcome["error"] = f"{type(exc).__name__}: {exc}"
             if isinstance(exc, ArenaSanitizerError):
@@ -225,9 +232,8 @@ def run_chaos(benchmark: str = "ncf-movielens", compressor: str = "topk",
         Metric("trials_passed", passed, "trials", "higher", tolerance=0.0),
     ]
     return RunResult.new(
-        "chaos", benchmark,
-        params={"benchmark": benchmark, "compressor": compressor,
-                "nproc": nproc, "trials": trials, "seed": seed,
+        "chaos", cell.benchmark,
+        params={"cell": cell.to_dict(), "trials": trials,
                 "recovery": recovery, "schedule": [list(p) for p in schedule]},
         metrics=metrics, text="\n".join(lines), failures=failures,
     )

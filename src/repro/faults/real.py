@@ -21,7 +21,7 @@ actions instead:
 
 The remaining kinds (``drop``/``corrupt``/``degrade``) manipulate
 simulator-only wire state and are rejected for worker mode before a
-process is ever spawned (see ``repro.comm.parallel``).
+process is ever spawned (see ``repro.core.config.Cell``).
 """
 
 from __future__ import annotations

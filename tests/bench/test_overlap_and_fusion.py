@@ -88,11 +88,12 @@ class TestIterationAccounting:
         )
 
     def test_epoch_sim_seconds_monotone_in_trainer(self):
-        from repro.bench.runner import train_quality
+        from repro.bench.runner import run_cell
+        from repro.core.config import Cell
 
-        report = train_quality(
-            get_benchmark("ncf-movielens"), "topk", n_workers=2, epochs=3
-        )
+        report = run_cell(
+            Cell("ncf-movielens", "topk", workers=2, epochs=3)
+        ).report
         seconds = report.epoch_sim_seconds
         assert len(seconds) == 3
         assert seconds[0] < seconds[1] < seconds[2]

@@ -2,57 +2,46 @@
 
 import pytest
 
-from repro.bench.runner import train_quality
+from repro.bench.runner import build_trainer, run_cell
 from repro.bench.suite import get_benchmark
+from repro.core.config import Cell
 
 
-class TestTrainQuality:
+class TestRunCell:
     def test_returns_report_and_quality(self):
-        spec = get_benchmark("ncf-movielens")
-        report = train_quality(spec, "none", n_workers=2, epochs=1)
+        report = run_cell(Cell("ncf-movielens", workers=2, epochs=1)).report
         assert report.iterations > 0
         assert 0 <= report.best_quality <= 1
 
     def test_display_quality_negates_perplexity(self):
         spec = get_benchmark("lstm-ptb")
-        report = train_quality(spec, "none", n_workers=2, epochs=1)
+        report = run_cell(Cell(spec.key, workers=2, epochs=1)).report
         # Internally best_quality is negative perplexity; displayed
         # perplexity must be positive and lower-is-better.
         assert report.best_quality < 0
         assert spec.display_quality(report.best_quality) == -report.best_quality
 
     def test_efsignsgd_memory_gamma_is_the_learning_rate(self):
-        # §V-A: for EFsignSGD, gamma equals the initial learning rate.
-        spec = get_benchmark("resnet20-cifar10")
-        run = spec.build(n_workers=2, seed=0, compressor_name="efsignsgd")
-        expected_lr = run.task.optimizer.lr
-
-        from repro.core import DistributedTrainer, create
+        # §V-A: for EFsignSGD, beta is 1 and gamma the initial learning
+        # rate, in the memories of the trainer the cell builds.
         from repro.core.memory import ResidualMemory
 
-        report = train_quality(spec, "efsignsgd", n_workers=2, epochs=1)
-        # Rebuild the trainer path directly to inspect the memory wiring.
-        compressor = create("efsignsgd", seed=0)
-        trainer = DistributedTrainer(
-            compressor=compressor,
-            task=run.task,
-            n_workers=2,
-            memory_params={"beta": 1.0, "gamma": expected_lr},
+        trainer, run = build_trainer(
+            Cell("resnet20-cifar10", "efsignsgd", workers=2)
         )
+        expected_lr = run.task.optimizer.lr
+        assert expected_lr != 1.0  # the memory's own default gamma
+        assert len(trainer.memories) == 2
         for memory in trainer.memories:
             assert isinstance(memory, ResidualMemory)
+            assert memory.beta == 1.0
             assert memory.gamma == pytest.approx(expected_lr)
-        assert report.iterations > 0
 
     def test_compressor_params_forwarded(self):
-        spec = get_benchmark("ncf-movielens")
-        tight = train_quality(
-            spec, "topk", n_workers=2, epochs=1,
-            compressor_params={"ratio": 0.001},
-        )
-        loose = train_quality(
-            spec, "topk", n_workers=2, epochs=1,
-            compressor_params={"ratio": 0.1},
+        tight, loose = (
+            run_cell(Cell("ncf-movielens", "topk", {"ratio": ratio},
+                          workers=2, epochs=1)).report
+            for ratio in (0.001, 0.1)
         )
         assert (
             tight.bytes_per_worker_per_iteration
@@ -60,15 +49,16 @@ class TestTrainQuality:
         )
 
     def test_memory_override_forwarded(self):
-        spec = get_benchmark("ncf-movielens")
-        report = train_quality(
-            spec, "topk", n_workers=2, epochs=1, memory="none"
+        trainer, _ = build_trainer(
+            Cell("ncf-movielens", "topk", memory="none", workers=2)
         )
-        assert report.iterations > 0
+        assert {type(m).__name__ for m in trainer.memories} == {"NoneMemory"}
 
     def test_same_seed_reproducible(self):
-        spec = get_benchmark("ncf-movielens")
-        a = train_quality(spec, "qsgd", n_workers=2, epochs=1, seed=5)
-        b = train_quality(spec, "qsgd", n_workers=2, epochs=1, seed=5)
+        a, b = (
+            run_cell(Cell("ncf-movielens", "qsgd", workers=2, epochs=1,
+                          seed=5)).report
+            for _ in range(2)
+        )
         assert a.best_quality == b.best_quality
         assert a.epoch_losses == b.epoch_losses

@@ -178,7 +178,7 @@ class TestParallelBench:
         def fake_run_parallel(config):
             digest = next(legs)
             return SimpleNamespace(
-                wall_seconds=2.0 if config.fusion_mb == 0 else 1.0,
+                wall_seconds=2.0 if config.cell.fusion_mb == 0 else 1.0,
                 digests={0: digest, 1: digest},
             )
 

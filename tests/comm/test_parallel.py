@@ -33,7 +33,7 @@ from repro.comm.shm import (
     SharedArena,
 )
 from repro.comm.timeline import SimTimeline
-from repro.core.config import WorkerMode
+from repro.core.config import Cell, WorkerMode
 from repro.faults.plan import WorkerCrashError
 
 FIG6A = "resnet20-cifar10"
@@ -676,9 +676,9 @@ class TestRunParallel:
 
     def test_sanitize_arena_attaches_a_clean_replay_report(self):
         result = run_parallel(ParallelRunConfig(
-            benchmark=FIG6A, compressor="topk", nproc=2,
-            seed=0, epochs=1, arena_bytes=8 * 1024 * 1024,
-            sanitize="arena",
+            Cell(FIG6A, "topk", workers=2, epochs=1, sanitize="arena",
+                 backend="parallel"),
+            arena_bytes=8 * 1024 * 1024,
         ))
         san = result.sanitizer
         assert san is not None
@@ -753,11 +753,11 @@ class TestRunParallel:
 
     def test_worker_failure_is_typed_not_a_hang(self):
         with pytest.raises(ParallelCrashError) as excinfo:
-            run_parallel(ParallelRunConfig(
-                benchmark=FIG6A, compressor="topk", nproc=2, epochs=1,
+            run_parallel(ParallelRunConfig(Cell(
+                FIG6A, "topk", workers=2, epochs=1, backend="parallel",
                 # Fails in each rank: the parent checks only the name.
                 compressor_params={"no_such_param": 1},
-            ))
+            )))
         assert isinstance(excinfo.value, WorkerCrashError)
         assert "2 of 2 workers failed" in str(excinfo.value)
 

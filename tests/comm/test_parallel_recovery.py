@@ -23,7 +23,7 @@ from repro.comm.parallel import (
     ParallelRunConfig,
     run_parallel,
 )
-from repro.core.config import Resilience
+from repro.core.config import Cell, Resilience
 
 BENCH = "ncf-movielens"
 
@@ -33,16 +33,16 @@ def _shm_segments() -> set:
 
 
 def _config(faults=None, recovery="degrade", checkpoint_every=0,
-            straggler_policy="wait", **overrides) -> ParallelRunConfig:
-    base = dict(
-        benchmark=BENCH, compressor="topk", nproc=2,
-        seed=0, epochs=1, arena_bytes=8 * 1024 * 1024,
-        resilience=Resilience(
-            faults, recovery, checkpoint_every, straggler_policy
-        ),
+            straggler_policy="wait", stall_timeout=30.0,
+            **cell) -> ParallelRunConfig:
+    return ParallelRunConfig(
+        Cell(**{"benchmark": BENCH, "compressor": "topk", **cell},
+             workers=2, epochs=1, backend="parallel",
+             resilience=Resilience(
+                 faults, recovery, checkpoint_every, straggler_policy
+             )),
+        arena_bytes=8 * 1024 * 1024, stall_timeout=stall_timeout,
     )
-    base.update(overrides)
-    return ParallelRunConfig(**base)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +189,7 @@ class TestFailStopTeardown:
     ])
     def test_unknown_names_fail_before_any_spawn(
             self, names, message, monkeypatch):
-        """The parent checks both names before it spawns a rank."""
+        """The cell checks both names before a rank is spawned."""
         process = multiprocessing.get_context("spawn").Process
         started = []
 
@@ -198,6 +198,6 @@ class TestFailStopTeardown:
             raise OSError("spawned a rank")
 
         monkeypatch.setattr(process, "start", start)
-        with pytest.raises(KeyError, match=message):
+        with pytest.raises(ValueError, match=message):
             run_parallel(_config(**names))
         assert started == []

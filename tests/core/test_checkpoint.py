@@ -13,19 +13,15 @@ import numpy as np
 import pytest
 
 from repro.bench.runner import build_trainer
-from repro.bench.suite import get_benchmark
 from repro.core import DistributedTrainer, create
 from repro.core.checkpoint import Checkpoint, CheckpointError, _array_nbytes
-from repro.core.config import Resilience
+from repro.core.config import Cell, Resilience
 
 BENCH = "ncf-movielens"
 
 
 def _build(resilience=Resilience()):
-    return build_trainer(
-        get_benchmark(BENCH), "efsignsgd", n_workers=4, seed=0,
-        resilience=resilience,
-    )
+    return build_trainer(Cell(BENCH, "efsignsgd", resilience=resilience))
 
 
 def _state(trainer, run) -> dict[str, bytes]:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.comm.parallel import ParallelWorkerCommunicator, model_digest
 from repro.comm.shm import SharedArena
-from repro.core.config import Resilience, WorkerMode
+from repro.core.config import Cell, Resilience, WorkerMode
 from repro.core.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -69,15 +69,14 @@ class TestOnDiskLayout:
 def solo_trainer(tmp_path):
     """A worker-mode (rank 0 of 1) trainer over an in-process arena."""
     from repro.bench.runner import build_trainer
-    from repro.bench.suite import get_benchmark
 
     owner = SharedArena.create(n_ranks=1, data_bytes=1 << 20, meta_slots=64)
     arena = SharedArena.attach(owner.spec, rank=0)
     comm = ParallelWorkerCommunicator(arena, 0, timeout=10.0)
     trainer, run = build_trainer(
-        get_benchmark(BENCH), "topk", n_workers=1, seed=0,
-        communicator=comm, resilience=Resilience(checkpoint_every=1),
-        worker=WorkerMode(0, checkpoint_dir=str(tmp_path)),
+        Cell(BENCH, "topk", workers=1,
+             resilience=Resilience(checkpoint_every=1)),
+        communicator=comm, worker=WorkerMode(0, checkpoint_dir=str(tmp_path)),
     )
     yield trainer, run, str(tmp_path)
     arena.close()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.bench.result import read_result, write_result
 from repro.comm.sanitizer import ArenaViolation, SanitizerReport
+from repro.core.config import Cell
 from repro.faults.chaos import kill_schedule, run_chaos, trial_failures
 
 
@@ -75,7 +76,7 @@ class TestTrialVerdict:
 @pytest.fixture(scope="module")
 def campaign():
     """One real campaign: a clean run and one SIGKILL trial."""
-    return run_chaos("ncf-movielens", "topk", nproc=2, trials=1)
+    return run_chaos(Cell("ncf-movielens", "topk", workers=2), trials=1)
 
 
 class TestCampaign:
@@ -114,7 +115,17 @@ class TestCampaign:
         write_result(path, campaign)
         assert read_result(path).to_dict() == campaign.to_dict()
 
+    def test_the_record_carries_the_clean_cell(self, campaign, tmp_path):
+        path = tmp_path / "BENCH_chaos.json"
+        write_result(path, campaign)
+        params = read_result(path).params
+        assert Cell.from_dict(params["cell"]) == Cell(
+            "ncf-movielens", "topk", workers=2, epochs=1, sanitize="arena",
+            backend="parallel",
+        )
+        assert (params["trials"], params["recovery"]) == (1, "restart")
+
 
 def test_a_campaign_needs_a_trial():
     with pytest.raises(ValueError, match=">= 1 trial"):
-        run_chaos(trials=0)
+        run_chaos(Cell("ncf-movielens"), trials=0)

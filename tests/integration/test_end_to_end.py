@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.bench.runner import train_quality
+from repro.bench.runner import run_cell
 from repro.bench.suite import get_benchmark
+from repro.core.config import Cell
 from repro.comm import Communicator, NCCL, ethernet
 from repro.core import DistributedTrainer, create
 from repro.datasets import make_image_classification
@@ -54,27 +55,29 @@ class TestBenchmarkCells:
     """One (benchmark, compressor) training cell per task family."""
 
     def test_recommendation_with_compression(self):
-        report = train_quality(
-            get_benchmark("ncf-movielens"), "topk", n_workers=2, epochs=3
-        )
+        report = run_cell(
+            Cell("ncf-movielens", "topk", workers=2, epochs=3)
+        ).report
         assert report.best_quality > 0.3
 
     def test_language_modeling_with_compression(self):
         spec = get_benchmark("lstm-ptb")
-        report = train_quality(spec, "qsgd", n_workers=2, epochs=3)
+        report = run_cell(Cell(spec.key, "qsgd", workers=2, epochs=3)).report
         perplexity = spec.display_quality(report.best_quality)
         assert perplexity < 33  # vocabulary size: uniform model scores 32
 
     def test_segmentation_with_compression(self):
-        report = train_quality(
-            get_benchmark("unet-dagm"), "efsignsgd", n_workers=2, epochs=3
-        )
+        report = run_cell(
+            Cell("unet-dagm", "efsignsgd", workers=2, epochs=3)
+        ).report
         assert report.best_quality > 0.2
 
     def test_report_accounts_volume_reduction(self):
         spec = get_benchmark("ncf-movielens")
-        base = train_quality(spec, "none", n_workers=2, epochs=1)
-        topk = train_quality(spec, "topk", n_workers=2, epochs=1)
+        base, topk = (
+            run_cell(Cell(spec.key, name, workers=2, epochs=1)).report
+            for name in ("none", "topk")
+        )
         assert (
             topk.bytes_per_worker_per_iteration
             < 0.2 * base.bytes_per_worker_per_iteration

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.core.config import Cell
 from repro.telemetry import TraceSummary
 from repro.telemetry.exporters import read_events
 from repro.telemetry.formatting import wire_stats_fields
@@ -162,9 +163,11 @@ class TestProfileCommand:
 
     def test_profile_runs_benchmark(self, tmp_path, capsys):
         chrome = tmp_path / "profile.trace.json"
+        out = tmp_path / "profile.json"
         code = main(["profile", "--benchmark", "ncf-movielens",
                      "--compressor", "topk", "--workers", "2",
-                     "--epochs", "1", "--chrome", str(chrome)])
+                     "--epochs", "1", "--chrome", str(chrome),
+                     "--out", str(out)])
         assert code == 0
         text = capsys.readouterr().out
         assert "Compressor kernel latency" in text
@@ -172,6 +175,11 @@ class TestProfileCommand:
         assert "Memory high-water marks" in text
         assert "tracemalloc_peak_bytes" in text
         assert json.loads(chrome.read_text())["traceEvents"]
+        # The profile records the cell it ran.
+        meta = json.loads(out.read_text())["meta"]
+        assert Cell.from_dict(meta["cell"]) == Cell(
+            "ncf-movielens", "topk", workers=2, epochs=1
+        )
 
     def test_report_and_profile_print_the_same_summary(self, traced_run):
         """One reader: the phase table, totals and kernel table of a

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.bench.runner import train_quality
+from repro.bench.runner import build_trainer
 from repro.bench.suite import get_benchmark
 from repro.telemetry import (
     ProfilingTracer, TraceSummary, Tracer, folded_stacks, read_events,
@@ -63,10 +63,10 @@ def merged_parallel_events(ranks=(0, 1), iterations=2):
 def trained_tracer():
     """A real traced training run (the acceptance-criterion fixture)."""
     tracer = ProfilingTracer()
-    train_quality(
-        get_benchmark("ncf-movielens"), "topk", n_workers=2, epochs=1,
-        seed=0, tracer=tracer,
+    trainer, run = build_trainer(
+        get_benchmark("ncf-movielens"), "topk", n_workers=2, tracer=tracer,
     )
+    trainer.train(run.loader, epochs=1, eval_fn=run.eval_fn)
     tracer.finalize()
     return tracer
 

@@ -63,7 +63,7 @@ class TestCommands:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before checking the compressor")
 
-        monkeypatch.setattr(repro.bench.runner, "train_quality", no_training)
+        monkeypatch.setattr(repro.bench.runner, "run_cell", no_training)
         monkeypatch.setattr(multiprocessing.get_context("spawn").Process,
                             "start", no_training)
         with pytest.raises(SystemExit) as exit_info:
@@ -72,6 +72,45 @@ class TestCommands:
         message = str(exit_info.value.code)
         assert message.startswith("unknown compressor 'nope'; available:")
         assert "topk" in message and "\n" not in message
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["train", "--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["train", "--fusion-mb", "-1"], "fusion_mb must be >= 0, got -1.0"),
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--topology", "hier", "--racks", "9"],
+         "racks must be in [1, 4], got 9"),
+        (["train", "--backend", "parallel", "--workers", "2", "--epochs",
+          "0"], "epochs must be >= 1, got 0"),
+        (["train", "--backend", "parallel", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+        (["profile", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["profile", "--backend", "parallel", "--epochs", "0"],
+         "epochs must be >= 1, got 0"),
+        (["chaos", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["chaos", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_out_of_range_is_one_line(self, argv, message, monkeypatch):
+        # Each used to end in a traceback from deep inside the run, or
+        # in spawned ranks that each built a trainer and then raised.
+        import glob
+        import multiprocessing
+
+        import repro.bench.runner
+        import repro.comm.parallel
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran a cell that is out of range")
+
+        monkeypatch.setattr(repro.bench.runner, "run_cell", no_run)
+        monkeypatch.setattr(repro.comm.parallel, "run_parallel", no_run)
+        monkeypatch.setattr(multiprocessing.get_context("spawn").Process,
+                            "start", no_run)
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--benchmark", "ncf-movielens"])
+        assert str(exit_info.value.code) == message
+        assert set(glob.glob("/dev/shm/psm_*")) == segments
 
     def test_experiment_table1(self, capsys):
         assert main(["experiment", "table1"]) == 0
@@ -139,6 +178,14 @@ class TestParallelBackendFlags:
                   "--compressor", "topk", "--backend", "parallel",
                   "--workers", "2"])
 
+    def test_sim_backend_rejects_stall(self):
+        # It used to end in a traceback from the trainer's constructor.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--benchmark", "ncf-movielens",
+                  "--faults", "stall@3:rank=1"])
+        assert str(exit_info.value.code).startswith(
+            "'stall' is a real-parallel-only fault kind")
+
     @pytest.mark.parametrize("level", ["arena", "all"])
     def test_sim_backend_rejects_arena_sanitizer(self, level):
         # It used to be accepted and ignored: the run trained without it
@@ -200,7 +247,7 @@ class TestParallelBackendFlags:
             main(["profile", "--benchmark", "ncf-movielens",
                   "--backend", "parallel", "--workers", "2"])
         (config,) = configs
-        assert config.nproc == 2 and config.profile
+        assert config.cell.workers == 2 and config.profile
 
 
 class TestUnreadFlags:
@@ -233,7 +280,7 @@ class TestUnreadFlags:
         def no_training(*args, **kwargs):
             raise AssertionError("trained with an unread flag")
 
-        monkeypatch.setattr(repro.bench.runner, "train_quality", no_training)
+        monkeypatch.setattr(repro.bench.runner, "run_cell", no_training)
         monkeypatch.chdir(tmp_path)
         if argv[0] == "train":
             argv = [*argv, "--benchmark", "ncf-movielens"]
