@@ -1,22 +1,25 @@
 """GR009 — spawn-safety of work shipped across the process boundary.
 
-The parallel backend uses the ``spawn`` start method (PR 7): everything
+The parallel backend forks its ranks from a forkserver: everything
 handed to a worker — the ``Process`` target, its args, the
-``Checkpoint`` payloads recovery reloads — is pickled in the
-parent and rebuilt in a fresh interpreter.  Three shapes break that
-contract, and today each one is discovered only when pickling throws
-(or worse, silently re-runs module side effects in every worker):
+``Checkpoint`` payloads recovery reloads — is still pickled in the
+parent and rebuilt in the rank.  Three shapes break that contract, and
+without the rule each one is discovered only when pickling throws (or
+worse, silently re-runs module side effects where nobody expects):
 
 * a ``Process`` target that is a ``lambda``, a nested function, or a
-  bound method — none survive pickling under spawn;
+  bound method — none survive pickling;
 * spawn args / checkpoint payloads that capture a ``lambda`` or a
   *live* ``Parameter`` (a value built from ``.parameters()`` /
   ``named_parameters()``), which drags the whole model graph through
   the pickle instead of the detached arrays the checkpoint format
   expects;
-* module-level side-effecting calls in a module that also spawns:
-  under spawn the child re-imports the module, so every top-level call
-  runs once per worker (the classic double-init bug).
+* module-level side-effecting calls in a module that also starts
+  workers: the server imports ``repro.comm.parallel`` and
+  ``repro.bench.runner`` once, so their top-level calls run once, in
+  the server, and every rank inherits the result; any other module a
+  rank needs is imported in the rank, so its top-level calls run once
+  per worker (the classic double-init bug).
 
 The rule checks all three.  Top-level calls inside an
 ``if __name__ == "__main__":`` guard are exempt, as are pure
@@ -132,7 +135,7 @@ class SpawnSafetyRule(Rule):
                 yield self.finding(
                     module, value,
                     f"Process target {value.id!r} is a nested function; "
-                    "spawn pickles targets by qualified name and a "
+                    "a rank unpickles its target by qualified name and a "
                     "closure-local function cannot be rebuilt in the "
                     "child — hoist it to module level",
                 )
@@ -140,8 +143,9 @@ class SpawnSafetyRule(Rule):
         if isinstance(resolved, ast.Lambda):
             yield self.finding(
                 module, resolved,
-                "Process target is a lambda; lambdas do not pickle under "
-                "the spawn start method — use a module-level function",
+                "Process target is a lambda; lambdas do not pickle, and "
+                "a rank gets its target pickled — use a module-level "
+                "function",
             )
         elif isinstance(resolved, ast.Attribute) and isinstance(
             resolved.value, ast.Name
@@ -194,8 +198,8 @@ class SpawnSafetyRule(Rule):
                 yield self.finding(
                     module, stmt,
                     "module-level side-effecting call in a module that "
-                    "spawns workers; under the spawn start method every "
-                    "child re-imports this module and re-runs the call — "
+                    "starts workers; the rank server or every rank "
+                    "re-imports this module and re-runs the call — "
                     "move it under `if __name__ == \"__main__\":` or into "
                     "an explicit init function",
                 )

@@ -60,6 +60,7 @@ def cmd_list(args) -> int:
 def cmd_compress(args) -> int:
     """Compress one synthetic gradient and report the wire stats."""
     from repro.core import create
+    from repro.core.registry import check_params
     from repro.core.wire import framing_overhead_bytes
     from repro.telemetry.formatting import render_fields, wire_stats_fields
 
@@ -68,8 +69,9 @@ def cmd_compress(args) -> int:
     tensor = (args.scale * rng.standard_normal((side, side))).astype(
         np.float32
     )
-    compressor = create(args.method, seed=args.seed,
-                        **_parse_params(args.param))
+    params = _parse_params(args.param)
+    _one_line(check_params, args.method, params)
+    compressor = create(args.method, seed=args.seed, **params)
     kernel_start = time.perf_counter()
     compressed = compressor.compress(tensor, "cli")
     kernel_seconds = time.perf_counter() - kernel_start

@@ -2,10 +2,22 @@
 
 The sequential simulator runs all ranks in one process, so every
 reported speedup is simulated-clock only.  This backend runs ``N``
-worker ranks as real processes (``multiprocessing`` *spawn* context)
-that exchange gradients through the POSIX shared-memory arena of
-:mod:`repro.comm.shm`, making fusion/overlap wins measurable on actual
-hardware while keeping the analytical sim-clock accounting intact.
+worker ranks as real processes that exchange gradients through the
+POSIX shared-memory arena of :mod:`repro.comm.shm`, making
+fusion/overlap wins measurable on actual hardware while keeping the
+analytical sim-clock accounting intact.
+
+Ranks are forked from a ``multiprocessing`` *forkserver* that has
+already imported this module and :mod:`repro.bench.runner`, so a rank
+reaches :func:`_worker_main` in milliseconds instead of booting an
+interpreter and importing NumPy and the package.  A process's first run
+starts the server (about what one fresh interpreter's imports cost);
+every later run, recovery respawns included, forks from it.  A forked
+rank inherits the server's environment, so its BLAS/OpenMP thread
+settings (:func:`rank_thread_env`) are fixed when the server starts; a
+run that needs other values restarts it.  The server is stopped and
+reaped when the process exits.  The target and its arguments are still
+pickled to each rank.
 
 Pieces:
 
@@ -40,7 +52,7 @@ Pieces:
   before any is finished and the loss gather spans the exchange, so
   two ranks meet about once per step.
 * :func:`run_parallel` — the parent orchestration: create the arena,
-  spawn workers, watch their liveness, merge per-rank trace shards,
+  start workers, watch their liveness, merge per-rank trace shards,
   metric registries and memory high-water marks, verify cross-rank
   model agreement, and always unlink the shared segments.
 
@@ -84,6 +96,8 @@ import os
 import pickle
 import queue as queue_module
 import shutil
+import signal
+import sys
 import tempfile
 import threading
 import time
@@ -130,11 +144,16 @@ from repro.telemetry.metrics import (
     load_snapshot,
     snapshot_registry,
 )
+from repro.telemetry.profile import max_rss_bytes
 
 #: How long the parent waits, after aborting the arena, for surviving
 #: workers to notice and report their typed abort errors before it
 #: synthesizes messages for them and proceeds to teardown.
 _DRAIN_GRACE = 10.0
+
+#: How often (s) the parent reads the heartbeats of a cohort that has
+#: not all beaten yet: the resolution of a recovery's respawn_seconds.
+_BEAT_POLL = 0.002
 
 #: Network used to price shipping the restored checkpoint during a
 #: recovery — the same default the communicators assume.
@@ -610,7 +629,7 @@ class ParallelRunConfig:
     """A parallel :class:`~repro.core.config.Cell` and the settings of
     the processes that run it.
 
-    The config is pickled to each spawned process; workers reconstruct
+    The config is pickled to each rank's process; workers reconstruct
     the benchmark, model and trainer from the cell (via
     :func:`repro.bench.runner.build_trainer`) instead of receiving live
     objects, which is what keeps parent and workers bit-identical.
@@ -656,9 +675,19 @@ class ParallelRunConfig:
 #: Thread pools a rank would otherwise size to the whole machine.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
+#: Every rank starts from this context: a fork of one server process
+#: that has already imported :data:`_PRELOAD` (see :func:`_serve_ranks`).
+RANK_CONTEXT = mp.get_context("forkserver")
+
+#: What the server imports once, before it forks any rank.
+_PRELOAD = ["repro.comm.parallel", "repro.bench.runner"]
+
+#: The environment the running server was started under (None: none yet).
+_server_env: dict[str, str] | None = None
+
 
 def rank_thread_env(nproc: int) -> dict[str, str]:
-    """BLAS/OpenMP thread counts to spawn each of ``nproc`` ranks with.
+    """BLAS/OpenMP thread counts to start each of ``nproc`` ranks with.
 
     A value the user exported wins; otherwise every rank gets an equal
     share of the cores, so ``nproc`` full-size pools do not fight over
@@ -668,11 +697,64 @@ def rank_thread_env(nproc: int) -> dict[str, str]:
     return {var: os.environ.get(var, share) for var in THREAD_VARS}
 
 
+def _rank_env(nproc: int) -> dict[str, str]:
+    """:func:`rank_thread_env`, plus the directory ``repro`` came from
+    on ``PYTHONPATH``: CPython's forkserver does not take the parent's
+    ``sys.path``, and it drops a preload that fails to import without a
+    word."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return {**rank_thread_env(nproc),
+            "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+def _serve_ranks(env: dict[str, str]) -> None:
+    """Have a server that was started under ``env`` running.
+
+    Call it with ``env`` exported.  A forked rank inherits the server's
+    environment and BLAS pool, not the parent's at ``start()``, so a
+    server started under other values is stopped and started again.
+    The first call starts it (importing this module starts nothing) and
+    has it stopped and reaped at exit: after ``multiprocessing`` has
+    joined the children it tracks, and before it removes the temporary
+    directory that holds the server's socket.
+    """
+    global _server_env
+    from multiprocessing import forkserver, util
+
+    if _server_env is not None and _server_env != env:
+        _stop_server()
+    RANK_CONTEXT.set_forkserver_preload(_PRELOAD)
+    forkserver.ensure_running()
+    if _server_env is None:
+        util.Finalize(None, _stop_server, exitpriority=-1)
+    _server_env = dict(env)
+
+
+def _stop_server() -> None:
+    """Stop the rank server and reap it.
+
+    Left to itself the server exits only once every process holding its
+    pipe has exited, each rank it forked included, so it is terminated
+    rather than waited for: a rank that outlived its run would otherwise
+    hang the restart, or the interpreter's exit.
+    """
+    from multiprocessing import forkserver
+
+    server = forkserver._forkserver
+    if server._forkserver_pid is not None:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(server._forkserver_pid, signal.SIGTERM)
+    server._stop()
+
+
 @contextlib.contextmanager
 def _exported(values: dict[str, str]):
     """``os.environ`` with ``values`` set, restored on exit.
 
-    A spawned child copies the parent's environment at ``start()``, and
+    The rank server copies the parent's environment when it starts, and
     its BLAS reads the pool size once, at load.
     """
     previous = {var: os.environ.get(var) for var in values}
@@ -705,6 +787,9 @@ class ParallelResult:
     sanitizer: object | None = None  # SanitizerReport under --sanitize arena
     #: THREAD_VARS as the leader rank saw them (see rank_thread_env).
     environment: dict[str, str] = field(default_factory=dict)
+    #: Every rank found the server's preloaded modules imported when it
+    #: started, i.e. it was forked from a warm server.
+    preloaded: bool = False
 
 
 def model_digest(params: dict[str, np.ndarray]) -> str:
@@ -732,7 +817,7 @@ def _worker_main(
     out_queue,
     start_iteration: int = 0,
 ) -> None:
-    """Entry point of one spawned worker rank (module-level for pickling).
+    """Entry point of one worker rank (module-level for pickling).
 
     ``start_iteration`` and ``worker.consumed_faults`` are non-zero only
     on recovery respawns: the worker restores its checkpoint shard for
@@ -741,6 +826,7 @@ def _worker_main(
     does not re-fire.
     """
     rank = worker.rank
+    preloaded = all(name in sys.modules for name in _PRELOAD)
     arena = None
     try:
         arena = SharedArena.attach(arena_spec, rank)
@@ -779,12 +865,15 @@ def _worker_main(
                 var: os.environ[var] for var in THREAD_VARS
                 if var in os.environ
             },
+            "preloaded": preloaded,
+            "memory_high_water": (
+                tracer.finalize() if config.profile
+                else {"ru_maxrss_bytes": max_rss_bytes()}
+            ),
         }
         if tracer is not None:
             result["metrics"] = snapshot_registry(trainer.metrics)
             result["events"] = [span.to_event() for span in tracer.spans]
-        if config.profile:
-            result["memory_high_water"] = tracer.finalize()
         out_queue.put(("ok", rank, result))
     except BaseException as exc:
         if arena is not None:
@@ -852,7 +941,7 @@ class _Watchdog(threading.Thread):
                         )
                     continue
                 beat = self.arena.heartbeat_ns(rank)
-                # A rank that never beat is still importing/spawning;
+                # A rank that never beat is still starting;
                 # measure its silence from watchdog start instead.
                 age = (now_ns - (beat or spawn_ns)) / 1e9
                 if age > self.stall_timeout:
@@ -913,11 +1002,14 @@ class _RoundOutcome:
     victims: dict[int, str]  # watchdog verdicts (rank -> reason)
     progress: dict[int, int]  # last-started iteration at conviction time
     reported: frozenset  # ranks whose error arrived via the queue
+    #: Parent-clock seconds from starting the cohort until every rank's
+    #: first heartbeat (None if one never beat), and of its teardown.
+    startup_seconds: float | None
+    teardown_seconds: float
     sanitizer: object | None = None  # per-round SanitizerReport (or None)
 
 
 def _run_round(
-    ctx,
     config: ParallelRunConfig,
     active: list[int],
     start_iteration: int,
@@ -935,9 +1027,9 @@ def _run_round(
             SANITIZE_SLOTS if sanitizes(config.cell.sanitize, "arena") else 0
         ),
     )
-    out_queue = ctx.Queue()
+    out_queue = RANK_CONTEXT.Queue()
     workers = {
-        rank: ctx.Process(
+        rank: RANK_CONTEXT.Process(
             target=_worker_main,
             args=(
                 config, arena.spec,
@@ -956,20 +1048,32 @@ def _run_round(
     errors: dict[int, str] = {}
     reported: set[int] = set()
     watchdog = _Watchdog(arena, workers, config.stall_timeout)
+    first_beat: dict[int, int] = {}  # rank -> monotonic ns
 
     def pending() -> list[int]:
         return [r for r in active if r not in results and r not in errors]
 
     try:
-        with _exported(rank_thread_env(config.cell.workers)):
+        env = _rank_env(config.cell.workers)
+        with _exported(env):
+            _serve_ranks(env)
+            started_ns = time.monotonic_ns()
             for worker in workers.values():
                 worker.start()
         watchdog.start()
         deadline = time.monotonic() + DEFAULT_TIMEOUT + 3600.0
         drain_deadline = None
         while pending():
+            for rank in active:
+                # A heartbeat word holds the latest beat, so the first
+                # one is read while it is still fresh.
+                if rank not in first_beat and arena.heartbeat_ns(rank):
+                    first_beat[rank] = arena.heartbeat_ns(rank)
+            unseen = any(rank not in first_beat for rank in pending())
             try:
-                status, rank, payload = out_queue.get(timeout=0.2)
+                status, rank, payload = out_queue.get(
+                    timeout=_BEAT_POLL if unseen else 0.2
+                )
                 if status == "ok":
                     results[rank] = payload
                 else:
@@ -1003,7 +1107,9 @@ def _run_round(
     finally:
         if watchdog.ident is not None:  # a failed spawn never started it
             watchdog.stop()
+        teardown_start = time.monotonic()
         _teardown_workers(list(workers.values()), arena, registry)
+        teardown_seconds = time.monotonic() - teardown_start
         if not watchdog.progress:
             watchdog.progress = {
                 rank: arena.progress(rank) for rank in active
@@ -1033,6 +1139,11 @@ def _run_round(
         victims=dict(watchdog.victims),
         progress=dict(watchdog.progress),
         reported=frozenset(reported),
+        startup_seconds=(
+            (max(first_beat.values()) - started_ns) / 1e9
+            if len(first_beat) == len(active) else None
+        ),
+        teardown_seconds=teardown_seconds,
         sanitizer=sanitizer_report,
     )
 
@@ -1084,7 +1195,6 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
         own_checkpoint_dir = True
     worker_config = replace(config, checkpoint_dir=checkpoint_dir)
 
-    ctx = mp.get_context("spawn")
     registry = MetricsRegistry()
     active = list(range(cell.workers))
     start_iteration = 0
@@ -1095,9 +1205,11 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
     try:
         while True:
             outcome = _run_round(
-                ctx, worker_config, active, start_iteration, consumed,
+                worker_config, active, start_iteration, consumed,
                 len(recoveries), registry,
             )
+            if recoveries:  # this cohort is the last recovery's respawn
+                recoveries[-1]["respawn_seconds"] = outcome.startup_seconds
             if outcome.sanitizer is not None:
                 if sanitizer_total is None:
                     from repro.comm.sanitizer import SanitizerReport
@@ -1161,6 +1273,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
                 "restored_iteration": new_start,
                 "lost_iterations": max(1, furthest - new_start),
                 "checkpoint_bytes": checkpoint_bytes,
+                "teardown_seconds": outcome.teardown_seconds,
             })
             registry.counter(
                 "recoveries_total",
@@ -1230,6 +1343,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
         metrics=merged_metrics,
         sanitizer=sanitizer_total,
         environment=results[leader]["environment"],
+        preloaded=all(payload["preloaded"] for payload in results.values()),
     )
 
 

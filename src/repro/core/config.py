@@ -166,13 +166,13 @@ class Cell:
         # compressor, which importing this module must not.
         from repro.bench.suite import get_benchmark
         from repro.core.memory import MEMORIES
-        from repro.core.registry import compressor_info
+        from repro.core.registry import check_params
 
         try:
             spec = get_benchmark(self.benchmark)
-            compressor_info(self.compressor)
         except KeyError as error:
             raise ValueError(error.args[0]) from None
+        check_params(self.compressor, self.compressor_params or {})
         if self.epochs is None:
             object.__setattr__(self, "epochs", spec.lite_epochs)
         if self.memory is not None and self.memory not in MEMORIES:

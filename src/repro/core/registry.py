@@ -3,11 +3,13 @@
 ``create(name, **params)`` instantiates any implemented method;
 ``compressor_info(name)`` returns the survey-classification row the
 paper's Table I reports (family, compressed size ‖g̃‖₀, nature of Q,
-error-feedback default).
+error-feedback default); ``check_params(name, params)`` refuses an
+unknown name or parameter without building anything.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from repro.core.api import Compressor
@@ -173,6 +175,26 @@ def compressor_info(name: str) -> CompressorInfo:
             f"unknown compressor {name!r}; available: {available_compressors()}"
         )
     return _REGISTRY[name]
+
+
+def check_params(name: str, params: dict) -> None:
+    """Refuse, with a one-line ValueError, an unknown compressor ``name``
+    or a key of ``params`` its constructor does not take; builds nothing.
+
+    ``seed`` is not a parameter: :func:`create` passes it.
+    """
+    try:
+        info = compressor_info(name)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from None
+    parameters = inspect.signature(info.cls).parameters
+    if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+        return
+    accepted = [key for key in parameters if key != "seed"]
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"unknown parameter {key!r} for compressor "
+                             f"{name!r}; available: {accepted}")
 
 
 def aggregation_kind(name: str) -> str:

@@ -97,15 +97,19 @@ class ProfilingTracer(Tracer):
             if self._owns_tracemalloc:
                 tracemalloc.stop()
                 self._owns_tracemalloc = False
-        try:
-            import resource
-
-            usage = resource.getrusage(resource.RUSAGE_SELF)
-            # ru_maxrss is KiB on Linux, bytes on macOS.
-            scale = 1 if usage.ru_maxrss > (1 << 32) else 1024
-            self.memory_high_water["ru_maxrss_bytes"] = int(
-                usage.ru_maxrss * scale
-            )
-        except ImportError:  # pragma: no cover - non-POSIX
-            pass
+        rss = max_rss_bytes()
+        if rss is not None:
+            self.memory_high_water["ru_maxrss_bytes"] = rss
         return dict(self.memory_high_water)
+
+
+def max_rss_bytes() -> int | None:
+    """This process's OS ``ru_maxrss`` in bytes (None off POSIX)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is KiB on Linux, bytes on macOS.
+    scale = 1 if usage.ru_maxrss > (1 << 32) else 1024
+    return int(usage.ru_maxrss * scale)

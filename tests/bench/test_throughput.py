@@ -173,23 +173,34 @@ class TestParallelBench:
 
     @staticmethod
     def _stub(monkeypatch, digests):
-        legs = iter(digests)
+        """``digests`` of the two timed legs; returns the cells run."""
+        # The untimed warm-up (the fused cell, one epoch) comes first.
+        legs = iter([digests[-1], *digests])
+        cells = []
 
         def fake_run_parallel(config):
+            cells.append(config.cell)
             digest = next(legs)
             return SimpleNamespace(
-                wall_seconds=2.0 if config.cell.fusion_mb == 0 else 1.0,
+                wall_seconds=(
+                    9.0 if config.cell.epochs == 1
+                    else 2.0 if config.cell.fusion_mb == 0 else 1.0
+                ),
                 digests={0: digest, 1: digest},
             )
 
         monkeypatch.setattr("repro.comm.parallel.run_parallel",
                             fake_run_parallel)
+        return cells
 
     def test_equal_digests_pass(self, monkeypatch):
-        self._stub(monkeypatch, ["750dd1dd" * 8] * 2)
+        cells = self._stub(monkeypatch, ["750dd1dd" * 8] * 2)
         result = run_parallel_bench()
         assert result.suite == "throughput"
         assert result.failures == []
+        # The warm-up, which starts the rank server, is not timed.
+        assert [(c.fusion_mb, c.epochs) for c in cells] == [
+            (64.0, 1), (0.0, 4), (64.0, 4)]
         assert result.value("parallel/fusion_wall_speedup") == 2.0
         assert "750dd1dd" in result.text
 

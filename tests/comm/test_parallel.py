@@ -6,19 +6,24 @@ Three tiers, cheapest first:
   by threads over one arena, exercising dense/wire paths and rank-order
   reduction without spawn costs;
 * single-rank nonblocking handles — drain-exactly-once semantics;
-* real spawn tests — the ISSUE acceptance check (sequential vs parallel
-  bitwise model-state agreement for topk and signsgd on the fig6a
-  workload) plus the typed crash paths.  These pay process spawn +
-  import costs (seconds each), so they are deliberately few.
+* real process tests — sequential vs parallel bitwise model-state
+  agreement for topk and signsgd on the fig6a workload, the rank
+  server's preload and exit, plus the typed crash paths.  These pay
+  process start and training costs (seconds each), so they are
+  deliberately few.
 """
 
+import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.comm.parallel import (
     ParallelCrashError,
     ParallelRunConfig,
@@ -751,12 +756,47 @@ class TestRunParallel:
         assert "OMP_NUM_THREADS" not in os.environ
         assert "MKL_NUM_THREADS" not in os.environ
 
+    def test_ranks_fork_from_a_preloaded_server_reaped_at_exit(self):
+        # As perfbench runs it: no PYTHONPATH, ``src`` put on sys.path by
+        # the script itself, which the server does not inherit.
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        script = (
+            "import json, multiprocessing, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from multiprocessing import forkserver\n"
+            "from repro.comm.parallel import ParallelRunConfig, "
+            "run_parallel\n"
+            "server = forkserver._forkserver\n"
+            "out = {'at_import': [server._forkserver_pid,\n"
+            "                     len(multiprocessing.active_children())]}\n"
+            "out['runs'] = []\n"
+            "for _ in range(2):\n"
+            "    result = run_parallel(ParallelRunConfig(\n"
+            "        benchmark='ncf-movielens', nproc=2, epochs=1))\n"
+            "    out['runs'].append([result.preloaded,\n"
+            "                        server._forkserver_pid])\n"
+            "print(json.dumps(out))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout.splitlines()[-1])
+        assert out["at_import"] == [None, 0]  # importing starts nothing
+        (first, pid), (second, same_pid) = out["runs"]
+        assert second and first  # each rank found the runner imported
+        assert pid is not None and same_pid == pid  # one warm server
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # stopped and reaped before the exit
+
     def test_worker_failure_is_typed_not_a_hang(self):
         with pytest.raises(ParallelCrashError) as excinfo:
             run_parallel(ParallelRunConfig(Cell(
                 FIG6A, "topk", workers=2, epochs=1, backend="parallel",
-                # Fails in each rank: the parent checks only the name.
-                compressor_params={"no_such_param": 1},
+                # Fails in each rank: the cell checks only the names of
+                # the parameters, and topk's constructor refuses this ratio.
+                compressor_params={"ratio": 2.0},
             )))
         assert isinstance(excinfo.value, WorkerCrashError)
         assert "2 of 2 workers failed" in str(excinfo.value)

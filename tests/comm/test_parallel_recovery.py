@@ -1,13 +1,13 @@
 """Crash recovery on the real-parallel backend.
 
-These are the survivability acceptance tests: real spawned processes,
+These are the survivability acceptance tests: real rank processes,
 real SIGKILLs, a real watchdog.  The property test sweeps the kill
 point over **every** iteration boundary of the run — restart recovery
 must land on the same bits as the uninterrupted run no matter where
 the crash falls — and every faulted run must leave ``/dev/shm`` exactly
 as it found it.
 
-Spawn tests are expensive (seconds each); everything cheap about the
+Process tests are expensive (seconds each); everything cheap about the
 machinery lives in ``test_shm.py`` (liveness words),
 ``test_worker_checkpoint.py`` (snapshot round trip) and
 ``test_real_faults.py`` (fault actions).
@@ -19,6 +19,7 @@ import multiprocessing
 import pytest
 
 from repro.comm.parallel import (
+    RANK_CONTEXT,
     ParallelCrashError,
     ParallelRunConfig,
     run_parallel,
@@ -58,7 +59,8 @@ class TestRestartRecovery:
         The respawned cohort restores the latest common checkpoint and
         must reproduce the clean run's final model state bitwise and
         its loss trajectory exactly, with the outage priced into
-        ``sim_recovery_seconds`` and zero leaked shm segments.
+        ``sim_recovery_seconds``, the teardown and the respawn timed,
+        and zero leaked shm segments or ranks.
         """
         iterations = clean_run.report.iterations
         clean_digest = set(clean_run.digests.values())
@@ -85,10 +87,19 @@ class TestRestartRecovery:
                     f"k={k}: wrong victims "
                     f"{result.recoveries[0]['dead_ranks']}"
                 )
+            else:
+                # Timed on the parent's clock; no threshold, just present.
+                recovery = result.recoveries[0]
+                if not recovery["teardown_seconds"] > 0:
+                    failures.append(f"k={k}: teardown was not timed")
+                if not (recovery["respawn_seconds"] or 0) > 0:
+                    failures.append(f"k={k}: respawn was not timed")
             if not result.report.sim_recovery_seconds > 0:
                 failures.append(f"k={k}: outage was not priced")
             if leaked:
                 failures.append(f"k={k}: leaked {sorted(leaked)}")
+            if multiprocessing.active_children():
+                failures.append(f"k={k}: left a rank running")
         assert not failures, "\n".join(failures)
 
     def test_stall_is_convicted_by_heartbeat_and_recovered(self, clean_run):
@@ -142,11 +153,11 @@ class TestFailStopTeardown:
     def test_deterministic_worker_error_stays_fail_stop(self):
         """Queue-reported Python errors must not trigger recovery."""
         before = _shm_segments()
-        # The parent knows every compressor name; an argument topk does
-        # not take fails in each rank instead.
+        # The cell checks the names of topk's parameters, not their
+        # values: a ratio the constructor refuses fails in each rank.
         with pytest.raises(ParallelCrashError, match="2 of 2"):
             run_parallel(_config(
-                compressor_params={"no_such_param": 1},
+                compressor_params={"ratio": 2.0},
                 recovery="restart",
                 checkpoint_every=1,
             ))
@@ -163,7 +174,7 @@ class TestFailStopTeardown:
             self, monkeypatch):
         """A rank that cannot be spawned fails the run with the spawn's
         own error; the started rank is reaped and the arena unlinked."""
-        process = multiprocessing.get_context("spawn").Process
+        process = RANK_CONTEXT.Process
         real_start = process.start
         started = []
 
@@ -190,7 +201,7 @@ class TestFailStopTeardown:
     def test_unknown_names_fail_before_any_spawn(
             self, names, message, monkeypatch):
         """The cell checks both names before a rank is spawned."""
-        process = multiprocessing.get_context("spawn").Process
+        process = RANK_CONTEXT.Process
         started = []
 
         def start(worker):

@@ -201,6 +201,12 @@ class TestCell:
          "'stall' is a real-parallel-only fault kind"),
         (dict(benchmark="alexnet"), "unknown benchmark 'alexnet'; known:"),
         (dict(compressor="nope"), "unknown compressor 'nope'; available:"),
+        (dict(compressor="topk", compressor_params={"nope": 1}),
+         "unknown parameter 'nope' for compressor 'topk'; available: "
+         "['ratio', 'index_encoding']"),
+        (dict(compressor="qsgd", compressor_params={"seed": 3}),
+         "unknown parameter 'seed' for compressor 'qsgd'; available: "
+         "['levels']"),
         (dict(memory="nope"), "unknown memory 'nope'; expected one of"),
         (dict(topology="ring"), "topology must be one of"),
         (dict(backend="gpu"), "backend must be one of"),

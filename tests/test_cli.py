@@ -31,8 +31,19 @@ class TestCommands:
         assert "wire size" in out and "compression" in out
 
     def test_compress_unknown_method(self):
-        with pytest.raises(KeyError, match="unknown compressor"):
+        with pytest.raises(SystemExit) as exit_info:
             main(["compress", "--method", "gzip"])
+        message = str(exit_info.value.code)
+        assert message.startswith("unknown compressor 'gzip'; available:")
+        assert "\n" not in message
+
+    def test_compress_unknown_param(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compress", "--method", "qsgd", "--param", "bits=4"])
+        assert str(exit_info.value.code) == (
+            "unknown parameter 'bits' for compressor 'qsgd'; "
+            "available: ['levels']"
+        )
 
     def test_train(self, capsys):
         code = main(["train", "--benchmark", "ncf-movielens",
@@ -56,15 +67,14 @@ class TestCommands:
     def test_unknown_compressor_is_one_line(self, argv, monkeypatch):
         # The simulator used to print a KeyError traceback, and the
         # parallel backend spawned its ranks before failing.
-        import multiprocessing
-
         import repro.bench.runner
+        import repro.comm.parallel
 
         def no_training(*args, **kwargs):
             raise AssertionError("trained before checking the compressor")
 
         monkeypatch.setattr(repro.bench.runner, "run_cell", no_training)
-        monkeypatch.setattr(multiprocessing.get_context("spawn").Process,
+        monkeypatch.setattr(repro.comm.parallel.RANK_CONTEXT.Process,
                             "start", no_training)
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--benchmark", "ncf-movielens",
@@ -89,12 +99,18 @@ class TestCommands:
          "epochs must be >= 1, got 0"),
         (["chaos", "--workers", "0"], "workers must be >= 1, got 0"),
         (["chaos", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--compressor", "topk", "--param", "nope=1"],
+         "unknown parameter 'nope' for compressor 'topk'; available: "
+         "['ratio', 'index_encoding']"),
+        (["train", "--backend", "parallel", "--workers", "2",
+          "--compressor", "topk", "--param", "seed=3"],
+         "unknown parameter 'seed' for compressor 'topk'; available: "
+         "['ratio', 'index_encoding']"),
     ])
     def test_out_of_range_is_one_line(self, argv, message, monkeypatch):
         # Each used to end in a traceback from deep inside the run, or
         # in spawned ranks that each built a trainer and then raised.
         import glob
-        import multiprocessing
 
         import repro.bench.runner
         import repro.comm.parallel
@@ -104,7 +120,7 @@ class TestCommands:
 
         monkeypatch.setattr(repro.bench.runner, "run_cell", no_run)
         monkeypatch.setattr(repro.comm.parallel, "run_parallel", no_run)
-        monkeypatch.setattr(multiprocessing.get_context("spawn").Process,
+        monkeypatch.setattr(repro.comm.parallel.RANK_CONTEXT.Process,
                             "start", no_run)
         segments = set(glob.glob("/dev/shm/psm_*"))
         with pytest.raises(SystemExit) as exit_info:
@@ -320,12 +336,12 @@ class TestChaosInputErrors:
 
     @pytest.fixture(autouse=True)
     def no_spawns(self, monkeypatch):
-        import multiprocessing
+        import repro.comm.parallel
 
         def start(worker):
             raise AssertionError("spawned a rank on bad input")
 
-        monkeypatch.setattr(multiprocessing.get_context("spawn").Process,
+        monkeypatch.setattr(repro.comm.parallel.RANK_CONTEXT.Process,
                             "start", start)
 
     def test_unwritable_out(self, tmp_path):
