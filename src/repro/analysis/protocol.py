@@ -1,94 +1,80 @@
-"""Exhaustive interleaving model of the shared-arena protocol.
+"""Exhaustive interleaving check of the real shared-memory arena.
 
-The arena's correctness argument (:mod:`repro.comm.shm`) is a handful
-of ordering claims: publication is the last store of a post, readers
-only copy bytes whose publication they observed, the bump allocator
-reuses bytes only after every active rank's drained counter passed
-them, and a death anywhere leads to a typed abort rather than a hang.
-Unit tests exercise a few schedules; the chaos harness samples more;
-this module *enumerates all of them* for a small but adversarial
-configuration — a 2-rank cohort, a data segment sized to force
-wraparound, a 2-slot metadata ring — so the claims hold for every
-interleaving of the protocol's micro-steps, not just the ones a
-scheduler happened to produce.
+Every interleaving of the real
+:class:`~repro.comm.parallel.ParallelWorkerCommunicator` over
+:class:`~repro.comm.shm.SharedArena` is run on a 2-rank arena of
+4,096-byte segments and a 2-slot metadata ring, which three collectives
+wrap (``docs/ANALYSIS.md``, "The protocol check").  Each rank is a
+thread over its own view of a fresh arena that records events.  The
+view's ``_yield_point`` parks the rank after every event and at every
+poll of a wait, and the scheduler picks the next step: run a rank, kill
+one (its thread unwinds and writes nothing more), or, after a kill,
+convict it as the watchdog does (``mark_failed``, then ``abort``).  A
+depth-first search replays each branch on a fresh arena and skips a
+state already seen: the control words, the data segments, each rank's
+status and event history, and the kill and convict flags.  The ranks
+do not beat, since a heartbeat carries the time.
 
-The model mirrors the implementation step for step:
-
-* ``alloc`` — ``_wait_meta_slot`` + ``_allocate`` (guarded: enabled
-  only when the ring slot is reclaimable and a non-overlapping block
-  exists, exactly the conditions the real poll loops wait on);
-* ``write`` — payload bytes + metadata slot, as ``(rank, seq)`` tokens
-  so a stale or torn read is detectable by value;
-* ``publish`` — ``posted[r] = seq + 1`` (the store under test:
-  ``broken=True`` swaps it before ``write``, and the model must then
-  report a stale read — the model's own self-test);
-* ``read`` — peer payload copy with token validation;
-* ``drain`` — ``drained[r] = seq + 1``;
-* ``die`` / ``convict`` — a worker vanishing at any micro-step and the
-  parent watchdog's mark_failed + abort; every blocked step is
-  abort-unblockable, so the deadlock-freedom invariant has teeth;
-* ``progress`` — the communicator's progress engine
-  (``ParallelWorkerCommunicator.progress``), for the *split-phase*
-  program (``window > 0``: W posts first, then the reads, in any finish
-  order): while a rank is blocked in a post or in a wait it reads
-  whatever issued collective its peers have posted, and ``drained``
-  only ever rises to the lowest sequence number the rank has yet to
-  read.  ``progress=False`` takes the engine out of the waits, and the
-  model must then report the self-deadlock.
-
-Violations are typed (:class:`ProtocolViolation` naming rank, seq and
-schedule); :func:`run_protocol_check` runs the CI scenario suite —
-clean wraparound, die-anywhere, degraded cohort, the split-phase
-window, plus the two negative controls — and is what
-``repro protocol-check`` drives.
+A rank parked in a wait may run again only once the control words have
+changed since its last failed ``ready()`` — its own changes included,
+as ``progress()`` runs inside the wait.  No rank runnable while one is
+unfinished is a deadlock.  Every rank must end done, killed or with
+``ArenaAbortedError``; payloads carry ``rank * 100 + seq + 1``, so a
+wrong value is a ``torn-read`` and metadata read before it was written
+a ``stale-meta``; and the sanitizer replays every execution that ends.
+The negative controls mutate the real code of their ranks and must be
+caught.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import hashlib
+import threading
+import types
+from dataclasses import asdict, dataclass, field, replace
 
-#: Micro-op kinds, in per-seq program order.
-_OPS = ("alloc", "write", "publish", "read", "drain")
+import numpy as np
+
+from repro.comm.parallel import ParallelWorkerCommunicator
+from repro.comm.sanitizer import check_streams
+from repro.comm.shm import (
+    EV_POST,
+    EV_WRITE,
+    ArenaAbortedError,
+    ArenaProtocolError,
+    SharedArena,
+)
+from repro.core.wire import WireFormatError
+
+#: States one scenario may reach before the check gives up.
+MAX_STATES = 20_000
+
+_FINISHED = ("done", "killed", "aborted", "failed")
+
+#: The violation kinds that show each mutation was caught.
+_CAUGHT_AS = {"publish-first": ("stale-meta", "torn-read"),
+             "no-progress": ("deadlock",)}
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """One model scenario.
+class Scenario:
+    """What each rank runs, and on which arena.
 
-    ``capacity``/``payload`` are in abstract bytes — the defaults make
-    three posts wrap the segment, which is what exercises reclamation.
-    ``crash_rank`` enables a ``die`` step for that rank at *every*
-    point of its program; ``broken`` swaps publish before write.
-
-    ``window > 0`` switches to the split-phase program: ``window``
-    collectives are posted before any is read, then finished in
-    ``finish_order`` (default: the last one first).  ``payloads`` gives
-    each rank its own payload size — a rank whose posts all fit can then
-    sit in a wait while its peer is short of room.  ``progress`` is
-    whether blocked posts and waits run the progress engine.
+    ``order`` makes the scenario split-phase: every rank issues ``seqs``
+    ``iallgather``\\ s, then waits on them in that order; without it,
+    each rank runs ``seqs`` blocking ``allreduce_parts``.  ``payloads``
+    is the bytes each rank posts per collective.  ``crash`` lets rank 1
+    die at any step; ``mutation`` is ``publish-first`` or
+    ``no-progress``.
     """
 
-    n_ranks: int = 2
-    seqs: int = 3
+    seqs: int
+    payloads: tuple[int, int] = (2048, 2048)
     meta_slots: int = 2
-    capacity: int = 2
-    payload: int = 1
-    active: tuple[int, ...] | None = None
-    crash_rank: int | None = None
-    broken: bool = False
-    window: int = 0
-    finish_order: tuple[int, ...] | None = None
-    payloads: tuple[int, ...] | None = None
-    progress: bool = True
-
-    @property
-    def active_ranks(self) -> tuple[int, ...]:
-        if self.active is not None:
-            return self.active
-        return tuple(range(self.n_ranks))
-
-    def payload_of(self, rank: int) -> int:
-        return self.payload if self.payloads is None else self.payloads[rank]
+    order: tuple[int, ...] | None = None
+    active: tuple[int, ...] = (0, 1)
+    crash: bool = False
+    mutation: str | None = None
 
 
 @dataclass(frozen=True)
@@ -101,414 +87,292 @@ class ProtocolViolation:
     detail: str
     schedule: tuple[str, ...] = ()
 
-    def __str__(self) -> str:
-        return f"[{self.kind}] rank {self.rank} seq {self.seq}: {self.detail}"
-
 
 @dataclass
-class ModelResult:
+class CheckResult:
     """Outcome of one exhaustive exploration."""
 
-    config: ModelConfig
     states: int = 0
     terminals: int = 0
+    executions: int = 0
     violations: list[ProtocolViolation] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+
+class _Killed(BaseException):
+    """Unwinds a killed rank's thread from its yield point."""
 
 
-# State layout (immutable, hashable):
-#   pc[r]        — index into rank r's program (len(program) = done)
-#   alive[r]     — 1 running, 0 died
-#   aborted      — global abort flag (0/1)
-#   exited[r]    — 1 once r bailed out via the abort path
-#   posted[r], drained[r]
-#   meta[r]      — tuple(meta_slots) of (seq, offset) or None
-#   data[r]      — tuple(capacity) of (rank, seq) token or None
-#   head[r]      — bump pointer
-#   outstanding[r] — tuple of (seq, offset, nbytes)
-#   got[r]       — frozenset of (seq, peer) contributions r has read
-#                  (split-phase program only; empty otherwise)
+class _TornRead(Exception):
+    """A collective returned values its peers did not post for it."""
 
 
-def _program(config: ModelConfig, rank: int) -> tuple[tuple, ...]:
-    peers = [p for p in config.active_ranks if p != rank]
-    ops: list[tuple] = []
-
-    def post(seq):
-        if config.broken:
-            return [("alloc", seq), ("publish", seq), ("write", seq)]
-        return [("alloc", seq), ("write", seq), ("publish", seq)]
-
-    def finish(seq):
-        return [("read", seq, p) for p in peers] + [("drain", seq)]
-
-    if config.window:
-        order = config.finish_order
-        if order is None:
-            order = (config.window - 1, *range(config.window - 1))
-        for seq in range(config.window):
-            ops.extend(post(seq))
-        for seq in order:
-            ops.extend(finish(seq))
-    else:
-        for seq in range(config.seqs):
-            ops.extend(post(seq) + finish(seq))
-    return tuple(ops)
+#: The violation a rank's error is, by its type ("crash" if none).
+_KINDS = {ArenaProtocolError: "stale-meta",
+          (_TornRead, WireFormatError): "torn-read"}
 
 
-class ProtocolModel:
-    """Exhaustive DFS over every interleaving of one scenario."""
+def _value(rank: int, seq: int) -> int:
+    return rank * 100 + seq + 1
 
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        self.programs = {
-            r: _program(config, r) for r in config.active_ranks
-        }
 
-    # -- state helpers ------------------------------------------------------
-
-    def _initial(self):
-        c = self.config
-        ranks = c.active_ranks
-        return (
-            tuple(0 for _ in ranks),  # pc
-            tuple(1 for _ in ranks),  # alive
-            0,  # aborted
-            tuple(0 for _ in ranks),  # exited
-            tuple(0 for _ in ranks),  # posted
-            tuple(0 for _ in ranks),  # drained
-            tuple(tuple(None for _ in range(c.meta_slots)) for _ in ranks),
-            tuple(tuple(None for _ in range(c.capacity)) for _ in ranks),
-            tuple(0 for _ in ranks),  # head
-            tuple(() for _ in ranks),  # outstanding
-            tuple(frozenset() for _ in ranks),  # got
+def _expect(got: np.ndarray, want: int, what: str) -> None:
+    if not np.all(got == want):
+        raise _TornRead(
+            f"{what} read as {sorted(set(got.tolist()))}, not {want}"
         )
 
-    def _floor(self, state) -> int:
-        drained = state[5]
-        return min(drained) if drained else 0
 
-    def _terminal_rank(self, state, index: int) -> bool:
-        pc, alive, _, exited = state[0], state[1], state[2], state[3]
-        rank = self.config.active_ranks[index]
-        return (
-            pc[index] >= len(self.programs[rank])
-            or not alive[index]
-            or exited[index]
+def _publish_first(self, seq, data, kind, progress=None):
+    """``SharedArena.post`` with the publication store moved first."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    self._wait_meta_slot(seq, progress=progress)
+    offset = self._allocate(seq, raw.size, progress=progress)
+    self._posted[self.rank] = seq + 1
+    self._record(EV_POST, seq, offset, raw.size)
+    self._data[self.rank][offset:offset + raw.size] = raw
+    self._meta[self.rank, seq % self.spec.meta_slots] = offset, raw.size, kind
+    self._record(EV_WRITE, seq, offset, raw.size)
+
+
+class _Rank:
+    """One rank's thread over its own view, parked between steps."""
+
+    def __init__(self, run: "_Run", rank: int):
+        self.run = run
+        self.rank = rank
+        self.view = SharedArena.attach(run.arena.spec, rank)
+        self.view._hb_time = None  # no beats: they carry the time
+        self.view._yield_point = self._park
+        if run.scenario.mutation == "publish-first":
+            self.view.post = types.MethodType(_publish_first, self.view)
+        self.go = threading.Semaphore(0)
+        self.state = "step"
+        self.seq = 0
+        self.resumed = b""  # control words at its last failed ready()
+        self.kill = False
+        self.error: tuple[str, str] | None = None
+        self.thread = threading.Thread(target=self._main, daemon=True)
+        self.thread.start()
+        run.parked.acquire()
+
+    def _park(self, waiting: bool) -> None:
+        self.state = "wait" if waiting else "step"
+        self.run.parked.release()
+        self.go.acquire()
+        if self.kill:
+            raise _Killed
+
+    def runnable(self) -> bool:
+        return self.state == "step" or (
+            self.state == "wait" and self.run.words() != self.resumed
         )
 
-    def _try_alloc(self, state, index: int, seq: int):
-        """The granted (offset, outstanding') or None if blocked —
-        mirrors ``_wait_meta_slot`` + ``_allocate``."""
-        c = self.config
-        if seq - c.meta_slots >= self._floor(state):
-            return None  # metadata ring slot not yet reclaimable
-        floor = self._floor(state)
-        outstanding = tuple(
-            entry for entry in state[9][index] if entry[0] >= floor
-        )
-        head = state[8][index]
-        payload = c.payload_of(c.active_ranks[index])
-        start = head
-        if start + payload > c.capacity:
-            start = 0  # wrap; payloads are never split
-        end = start + payload
-        for _, off, nb in outstanding:
-            if start < off + nb and off < end:
-                return None  # blocked on undrained bytes
-        return start, outstanding + ((seq, start, payload),)
+    def _main(self) -> None:
+        try:
+            comm = ParallelWorkerCommunicator(self.view, self.rank)
+            if self.run.scenario.mutation == "no-progress":
+                comm.progress = lambda: None
+            self._program(comm)
+            self.state = "done"
+        except _Killed:
+            self.state = "killed"
+        except ArenaAbortedError:
+            self.state = "aborted"
+        except Exception as error:
+            kind = next((kind for cls, kind in _KINDS.items()
+                         if isinstance(error, cls)), "crash")
+            self.state, self.error = "failed", (kind, str(error))
+        finally:
+            self.run.parked.release()
 
-    def _engine_floor(self, rank: int, got) -> int:
-        """What ``_retire`` publishes: the lowest sequence number
-        ``rank`` still has to read (the window's end when none)."""
-        peers = [p for p in self.config.active_ranks if p != rank]
-        for seq in range(self.config.window):
-            if any((seq, p) not in got for p in peers):
-                return seq
-        return self.config.window
-
-    # -- exploration --------------------------------------------------------
-
-    def explore(self, max_states: int = 2_000_000) -> ModelResult:
-        c = self.config
-        ranks = c.active_ranks
-        result = ModelResult(config=c)
-        seen: set = set()
-        # Each stack entry: (state, schedule) — schedule only as deep
-        # as needed to label violations, truncated for memory sanity.
-        stack = [(self._initial(), ())]
-        while stack:
-            state, schedule = stack.pop()
-            if state in seen:
+    def _program(self, comm) -> None:
+        scenario = self.run.scenario
+        cohort = scenario.active
+        handles = []
+        for seq in range(scenario.seqs):
+            self.seq = seq
+            part = np.full(scenario.payloads[self.rank] // 4,
+                           _value(self.rank, seq), np.float32)
+            if scenario.order is not None:
+                handles.append(comm.iallgather([[part]]))
                 continue
-            seen.add(state)
-            result.states += 1
-            if result.states > max_states:  # pragma: no cover - backstop
-                raise RuntimeError(
-                    f"protocol model exceeded {max_states} states; "
-                    "shrink the scenario"
-                )
-            successors = self._successors(state, schedule, result)
-            if not successors:
-                if all(
-                    self._terminal_rank(state, i) for i in range(len(ranks))
-                ):
-                    result.terminals += 1
-                else:
-                    stuck = [
-                        ranks[i] for i in range(len(ranks))
-                        if not self._terminal_rank(state, i)
-                    ]
-                    result.violations.append(ProtocolViolation(
-                        "deadlock", stuck[0], -1,
-                        f"ranks {stuck} have no enabled step and the "
-                        "abort flag cannot unblock them",
-                        schedule,
-                    ))
-            else:
-                stack.extend(successors)
-        return result
+            (total,) = comm.allreduce_parts([[part]])
+            _expect(total, sum(_value(r, seq) for r in cohort),
+                    f"the sum of seq {seq}")
+        for seq in scenario.order or ():
+            self.seq = seq
+            for peer, (part,) in zip(cohort, handles[seq].wait()):
+                _expect(part, _value(peer, seq), f"rank {peer}'s seq {seq}")
 
-    def _successors(self, state, schedule, result):
-        c = self.config
-        ranks = c.active_ranks
-        (pc, alive, aborted, exited, posted, drained,
-         meta, data, head, outstanding, got) = state
-        out = []
 
-        def rebuild(**overrides):
-            fields = {
-                "pc": pc, "alive": alive, "aborted": aborted,
-                "exited": exited, "posted": posted, "drained": drained,
-                "meta": meta, "data": data, "head": head,
-                "outstanding": outstanding, "got": got,
-            }
-            fields.update(overrides)
-            return (
-                fields["pc"], fields["alive"], fields["aborted"],
-                fields["exited"], fields["posted"], fields["drained"],
-                fields["meta"], fields["data"], fields["head"],
-                fields["outstanding"], fields["got"],
-            )
+class _Run:
+    """One execution: a fresh arena and a thread per active rank."""
 
-        def checked_read(rank, seq, peer, label):
-            """Validate what ``rank`` reads of ``peer``'s ``seq``: the
-            read-after-reclaim detector (tokens name their owner)."""
-            j = ranks.index(peer)
-            slot = meta[j][seq % c.meta_slots]
-            if slot is None or slot[0] != seq:
-                result.violations.append(ProtocolViolation(
-                    "stale-meta", rank, seq,
-                    f"read of rank {peer} observed metadata "
-                    f"{slot!r} instead of seq {seq} after its "
-                    "publication was visible",
-                    schedule + (label,),
-                ))
-                return
-            offset = slot[1]
-            cells = data[j][offset:offset + c.payload_of(peer)]
-            if any(cell != (peer, seq) for cell in cells):
-                result.violations.append(ProtocolViolation(
-                    "torn-read", rank, seq,
-                    f"read of rank {peer} copied tokens "
-                    f"{list(cells)} instead of {(peer, seq)} — "
-                    "published bytes were stale or reused",
-                    schedule + (label,),
-                ))
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.arena = SharedArena.create(
+            2, 4096, scenario.meta_slots,
+            active_ranks=scenario.active, event_slots=8 * scenario.seqs + 64,
+        )
+        self.parked = threading.Semaphore(0)
+        self.schedule: list[str] = []
+        self.killed = self.convicted = False
+        self.ranks = [_Rank(self, rank) for rank in scenario.active]
 
-        def progress_steps(i, rank):
-            """The engine, run from a blocked post or wait of ``rank``:
-            read any issued collective a peer has posted, then publish
-            the drained floor."""
-            if not c.window or not c.progress or aborted:
-                return
-            for seq in range(posted[i]):  # issued = own post published
-                for peer in ranks:
-                    if peer == rank or (seq, peer) in got[i]:
-                        continue
-                    if posted[ranks.index(peer)] <= seq:
-                        continue
-                    label = f"r{rank}:progress@{seq}"
-                    checked_read(rank, seq, peer, label)
-                    new_got = got[i] | {(seq, peer)}
-                    out.append((
-                        rebuild(
-                            got=bump(got, i, new_got),
-                            drained=bump(
-                                drained, i,
-                                max(drained[i],
-                                    self._engine_floor(rank, new_got)),
-                            ),
-                        ),
-                        schedule + (label,),
-                    ))
+    def words(self) -> bytes:
+        return self.arena._ctrl.tobytes()
 
-        def bump(seq_tuple, index, value):
-            items = list(seq_tuple)
-            items[index] = value
-            return tuple(items)
+    def key(self) -> bytes:
+        digest = hashlib.blake2b(self.words(), digest_size=16)
+        for data in self.arena._data:
+            digest.update(data.tobytes())
+        for stream in self.arena.event_streams().values():
+            digest.update(repr([event[:4] for event in stream]).encode())
+        digest.update(repr((
+            [(r.state, r.runnable()) for r in self.ranks],
+            self.killed, self.convicted,
+        )).encode())
+        return digest.digest()
 
-        # Parent watchdog: a dead rank gets convicted exactly once.
-        if any(not a for a in alive) and not aborted:
-            out.append((rebuild(aborted=1), schedule + ("convict",)))
-
-        for i, rank in enumerate(ranks):
-            if self._terminal_rank(state, i):
-                continue
-            # Die-anywhere: the crash rank may vanish before any step.
-            if rank == c.crash_rank and alive[i]:
-                out.append((
-                    rebuild(alive=bump(alive, i, 0)),
-                    schedule + (f"r{rank}:die",),
-                ))
-            op = self.programs[rank][pc[i]]
-            label = f"r{rank}:{op[0]}@{op[1]}"
-            advance = bump(pc, i, pc[i] + 1)
-            if op[0] == "alloc":
-                granted = self._try_alloc(state, i, op[1])
-                if granted is None:
-                    if aborted:  # blocked poll loop bails out typed
-                        out.append((
-                            rebuild(exited=bump(exited, i, 1)),
-                            schedule + (label + ":abort",),
-                        ))
-                    progress_steps(i, rank)
-                    continue
-                offset, new_outstanding = granted
-                out.append((
-                    rebuild(
-                        pc=advance,
-                        head=bump(head, i, offset + c.payload),
-                        outstanding=bump(outstanding, i, new_outstanding),
-                    ),
-                    schedule + (label,),
-                ))
-            elif op[0] == "write":
-                seq = op[1]
-                entry = next(
-                    e for e in outstanding[i] if e[0] == seq
-                )
-                _, offset, nbytes = entry
-                cells = list(data[i])
-                for cell in range(offset, offset + nbytes):
-                    cells[cell] = (rank, seq)
-                slots = list(meta[i])
-                slots[seq % c.meta_slots] = (seq, offset)
-                out.append((
-                    rebuild(
-                        pc=advance,
-                        data=bump(data, i, tuple(cells)),
-                        meta=bump(meta, i, tuple(slots)),
-                    ),
-                    schedule + (label,),
-                ))
-            elif op[0] == "publish":
-                out.append((
-                    rebuild(pc=advance, posted=bump(posted, i, op[1] + 1)),
-                    schedule + (label,),
-                ))
-            elif op[0] == "read":
-                seq, peer = op[1], op[2]
-                j = ranks.index(peer)
-                if aborted:
-                    out.append((
-                        rebuild(exited=bump(exited, i, 1)),
-                        schedule + (label + ":abort",),
-                    ))
-                    continue
-                if (seq, peer) in got[i]:  # the engine already has it
-                    out.append((rebuild(pc=advance), schedule + (label,)))
-                    continue
-                if posted[j] <= seq:
-                    progress_steps(i, rank)
-                    continue  # still waiting on the peer
-                checked_read(rank, seq, peer, label)
-                new_got = got[i] | {(seq, peer)} if c.window else got[i]
-                out.append((
-                    rebuild(pc=advance, got=bump(got, i, new_got)),
-                    schedule + (label,),
-                ))
-            elif op[0] == "drain":
-                through = (
-                    self._engine_floor(rank, got[i]) if c.window
-                    else op[1] + 1
-                )
-                out.append((
-                    rebuild(
-                        pc=advance,
-                        drained=bump(drained, i, max(drained[i], through)),
-                    ),
-                    schedule + (label,),
-                ))
+    def choices(self) -> list[str]:
+        out = [f"r{r.rank}" for r in self.ranks if r.runnable()]
+        if self.scenario.crash and not self.killed:
+            out += [f"kill r{r.rank}" for r in self.ranks
+                    if r.rank == 1 and r.state not in _FINISHED]
+        if self.killed and not self.convicted:
+            out.append("convict")
         return out
 
+    def step(self, choice: str) -> None:
+        self.schedule.append(choice)
+        if choice == "convict":
+            self.convicted = True
+            self.arena.mark_failed(1)
+            self.arena.abort()
+            return
+        rank = self.ranks[self.scenario.active.index(int(choice[-1]))]
+        if choice.startswith("kill"):
+            self.killed = rank.kill = True
+        if rank.state == "wait":  # it tests ready() first
+            rank.resumed = self.words()
+        rank.go.release()
+        self.parked.acquire()
 
-def check_model(config: ModelConfig) -> ModelResult:
-    """Explore one scenario exhaustively."""
-    return ProtocolModel(config).explore()
+    def violations(self) -> list[ProtocolViolation]:
+        """Failed ranks, a deadlock, or what the sanitizer finds in an
+        execution that ended."""
+        schedule = tuple(self.schedule)
+        out = [ProtocolViolation(r.error[0], r.rank, r.seq, r.error[1],
+                                 schedule) for r in self.ranks if r.error]
+        if self.choices():
+            return out
+        stuck = [r for r in self.ranks if r.state not in _FINISHED]
+        if stuck:
+            out.append(ProtocolViolation(
+                "deadlock", stuck[0].rank, stuck[0].seq,
+                f"ranks {[r.rank for r in stuck]} wait and no step can "
+                "change what they wait on", schedule,
+            ))
+        else:
+            report = check_streams(self.arena.event_streams())
+            out += [ProtocolViolation(v.kind, v.rank, v.seq, v.detail,
+                                      schedule) for v in report.violations]
+        return out
+
+    def close(self) -> None:
+        for rank in self.ranks:
+            if rank.thread.is_alive():
+                rank.kill = True
+                rank.go.release()
+            rank.thread.join()
+            rank.view._yield_point = None
+            rank.view.close()
+        self.arena.close()
+
+
+def check(scenario: Scenario) -> CheckResult:
+    """Explore every interleaving of ``scenario`` on the real arena."""
+    result = CheckResult()
+    seen: set[bytes] = set()
+    found: dict[tuple, ProtocolViolation] = {}
+    stack: list[list[str]] = [[]]
+    while stack:
+        prefix = stack.pop()
+        result.executions += 1
+        run = _Run(scenario)
+        try:
+            for choice in prefix:
+                run.step(choice)
+            while True:
+                key = run.key()
+                if key in seen:
+                    break
+                seen.add(key)
+                result.states += 1
+                if result.states > MAX_STATES:
+                    raise ValueError(f"more than {MAX_STATES} states at "
+                                     f"{scenario.seqs} seqs; check fewer")
+                for v in run.violations():
+                    found.setdefault((v.kind, v.rank, v.seq, v.detail), v)
+                choices = run.choices()
+                if not choices:
+                    result.terminals += all(
+                        r.state in _FINISHED for r in run.ranks
+                    )
+                    break
+                stack.extend(run.schedule + [c] for c in choices[:0:-1])
+                run.step(choices[0])
+        finally:
+            run.close()
+    result.violations = list(found.values())
+    return result
+
+
+def scenarios(seqs: int = 3) -> dict[str, Scenario]:
+    """The suite.  The split-phase window, at least 3 wide, is finished
+    last first.  In ``split-phase-ring`` it outgrows the 2-slot ring, so
+    a blocked post must run the engine.  In ``split-phase-room`` rank
+    1's posts outgrow its segment while rank 0's fit, so rank 0 is in a
+    *wait* when rank 1 needs it to drain the first: waits must run the
+    engine too.
+    """
+    window = max(seqs, 3)
+    order = (window - 1, *range(window - 1))
+    ring = Scenario(window, (1024, 1024), order=order)
+    room = Scenario(window, (1024, 1536), meta_slots=window, order=order)
+    return {
+        "clean-wraparound": Scenario(seqs),
+        "die-anywhere": Scenario(seqs, crash=True),
+        "degraded-cohort": Scenario(seqs, active=(0,)),
+        "split-phase-ring": ring,
+        "split-phase-room": room,
+        "broken-publish-first": Scenario(seqs, mutation="publish-first"),
+        "no-progress-ring": replace(ring, mutation="no-progress"),
+        "no-progress-room": replace(room, mutation="no-progress"),
+    }
 
 
 def run_protocol_check(seqs: int = 3) -> dict:
     """The CI scenario suite; returns a JSON-ready summary.
 
-    Six claims, each over *every* interleaving of its scenario:
-
-    1. clean 2-rank run with wraparound — no violation, no deadlock;
-    2. rank 1 may die at any micro-step — every execution terminates
-       (done or typed abort), never a deadlock;
-    3. degraded cohort (rank 1 inactive) — rank 0 alone is clean;
-    4. split-phase, more collectives in flight than the metadata ring
-       has slots, the last one finished first — no deadlock and no read
-       of reclaimed bytes, because a blocked post runs the engine;
-    5. split-phase, rank 1's payloads outgrow its segment while rank
-       0's all fit — rank 0 is in a *wait* (on the last collective)
-       when rank 1 needs it to drain the first, so waits run the
-       engine too;
-    6. negative controls, which the model *must* catch or it has lost
-       its teeth: publish before write (a stale read), and scenarios 4
-       and 5 with the engine taken out of the waits (a deadlock).
+    A clean scenario passes with no violation; a control passes when a
+    violation shows it was caught.
     """
-    window = max(seqs, 3)
-    ring = ModelConfig(window=window, meta_slots=2, capacity=window)
-    room = ModelConfig(
-        window=window, meta_slots=window, capacity=4, payloads=(1, 2)
-    )
-    scenarios = {
-        "clean-wraparound": ModelConfig(seqs=seqs),
-        "die-anywhere": ModelConfig(seqs=seqs, crash_rank=1),
-        "degraded-cohort": ModelConfig(seqs=seqs, active=(0,)),
-        "split-phase-ring": ring,
-        "split-phase-room": room,
-    }
-    controls = {
-        "broken-publish-first": (
-            ModelConfig(seqs=seqs, broken=True), ("stale-meta", "torn-read")
-        ),
-        "no-progress-ring": (replace(ring, progress=False), ("deadlock",)),
-        "no-progress-room": (replace(room, progress=False), ("deadlock",)),
-    }
     summary: dict = {"ok": True, "scenarios": {}}
-    for name, config in scenarios.items():
-        result = check_model(config)
+    for name, scenario in scenarios(seqs).items():
+        result = check(scenario)
+        caught_as = _CAUGHT_AS.get(scenario.mutation)
+        ok = not result.violations if caught_as is None else any(
+            v.kind in caught_as for v in result.violations
+        )
         summary["scenarios"][name] = {
-            "ok": result.ok,
+            "ok": ok,
             "states": result.states,
             "terminals": result.terminals,
-            "violations": [str(v) for v in result.violations[:10]],
+            "executions": result.executions,
+            "violations": [asdict(v) for v in result.violations[:10]],
         }
-        summary["ok"] = summary["ok"] and result.ok
-    for name, (config, expected) in controls.items():
-        result = check_model(config)
-        caught = any(v.kind in expected for v in result.violations)
-        summary["scenarios"][name] = {
-            "ok": caught,
-            "states": result.states,
-            "terminals": result.terminals,
-            "violations": [str(v) for v in result.violations[:3]],
-            "expectation": "must be caught",
-        }
-        summary["ok"] = summary["ok"] and caught
+        if caught_as is not None:
+            summary["scenarios"][name]["expectation"] = "must be caught"
+        summary["ok"] = summary["ok"] and ok
     return summary

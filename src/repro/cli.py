@@ -64,6 +64,8 @@ def cmd_compress(args) -> int:
     from repro.core.wire import framing_overhead_bytes
     from repro.telemetry.formatting import render_fields, wire_stats_fields
 
+    if args.elements < 1:
+        raise SystemExit(f"--elements must be >= 1, got {args.elements}")
     rng = np.random.default_rng(args.seed)
     side = int(np.sqrt(args.elements))
     tensor = (args.scale * rng.standard_normal((side, side))).astype(
@@ -606,12 +608,14 @@ def cmd_lint(args) -> int:
 
 
 def cmd_protocol_check(args) -> int:
-    """Exhaustively model-check the 2-rank arena state machine."""
+    """Check every interleaving of the real 2-rank arena."""
     import json
 
     from repro.analysis.protocol import run_protocol_check
 
-    summary = run_protocol_check(seqs=args.seqs)
+    if args.seqs < 1:
+        raise SystemExit(f"--seqs must be >= 1, got {args.seqs}")
+    summary = _one_line(run_protocol_check, seqs=args.seqs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
@@ -620,9 +624,20 @@ def cmd_protocol_check(args) -> int:
         verdict = "ok" if scenario["ok"] else "FAIL"
         print(f"{name:<24}: {verdict}  "
               f"({scenario['states']} states, "
-              f"{scenario['terminals']} terminal)")
+              f"{scenario['terminals']} terminal, "
+              f"{scenario['executions']} executions)")
     print(f"protocol-check   : {'ok' if summary['ok'] else 'FAIL'}")
     return 0 if summary["ok"] else 1
+
+
+#: ``experiment`` flags only some experiments read, as
+#: :data:`_SUITE_FLAGS` for ``bench``.
+_EXPERIMENT_FLAGS = {
+    "compressors": (("fig6", "fig7", "fig8", "fig9", "fig10", "bandwidth"),
+                    None),
+    "panels": (("fig6", "fig7"), None),
+    "epochs": (("fig1", "fig6", "fig7", "fig10", "ef"), None),
+}
 
 
 def cmd_experiment(args) -> int:
@@ -631,6 +646,7 @@ def cmd_experiment(args) -> int:
         bandwidth, ef_ablation, fig1, fig6, fig7, fig8, fig9, fig10,
         table1, table2,
     )
+    from repro.core.registry import check_params
 
     modules = {
         "table1": table1, "table2": table2, "fig1": fig1, "fig6": fig6,
@@ -643,13 +659,21 @@ def cmd_experiment(args) -> int:
             f"choose from {', '.join(sorted(modules))}"
         )
     module = modules[args.name]
+    _only_for(args, _EXPERIMENT_FLAGS, args.name, "experiment")
     kwargs: dict = {}
-    if args.compressors:
+    if args.compressors is not None:
         kwargs["compressors"] = args.compressors.split(",")
-    if args.panels and args.name in ("fig6", "fig7"):
+        for name in kwargs["compressors"]:
+            _one_line(check_params, name, {})
+    if args.panels is not None:
         kwargs["panels"] = args.panels.split(",")
-    if args.epochs is not None and args.name in ("fig1", "fig6", "fig7",
-                                                 "fig10", "ef"):
+        for panel in kwargs["panels"]:
+            if panel not in module.PANELS:
+                raise SystemExit(f"unknown {args.name} panel {panel!r}; "
+                                 f"choose from {', '.join(module.PANELS)}")
+    if args.epochs is not None:
+        if args.epochs < 1:
+            raise SystemExit(f"--epochs must be >= 1, got {args.epochs}")
         kwargs["epochs"] = args.epochs
     rows = module.run(**kwargs)
     print(module.format(rows))
@@ -828,15 +852,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     protocol = sub.add_parser(
         "protocol-check",
-        help="exhaustively enumerate the 2-rank arena state machine "
-             "(bump-allocator wraparound, worker death, degraded "
-             "cohorts) and fail on any reachable torn read, stale "
-             "metadata, or deadlock",
+        help="run every interleaving of the real 2-rank arena, a thread "
+             "per rank, and fail on a torn read, stale metadata, deadlock "
+             "or sanitizer violation, or on an uncaught mutated control",
     )
     protocol.add_argument("--seqs", type=int, default=3, metavar="N",
-                          help="sequence numbers each rank publishes; 3 "
-                               "forces meta-ring and data wraparound "
-                               "(default 3)")
+                          help="collectives each rank issues, >= 1 "
+                               "(default 3: the fewest that wrap the ring "
+                               "and the segment; the least split-phase "
+                               "window)")
     protocol.add_argument("--out", default=None, metavar="PATH",
                           help="also write the scenario summary as JSON")
 
@@ -848,7 +872,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated subset")
     experiment.add_argument("--panels", default=None,
                             help="comma-separated panels (fig6/fig7)")
-    experiment.add_argument("--epochs", type=int, default=None)
+    experiment.add_argument("--epochs", type=int, default=None,
+                            help="training epochs (fig1, fig6, fig7, "
+                                 "fig10, ef)")
 
     return parser
 

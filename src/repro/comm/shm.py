@@ -250,6 +250,10 @@ class SharedArena:
         self._cohort: list[int] | None = None
         self._spins: bool | None = None
         self._wait_metrics = None  # set by attach_telemetry
+        # None, or the protocol checker's scheduler (repro.analysis.
+        # protocol): called after each recorded event (False) and in
+        # place of each spin or sleep of a wait (True).
+        self._yield_point = None
 
     # -- lifecycle
 
@@ -397,6 +401,8 @@ class SharedArena:
         if cursor >= self.spec.event_slots:
             self._ev_dropped[self.rank] += 1
         self._ev_cursor[self.rank] = cursor + 1
+        if self._yield_point is not None:
+            self._yield_point(False)
 
     def _record_beat(self, progress: int | None = None) -> None:
         if self._ev_rings is None or self.rank is None:
@@ -608,7 +614,9 @@ class SharedArena:
                 raise expired()
             if progress is not None:
                 progress()
-            if now < spin_until:
+            if self._yield_point is not None:
+                self._yield_point(True)
+            elif now < spin_until:
                 spins += 1
                 if not self._spins:
                     os.sched_yield()

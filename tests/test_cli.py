@@ -289,6 +289,9 @@ class TestUnreadFlags:
          "--out"),
         (["bench", "compare", "a.json", "b.json", "--check"], "--check"),
         (["bench", "compare", "a.json", "b.json", "--record"], "--record"),
+        (["experiment", "table1", "--compressors", "topk"], "--compressors"),
+        (["experiment", "fig9", "--panels", "a"], "--panels"),
+        (["experiment", "table1", "--epochs", "0"], "--epochs"),
     ])
     def test_one_line_exit(self, argv, flag, tmp_path, monkeypatch):
         import repro.bench.runner
@@ -363,3 +366,61 @@ class TestChaosInputErrors:
         with pytest.raises(SystemExit, match=">= 1 trial, got 0"):
             main(["chaos", "--trials", "0", "--out", str(out)])
         assert not out.exists()
+
+
+class TestOneLineRefusals:
+    """`protocol-check`, `experiment` and `compress` refuse out-of-range
+    input with one line; each used to end in a traceback, a NaN or a
+    verdict over empty programs (unread `experiment` flags are in
+    :class:`TestUnreadFlags`)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["protocol-check", "--seqs", "0"], "--seqs must be >= 1, got 0"),
+        (["protocol-check", "--seqs", "-5"], "--seqs must be >= 1, got -5"),
+        (["experiment", "fig6", "--compressors", "nope"],
+         "unknown compressor 'nope'; available: "),
+        (["experiment", "fig6", "--panels", "zz"],
+         "unknown fig6 panel 'zz'; choose from a, b, c, d, e, f"),
+        (["experiment", "fig6", "--epochs", "0"],
+         "--epochs must be >= 1, got 0"),
+        (["compress", "--method", "topk", "--elements", "-3"],
+         "--elements must be >= 1, got -3"),
+        (["compress", "--method", "topk", "--elements", "0"],
+         "--elements must be >= 1, got 0"),
+    ])
+    def test_one_line_exit(self, argv, message, monkeypatch):
+        import repro.analysis.protocol
+        import repro.bench.runner
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran with input it should refuse")
+
+        monkeypatch.setattr(repro.bench.runner, "run_cell", no_run)
+        monkeypatch.setattr(repro.analysis.protocol, "check", no_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert str(exit_info.value.code).startswith(message)
+        assert "\n" not in str(exit_info.value.code)
+
+    def test_protocol_check_state_cap_is_one_line(self, monkeypatch):
+        import repro.analysis.protocol
+
+        monkeypatch.setattr(repro.analysis.protocol, "MAX_STATES", 10)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["protocol-check", "--seqs", "1"])
+        assert str(exit_info.value.code).startswith("more than 10 states")
+
+
+def test_protocol_check_writes_every_scenario(tmp_path, capsys):
+    import json
+
+    out = tmp_path / "PROTOCOL_CHECK.json"
+    assert main(["protocol-check", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["ok"]
+    assert len(summary["scenarios"]) == 8
+    for scenario in summary["scenarios"].values():
+        assert scenario["states"] > 0
+        assert scenario["executions"] > 0
+        assert "terminals" in scenario
+    assert capsys.readouterr().out.endswith("protocol-check   : ok\n")
