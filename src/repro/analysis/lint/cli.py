@@ -1,10 +1,12 @@
-"""The ``repro lint`` command (also installed as ``repro-lint``).
+"""The ``repro lint`` command.
+
+It exits 1 on any finding: zero findings is the only baseline, and an
+accepted exception is an inline ``# lint-ignore`` on its line.
 
 Examples::
 
-    repro lint                       # lint src/repro against the baseline
-    repro lint --format json --out LINT.json --check
-    repro lint --write-baseline      # accept current findings (justify them!)
+    repro lint                       # lint src/repro
+    repro lint --format json --out LINT.json
     repro lint src/repro/core tests  # explicit paths
     repro lint --changed             # only files touched vs HEAD
     repro lint --changed origin/main # only files touched vs a base ref
@@ -12,15 +14,9 @@ Examples::
 
 from __future__ import annotations
 
-import argparse
-import sys
 from pathlib import Path
 
-from repro.analysis.lint.baseline import (
-    Baseline, BaselineError, DEFAULT_BASELINE, write_baseline,
-)
 from repro.analysis.lint.engine import lint_paths
-from repro.analysis.lint.findings import sort_findings
 from repro.analysis.lint.output import render_json, render_text
 from repro.analysis.lint.rules import default_rules
 
@@ -38,39 +34,6 @@ def default_lint_paths() -> list[str]:
     import repro
 
     return [str(Path(repro.__file__).parent)]
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options (shared by ``repro lint`` and the
-    standalone ``repro-lint`` console script)."""
-    parser.add_argument("paths", nargs="*", metavar="PATH",
-                        help="files/directories to lint "
-                             "(default: src/repro)")
-    parser.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                        metavar="BASE",
-                        help="lint only Python files git reports as "
-                             "changed vs BASE (default HEAD: staged + "
-                             "unstaged + untracked); exits 0 when "
-                             "nothing relevant changed")
-    parser.add_argument("--format", choices=["text", "json"], default="text",
-                        help="stdout format (default: text)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="also write the JSON report here "
-                             "(the CI artifact)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        metavar="PATH",
-                        help="committed suppression file "
-                             f"(default: {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file entirely")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline to accept every current "
-                             "finding (existing justifications are kept)")
-    parser.add_argument("--check", action="store_true",
-                        help="strict mode for CI: stale baseline entries "
-                             "also fail the run")
-    parser.add_argument("--verbose", action="store_true",
-                        help="list baselined findings in the text report")
 
 
 def changed_python_files(base: str = "HEAD") -> list[str]:
@@ -112,7 +75,7 @@ def changed_python_files(base: str = "HEAD") -> list[str]:
 
 def run_lint(args) -> int:
     """Execute a lint run from parsed arguments; returns the exit code."""
-    if getattr(args, "changed", None) is not None:
+    if args.changed is not None:
         if args.paths:
             raise SystemExit(
                 "lint --changed derives the file list from git; drop the "
@@ -125,42 +88,13 @@ def run_lint(args) -> int:
             return 0
     else:
         paths = args.paths or default_lint_paths()
-    baseline = None
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except BaselineError as error:
-            raise SystemExit(str(error))
     try:
-        report = lint_paths(paths, rules=default_rules(), baseline=baseline)
+        report = lint_paths(paths, rules=default_rules())
     except FileNotFoundError as error:
         raise SystemExit(str(error))
-    if args.write_baseline:
-        accepted = sort_findings(report.findings + report.baselined)
-        count = write_baseline(args.baseline, accepted, previous=baseline)
-        print(f"baseline {args.baseline}: {count} entr(ies) written — "
-              "add a justification to each new entry before committing")
-        return 0
     if args.out:
         Path(args.out).write_text(render_json(report) + "\n",
                                   encoding="utf-8")
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report, verbose=args.verbose))
-    return report.exit_code(check_baseline=args.check)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone ``repro-lint`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="AST contract checker for the GRACE reproduction "
-                    "(rules GR001–GR011; see docs/ANALYSIS.md)",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    print(render_json(report) if args.format == "json"
+          else render_text(report))
+    return report.exit_code()

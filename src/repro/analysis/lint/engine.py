@@ -5,8 +5,8 @@ The engine is deliberately small and dependency-free: a
 alias table), a :class:`Rule` inspects it and yields
 :class:`~repro.analysis.lint.findings.Finding` objects, and
 :func:`lint_paths` drives the walk over files, applies inline
-suppressions (``# lint-ignore: GR002``) and the committed baseline, and
-returns a :class:`LintReport`.
+suppressions (``# lint-ignore: GR002``), and returns a
+:class:`LintReport`.
 
 Rules resolve NumPy calls through the module's import aliases
 (:meth:`ModuleSource.resolve`), so ``np.linalg.norm``,
@@ -162,8 +162,6 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[dict] = field(default_factory=list)
     inline_suppressed: int = 0
     files_checked: int = 0
 
@@ -172,14 +170,9 @@ class LintReport:
         """True when no unsuppressed findings remain."""
         return not self.findings
 
-    def exit_code(self, check_baseline: bool = False) -> int:
-        """Process exit code: 1 on findings (or stale baseline entries
-        under ``--check``), 0 otherwise."""
-        if self.findings:
-            return 1
-        if check_baseline and self.stale_baseline:
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        """Process exit code: 1 on any finding, 0 otherwise."""
+        return 0 if self.ok else 1
 
 
 def iter_python_files(paths: list[str | Path]) -> list[Path]:
@@ -224,18 +217,16 @@ def lint_source(text: str, path: str, rules: list[Rule]) -> list[Finding]:
 def lint_paths(
     paths: list[str | Path],
     rules: list[Rule],
-    baseline=None,
     root: str | Path | None = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` and apply suppressions.
+    """Lint every Python file under ``paths`` and apply inline
+    suppressions.
 
-    ``baseline`` is a :class:`repro.analysis.lint.baseline.Baseline`
-    (or None); ``root`` anchors the repo-relative paths findings report
-    (defaults to the current working directory).
+    ``root`` anchors the repo-relative paths findings report (defaults
+    to the current working directory).
     """
     root_path = Path(root) if root is not None else Path.cwd()
     report = LintReport()
-    collected: list[tuple[ModuleSource, Finding]] = []
     for file_path in iter_python_files(paths):
         rel = _relative_path(file_path, root_path)
         try:
@@ -256,14 +247,6 @@ def lint_paths(
             if inline_suppressed(module, finding):
                 report.inline_suppressed += 1
             else:
-                collected.append((module, finding))
-    for _, finding in collected:
-        if baseline is not None and baseline.matches(finding):
-            report.baselined.append(finding)
-        else:
-            report.findings.append(finding)
-    if baseline is not None:
-        report.stale_baseline = baseline.unused_entries()
+                report.findings.append(finding)
     report.findings = sort_findings(report.findings)
-    report.baselined = sort_findings(report.baselined)
     return report

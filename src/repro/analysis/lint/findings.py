@@ -1,16 +1,11 @@
 """Finding objects produced by the lint engine.
 
-A :class:`Finding` pins one rule violation to a ``file:line`` location
-and carries a *fingerprint* — a content hash of (rule, file, offending
-source line) that stays stable when unrelated edits shift line numbers.
-Baseline suppression matches on fingerprints, so a committed baseline
-survives refactors that move code without changing it.
+A :class:`Finding` pins one rule violation to a ``file:line`` location.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Finding severities, in increasing order of importance.
 SEVERITIES = ("note", "warning", "error")
@@ -27,17 +22,11 @@ class Finding:
     line: int  # 1-indexed
     col: int  # 0-indexed, as reported by the ast module
     snippet: str = ""  # the offending source line, stripped
-    fingerprint: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.severity not in SEVERITIES:
             raise ValueError(
                 f"severity must be one of {SEVERITIES}, got {self.severity!r}"
-            )
-        if not self.fingerprint:
-            object.__setattr__(
-                self, "fingerprint", fingerprint(self.rule_id, self.file,
-                                                 self.snippet)
             )
 
     def location(self) -> str:
@@ -54,20 +43,7 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
-
-
-def fingerprint(rule_id: str, file: str, snippet: str) -> str:
-    """Stable identity of a finding: rule + file + normalized source line.
-
-    Line numbers are deliberately excluded so pure code motion does not
-    invalidate a committed baseline; editing the offending line does.
-    """
-    digest = hashlib.sha256(
-        "\x1f".join((rule_id, file, " ".join(snippet.split()))).encode("utf-8")
-    )
-    return digest.hexdigest()[:16]
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

@@ -7,7 +7,7 @@ import json
 from repro.analysis.lint.engine import LintReport
 
 
-def render_text(report: LintReport, verbose: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     """Human-readable report: one ``file:line rule message`` per finding."""
     lines: list[str] = []
     for finding in report.findings:
@@ -17,42 +17,22 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    if verbose:
-        for finding in report.baselined:
-            lines.append(
-                f"{finding.location()}: baselined [{finding.rule_id}] "
-                f"{finding.message}"
-            )
-    for entry in report.stale_baseline:
-        lines.append(
-            f"stale baseline entry: [{entry['rule']}] {entry['file']} "
-            f"{entry['fingerprint']} — no longer matches anything, remove it"
-        )
-    lines.append(summary_line(report))
-    return "\n".join(lines)
-
-
-def summary_line(report: LintReport) -> str:
-    """One-line totals for the end of the text report."""
-    return (
+    lines.append(
         f"{len(report.findings)} finding(s) in {report.files_checked} "
-        f"file(s) ({len(report.baselined)} baselined, "
-        f"{report.inline_suppressed} inline-suppressed, "
-        f"{len(report.stale_baseline)} stale baseline entr(ies))"
+        f"file(s) ({report.inline_suppressed} inline-suppressed)"
     )
+    return "\n".join(lines)
 
 
 def render_json(report: LintReport) -> str:
     """Machine-readable report (the CI artifact format)."""
     return json.dumps(
         {
-            "version": 1,
+            "version": 2,
             "ok": report.ok,
             "files_checked": report.files_checked,
             "findings": [f.to_dict() for f in report.findings],
-            "baselined": [f.to_dict() for f in report.baselined],
             "inline_suppressed": report.inline_suppressed,
-            "stale_baseline": report.stale_baseline,
         },
         indent=2,
     )

@@ -10,7 +10,11 @@ and tolerance bands.  On top of the log:
   single noisy entry;
 * :func:`check_against_history` — the regression gate ``repro bench
   --check`` runs: each gated metric (direction ``lower``/``higher``)
-  must stay inside ``baseline ± (tolerance·|baseline| + floor)``;
+  must stay inside ``baseline ± (tolerance·|baseline| + floor)``.  A
+  metric the reviewed bench contract (:data:`DEFAULT_CONTRACT_PATH`)
+  freezes for the run's invocation takes the contract's value as its
+  baseline; every other metric (wall clock, runs the contract does not
+  freeze) takes the rolling median;
 * :func:`compare_entries` / :func:`diff_table` — run-vs-run diffs for
   ``repro bench compare A B``.
 
@@ -33,6 +37,12 @@ HISTORY_SCHEMA_VERSION = 1
 
 #: Where the bench CLIs record and check by default (repo-relative).
 DEFAULT_HISTORY_PATH = "benchmarks/results/PERF_HISTORY.jsonl"
+
+#: The reviewed record of CI's frozen ``repro bench`` invocations: per
+#: invocation its suite, benchmark, params, failures and every metric's
+#: spec and value (``null`` for wall clock).  Regenerated only in a
+#: commit that means to move a number (repo-relative).
+DEFAULT_CONTRACT_PATH = "benchmarks/results/bench_contract.json"
 
 #: How many recent entries the rolling baseline aggregates.
 DEFAULT_WINDOW = 5
@@ -119,6 +129,37 @@ def rolling_baseline(history: list[dict], suite: str, benchmark: str,
     return float(median(series[-DEFAULT_WINDOW:]))
 
 
+def read_contract(path: str | Path) -> dict:
+    """Parse the bench contract (missing file = no frozen values)."""
+    path = Path(path)
+    if not path.exists():
+        return {}
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _params_key(params: dict) -> str:
+    return json.dumps(params, sort_keys=True)
+
+
+def contract_values(contract: dict, result: RunResult) -> dict[str, float]:
+    """The values ``contract`` freezes for ``result``'s invocation.
+
+    A run is one of the contract's invocations when its suite,
+    benchmark and JSON-serialized params are the same; otherwise, and
+    for wall clock (frozen as ``null``), nothing is frozen.
+    """
+    key = (result.suite, result.benchmark, _params_key(result.params))
+    for invocation in contract.values():
+        if (invocation["suite"], invocation["benchmark"],
+                _params_key(invocation["params"])) == key:
+            return {
+                name: float(metric["value"])
+                for name, metric in invocation["metrics"].items()
+                if metric["value"] is not None
+            }
+    return {}
+
+
 @dataclass(frozen=True)
 class Regression:
     """One gated metric outside its tolerance band."""
@@ -130,13 +171,14 @@ class Regression:
     baseline: float
     band: float
     direction: str
+    source: str = "history"  # where the baseline came from, or "contract"
 
     def __str__(self) -> str:
         sign = ">" if self.direction == "lower" else "<"
         return (
             f"{self.suite}/{self.benchmark}: {self.metric} = "
-            f"{self.value:g} {sign} baseline {self.baseline:g} "
-            f"± {self.band:g} ({self.direction} is better)"
+            f"{self.value:g} {sign} {self.source} baseline "
+            f"{self.baseline:g} ± {self.band:g} ({self.direction} is better)"
         )
 
 
@@ -145,20 +187,26 @@ def metric_band(metric: Metric, baseline: float) -> float:
     return metric.tolerance * abs(baseline) + metric.floor
 
 
-def check_against_history(result: RunResult,
-                          history: list[dict]) -> list[Regression]:
-    """Regressions of ``result`` vs the rolling baseline (empty = pass).
+def check_against_history(result: RunResult, history: list[dict],
+                          contract: dict | None = None) -> list[Regression]:
+    """Regressions of ``result`` vs its baselines (empty = pass).
 
-    Metrics with direction ``info`` and metrics that have no recorded
-    history are skipped — a brand-new metric cannot regress.
+    A metric ``contract`` freezes for this invocation is checked against
+    the frozen value; any other against the rolling history median.
+    Metrics with direction ``info`` and metrics with neither baseline
+    are skipped — a brand-new metric cannot regress.
     """
+    frozen = contract_values(contract or {}, result)
     regressions = []
     for name, metric in result.metrics.items():
         if metric.direction == "info":
             continue
-        baseline = rolling_baseline(
-            history, result.suite, result.benchmark, name
-        )
+        if name in frozen:
+            baseline, source = frozen[name], "contract"
+        else:
+            baseline, source = rolling_baseline(
+                history, result.suite, result.benchmark, name
+            ), "history"
         if baseline is None:
             continue
         band = metric_band(metric, baseline)
@@ -175,6 +223,7 @@ def check_against_history(result: RunResult,
                 baseline=baseline,
                 band=band,
                 direction=metric.direction,
+                source=source,
             ))
     return regressions
 

@@ -10,7 +10,7 @@ Examples::
     python -m repro report /tmp/run.jsonl --chrome /tmp/run.trace.json
     python -m repro experiment fig6 --panels a,d
     python -m repro experiment table1
-    python -m repro lint --check --format json --out LINT.json
+    python -m repro lint --format json --out LINT.json
     python -m repro train --benchmark ncf-movielens --compressor qsgd \
         --sanitize
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -67,10 +68,12 @@ def cmd_compress(args) -> int:
     if args.elements < 1:
         raise SystemExit(f"--elements must be >= 1, got {args.elements}")
     rng = np.random.default_rng(args.seed)
-    side = int(np.sqrt(args.elements))
-    tensor = (args.scale * rng.standard_normal((side, side))).astype(
-        np.float32
-    )
+    # The most nearly square rows x cols = N, for kernels that take a
+    # matrix view (1 x N when N is prime).
+    rows = max(d for d in range(1, math.isqrt(args.elements) + 1)
+               if args.elements % d == 0)
+    shape = (rows, args.elements // rows)
+    tensor = (args.scale * rng.standard_normal(shape)).astype(np.float32)
     params = _parse_params(args.param)
     _one_line(check_params, args.method, params)
     compressor = create(args.method, seed=args.seed, **params)
@@ -425,15 +428,25 @@ def cmd_bench(args) -> int:
             history = perf_history.read_history(args.history)
         except ValueError as error:
             raise SystemExit(f"cannot read perf history: {error}")
-        regressions = perf_history.check_against_history(result, history)
+        contract = perf_history.read_contract(
+            perf_history.DEFAULT_CONTRACT_PATH
+        )
+        regressions = perf_history.check_against_history(
+            result, history, contract
+        )
         for regression in regressions:
             print(f"PERF REGRESSION: {regression}")
         if not regressions:
-            gated = sum(
-                1 for m in result.metrics.values() if m.direction != "info"
+            gated = {
+                name for name, m in result.metrics.items()
+                if m.direction != "info"
+            }
+            pinned = len(
+                gated & set(perf_history.contract_values(contract, result))
             )
-            print(f"regression gate  : ok ({gated} gated metrics vs "
-                  f"{args.history})")
+            print(f"regression gate  : ok ({pinned} gated metrics vs "
+                  f"{perf_history.DEFAULT_CONTRACT_PATH}, "
+                  f"{len(gated) - pinned} vs {args.history})")
     if args.record:
         if failures or regressions:
             print("history          : not recorded (checks failed)")
@@ -465,7 +478,8 @@ def _bench_compare(args) -> int:
             history = perf_history.read_history(args.history)
             return perf_history.find_entry(history, ref)
         except (KeyError, ValueError) as error:
-            raise SystemExit(str(error))
+            # A KeyError's str() is the repr of its message.
+            raise SystemExit(error.args[0])
 
     a, b = load(args.refs[0]), load(args.refs[1])
     rows = perf_history.compare_entries(a, b)
@@ -601,7 +615,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Run the static contract rules; exit nonzero on new findings."""
+    """Run the static contract rules; exit nonzero on any finding."""
     from repro.analysis.lint.cli import run_lint
 
     return run_lint(args)
@@ -778,8 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--check", action="store_true", default=None,
                        help="exit nonzero unless the suite's acceptance "
                             "criteria hold AND no gated metric regresses "
-                            "past its tolerance band vs the rolling "
-                            "history baseline")
+                            "past its tolerance band vs its baseline: the "
+                            "bench contract's value where it freezes one, "
+                            "else the rolling history median")
     bench.add_argument("--parallel", action="store_true", default=None,
                        help="throughput suite: measure real multiprocess "
                             "wall clock (fused vs per-tensor) instead of "
@@ -846,9 +861,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the repo's AST contract rules (GR001-GR011) over "
              "src/repro or the given paths",
     )
-    from repro.analysis.lint.cli import add_lint_arguments
-
-    add_lint_arguments(lint)
+    lint.add_argument("paths", nargs="*", metavar="PATH",
+                      help="files/directories to lint (default: src/repro)")
+    lint.add_argument("--changed", nargs="?", const="HEAD", default=None,
+                      metavar="BASE",
+                      help="lint only Python files git reports as changed "
+                           "vs BASE (default HEAD: staged + unstaged + "
+                           "untracked); exits 0 when nothing relevant "
+                           "changed")
+    lint.add_argument("--format", choices=["text", "json"], default="text",
+                      help="stdout format (default: text)")
+    lint.add_argument("--out", default=None, metavar="PATH",
+                      help="also write the JSON report here (the CI "
+                           "artifact)")
 
     protocol = sub.add_parser(
         "protocol-check",

@@ -1,4 +1,4 @@
-"""CLI flows (``repro lint`` / ``repro-lint``) and the self-lint gate."""
+"""CLI flows (``repro lint``) and the self-lint gate."""
 
 import json
 from pathlib import Path
@@ -6,9 +6,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.lint.cli import (
-    changed_python_files, default_lint_paths, main as lint_main,
-)
+from repro.analysis.lint.cli import changed_python_files, default_lint_paths
 from repro.analysis.lint.engine import lint_paths
 from repro.analysis.lint.rules import default_rules
 from repro.cli import main as repro_main
@@ -23,9 +21,9 @@ def bad_tree(tmp_path):
     return tmp_path
 
 
-class TestStandaloneCli:
+class TestReproSubcommand:
     def test_findings_exit_nonzero(self, bad_tree, capsys):
-        code = lint_main([str(bad_tree), "--no-baseline"])
+        code = repro_main(["lint", str(bad_tree)])
         out = capsys.readouterr().out
         assert code == 1
         assert "[GR001]" in out
@@ -33,55 +31,20 @@ class TestStandaloneCli:
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text(GOOD_SOURCE, encoding="utf-8")
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 0
+        assert repro_main(["lint", str(tmp_path)]) == 0
 
     def test_json_format_and_artifact(self, bad_tree, tmp_path, capsys):
         artifact = tmp_path / "LINT.json"
-        code = lint_main([
-            str(bad_tree), "--no-baseline",
-            "--format", "json", "--out", str(artifact),
+        code = repro_main([
+            "lint", str(bad_tree), "--format", "json", "--out", str(artifact),
         ])
         assert code == 1
         stdout_report = json.loads(capsys.readouterr().out)
         file_report = json.loads(artifact.read_text(encoding="utf-8"))
         assert stdout_report == file_report
+        assert file_report["version"] == 2
         assert file_report["ok"] is False
         assert file_report["findings"][0]["rule"] == "GR001"
-        assert file_report["findings"][0]["fingerprint"]
-
-    def test_write_baseline_then_clean_run(self, bad_tree, capsys):
-        baseline = bad_tree / "baseline.json"
-        assert lint_main([
-            str(bad_tree), "--baseline", str(baseline), "--write-baseline",
-        ]) == 0
-        assert baseline.exists()
-        # The accepted finding is now suppressed...
-        assert lint_main([
-            str(bad_tree), "--baseline", str(baseline),
-        ]) == 0
-        # ...but --check fails once the violation is fixed and the
-        # baseline entry goes stale.
-        (bad_tree / "mod.py").write_text(GOOD_SOURCE, encoding="utf-8")
-        assert lint_main([
-            str(bad_tree), "--baseline", str(baseline),
-        ]) == 0
-        assert lint_main([
-            str(bad_tree), "--baseline", str(baseline), "--check",
-        ]) == 1
-        assert "stale" in capsys.readouterr().out
-
-    def test_malformed_baseline_is_a_clean_error(self, bad_tree):
-        baseline = bad_tree / "baseline.json"
-        baseline.write_text("{oops", encoding="utf-8")
-        with pytest.raises(SystemExit):
-            lint_main([str(bad_tree), "--baseline", str(baseline)])
-
-
-class TestReproSubcommand:
-    def test_repro_lint_runs(self, bad_tree, capsys):
-        code = repro_main(["lint", str(bad_tree), "--no-baseline"])
-        assert code == 1
-        assert "[GR001]" in capsys.readouterr().out
 
     def test_default_paths_prefer_src_repro(self, tmp_path, monkeypatch):
         package = tmp_path / "src" / "repro"
@@ -121,7 +84,7 @@ def git_repo(tmp_path, monkeypatch):
 
 class TestChangedScope:
     def test_no_changes_is_a_clean_noop(self, git_repo, capsys):
-        assert lint_main(["--changed", "--no-baseline"]) == 0
+        assert repro_main(["lint", "--changed"]) == 0
         assert "nothing to check" in capsys.readouterr().out
 
     def test_untracked_and_edited_files_are_picked_up(self, git_repo):
@@ -133,11 +96,11 @@ class TestChangedScope:
             "committed.py", "fresh.py",
         ]
         # The bad untracked file fails the scoped run...
-        assert lint_main(["--changed", "--no-baseline"]) == 1
+        assert repro_main(["lint", "--changed"]) == 1
         # ...and fixing it restores a green run without linting the
         # rest of the tree.
         (git_repo / "fresh.py").write_text(GOOD_SOURCE, encoding="utf-8")
-        assert lint_main(["--changed", "--no-baseline"]) == 0
+        assert repro_main(["lint", "--changed"]) == 0
 
     def test_deleted_files_are_skipped(self, git_repo):
         (git_repo / "committed.py").unlink()
@@ -145,11 +108,11 @@ class TestChangedScope:
 
     def test_changed_rejects_explicit_paths(self, git_repo):
         with pytest.raises(SystemExit):
-            lint_main(["--changed", "committed.py", "--no-baseline"])
+            repro_main(["lint", "--changed", "committed.py"])
 
     def test_bad_base_ref_is_a_clean_error(self, git_repo):
         with pytest.raises(SystemExit):
-            lint_main(["--changed", "no-such-ref", "--no-baseline"])
+            repro_main(["lint", "--changed", "no-such-ref"])
 
 
 class TestSelfLint:
@@ -160,11 +123,3 @@ class TestSelfLint:
         assert report.files_checked > 100
         locations = [f.location() for f in report.findings]
         assert locations == [], f"self-lint found: {locations}"
-
-    def test_committed_baseline_is_empty(self):
-        repo_root = Path(repro.__file__).resolve().parents[2]
-        baseline_path = repo_root / "lint-baseline.json"
-        assert baseline_path.exists(), "lint-baseline.json must be committed"
-        data = json.loads(baseline_path.read_text(encoding="utf-8"))
-        assert data["version"] == 1
-        assert data["findings"] == []

@@ -13,7 +13,7 @@ from repro.analysis.lint.engine import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.lint.findings import Finding, fingerprint, sort_findings
+from repro.analysis.lint.findings import Finding, sort_findings
 from repro.analysis.lint.rules import UnseededRngRule
 
 
@@ -142,19 +142,6 @@ class TestReport:
     def test_exit_codes(self):
         assert LintReport().exit_code() == 0
         assert LintReport(findings=[self._finding()]).exit_code() == 1
-        stale = LintReport(stale_baseline=[{"rule": "GR001"}])
-        assert stale.exit_code() == 0
-        assert stale.exit_code(check_baseline=True) == 1
-
-    def test_fingerprint_ignores_line_numbers(self):
-        a = self._finding(line=3)
-        b = self._finding(line=300)
-        assert a.fingerprint == b.fingerprint
-
-    def test_fingerprint_changes_with_content(self):
-        assert fingerprint("GR001", "a.py", "x") != fingerprint(
-            "GR001", "a.py", "y"
-        )
 
     def test_sort_is_by_location_then_rule(self):
         unsorted = [

@@ -1,11 +1,13 @@
 """`repro bench`'s record is frozen: metric specs, values and failures.
 
-``bench_contract.json`` holds, for the four invocations CI smoke-tests,
-the suite and benchmark keys, every metric's unit, direction, tolerance,
-floor and value, and the run's acceptance failures.  Measured wall clock
-keeps its spec but not its value (``null``).  The committed perf history
-is a baseline only while these hold, so a run may add ``info`` metrics
-but may not drop, re-specify or move a frozen one.
+``benchmarks/results/bench_contract.json`` holds, for the four
+invocations CI smoke-tests, the suite, benchmark and params keys, every
+metric's unit, direction, tolerance, floor and value, and the run's
+acceptance failures.  Measured wall clock keeps its spec but not its
+value (``null``).  ``repro bench --check`` gates every frozen value
+against the contract and only the rest against the perf history, so a
+run may add ``info`` metrics but may not drop, re-specify or move a
+frozen one.
 
 Regenerate (only when a recorded number is *meant* to change)::
 
@@ -21,11 +23,13 @@ import tempfile
 
 import pytest
 
+from repro.bench.history import DEFAULT_CONTRACT_PATH
 from repro.cli import main as repro_main
 
-CONTRACT_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "bench_contract.json"
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
+CONTRACT_PATH = os.path.join(REPO_ROOT, DEFAULT_CONTRACT_PATH)
 
 #: The ``repro bench`` arguments of each frozen invocation.
 INVOCATIONS = {
@@ -59,6 +63,7 @@ def run_invocation(argv: list[str]) -> dict:
     return {
         "suite": payload["suite"],
         "benchmark": payload["benchmark"],
+        "params": payload["params"],
         "failures": payload["failures"],
         "metrics": metrics,
     }
@@ -83,8 +88,8 @@ def test_invocation_keeps_its_contract(contract, key, capsys):
     frozen = contract[key]
     actual = run_invocation(INVOCATIONS[key])
     capsys.readouterr()
-    assert (actual["suite"], actual["benchmark"]) == (
-        frozen["suite"], frozen["benchmark"]
+    assert (actual["suite"], actual["benchmark"], actual["params"]) == (
+        frozen["suite"], frozen["benchmark"], frozen["params"]
     )
     assert actual["failures"] == frozen["failures"]
     missing = sorted(set(frozen["metrics"]) - set(actual["metrics"]))

@@ -1,24 +1,34 @@
-"""Perf history, the rolling baseline and the regression gate."""
+"""Perf history, the rolling baseline, the bench contract as baseline,
+and the regression gate."""
 
+import dataclasses
 import json
+import shutil
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.history import (
+    DEFAULT_HISTORY_PATH,
     DEFAULT_WINDOW,
     append_history,
     check_against_history,
     compare_entries,
+    contract_values,
     diff_table,
     find_entry,
     history_entry,
     metric_band,
     metric_series,
+    read_contract,
     read_history,
     rolling_baseline,
 )
-from repro.bench.result import Metric, RunResult
+from repro.bench.result import Metric, RunResult, read_result
 from repro.cli import main
+from tests.bench.test_bench_contract import (
+    CONTRACT_PATH, INVOCATIONS, REPO_ROOT,
+)
 
 
 def make_result(iteration_seconds=1.0, accuracy=0.9, sha="abc123def"):
@@ -208,9 +218,19 @@ class TestCompare:
 
 
 class TestBenchCheckCli:
-    """The gate end-to-end through `repro bench --check`."""
+    """The history gate end-to-end through `repro bench --check`.
+
+    The contract freezes every gated throughput metric, so these runs
+    are gated against a missing contract: the history is the baseline
+    of every metric.
+    """
 
     BENCH = ["bench", "throughput"]
+
+    @pytest.fixture(autouse=True)
+    def no_contract(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.bench.history.DEFAULT_CONTRACT_PATH",
+                            str(tmp_path / "absent_contract.json"))
 
     def test_record_then_check_passes(self, tmp_path, capsys):
         history = str(tmp_path / "PERF_HISTORY.jsonl")
@@ -267,6 +287,13 @@ class TestBenchCheckCli:
         text = capsys.readouterr().out
         assert "metric" in text and "verdict" in text
 
+    def test_compare_unknown_ref_is_one_bare_line(self, tmp_path):
+        history = tmp_path / "h.jsonl"
+        record_n(history, 1)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "compare", "a", "b", "--history", str(history)])
+        assert exit_info.value.code == "no history entry for commit ref 'a'"
+
     def test_compare_needs_two_refs(self):
         with pytest.raises(SystemExit, match="exactly two"):
             main(["bench", "compare", "just-one"])
@@ -278,3 +305,164 @@ class TestBenchCheckCli:
                              "--check"]
         with pytest.raises(SystemExit, match="cannot read perf history"):
             main(args)
+
+
+@pytest.fixture(scope="module")
+def contract() -> dict:
+    return read_contract(CONTRACT_PATH)
+
+
+@pytest.fixture(scope="module")
+def invocation_runs(tmp_path_factory) -> dict[str, RunResult]:
+    """The contract's four invocations, as ``repro bench`` records them."""
+    runs = {}
+    for key, argv in sorted(INVOCATIONS.items()):
+        out = tmp_path_factory.mktemp(key) / "result.json"
+        main(["bench", *argv, "--out", str(out)])
+        runs[key] = read_result(out)
+    return runs
+
+
+def _moved(result: RunResult, name: str, value: float) -> RunResult:
+    metrics = dict(result.metrics)
+    metrics[name] = dataclasses.replace(metrics[name], value=value)
+    return dataclasses.replace(result, metrics=metrics)
+
+
+def frozen_gated(contract: dict) -> list[tuple[str, str]]:
+    return [
+        (key, name)
+        for key in sorted(contract)
+        for name, spec in sorted(contract[key]["metrics"].items())
+        if spec["direction"] != "info" and spec["value"] is not None
+    ]
+
+
+class TestContractBaseline:
+    """A number the contract freezes is gated against the contract."""
+
+    def test_every_invocation_is_recognised(self, contract,
+                                            invocation_runs):
+        for key, result in invocation_runs.items():
+            frozen = contract_values(contract, result)
+            expected = {
+                name: spec["value"]
+                for name, spec in contract[key]["metrics"].items()
+                if spec["value"] is not None
+            }
+            assert frozen == expected
+
+    def test_the_gate_covers_sixty_four_frozen_numbers(self, contract):
+        assert len(frozen_gated(contract)) == 64
+
+    def test_each_frozen_metric_fails_twice_its_band_the_wrong_way(
+        self, contract, invocation_runs
+    ):
+        # A history that disagrees with every frozen number must not
+        # matter: the contract is their baseline.
+        history = []
+        for key, result in invocation_runs.items():
+            entry = history_entry(result)
+            for name in contract_values(contract, result):
+                entry["metrics"][name]["value"] = 1e9
+            history.append(entry)
+        caught = []
+        for key, name in frozen_gated(contract):
+            result = invocation_runs[key]
+            metric = result.metrics[name]
+            frozen = contract[key]["metrics"][name]["value"]
+            assert check_against_history(
+                _moved(result, name, frozen), history, contract
+            ) == []
+            # Twice the band, or one unit where the band is zero
+            # (counts that must stay exactly at 0 or 5).
+            step = 2 * metric_band(metric, frozen) or 1.0
+            worse = frozen + step if metric.direction == "lower" \
+                else frozen - step
+            regressions = check_against_history(
+                _moved(result, name, worse), history, contract
+            )
+            assert [(r.metric, r.source, r.baseline)
+                    for r in regressions] == [(name, "contract", frozen)]
+            caught.append(name)
+        assert len(caught) == 64
+
+    def test_other_compressor_fusion_run_falls_back_to_history(
+        self, contract, tmp_path
+    ):
+        argv = list(INVOCATIONS["fusion"])
+        argv[argv.index("topk")] = "eightbit"
+        out = tmp_path / "fusion.json"
+        main(["bench", *argv, "--out", str(out)])
+        result = read_result(out)
+        assert contract_values(contract, result) == {}
+        entry = history_entry(result)
+        entry["metrics"]["collective_ops_fused"]["value"] = 1
+        regressions = check_against_history(result, [entry], contract)
+        assert [(r.metric, r.source, r.baseline)
+                for r in regressions] == [
+            ("collective_ops_fused", "history", 1.0)]
+
+    def test_parallel_throughput_falls_back_to_history(
+        self, contract, monkeypatch
+    ):
+        from repro.bench.throughput import run_parallel_bench
+
+        def fake_run_parallel(config):
+            return SimpleNamespace(
+                wall_seconds=2.0 if config.cell.fusion_mb == 0 else 1.0,
+                digests={0: "ab" * 32, 1: "ab" * 32},
+            )
+
+        monkeypatch.setattr("repro.comm.parallel.run_parallel",
+                            fake_run_parallel)
+        result = run_parallel_bench()
+        # Same suite and benchmark as the frozen throughput run; only
+        # the params tell them apart.
+        assert (result.suite, result.benchmark) == (
+            contract["throughput"]["suite"],
+            contract["throughput"]["benchmark"],
+        )
+        assert contract_values(contract, result) == {}
+        entry = history_entry(result)
+        entry["metrics"]["parallel/fusion_wall_speedup"]["value"] = 10.0
+        regressions = check_against_history(result, [entry], contract)
+        assert [(r.metric, r.source) for r in regressions] == [
+            ("parallel/fusion_wall_speedup", "history")]
+
+
+class TestContractGateCli:
+    """`repro bench --check` reads the committed contract by default."""
+
+    @pytest.fixture(autouse=True)
+    def at_repo_root(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+
+    def test_committed_history_passes_the_throughput_check(self, tmp_path,
+                                                           capsys):
+        history = tmp_path / "PERF_HISTORY.jsonl"
+        shutil.copy(DEFAULT_HISTORY_PATH, history)
+        code = main(["bench", "throughput", "--out", "-", "--history",
+                     str(history), "--record", "--check"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "26 gated metrics vs benchmarks/results/bench_contract.json" \
+            in out
+        assert "recorded" in out
+
+    def test_a_moved_contract_value_fails_the_check(self, tmp_path,
+                                                    monkeypatch, capsys):
+        moved = read_contract(CONTRACT_PATH)
+        spec = moved["throughput"]["metrics"]["hier/sim_wall_speedup"]
+        spec["value"] *= 1.1
+        path = tmp_path / "bench_contract.json"
+        path.write_text(json.dumps(moved), encoding="utf-8")
+        monkeypatch.setattr("repro.bench.history.DEFAULT_CONTRACT_PATH",
+                            str(path))
+        code = main(["bench", "throughput", "--out", "-", "--history",
+                     str(tmp_path / "h.jsonl"), "--check"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert ("PERF REGRESSION: throughput/resnet20-cifar10: "
+                "hier/sim_wall_speedup = 2.25339 < contract baseline"
+                in out)

@@ -117,7 +117,7 @@ class TestOptionRatchet:
     #: Flags per subcommand (positionals and --help not counted).
     CLI_LIMITS = {
         "list": 0, "compress": 5, "train": 21, "bench": 8, "report": 3,
-        "profile": 13, "chaos": 7, "lint": 8, "protocol-check": 2,
+        "profile": 13, "chaos": 7, "lint": 3, "protocol-check": 2,
         "experiment": 3,
     }
 
@@ -144,7 +144,7 @@ class TestOptionRatchet:
             if count > self.CLI_LIMITS[name]
         }
         assert grown == {}
-        assert sum(counts.values()) <= 70
+        assert sum(counts.values()) <= 65
 
     def test_parallel_run_config_fields(self):
         # The cell and the five settings of the processes that run it.

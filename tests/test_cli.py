@@ -30,6 +30,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "wire size" in out and "compression" in out
 
+    @pytest.mark.parametrize("method", ["topk", "powersgd"])
+    @pytest.mark.parametrize("elements", [1, 3, 1000, 65536])
+    def test_compress_takes_exactly_n_elements(self, method, elements,
+                                               capsys):
+        assert main(["compress", "--method", method,
+                     "--elements", str(elements)]) == 0
+        assert (f"{elements} elements ({4 * elements:,} bytes)"
+                in capsys.readouterr().out)
+
     def test_compress_unknown_method(self):
         with pytest.raises(SystemExit) as exit_info:
             main(["compress", "--method", "gzip"])
