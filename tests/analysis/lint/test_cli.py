@@ -46,6 +46,31 @@ class TestReproSubcommand:
         assert file_report["ok"] is False
         assert file_report["findings"][0]["rule"] == "GR001"
 
+    def test_inline_suppression_is_the_accepted_exception(self, tmp_path):
+        (tmp_path / "mod.py").write_text(
+            "import numpy as np\nnp.random.rand(3)  # lint-ignore: GR001\n",
+            encoding="utf-8",
+        )
+        assert repro_main(["lint", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "lint-baseline.json"],
+        ["--no-baseline"],
+        ["--write-baseline"],
+        ["--check"],
+        ["--verbose"],
+    ])
+    def test_baseline_flags_are_gone(self, bad_tree, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["lint", str(bad_tree), *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_missing_path_is_a_clean_error(self, tmp_path):
+        missing = tmp_path / "no_such_dir"
+        with pytest.raises(SystemExit, match="no_such_dir"):
+            repro_main(["lint", str(missing)])
+
     def test_default_paths_prefer_src_repro(self, tmp_path, monkeypatch):
         package = tmp_path / "src" / "repro"
         package.mkdir(parents=True)
