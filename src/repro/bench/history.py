@@ -6,8 +6,8 @@ keyed by commit and carrying the full metric set with units, directions
 and tolerance bands.  On top of the log:
 
 * :func:`rolling_baseline` — the median of the last
-  :data:`DEFAULT_WINDOW` recorded values of one metric, robust to a
-  single noisy entry;
+  :data:`DEFAULT_WINDOW` recorded values of one metric from runs of the
+  same invocation (:func:`run_key`), robust to a single noisy entry;
 * :func:`check_against_history` — the regression gate ``repro bench
   --check`` runs: each gated metric (direction ``lower``/``higher``)
   must stay inside ``baseline ± (tolerance·|baseline| + floor)``.  A
@@ -101,29 +101,35 @@ def read_history(path: str | Path) -> list[dict]:
     return entries
 
 
-def _matching(history: list[dict], suite: str, benchmark: str) -> list[dict]:
-    return [
-        entry for entry in history
-        if entry.get("suite") == suite and entry.get("benchmark") == benchmark
-    ]
+def run_key(record: dict | RunResult) -> tuple[str, str, str]:
+    """What tells two invocations apart: suite, benchmark and
+    JSON-serialized params of a run, a history line or a contract
+    invocation."""
+    if isinstance(record, RunResult):
+        record = {"suite": record.suite, "benchmark": record.benchmark,
+                  "params": record.params}
+    return (record.get("suite"), record.get("benchmark"),
+            json.dumps(record.get("params"), sort_keys=True))
 
 
-def metric_series(history: list[dict], suite: str, benchmark: str,
+def metric_series(history: list[dict], result: RunResult,
                   metric: str) -> list[float]:
-    """All recorded values of one metric, oldest first."""
+    """All recorded values of one metric from runs of ``result``'s
+    invocation, oldest first."""
+    key = run_key(result)
     series = []
-    for entry in _matching(history, suite, benchmark):
+    for entry in history:
         payload = (entry.get("metrics") or {}).get(metric)
-        if payload is not None:
+        if payload is not None and run_key(entry) == key:
             series.append(float(payload["value"]))
     return series
 
 
-def rolling_baseline(history: list[dict], suite: str, benchmark: str,
+def rolling_baseline(history: list[dict], result: RunResult,
                      metric: str) -> float | None:
     """Median of the last :data:`DEFAULT_WINDOW` recorded values
     (None = no data)."""
-    series = metric_series(history, suite, benchmark, metric)
+    series = metric_series(history, result, metric)
     if not series:
         return None
     return float(median(series[-DEFAULT_WINDOW:]))
@@ -137,21 +143,13 @@ def read_contract(path: str | Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _params_key(params: dict) -> str:
-    return json.dumps(params, sort_keys=True)
-
-
 def contract_values(contract: dict, result: RunResult) -> dict[str, float]:
-    """The values ``contract`` freezes for ``result``'s invocation.
-
-    A run is one of the contract's invocations when its suite,
-    benchmark and JSON-serialized params are the same; otherwise, and
-    for wall clock (frozen as ``null``), nothing is frozen.
-    """
-    key = (result.suite, result.benchmark, _params_key(result.params))
+    """The values ``contract`` freezes for ``result``'s invocation
+    (:func:`run_key`); for any other run, and for wall clock (frozen as
+    ``null``), nothing is frozen."""
+    key = run_key(result)
     for invocation in contract.values():
-        if (invocation["suite"], invocation["benchmark"],
-                _params_key(invocation["params"])) == key:
+        if run_key(invocation) == key:
             return {
                 name: float(metric["value"])
                 for name, metric in invocation["metrics"].items()
@@ -204,9 +202,8 @@ def check_against_history(result: RunResult, history: list[dict],
         if name in frozen:
             baseline, source = frozen[name], "contract"
         else:
-            baseline, source = rolling_baseline(
-                history, result.suite, result.benchmark, name
-            ), "history"
+            baseline = rolling_baseline(history, result, name)
+            source = "history"
         if baseline is None:
             continue
         band = metric_band(metric, baseline)

@@ -101,35 +101,6 @@ def cmd_compress(args) -> int:
     return 0
 
 
-#: ``bench`` flags only some suites read: each maps to the suites that
-#: read it and its default.
-_RUN_SUITES = ("fusion", "overlap", "faults", "throughput")
-_SUITE_FLAGS = {
-    "compressor": (("fusion",), "topk"),
-    "workers": (("fusion",), 8),
-    "iterations": (("fusion",), 30),
-    "parallel": (("throughput",), False),
-    "out": (_RUN_SUITES, None),
-    "record": (_RUN_SUITES, False),
-    "check": (_RUN_SUITES, False),
-}
-
-
-def _only_for(args, flags: dict, chosen: str, option: str) -> None:
-    """Exit with one line on a flag ``chosen`` would ignore; default the
-    rest.
-
-    ``flags`` maps each flag to the choices of ``option`` that read it
-    and its default; a flag left unset parses as None.
-    """
-    for dest, (owners, default) in flags.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif chosen not in owners:
-            raise SystemExit(f"--{dest.replace('_', '-')} requires "
-                             f"{option} {' or '.join(owners)}")
-
-
 #: The :class:`~repro.core.config.Cell` fields ``train`` and
 #: ``profile`` both take: field, flag and argparse options.
 _CELL_FLAGS = (
@@ -384,12 +355,8 @@ def cmd_bench(args) -> int:
     one artifact (``benchmarks/results/BENCH_<suite>.json``), one
     history file and one regression gate (``--check``).
     """
-    _only_for(args, _SUITE_FLAGS, args.what, "bench")
-    if args.what == "compare":
+    if args.suite == "compare":
         return _bench_compare(args)
-    if args.refs:
-        raise SystemExit(f"bench {args.what} takes no refs (only compare "
-                         "does)")
     from repro.bench import history as perf_history
     from repro.bench.faults_bench import run_faults_bench
     from repro.bench.fusion_bench import run_fusion_bench
@@ -402,22 +369,21 @@ def cmd_bench(args) -> int:
                                            args.iterations),
         "overlap": run_overlap_bench,
         "faults": run_faults_bench,
-        "throughput": (run_parallel_bench if args.parallel
-                       else run_throughput_bench),
-    }[args.what]
+        "throughput": lambda: (run_parallel_bench() if args.parallel
+                               else run_throughput_bench()),
+    }[args.suite]
     try:
         result = harness()
     except (KeyError, ValueError) as error:
         # How the fusion harness rejects its input: an unknown
         # compressor or an out-of-range count.
         raise SystemExit(
-            f"bench {args.what}: " + " ".join(map(str, error.args))
+            f"bench {args.suite}: " + " ".join(map(str, error.args))
         )
     print(result.text)
-    out = args.out or f"benchmarks/results/BENCH_{result.suite}.json"
-    if out != "-":
-        write_result(out, result)
-        print(f"result json      : {out}")
+    if args.out != "-":
+        write_result(args.out, result)
+        print(f"result json      : {args.out}")
     failures: list = []
     regressions: list = []
     if args.check:
@@ -461,12 +427,6 @@ def _bench_compare(args) -> int:
     """Diff two recorded runs (JSON paths or history commit refs)."""
     from repro.bench import history as perf_history
     from repro.bench.result import read_result
-
-    if len(args.refs) != 2:
-        raise SystemExit(
-            "bench compare needs exactly two refs (RunResult JSON paths "
-            "or history commit prefixes)"
-        )
 
     def load(ref: str) -> dict:
         if os.path.exists(ref):
@@ -519,23 +479,54 @@ def _load_trace(path: str) -> list[dict]:
 
 
 def cmd_report(args) -> int:
-    """Summarize a JSONL trace written by ``train --trace``."""
-    from repro.telemetry import TraceSummary, write_chrome_trace
+    """Summarize a JSONL trace written by ``train --trace``, or diff two.
 
+    Argparse cannot say "only together with", so the outputs of one
+    trace are refused here, before anything is read or written.
+    """
+    from repro.telemetry import TraceSummary
+
+    if args.compare:
+        given = [f"--{name}" for name in ("chrome", "folded", "out")
+                 if getattr(args, name)]
+        if given:
+            args.parser.error(f"{', '.join(given)} writes one trace's "
+                              f"output; a diff of two writes none")
+    if args.clock and not args.chrome:
+        args.parser.error("--clock requires --chrome")
     events = _load_trace(args.trace)
-    summary = TraceSummary.from_events(events)
     if args.compare:
         other = TraceSummary.from_events(_load_trace(args.compare))
         print(f"A = {args.trace}")
         print(f"B = {args.compare}")
-        print(_report_diff(summary, other))
+        print(_report_diff(TraceSummary.from_events(events), other))
         return 0
-    print(summary.format())
-    if args.chrome:
-        spans = write_chrome_trace(args.chrome, events, clock=args.clock)
-        print()
-        print(f"chrome trace     : {args.chrome} ({spans} spans)")
+    _summarize(args, events, clock=args.clock or "wall")
     return 0
+
+
+def _summarize(args, events, clock="wall", memory=None, meta=None) -> None:
+    """Print the trace summary of ``events`` and write the outputs
+    ``args`` asks for: folded stacks, Chrome trace and profile JSON."""
+    from repro.telemetry import TraceSummary, write_chrome_trace
+    from repro.telemetry.profile import write_folded, write_profile_json
+
+    summary = TraceSummary.from_events(events, memory)
+    print(summary.format())
+    extras = []
+    if args.folded:
+        lines = write_folded(args.folded, events)
+        extras.append(f"folded stacks    : {args.folded} ({lines} stacks)")
+    if args.chrome:
+        spans = write_chrome_trace(args.chrome, events, clock=clock)
+        extras.append(f"chrome trace     : {args.chrome} ({spans} spans)")
+    if args.out:
+        write_profile_json(args.out, summary, meta=meta)
+        extras.append(f"profile json     : {args.out}")
+    if extras:
+        print()
+        for line in extras:
+            print(line)
 
 
 def _report_diff(a, b) -> str:
@@ -564,8 +555,8 @@ def _report_diff(a, b) -> str:
 
 
 def cmd_profile(args) -> int:
-    """Profile one run (or an existing trace): ``report``'s summary plus
-    memory marks, folded stacks and a JSON dump.
+    """Profile one run: ``report``'s summary plus memory marks, folded
+    stacks and a JSON dump.
 
     A parallel run's ranks each profile under their own
     :class:`~repro.telemetry.profile.ProfilingTracer`; their memory keys
@@ -573,44 +564,17 @@ def cmd_profile(args) -> int:
     that used it.
     """
     from repro.bench.metadata import run_metadata
-    from repro.telemetry import (
-        TraceSummary, telemetry_events, write_chrome_trace,
-    )
+    from repro.bench.runner import run_cell
+    from repro.telemetry import telemetry_events
     from repro.telemetry.metrics import fold_ranks
-    from repro.telemetry.profile import write_folded, write_profile_json
 
-    if args.trace:
-        events = _load_trace(args.trace)
-        memory = meta = None
-    elif args.benchmark:
-        from repro.bench.runner import run_cell
-
-        cell = _args_cell(args)
-        _writable(args.folded, args.chrome, args.out)
-        result = run_cell(cell, profile=True)
-        events = telemetry_events(result.events, fold_ranks(result.metrics))
-        memory = result.memory_high_water
-        meta = {**run_metadata(seed=cell.seed), "cell": cell.to_dict()}
-    else:
-        raise SystemExit(
-            "profile needs --benchmark (to run) or --trace (to load)"
-        )
-    summary = TraceSummary.from_events(events, memory)
-    print(summary.format())
-    extras = []
-    if args.folded:
-        lines = write_folded(args.folded, events)
-        extras.append(f"folded stacks    : {args.folded} ({lines} stacks)")
-    if args.chrome:
-        spans = write_chrome_trace(args.chrome, events)
-        extras.append(f"chrome trace     : {args.chrome} ({spans} spans)")
-    if args.out:
-        write_profile_json(args.out, summary, meta=meta)
-        extras.append(f"profile json     : {args.out}")
-    if extras:
-        print()
-        for line in extras:
-            print(line)
+    cell = _args_cell(args)
+    _writable(args.folded, args.chrome, args.out)
+    result = run_cell(cell, profile=True)
+    _summarize(args, telemetry_events(result.events,
+                                      fold_ranks(result.metrics)),
+               memory=result.memory_high_water,
+               meta={**run_metadata(seed=cell.seed), "cell": cell.to_dict()})
     return 0
 
 
@@ -644,54 +608,74 @@ def cmd_protocol_check(args) -> int:
     return 0 if summary["ok"] else 1
 
 
-#: ``experiment`` flags only some experiments read, as
-#: :data:`_SUITE_FLAGS` for ``bench``.
-_EXPERIMENT_FLAGS = {
-    "compressors": (("fig6", "fig7", "fig8", "fig9", "fig10", "bandwidth"),
-                    None),
-    "panels": (("fig6", "fig7"), None),
-    "epochs": (("fig1", "fig6", "fig7", "fig10", "ef"), None),
-}
-
-
 def cmd_experiment(args) -> int:
     """Regenerate one of the paper's tables/figures."""
-    from repro.bench.experiments import (
-        bandwidth, ef_ablation, fig1, fig6, fig7, fig8, fig9, fig10,
-        table1, table2,
-    )
+    import importlib
+
     from repro.core.registry import check_params
 
-    modules = {
-        "table1": table1, "table2": table2, "fig1": fig1, "fig6": fig6,
-        "fig7": fig7, "fig8": fig8, "fig9": fig9, "fig10": fig10,
-        "bandwidth": bandwidth, "ef": ef_ablation,
-    }
-    if args.name not in modules:
-        raise SystemExit(
-            f"unknown experiment {args.name!r}; "
-            f"choose from {', '.join(sorted(modules))}"
-        )
-    module = modules[args.name]
-    _only_for(args, _EXPERIMENT_FLAGS, args.name, "experiment")
-    kwargs: dict = {}
-    if args.compressors is not None:
-        kwargs["compressors"] = args.compressors.split(",")
-        for name in kwargs["compressors"]:
-            _one_line(check_params, name, {})
-    if args.panels is not None:
-        kwargs["panels"] = args.panels.split(",")
-        for panel in kwargs["panels"]:
-            if panel not in module.PANELS:
-                raise SystemExit(f"unknown {args.name} panel {panel!r}; "
-                                 f"choose from {', '.join(module.PANELS)}")
-    if args.epochs is not None:
-        if args.epochs < 1:
-            raise SystemExit(f"--epochs must be >= 1, got {args.epochs}")
-        kwargs["epochs"] = args.epochs
+    module = importlib.import_module(
+        f"repro.bench.experiments.{args.module}"
+    )
+    # A flag the experiment declares but the command line leaves out is
+    # absent, so run() keeps its own default.
+    kwargs = {name: getattr(args, name)
+              for name in ("compressors", "panels", "epochs")
+              if hasattr(args, name)}
+    for name in kwargs.get("compressors", ()):
+        _one_line(check_params, name, {})
+    for panel in kwargs.get("panels", ()):
+        if panel not in module.PANELS:
+            raise SystemExit(f"unknown {args.name} panel {panel!r}; "
+                             f"choose from {', '.join(module.PANELS)}")
+    if kwargs.get("epochs", 1) < 1:
+        raise SystemExit(f"--epochs must be >= 1, got {args.epochs}")
     rows = module.run(**kwargs)
     print(module.format(rows))
     return 0
+
+
+def _add_bench_suite(suites, history, name: str, help: str):
+    """A ``repro bench`` run suite with the flags every run suite reads."""
+    suite = suites.add_parser(name, parents=[history], help=help)
+    suite.add_argument("--out", metavar="PATH",
+                       default=f"benchmarks/results/BENCH_{name}.json",
+                       help="result JSON path (default %(default)s; '-' "
+                            "skips the write)")
+    suite.add_argument("--record", action="store_true",
+                       help="append this run to the perf history (skipped "
+                            "when --check fails, so a regression cannot "
+                            "poison its own baseline)")
+    suite.add_argument("--check", action="store_true",
+                       help="exit nonzero unless the suite's acceptance "
+                            "criteria hold AND no gated metric regresses "
+                            "past its tolerance band vs its baseline: the "
+                            "bench contract's value where it freezes one, "
+                            "else the rolling history median of the same "
+                            "invocation")
+    return suite
+
+
+def _add_trace_outputs(parser) -> None:
+    """The outputs ``report`` and ``profile`` write from one trace."""
+    parser.add_argument("--folded", metavar="PATH",
+                        help="write flamegraph-compatible folded stacks "
+                             "(feed to flamegraph.pl or speedscope)")
+    parser.add_argument("--chrome", metavar="PATH",
+                        help="write a Chrome trace_event JSON")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write the profile (with run metadata) as "
+                             "JSON")
+
+
+#: The flags an experiment may declare, by name.
+_EXPERIMENT_OPTIONS = {
+    "--compressors": {"type": lambda text: text.split(","),
+                      "metavar": "NAMES", "help": "comma-separated subset"},
+    "--panels": {"type": lambda text: text.split(","), "metavar": "PANELS",
+                 "help": "comma-separated panels"},
+    "--epochs": {"type": int, "help": "training epochs"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -757,81 +741,65 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a perf suite (fusion, overlap, faults, throughput) or "
              "compare two recorded runs",
     )
-    bench.add_argument("what",
-                       choices=["fusion", "overlap", "faults",
-                                "throughput", "compare"],
-                       help="which suite to run (or 'compare' to diff "
-                            "two recorded runs)")
-    bench.add_argument("refs", nargs="*",
-                       help="for compare: two RunResult JSON paths or "
-                            "history commit prefixes")
-    # Every flag but --history defaults to None: only a suite that reads
-    # it may set it.
-    bench.add_argument("--compressor",
-                       help="compressor for the fusion benchmark "
-                            "(default: topk)")
-    bench.add_argument("--workers", type=int, metavar="N",
-                       help="simulated ranks for the fusion benchmark "
-                            "(default: 8)")
-    bench.add_argument("--iterations", type=int, metavar="N",
-                       help="training iterations for the fusion "
-                            "benchmark (default: 30)")
-    bench.add_argument("--out", metavar="PATH",
-                       help="result JSON path (default: benchmarks/"
-                            "results/BENCH_<suite>.json; '-' skips the "
-                            "write)")
-    bench.add_argument("--history",
-                       default="benchmarks/results/PERF_HISTORY.jsonl",
-                       metavar="PATH",
-                       help="append-only perf-history JSONL the "
-                            "regression gate and compare read")
-    bench.add_argument("--record", action="store_true", default=None,
-                       help="append this run to the perf history (skipped "
-                            "when --check fails, so a regression cannot "
-                            "poison its own baseline)")
-    bench.add_argument("--check", action="store_true", default=None,
-                       help="exit nonzero unless the suite's acceptance "
-                            "criteria hold AND no gated metric regresses "
-                            "past its tolerance band vs its baseline: the "
-                            "bench contract's value where it freezes one, "
-                            "else the rolling history median")
-    bench.add_argument("--parallel", action="store_true", default=None,
-                       help="throughput suite: measure real multiprocess "
-                            "wall clock (fused vs per-tensor) instead of "
-                            "the closed-form model")
+    suites = bench.add_subparsers(dest="suite", required=True,
+                                  metavar="SUITE")
+    history = argparse.ArgumentParser(add_help=False)
+    history.add_argument("--history",
+                         default="benchmarks/results/PERF_HISTORY.jsonl",
+                         metavar="PATH",
+                         help="append-only perf-history JSONL the "
+                              "regression gate and compare read")
+    fusion = _add_bench_suite(
+        suites, history, "fusion",
+        "fused vs per-tensor exchange of one compressor"
+    )
+    fusion.add_argument("--compressor", default="topk",
+                        help="compressor (default %(default)s)")
+    fusion.add_argument("--workers", type=int, default=8, metavar="N",
+                        help="simulated ranks (default %(default)s)")
+    fusion.add_argument("--iterations", type=int, default=30, metavar="N",
+                        help="training iterations (default %(default)s)")
+    _add_bench_suite(suites, history, "overlap",
+                     "overlapped vs sequential exchange schedules")
+    _add_bench_suite(suites, history, "faults",
+                     "fault-injection scenarios against a clean run")
+    throughput = _add_bench_suite(
+        suites, history, "throughput",
+        "modelled throughput of the paper's compressors (or measured "
+        "wall clock with --parallel)"
+    )
+    throughput.add_argument("--parallel", action="store_true",
+                            help="measure real multiprocess wall clock "
+                                 "(fused vs per-tensor) instead of the "
+                                 "closed-form model")
+    compare = suites.add_parser("compare", parents=[history],
+                                help="diff two recorded runs")
+    compare.add_argument("refs", nargs=2, metavar="REF",
+                         help="a RunResult JSON path or a history commit "
+                              "prefix")
 
     report = sub.add_parser(
-        "report", help="summarize a JSONL trace from train --trace"
+        "report", help="summarize a JSONL trace from train --trace, or "
+                       "diff two"
     )
-    report.add_argument("trace", help="JSONL trace path")
-    report.add_argument("--compare", default=None, metavar="TRACE",
-                        help="diff this trace (B) against the positional "
-                             "trace (A): per-phase wall/sim deltas")
-    report.add_argument("--chrome", default=None, metavar="PATH",
-                        help="also convert the trace to Chrome JSON")
-    report.add_argument("--clock", choices=["wall", "sim"], default="wall",
+    report.set_defaults(parser=report)
+    report.add_argument("trace", help="JSONL trace path (A)")
+    report.add_argument("compare", nargs="?", metavar="TRACE_B",
+                        help="diff this trace (B) against A: per-phase "
+                             "wall/sim deltas")
+    _add_trace_outputs(report)
+    report.add_argument("--clock", choices=["wall", "sim"],
                         help="timeline for --chrome: measured wall clock "
                              "(default) or the simulated event timeline "
                              "(renders overlap concurrency)")
 
     profile = sub.add_parser(
         "profile",
-        help="phase-level run profiler: train one cell (or load a "
-             "trace) and attribute step time to compress/network/"
-             "decompress/apply phases",
+        help="phase-level run profiler: train one cell and attribute "
+             "step time to compress/network/decompress/apply phases",
     )
-    profile.add_argument("--trace", default=None, metavar="PATH",
-                         help="profile an existing JSONL trace instead of "
-                              "running a benchmark")
-    _add_cell_flags(profile, benchmark=None, compressor="topk", epochs=1)
-    profile.add_argument("--folded", default=None, metavar="PATH",
-                         help="write flamegraph-compatible folded stacks "
-                              "(feed to flamegraph.pl or speedscope)")
-    profile.add_argument("--chrome", default=None, metavar="PATH",
-                         help="write a Chrome trace_event JSON")
-    profile.add_argument("--out", default=None, metavar="PATH",
-                         help="write the profile (with run metadata) as "
-                              "JSON")
+    _add_cell_flags(profile, compressor="topk", epochs=1)
+    _add_trace_outputs(profile)
 
     chaos = sub.add_parser(
         "chaos",
@@ -892,14 +860,25 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate one of the paper's tables/figures"
     )
-    experiment.add_argument("name")
-    experiment.add_argument("--compressors", default=None,
-                            help="comma-separated subset")
-    experiment.add_argument("--panels", default=None,
-                            help="comma-separated panels (fig6/fig7)")
-    experiment.add_argument("--epochs", type=int, default=None,
-                            help="training epochs (fig1, fig6, fig7, "
-                                 "fig10, ef)")
+    experiments = experiment.add_subparsers(dest="name", required=True,
+                                            metavar="NAME")
+    for name, module, flags in (
+        ("table1", "table1", ()),
+        ("table2", "table2", ()),
+        ("fig1", "fig1", ("--epochs",)),
+        ("fig6", "fig6", ("--compressors", "--panels", "--epochs")),
+        ("fig7", "fig7", ("--compressors", "--panels", "--epochs")),
+        ("fig8", "fig8", ("--compressors",)),
+        ("fig9", "fig9", ("--compressors",)),
+        ("fig10", "fig10", ("--compressors", "--epochs")),
+        ("bandwidth", "bandwidth", ("--compressors",)),
+        ("ef", "ef_ablation", ("--epochs",)),
+    ):
+        figure = experiments.add_parser(name)
+        figure.set_defaults(module=module)
+        for flag in flags:
+            figure.add_argument(flag, default=argparse.SUPPRESS,
+                                **_EXPERIMENT_OPTIONS[flag])
 
     return parser
 

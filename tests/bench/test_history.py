@@ -97,19 +97,17 @@ class TestRollingBaseline:
         for value in [1.0, 1.1, 5.0, 1.2, 1.0, 1.1]:
             append_history(path, make_result(iteration_seconds=value))
         history = read_history(path)
-        series = metric_series(history, "throughput", "resnet20-cifar10",
-                               "iteration_seconds")
+        series = metric_series(history, make_result(), "iteration_seconds")
         assert series == [1.0, 1.1, 5.0, 1.2, 1.0, 1.1]
         # the window of 5 drops the oldest entry and medians over the
         # rest — the 5.0 outlier does not move the median
         assert DEFAULT_WINDOW == 5
-        baseline = rolling_baseline(history, "throughput",
-                                    "resnet20-cifar10",
+        baseline = rolling_baseline(history, make_result(),
                                     "iteration_seconds")
         assert baseline == 1.1
 
     def test_no_data_is_none(self):
-        assert rolling_baseline([], "throughput", "x", "y") is None
+        assert rolling_baseline([], make_result(), "y") is None
 
     def test_other_suites_do_not_pollute(self, tmp_path):
         path = tmp_path / "h.jsonl"
@@ -117,10 +115,22 @@ class TestRollingBaseline:
         other = make_result(iteration_seconds=99.0)
         other.suite = "fusion"
         append_history(path, other)
-        baseline = rolling_baseline(read_history(path), "throughput",
-                                    "resnet20-cifar10",
+        baseline = rolling_baseline(read_history(path), make_result(),
                                     "iteration_seconds")
         assert baseline == 1.0
+
+    def test_other_params_do_not_pollute(self, tmp_path):
+        # Same suite and benchmark, another invocation: a fusion run
+        # with another compressor, or throughput --parallel.
+        path = tmp_path / "h.jsonl"
+        append_history(path, make_result(iteration_seconds=1.0))
+        other = make_result(iteration_seconds=99.0)
+        other.params = {"seed": 1}
+        append_history(path, other)
+        history = read_history(path)
+        assert rolling_baseline(history, make_result(),
+                                "iteration_seconds") == 1.0
+        assert rolling_baseline(history, other, "iteration_seconds") == 99.0
 
 
 class TestRegressionGate:
@@ -294,9 +304,11 @@ class TestBenchCheckCli:
             main(["bench", "compare", "a", "b", "--history", str(history)])
         assert exit_info.value.code == "no history entry for commit ref 'a'"
 
-    def test_compare_needs_two_refs(self):
-        with pytest.raises(SystemExit, match="exactly two"):
+    def test_compare_needs_two_refs(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["bench", "compare", "just-one"])
+        assert exit_info.value.code == 2
+        assert "required: REF" in capsys.readouterr().err
 
     def test_corrupt_history_is_loud(self, tmp_path):
         history = tmp_path / "h.jsonl"
@@ -305,6 +317,21 @@ class TestBenchCheckCli:
                              "--check"]
         with pytest.raises(SystemExit, match="cannot read perf history"):
             main(args)
+
+
+def parallel_bench_result(monkeypatch) -> RunResult:
+    """``bench throughput --parallel``'s record, its processes faked."""
+    from repro.bench.throughput import run_parallel_bench
+
+    def fake_run_parallel(config):
+        return SimpleNamespace(
+            wall_seconds=2.0 if config.cell.fusion_mb == 0 else 1.0,
+            digests={0: "ab" * 32, 1: "ab" * 32},
+        )
+
+    monkeypatch.setattr("repro.comm.parallel.run_parallel",
+                        fake_run_parallel)
+    return run_parallel_bench()
 
 
 @pytest.fixture(scope="module")
@@ -406,17 +433,7 @@ class TestContractBaseline:
     def test_parallel_throughput_falls_back_to_history(
         self, contract, monkeypatch
     ):
-        from repro.bench.throughput import run_parallel_bench
-
-        def fake_run_parallel(config):
-            return SimpleNamespace(
-                wall_seconds=2.0 if config.cell.fusion_mb == 0 else 1.0,
-                digests={0: "ab" * 32, 1: "ab" * 32},
-            )
-
-        monkeypatch.setattr("repro.comm.parallel.run_parallel",
-                            fake_run_parallel)
-        result = run_parallel_bench()
+        result = parallel_bench_result(monkeypatch)
         # Same suite and benchmark as the frozen throughput run; only
         # the params tell them apart.
         assert (result.suite, result.benchmark) == (
@@ -450,6 +467,15 @@ class TestContractGateCli:
             in out
         assert "recorded" in out
 
+    def test_committed_history_gates_the_parallel_leg(self, monkeypatch):
+        # Its speedup is wall clock, which only the history can gate:
+        # the committed history must hold a run with today's params.
+        result = parallel_bench_result(monkeypatch)
+        history = read_history(DEFAULT_HISTORY_PATH)
+        assert rolling_baseline(
+            history, result, "parallel/fusion_wall_speedup"
+        ) is not None
+
     def test_a_moved_contract_value_fails_the_check(self, tmp_path,
                                                     monkeypatch, capsys):
         moved = read_contract(CONTRACT_PATH)
@@ -466,3 +492,41 @@ class TestContractGateCli:
         assert ("PERF REGRESSION: throughput/resnet20-cifar10: "
                 "hier/sim_wall_speedup = 2.25339 < contract baseline"
                 in out)
+
+
+class TestHistoryKeyCli:
+    """A rolling baseline comes from runs of the same invocation: a
+    recorded topk fusion run is not an eightbit run's baseline."""
+
+    FUSION = ["bench", "fusion", "--workers", "4", "--iterations", "5",
+              "--out", "-"]
+
+    @pytest.fixture(autouse=True)
+    def at_repo_root(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+
+    def test_a_recorded_topk_run_does_not_gate_eightbit(self, tmp_path,
+                                                         capsys):
+        # Both byte counts used to be gated against the topk run's:
+        # bytes_per_worker_fused = 99690 > history baseline 6600.
+        history = str(tmp_path / "PERF_HISTORY.jsonl")
+        assert main(self.FUSION + ["--compressor", "topk", "--history",
+                                   history, "--record", "--check"]) == 0
+        code = main(self.FUSION + ["--compressor", "eightbit",
+                                   "--history", history, "--check"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PERF REGRESSION" not in out
+
+    def test_a_recorded_eightbit_run_gates_the_next(self, tmp_path, capsys):
+        history = tmp_path / "PERF_HISTORY.jsonl"
+        argv = self.FUSION + ["--compressor", "eightbit", "--history",
+                              str(history)]
+        assert main(argv + ["--record"]) == 0
+        entry = json.loads(history.read_text())
+        entry["metrics"]["bytes_per_worker_fused"]["value"] /= 2
+        history.write_text(json.dumps(entry) + "\n")
+        capsys.readouterr()
+        assert main(argv + ["--check"]) == 1
+        assert ("bytes_per_worker_fused = 99690 > history baseline 49845"
+                in capsys.readouterr().out)

@@ -95,6 +95,10 @@ class TestReportCommand:
         assert "sim share" in out
         assert "bytes on wire / worker" in out
         assert "topk" in out  # kernel latency table
+        for section in ("Per-phase breakdown", "(unattributed)", "Totals",
+                        "simulated seconds (leaf phases)",
+                        "Compressor kernel latency", "p90 ms"):
+            assert section in out, section
 
     def test_report_converts_to_chrome(self, traced_run, tmp_path, capsys):
         chrome = tmp_path / "converted.json"
@@ -132,7 +136,7 @@ class TestReportCommand:
 
     def test_report_compare(self, traced_run, capsys):
         trace = str(traced_run["jsonl"])
-        assert main(["report", trace, "--compare", trace]) == 0
+        assert main(["report", trace, trace]) == 0
         out = capsys.readouterr().out
         assert "wall A" in out and "wall B" in out
         assert "total (leaf)" in out
@@ -140,12 +144,12 @@ class TestReportCommand:
         # identical traces: every wall delta is +0.0%
         assert "+0.0%" in out
 
-
-class TestProfileCommand:
-    def test_profile_existing_trace(self, traced_run, tmp_path, capsys):
+    def test_report_writes_folded_stacks_and_profile_json(
+        self, traced_run, tmp_path, capsys
+    ):
         folded = tmp_path / "stacks.folded"
         out = tmp_path / "profile.json"
-        code = main(["profile", "--trace", str(traced_run["jsonl"]),
+        code = main(["report", str(traced_run["jsonl"]),
                      "--folded", str(folded), "--out", str(out)])
         assert code == 0
         text = capsys.readouterr().out
@@ -161,6 +165,27 @@ class TestProfileCommand:
         assert payload["attribution_error"] < 0.01
         assert payload["meta"]["metadata_version"] == 1
 
+    @pytest.mark.parametrize("argv, named", [
+        # Each used to exit 0 and write nothing it was asked for (T is
+        # the trace).
+        (["T", "T", "--chrome", "c.json"], "--chrome"),
+        (["T", "T", "--folded", "f.txt", "--out", "p.json"],
+         "--folded, --out"),
+        (["T", "--clock", "sim"], "--clock requires --chrome"),
+    ])
+    def test_report_refuses_outputs_it_would_not_write(
+        self, traced_run, tmp_path, monkeypatch, capsys, argv, named
+    ):
+        trace = str(traced_run["jsonl"])
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", *(trace if arg == "T" else arg for arg in argv)])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestProfileCommand:
     def test_profile_runs_benchmark(self, tmp_path, capsys):
         chrome = tmp_path / "profile.trace.json"
         out = tmp_path / "profile.json"
@@ -181,20 +206,11 @@ class TestProfileCommand:
             "ncf-movielens", "topk", workers=2, epochs=1
         )
 
-    def test_report_and_profile_print_the_same_summary(self, traced_run):
-        """One reader: the phase table, totals and kernel table of a
-        trace read the same through either command."""
-        trace = str(traced_run["jsonl"])
-        report = _stdout(["report", trace])
-        assert _stdout(["profile", "--trace", trace]) == report
-        for section in ("Per-phase breakdown", "(unattributed)", "Totals",
-                        "simulated seconds (leaf phases)",
-                        "Compressor kernel latency", "p90 ms"):
-            assert section in report, section
-
-    def test_profile_needs_a_source(self):
-        with pytest.raises(SystemExit, match="--benchmark"):
+    def test_profile_requires_a_benchmark(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["profile"])
+        assert exit_info.value.code == 2
+        assert "--benchmark" in capsys.readouterr().err
 
     def test_profile_unknown_benchmark(self):
         with pytest.raises(SystemExit, match="unknown benchmark"):

@@ -147,9 +147,11 @@ class TestCommands:
         assert code == 0
         assert "Rel. throughput" in capsys.readouterr().out
 
-    def test_experiment_unknown(self):
-        with pytest.raises(SystemExit, match="unknown experiment"):
+    def test_experiment_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["experiment", "fig99"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
 
 class TestParallelBackendFlags:
@@ -276,8 +278,8 @@ class TestParallelBackendFlags:
 
 
 class TestUnreadFlags:
-    """A flag the chosen backend, topology or suite does not read exits
-    with one line naming it; each used to be accepted and ignored."""
+    """A flag the chosen backend or topology does not read exits with
+    one line naming it; each used to be accepted and ignored."""
 
     @pytest.mark.parametrize("argv, flag", [
         (["train", "--backend", "parallel", "--racks", "7"], "--racks"),
@@ -287,6 +289,29 @@ class TestUnreadFlags:
         (["train", "--topology", "ps", "--racks", "3"], "--racks"),
         (["train", "--aggregation", "all"], "--aggregation"),
         (["train", "--checkpoint-dir", "ckpt"], "--checkpoint-dir"),
+    ])
+    def test_one_line_exit(self, argv, flag, tmp_path, monkeypatch):
+        import repro.bench.runner
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with an unread flag")
+
+        monkeypatch.setattr(repro.bench.runner, "run_cell", no_training)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--benchmark", "ncf-movielens"])
+        message = str(exit_info.value.code)
+        assert message.startswith(f"{flag} requires ")
+        assert "\n" not in message
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUndeclaredFlags:
+    """Each bench suite, experiment and command declares exactly the
+    flags it reads, so argparse refuses any other: a usage error (exit
+    2) naming it, before anything is trained or written."""
+
+    @pytest.mark.parametrize("argv, named", [
         (["bench", "overlap", "--compressor", "nope"], "--compressor"),
         (["bench", "overlap", "--iterations", "3"], "--iterations"),
         (["bench", "faults", "--workers", "4"], "--workers"),
@@ -298,30 +323,32 @@ class TestUnreadFlags:
          "--out"),
         (["bench", "compare", "a.json", "b.json", "--check"], "--check"),
         (["bench", "compare", "a.json", "b.json", "--record"], "--record"),
+        (["bench", "faults", "stray.json"], "stray.json"),
+        (["bench", "compare", "a.json"], "REF"),
+        (["bench", "nope"], "invalid choice: 'nope'"),
         (["experiment", "table1", "--compressors", "topk"], "--compressors"),
         (["experiment", "fig9", "--panels", "a"], "--panels"),
         (["experiment", "table1", "--epochs", "0"], "--epochs"),
+        # It used to exit 0 and ignore every cell flag: profile always
+        # trains, and a saved trace is report's.
+        (["profile", "--trace", "t.jsonl", "--workers", "8", "--backend",
+          "parallel", "--epochs", "0"], "--benchmark"),
+        (["profile", "--benchmark", "ncf-movielens", "--trace", "t.jsonl"],
+         "--trace"),
     ])
-    def test_one_line_exit(self, argv, flag, tmp_path, monkeypatch):
+    def test_usage_error(self, argv, named, tmp_path, monkeypatch, capsys):
         import repro.bench.runner
 
         def no_training(*args, **kwargs):
-            raise AssertionError("trained with an unread flag")
+            raise AssertionError("trained with an undeclared flag")
 
         monkeypatch.setattr(repro.bench.runner, "run_cell", no_training)
         monkeypatch.chdir(tmp_path)
-        if argv[0] == "train":
-            argv = [*argv, "--benchmark", "ncf-movielens"]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
-        message = str(exit_info.value.code)
-        assert message.startswith(f"{flag} requires ")
-        assert "\n" not in message
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    def test_bench_suite_takes_no_refs(self):
-        with pytest.raises(SystemExit, match="takes no refs"):
-            main(["bench", "faults", "stray.json"])
 
 
 class TestBenchInputErrors:
@@ -380,8 +407,8 @@ class TestChaosInputErrors:
 class TestOneLineRefusals:
     """`protocol-check`, `experiment` and `compress` refuse out-of-range
     input with one line; each used to end in a traceback, a NaN or a
-    verdict over empty programs (unread `experiment` flags are in
-    :class:`TestUnreadFlags`)."""
+    verdict over empty programs (undeclared `experiment` flags are in
+    :class:`TestUndeclaredFlags`)."""
 
     @pytest.mark.parametrize("argv, message", [
         (["protocol-check", "--seqs", "0"], "--seqs must be >= 1, got 0"),
