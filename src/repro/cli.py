@@ -478,11 +478,18 @@ def _load_trace(path: str) -> list[dict]:
     return events
 
 
+#: Flags a command refuses unless another is given with them: argparse
+#: cannot say "only together with".  The command enforces them, and the
+#: check of the commands the docs quote holds every span to them.
+REQUIRES = {"report": {"--clock": "--chrome"}}
+
+
 def cmd_report(args) -> int:
     """Summarize a JSONL trace written by ``train --trace``, or diff two.
 
-    Argparse cannot say "only together with", so the outputs of one
-    trace are refused here, before anything is read or written.
+    The outputs of one trace are refused here, before anything is
+    written: with two traces, or (``--clock sim``) where the trace holds
+    no simulated window to draw.
     """
     from repro.telemetry import TraceSummary
 
@@ -492,9 +499,15 @@ def cmd_report(args) -> int:
         if given:
             args.parser.error(f"{', '.join(given)} writes one trace's "
                               f"output; a diff of two writes none")
-    if args.clock and not args.chrome:
-        args.parser.error("--clock requires --chrome")
+    for flag, needed in REQUIRES["report"].items():
+        if getattr(args, flag[2:]) and not getattr(args, needed[2:]):
+            args.parser.error(f"{flag} requires {needed}")
     events = _load_trace(args.trace)
+    if args.clock == "sim" and not any(
+        event.get("sim_ts") is not None for event in events
+    ):
+        args.parser.error(f"--clock sim: {args.trace} holds no simulated "
+                          f"window (only an overlapped run records them)")
     if args.compare:
         other = TraceSummary.from_events(_load_trace(args.compare))
         print(f"A = {args.trace}")

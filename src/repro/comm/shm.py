@@ -123,6 +123,13 @@ _POLL_SLEEP = 50e-6  # requested sleep between polls after the spin budget
 _ALIGN = 64  # data-segment allocation alignment (dtype-view friendly)
 
 
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class ArenaOverflowError(RuntimeError):
     """A payload cannot fit in the data segment, even after reclamation."""
 
@@ -593,11 +600,7 @@ class SharedArena:
         off the CPU — and after that each poll sleeps ``_POLL_SLEEP``.
         """
         if self._spins is None:
-            cores = (
-                len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            )
-            self._spins = len(self.active_ranks()) <= cores
+            self._spins = len(self.active_ranks()) <= usable_cores()
         start = now = time.monotonic()
         spin_until = start + _SPIN_SECONDS
         deadline = start + timeout

@@ -372,6 +372,11 @@ class Compressor(abc.ABC):
     #: parameter server or in-network switch can sum this scheme's
     #: payloads without decompressing them.
     aggregation: str = "none"
+    #: True when instances share no mutable state with one another, so
+    #: the exchange may run several ranks' φ → Q → ψ on them at once.
+    #: Read through ``type()``: a proxy that forwards attributes does not
+    #: inherit it, and runs its ranks one after another.
+    concurrent_ranks: bool = False
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
@@ -720,6 +725,9 @@ class KernelCompressor(Compressor):
     """
 
     fused_kernel = True
+    #: The built-ins keep all their state (the random stream included) per
+    #: instance; a subclass whose clones share mutable state sets False.
+    concurrent_ranks = True
 
     def compress(self, tensor: np.ndarray, name: str) -> CompressedTensor:
         """Apply Q: the kernel over the one-segment bucket of ``tensor``.
@@ -764,6 +772,10 @@ class Memory(abc.ABC):
     #: from the compressor's ``transmitted_indices`` (DGC's masking
     #: rule); ``"none"`` — nothing, the trainer passes ``None``.
     fused_transmitted: str = "values"
+
+    #: As :attr:`Compressor.concurrent_ranks`: True when instances share
+    #: no mutable state, so ranks' φ and ψ may run at once.
+    concurrent_ranks: bool = False
 
     def attach_telemetry(self, registry) -> None:
         """Route this memory's diagnostics into ``registry``."""

@@ -13,10 +13,23 @@ computed keep their own payload and ψ's decode of it; every other
 position decodes from the gather result under a local ctx, which is
 receiver-known metadata by the §IV-B honesty contract.  The simulator
 computes every position, a worker process its own.
+
+Where a process computes several ranks, a unit's φ → Q → ψ runs on
+*lanes*: the calling thread and worker threads shared by the process, as
+many as the cores the BLAS pools leave free (:func:`lane_count`).  Lane k
+takes the ranks at positions k, k + lanes, …, and the results are joined
+in rank order, so a step computes bitwise what the serial loop computes.
+A unit stays serial under :data:`LANE_MIN_NUMEL` elements, in a traced
+step, and where a rank's compressor or memory class has not declared
+``concurrent_ranks``.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import threading
 import time
 import weakref
 from dataclasses import dataclass
@@ -32,8 +45,93 @@ from repro.core.api import CompressedTensor, Compressor
 from repro.core.fusion import FusionBucket, FusionPlan, ScratchPool
 
 
+#: A unit of fewer elements runs its ranks one after another: below this
+#: the handoff to a worker lane costs more than the lane saves
+#: (docs/PERFORMANCE.md, "Rank lanes", has the break-even).
+LANE_MIN_NUMEL = 65_536
+
+
 class ReadyError(ValueError):
     """A gradient was declared ready out of turn; the message names it."""
+
+
+def lane_count() -> int:
+    """How many ranks this process may compress at once: its usable
+    cores over the threads its BLAS pool may start.  That pool is sized
+    by the smallest of :data:`~repro.comm.parallel.THREAD_VARS` (OpenBLAS
+    and MKL each read their own variable, then ``OMP_NUM_THREADS``); a
+    variable left unset counts as all cores, the libraries' default, so
+    an unpinned process gets one lane."""
+    # Loaded with repro.comm already; importing them at the top would be
+    # a cycle (the parallel backend imports repro.core).
+    from repro.comm.parallel import THREAD_VARS
+    from repro.comm.shm import usable_cores
+
+    cores = threads = usable_cores()
+    for var in THREAD_VARS:
+        try:
+            pinned = int(os.environ[var])
+        except (KeyError, ValueError):
+            continue
+        if pinned > 0:
+            threads = min(threads, pinned)
+    return max(1, cores // threads)
+
+
+#: The worker lanes' job queues, started on first use and kept for the
+#: process; a forked child starts its own.
+_lane_queues: list[queue.SimpleQueue] = []
+_lane_start = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_lane_queues.clear)
+
+
+def _lane_worker(jobs: queue.SimpleQueue) -> None:
+    while True:
+        job, done = jobs.get()
+        job()
+        done.release()
+
+
+def _in_lanes(calls: list[Callable], lanes: int) -> list:
+    """Every one of ``calls``, lane k taking calls k, k + lanes, …; lane 0
+    is the calling thread.  Results come back in call order.  A lane stops
+    at its first error; once every lane has stopped, the error of the
+    first call that raised is raised, the one a serial loop raises."""
+    n = len(calls)
+    lanes = min(lanes, n)
+    results: list = [None] * n
+    errors: dict[int, BaseException] = {}
+
+    def lane(k: int) -> None:
+        for i in range(k, n, lanes):
+            try:
+                results[i] = calls[i]()
+            except BaseException as error:
+                errors[i] = error
+                return
+
+    with _lane_start:
+        while len(_lane_queues) < lanes - 1:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_lane_worker, args=(jobs,),
+                             name="exchange-lane", daemon=True).start()
+            _lane_queues.append(jobs)
+    joins = []
+    for k in range(1, lanes):
+        done = threading.Lock()
+        done.acquire()
+        # The worker runs under a copy of the caller's context, so
+        # np.errstate and other context variables hold there too.
+        job = partial(contextvars.copy_context().run, lane, k)
+        _lane_queues[k - 1].put((job, done))
+        joins.append(done)
+    lane(0)
+    for done in joins:
+        done.acquire()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _no_scratch() -> None:
@@ -184,6 +282,11 @@ class Exchange:
             for name in bucket.names
         }
         self._sizes = [len(bucket) for bucket in self.plan.buckets]
+        # The lanes this host gives a step that may use them; one where no
+        # unit is wide enough to.
+        self._host_lanes = lane_count() if any(
+            bucket.numel >= LANE_MIN_NUMEL for bucket in self.plan.buckets
+        ) else 1
         self._bucket_count = self._bucket_bytes = None
         if fused:
             self._bucket_count = trainer.metrics.counter(
@@ -214,6 +317,16 @@ class Exchange:
             comm.iallreduce_parts if self.kind == "allreduce"
             else comm.iallgather
         )
+        self._lanes = 1
+        if (self._host_lanes > 1 and len(grads) > 1
+                and not trainer.tracer.enabled and all(
+                    getattr(type(trainer.compressors[rank]),
+                            "concurrent_ranks", False)
+                    and getattr(type(trainer.memories[rank]),
+                                "concurrent_ranks", False)
+                    for rank in grads
+                )):
+            self._lanes = self._host_lanes
         self._waiting = dict(self._index_of)
         self._left = list(self._sizes)
         self._pending: list[tuple] = []
@@ -293,13 +406,22 @@ class Exchange:
         if self._bucket_count is not None:
             self._bucket_count.inc(1)
             self._bucket_bytes.observe(float(bucket.nbytes))
-        wire, decoded, spans = map(list, zip(*(
-            trainer._compress_rank(
+
+        def compress(rank: int, grads: dict) -> tuple:
+            return trainer._compress_rank(
                 rank, grads, bucket, unit.pack[rank](), unit.where,
                 scratch=unit.transmit[rank],
             )
-            for rank, grads in self._grads.items()
-        )))
+
+        ranks = self._grads.items()
+        if self._lanes > 1 and bucket.numel >= LANE_MIN_NUMEL:
+            results = _in_lanes(
+                [partial(compress, rank, grads) for rank, grads in ranks],
+                self._lanes,
+            )
+        else:
+            results = [compress(rank, grads) for rank, grads in ranks]
+        wire, decoded, spans = map(list, zip(*results))
         ready_at = 0.0
         if timeline is not None:
             # Ready when the unit's *last* gradient materializes: backward

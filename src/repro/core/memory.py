@@ -47,6 +47,7 @@ class NoneMemory(Memory):
     """No error feedback: φ is the identity, ψ discards the error."""
 
     fused_transmitted = "none"
+    concurrent_ranks = True
 
     def compensate_fused(
         self, gradients: dict[str, np.ndarray], bucket, out: np.ndarray
@@ -78,6 +79,7 @@ class ResidualMemory(Memory):
     """Eq. 4 residual error feedback, keyed by tensor name."""
 
     _views = ("_fused_residuals",)
+    concurrent_ranks = True
 
     def __init__(self, beta: float = 1.0, gamma: float = 1.0):
         if beta <= 0 or gamma <= 0:
@@ -182,6 +184,7 @@ class DgcMemory(Memory):
 
     fused_transmitted = "indices"
     _views = ("_fused_buffers",)
+    concurrent_ranks = True
 
     def __init__(self, momentum: float = 0.9):
         if not 0 <= momentum < 1:

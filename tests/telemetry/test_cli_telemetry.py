@@ -172,6 +172,9 @@ class TestReportCommand:
         (["T", "T", "--folded", "f.txt", "--out", "p.json"],
          "--folded, --out"),
         (["T", "--clock", "sim"], "--clock requires --chrome"),
+        # Used to write a Chrome file of 0 spans: the run did not overlap.
+        (["T", "--chrome", "c.json", "--clock", "sim"],
+         "holds no simulated window"),
     ])
     def test_report_refuses_outputs_it_would_not_write(
         self, traced_run, tmp_path, monkeypatch, capsys, argv, named
