@@ -37,13 +37,17 @@ def _git(args: list[str], cwd: str | None = None) -> str | None:
 def git_revision(cwd: str | None = None) -> tuple[str, bool]:
     """The current commit SHA and whether the worktree is dirty.
 
-    Returns ``("unknown", False)`` outside a git checkout so artifacts
-    can still be written from installed copies.
+    Changes under ``benchmarks/results/``, where the bench CLIs write
+    their results and history, do not count: they are what a run
+    produced, not what it measured.  Returns ``("unknown", False)``
+    outside a git checkout so artifacts can still be written from
+    installed copies.
     """
     sha = _git(["rev-parse", "HEAD"], cwd=cwd)
     if not sha:
         return "unknown", False
-    status = _git(["status", "--porcelain"], cwd=cwd)
+    status = _git(["status", "--porcelain", "--",
+                   ":(top,exclude)benchmarks/results"], cwd=cwd)
     return sha, bool(status)
 
 

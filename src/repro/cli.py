@@ -380,6 +380,10 @@ def cmd_bench(args) -> int:
         raise SystemExit(
             f"bench {args.suite}: " + " ".join(map(str, error.args))
         )
+    if args.record and result.meta.get("git_dirty"):
+        # A dirty tree's numbers belong to no commit.
+        print("history          : not recorded (dirty tree)")
+        return 1
     print(result.text)
     if args.out != "-":
         write_result(args.out, result)
@@ -658,7 +662,8 @@ def _add_bench_suite(suites, history, name: str, help: str):
     suite.add_argument("--record", action="store_true",
                        help="append this run to the perf history (skipped "
                             "when --check fails, so a regression cannot "
-                            "poison its own baseline)")
+                            "poison its own baseline; refused on a dirty "
+                            "tree)")
     suite.add_argument("--check", action="store_true",
                        help="exit nonzero unless the suite's acceptance "
                             "criteria hold AND no gated metric regresses "

@@ -59,17 +59,19 @@ Pieces:
 Survivability
 -------------
 
-A :class:`_Watchdog` thread in the parent samples each worker's
-exitcode and heartbeat (ranks beat once per training iteration and on
-every iteration of the arena's poll loop, spinning or sleeping).  A
-non-zero exit or a heartbeat silent past the stall deadline convicts
-the rank: the watchdog marks it failed, flips the arena abort flag so
-blocked survivors raise a typed error instead of hanging, and hands the
-parent the victim set with each victim's last-started iteration.
+One loop on the parent's one thread supervises a cohort: each pass
+takes a queued report, or else feeds every rank's exitcode and
+heartbeat (beaten each training iteration and on every iteration of
+the arena's poll loop) to the pure :func:`_convict`.  A non-zero exit
+or a heartbeat silent past the stall deadline convicts the rank: the
+first such sweep marks the victims failed and flips the arena abort
+flag so blocked survivors raise a typed error instead of hanging.  A
+convicted rank still alive at teardown is signalled at once.
 
 When checkpointing is enabled (``checkpoint_every > 0`` — every rank
 snapshots its shard of trainer state to ``checkpoint_dir``), the parent
-then *recovers* instead of failing: workers are torn down with an
+then *recovers* instead of failing (:func:`_decide_recovery` makes the
+choice from the round's outcome): workers are torn down with an
 escalating join/terminate/kill ladder, consumed crash/stall fault
 clauses are retired so they do not re-fire, a fresh arena is created
 under a bumped incarnation number with the next cohort (the full rank
@@ -99,7 +101,6 @@ import shutil
 import signal
 import sys
 import tempfile
-import threading
 import time
 import traceback
 from collections import deque
@@ -159,11 +160,10 @@ _BEAT_POLL = 0.002
 #: recovery — the same default the communicators assume.
 _RECOVERY_NETWORK_GBPS = 10.0
 
-#: Fixed by the parent's supervision, not options: the watchdog's sweep
-#: interval (s), the cohort respawns before a death is fatal, the arena
-#: sanitizer's per-rank event slots, and the seconds a worker gets to
-#: exit on its own at teardown, then after SIGTERM, then after SIGKILL.
-WATCHDOG_INTERVAL = 0.25
+#: Fixed by the parent's supervision, not options: the cohort respawns
+#: before a death is fatal, the arena sanitizer's per-rank event slots,
+#: and the seconds a worker gets to exit on its own at teardown (a
+#: convicted one gets none), then after SIGTERM, then after SIGKILL.
 MAX_RECOVERIES = 8
 SANITIZE_SLOTS = 8192
 JOIN_GRACE = 10.0
@@ -637,7 +637,7 @@ class ParallelRunConfig:
     The cell's ``resilience`` reaches every worker's trainer unchanged:
     ``checkpoint_every > 0`` turns on per-rank checkpointing (to
     ``checkpoint_dir``, a temporary directory by default) *and* crash
-    recovery.  The watchdog convicts a rank silent for ``stall_timeout``
+    recovery.  The parent convicts a rank silent for ``stall_timeout``
     seconds.  Every rank's arena gets ``arena_bytes`` of data.
     ``trace`` and ``profile`` bring back every rank's spans and metrics.
     ``benchmark``, ``compressor``, ``nproc``, ``seed``, ``epochs`` and
@@ -892,89 +892,58 @@ def _worker_main(
             arena.close()
 
 
-class _Watchdog(threading.Thread):
-    """Parent-side liveness monitor for one incarnation's workers.
+def _convict(
+    observed: dict[int, tuple[bool, int | None, int]],
+    now_ns: int,
+    started_ns: int,
+    stall_timeout: float,
+    convicted: dict[int, str],
+) -> dict[int, str]:
+    """One sweep's new verdicts, ``{rank: reason}``.
 
-    Convicts a rank on either signal a dead-but-unreported worker can
-    still emit: a non-zero exitcode (SIGKILL, segfault, OOM kill) or a
-    heartbeat silent past ``stall_timeout`` (a wedged process that is
-    technically alive).  On the first conviction sweep it records every
-    victim's last-started iteration, marks them failed in the arena,
-    flips the abort flag so blocked survivors raise instead of hanging,
-    and stops scanning — deaths after the abort are collateral, not new
-    verdicts, and must not shrink the survivor set.
+    ``observed`` maps each rank to ``(done, exitcode, heartbeat_ns)``.
+    A non-zero exit (SIGKILL, segfault, OOM kill) or a heartbeat silent
+    past ``stall_timeout`` (a wedged process) convicts; a rank that
+    never beat is timed from the cohort's start.  Only the first sweep
+    that finds victims convicts: once ``convicted`` is set the arena is
+    aborted, and later deaths are collateral.
     """
-
-    def __init__(
-        self,
-        arena: SharedArena,
-        workers: dict[int, mp.process.BaseProcess],
-        stall_timeout: float,
-    ):
-        super().__init__(name="repro-watchdog", daemon=True)
-        self.arena = arena
-        self.workers = dict(workers)
-        self.stall_timeout = float(stall_timeout)
-        self.victims: dict[int, str] = {}
-        self.progress: dict[int, int] = {}
-        self.fired = threading.Event()
-        self._halt = threading.Event()
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join()
-
-    def run(self) -> None:
-        spawn_ns = time.monotonic_ns()
-        while not self._halt.wait(WATCHDOG_INTERVAL):
-            verdicts: dict[int, str] = {}
-            now_ns = time.monotonic_ns()
-            for rank, worker in self.workers.items():
-                if self.arena.status(rank) == STATUS_DONE:
-                    continue
-                exitcode = worker.exitcode
-                if exitcode is not None:
-                    if exitcode != 0:
-                        verdicts[rank] = (
-                            f"exited with code {exitcode} "
-                            "without reporting a result"
-                        )
-                    continue
-                beat = self.arena.heartbeat_ns(rank)
-                # A rank that never beat is still starting;
-                # measure its silence from watchdog start instead.
-                age = (now_ns - (beat or spawn_ns)) / 1e9
-                if age > self.stall_timeout:
-                    verdicts[rank] = (
-                        f"heartbeat silent for {age:.1f}s "
-                        f"(stall timeout {self.stall_timeout:.1f}s)"
-                    )
-            if verdicts:
-                self.progress = {
-                    rank: self.arena.progress(rank)
-                    for rank in self.workers
-                }
-                for rank, reason in verdicts.items():
-                    self.victims[rank] = reason
-                    self.arena.mark_failed(rank)
-                self.arena.abort()
-                self.fired.set()
-                return
+    if convicted:
+        return {}
+    verdicts: dict[int, str] = {}
+    for rank, (done, exitcode, beat) in observed.items():
+        if done:
+            continue
+        if exitcode is not None:
+            if exitcode != 0:
+                verdicts[rank] = (
+                    f"exited with code {exitcode} without reporting a result"
+                )
+            continue
+        age = (now_ns - (beat or started_ns)) / 1e9
+        if age > stall_timeout:
+            verdicts[rank] = (
+                f"heartbeat silent for {age:.1f}s "
+                f"(stall timeout {stall_timeout:.1f}s)"
+            )
+    return verdicts
 
 
-def _teardown_workers(workers: list, arena: SharedArena,
-                      registry: MetricsRegistry) -> None:
+def _teardown_workers(workers: dict[int, mp.process.BaseProcess],
+                      arena: SharedArena, registry: MetricsRegistry,
+                      victims: dict[int, str]) -> None:
     """Escalating join → SIGTERM → SIGKILL ladder over one cohort.
 
-    Every escalation is counted into ``comm_workers_killed_total`` by
-    signal, so a run that needed force to die is visible in telemetry.
+    A victim still alive skips the join: a convicted rank (a stalled
+    one sleeps forever) is not waited on.  Every signal is counted into
+    ``comm_workers_killed_total`` by kind.
     """
-    started = [worker for worker in workers if worker.pid is not None]
-    if any(worker.is_alive() for worker in started):
+    if any(worker.is_alive() for worker in workers.values()):
         arena.abort()
-    for worker in started:
-        worker.join(timeout=JOIN_GRACE)
-    stubborn = [worker for worker in started if worker.is_alive()]
+    for rank, worker in workers.items():
+        if rank not in victims and worker.pid is not None:  # started
+            worker.join(timeout=JOIN_GRACE)
+    stubborn = [worker for worker in workers.values() if worker.is_alive()]
     for worker in stubborn:
         worker.terminate()
         registry.counter(
@@ -999,8 +968,8 @@ class _RoundOutcome:
 
     results: dict[int, dict]
     errors: dict[int, str]
-    victims: dict[int, str]  # watchdog verdicts (rank -> reason)
-    progress: dict[int, int]  # last-started iteration at conviction time
+    victims: dict[int, str]  # conviction verdicts (rank -> reason)
+    progress: dict[int, int]  # last-started iterations at the conviction
     reported: frozenset  # ranks whose error arrived via the queue
     #: Parent-clock seconds from starting the cohort until every rank's
     #: first heartbeat (None if one never beat), and of its teardown.
@@ -1047,7 +1016,8 @@ def _run_round(
     results: dict[int, dict] = {}
     errors: dict[int, str] = {}
     reported: set[int] = set()
-    watchdog = _Watchdog(arena, workers, config.stall_timeout)
+    victims: dict[int, str] = {}
+    progress: dict[int, int] = {}
     first_beat: dict[int, int] = {}  # rank -> monotonic ns
 
     def pending() -> list[int]:
@@ -1060,7 +1030,6 @@ def _run_round(
             started_ns = time.monotonic_ns()
             for worker in workers.values():
                 worker.start()
-        watchdog.start()
         deadline = time.monotonic() + DEFAULT_TIMEOUT + 3600.0
         drain_deadline = None
         while pending():
@@ -1082,10 +1051,23 @@ def _run_round(
                 continue
             except queue_module.Empty:
                 pass
-            if watchdog.fired.is_set():
+            observed = {
+                rank: (arena.status(rank) == STATUS_DONE,
+                       workers[rank].exitcode, arena.heartbeat_ns(rank))
+                for rank in active
+            }
+            verdicts = _convict(observed, time.monotonic_ns(), started_ns,
+                                config.stall_timeout, victims)
+            if verdicts:
+                progress = {rank: arena.progress(rank) for rank in active}
+                for rank in verdicts:
+                    arena.mark_failed(rank)
+                arena.abort()
+                victims = verdicts
+            if victims:
                 # Victims never report; synthesize their errors now and
                 # give survivors a bounded window to report theirs.
-                for rank, reason in watchdog.victims.items():
+                for rank, reason in victims.items():
                     if rank not in results and rank not in errors:
                         errors[rank] = f"worker rank {rank} {reason}"
                 now = time.monotonic()
@@ -1105,15 +1087,9 @@ def _run_round(
                     "never reported"
                 )
     finally:
-        if watchdog.ident is not None:  # a failed spawn never started it
-            watchdog.stop()
         teardown_start = time.monotonic()
-        _teardown_workers(list(workers.values()), arena, registry)
+        _teardown_workers(workers, arena, registry, victims)
         teardown_seconds = time.monotonic() - teardown_start
-        if not watchdog.progress:
-            watchdog.progress = {
-                rank: arena.progress(rank) for rank in active
-            }
         sanitizer_report = None
         if arena.recording:
             # Every worker is dead by now, so the rings are quiescent;
@@ -1136,8 +1112,8 @@ def _run_round(
     return _RoundOutcome(
         results=results,
         errors=errors,
-        victims=dict(watchdog.victims),
-        progress=dict(watchdog.progress),
+        victims=victims,
+        progress=progress,
         reported=frozenset(reported),
         startup_seconds=(
             (max(first_beat.values()) - started_ns) / 1e9
@@ -1148,26 +1124,50 @@ def _run_round(
     )
 
 
+def _decide_recovery(
+    outcome: _RoundOutcome,
+    active: list[int],
+    workers: int,
+    recovery: str,
+    enabled: bool,
+    recoveries: int,
+) -> str | tuple[list[int], list[int]]:
+    """A failed round's fail-stop message, or its ``(dead, cohort)``.
+
+    Only silent deaths (SIGKILL, wedge) recover: a rank that reported
+    its own Python error would fail the same way on respawn.
+    """
+    dead = sorted(
+        rank for rank in outcome.victims if rank not in outcome.reported
+    )
+    survivors = [rank for rank in active if rank not in dead]
+    if not (enabled and dead and survivors and recoveries < MAX_RECOVERIES):
+        detail = "\n".join(
+            f"rank {rank}: {message}"
+            for rank, message in sorted(outcome.errors.items())
+        )
+        return f"{len(outcome.errors)} of {workers} workers failed:\n{detail}"
+    return dead, survivors if recovery == "degrade" else list(active)
+
+
 def _consume_clauses(
     plan: FaultPlan,
     consumed: set[int],
-    dead: set[int],
+    dead: list[int],
     progress: dict[int, int],
 ) -> None:
     """Retire crash/stall clauses the victims just executed.
 
-    A clause is consumed when a dead rank it targets had started (per
-    its heartbeat progress word) the clause's first iteration — the
-    respawned incarnation inherits the consumed set so the same clause
-    cannot fire twice.
+    A clause is consumed when the dead rank it names (crash and stall
+    clauses always name one) had started, per its heartbeat progress
+    word, the clause's iteration — the respawned incarnation inherits
+    the consumed set so the same clause cannot fire twice.
     """
     for index, event in enumerate(plan.events):
-        if index in consumed or event.kind not in ("crash", "stall"):
-            continue
-        targets = {event.rank} if event.rank is not None else dead
-        if any(
-            rank in dead and progress.get(rank, -1) >= event.start
-            for rank in targets
+        if (
+            event.kind in ("crash", "stall")
+            and event.rank in dead
+            and progress.get(event.rank, -1) >= event.start
         ):
             consumed.add(index)
 
@@ -1219,34 +1219,15 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
             if not outcome.errors:
                 results = outcome.results
                 break
-            # Recover only from silent deaths (SIGKILL, wedge): a rank
-            # that managed to report its own Python error would fail
-            # identically on respawn, so those stay fail-stop.
-            dead = sorted(
-                rank for rank in outcome.victims
-                if rank not in outcome.reported
+            decision = _decide_recovery(
+                outcome, active, cell.workers, cell.resilience.recovery,
+                recovery_enabled, len(recoveries),
             )
-            survivors = [rank for rank in active if rank not in set(dead)]
-            if (
-                not recovery_enabled
-                or not dead
-                or not survivors
-                or len(recoveries) >= MAX_RECOVERIES
-            ):
-                detail = "\n".join(
-                    f"rank {rank}: {message}"
-                    for rank, message in sorted(outcome.errors.items())
-                )
-                raise ParallelCrashError(
-                    f"{len(outcome.errors)} of {cell.workers} workers "
-                    f"failed:\n{detail}"
-                )
-            next_active = (
-                survivors if cell.resilience.recovery == "degrade"
-                else list(active)
-            )
+            if isinstance(decision, str):
+                raise ParallelCrashError(decision)
+            dead, next_active = decision
             if plan is not None:
-                _consume_clauses(plan, consumed, set(dead), outcome.progress)
+                _consume_clauses(plan, consumed, dead, outcome.progress)
             restored = latest_common_iteration(checkpoint_dir, next_active)
             new_start = int(restored) if restored is not None else 0
             furthest = max(
@@ -1266,9 +1247,7 @@ def run_parallel(config: ParallelRunConfig) -> ParallelResult:
             recoveries.append({
                 "incarnation": len(recoveries) + 1,
                 "dead_ranks": list(dead),
-                "reasons": {
-                    rank: outcome.victims[rank] for rank in dead
-                },
+                "reasons": {rank: outcome.victims[rank] for rank in dead},
                 "cohort": list(next_active),
                 "restored_iteration": new_start,
                 "lost_iterations": max(1, furthest - new_start),

@@ -12,7 +12,8 @@ actions instead:
   stale heartbeat, exactly as it would for a genuine OOM kill.
 * ``stall`` — the targeted rank stops heartbeating and sleeps forever.
   Only heartbeat staleness can surface this one; the process stays
-  alive until the parent's escalating teardown removes it.
+  alive until the parent convicts it and its teardown sends SIGTERM at
+  once, without waiting for an exit that cannot come.
 * ``straggler`` — the targeted rank sleeps ``(slow - 1) x base`` real
   seconds *without* refreshing its heartbeat, so a sleep longer than
   the watchdog's ``stall_timeout`` evicts it (the ``drop`` policy, which

@@ -4,6 +4,7 @@ and the regression gate."""
 import dataclasses
 import json
 import shutil
+import subprocess
 from types import SimpleNamespace
 
 import pytest
@@ -24,11 +25,24 @@ from repro.bench.history import (
     read_history,
     rolling_baseline,
 )
+from repro.bench.metadata import git_revision
 from repro.bench.result import Metric, RunResult, read_result
 from repro.cli import main
 from tests.bench.test_bench_contract import (
     CONTRACT_PATH, INVOCATIONS, REPO_ROOT,
 )
+
+
+SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.fixture(autouse=True)
+def clean_tree(monkeypatch):
+    """``--record`` refuses a dirty tree, so every run here is stamped
+    clean: the tests pass the same on a CI checkout and on a tree with
+    uncommitted edits."""
+    monkeypatch.setattr("repro.bench.metadata.git_revision",
+                        lambda cwd=None: (SHA, False))
 
 
 def make_result(iteration_seconds=1.0, accuracy=0.9, sha="abc123def"):
@@ -285,6 +299,19 @@ class TestBenchCheckCli:
         # the poisoned baseline was not amended by the regressing run
         assert len(history.read_text().splitlines()) == 1
 
+    def test_dirty_tree_is_not_recorded(self, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.setattr("repro.bench.metadata.git_revision",
+                            lambda cwd=None: (SHA, True))
+        history = tmp_path / "PERF_HISTORY.jsonl"
+        out = tmp_path / "BENCH_throughput.json"
+        code = main(self.BENCH + ["--out", str(out), "--history",
+                                  str(history), "--record", "--check"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "history          : not recorded (dirty tree)\n")
+        assert not history.exists() and not out.exists()
+
     def test_compare_cli(self, tmp_path, capsys):
         history = str(tmp_path / "h.jsonl")
         a = str(tmp_path / "a.json")
@@ -530,3 +557,34 @@ class TestHistoryKeyCli:
         assert main(argv + ["--check"]) == 1
         assert ("bytes_per_worker_fused = 99690 > history baseline 49845"
                 in capsys.readouterr().out)
+
+
+class TestDirtyTree:
+    """What makes a tree dirty for the stamp ``--record`` reads."""
+
+    @pytest.fixture
+    def checkout(self, tmp_path):
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c",
+                            "user.email=t@t", "-c", "commit.gpgsign=false",
+                            *args], cwd=tmp_path, check=True,
+                           capture_output=True)
+
+        git("init", "-q")
+        (tmp_path / "src.py").write_text("x = 1\n")
+        results = tmp_path / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        (results / "PERF_HISTORY.jsonl").write_text("")
+        git("add", "-A")
+        git("commit", "-q", "-m", "init")
+        return tmp_path
+
+    def test_bench_outputs_do_not_dirty_the_tree(self, checkout):
+        # git_revision is the real one, imported before any stub.
+        results = checkout / "benchmarks" / "results"
+        (results / "PERF_HISTORY.jsonl").write_text("{}\n")
+        (results / "BENCH_fusion.json").write_text("{}")
+        assert git_revision(cwd=str(results))[1] is False
+        assert git_revision(cwd=str(checkout))[1] is False
+        (checkout / "src.py").write_text("x = 2\n")
+        assert git_revision(cwd=str(results))[1] is True

@@ -19,6 +19,7 @@ import multiprocessing
 import pytest
 
 from repro.comm.parallel import (
+    JOIN_GRACE,
     RANK_CONTEXT,
     ParallelCrashError,
     ParallelRunConfig,
@@ -114,6 +115,10 @@ class TestRestartRecovery:
         (recovery,) = result.recoveries
         assert recovery["dead_ranks"] == [1]
         assert "heartbeat silent" in recovery["reasons"][1]
+        # The stalled rank sleeps forever: it is signalled at once, not
+        # joined for the grace a survivor gets.
+        assert recovery["teardown_seconds"] < JOIN_GRACE
+        assert not multiprocessing.active_children()
         # The consumed stall clause must not re-fire: the respawned
         # cohort finishes the clean trajectory bitwise.
         assert set(result.digests.values()) == set(
@@ -147,6 +152,8 @@ class TestDegradeRecovery:
         ))
         assert len(result.recoveries) == 1
         assert result.recoveries[0]["cohort"] == [0]
+        assert result.recoveries[0]["teardown_seconds"] < JOIN_GRACE
+        assert not multiprocessing.active_children()
 
 
 class TestFailStopTeardown:
